@@ -12,14 +12,15 @@
 //
 // Load mode:
 //
-//	fhed -load -out BENCH_fhed.json            # self-hosted target
+//	fhed -load                                 # self-hosted target
 //	fhed -load -url http://host:8377 -chaos    # external target
 //
 // ramps offered concurrency against a target server (an in-process one
 // when -url is empty), retries backpressure with jittered exponential
 // backoff honoring Retry-After, optionally drives fault-inject/detect/
-// recover cycles, and writes the measured service profile as
-// BENCH_fhed.json for the benchdiff perf-trajectory gate.
+// recover cycles, and exits nonzero on any transport error, timeout or
+// missed chaos cycle. It prints a one-line summary; -out FILE also
+// writes the measured service profile as JSON.
 package main
 
 import (
@@ -52,7 +53,7 @@ func main() {
 
 		// load flags
 		url    = flag.String("url", "", "target server URL (empty: self-host an in-process server)")
-		out    = flag.String("out", "BENCH_fhed.json", "load report output path")
+		out    = flag.String("out", "", "write the load report as JSON here (empty: summary line only)")
 		window = flag.Duration("window", 2*time.Second, "duration of each concurrency window")
 		ramp   = flag.String("ramp", "1,2,4,8,16", "comma-separated offered-concurrency ladder")
 		repeat = flag.Int("repeat", 8, "rotations chained per request")
@@ -135,21 +136,23 @@ func runLoad(o loadOpts, logger *log.Logger) error {
 		return err
 	}
 
-	// Stamp provenance the same way the simfhe bench reports do.
-	full := struct {
-		*server.LoadReport
-		Meta loadMeta `json:"meta"`
-	}{rep, collectLoadMeta(fmt.Sprintf("window=%v ramp=%s repeat=%d chaos=%v", o.window, o.ramp, o.repeat, o.chaos))}
+	logger.Printf("loadgen: max sustained %.1f rps, saturation reject rate %.1f%%",
+		rep.MaxSustainedRPS, rep.Saturation.RejectRate*100)
+	if o.out != "" {
+		full := struct {
+			*server.LoadReport
+			Meta loadMeta `json:"meta"`
+		}{rep, collectLoadMeta(fmt.Sprintf("window=%v ramp=%s repeat=%d chaos=%v", o.window, o.ramp, o.repeat, o.chaos))}
 
-	data, err := json.MarshalIndent(full, "", "  ")
-	if err != nil {
-		return err
+		data, err := json.MarshalIndent(full, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(o.out, append(data, '\n'), 0o644); err != nil {
+			return err
+		}
+		logger.Printf("loadgen: report written to %s", o.out)
 	}
-	if err := os.WriteFile(o.out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	logger.Printf("loadgen: report written to %s (max sustained %.1f rps, saturation reject rate %.1f%%)",
-		o.out, rep.MaxSustainedRPS, rep.Saturation.RejectRate*100)
 
 	// The run doubles as a resilience gate: overload must degrade to
 	// fast rejections (never hangs or transport errors), and every

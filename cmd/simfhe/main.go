@@ -11,13 +11,6 @@
 //	                         one bootstrap, phase by phase
 //	simfhe cost              §4.4 performance vs area/cost trade-off
 //	simfhe sweep [-axis=fftiter] sensitivity sweep around the optimal point
-//	simfhe bench [-workers=1,2,4] [-out=BENCH_parallel.json]
-//	                         measure the functional library across evaluator
-//	                         worker counts, writing machine-readable JSON
-//	simfhe benchdiff [-baseline=BENCH_extend.json] [-current=FILE] [-threshold=0.25]
-//	                         compare a fresh bench report against a committed
-//	                         baseline; exit nonzero past the regression
-//	                         threshold (the CI perf-trajectory gate)
 //	simfhe validate [-strict] [-out=FILE] [-cache-limbs=6]
 //	                         trace the functional evaluator through the cache
 //	                         simulator and compare measured DRAM traffic
@@ -144,10 +137,6 @@ func run(cmd string, args []string) {
 		traceCmd(args)
 	case "sweep":
 		sweep(args)
-	case "bench":
-		benchCmd(args)
-	case "benchdiff":
-		benchdiffCmd(args)
 	case "validate":
 		validateCmd(args)
 	case "drift":
@@ -175,10 +164,8 @@ func run(cmd string, args []string) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: simfhe [-debug-addr ADDR] {table4|fig2|fig3|table5|table6|fig6|boot|cost|run|trace|sweep|bench|benchdiff|validate|drift|ai|json|all} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: simfhe [-debug-addr ADDR] {table4|fig2|fig3|table5|table6|fig6|boot|cost|run|trace|sweep|validate|drift|ai|json|all} [flags]")
 	fmt.Fprintln(os.Stderr, "  run/boot/trace accept -trace-out FILE (Chrome trace JSON) and -metrics-out FILE (Prometheus text)")
-	fmt.Fprintln(os.Stderr, "  bench [-workers 1,2,4] [-out FILE] measures the functional library across worker counts (JSON)")
-	fmt.Fprintln(os.Stderr, "  benchdiff [-baseline FILE] [-current FILE] [-threshold 0.25] gates fresh bench results against a committed baseline")
 	fmt.Fprintln(os.Stderr, "  validate [-strict] [-out FILE] traces the functional evaluator through the cache simulator and compares measured vs modeled DRAM traffic")
 	fmt.Fprintln(os.Stderr, "  drift [-strict] [-json] [-out FILE] runs a bootstrap workload with the cost ledger attached and reports per-op-kind predicted vs measured traffic")
 }

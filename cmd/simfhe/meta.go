@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"runtime"
@@ -61,4 +63,24 @@ func cpuModel() string {
 		}
 	}
 	return ""
+}
+
+// writeBenchJSON marshals a metadata-stamped report to the given path
+// (- for stdout), exiting on failure.
+func writeBenchJSON(report any, out string) {
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "simfhe:", err)
+		os.Exit(1)
+	}
+	data = append(data, '\n')
+	if out == "-" {
+		os.Stdout.Write(data)
+		return
+	}
+	if err := os.WriteFile(out, data, 0o644); err != nil {
+		fmt.Fprintln(os.Stderr, "simfhe:", err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "wrote report to %s\n", out)
 }

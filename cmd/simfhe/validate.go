@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"repro/internal/calib"
-	"repro/internal/obs"
 )
 
 // validateReport is the machine-readable form of `simfhe validate`.
@@ -35,7 +34,6 @@ func validateCmd(args []string) {
 	boot := fs.Bool("boot", false, "also trace one full bootstrap, reported per phase (informational)")
 	out := fs.String("out", "", "write the calibration report as JSON (- for stdout)")
 	metricsOut := fs.String("metrics-out", "", "write measured/modeled byte counters as Prometheus text")
-	csvOut := fs.String("csv-out", "", "write measured/modeled byte counters as CSV")
 	strict := fs.Bool("strict", false, "exit nonzero when a gating row or toggle fails")
 	fs.Parse(args)
 
@@ -65,38 +63,7 @@ func validateCmd(args []string) {
 			Pass: pass, Report: rep,
 		}, *out)
 	}
-	counters := rep.Counters()
-	if *metricsOut != "" || *csvOut != "" || debugRec != nil {
-		snap := obs.Snapshot{Counters: counters}
-		write := func(path, what string, fn func() error) {
-			if err := fn(); err != nil {
-				fmt.Fprintln(os.Stderr, "validate:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s to %s\n", what, path)
-		}
-		if *metricsOut != "" {
-			f, err := os.Create(*metricsOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "validate:", err)
-				os.Exit(1)
-			}
-			write(*metricsOut, "Prometheus metrics", func() error { return snap.WritePrometheus(f) })
-			f.Close()
-		}
-		if *csvOut != "" {
-			f, err := os.Create(*csvOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "validate:", err)
-				os.Exit(1)
-			}
-			write(*csvOut, "CSV counters", func() error { return snap.WriteCSV(f) })
-			f.Close()
-		}
-		for name, v := range counters {
-			debugRec.Add(name, v) // nil-safe no-op without -debug-addr
-		}
-	}
+	exportObs("", *metricsOut, nil, rep.Counters())
 	if *strict && !pass {
 		os.Exit(1)
 	}

@@ -31,9 +31,18 @@ func vaultBootstrapper(t *testing.T) (*Bootstrapper, *ckks.Parameters, *ckks.Sec
 func expandAllKeys(params *ckks.Parameters, ev *ckks.Evaluator) int64 {
 	keys := ev.Keys()
 	keys.Rlk.ExpandAll(params)
-	var total int64 = params.KeyResidentBytes(&keys.Rlk.SwitchingKey)
 	for _, gk := range keys.Galois {
 		gk.ExpandAll(params)
+	}
+	return keyStructBytes(params, keys)
+}
+
+// keyStructBytes sums what the key structs themselves hold right now: b
+// halves and seeds, plus any a halves materialized in place. Vault-held
+// a halves are not included.
+func keyStructBytes(params *ckks.Parameters, keys *ckks.EvaluationKeySet) int64 {
+	total := params.KeyResidentBytes(&keys.Rlk.SwitchingKey)
+	for _, gk := range keys.Galois {
 		total += params.KeyResidentBytes(&gk.SwitchingKey)
 	}
 	return total
@@ -42,7 +51,9 @@ func expandAllKeys(params *ckks.Parameters, ev *ckks.Evaluator) int64 {
 // TestBootstrapKeyBudgetBitIdentical is the PR's golden contract at full
 // pipeline scale: a bootstrap whose key vault is budgeted well under 50%
 // of the fully-resident key bytes must produce a ciphertext bit-identical
-// to the same bootstrap with every key eagerly materialized.
+// to the same bootstrap with every key eagerly materialized — and the
+// constrained budget must actually buy memory: fully-expanded key bytes
+// over (seed-only key bytes + the vault's peak resident bytes) >= 1.5x.
 //
 // Both runs use the SAME bootstrapper: keygen consumes the PRNG stream
 // in map-iteration order over the rotation-step set, so two separately
@@ -94,8 +105,14 @@ func TestBootstrapKeyBudgetBitIdentical(t *testing.T) {
 	if st.PeakResident > budget+dnumOf(params)*digit {
 		t.Errorf("peak resident %d bytes, want <= budget %d + pin slack", st.PeakResident, budget)
 	}
-	t.Logf("full keys %d bytes; vault budget %d, peak %d, %d expansions, %d evictions, %d hits",
-		fullResident, budget, st.PeakResident, st.Expansions, st.Evictions, st.Hits)
+	seedOnly := keyStructBytes(params, keys)
+	reduction := float64(fullResident) / float64(seedOnly+st.PeakResident)
+	if reduction < 1.5 {
+		t.Errorf("resident key bytes %d expanded vs %d seed-only + %d vault peak: %.2fx reduction, want >= 1.5x",
+			fullResident, seedOnly, st.PeakResident, reduction)
+	}
+	t.Logf("full keys %d bytes, seed-only %d; vault budget %d, peak %d (%.2fx resident reduction), %d expansions, %d evictions, %d hits",
+		fullResident, seedOnly, budget, st.PeakResident, reduction, st.Expansions, st.Evictions, st.Hits)
 }
 
 func dnumOf(params *ckks.Parameters) int64 { return int64(params.Dnum()) }

@@ -170,7 +170,7 @@ func (r *Report) AllWithinTolerance() bool {
 }
 
 // Counters flattens the report into metric counters for the obs
-// exporters (Prometheus text, CSV).
+// Prometheus exporter.
 func (r *Report) Counters() map[string]uint64 {
 	out := make(map[string]uint64)
 	for _, row := range r.Rows {

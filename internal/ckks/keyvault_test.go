@@ -326,7 +326,7 @@ func TestKeyVaultGoldenAcrossBudgetsAndWorkers(t *testing.T) {
 
 // TestKeyVaultObsCounters wires a recorder and checks the vault's
 // counters and gauges surface through the standard obs snapshot — the
-// same path Prometheus, CSV and `fhe -stats` consume.
+// same path Prometheus and `fhe -stats` consume.
 func TestKeyVaultObsCounters(t *testing.T) {
 	steps := []int{1, 2}
 	tc, keys, ct := vaultTestKeys(t, steps)

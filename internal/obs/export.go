@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,7 +9,7 @@ import (
 	"time"
 )
 
-// Exporters. All three operate on a Snapshot and are deterministic:
+// Exporters. Both operate on a Snapshot and are deterministic:
 // spans are ordered by start time (then ID), counters and gauges by name.
 
 // chromeEvent is one trace_event entry. We emit complete ("X") duration
@@ -263,70 +262,7 @@ func promName(name string) string {
 	return string(out)
 }
 
-// WriteCSV writes spans, counters and gauges as CSV rows:
-//
-//	kind,id,parent,name,start_us,dur_us,value
-func (s Snapshot) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"kind", "id", "parent", "name", "start_us", "dur_us", "value"}); err != nil {
-		return err
-	}
-	spans := append([]SpanRecord(nil), s.Spans...)
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].Start != spans[j].Start {
-			return spans[i].Start < spans[j].Start
-		}
-		return spans[i].ID < spans[j].ID
-	})
-	for _, sp := range spans {
-		if err := cw.Write([]string{
-			"span",
-			strconv.FormatUint(sp.ID, 10),
-			strconv.FormatUint(sp.Parent, 10),
-			sp.Name,
-			strconv.FormatFloat(float64(sp.Start.Nanoseconds())/1e3, 'f', 3, 64),
-			strconv.FormatFloat(float64(sp.Dur.Nanoseconds())/1e3, 'f', 3, 64),
-			"",
-		}); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(s.Counters) {
-		if err := cw.Write([]string{"counter", "", "", name, "", "", strconv.FormatUint(s.Counters[name], 10)}); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(s.Gauges) {
-		if err := cw.Write([]string{"gauge", "", "", name, "", "", strconv.FormatFloat(s.Gauges[name], 'g', -1, 64)}); err != nil {
-			return err
-		}
-	}
-	// Histograms flatten into one row per summary statistic, with the
-	// value in the shared value column (microseconds for latencies).
-	for _, name := range sortedKeys(s.Hists) {
-		h := s.Hists[name]
-		for _, stat := range []struct {
-			suffix string
-			value  float64
-		}{
-			{"count", float64(h.Count)},
-			{"p50_us", h.Quantile(0.50) / 1e3},
-			{"p95_us", h.Quantile(0.95) / 1e3},
-			{"p99_us", h.Quantile(0.99) / 1e3},
-			{"max_us", float64(h.Max) / 1e3},
-		} {
-			if err := cw.Write([]string{"hist", "", "", name + "." + stat.suffix, "", "",
-				strconv.FormatFloat(stat.value, 'f', 3, 64)}); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // Recorder conveniences: export the current state directly.
 
 func (r *Recorder) WriteChromeTrace(w io.Writer) error { return r.Snapshot().WriteChromeTrace(w) }
 func (r *Recorder) WritePrometheus(w io.Writer) error  { return r.Snapshot().WritePrometheus(w) }
-func (r *Recorder) WriteCSV(w io.Writer) error         { return r.Snapshot().WriteCSV(w) }

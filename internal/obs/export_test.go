@@ -93,14 +93,6 @@ func TestPrometheusGolden(t *testing.T) {
 	checkGolden(t, "prometheus.golden.txt", buf.Bytes())
 }
 
-func TestCSVGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenSnapshot().WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "csv.golden.csv", buf.Bytes())
-}
-
 func TestPromName(t *testing.T) {
 	for in, want := range map[string]string{
 		"ckks.ntt":     "ckks_ntt",

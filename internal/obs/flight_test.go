@@ -163,10 +163,6 @@ func TestConcurrentSnapshotAndExport(t *testing.T) {
 		if err := s.WritePrometheus(&sb); err != nil {
 			t.Errorf("prometheus: %v", err)
 		}
-		sb.Reset()
-		if err := s.WriteCSV(&sb); err != nil {
-			t.Errorf("csv: %v", err)
-		}
 	}
 	close(stop)
 	wg.Wait()

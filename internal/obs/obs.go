@@ -3,7 +3,7 @@
 // monotonic counters, gauges and lock-cheap log-bucketed latency
 // histograms, collected by a concurrency-safe Recorder and exportable as
 // a Chrome trace_event JSON file (loadable in chrome://tracing or
-// Perfetto), Prometheus text exposition format, CSV, or a FLIGHT.json
+// Perfetto), Prometheus text exposition format, or a FLIGHT.json
 // post-mortem dump (see DumpFlight).
 //
 // The package is designed so that instrumentation can stay compiled into

@@ -2,6 +2,7 @@ package ring
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"testing"
 
@@ -134,6 +135,14 @@ func TestNTTTrafficCountersMatchTrace(t *testing.T) {
 // measured traffic agrees with the kernel's own byte counter up to
 // line-granularity effects — the access stream the counter summarizes is
 // the one the cache sim actually sees.
+//
+// The same trace also carries the kernel's memory-schedule gate: replayed
+// at a 32 KiB scratchpad (twice a 16 KiB tile, half this 64 KiB limb) the
+// blocked kernel must move at least 1.5x fewer DRAM bytes than the
+// reference schedule, which sweeps the whole limb once per butterfly
+// stage plus once for the exact-reduction epilogue — what NTTReference
+// and INTTReference do by construction. `go test -v` logs the ratio
+// docs/PERF.md quotes.
 func TestNTTBlockedTrafficMatchesCacheReplay(t *testing.T) {
 	n := 4 * NTTTile
 	r := testRing(t, n, 1)
@@ -165,6 +174,23 @@ func TestNTTBlockedTrafficMatchesCacheReplay(t *testing.T) {
 	if diff > slack {
 		t.Fatalf("cache replay measured %d bytes, counters say %d (slack %d)",
 			measured, counted, slack)
+	}
+
+	scratchpad := memtrace.Geometry{CapacityBytes: 32 << 10}
+	refTr := memtrace.New()
+	sweeps := 2 * bits.Len(uint(n)) // NTT and INTT: log2 N stages + 1 epilogue each
+	for i := 0; i < sweeps; i++ {
+		refTr.Read(p.Coeffs[0])
+		refTr.Write(p.Coeffs[0])
+	}
+	blocked := memtrace.Measure(tr.Events(), scratchpad, nil).Total()
+	reference := memtrace.Measure(refTr.Events(), scratchpad, nil).Total()
+	ratio := float64(reference) / float64(blocked)
+	t.Logf("n=%d at %d KiB: reference schedule %d B, blocked kernel %d B, traffic ratio %.2fx",
+		n, scratchpad.CapacityBytes>>10, reference, blocked, ratio)
+	if ratio < 1.5 {
+		t.Errorf("blocked NTT+INTT moves %d B against the reference schedule's %d B (%.2fx), want >= 1.5x",
+			blocked, reference, ratio)
 	}
 }
 

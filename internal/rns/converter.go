@@ -158,10 +158,6 @@ func (c *Converter) table(in, out []uint64) *ExtTable {
 	return t
 }
 
-// Table exposes the cached-table lookup for benchmarks and diagnostics
-// (the simfhe bench extend suite pins the hit-path cost with it).
-func (c *Converter) Table(in, out []uint64) *ExtTable { return c.table(in, out) }
-
 // extendViews recycles the per-chunk slice headers of extendParallel so
 // steady-state parallel conversions stop allocating in the hot loop. The
 // headers alias caller coefficient arrays, so they are dropped on release.

@@ -108,9 +108,11 @@ type ChaosStats struct {
 	Missed    int `json:"missed"`
 }
 
-// LoadReport is BENCH_fhed.json: the measured service profile. The
-// benchdiff harness flattens Ops into fhed/<op>/p50|p95 metrics for the
-// perf-trajectory gate.
+// LoadReport is the measured service profile of one load run: what
+// `fhed -load -out FILE` writes and what its resilience gate (zero
+// errors, zero timeouts, every chaos cycle detected and recovered)
+// reads. Latency and throughput trajectories are gated by the
+// fhed_mixed workload of bench/, not by this report.
 type LoadReport struct {
 	Schema          string        `json:"schema"`
 	Target          string        `json:"target"`
