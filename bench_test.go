@@ -94,7 +94,7 @@ func BenchmarkTable5Search(b *testing.B) {
 // --- Table 6: bootstrapping throughput per design ---
 
 func BenchmarkTable6(b *testing.B) {
-	for _, row := range core.Table6() {
+	for _, row := range design.Table6() {
 		b.Run(row.Original.Name, func(b *testing.B) {
 			var r design.BootstrapResult
 			for i := 0; i < b.N; i++ {

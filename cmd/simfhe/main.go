@@ -323,7 +323,7 @@ func table5() {
 func table6() {
 	fmt.Println("== Table 6: bootstrapping throughput, original designs vs +MAD at 32 MB ==")
 	fmt.Printf("%-18s %10s | %9s %10s %7s %10s\n", "Design", "orig tput", "MAD ms", "MAD tput", "logQ1", "normalized")
-	for _, r := range core.Table6() {
+	for _, r := range design.Table6() {
 		bound := "mem-bound"
 		if r.MAD.ComputeBound {
 			bound = "compute-bound"
@@ -344,10 +344,10 @@ func fig6(args []string) {
 	switch *app {
 	case "lr":
 		fmt.Println("== Figure 6 (a-e): logistic-regression training time ==")
-		data = core.Figure6LR()
+		data = apps.Figure6LR()
 	case "resnet":
 		fmt.Println("== Figure 6 (f-h): ResNet-20 inference time ==")
-		data = core.Figure6ResNet()
+		data = apps.Figure6ResNet()
 	default:
 		fmt.Fprintln(os.Stderr, "unknown -app:", *app)
 		os.Exit(2)
@@ -498,36 +498,19 @@ func runSchedule(args []string) {
 	}
 }
 
-// scheduleTrace replays a schedule result step by step, attaching one
-// attribution tree per executed op (and per auto-inserted bootstrap) to a
-// synthetic roofline timeline. The replay mirrors RunSchedule's level
-// tracking, and cross-checks it against the recorded per-step limb counts.
+// scheduleTrace lays the attribution tree RunSchedule recorded for each
+// executed op (and one bootstrap tree per auto-inserted bootstrap) out on
+// a synthetic roofline timeline.
 func scheduleTrace(ctx simfhe.Ctx, res simfhe.ScheduleResult) ([]obs.SpanRecord, map[string]uint64) {
-	startLevel := ctx.Bootstrap().LimbsAfter
-	level := startLevel
 	tb := &traceBuilder{m: refMachine}
 	metrics := map[string]uint64{}
 	for _, sc := range res.PerStep {
-		kind := sc.Step.Kind
-		if kind == simfhe.OpBootstrap {
+		if sc.AutoBootstrap {
 			tb.add(ctx.BootstrapTree())
 			metrics["simfhe_ops_bootstrap"]++
-			level = startLevel
-			continue
 		}
-		if level-kind.LevelCost() < 1 {
-			// RunSchedule inserted a bootstrap before this step.
-			tb.add(ctx.BootstrapTree())
-			metrics["simfhe_ops_bootstrap"]++
-			level = startLevel
-		}
-		tb.add(ctx.OpTree(kind, level))
-		metrics["simfhe_ops_"+kind.String()]++
-		level -= kind.LevelCost()
-		if level != sc.Limbs {
-			fmt.Fprintf(os.Stderr, "warning: trace replay at level %d but schedule recorded %d\n", level, sc.Limbs)
-			level = sc.Limbs
-		}
+		tb.add(sc.Tree)
+		metrics["simfhe_ops_"+sc.Step.Kind.String()]++
 	}
 	return tb.spans, metrics
 }

@@ -50,12 +50,6 @@ func DefaultParameters() Parameters {
 	}
 }
 
-// Depth returns the number of levels one bootstrap consumes below the
-// raised level (CoeffToSlot + EvalMod + SlotToCoeff).
-func (p Parameters) Depth() int {
-	return p.CtSIter + ChebyshevDepth(p.SineDegree) + p.DoubleAngle + p.StCIter
-}
-
 // Bootstrapper refreshes exhausted ciphertexts back to a computable level.
 type Bootstrapper struct {
 	params  *ckks.Parameters

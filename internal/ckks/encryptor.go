@@ -87,14 +87,6 @@ func (e *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 	return ct
 }
 
-// EncryptZeroAtLevel returns a fresh encryption of zero at the given level
-// and scale (used by bootstrapping tests and as additive masks).
-func (e *Encryptor) EncryptZeroAtLevel(level int, scale float64) *Ciphertext {
-	pt := &Plaintext{Value: e.params.RingQ().AtLevel(level).NewPoly(), Scale: scale, Level: level}
-	pt.Value.IsNTT = true
-	return e.Encrypt(pt)
-}
-
 // Decryptor decrypts ciphertexts with the secret key.
 type Decryptor struct {
 	params *Parameters

@@ -119,9 +119,6 @@ func (ev *Evaluator) Keys() *EvaluationKeySet { return ev.keys }
 // digits are evicted before this returns.
 func (ev *Evaluator) SetKeyBudget(bytes int64) { ev.vault.setBudget(bytes) }
 
-// KeyBudget returns the current vault byte budget (<= 0 = unlimited).
-func (ev *Evaluator) KeyBudget() int64 { return ev.vault.budgetBytes() }
-
 // KeyVaultStats snapshots the key vault's hit/miss/eviction counters and
 // resident-byte occupancy.
 func (ev *Evaluator) KeyVaultStats() KeyVaultStats { return ev.vault.stats() }
@@ -739,17 +736,6 @@ func (ev *Evaluator) automorphism(ct *Ciphertext, g uint64) *Ciphertext {
 	p0, p1 := ev.KeySwitch(level, c1r, &gk.SwitchingKey)
 	out := &Ciphertext{C0: rQ.NewPoly(), C1: p1, Scale: ct.Scale, Level: level}
 	rQ.Add(c0r, p0, out.C0)
-	return out
-}
-
-// automorphismPolyQP applies X → X^g to both parts of a raised polynomial.
-func (ev *Evaluator) automorphismPolyQP(level int, a rns.PolyQP, g uint64) rns.PolyQP {
-	p := ev.params
-	rQ := p.RingQ().AtLevel(level)
-	rP := p.RingP()
-	out := p.Converter().NewPolyQP(level)
-	rQ.AutomorphismNTT(a.Q, g, out.Q)
-	rP.AutomorphismNTT(a.P, g, out.P)
 	return out
 }
 

@@ -140,13 +140,3 @@ func (p *Parameters) Q() []uint64 { return p.ringQ.Moduli }
 
 // P returns the special moduli.
 func (p *Parameters) P() []uint64 { return p.ringP.Moduli }
-
-// QAtLevel returns the product of moduli q_0…q_level as a float64 (used
-// only for scale bookkeeping, where float precision suffices).
-func (p *Parameters) QAtLevel(level int) float64 {
-	prod := 1.0
-	for _, q := range p.ringQ.Moduli[:level+1] {
-		prod *= float64(q)
-	}
-	return prod
-}

@@ -1,48 +1,13 @@
-// Package core is the front door to the MAD reproduction: it re-exports
-// the simulator (the paper's primary contribution) and gathers the
-// top-level experiment entry points — every table and figure of the
-// evaluation section — behind one import.
-//
-// Layering:
-//
-//	core ── the experiments of §4 (this package)
-//	├── simfhe          analytic CKKS cost simulator (§2.3, §3, Table 4)
-//	│   ├── design      hardware platforms + roofline runtimes (Table 6)
-//	│   ├── apps        HELR and ResNet-20 schedules (Figure 6)
-//	│   └── search      brute-force parameter exploration (Table 5)
-//	├── ckks            functional RNS-CKKS (Table 2 API, §3.2 variants)
-//	├── bootstrap       functional CKKS bootstrapping (Algorithm 4)
-//	├── rns, ring       RNS basis changes (Algs. 1–2, 5), negacyclic NTT
-//	└── mathutil, prng  modular arithmetic, deterministic randomness
+// Package core holds the experiments of the paper's evaluation section
+// that need more than one call into the simulator — Table 4, Figures 2–3,
+// Table 5 — and the machine-readable report of all of them. Table 6 and
+// Figure 6 are single calls into simfhe/design and simfhe/apps; their
+// drivers import those packages directly.
 package core
 
 import (
 	"repro/internal/simfhe"
-	"repro/internal/simfhe/apps"
-	"repro/internal/simfhe/design"
 	"repro/internal/simfhe/search"
-)
-
-// Re-exported simulator types, so experiment drivers need one import.
-type (
-	Params      = simfhe.Params
-	Cost        = simfhe.Cost
-	OptSet      = simfhe.OptSet
-	CacheConfig = simfhe.CacheConfig
-	Ctx         = simfhe.Ctx
-	Design      = design.Design
-	Workload    = apps.Workload
-)
-
-// Constructors and canonical configurations.
-var (
-	Baseline = simfhe.Baseline
-	Optimal  = simfhe.Optimal
-	NewCtx   = simfhe.NewCtx
-	MB       = simfhe.MB
-	NoOpts   = simfhe.NoOpts
-	AllOpts  = simfhe.AllOpts
-	Caching  = simfhe.CachingOpts
 )
 
 // Table4Row is one primitive-operation row of Table 4.
@@ -152,12 +117,3 @@ func Table5() (baseline, paperOptimal simfhe.Params, searchOptimal search.Candid
 	best, _ := search.Best(search.Space{}, search.ReferenceDesign(), simfhe.AllOpts())
 	return simfhe.Baseline(), simfhe.Optimal(), best
 }
-
-// Table6 re-exports the design comparison.
-var Table6 = design.Table6
-
-// Figure6LR and Figure6ResNet re-export the application comparisons.
-var (
-	Figure6LR     = apps.Figure6LR
-	Figure6ResNet = apps.Figure6ResNet
-)

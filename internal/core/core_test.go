@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"repro/internal/simfhe"
 )
 
 func TestTable4HasEveryPaperRow(t *testing.T) {
@@ -23,7 +25,7 @@ func TestTable4HasEveryPaperRow(t *testing.T) {
 		}
 	}
 	// Rotate and Conjugate have identical implementations (Table 4 note).
-	var rot, conj Cost
+	var rot, conj simfhe.Cost
 	for _, r := range rows {
 		switch r.Name {
 		case "Rotate":
@@ -69,23 +71,6 @@ func TestTable5ReturnsAllThree(t *testing.T) {
 	}
 	if best.Throughput <= 0 || best.Params.Validate() != nil {
 		t.Errorf("search optimum invalid: %+v", best)
-	}
-}
-
-func TestFacadeAliases(t *testing.T) {
-	// The re-exports must stay wired to the underlying packages.
-	ctx := NewCtx(Baseline(), MB(2), NoOpts())
-	if ctx.P.L != 35 {
-		t.Errorf("facade Baseline L = %d", ctx.P.L)
-	}
-	if got := ctx.Bootstrap().LogQ1; got != 1080 {
-		t.Errorf("facade bootstrap logQ1 = %d", got)
-	}
-	if len(Table6()) != 5 {
-		t.Error("Table6 facade broken")
-	}
-	if len(Figure6LR()) == 0 || len(Figure6ResNet()) == 0 {
-		t.Error("Figure6 facades broken")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/simfhe"
 	"repro/internal/simfhe/apps"
+	"repro/internal/simfhe/design"
 )
 
 // Machine-readable export of every experiment, so the tables and figures
@@ -53,43 +54,68 @@ func costTreeJSON(t *simfhe.CostTree) CostTreeJSON {
 	return out
 }
 
+// PaperJSON is a published Table 4 reference triple.
+type PaperJSON struct {
+	GOps float64 `json:"gops"`
+	GB   float64 `json:"gb"`
+	AI   float64 `json:"ai"`
+}
+
+// Table4JSON is one Table 4 row beside its published numbers.
+type Table4JSON struct {
+	Name  string    `json:"name"`
+	Cost  CostJSON  `json:"cost"`
+	Paper PaperJSON `json:"paper"`
+}
+
+// Figure2JSON is one Figure 2 bar.
+type Figure2JSON struct {
+	Name    string   `json:"name"`
+	CacheMB int      `json:"cache_mb"`
+	Cost    CostJSON `json:"cost"`
+}
+
+// Figure3JSON is one Figure 3 bar.
+type Figure3JSON struct {
+	Name string   `json:"name"`
+	Cost CostJSON `json:"cost"`
+}
+
+// SearchBestJSON is the parameter search's optimum (Table 5).
+type SearchBestJSON struct {
+	Params     simfhe.Params `json:"params"`
+	Throughput float64       `json:"throughput"`
+	RuntimeMs  float64       `json:"runtime_ms"`
+	LogQ1      int           `json:"logq1"`
+}
+
+// Table6JSON is one design row of Table 6.
+type Table6JSON struct {
+	Design       string  `json:"design"`
+	OrigTput     float64 `json:"orig_throughput"`
+	MADTput      float64 `json:"mad_throughput"`
+	MADRuntimeMs float64 `json:"mad_runtime_ms"`
+	Normalized   float64 `json:"normalized"`
+}
+
+// Fig6PointJSON is one application bar.
+type Fig6PointJSON struct {
+	Label     string  `json:"label"`
+	RuntimeS  float64 `json:"runtime_s"`
+	Published bool    `json:"published"`
+}
+
 // Report is the full experiment dump.
 type Report struct {
-	Table4 []struct {
-		Name  string   `json:"name"`
-		Cost  CostJSON `json:"cost"`
-		Paper struct {
-			GOps float64 `json:"gops"`
-			GB   float64 `json:"gb"`
-			AI   float64 `json:"ai"`
-		} `json:"paper"`
-	} `json:"table4"`
-	Figure2 []struct {
-		Name    string   `json:"name"`
-		CacheMB int      `json:"cache_mb"`
-		Cost    CostJSON `json:"cost"`
-	} `json:"figure2"`
-	Figure3 []struct {
-		Name string   `json:"name"`
-		Cost CostJSON `json:"cost"`
-	} `json:"figure3"`
-	Table5 struct {
-		Baseline     simfhe.Params `json:"baseline"`
-		PaperOptimal simfhe.Params `json:"paper_optimal"`
-		SearchBest   struct {
-			Params     simfhe.Params `json:"params"`
-			Throughput float64       `json:"throughput"`
-			RuntimeMs  float64       `json:"runtime_ms"`
-			LogQ1      int           `json:"logq1"`
-		} `json:"search_best"`
+	Table4  []Table4JSON  `json:"table4"`
+	Figure2 []Figure2JSON `json:"figure2"`
+	Figure3 []Figure3JSON `json:"figure3"`
+	Table5  struct {
+		Baseline     simfhe.Params  `json:"baseline"`
+		PaperOptimal simfhe.Params  `json:"paper_optimal"`
+		SearchBest   SearchBestJSON `json:"search_best"`
 	} `json:"table5"`
-	Table6 []struct {
-		Design       string  `json:"design"`
-		OrigTput     float64 `json:"orig_throughput"`
-		MADTput      float64 `json:"mad_throughput"`
-		MADRuntimeMs float64 `json:"mad_runtime_ms"`
-		Normalized   float64 `json:"normalized"`
-	} `json:"table6"`
+	Table6        []Table6JSON               `json:"table6"`
 	Figure6LR     map[string][]Fig6PointJSON `json:"figure6_lr"`
 	Figure6ResNet map[string][]Fig6PointJSON `json:"figure6_resnet"`
 	// Attribution holds the hierarchical per-sub-op breakdowns of the
@@ -100,67 +126,36 @@ type Report struct {
 	} `json:"attribution"`
 }
 
-// Fig6PointJSON is one application bar.
-type Fig6PointJSON struct {
-	Label     string  `json:"label"`
-	RuntimeS  float64 `json:"runtime_s"`
-	Published bool    `json:"published"`
-}
-
 // BuildReport runs every experiment and assembles the dump.
 func BuildReport() Report {
 	var r Report
 	for _, row := range Table4() {
-		entry := struct {
-			Name  string   `json:"name"`
-			Cost  CostJSON `json:"cost"`
-			Paper struct {
-				GOps float64 `json:"gops"`
-				GB   float64 `json:"gb"`
-				AI   float64 `json:"ai"`
-			} `json:"paper"`
-		}{Name: row.Name, Cost: costJSON(row.Cost)}
-		entry.Paper.GOps, entry.Paper.GB, entry.Paper.AI = row.Paper.GOps, row.Paper.GB, row.Paper.AI
-		r.Table4 = append(r.Table4, entry)
+		r.Table4 = append(r.Table4, Table4JSON{row.Name, costJSON(row.Cost),
+			PaperJSON{row.Paper.GOps, row.Paper.GB, row.Paper.AI}})
 	}
 	for _, pt := range Figure2() {
-		r.Figure2 = append(r.Figure2, struct {
-			Name    string   `json:"name"`
-			CacheMB int      `json:"cache_mb"`
-			Cost    CostJSON `json:"cost"`
-		}{pt.Name, pt.CacheMB, costJSON(pt.Cost)})
+		r.Figure2 = append(r.Figure2, Figure2JSON{pt.Name, pt.CacheMB, costJSON(pt.Cost)})
 	}
 	for _, pt := range Figure3() {
-		r.Figure3 = append(r.Figure3, struct {
-			Name string   `json:"name"`
-			Cost CostJSON `json:"cost"`
-		}{pt.Name, costJSON(pt.Cost)})
+		r.Figure3 = append(r.Figure3, Figure3JSON{pt.Name, costJSON(pt.Cost)})
 	}
 	baseline, paperOpt, best := Table5()
 	r.Table5.Baseline = baseline
 	r.Table5.PaperOptimal = paperOpt
-	r.Table5.SearchBest.Params = best.Params
-	r.Table5.SearchBest.Throughput = best.Throughput
-	r.Table5.SearchBest.RuntimeMs = best.RuntimeMs
-	r.Table5.SearchBest.LogQ1 = best.LogQ1
-	for _, row := range Table6() {
-		r.Table6 = append(r.Table6, struct {
-			Design       string  `json:"design"`
-			OrigTput     float64 `json:"orig_throughput"`
-			MADTput      float64 `json:"mad_throughput"`
-			MADRuntimeMs float64 `json:"mad_runtime_ms"`
-			Normalized   float64 `json:"normalized"`
-		}{row.Original.Name, row.OrigTput, row.MAD.Throughput, row.MAD.RuntimeMs, row.Normalized})
+	r.Table5.SearchBest = SearchBestJSON{best.Params, best.Throughput, best.RuntimeMs, best.LogQ1}
+	for _, row := range design.Table6() {
+		r.Table6 = append(r.Table6, Table6JSON{row.Original.Name, row.OrigTput,
+			row.MAD.Throughput, row.MAD.RuntimeMs, row.Normalized})
 	}
-	r.Figure6LR = fig6JSON(Figure6LR())
-	r.Figure6ResNet = fig6JSON(Figure6ResNet())
+	r.Figure6LR = fig6JSON(apps.Figure6LR())
+	r.Figure6ResNet = fig6JSON(apps.Figure6ResNet())
 	ctx := simfhe.NewCtx(simfhe.Optimal(), simfhe.MB(32), simfhe.AllOpts())
 	r.Attribution.Mult = costTreeJSON(ctx.MultTree(ctx.P.L))
 	r.Attribution.Bootstrap = costTreeJSON(ctx.BootstrapTree())
 	return r
 }
 
-func fig6JSON(data map[string][]appsFigure6Point) map[string][]Fig6PointJSON {
+func fig6JSON(data map[string][]apps.Figure6Point) map[string][]Fig6PointJSON {
 	out := make(map[string][]Fig6PointJSON, len(data))
 	for name, pts := range data {
 		for _, pt := range pts {
@@ -176,8 +171,3 @@ func WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(BuildReport())
 }
-
-// appsFigure6Point aliases the apps package's point type structurally so
-// fig6JSON accepts Figure6LR/Figure6ResNet output without an import cycle
-// concern in callers.
-type appsFigure6Point = apps.Figure6Point

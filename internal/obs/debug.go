@@ -103,14 +103,3 @@ func (d *DebugServer) Shutdown(timeout time.Duration) error {
 	}
 	return nil
 }
-
-// StartDebugServer is the fire-and-forget form of NewDebugServer: the
-// listener lives for the remainder of the process. It returns the bound
-// address.
-func StartDebugServer(addr string, r *Recorder) (string, error) {
-	d, err := NewDebugServer(addr, r)
-	if err != nil {
-		return "", err
-	}
-	return d.Addr, nil
-}

@@ -68,7 +68,7 @@ func ForParametersAt(p *ckks.Parameters, cacheLimbs int) (*Model, error) {
 	if err := mp.Validate(); err != nil {
 		return nil, fmt.Errorf("ledger: %w", err)
 	}
-	cache := simfhe.CacheConfig{Bytes: DefaultCacheLimbs * mp.LimbBytes()}
+	cache := simfhe.CacheConfig{Bytes: uint64(cacheLimbs) * mp.LimbBytes()}
 	return New(mp, cache, simfhe.NoOpts()), nil
 }
 

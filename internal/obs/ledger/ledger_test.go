@@ -36,6 +36,16 @@ func TestForParametersInfersModelPoint(t *testing.T) {
 	}
 }
 
+func TestForParametersAtUsesCacheLimbs(t *testing.T) {
+	m, err := ForParametersAt(bootParams(t), 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.Ctx().Cache.Bytes, 12*m.Ctx().P.LimbBytes(); got != want {
+		t.Errorf("cache = %d bytes, want 12 limbs = %d", got, want)
+	}
+}
+
 func TestForParametersNoDnum(t *testing.T) {
 	// One special limb: ceil((L+d)/d) ≥ 2 for every d, so no dnum
 	// reproduces kP=1 and the inference must fail cleanly.

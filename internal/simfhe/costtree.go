@@ -17,11 +17,12 @@ import (
 // individually chargeable — the prerequisite for per-kernel memory/
 // compute breakdowns à la ARK or CraterLake evaluations.
 //
-// Conservation invariant: for every builder below, Total() equals the
-// corresponding flat cost function exactly (enforced by
-// TestCostTreeConservation). Credits model the same minusCtRead/
-// minusCtWrite adjustments the flat models apply, attributed to the node
-// whose fusion removes the traffic.
+// The tree is the model: each composite operation is defined exactly once,
+// by the builder that assembles its tree (below; the bootstrap pipeline's
+// in bootstrapmodel.go), and the flat cost the rest of the simulator uses
+// (Ctx.Mult, Ctx.Rotate, Ctx.Bootstrap, …) is that tree's Total(). TestCostGolden pins the resulting numbers. A Credit is
+// the traffic a fusion keeps on chip, attributed to the node whose
+// children the fusion spans.
 type CostTree struct {
 	Name     string
 	Self     Cost
@@ -91,21 +92,24 @@ func (t *CostTree) Render(w io.Writer) {
 	})
 }
 
-// --- Builders mirroring the flat primitive models ---
+// --- The composite operations ---
 
-// KeySwitchTree attributes KeySwitch (Algorithm 3 on one polynomial).
-// Total() == KeySwitch(l), including the Decomp→ModUp fusion credit the
-// flat model applies under the O(1) caching optimization.
+// KeySwitchTree is the full Algorithm 3 on one polynomial: Decomp, β
+// ModUps, the key inner product, and a pair of ModDowns.
 func (c Ctx) KeySwitchTree(l int) *CostTree {
 	t := c.keySwitchTreeWithDrop(l, c.P.Alpha())
 	if c.Opts.CacheO1 {
+		// Decomp output → ModUp iNTT fusion: one write + one read of ℓ
+		// limbs never reaches DRAM.
 		t.Credit = t.Credit.Plus(c.P.writeCt(l)).Plus(c.P.readCt(l))
 	}
 	return t
 }
 
 // keySwitchTreeWithDrop builds the KeySwitch node with a configurable
-// ModDown divisor (α, or α+1 when the caller merges the Rescale in).
+// ModDown divisor (α, or α+1 when the caller merges the Rescale in). The
+// Decomp→iNTT front-end credit is left to the caller, which may fuse more
+// of its own sub-operations into that pass.
 func (c Ctx) keySwitchTreeWithDrop(l, dropLimbs int) *CostTree {
 	p := c.P
 	dropResident := c.Opts.LimbReorder
@@ -119,46 +123,79 @@ func (c Ctx) keySwitchTreeWithDrop(l, dropLimbs int) *CostTree {
 		},
 	}
 	if dropResident {
+		// The re-ordering also elides the inner product's write of the α
+		// soon-to-be-dropped limbs of u and v.
 		t.Credit = t.Credit.Plus(p.writeCt(2 * p.Alpha()))
 	}
 	return t
 }
 
-// MultTree attributes the full Table 2 Mult. Total() == Mult(l).
-func (c Ctx) MultTree(l int) *CostTree {
+// tensorRelin is the front every ciphertext multiply shares: the tensor
+// product d0 = a0·b0, d1 = a0·b1 + a1·b0, d2 = a1·b1, then the
+// relinearization of d2 (Algorithm 3) with the given ModDown divisor.
+func (c Ctx) tensorRelin(name string, l, dropLimbs int) *CostTree {
 	p := c.P
-	t := &CostTree{Name: "Mult"}
-	t.Children = append(t.Children,
-		leaf("Tensor", p.pointwise(l, 4, 1).Plus(p.readCt(4*l)).Plus(p.writeCt(3*l))))
-
-	drop := p.Alpha()
-	if c.Opts.ModDownMerge {
-		drop++
-	}
-	t.Children = append(t.Children, c.keySwitchTreeWithDrop(l, drop))
-
-	if c.Opts.ModDownMerge {
-		// PModUp lift of (d0, d1), raised adds, recombine reads; the
-		// Rescale is folded into the single larger ModDown above.
-		t.Children = append(t.Children, leaf("Recombine",
-			p.pointwise(2*l, 1, 0).
-				Plus(p.pointwise(2*(l+p.Alpha()), 0, 1)).
-				Plus(p.readCt(2*l))))
-	} else {
-		t.Children = append(t.Children, leaf("Recombine",
-			p.pointwise(2*l, 0, 1).Plus(p.readCt(4*l)).Plus(p.writeCt(2*l))))
-		t.Children = append(t.Children, leaf("Rescale", c.RescalePoly(l).Times(2)))
+	t := &CostTree{
+		Name: name,
+		Children: []*CostTree{
+			leaf("Tensor", p.pointwise(l, 4, 1).Plus(p.readCt(4*l)).Plus(p.writeCt(3*l))),
+			c.keySwitchTreeWithDrop(l, dropLimbs),
+		},
 	}
 	if c.Opts.CacheO1 {
+		// Fusion: tensor d2 → Decomp → iNTT (4ℓ).
 		t.Credit = t.Credit.Plus(p.writeCt(2 * l)).Plus(p.readCt(2 * l))
-		if !c.Opts.ModDownMerge {
-			t.Credit = t.Credit.Plus(p.writeCt(3 * l)).Plus(p.readCt(3 * l))
-		}
 	}
 	return t
 }
 
-// RotateTree attributes Rotate. Total() == Rotate(l).
+// MulRelinTree is the rescale-free multiply: tensor product,
+// relinearization, and the recombination adds (d0 + p0, d1 + p1), leaving
+// the result at the doubled scale.
+func (c Ctx) MulRelinTree(l int) *CostTree {
+	p := c.P
+	t := c.tensorRelin("MulRelin", l, p.Alpha())
+	t.Children = append(t.Children, leaf("Recombine",
+		p.pointwise(2*l, 0, 1).Plus(p.readCt(4*l)).Plus(p.writeCt(2*l))))
+	if c.Opts.CacheO1 {
+		// Fusion: ModDown outputs → adds (4ℓ).
+		t.Credit = t.Credit.Plus(p.writeCt(2 * l)).Plus(p.readCt(2 * l))
+	}
+	return t
+}
+
+// MultTree is the full Table 2 Mult: MulRelin followed by the Rescale of
+// both halves — or, with the ModDown merge of §3.2, a single ModDown by
+// P·q_ℓ per half that also performs the Rescale (Figure 4(c)).
+func (c Ctx) MultTree(l int) *CostTree {
+	p := c.P
+	if !c.Opts.ModDownMerge {
+		t := c.MulRelinTree(l)
+		t.Name = "Mult"
+		t.Children = append(t.Children, leaf("Rescale", c.RescalePoly(l).Times(2)))
+		if c.Opts.CacheO1 {
+			// Cross-op fusion: the Rescale reads the recombination adds
+			// straight from cache (2ℓ), only available when the Rescale
+			// immediately consumes them.
+			t.Credit = t.Credit.Plus(p.writeCt(l)).Plus(p.readCt(l))
+		}
+		return t
+	}
+	t := c.tensorRelin("Mult", l, p.Alpha()+1)
+	// The Add is lifted above the ModDown (PModUp of (d0, d1) costs one
+	// scalar multiply per coefficient, the adds run raised) and its read
+	// of d0/d1 folds into the ModDown combine pass; the separate Rescale
+	// disappears.
+	t.Children = append(t.Children, leaf("Recombine",
+		p.pointwise(2*l, 1, 0).
+			Plus(p.pointwise(2*(l+p.Alpha()), 0, 1)).
+			Plus(p.readCt(2*l))))
+	return t
+}
+
+// RotateTree rotates the slots by k positions (Table 2): Automorph on
+// both halves, KeySwitch on the rotated c1, then the recombination add
+// c0^σ + p0 on the c0 half.
 func (c Ctx) RotateTree(l int) *CostTree { return c.rotateTree(l, "Rotate") }
 
 // ConjugateTree attributes Conjugate (same model as Rotate, Table 4).
@@ -175,12 +212,16 @@ func (c Ctx) rotateTree(l int, name string) *CostTree {
 		},
 	}
 	if c.Opts.CacheO1 {
+		// Figure 1: Automorph → Decomp → iNTT on c1 fuse into one pass
+		// (the KeySwitch already took the Decomp→iNTT credit; here the
+		// Automorph c1 write and the Decomp read also vanish), and the
+		// final add fuses with the ModDown output pass.
 		t.Credit = t.Credit.Plus(p.writeCt(2 * l)).Plus(p.readCt(2 * l))
 	}
 	return t
 }
 
-// PtMultTree attributes PtMult. Total() == PtMult(l).
+// PtMultTree multiplies by a plaintext and rescales (Table 2 PtMult).
 func (c Ctx) PtMultTree(l int) *CostTree {
 	p := c.P
 	t := &CostTree{
@@ -191,88 +232,15 @@ func (c Ctx) PtMultTree(l int) *CostTree {
 		},
 	}
 	if c.Opts.CacheO1 {
+		// Fuse the multiply with the Rescale combine pass.
 		t.Credit = t.Credit.Plus(p.writeCt(2 * l)).Plus(p.readCt(2 * l))
 	}
 	return t
 }
 
-// BootstrapTree attributes the full Algorithm 4 pipeline. The four
-// top-level children match BootstrapBreakdown's phases exactly, and
-// Total() == Bootstrap().Total().
-func (c Ctx) BootstrapTree() *CostTree {
-	p := c.P
-	root := &CostTree{Name: "Bootstrap"}
-	l := p.L
-
-	// ModRaise (mirrors Bootstrap()'s raise block).
-	mr := &CostTree{Name: "ModRaise"}
-	{
-		in := 2
-		kOut := l - in
-		raise := p.nttLimb().Times(in).
-			Plus(p.newLimbCost(in, kOut)).
-			Plus(p.nttLimb().Times(kOut)).
-			Plus(switches(1))
-		raise = raise.Plus(p.readCt(in)).Plus(p.writeCt(l))
-		if !c.Opts.CacheAlpha {
-			raise = raise.Plus(p.writeCt(in)).Plus(p.readCt(in)).
-				Plus(p.writeCt(kOut)).Plus(p.readCt(kOut))
-		}
-		mr.Children = append(mr.Children, leaf("Raise", raise.Times(2)))
-	}
-	if r := p.SubSumRotations(); r > 0 {
-		mr.Children = append(mr.Children, leaf("SubSum", c.Rotate(l).Plus(c.Add(l)).Times(r)))
-	}
-	root.Children = append(root.Children, mr)
-
-	diags := p.DFTDiagonals()
-
-	cts := &CostTree{Name: "CoeffToSlot"}
-	for i, d := range diags {
-		cts.Children = append(cts.Children,
-			leaf(fmt.Sprintf("PtMatVecMult[%d]", i), c.PtMatVecMult(l, d)))
-		l--
-	}
-	cts.Children = append(cts.Children, leaf("ConjSplit",
-		c.Conjugate(l).Plus(c.Add(l).Times(2)).Plus(p.pointwise(2*l, 1, 0))))
-	root.Children = append(root.Children, cts)
-
-	em := &CostTree{Name: "EvalMod"}
-	{
-		mults, depth := chebMults(p.SineDegree)
-		mults += p.DoubleAngle
-		depth += p.DoubleAngle
-		var multCost Cost
-		for i := 0; i < mults; i++ {
-			lv := l - (i*depth)/mults
-			if lv < 1 {
-				lv = 1
-			}
-			multCost = multCost.Plus(c.Mult(lv))
-		}
-		em.Children = append(em.Children,
-			leaf("ChebyshevMults", multCost.Times(2)),
-			leaf("LeafOps", p.pointwise(2*l, 1, 1).Times(p.SineDegree).Times(2)))
-		l -= depth
-		em.Children = append(em.Children,
-			leaf("Recombine", p.pointwise(2*l, 1, 0).Plus(c.Add(l))))
-	}
-	root.Children = append(root.Children, em)
-
-	stc := &CostTree{Name: "SlotToCoeff"}
-	for i, d := range diags {
-		stc.Children = append(stc.Children,
-			leaf(fmt.Sprintf("PtMatVecMult[%d]", i), c.PtMatVecMult(l, d)))
-		l--
-	}
-	root.Children = append(root.Children, stc)
-
-	return root
-}
-
-// OpTree returns the attribution tree for one schedule operation at the
-// given limb count — the tree-valued counterpart of RunSchedule's
-// per-step cost dispatch.
+// OpTree returns the attribution tree of one level-charged schedule
+// operation at the given limb count; RunSchedule charges its Total().
+// OpBootstrap has no arm: it is priced once per run, by BootstrapTree.
 func (c Ctx) OpTree(k OpKind, l int) *CostTree {
 	switch k {
 	case OpAdd:
@@ -289,10 +257,8 @@ func (c Ctx) OpTree(k OpKind, l int) *CostTree {
 		return c.ConjugateTree(l)
 	case OpRescale:
 		return leaf("Rescale", c.RescalePoly(l).Times(2))
-	case OpBootstrap:
-		return c.BootstrapTree()
 	default:
-		panic(fmt.Sprintf("simfhe: OpTree: unknown op kind %d", k))
+		panic(fmt.Sprintf("simfhe: OpTree: op kind %d is not level-charged", k))
 	}
 }
 

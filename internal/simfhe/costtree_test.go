@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// ctxMatrix spans the configurations the attribution trees must conserve
-// under: both parameter sets, cache sizes from streaming to ample, and
-// every optimization family (the merge/no-merge fork changes the Mult
-// tree shape).
+// ctxMatrix spans the configurations TestCostGolden pins the model under:
+// both parameter sets, cache sizes from streaming to ample, and every
+// optimization family (the merge/no-merge fork changes the Mult tree
+// shape).
 func ctxMatrix() []Ctx {
 	var out []Ctx
 	for _, p := range []Params{Baseline(), Optimal()} {
@@ -21,80 +21,6 @@ func ctxMatrix() []Ctx {
 		}
 	}
 	return out
-}
-
-// TestCostTreeConservation: attribution must conserve totals — every
-// tree's root Total() equals the flat cost model it decomposes, for
-// every primitive, at several limb counts.
-func TestCostTreeConservation(t *testing.T) {
-	for _, ctx := range ctxMatrix() {
-		for _, l := range []int{2, ctx.P.L / 2, ctx.P.L} {
-			check := func(name string, tree *CostTree, flat Cost) {
-				t.Helper()
-				if got := tree.Total(); got != flat {
-					t.Errorf("%v l=%d opts=%+v: %s tree total %v != flat %v",
-						ctx.P, l, ctx.Opts, name, got, flat)
-				}
-			}
-			check("Mult", ctx.MultTree(l), ctx.Mult(l))
-			check("Rotate", ctx.RotateTree(l), ctx.Rotate(l))
-			check("Conjugate", ctx.ConjugateTree(l), ctx.Conjugate(l))
-			check("KeySwitch", ctx.KeySwitchTree(l), ctx.KeySwitch(l))
-			check("PtMult", ctx.PtMultTree(l), ctx.PtMult(l))
-		}
-	}
-}
-
-// TestBootstrapTreeConservation: the four phase subtrees must equal the
-// BootstrapBreakdown phases exactly, and the root the flat total.
-func TestBootstrapTreeConservation(t *testing.T) {
-	for _, ctx := range ctxMatrix() {
-		bd := ctx.Bootstrap()
-		tree := ctx.BootstrapTree()
-		want := map[string]Cost{
-			"ModRaise":    bd.ModRaise,
-			"CoeffToSlot": bd.CoeffToSlot,
-			"EvalMod":     bd.EvalMod,
-			"SlotToCoeff": bd.SlotToCoeff,
-		}
-		if len(tree.Children) != len(want) {
-			t.Fatalf("bootstrap tree has %d phases, want %d", len(tree.Children), len(want))
-		}
-		for _, phase := range tree.Children {
-			if got := phase.Total(); got != want[phase.Name] {
-				t.Errorf("%v opts=%+v: phase %s tree %v != breakdown %v",
-					ctx.P, ctx.Opts, phase.Name, got, want[phase.Name])
-			}
-		}
-		if got := tree.Total(); got != bd.Total() {
-			t.Errorf("%v opts=%+v: bootstrap tree total %v != flat %v", ctx.P, ctx.Opts, got, bd.Total())
-		}
-	}
-}
-
-// TestOpTreeMatchesSchedule: the per-step trees the trace exporter uses
-// must charge exactly what RunSchedule charges.
-func TestOpTreeMatchesSchedule(t *testing.T) {
-	ctx := NewCtx(Optimal(), MB(32), AllOpts())
-	sched := Schedule{Name: "conservation", Steps: []Step{
-		{Kind: OpMult, Count: 3}, {Kind: OpRotate, Count: 4}, {Kind: OpPtMult, Count: 2},
-		{Kind: OpAdd, Count: 2}, {Kind: OpRescale, Count: 1}, {Kind: OpConjugate, Count: 1},
-		{Kind: OpPtAdd, Count: 1},
-	}}
-	res, err := ctx.RunSchedule(sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var treeTotal Cost
-	for _, sc := range res.PerStep {
-		// RunSchedule records the post-op level; the op was charged at the
-		// pre-op level.
-		l := sc.Limbs + sc.Step.Kind.levelCost()
-		treeTotal = treeTotal.PlusChecked(ctx.OpTree(sc.Step.Kind, l).Total())
-	}
-	if treeTotal != res.Total {
-		t.Fatalf("sum of op trees %v != schedule total %v", treeTotal, res.Total)
-	}
 }
 
 func TestCostTimesGuards(t *testing.T) {

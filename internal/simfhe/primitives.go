@@ -156,31 +156,6 @@ func (c Ctx) RescalePoly(l int) Cost {
 	return cost
 }
 
-// KeySwitch is the full Algorithm 3 on one polynomial: Decomp, β ModUps,
-// the key inner product, and a pair of ModDowns. fusedFront reports that
-// the caller already fused the Decomp+iNTT front end with its own
-// sub-operations (the O(1)-limb optimization), so their round trips are
-// not charged again.
-func (c Ctx) KeySwitch(l int) Cost {
-	p := c.P
-	cost := c.Decomp(l)
-	cost = cost.Plus(c.modUpAll(l))
-	cost = cost.Plus(c.KSKInnerProd(l, false))
-	dropResident := c.Opts.LimbReorder
-	cost = cost.Plus(c.ModDownPoly(l, p.Alpha(), dropResident).Times(2))
-	if dropResident {
-		// The re-ordering also elides the inner product's write of the α
-		// soon-to-be-dropped limbs of u and v.
-		cost = cost.minusCtWrite(p, 2*p.Alpha())
-	}
-	if c.Opts.CacheO1 {
-		// Decomp output → ModUp iNTT fusion: one write + one read of ℓ
-		// limbs never reaches DRAM.
-		cost = cost.minusCtWrite(p, l).minusCtRead(p, l)
-	}
-	return cost
-}
-
 // minusCtRead subtracts limb reads that a fusion keeps on chip.
 func (c Cost) minusCtRead(p Params, limbs int) Cost {
 	c.CtRead -= uint64(limbs) * p.LimbBytes()
@@ -193,131 +168,27 @@ func (c Cost) minusCtWrite(p Params, limbs int) Cost {
 	return c
 }
 
-// MulRelin is the rescale-free multiply: tensor product, relinearization
-// (KeySwitch on d2), and the recombination adds, leaving the result at
-// the doubled scale. This is the op the functional evaluator exposes as
-// MulRelin/Square and the unit the cost ledger attributes per span; Mult
-// composes it with two Rescales (or the merged ModDown of §3.2).
-func (c Ctx) MulRelin(l int) Cost {
-	p := c.P
+// The composite operations are each defined once, as an attribution tree
+// in costtree.go; the flat cost is that tree's total.
 
-	// Tensor: d0 = a0·b0, d1 = a0·b1 + a1·b0, d2 = a1·b1.
-	cost := p.pointwise(l, 4, 1)
-	cost = cost.Plus(p.readCt(4 * l)).Plus(p.writeCt(3 * l))
+// KeySwitch is the full Algorithm 3 on one polynomial; KeySwitchTree
+// defines it.
+func (c Ctx) KeySwitch(l int) Cost { return c.KeySwitchTree(l).Total() }
 
-	// Relinearize d2 (Algorithm 3).
-	cost = cost.Plus(c.Decomp(l))
-	cost = cost.Plus(c.modUpAll(l))
-	cost = cost.Plus(c.KSKInnerProd(l, false))
+// MulRelin is the rescale-free multiply the functional evaluator exposes
+// as MulRelin/Square and the unit the cost ledger attributes per span;
+// MulRelinTree defines it.
+func (c Ctx) MulRelin(l int) Cost { return c.MulRelinTree(l).Total() }
 
-	dropResident := c.Opts.LimbReorder
-	cost = cost.Plus(c.ModDownPoly(l, p.Alpha(), dropResident).Times(2))
-	// (d0 + p0, d1 + p1)
-	cost = cost.Plus(p.pointwise(2*l, 0, 1))
-	cost = cost.Plus(p.readCt(4 * l)).Plus(p.writeCt(2 * l))
-	if dropResident {
-		cost = cost.minusCtWrite(p, 2*p.Alpha())
-	}
+// Mult is the full Table 2 Mult; MultTree defines it.
+func (c Ctx) Mult(l int) Cost { return c.MultTree(l).Total() }
 
-	if c.Opts.CacheO1 {
-		// Fusions internal to the op: tensor d2 → Decomp → iNTT (4ℓ) and
-		// ModDown outputs → adds (4ℓ).
-		cost = cost.minusCtWrite(p, 2*l).minusCtRead(p, 2*l)
-		cost = cost.minusCtWrite(p, 2*l).minusCtRead(p, 2*l)
-	}
-	return cost
-}
+// PtMult multiplies by a plaintext and rescales (Table 2 PtMult);
+// PtMultTree defines it.
+func (c Ctx) PtMult(l int) Cost { return c.PtMultTree(l).Total() }
 
-// Mult is the full Table 2 Mult: tensor product, relinearization
-// (KeySwitch on d2), recombination, and Rescale — or, with the ModDown
-// merge of §3.2, a single ModDown that also performs the Rescale.
-func (c Ctx) Mult(l int) Cost {
-	p := c.P
-	dropResident := c.Opts.LimbReorder
-
-	if !c.Opts.ModDownMerge {
-		cost := c.MulRelin(l)
-		// Rescale both halves.
-		cost = cost.Plus(c.RescalePoly(l).Times(2))
-		if c.Opts.CacheO1 {
-			// Cross-op fusion: the Rescale reads the recombination adds
-			// straight from cache (2ℓ), only available when the Rescale
-			// immediately consumes them.
-			cost = cost.minusCtWrite(p, l).minusCtRead(p, l)
-		}
-		return cost
-	}
-
-	// Tensor: d0 = a0·b0, d1 = a0·b1 + a1·b0, d2 = a1·b1.
-	cost := p.pointwise(l, 4, 1)
-	cost = cost.Plus(p.readCt(4 * l)).Plus(p.writeCt(3 * l))
-
-	// Relinearize d2 (Algorithm 3).
-	cost = cost.Plus(c.Decomp(l))
-	cost = cost.Plus(c.modUpAll(l))
-	cost = cost.Plus(c.KSKInnerProd(l, false))
-
-	// Single ModDown by P·q_ℓ per half: the Add is lifted above the
-	// ModDown (PModUp costs one scalar multiply per coefficient) and
-	// the separate Rescale disappears (Figure 4(c)).
-	cost = cost.Plus(p.pointwise(2*l, 1, 0)) // PModUp of (d0, d1)
-	cost = cost.Plus(p.pointwise(2*(l+p.Alpha()), 0, 1))
-	cost = cost.Plus(c.ModDownPoly(l, p.Alpha()+1, dropResident).Times(2))
-	// Recombination add traffic (reads of d0/d1) folds into the
-	// ModDown combine pass.
-	cost = cost.Plus(p.readCt(2 * l))
-	if dropResident {
-		cost = cost.minusCtWrite(p, 2*p.Alpha())
-	}
-	if c.Opts.CacheO1 {
-		// Fusion: tensor d2 → Decomp → iNTT (4ℓ).
-		cost = cost.minusCtWrite(p, 2*l).minusCtRead(p, 2*l)
-	}
-	return cost
-}
-
-// PtMult multiplies by a plaintext and rescales (Table 2 PtMult).
-func (c Ctx) PtMult(l int) Cost {
-	p := c.P
-	cost := p.pointwise(2*l, 1, 0)
-	cost = cost.Plus(p.readCt(2 * l)).Plus(p.readPt(l)).Plus(p.writeCt(2 * l))
-	cost = cost.Plus(c.RescalePoly(l).Times(2))
-	if c.Opts.CacheO1 {
-		// Fuse the multiply with the Rescale combine pass.
-		cost = cost.minusCtWrite(p, 2*l).minusCtRead(p, 2*l)
-	}
-	return cost
-}
-
-// PtMultNoRescale is the multiply-only half, used when several products
-// are accumulated at the doubled scale before a single Rescale.
-func (c Ctx) PtMultNoRescale(l int) Cost {
-	p := c.P
-	cost := p.pointwise(2*l, 1, 0)
-	return cost.Plus(p.readCt(2 * l)).Plus(p.readPt(l)).Plus(p.writeCt(2 * l))
-}
-
-// Rotate rotates the slots by k positions (Table 2): Automorph on both
-// halves, then KeySwitch on the rotated c1, then the final recombination
-// add on the c0 half.
-func (c Ctx) Rotate(l int) Cost {
-	p := c.P
-	cost := c.Automorph(l)
-	cost = cost.Plus(c.KeySwitch(l))
-	// c0^σ + p0.
-	cost = cost.Plus(p.pointwise(l, 0, 1))
-	cost = cost.Plus(p.readCt(2 * l)).Plus(p.writeCt(l))
-
-	if c.Opts.CacheO1 {
-		// Figure 1: Automorph → Decomp → iNTT on c1 fuse into one pass
-		// (the KeySwitch already took the Decomp→iNTT credit; here the
-		// Automorph c1 write and the Decomp read also vanish), and the
-		// final add fuses with the ModDown output pass.
-		cost = cost.minusCtWrite(p, l).minusCtRead(p, l)
-		cost = cost.minusCtWrite(p, l).minusCtRead(p, l)
-	}
-	return cost
-}
+// Rotate rotates the slots by k positions (Table 2); RotateTree defines it.
+func (c Ctx) Rotate(l int) Cost { return c.RotateTree(l).Total() }
 
 // Conjugate has the same implementation as Rotate (Table 4).
 func (c Ctx) Conjugate(l int) Cost { return c.Rotate(l) }

@@ -57,10 +57,6 @@ func (k OpKind) levelCost() int {
 
 func (k OpKind) String() string { return opNames[k] }
 
-// LevelCost exposes levelCost for schedule replays (e.g. the trace
-// exporter reconstructs per-step limb counts and auto-bootstrap points).
-func (k OpKind) LevelCost() int { return k.levelCost() }
-
 // Step is one schedule entry: Count repetitions of one operation.
 type Step struct {
 	Kind  OpKind
@@ -73,11 +69,16 @@ type Schedule struct {
 	Steps []Step
 }
 
-// StepCost pairs a step with its charged cost and the level it ran at.
+// StepCost pairs one executed operation with its attribution tree, the
+// cost charged for it (the tree's total) and the limb count it left.
 type StepCost struct {
 	Step  Step
 	Limbs int
 	Cost  Cost
+	Tree  *CostTree
+	// AutoBootstrap marks a step the interpreter had to bootstrap before;
+	// that bootstrap is counted in Bootstraps and Total, not in Cost.
+	AutoBootstrap bool
 }
 
 // ScheduleResult is the interpreter's output.
@@ -94,50 +95,41 @@ type ScheduleResult struct {
 // exactly as the application models do. The run starts at the fresh
 // post-bootstrap level.
 func (c Ctx) RunSchedule(s Schedule) (ScheduleResult, error) {
-	bd := c.Bootstrap()
-	bootCost := bd.Total()
-	if bd.LimbsAfter < 2 {
-		return ScheduleResult{}, fmt.Errorf("simfhe: parameters leave only %d limbs after bootstrapping", bd.LimbsAfter)
+	bootTree, fresh := c.bootstrapTree()
+	bootCost := bootTree.Total()
+	if fresh < 2 {
+		return ScheduleResult{}, fmt.Errorf("simfhe: parameters leave only %d limbs after bootstrapping", fresh)
 	}
 
-	res := ScheduleResult{FinalLimbs: bd.LimbsAfter}
-	level := bd.LimbsAfter
+	var res ScheduleResult
+	level := fresh
 	for _, st := range s.Steps {
+		if _, ok := opNames[st.Kind]; !ok {
+			return ScheduleResult{}, fmt.Errorf("simfhe: unknown op kind %d", st.Kind)
+		}
 		if st.Count < 1 {
 			return ScheduleResult{}, fmt.Errorf("simfhe: step %v has count %d", st.Kind, st.Count)
 		}
 		for i := 0; i < st.Count; i++ {
+			sc := StepCost{Step: Step{Kind: st.Kind, Count: 1}}
 			if level-st.Kind.levelCost() < 1 {
+				sc.AutoBootstrap = true
 				res.Total = res.Total.Plus(bootCost)
 				res.Bootstraps++
-				level = bd.LimbsAfter
+				level = fresh
 			}
-			var cost Cost
-			switch st.Kind {
-			case OpAdd:
-				cost = c.Add(level)
-			case OpPtAdd:
-				cost = c.PtAdd(level)
-			case OpMult:
-				cost = c.Mult(level)
-			case OpPtMult:
-				cost = c.PtMult(level)
-			case OpRotate:
-				cost = c.Rotate(level)
-			case OpConjugate:
-				cost = c.Conjugate(level)
-			case OpRescale:
-				cost = c.RescalePoly(level).Times(2)
-			case OpBootstrap:
-				cost = bootCost
+			if st.Kind == OpBootstrap {
+				sc.Tree, sc.Cost = bootTree, bootCost
 				res.Bootstraps++
-				level = bd.LimbsAfter
-			default:
-				return ScheduleResult{}, fmt.Errorf("simfhe: unknown op kind %d", st.Kind)
+				level = fresh
+			} else {
+				sc.Tree = c.OpTree(st.Kind, level)
+				sc.Cost = sc.Tree.Total()
+				level -= st.Kind.levelCost()
 			}
-			level -= st.Kind.levelCost()
-			res.Total = res.Total.Plus(cost)
-			res.PerStep = append(res.PerStep, StepCost{Step: Step{Kind: st.Kind, Count: 1}, Limbs: level, Cost: cost})
+			sc.Limbs = level
+			res.Total = res.Total.Plus(sc.Cost)
+			res.PerStep = append(res.PerStep, sc)
 		}
 	}
 	res.FinalLimbs = level

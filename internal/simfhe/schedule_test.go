@@ -95,6 +95,22 @@ func TestRunScheduleAutoBootstrap(t *testing.T) {
 	if res.Total.Bytes() <= noBootRes.Total.Bytes()+ctx.Bootstrap().Total().Bytes()/2 {
 		t.Error("auto-bootstrap cost not charged")
 	}
+	// Exactly the step that ran out of levels carries the mark, every step
+	// is charged its recorded tree, and the steps plus the inserted
+	// bootstrap account for the whole total.
+	sum := bd.Total().Times(res.Bootstraps)
+	for i, sc := range res.PerStep {
+		if want := i == fresh-1; sc.AutoBootstrap != want {
+			t.Errorf("step %d: AutoBootstrap = %v, want %v", i, sc.AutoBootstrap, want)
+		}
+		if sc.Tree.Total() != sc.Cost {
+			t.Errorf("step %d: tree total %v != charged cost %v", i, sc.Tree.Total(), sc.Cost)
+		}
+		sum = sum.PlusChecked(sc.Cost)
+	}
+	if sum != res.Total {
+		t.Errorf("steps + bootstraps = %v, schedule total %v", sum, res.Total)
+	}
 }
 
 func TestRunScheduleExplicitBootstrap(t *testing.T) {
