@@ -156,12 +156,21 @@ func TestChaosTopLimbFlipThenDropHarmless(t *testing.T) {
 // ciphertext checksums and structural checks), (2) the corruption indeed
 // persists across ops through the cache, and (3) FlushKeyVault is a
 // sufficient recovery action: rematerialization from the seed restores
-// bit-identical clean behavior.
+// bit-identical clean behavior. It runs under an unlimited budget and
+// under one that holds exactly the key, where the clean expansions land
+// in buffers that were evicted corrupted or clean — reuse must not carry
+// a flipped bit over.
 func TestChaosVaultDigitBitFlip(t *testing.T) {
 	tc := newTestContext(t)
+	for _, budget := range []int64{0, int64(tc.params.Dnum()) * digitBytes(tc.params)} {
+		chaosVaultDigitBitFlip(t, tc, budget)
+	}
+}
+
+func chaosVaultDigitBitFlip(t *testing.T, tc *testContext, budget int64) {
 	gks := tc.kg.GenGaloisKeys([]int{1}, tc.sk)
 	fi := faultinject.New()
-	ev := NewEvaluator(tc.params, &EvaluationKeySet{Galois: gks}, WithFaultInjector(fi))
+	ev := NewEvaluator(tc.params, &EvaluationKeySet{Galois: gks}, WithFaultInjector(fi), WithKeyBudget(budget))
 
 	msg := randomValues(tc.params.Slots(), 1)
 	ct := tc.encSk.Encrypt(tc.enc.Encode(msg))
@@ -198,6 +207,51 @@ func TestChaosVaultDigitBitFlip(t *testing.T) {
 	recovered := ev.Rotate(ct, 1)
 	if !recovered.C0.Equal(clean.C0) || !recovered.C1.Equal(clean.C1) {
 		t.Fatal("FlushKeyVault did not restore clean key material")
+	}
+}
+
+// TestChaosVaultTruncatedBufferNotReused truncates a digit's limbs as the
+// vault materializes it, under a budget that thrashes. The product that
+// meets the short digit must fail with a typed error and leave nothing
+// pinned; the vault must then drop the tampered buffer instead of handing
+// it to the next miss (an expansion into it would regenerate a short
+// digit for whichever key inherits it, forever): every later rotation,
+// through this key and the others that cycle through the same budget, is
+// bit-identical to a clean evaluator's.
+func TestChaosVaultTruncatedBufferNotReused(t *testing.T) {
+	steps := []int{1, 2, 3}
+	tc, keys, ct := vaultTestKeys(t, steps)
+	clean := NewEvaluator(tc.params, cloneKeySet(t, keys))
+
+	fi := faultinject.New()
+	oneKey := int64(tc.params.Dnum()) * digitBytes(tc.params)
+	ev := NewEvaluator(tc.params, keys, WithFaultInjector(fi), WithKeyBudget(oneKey))
+	if _, err := ev.RotateE(ct, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	fi.Arm(faultinject.Fault{Site: "ckks.keyvault.digitA", Kind: faultinject.KindTruncateLimbs, Keep: 1})
+	if _, err := ev.RotateE(ct, 2); !errors.Is(err, fherr.ErrInternal) {
+		t.Fatalf("rotation through a truncated vault digit: got %v, want ErrInternal", err)
+	}
+	if len(fi.Events()) != 1 {
+		t.Fatalf("fault did not fire exactly once: %v", fi.Events())
+	}
+	fi.Reset()
+
+	for round := 0; round < 2; round++ {
+		for _, k := range steps {
+			got, err := ev.RotateE(ct, k)
+			if err != nil {
+				t.Fatalf("round %d step %d after the fault: %v", round, k, err)
+			}
+			if want := clean.Rotate(ct, k); !ctEqual(got, want) {
+				t.Fatalf("round %d step %d after the fault: differs from a clean evaluator", round, k)
+			}
+		}
+	}
+	if st := ev.KeyVaultStats(); st.ResidentBytes > oneKey {
+		t.Errorf("resident %d bytes after the fault, want <= budget %d (a leaked pin keeps digits resident)", st.ResidentBytes, oneKey)
 	}
 }
 

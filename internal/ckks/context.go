@@ -29,8 +29,8 @@ import (
 // SetOpContext binds ctx as the cancellation context for subsequent
 // operations on this evaluator. nil (the default) disables cancellation
 // checks entirely. Cancellation never corrupts evaluator state: fan-out
-// items are skipped whole, pinned vault digits are released by the
-// deferred unpins, and the evaluator remains usable for the next op.
+// items are skipped whole, the vault digits a product holds are released
+// by its deferred release, and the evaluator remains usable for the next op.
 func (ev *Evaluator) SetOpContext(ctx context.Context) { ev.opCtx = ctx }
 
 // OpContext returns the bound cancellation context, which may be nil.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 
 	"repro/internal/faultinject"
 	"repro/internal/mathutil"
@@ -115,15 +116,15 @@ func (ev *Evaluator) Keys() *EvaluationKeySet { return ev.keys }
 // from their seeds on demand) once the bound is exceeded. bytes <= 0
 // removes the bound. Any budget — even one smaller than a single digit —
 // preserves correctness and progress; it trades expansion compute for
-// resident key memory. Takes effect immediately: over-budget unpinned
-// digits are evicted before this returns.
+// resident key memory. Takes effect immediately: over-budget digits that
+// no product in flight holds are evicted before this returns.
 func (ev *Evaluator) SetKeyBudget(bytes int64) { ev.vault.setBudget(bytes) }
 
 // KeyVaultStats snapshots the key vault's hit/miss/eviction counters and
 // resident-byte occupancy.
 func (ev *Evaluator) KeyVaultStats() KeyVaultStats { return ev.vault.stats() }
 
-// FlushKeyVault drops every unpinned materialized digit, forcing
+// FlushKeyVault drops every materialized digit no product holds, forcing
 // rematerialization from seeds on next use — the recovery action after
 // suspected corruption of cached key material.
 func (ev *Evaluator) FlushKeyVault() { ev.vault.flush() }
@@ -454,55 +455,6 @@ func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) *Ciphertext {
 	return out
 }
 
-// digit returns digit j of the switching key. Keys whose uniform half is
-// materialized in place (uncompressed keys, or compressed keys after
-// ExpandAll) are returned directly; seed-only digits are fetched from the
-// evaluator's key vault, which expands them on demand within the key
-// budget. Safe from any goroutine: the vault replaces the old memoizing
-// write into the shared key (which raced under the limb-parallel paths)
-// with a single-flight, lock-guarded cache that never mutates the key.
-func (ev *Evaluator) digit(swk *SwitchingKey, j int) KSKDigit {
-	d := swk.Digits[j]
-	if d.A.Q == nil {
-		d.A = ev.vault.acquire(swk, j, false)
-	}
-	return d
-}
-
-// pinDigits pins the first beta digits of a switching key in the vault
-// for the duration of a fan-out (hoisted rotations, linear transforms):
-// every key of the fan-out is materialized once up front and protected
-// from eviction until the matching unpinDigits, so hoisting never
-// thrashes a tight budget by evicting a key it is about to reuse (ARK's
-// inter-operation key reuse). No-op for digits materialized in the key
-// itself. Must be paired with unpinDigits on every return path.
-func (ev *Evaluator) pinDigits(swk *SwitchingKey, beta int) {
-	for j := 0; j < beta; j++ {
-		if swk.Digits[j].A.Q == nil {
-			ev.vault.acquire(swk, j, true)
-		}
-	}
-}
-
-// unpinDigits releases the pins taken by pinDigits.
-func (ev *Evaluator) unpinDigits(swk *SwitchingKey, beta int) {
-	for j := 0; j < beta; j++ {
-		if swk.Digits[j].A.Q == nil {
-			ev.vault.unpin(swk, j)
-		}
-	}
-}
-
-// getZeroPolyQP draws a pooled raised polynomial, zeroed and flagged NTT,
-// ready to serve as a key-switch accumulator.
-func (ev *Evaluator) getZeroPolyQP(level int) rns.PolyQP {
-	p := ev.params.Converter().GetPolyQP(level)
-	p.Q.Zero()
-	p.P.Zero()
-	p.Q.IsNTT, p.P.IsNTT = true, true
-	return p
-}
-
 // decomposeModUp performs the Decomp + ModUp front half of KeySwitch
 // (Algorithm 3 lines 1–2): it splits x into β digits and raises each to
 // the Q∪P basis. The result can be reused across many automorphisms —
@@ -537,82 +489,129 @@ func (ev *Evaluator) putDigits(digits []rns.PolyQP) {
 	}
 }
 
-// kskInnerProduct accumulates Σ_j ksk_j ⊙ digits_j into the raised
-// accumulator pair (u, v) — Algorithm 3 line 3. The parallel split is over
-// limbs, with the digit loop innermost per limb: every accumulator word
-// sees the digits in the same ascending order as the serial code, so the
-// result is bit-identical for any worker count.
-func (ev *Evaluator) kskInnerProduct(level int, digits []rns.PolyQP, swk *SwitchingKey, u, v rns.PolyQP, workers int) {
+// kskOperands is the limb-major view of one inner product's operands:
+// for limb i, the rows of the β raised digits, of the key's b halves and
+// of its a halves — what ring.SubRing.GatherMulAccumulate consumes — plus
+// the digits whose a half was pinned in the vault for this product.
+// Pooled, so a steady-state product allocates nothing.
+type kskOperands struct {
+	rows   [][]uint64 // [(3·limb + {0: digit, 1: b, 2: a})·β + j]
+	beta   int
+	pinned []int
+}
+
+var kskOperandsPool = sync.Pool{New: func() any { return new(kskOperands) }}
+
+// raisedLimb returns the first n words of limb i of a raised polynomial,
+// counting the nQ limbs of its Q part first and its P limbs after them.
+func raisedLimb(p rns.PolyQP, i, nQ, n int) []uint64 {
+	if i < nQ {
+		return p.Q.Coeffs[i][:n]
+	}
+	return p.P.Coeffs[i-nQ][:n]
+}
+
+// limb returns limb i's digit, b and a rows.
+func (o *kskOperands) limb(i int) (d, b, a [][]uint64) {
+	r := o.rows[3*i*o.beta:]
+	return r[:o.beta], r[o.beta : 2*o.beta], r[2*o.beta : 3*o.beta]
+}
+
+// kskInnerProduct writes Σ_j ksk_j ⊙ σ(digits_j) into the raised pair
+// (u, v) — Algorithm 3 line 3 — where σ is the slot permutation perm (nil
+// for a plain key switch, the Galois index table for a hoisted rotation
+// step, so the rotated digits are never materialized). It is the one place
+// a switching key is used, and use is pin: seed-only a halves are pinned in
+// the vault for exactly this product — one lookup per digit, expanded on a
+// miss — and released before returning, on every path. u and v are
+// overwritten, so pooled scratch needs no zeroing. The parallel split is
+// over limbs and every output word is an exact sum, so the result is
+// bit-identical for any worker count.
+func (ev *Evaluator) kskInnerProduct(level int, digits []rns.PolyQP, perm []int, swk *SwitchingKey, u, v rns.PolyQP, workers int) {
 	p := ev.params
-	rQ := p.RingQ().AtLevel(level)
-	rP := p.RingP()
-	n := rQ.N
-	nQ := level + 1
-	nP := len(rP.Moduli)
-	// Resolve (and, for compressed keys, vault-materialize) all digits
-	// once before fanning out, so the limb loop below pays no per-limb
-	// vault lookups. The resolve itself is goroutine-safe.
-	ds := make([]KSKDigit, len(digits))
-	for j := range digits {
-		ds[j] = ev.digit(swk, j)
+	n, nQ, nP := p.N(), level+1, p.Alpha()
+	beta := len(digits)
+	ops := kskOperandsPool.Get().(*kskOperands)
+	defer ev.kskRelease(ops, swk)
+	ops.beta = beta
+	if need := 3 * (nQ + nP) * beta; cap(ops.rows) < need {
+		ops.rows = make([][]uint64, need)
+	} else {
+		ops.rows = ops.rows[:need]
 	}
-	// Key traffic: each digit iteration streams both key halves over every
-	// raised limb — 2·β·(ℓ+1+kP) limbs of 8N bytes.
-	ev.rec.Add("ckks.key.bytes", 2*uint64(len(digits))*uint64(nQ+nP)*8*uint64(n))
-	if ev.fi != nil {
-		// Chaos hook: corrupt resolved switching-key digits in place. The
-		// Visit counter selects which digit (hooks run in ascending digit
-		// order). Key corruption is invisible to ciphertext checksums — it
-		// is the fault class only the decrypt-compare precision guard (or
-		// a downstream limb-shape panic) can catch.
-		for j := range ds {
-			ev.fi.Poly("ckks.ksk.digitB", ds[j].B.Q)
-			ev.fi.Poly("ckks.ksk.digitA", ds[j].A.Q)
+	for j := 0; j < beta; j++ {
+		key := swk.Digits[j]
+		if key.A.Q == nil {
+			key.A = ev.vault.acquire(swk, j)
+			ops.pinned = append(ops.pinned, j)
+		}
+		if ev.fi != nil {
+			// Chaos hook: corrupt resolved switching-key digits in place
+			// (hooks run in ascending digit order; the Visit counter selects
+			// which digit). Key corruption is invisible to ciphertext
+			// checksums — it is the fault class only the decrypt-compare
+			// precision guard (or a downstream limb-shape panic) can catch.
+			ev.fi.Poly("ckks.ksk.digitB", key.B.Q)
+			ev.fi.Poly("ckks.ksk.digitA", key.A.Q)
+		}
+		for i := 0; i < nQ+nP; i++ {
+			d, b, a := ops.limb(i)
+			d[j], b[j], a[j] = raisedLimb(digits[j], i, nQ, n), raisedLimb(key.B, i, nQ, n), raisedLimb(key.A, i, nQ, n)
 		}
 	}
-	// The digit loop accumulates lazily in [0, 2q) per limb and folds once
-	// at the end — one correction-free Barrett per product instead of a
-	// fully reduced multiply plus modular add per digit. The fold restores
-	// the exact canonical residues, so results are unchanged bit-for-bit.
-	// Memory hooks: the fresh accumulators were zeroed on chip (pooled,
-	// untraced), so a leading traced write declares them resident — their
-	// eventual writeback is the model's 2·raised ciphertext writes. Each
-	// digit iteration reads two key limbs (class key) and the shared raised
-	// digit once; the second product's digit reuse is register-resident.
-	ev.fanOut(nQ+nP, workers, func(i int) {
-		if i < nQ {
-			s := rQ.SubRings[i]
-			uQ, vQ := u.Q.Coeffs[i][:n], v.Q.Coeffs[i][:n]
-			ev.tr.Write(uQ)
-			ev.tr.Write(vQ)
-			for j := range digits {
-				ev.tr.ReadClass(ds[j].B.Q.Coeffs[i][:n], memtrace.ClassKey)
-				ev.tr.Read(digits[j].Q.Coeffs[i][:n])
-				s.MulThenAddVecLazy(ds[j].B.Q.Coeffs[i][:n], digits[j].Q.Coeffs[i][:n], uQ)
-				ev.tr.ReadClass(ds[j].A.Q.Coeffs[i][:n], memtrace.ClassKey)
-				s.MulThenAddVecLazy(ds[j].A.Q.Coeffs[i][:n], digits[j].Q.Coeffs[i][:n], vQ)
-			}
-			s.FoldVec(uQ)
-			s.FoldVec(vQ)
-		} else {
-			k := i - nQ
-			s := rP.SubRings[k]
-			uP, vP := u.P.Coeffs[k][:n], v.P.Coeffs[k][:n]
-			ev.tr.Write(uP)
-			ev.tr.Write(vP)
-			for j := range digits {
-				ev.tr.ReadClass(ds[j].B.P.Coeffs[k][:n], memtrace.ClassKey)
-				ev.tr.Read(digits[j].P.Coeffs[k][:n])
-				s.MulThenAddVecLazy(ds[j].B.P.Coeffs[k][:n], digits[j].P.Coeffs[k][:n], uP)
-				ev.tr.ReadClass(ds[j].A.P.Coeffs[k][:n], memtrace.ClassKey)
-				s.MulThenAddVecLazy(ds[j].A.P.Coeffs[k][:n], digits[j].P.Coeffs[k][:n], vP)
-			}
-			s.FoldVec(uP)
-			s.FoldVec(vP)
+	// Key traffic: both key halves stream once over every raised limb —
+	// 2·β·(ℓ+1+kP) limbs of 8N bytes.
+	ev.rec.Add("ckks.key.bytes", 2*uint64(beta)*uint64(nQ+nP)*8*uint64(n))
+	if ring.EffectiveWorkers(nQ+nP, workers) == 1 {
+		// Closure-free serial path (a closure handed to the pool is heap-
+		// allocated even when it runs inline); same cancellation points.
+		for i := 0; i < nQ+nP; i++ {
+			ev.checkInterrupt()
+			ev.kskLimb(i, nQ, ops, perm, u, v)
 		}
-	})
+	} else {
+		ev.fanOut(nQ+nP, workers, func(i int) { ev.kskLimb(i, nQ, ops, perm, u, v) })
+	}
 	u.Q.IsNTT, u.P.IsNTT = true, true
 	v.Q.IsNTT, v.P.IsNTT = true, true
+}
+
+// kskLimb runs the fused kernel on raised limb i (Q limbs first, then P).
+// Memory hooks: per digit the limb reads two key rows (class key) and the
+// shared raised digit once — gathered through perm on chip, feeding both
+// products — and the two output rows are written once at the end; their
+// eventual writeback is the model's 2·raised ciphertext writes.
+func (ev *Evaluator) kskLimb(i, nQ int, ops *kskOperands, perm []int, u, v rns.PolyQP) {
+	var s *ring.SubRing
+	if i < nQ {
+		s = ev.params.RingQ().SubRings[i]
+	} else {
+		s = ev.params.RingP().SubRings[i-nQ]
+	}
+	ui, vi := raisedLimb(u, i, nQ, s.N), raisedLimb(v, i, nQ, s.N)
+	d, b, a := ops.limb(i)
+	if ev.tr != nil {
+		for j := range d {
+			ev.tr.ReadClass(b[j], memtrace.ClassKey)
+			ev.tr.Read(d[j])
+			ev.tr.ReadClass(a[j], memtrace.ClassKey)
+		}
+	}
+	s.GatherMulAccumulate(d, b, a, perm, ui, vi)
+	ev.tr.Write(ui)
+	ev.tr.Write(vi)
+}
+
+// kskRelease ends a product: it unpins the vault digits the product held,
+// drops the operand views (they would keep evicted key buffers reachable)
+// and returns the scratch to the pool.
+func (ev *Evaluator) kskRelease(ops *kskOperands, swk *SwitchingKey) {
+	for _, j := range ops.pinned {
+		ev.vault.release(swk, j)
+	}
+	ops.pinned = ops.pinned[:0]
+	clear(ops.rows)
+	kskOperandsPool.Put(ops)
 }
 
 // keySwitchRaised runs Algorithm 3 up to (but not including) the final
@@ -624,10 +623,10 @@ func (ev *Evaluator) keySwitchRaised(level int, x *ring.Poly, swk *SwitchingKey)
 	if err := ev.params.checkKeyLevels(swk); err != nil {
 		panic(err)
 	}
-	u = ev.getZeroPolyQP(level)
-	v = ev.getZeroPolyQP(level)
+	conv := ev.params.Converter()
+	u, v = conv.GetPolyQP(level), conv.GetPolyQP(level)
 	digits := ev.decomposeModUp(level, x, ev.workers)
-	ev.kskInnerProduct(level, digits, swk, u, v, ev.workers)
+	ev.kskInnerProduct(level, digits, nil, swk, u, v, ev.workers)
 	ev.putDigits(digits)
 	return u, v
 }
@@ -740,28 +739,17 @@ func (ev *Evaluator) automorphism(ct *Ciphertext, g uint64) *Ciphertext {
 }
 
 // rotateFromDigits applies one hoisted rotation step given the shared
-// raised digits of c1: rotate the digits, run the key-switch inner product
-// and ModDown, and recombine with the rotated c0. All scratch is pooled.
-// Callers fanning steps out in parallel should pin the Galois keys of the
-// fan-out (pinDigits) first so a tight key budget cannot thrash.
+// raised digits of c1: the key-switch inner product gathers the digits
+// through the step's Galois permutation (no rotated copy exists), then
+// ModDown, and recombine with the rotated c0. All scratch is pooled. The
+// step's key is held only for its product, so steps may fan out in
+// parallel under any key budget.
 func (ev *Evaluator) rotateFromDigits(level int, ct *Ciphertext, digits []rns.PolyQP, g uint64, gk *GaloisKey, workers int) *Ciphertext {
-	p := ev.params
-	rQ := p.RingQ().AtLevel(level)
-	rP := p.RingP()
-	conv := p.Converter()
+	rQ := ev.params.RingQ().AtLevel(level)
+	conv := ev.params.Converter()
 
-	rot := make([]rns.PolyQP, len(digits))
-	for j := range digits {
-		rot[j] = conv.GetPolyQP(level)
-		rQ.AutomorphismNTT(digits[j].Q, g, rot[j].Q)
-		rP.AutomorphismNTT(digits[j].P, g, rot[j].P)
-	}
-	u := ev.getZeroPolyQP(level)
-	v := ev.getZeroPolyQP(level)
-	ev.kskInnerProduct(level, rot, &gk.SwitchingKey, u, v, workers)
-	for j := range rot {
-		conv.PutPolyQP(rot[j])
-	}
+	u, v := conv.GetPolyQP(level), conv.GetPolyQP(level)
+	ev.kskInnerProduct(level, digits, rQ.AutomorphismNTTIndex(g), &gk.SwitchingKey, u, v, workers)
 	p0, p1 := ev.keySwitchDown(level, u, v, workers)
 	conv.PutPolyQP(u)
 	conv.PutPolyQP(v)
@@ -805,19 +793,11 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) map[int]*Ciphert
 			continue
 		}
 		ev.rec.Add("ckks.rotate", 1)
-		gk := ev.galoisKey(g)
-		// Pin every key of the fan-out for the duration of the call: all
-		// steps reuse their keys against the shared decomposition, and a
-		// budget smaller than the fan-out must not evict a key between its
-		// materialization and its use.
-		ev.pinDigits(&gk.SwitchingKey, len(digits))
-		jobs = append(jobs, stepJob{k: k, g: g, gk: gk})
+		// Resolved here so a missing key surfaces on this goroutine, before
+		// any step runs. Each key is used by exactly one step's product and
+		// held only for it: the sweep runs inside the key budget.
+		jobs = append(jobs, stepJob{k: k, g: g, gk: ev.galoisKey(g)})
 	}
-	defer func() {
-		for _, j := range jobs {
-			ev.unpinDigits(&j.gk.SwitchingKey, len(digits))
-		}
-	}()
 
 	outer, inner := splitWorkers(ev.workers, len(jobs))
 	results := make([]*Ciphertext, len(jobs))

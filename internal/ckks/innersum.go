@@ -15,13 +15,13 @@ func (ev *Evaluator) InnerSum(ct *Ciphertext, n int) *Ciphertext {
 		panic(fmt.Sprintf("ckks: InnerSum width (got=%d, want=power of two within %d slots)", n, ev.params.Slots()))
 	}
 	// Resolve the full ladder's Galois keys up front, so a missing key
-	// surfaces before any rotation work is spent. Unlike the hoisted
-	// fan-outs (RotateHoisted, the lintrans sweeps), the ladder is *not*
-	// pinned in the key vault: each key is used exactly once, in
-	// sequence, so there is no reuse for eviction to thrash — and pinning
-	// all log2(n) keys would force the whole ladder resident, defeating
-	// the budget the vault exists to enforce. Under a tight budget the
-	// ladder degrades gracefully to expand-per-step.
+	// surfaces before any rotation work is spent. Like every other sweep
+	// (RotateHoisted, the lintrans transforms) the ladder holds a key only
+	// for the one product that uses it: each key is used exactly once, so
+	// there is no reuse for eviction to thrash, and keeping all log2(n)
+	// keys resident would defeat the budget the vault exists to enforce.
+	// Under a tight budget the ladder degrades gracefully to
+	// expand-per-step.
 	for step := 1; step < n; step <<= 1 {
 		ev.galoisKey(ev.params.RingQ().GaloisElement(step))
 	}

@@ -185,12 +185,18 @@ func (kg *KeyGenerator) genSwitchingKey(w *ring.Poly, sk *SecretKey, compress bo
 // expandKSKRandom regenerates the uniform half of a switching-key digit
 // from its seed: the receiving side of key compression.
 func expandKSKRandom(p *Parameters, seed [prng.SeedSize]byte) rns.PolyQP {
-	src := prng.NewSource(seed)
 	a := p.Converter().NewPolyQP(p.MaxLevel())
+	expandKSKRandomInto(p, prng.NewSource(seed), a)
+	return a
+}
+
+// expandKSKRandomInto is expandKSKRandom into a caller-owned full-chain
+// buffer, drawing from a source already seeded with the digit's seed; it
+// overwrites every word of a.
+func expandKSKRandomInto(p *Parameters, src *prng.Source, a rns.PolyQP) {
 	p.RingQ().SampleUniform(src, a.Q)
 	p.RingP().SampleUniform(src, a.P)
 	a.Q.IsNTT, a.P.IsNTT = true, true
-	return a
 }
 
 // mirrorSmallIntoP copies a small (coefficient-form, signed-ternary-or-

@@ -8,21 +8,26 @@ package ckks
 // a bootstrap that walks dozens of Galois keys runs inside a fixed key
 // working set instead of keeping every expanded half resident forever.
 //
-// Concurrency contract: acquisitions are safe from any number of
-// goroutines (the limb- and rotation-parallel paths call straight into
-// the vault), expansion is single-flight per digit (concurrent callers
-// of the same digit block on one expansion instead of duplicating it),
-// and a returned PolyQP stays valid even if the entry is evicted while
-// the caller still computes with it — eviction only drops the vault's
-// reference; the garbage collector keeps the backing arrays alive for
-// everyone who already fetched them. Pinning therefore exists to keep
-// fan-outs (hoisted rotations, linear transforms) from thrashing a tight
-// budget, not for memory safety: a pinned entry is never evicted, and a
-// budget smaller than the pinned set is simply overshot.
+// Contract: use = pin. The only reader of a materialized half is the
+// key-switch inner product (Evaluator.kskInnerProduct), which acquires its
+// β digits — one lookup each — computes, and releases them. An acquired
+// digit is pinned: never evicted, its buffer never touched by the vault.
+// A digit nobody holds has no reader, so eviction is reuse: a miss that
+// would push the vault over budget takes the least-recently-used unheld
+// digit's buffer as its own expansion target (evict-then-expand). A budget
+// that thrashes therefore allocates nothing, regenerated key material
+// lands in memory the cache already holds, and the resident set never
+// exceeds the budget by more than the digits products hold right now
+// (workers·β). Holding the returned PolyQP past release is a bug.
+//
+// Concurrency: acquisitions are safe from any number of goroutines (the
+// limb- and rotation-parallel paths call straight into the vault) and
+// expansion is single-flight per digit: concurrent acquirers of a digit
+// in flight pin it and wait for the one expansion.
 //
 // Progress guarantee: the requested digit is always admitted, even when
-// it alone exceeds the budget — the vault then holds one over-budget
-// entry until the next acquisition evicts it. A tiny budget degrades to
+// it alone exceeds the budget or everything resident is held — the vault
+// then overshoots until the release. A tiny budget degrades to
 // expand-per-use; it never deadlocks and never fails.
 
 import (
@@ -32,6 +37,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/memtrace"
 	"repro/internal/obs"
+	"repro/internal/prng"
 	"repro/internal/rns"
 )
 
@@ -58,31 +64,34 @@ type vaultKey struct {
 	j   int
 }
 
-// vaultEntry is one materialized digit. The zero entry is a placeholder:
-// the inserting goroutine expands outside the lock and closes ready when
-// a is set; a is immutable from then on, so waiters read it without the
-// lock (the channel close orders the write before every waiting read).
+// vaultEntry is one digit, materialized (done) or in flight. The admitting
+// goroutine expands outside the lock and sets done; the entry is pinned
+// from admission on, so a is written by exactly one goroutine while no
+// other reads it, and read-only while held. An entry evicted with an
+// intact buffer is handed whole — struct, buffer, LRU element, source —
+// to the miss that displaced it.
 type vaultEntry struct {
-	key   vaultKey
-	a     rns.PolyQP
-	bytes int64
-	pins  int
-	done  bool
-	ready chan struct{}
-	elem  *list.Element // position in the LRU list; nil until done
+	key  vaultKey
+	a    rns.PolyQP
+	pins int
+	done bool
+	elem *list.Element // position in the LRU list
+	src  prng.Source   // reseeded per expansion
 }
 
 // keyVault is the bounded demand-materialization cache. One vault per
 // Evaluator; all fields are guarded by mu except the seed expansion
-// itself, which runs unlocked (it touches only immutable key material).
+// itself, which runs unlocked into a buffer only the expander holds.
 type keyVault struct {
-	params *Parameters
+	params     *Parameters
+	digitBytes int64 // footprint of one expanded half (full chain, all of P)
 
 	mu       sync.Mutex
+	expanded sync.Cond // signalled when an in-flight digit becomes done
 	entries  map[vaultKey]*vaultEntry
-	lru      *list.List // front = most recently used; done entries only
+	lru      *list.List // front = most recently used
 	budget   int64      // bytes; <= 0 means unlimited
-	resident int64
+	resident int64      // digitBytes × entries, in-flight ones included
 	peak     int64
 
 	hits       uint64
@@ -96,11 +105,14 @@ type keyVault struct {
 }
 
 func newKeyVault(params *Parameters) *keyVault {
-	return &keyVault{
-		params:  params,
-		entries: make(map[vaultKey]*vaultEntry),
-		lru:     list.New(),
+	kv := &keyVault{
+		params:     params,
+		digitBytes: int64(params.MaxLevel()+1+params.Alpha()) * int64(params.N()) * 8,
+		entries:    make(map[vaultKey]*vaultEntry),
+		lru:        list.New(),
 	}
+	kv.expanded.L = &kv.mu
+	return kv
 }
 
 // polyQPBytes is the in-memory footprint of a raised polynomial's
@@ -117,12 +129,12 @@ func polyQPBytes(p rns.PolyQP) int64 {
 }
 
 // setBudget changes the byte budget (<= 0 unlimited) and immediately
-// evicts down to it. Pinned entries are never evicted, so a budget below
-// the currently pinned set takes full effect only as pins release.
+// evicts down to it. Held entries are never evicted, so a budget below
+// the currently held set takes full effect only as products release.
 func (kv *keyVault) setBudget(bytes int64) {
 	kv.mu.Lock()
 	kv.budget = bytes
-	kv.evictLocked(nil)
+	kv.shrinkLocked()
 	resident := kv.resident
 	kv.mu.Unlock()
 	kv.rec.SetGauge("ckks.keyvault.budget_bytes", float64(bytes))
@@ -159,185 +171,178 @@ func (kv *keyVault) contains(swk *SwitchingKey, j int) bool {
 	return ok && e.done
 }
 
-// flush drops every unpinned entry — the recovery path after suspected
+// flush drops every unheld entry — the recovery path after suspected
 // key-material corruption (cached expansions are state; chaos tests
 // corrupt them on purpose) and the bulk release when a tenant's keys
-// retire.
+// retire. The buffers go to the collector, not to later misses.
 func (kv *keyVault) flush() {
 	kv.mu.Lock()
-	for el := kv.lru.Back(); el != nil; {
-		prev := el.Prev()
-		if e := el.Value.(*vaultEntry); e.pins == 0 {
-			kv.removeLocked(e)
-		}
-		el = prev
-	}
+	kv.evictDownToLocked(0, false)
 	resident := kv.resident
 	kv.mu.Unlock()
 	kv.rec.SetGauge("ckks.keyvault.resident_bytes", float64(resident))
 }
 
 // acquire returns the materialized uniform half of digit j, expanding it
-// from the seed if absent. With pin=true the entry's pin count is
-// incremented and the entry is guaranteed resident until the matching
-// unpin — callers must pair every pinned acquire with an unpin.
-func (kv *keyVault) acquire(swk *SwitchingKey, j int, pin bool) rns.PolyQP {
+// from the seed if absent, and pins it: the entry stays resident and its
+// buffer untouched until the matching release. This is the one lookup a
+// product makes per digit — hits + misses count digits used.
+func (kv *keyVault) acquire(swk *SwitchingKey, j int) rns.PolyQP {
 	if !swk.Compressed() {
 		panic("ckks: switching key digit missing (got=no A half or seed, want=expandable digit)")
 	}
 	k := vaultKey{swk, j}
-	for {
-		kv.mu.Lock()
-		e, ok := kv.entries[k]
-		if !ok {
-			// Miss: insert a placeholder and expand outside the lock.
-			// Placeholders are not in the LRU list, so concurrent
-			// acquisitions can never evict an entry mid-materialization.
-			e = &vaultEntry{key: k, ready: make(chan struct{})}
-			if pin {
-				e.pins = 1
-			}
-			kv.entries[k] = e
-			kv.misses++
-			kv.mu.Unlock()
-			kv.rec.Add("ckks.keyvault.misses", 1)
-			return kv.materialize(e, swk, j)
-		}
-		if e.done {
-			if pin {
-				e.pins++
-			}
-			kv.lru.MoveToFront(e.elem)
-			kv.hits++
-			kv.mu.Unlock()
-			kv.rec.Add("ckks.keyvault.hits", 1)
-			return e.a
-		}
-		// In flight on another goroutine: wait for the single expansion.
-		ready := e.ready
-		kv.mu.Unlock()
-		<-ready
-		if !pin {
-			// e.a is immutable once ready closes, and stays valid even if
-			// the entry was already evicted.
-			kv.mu.Lock()
-			kv.hits++
-			kv.mu.Unlock()
-			kv.rec.Add("ckks.keyvault.hits", 1)
-			return e.a
-		}
-		// Pinning needs the entry resident; if it was evicted between
-		// completion and now (tiny budgets), loop and rematerialize.
-		kv.mu.Lock()
-		if cur, ok := kv.entries[k]; ok && cur == e {
-			e.pins++
-			kv.lru.MoveToFront(e.elem)
-			kv.hits++
-			kv.mu.Unlock()
-			kv.rec.Add("ckks.keyvault.hits", 1)
-			return e.a
+	kv.mu.Lock()
+	if e, ok := kv.entries[k]; ok {
+		e.pins++
+		kv.lru.MoveToFront(e.elem)
+		kv.hits++
+		for !e.done {
+			// In flight on another goroutine: the pin keeps the entry ours
+			// while we wait for the single expansion.
+			kv.expanded.Wait()
 		}
 		kv.mu.Unlock()
+		kv.rec.Add("ckks.keyvault.hits", 1)
+		return e.a
 	}
+	kv.misses++
+	e := kv.admitLocked(k)
+	kv.mu.Unlock()
+	kv.rec.Add("ckks.keyvault.misses", 1)
+	kv.materialize(e, swk.Seeds[j])
+	return e.a
 }
 
-// materialize runs the seed expansion for a freshly inserted placeholder
-// and publishes the result. The expansion's stores are recorded as
-// key-class writes: at cache replay they declare the digit generated on
-// chip rather than streamed from DRAM — the ARK accounting this vault
-// exists to realize.
-func (kv *keyVault) materialize(e *vaultEntry, swk *SwitchingKey, j int) rns.PolyQP {
-	a := expandKSKRandom(kv.params, swk.Seeds[j])
+// admitLocked makes room for a missing digit and inserts its entry, pinned
+// and in flight. Evict-then-expand: while admission would exceed the
+// budget, least-recently-used unheld entries are evicted, and the first
+// one whose buffer is intact becomes the new entry — the expansion
+// overwrites every word of it. If everything resident is held the digit is
+// admitted over budget (the progress guarantee).
+func (kv *keyVault) admitLocked(k vaultKey) *vaultEntry {
+	var e *vaultEntry
+	if kv.budget > 0 {
+		e = kv.evictDownToLocked(kv.budget-kv.digitBytes, true)
+	}
+	if e == nil {
+		e = &vaultEntry{} // materialize allocates the buffer, outside the lock
+		e.elem = kv.lru.PushFront(e)
+	} else {
+		kv.lru.MoveToFront(e.elem)
+	}
+	e.key, e.pins, e.done = k, 1, false
+	kv.entries[k] = e
+	kv.resident += kv.digitBytes
+	if kv.resident > kv.peak {
+		kv.peak = kv.resident
+	}
+	return e
+}
+
+// intact reports whether an evicted buffer still has the shape of a fresh
+// one: the limb counts and, limbs only ever shrinking, the total size. A
+// buffer whose limb structure was tampered with (fault injection truncates
+// limbs in place) is dropped rather than reused: the expansion would
+// otherwise regenerate a short digit forever.
+func (kv *keyVault) intact(a rns.PolyQP) bool {
+	return len(a.Q.Coeffs) == kv.params.MaxLevel()+1 && len(a.P.Coeffs) == kv.params.Alpha() &&
+		polyQPBytes(a) == kv.digitBytes
+}
+
+// materialize runs the seed expansion for a freshly admitted entry — into
+// the buffer it inherited, or a new one — and publishes the result. The
+// expansion's stores are recorded as key-class writes: at cache replay
+// they declare the digit generated on chip rather than streamed from DRAM
+// — the ARK accounting this vault exists to realize.
+func (kv *keyVault) materialize(e *vaultEntry, seed [prng.SeedSize]byte) {
+	if e.a.Q == nil {
+		e.a = kv.params.Converter().NewPolyQP(kv.params.MaxLevel())
+	}
+	e.src.Reseed(seed)
+	expandKSKRandomInto(kv.params, &e.src, e.a)
 	if kv.fi != nil {
 		// Chaos hook: corrupt the digit as it is materialized — the cached
 		// copy then serves the corruption to every later hit, the SRAM-
 		// corruption persistence the precision guard must catch.
-		kv.fi.Poly("ckks.keyvault.digitA", a.Q)
-		kv.fi.Poly("ckks.keyvault.digitA", a.P)
+		kv.fi.Poly("ckks.keyvault.digitA", e.a.Q)
+		kv.fi.Poly("ckks.keyvault.digitA", e.a.P)
 	}
 	if kv.tr != nil {
-		for i := range a.Q.Coeffs {
-			kv.tr.WriteClass(a.Q.Coeffs[i], memtrace.ClassKey)
+		for i := range e.a.Q.Coeffs {
+			kv.tr.WriteClass(e.a.Q.Coeffs[i], memtrace.ClassKey)
 		}
-		for i := range a.P.Coeffs {
-			kv.tr.WriteClass(a.P.Coeffs[i], memtrace.ClassKey)
+		for i := range e.a.P.Coeffs {
+			kv.tr.WriteClass(e.a.P.Coeffs[i], memtrace.ClassKey)
 		}
 	}
 
 	kv.mu.Lock()
-	e.a = a
-	e.bytes = polyQPBytes(a)
 	e.done = true
-	e.elem = kv.lru.PushFront(e)
-	kv.resident += e.bytes
-	if kv.resident > kv.peak {
-		kv.peak = kv.resident
-	}
 	kv.expansions++
-	close(e.ready)
-	// Enforce the budget, but never evict the digit just admitted: the
-	// caller is about to use it, and admitting it even over budget is the
-	// progress guarantee for budgets smaller than one digit.
-	kv.evictLocked(e)
 	resident := kv.resident
 	kv.mu.Unlock()
+	kv.expanded.Broadcast()
 
 	kv.rec.Add("ckks.keyvault.expansions", 1)
 	kv.rec.SetGauge("ckks.keyvault.resident_bytes", float64(resident))
-	return a
 }
 
-// unpin releases one pin on digit j, then reconsiders the budget (a
-// deferred eviction may have been waiting for the pin to drop).
-func (kv *keyVault) unpin(swk *SwitchingKey, j int) {
+// release drops one pin on digit j, then reconsiders the budget (an
+// over-budget admission may have been waiting for the pin to drop).
+func (kv *keyVault) release(swk *SwitchingKey, j int) {
 	kv.mu.Lock()
 	e, ok := kv.entries[vaultKey{swk, j}]
 	if !ok || e.pins == 0 {
 		kv.mu.Unlock()
-		panic("ckks: keyvault unpin without matching pin")
+		panic("ckks: keyvault release without matching acquire")
 	}
 	e.pins--
-	kv.evictLocked(nil)
+	kv.shrinkLocked()
 	resident := kv.resident
 	kv.mu.Unlock()
 	kv.rec.SetGauge("ckks.keyvault.resident_bytes", float64(resident))
 }
 
-// evictLocked drops least-recently-used unpinned entries until the
-// resident set fits the budget. Pinned entries and keep are skipped —
-// eviction of a pinned key is refused, full stop; if only pinned entries
-// remain the vault stays over budget until pins release.
-func (kv *keyVault) evictLocked(keep *vaultEntry) {
-	if kv.budget <= 0 {
-		return
-	}
-	for el := kv.lru.Back(); el != nil && kv.resident > kv.budget; {
-		prev := el.Prev()
-		e := el.Value.(*vaultEntry)
-		if e.pins == 0 && e != keep {
-			kv.removeLocked(e)
-		}
-		el = prev
+// shrinkLocked enforces the budget on the unheld entries; if only held
+// entries remain the vault stays over budget until they are released.
+func (kv *keyVault) shrinkLocked() {
+	if kv.budget > 0 {
+		kv.evictDownToLocked(kv.budget, false)
 	}
 }
 
-// removeLocked drops one materialized entry. The backing arrays stay
-// valid for goroutines that already fetched them (the GC owns their
-// lifetime); the tracer is told the limbs are dead so the cache replay
-// drops the lines without charging a DRAM writeback — regenerated key
-// material never travels to memory, which is the whole point.
-func (kv *keyVault) removeLocked(e *vaultEntry) {
-	delete(kv.entries, e.key)
-	kv.lru.Remove(e.elem)
-	kv.resident -= e.bytes
-	kv.evictions++
-	kv.rec.Add("ckks.keyvault.evictions", 1)
-	if kv.tr != nil {
-		for i := range e.a.Q.Coeffs {
-			kv.tr.Discard(e.a.Q.Coeffs[i])
+// evictDownToLocked evicts least-recently-used unheld entries until at
+// most limit bytes are resident or only held entries remain — eviction of
+// a held entry is refused, full stop. With reuse set, the first victim
+// whose buffer is intact stays in the LRU list and is returned for the
+// caller to re-key; every other victim goes to the collector. The tracer
+// is told a victim's limbs are dead so the cache replay drops the lines
+// without charging a DRAM writeback — regenerated key material never
+// travels to memory, which is the whole point.
+func (kv *keyVault) evictDownToLocked(limit int64, reuse bool) (spare *vaultEntry) {
+	for el := kv.lru.Back(); el != nil && kv.resident > limit; {
+		prev := el.Prev()
+		if e := el.Value.(*vaultEntry); e.pins == 0 {
+			delete(kv.entries, e.key)
+			kv.resident -= kv.digitBytes
+			kv.evictions++
+			kv.rec.Add("ckks.keyvault.evictions", 1)
+			if kv.tr != nil {
+				for i := range e.a.Q.Coeffs {
+					kv.tr.Discard(e.a.Q.Coeffs[i])
+				}
+				for i := range e.a.P.Coeffs {
+					kv.tr.Discard(e.a.P.Coeffs[i])
+				}
+			}
+			if reuse && spare == nil && kv.intact(e.a) {
+				spare = e
+			} else {
+				kv.lru.Remove(el)
+			}
 		}
-		for i := range e.a.P.Coeffs {
-			kv.tr.Discard(e.a.P.Coeffs[i])
-		}
+		el = prev
 	}
+	return spare
 }

@@ -205,10 +205,13 @@ func TestKeyVaultTinyBudgetProgress(t *testing.T) {
 	if st.Evictions < uint64(beta-1) {
 		t.Errorf("%d evictions, want >= %d (budget below one digit must evict)", st.Evictions, beta-1)
 	}
-	// The admit-then-evict overshoot is bounded: at most the admitted
-	// digit plus the one it displaces.
-	if st.PeakResident > 2*db {
-		t.Errorf("peak resident %d bytes, want <= 2 digits (%d)", st.PeakResident, 2*db)
+	// The overshoot is bounded by what one product holds: its β digits are
+	// pinned together for the inner product, and a held digit is never
+	// evicted. (The bound used to read 2 digits; that held only because
+	// the product kept reading digits the vault had already evicted and no
+	// longer counted.)
+	if st.PeakResident > int64(beta)*db {
+		t.Errorf("peak resident %d bytes, want <= β = %d digits (%d)", st.PeakResident, beta, int64(beta)*db)
 	}
 	if st.ResidentBytes > db {
 		t.Errorf("resident %d bytes after the op, want <= one digit (%d)", st.ResidentBytes, db)
@@ -252,16 +255,19 @@ func TestKeyVaultBudgetChangeMidEvaluation(t *testing.T) {
 	}
 }
 
-// TestKeyVaultPinnedEvictionRefused pins a key's digits and then sets a
-// budget of one byte: the pinned entries must survive (eviction refused,
-// the vault overshoots instead), and release only after unpinning.
+// TestKeyVaultPinnedEvictionRefused holds a key's digits, as a product
+// does, and then sets a budget of one byte: the held entries must survive
+// (eviction refused, the vault overshoots instead), and go only on
+// release.
 func TestKeyVaultPinnedEvictionRefused(t *testing.T) {
 	tc, keys, ct := vaultTestKeys(t, []int{1})
 	ev := NewEvaluator(tc.params, keys)
 	gk := keys.Galois[tc.params.RingQ().GaloisElement(1)]
 	beta := tc.params.Beta(ct.Level)
 
-	ev.pinDigits(&gk.SwitchingKey, beta)
+	for j := 0; j < beta; j++ {
+		ev.vault.acquire(&gk.SwitchingKey, j)
+	}
 	pinnedBytes := ev.KeyVaultStats().ResidentBytes
 	if pinnedBytes == 0 {
 		t.Fatal("pinning materialized nothing")
@@ -282,7 +288,9 @@ func TestKeyVaultPinnedEvictionRefused(t *testing.T) {
 		t.Fatal("rotation failed under over-budget pins")
 	}
 
-	ev.unpinDigits(&gk.SwitchingKey, beta)
+	for j := 0; j < beta; j++ {
+		ev.vault.release(&gk.SwitchingKey, j)
+	}
 	if st := ev.KeyVaultStats(); st.ResidentBytes > 1 {
 		t.Fatalf("resident %d bytes after unpin, want the deferred eviction to fire", st.ResidentBytes)
 	}
@@ -334,6 +342,11 @@ func TestKeyVaultObsCounters(t *testing.T) {
 	ev := NewEvaluator(tc.params, keys, WithKeyBudget(digitBytes(tc.params)))
 	ev.SetRecorder(rec)
 	_ = vaultWorkload(ev, ct, steps)
+	// One lookup per digit per product: under a one-digit budget a hit is a
+	// digit used twice in a row, which happens where β = 1.
+	low := ev.DropLevel(ct, 0)
+	_ = ev.Rotate(low, 1)
+	_ = ev.Rotate(low, 1)
 
 	st := ev.KeyVaultStats()
 	for name, want := range map[string]uint64{

@@ -224,11 +224,11 @@ func (ev *Evaluator) EvalLinearTransformHoistedModDown(ct *Ciphertext, lt *Linea
 	sort.Ints(steps)
 
 	// Resolve Galois keys on this goroutine before fanning out (key
-	// lookup panics are only useful here) and pin every key of the
-	// fan-out in the vault for the duration of the transform: the whole
-	// diagonal sweep reuses its keys against one shared decomposition, so
-	// a tight key budget must not evict mid-sweep (ARK's inter-operation
-	// key reuse).
+	// lookup panics are only useful here). Nothing is pinned for the
+	// sweep: the shared decomposition is what every diagonal reuses, while
+	// each key meets exactly one product and is held only for it, so the
+	// transform's resident key set is the budget plus the products in
+	// flight, not the fan-out.
 	type hoistJob struct {
 		d  int
 		g  uint64
@@ -239,18 +239,9 @@ func (ev *Evaluator) EvalLinearTransformHoistedModDown(ct *Ciphertext, lt *Linea
 		jobs[i] = hoistJob{d: d}
 		if d != 0 {
 			g := rQ.GaloisElement(d)
-			gk := ev.galoisKey(g)
-			ev.pinDigits(&gk.SwitchingKey, len(digits))
-			jobs[i].g, jobs[i].gk = g, gk
+			jobs[i].g, jobs[i].gk = g, ev.galoisKey(g)
 		}
 	}
-	defer func() {
-		for _, job := range jobs {
-			if job.gk != nil {
-				ev.unpinDigits(&job.gk.SwitchingKey, len(digits))
-			}
-		}
-	}()
 
 	// The raised diagonals are plaintext material: tag them so the generic
 	// ring hooks' reads replay as plaintext traffic.
@@ -319,6 +310,16 @@ func (ev *Evaluator) EvalLinearTransformHoistedModDown(ct *Ciphertext, lt *Linea
 	return &Ciphertext{C0: p0, C1: p1, Scale: ct.Scale * lt.Scale, Level: level}
 }
 
+// getZeroPolyQP draws a pooled raised polynomial, zeroed and flagged NTT:
+// the diagonal sweep's multiply-accumulate target.
+func (ev *Evaluator) getZeroPolyQP(level int) rns.PolyQP {
+	p := ev.params.Converter().GetPolyQP(level)
+	p.Q.Zero()
+	p.P.Zero()
+	p.Q.IsNTT, p.P.IsNTT = true, true
+	return p
+}
+
 // hoistedStepRaised produces the raised pair (u, v) for one diagonal of
 // the hoisted-ModDown schedule: for d == 0 the PModUp lift of the input
 // ciphertext, otherwise the rotated key-switch product with P·σ(c0) folded
@@ -326,7 +327,6 @@ func (ev *Evaluator) EvalLinearTransformHoistedModDown(ct *Ciphertext, lt *Linea
 func (ev *Evaluator) hoistedStepRaised(level int, ct *Ciphertext, digits []rns.PolyQP, d int, g uint64, gk *GaloisKey, workers int) (u, v rns.PolyQP) {
 	p := ev.params
 	rQ := p.RingQ().AtLevel(level)
-	rP := p.RingP()
 	conv := p.Converter()
 	if d == 0 {
 		// Unrotated term: lift both halves with the free PModUp.
@@ -336,18 +336,8 @@ func (ev *Evaluator) hoistedStepRaised(level int, ct *Ciphertext, digits []rns.P
 		conv.PModUp(level, ct.C1, v, workers)
 		return u, v
 	}
-	u = ev.getZeroPolyQP(level)
-	v = ev.getZeroPolyQP(level)
-	rot := make([]rns.PolyQP, len(digits))
-	for j := range digits {
-		rot[j] = conv.GetPolyQP(level)
-		rQ.AutomorphismNTT(digits[j].Q, g, rot[j].Q)
-		rP.AutomorphismNTT(digits[j].P, g, rot[j].P)
-	}
-	ev.kskInnerProduct(level, rot, &gk.SwitchingKey, u, v, workers)
-	for j := range rot {
-		conv.PutPolyQP(rot[j])
-	}
+	u, v = conv.GetPolyQP(level), conv.GetPolyQP(level)
+	ev.kskInnerProduct(level, digits, rQ.AutomorphismNTTIndex(g), &gk.SwitchingKey, u, v, workers)
 	// Add P·σ(c0) to the u half so (u, v) is the raised rotation.
 	c0r := rQ.GetScratch()
 	rQ.AutomorphismNTT(ct.C0, g, c0r)

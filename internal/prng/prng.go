@@ -9,6 +9,7 @@ package prng
 import (
 	"crypto/rand"
 	"encoding/binary"
+	"math/bits"
 	mrand "math/rand/v2"
 )
 
@@ -20,13 +21,21 @@ const SeedSize = 32
 // same stream, which is what lets a switching key's first polynomial be
 // shipped as a seed (key compression) and re-expanded on the compute side.
 type Source struct {
-	rng *mrand.ChaCha8
+	rng mrand.ChaCha8
 }
 
 // NewSource returns a Source expanding the given 32-byte seed.
 func NewSource(seed [SeedSize]byte) *Source {
-	return &Source{rng: mrand.NewChaCha8(seed)}
+	s := new(Source)
+	s.Reseed(seed)
+	return s
 }
+
+// Reseed restarts the stream from seed, exactly as a fresh NewSource(seed)
+// would produce it. It lets a long-lived owner (the key vault, which
+// re-expands a digit on every miss) keep one Source instead of allocating
+// one per expansion; the zero Source is ready to be reseeded.
+func (s *Source) Reseed(seed [SeedSize]byte) { s.rng.Seed(seed) }
 
 // NewRandomSource returns a Source with a fresh seed drawn from the
 // operating system CSPRNG, along with the seed itself so the caller can
@@ -80,10 +89,36 @@ func (s *Source) Fill(p []byte) {
 	}
 }
 
-// UniformSlice fills out with uniform values modulo q.
+// UniformSlice fills out with uniform values modulo q: word for word the
+// stream of per-element Uint64n(q) calls — seeds on the wire regenerate
+// the same keys — with the rejection limit hoisted out of the loop and the
+// hardware division of v % q replaced by a multiply-high against the
+// precomputed m = ⌊2^64/q⌋. The quotient estimate ⌊v·m/2^64⌋ is ⌊v/q⌋ or
+// one less, so the remainder lands in [0, 2q) and one conditional
+// subtraction makes it canonical.
 func (s *Source) UniformSlice(out []uint64, q uint64) {
+	if q == 0 {
+		panic("prng: UniformSlice(q=0)")
+	}
+	if q&(q-1) == 0 {
+		for i := range out {
+			out[i] = s.rng.Uint64() & (q - 1)
+		}
+		return
+	}
+	limit := -q % q     // 2^64 mod q: draws below it are rejected
+	m := ^uint64(0) / q // = ⌊2^64/q⌋, q not being a power of two
 	for i := range out {
-		out[i] = s.Uint64n(q)
+		v := s.rng.Uint64()
+		for v < limit {
+			v = s.rng.Uint64()
+		}
+		qhat, _ := bits.Mul64(v, m)
+		r := v - qhat*q
+		if r >= q {
+			r -= q
+		}
+		out[i] = r
 	}
 }
 

@@ -64,11 +64,14 @@ type autoCache struct {
 	tables map[uint64][]int
 }
 
-// autoTable returns (building and caching on first use) the NTT-domain slot
-// permutation for the automorphism X → X^k. In the bit-reversed CT layout,
-// slot i holds the evaluation of the polynomial at ψ^{2·brv(i)+1}; the
-// automorphism therefore permutes slots without any arithmetic.
-func (r *Ring) autoTable(k uint64) []int {
+// AutomorphismNTTIndex returns (building and caching on first use) the
+// NTT-domain slot permutation for the automorphism X → X^k: out[i] =
+// in[table[i]]. In the bit-reversed CT layout, slot i holds the evaluation
+// of the polynomial at ψ^{2·brv(i)+1}; the automorphism therefore permutes
+// slots without any arithmetic. The table depends on N and k only, is
+// shared by every caller and must not be modified; kernels that fuse the
+// gather into their own loop (SubRing.GatherMulAccumulate) take it as is.
+func (r *Ring) AutomorphismNTTIndex(k uint64) []int {
 	c := r.auto
 	c.mu.RLock()
 	t, ok := c.tables[k]
@@ -107,7 +110,7 @@ func (r *Ring) AutomorphismNTT(p *Poly, k uint64, out *Poly) {
 		panic("ring: AutomorphismNTT cannot operate in place")
 	}
 	r.checkCompat(p, out)
-	t := r.autoTable(k)
+	t := r.AutomorphismNTTIndex(k)
 	for limb, s := range r.SubRings {
 		src, dst := p.Coeffs[limb], out.Coeffs[limb]
 		s.tr.Read(src[:r.N])

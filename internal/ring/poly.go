@@ -3,7 +3,6 @@ package ring
 import (
 	"fmt"
 	"math/big"
-	"math/bits"
 
 	"repro/internal/mathutil"
 )
@@ -168,73 +167,13 @@ func (r *Ring) MulCoeffsThenAdd(a, b, out *Poly) {
 	out.IsNTT = a.IsNTT
 }
 
-// MulThenAddVec sets acc[j] += a[j]·b[j] mod q over a single limb. It is
-// the per-limb core of MulCoeffsThenAdd, exposed so limb-parallel callers
-// can fuse the digit loop of a key-switch inner product per limb.
+// MulThenAddVec sets acc[j] += a[j]·b[j] mod q over a single limb: the
+// per-limb core of MulCoeffsThenAdd, and the strict composition the fused
+// key-switch kernel (GatherMulAccumulate) is tested bit-identical against.
 func (s *SubRing) MulThenAddVec(a, b, acc []uint64) {
 	br, q := s.Barrett, s.Q
 	for j := range acc {
 		acc[j] = mathutil.AddMod(acc[j], br.MulMod(a[j], b[j]), q)
-	}
-}
-
-// MulThenAddVecLazy sets acc[j] += a[j]·b[j] (mod q) keeping the
-// accumulator lazily reduced in [0, 2q) instead of canonical [0, q): the
-// product pays only the correction-free Barrett estimate (a residue in
-// [0, 3q), see mathutil.Barrett.Reduce128Lazy) and the sum — below 5q,
-// hence below 2^64 for ≤ 61-bit moduli — is brought back under 2q with
-// two branchless conditional subtractions. Callers accumulate a whole
-// digit loop this way and fold once with FoldVec; acc must be < 2q on
-// entry, which FoldVec, a zeroed buffer, or a prior lazy call guarantee.
-func (s *SubRing) MulThenAddVecLazy(a, b, acc []uint64) {
-	br, q2 := s.Barrett, 2*s.Q
-	for j := range acc {
-		hi, lo := bits.Mul64(a[j], b[j])
-		v := acc[j] + br.Reduce128Lazy(hi, lo)
-		if v >= q2 {
-			v -= q2
-		}
-		if v >= q2 {
-			v -= q2
-		}
-		acc[j] = v
-	}
-}
-
-// FoldVec reduces a lazily accumulated limb from [0, 2q) to canonical
-// [0, q) — the single closing fold paired with MulThenAddVecLazy.
-func (s *SubRing) FoldVec(acc []uint64) {
-	q := s.Q
-	for j, v := range acc {
-		if v >= q {
-			acc[j] = v - q
-		}
-	}
-}
-
-// MulCoeffsThenAddLazy sets out += a ⊙ b slot-wise with the accumulator
-// kept lazily in [0, 2q) per limb. Pair with Fold to return to canonical
-// residues; out must hold values < 2q on entry (canonical polynomials and
-// prior lazy accumulations both qualify).
-func (r *Ring) MulCoeffsThenAddLazy(a, b, out *Poly) {
-	r.checkCompat(a, b, out)
-	for i, s := range r.SubRings {
-		s.tr.Read(a.Coeffs[i][:r.N])
-		s.tr.Read(b.Coeffs[i][:r.N])
-		s.tr.Read(out.Coeffs[i][:r.N])
-		s.MulThenAddVecLazy(a.Coeffs[i], b.Coeffs[i], out.Coeffs[i][:r.N])
-		s.tr.Write(out.Coeffs[i][:r.N])
-	}
-	out.IsNTT = a.IsNTT
-}
-
-// Fold reduces every limb of p from lazy [0, 2q) to canonical [0, q).
-func (r *Ring) Fold(p *Poly) {
-	r.checkCompat(p)
-	for i, s := range r.SubRings {
-		s.tr.Read(p.Coeffs[i][:r.N])
-		s.FoldVec(p.Coeffs[i][:r.N])
-		s.tr.Write(p.Coeffs[i][:r.N])
 	}
 }
 

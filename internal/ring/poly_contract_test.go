@@ -25,8 +25,6 @@ func TestOpsPreserveNTTFlag(t *testing.T) {
 		{"Neg", func(a, _, out *Poly) { r.Neg(a, out) }},
 		{"MulCoeffs", func(a, b, out *Poly) { r.MulCoeffs(a, b, out) }},
 		{"MulCoeffsThenAdd", func(a, b, out *Poly) { r.MulCoeffsThenAdd(a, b, out) }},
-		{"MulCoeffsThenAddLazy", func(a, b, out *Poly) { r.MulCoeffsThenAddLazy(a, b, out) }},
-		{"MulCoeffsThenAddLazy+Fold", func(a, b, out *Poly) { r.MulCoeffsThenAddLazy(a, b, out); r.Fold(out) }},
 		{"MulScalar", func(a, _, out *Poly) { r.MulScalar(a, 7, out) }},
 		{"AddScalar", func(a, _, out *Poly) { r.AddScalar(a, 7, out) }},
 		{"Copy", func(a, _, out *Poly) { a.Copy(out) }},
@@ -116,36 +114,6 @@ func TestMulCoeffsThenAddAccumulates(t *testing.T) {
 	out.IsNTT = want.IsNTT // flags compared separately above
 	if !out.Equal(want) {
 		t.Error("MulCoeffsThenAdd disagrees with MulCoeffs + Add")
-	}
-}
-
-// TestMulCoeffsThenAddLazyFoldMatchesStrict pins the lazy digit-loop
-// contract: any number of lazy accumulations followed by one Fold must
-// land on exactly the canonical residues the strict path produces, with
-// every intermediate value staying below 2q.
-func TestMulCoeffsThenAddLazyFoldMatchesStrict(t *testing.T) {
-	r := testRing(t, 16, 3)
-	src := fixedSource()
-	strict, lazy := r.NewPoly(), r.NewPoly()
-	const digits = 9
-	for d := 0; d < digits; d++ {
-		a, b := r.NewPoly(), r.NewPoly()
-		r.SampleUniform(src, a)
-		r.SampleUniform(src, b)
-		r.MulCoeffsThenAdd(a, b, strict)
-		r.MulCoeffsThenAddLazy(a, b, lazy)
-		for i, s := range r.SubRings {
-			for j, v := range lazy.Coeffs[i] {
-				if v >= 2*s.Q {
-					t.Fatalf("digit %d limb %d coeff %d: lazy accumulator %d ≥ 2q=%d", d, i, j, v, 2*s.Q)
-				}
-			}
-		}
-	}
-	r.Fold(lazy)
-	lazy.IsNTT = strict.IsNTT
-	if !lazy.Equal(strict) {
-		t.Error("lazy accumulate + fold disagrees with strict MulCoeffsThenAdd")
 	}
 }
 
