@@ -320,14 +320,14 @@ func BenchmarkParallelBootstrap(b *testing.B) {
 	btp, ct := benchBootstrapper(b)
 	for _, w := range parallelWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			btp.SetWorkers(w)
+			btp.Evaluator().SetWorkers(w)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_ = btp.Bootstrap(ct)
 			}
 		})
 	}
-	btp.SetWorkers(1)
+	btp.Evaluator().SetWorkers(1)
 }
 
 // BenchmarkParallelRotateHoisted sweeps the worker knob over the hoisted

@@ -63,7 +63,7 @@ func functional() {
 	// Record the bootstrap: the recorder captures one span per phase,
 	// each carrying the deltas of the evaluator's ckks.* counters.
 	rec := obs.NewRecorder()
-	btp.SetRecorder(rec)
+	btp.Evaluator().SetRecorder(rec)
 	start = time.Now()
 	out := btp.Bootstrap(ct)
 	fmt.Printf("bootstrap: %v -> level %d\n", time.Since(start), out.Level)

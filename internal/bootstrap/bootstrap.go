@@ -1,16 +1,11 @@
 package bootstrap
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/ckks"
-	"repro/internal/fherr"
-	"repro/internal/memtrace"
-	"repro/internal/obs"
 	"repro/internal/prng"
-	"repro/internal/ring"
 )
 
 // Parameters configures the bootstrapping pipeline (Algorithm 4).
@@ -135,41 +130,18 @@ func NewBootstrapper(params *ckks.Parameters, bparams Parameters, sk *ckks.Secre
 	return b, nil
 }
 
-// Evaluator exposes the bootstrapper's evaluator (it holds every rotation
-// key, which makes it convenient for tests and examples).
+// Evaluator exposes the bootstrapper's evaluator. It holds every rotation
+// key, and it is where the bootstrapper is configured: SetWorkers and
+// SetKeyBudget (only meaningful with compressKeys=true) leave the
+// refreshed ciphertexts bit-identical; with SetRecorder, Bootstrap emits
+// one span per phase (bootstrap.ModRaise, bootstrap.CoeffToSlot,
+// bootstrap.EvalMod, bootstrap.SlotToCoeff), each carrying the ckks.*
+// counter deltas accumulated inside the phase; with SetTracer it drops a
+// stream mark at every phase boundary (the four phases, then
+// bootstrap.Done) so the trace can be replayed per phase; with
+// SetFaultInjector the phase sites (the four phase names suffixed
+// .c0/.c1) become active next to the ckks hook sites.
 func (b *Bootstrapper) Evaluator() *ckks.Evaluator { return b.ev }
-
-// SetRecorder attaches an observability recorder to the bootstrapper's
-// evaluator; Bootstrap then emits one span per phase (bootstrap.ModRaise,
-// bootstrap.CoeffToSlot, bootstrap.EvalMod, bootstrap.SlotToCoeff), each
-// carrying the ckks.* counter deltas accumulated inside the phase.
-func (b *Bootstrapper) SetRecorder(r *obs.Recorder) { b.ev.SetRecorder(r) }
-
-// SetTracer attaches a memory access tracer to the bootstrapper's
-// evaluator; Bootstrap then drops a stream mark at every phase boundary
-// (bootstrap.ModRaise, bootstrap.CoeffToSlot, bootstrap.EvalMod,
-// bootstrap.SlotToCoeff, bootstrap.Done) so the trace can be replayed
-// per phase.
-func (b *Bootstrapper) SetTracer(t *memtrace.Tracer) { b.ev.SetTracer(t) }
-
-// SetWorkers sets the parallelism budget of the underlying evaluator
-// (n ≤ 0 selects GOMAXPROCS); the refreshed ciphertexts are bit-identical
-// for every worker count.
-func (b *Bootstrapper) SetWorkers(n int) { b.ev.SetWorkers(n) }
-
-// SetOpContext binds a cancellation context to the underlying evaluator
-// (see ckks.Evaluator.SetOpContext): a deadline expiring mid-bootstrap
-// aborts at the next op boundary or fan-out unit, and BootstrapE returns
-// a typed fherr.ErrCanceled. nil disables cancellation checks.
-func (b *Bootstrapper) SetOpContext(ctx context.Context) { b.ev.SetOpContext(ctx) }
-
-// SetKeyBudget bounds the bytes of demand-materialized switching-key
-// material the underlying evaluator keeps resident (only meaningful for
-// a bootstrapper built with compressKeys=true; see
-// ckks.Evaluator.SetKeyBudget). The refreshed ciphertexts are
-// bit-identical for every budget — the knob trades expansion compute for
-// resident key memory only.
-func (b *Bootstrapper) SetKeyBudget(bytes int64) { b.ev.SetKeyBudget(bytes) }
 
 // modRaise reinterprets a level-0 ciphertext in the full modulus chain:
 // each coefficient v ∈ [0, q_0) is lifted centered to every limb. The
@@ -193,10 +165,9 @@ func (b *Bootstrapper) modRaise(ct *ckks.Ciphertext) *ckks.Ciphertext {
 		tmp := inP.CopyNew()
 		rQ0.INTTPoly(tmp)
 		workers := b.ev.Workers()
-		// Bound to the evaluator's op context so a request deadline stops
-		// the coefficient lift mid-raise; the error panics into
-		// BootstrapE's recover shim as a typed fherr.ErrCanceled.
-		if err := ring.ParallelChunkedCtx(b.ev.OpContext(), p.N(), workers, func(_, start, end int) {
+		// Under BootstrapE the evaluator is bound to the request context,
+		// so a deadline stops the coefficient lift mid-raise.
+		b.ev.FanOutChunked(p.N(), workers, func(_, start, end int) {
 			for j := start; j < end; j++ {
 				v := tmp.Coeffs[0][j]
 				for i := 0; i <= L; i++ {
@@ -209,9 +180,7 @@ func (b *Bootstrapper) modRaise(ct *ckks.Ciphertext) *ckks.Ciphertext {
 					}
 				}
 			}
-		}); err != nil {
-			panic(fherr.Errorf(fherr.ErrCanceled, "bootstrap: modRaise canceled (%v)", err))
-		}
+		})
 		outP.IsNTT = false
 		rQL.NTTPolyParallel(outP, workers)
 	}

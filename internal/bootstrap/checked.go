@@ -1,8 +1,9 @@
 package bootstrap
 
 import (
+	"context"
+
 	"repro/internal/ckks"
-	"repro/internal/faultinject"
 	"repro/internal/fherr"
 )
 
@@ -23,12 +24,6 @@ type precisionGuard struct {
 	minBits float64
 }
 
-// SetFaultInjector attaches a chaos-testing fault injector to the
-// bootstrapper's evaluator. Both the ckks hook sites and the bootstrap
-// phase sites (bootstrap.ModRaise/CoeffToSlot/EvalMod/SlotToCoeff,
-// suffixed .c0/.c1) become active. Nil detaches.
-func (b *Bootstrapper) SetFaultInjector(fi *faultinject.Injector) { b.ev.SetFaultInjector(fi) }
-
 // ArmPrecisionGuard enables the decrypt-compare probe: BootstrapE
 // decrypts its input and its output with sk, compares them slot-wise,
 // and fails with fherr.ErrPrecisionLoss when the worst slot falls below
@@ -41,47 +36,40 @@ func (b *Bootstrapper) ArmPrecisionGuard(sk *ckks.SecretKey, minBits float64) {
 	b.guard = &precisionGuard{dec: ckks.NewDecryptor(b.params, sk), minBits: minBits}
 }
 
-// BootstrapE is the checked form of Bootstrap: it validates the input
-// ciphertext, converts any panic escaping the pipeline (including
-// worker-pool panics) into a typed fherr error, seals the result when
-// the evaluator has integrity mode on, and — when the precision guard is
-// armed — verifies the refreshed message against the input. On error the
+// BootstrapE is Bootstrap behind the evaluator's checked boundary
+// (ckks.Evaluator.Do): the input is validated, the pipeline runs on a
+// copy of the bootstrapper whose evaluator is bound to ctx — a deadline
+// expiring mid-bootstrap aborts at the next op boundary or fan-out unit
+// with fherr.ErrCanceled — any panic escaping it (including worker-pool
+// panics) becomes a typed fherr error, and the result is sealed when the
+// evaluator has integrity mode on. When the precision guard is armed the
+// refreshed message is verified against the input first. On error the
 // returned ciphertext is nil.
-func (b *Bootstrapper) BootstrapE(ct *ckks.Ciphertext) (out *ckks.Ciphertext, err error) {
-	sp := b.ev.Recorder().StartOp("bootstrap.BootstrapE")
-	defer sp.End()
-	if err := b.params.Validate(ct); err != nil {
-		return nil, err
-	}
-	defer func() {
-		if err != nil {
-			out = nil
+func (b *Bootstrapper) BootstrapE(ctx context.Context, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	var guardErr error
+	out, err := b.ev.Do(ctx, "bootstrap.Bootstrap", func(ev *ckks.Evaluator) *ckks.Ciphertext {
+		bound := *b
+		bound.ev = ev
+		if b.guard == nil {
+			return bound.Bootstrap(ct)
 		}
-	}()
-	defer fherr.RecoverTo(&err)
-
-	var ref []complex128
-	if b.guard != nil {
 		in := ct
 		if in.Level > 0 {
-			in = b.ev.DropLevel(in, 0)
+			in = ev.DropLevel(in, 0)
 		}
-		ref = b.enc.Decode(b.guard.dec.DecryptToPlaintext(in))
-	}
-
-	out = b.Bootstrap(ct)
-
-	if b.guard != nil {
+		ref := b.enc.Decode(b.guard.dec.DecryptToPlaintext(in))
+		out := bound.Bootstrap(ct)
 		got := b.enc.Decode(b.guard.dec.DecryptToPlaintext(out))
-		stats := ckks.Precision(ref, got)
-		if stats.MinPrecisionBits < b.guard.minBits {
-			return nil, fherr.Errorf(fherr.ErrPrecisionLoss,
+		if stats := ckks.Precision(ref, got); stats.MinPrecisionBits < b.guard.minBits {
+			guardErr = fherr.Errorf(fherr.ErrPrecisionLoss,
 				"bootstrap: precision floor (got=%.2f bits worst slot, want>=%.2f)",
 				stats.MinPrecisionBits, b.guard.minBits)
+			return nil
 		}
+		return out
+	}, ct)
+	if guardErr != nil {
+		return nil, guardErr
 	}
-	if b.ev.Integrity() {
-		out.Seal()
-	}
-	return out, nil
+	return out, err
 }

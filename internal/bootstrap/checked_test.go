@@ -1,6 +1,7 @@
 package bootstrap
 
 import (
+	"context"
 	"errors"
 	"math/rand/v2"
 	"testing"
@@ -55,12 +56,12 @@ func TestBootstrapEValidatesInput(t *testing.T) {
 	}
 	f := newCheckedBootFixture(t)
 
-	if _, err := f.btp.BootstrapE(nil); !errors.Is(err, fherr.ErrDegree) {
+	if _, err := f.btp.BootstrapE(context.Background(), nil); !errors.Is(err, fherr.ErrDegree) {
 		t.Fatalf("nil input: %v, want ErrDegree", err)
 	}
 	bad := f.exhaustedCiphertext()
 	bad.C0.IsNTT = false
-	if _, err := f.btp.BootstrapE(bad); !errors.Is(err, fherr.ErrNTTDomain) {
+	if _, err := f.btp.BootstrapE(context.Background(), bad); !errors.Is(err, fherr.ErrNTTDomain) {
 		t.Fatalf("coefficient-form input: %v, want ErrNTTDomain", err)
 	}
 }
@@ -75,7 +76,7 @@ func TestBootstrapEWithPrecisionGuardPasses(t *testing.T) {
 	f.btp.ArmPrecisionGuard(f.sk, 8)
 	f.btp.Evaluator().SetIntegrity(true)
 
-	out, err := f.btp.BootstrapE(f.exhaustedCiphertext())
+	out, err := f.btp.BootstrapE(context.Background(), f.exhaustedCiphertext())
 	if err != nil {
 		t.Fatalf("guarded bootstrap failed: %v", err)
 	}
@@ -102,9 +103,9 @@ func TestBootstrapEPrecisionGuardCatchesKeyCorruption(t *testing.T) {
 	// decrypt-compare probe can notice.
 	fi := faultinject.New()
 	fi.Arm(faultinject.Fault{Site: "ckks.ksk.digitB", Kind: faultinject.KindBitFlip, Limb: 0, Coeff: 5, Bit: 33, Visit: 3})
-	f.btp.SetFaultInjector(fi)
+	f.btp.Evaluator().SetFaultInjector(fi)
 
-	_, err := f.btp.BootstrapE(f.exhaustedCiphertext())
+	_, err := f.btp.BootstrapE(context.Background(), f.exhaustedCiphertext())
 	if !errors.Is(err, fherr.ErrPrecisionLoss) {
 		t.Fatalf("corrupted key: %v, want ErrPrecisionLoss", err)
 	}
@@ -121,7 +122,7 @@ func TestBootstrapEImpossibleFloorFails(t *testing.T) {
 	// No approximate bootstrap reaches 60 bits on these parameters: the
 	// guard itself must trip even on a healthy run.
 	f.btp.ArmPrecisionGuard(f.sk, 60)
-	if _, err := f.btp.BootstrapE(f.exhaustedCiphertext()); !errors.Is(err, fherr.ErrPrecisionLoss) {
+	if _, err := f.btp.BootstrapE(context.Background(), f.exhaustedCiphertext()); !errors.Is(err, fherr.ErrPrecisionLoss) {
 		t.Fatalf("60-bit floor: %v, want ErrPrecisionLoss", err)
 	}
 }

@@ -40,7 +40,7 @@ func TestBootstrapCancellationLatency(t *testing.T) {
 
 	// Reference timing for the full bootstrap.
 	t0 := time.Now()
-	want, err := btp.BootstrapE(ct)
+	want, err := btp.BootstrapE(context.Background(), ct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +49,8 @@ func TestBootstrapCancellationLatency(t *testing.T) {
 	// Cancel a fraction of the way in; the abort must be typed and fast.
 	ctx, cancel := context.WithTimeout(context.Background(), full/10)
 	defer cancel()
-	btp.SetOpContext(ctx)
 	t0 = time.Now()
-	_, err = btp.BootstrapE(ct)
+	_, err = btp.BootstrapE(ctx, ct)
 	elapsed := time.Since(t0)
 	if !errors.Is(err, fherr.ErrCanceled) {
 		t.Fatalf("BootstrapE under deadline: err = %v, want ErrCanceled", err)
@@ -63,9 +62,8 @@ func TestBootstrapCancellationLatency(t *testing.T) {
 		t.Errorf("cancellation took %v of a %v bootstrap — deadline did not stop work", elapsed, full)
 	}
 
-	// Reusable and bit-identical afterwards.
-	btp.SetOpContext(nil)
-	got, err := btp.BootstrapE(ct)
+	// Reusable and bit-identical afterwards, with nothing to clear.
+	got, err := btp.BootstrapE(context.Background(), ct)
 	if err != nil {
 		t.Fatalf("BootstrapE after cancellation: %v", err)
 	}

@@ -1,6 +1,7 @@
 package bootstrap
 
 import (
+	"context"
 	"errors"
 	"math/rand/v2"
 	"testing"
@@ -89,7 +90,7 @@ func TestBootstrapKeyBudgetBitIdentical(t *testing.T) {
 		gk.DropExpanded()
 	}
 	budget := fullResident / 8
-	btp.SetKeyBudget(budget)
+	btp.Evaluator().SetKeyBudget(budget)
 	out := btp.Bootstrap(ct)
 
 	if !out.C0.Equal(ref.C0) || !out.C1.Equal(ref.C1) {
@@ -128,7 +129,7 @@ func TestBootstrapVaultFaultDetectedByPrecisionGuard(t *testing.T) {
 	}
 	btp, params, sk := vaultBootstrapper(t)
 	fi := faultinject.New()
-	btp.SetFaultInjector(fi)
+	btp.Evaluator().SetFaultInjector(fi)
 	btp.ArmPrecisionGuard(sk, 8)
 
 	enc := ckks.NewEncoder(params)
@@ -141,7 +142,7 @@ func TestBootstrapVaultFaultDetectedByPrecisionGuard(t *testing.T) {
 	ct = btp.Evaluator().DropLevel(ct, 0)
 
 	fi.Arm(faultinject.Fault{Site: "ckks.keyvault.digitA", Kind: faultinject.KindBitFlip, Limb: 0, Coeff: 11, Bit: 29})
-	_, err := btp.BootstrapE(ct)
+	_, err := btp.BootstrapE(context.Background(), ct)
 	if err == nil {
 		t.Fatal("corrupted vault digit escaped the precision guard")
 	}
@@ -155,7 +156,7 @@ func TestBootstrapVaultFaultDetectedByPrecisionGuard(t *testing.T) {
 	// Recovery: flush the poisoned cache and the same bootstrap succeeds.
 	btp.Evaluator().FlushKeyVault()
 	fi.Reset()
-	if _, err := btp.BootstrapE(ct); err != nil {
+	if _, err := btp.BootstrapE(context.Background(), ct); err != nil {
 		t.Fatalf("bootstrapper unusable after vault flush: %v", err)
 	}
 }

@@ -43,7 +43,7 @@ func TestBootstrapBitIdenticalAcrossWorkers(t *testing.T) {
 
 	var golden *ckks.Ciphertext
 	for i, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		btp.SetWorkers(w)
+		btp.Evaluator().SetWorkers(w)
 		out := btp.Bootstrap(ct)
 		if i == 0 {
 			golden = out
@@ -54,5 +54,5 @@ func TestBootstrapBitIdenticalAcrossWorkers(t *testing.T) {
 			t.Errorf("bootstrap with %d workers is not bit-identical to serial", w)
 		}
 	}
-	btp.SetWorkers(1)
+	btp.Evaluator().SetWorkers(1)
 }

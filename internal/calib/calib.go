@@ -635,13 +635,13 @@ func bootstrapRows(cfg Config, rep *Report) error {
 	if err != nil {
 		return fmt.Errorf("calib: bootstrap: %w", err)
 	}
-	btp.SetWorkers(1)
+	btp.Evaluator().SetWorkers(1)
 	enc := ckks.NewEncoder(params)
 	ct := ckks.NewSecretKeyEncryptor(params, sk, src).Encrypt(enc.Encode(make([]complex128, params.Slots())))
 	ct = btp.Evaluator().DropLevel(ct, 0)
 
 	tr := memtrace.New()
-	btp.SetTracer(tr)
+	btp.Evaluator().SetTracer(tr)
 	_ = btp.Bootstrap(ct)
 
 	// Phase windows from the stream marks.

@@ -179,8 +179,8 @@ func RunDrift(cfg DriftConfig) (*DriftReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("drift: %w", err)
 	}
-	btp.SetWorkers(1)
 	ev := btp.Evaluator()
+	ev.SetWorkers(1)
 
 	model, err := ledger.ForParametersAt(params, cfg.CacheLimbs)
 	if err != nil {
@@ -210,7 +210,7 @@ func RunDrift(cfg DriftConfig) (*DriftReport, error) {
 	rec := obs.NewRecorder(obs.WithSpanCap(1 << 16))
 	ev.SetRecorder(rec)
 	tr := memtrace.New()
-	btp.SetTracer(tr)
+	ev.SetTracer(tr)
 
 	// The workload proper: explicit Mult probes (the pipeline itself only
 	// ever issues MulRelin + Rescale separately), then one full bootstrap.

@@ -61,13 +61,13 @@ func TestChaosOutputFaultsDetected(t *testing.T) {
 			// A reference product computed before arming the fault: same
 			// level and scale as the victim, so the only Add failure mode
 			// is the injected fault itself.
-			ref, err := ev.MulE(a, b)
+			ref, err := doMul(ev, a, b)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			fi.Arm(c.fault)
-			x, err := ev.MulE(a, b)
+			x, err := doMul(ev, a, b)
 			if err != nil {
 				t.Fatalf("fault at an output site failed the op itself: %v", err)
 			}
@@ -75,7 +75,7 @@ func TestChaosOutputFaultsDetected(t *testing.T) {
 				t.Fatalf("fault did not fire: %v", fi.Events())
 			}
 
-			_, err = ev.AddE(x, ref)
+			_, err = doAdd(ev, x, ref)
 			if err == nil {
 				t.Fatal("corrupted operand accepted: silent corruption")
 			}
@@ -97,7 +97,7 @@ func TestChaosKeyDigitCorruption(t *testing.T) {
 		a := encryptRandom(tc)
 
 		fi.Arm(faultinject.Fault{Site: "ckks.ksk.digitB", Kind: faultinject.KindTruncateLimbs, Keep: 1})
-		_, err := ev.RotateE(a, 1)
+		_, err := doRotate(ev, a, 1)
 		if err == nil {
 			t.Fatalf("workers=%d: truncated key digit went unnoticed", workers)
 		}
@@ -110,7 +110,7 @@ func TestChaosKeyDigitCorruption(t *testing.T) {
 
 		// The step-2 key is untouched: the evaluator must still work.
 		fi.Reset()
-		if _, err := ev.RotateE(a, 2); err != nil {
+		if _, err := doRotate(ev, a, 2); err != nil {
 			t.Fatalf("workers=%d: evaluator unusable after key-corruption recovery: %v", workers, err)
 		}
 	}
@@ -130,14 +130,14 @@ func TestChaosTopLimbFlipThenDropHarmless(t *testing.T) {
 
 	// Limb index 1<<30 clamps to the top limb whatever the level is.
 	fi.Arm(faultinject.Fault{Site: "ckks.Add.c0", Kind: faultinject.KindBitFlip, Limb: 1 << 30, Coeff: 12, Bit: 3})
-	x, err := ev.AddE(a, b)
+	x, err := doAdd(ev, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fi.Events()) != 1 {
 		t.Fatalf("fault did not fire: %v", fi.Events())
 	}
-	dropped, err := ev.DropLevelE(x, x.Level-1)
+	dropped, err := doDropLevel(ev, x, x.Level-1)
 	if err != nil {
 		t.Fatalf("structurally clean ciphertext rejected: %v", err)
 	}
@@ -226,12 +226,12 @@ func TestChaosVaultTruncatedBufferNotReused(t *testing.T) {
 	fi := faultinject.New()
 	oneKey := int64(tc.params.Dnum()) * digitBytes(tc.params)
 	ev := NewEvaluator(tc.params, keys, WithFaultInjector(fi), WithKeyBudget(oneKey))
-	if _, err := ev.RotateE(ct, 1); err != nil {
+	if _, err := doRotate(ev, ct, 1); err != nil {
 		t.Fatal(err)
 	}
 
 	fi.Arm(faultinject.Fault{Site: "ckks.keyvault.digitA", Kind: faultinject.KindTruncateLimbs, Keep: 1})
-	if _, err := ev.RotateE(ct, 2); !errors.Is(err, fherr.ErrInternal) {
+	if _, err := doRotate(ev, ct, 2); !errors.Is(err, fherr.ErrInternal) {
 		t.Fatalf("rotation through a truncated vault digit: got %v, want ErrInternal", err)
 	}
 	if len(fi.Events()) != 1 {
@@ -241,7 +241,7 @@ func TestChaosVaultTruncatedBufferNotReused(t *testing.T) {
 
 	for round := 0; round < 2; round++ {
 		for _, k := range steps {
-			got, err := ev.RotateE(ct, k)
+			got, err := doRotate(ev, ct, k)
 			if err != nil {
 				t.Fatalf("round %d step %d after the fault: %v", round, k, err)
 			}
@@ -263,30 +263,30 @@ func TestChaosBitFlipWithoutIntegrityIsTheGap(t *testing.T) {
 	tc, ev, fi := chaosEval(t, false)
 	a := encryptRandom(tc)
 	b := encryptRandom(tc)
-	ref, err := ev.MulE(a, b)
+	ref, err := doMul(ev, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fi.Arm(faultinject.Fault{Site: "ckks.Mul.c0", Kind: faultinject.KindBitFlip, Limb: 0, Coeff: 3, Bit: 60})
-	x, err := ev.MulE(a, b)
+	x, err := doMul(ev, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.AddE(x, ref); err != nil {
+	if _, err := doAdd(ev, x, ref); err != nil {
 		t.Fatalf("structural validation unexpectedly caught a payload flip: %v", err)
 	}
 	// Same fault, integrity on: the gap closes.
 	_, ev2, fi2 := chaosEval(t, true)
-	ref2, err := ev2.MulE(a, b)
+	ref2, err := doMul(ev2, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fi2.Arm(faultinject.Fault{Site: "ckks.Mul.c0", Kind: faultinject.KindBitFlip, Limb: 0, Coeff: 3, Bit: 60})
-	x2, err := ev2.MulE(a, b)
+	x2, err := doMul(ev2, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev2.AddE(x2, ref2); !errors.Is(err, fherr.ErrChecksum) {
+	if _, err := doAdd(ev2, x2, ref2); !errors.Is(err, fherr.ErrChecksum) {
 		t.Fatalf("integrity mode failed to detect the flip: %v", err)
 	}
 }

@@ -1,21 +1,19 @@
 package ckks
 
 import (
+	"context"
+
 	"repro/internal/faultinject"
 	"repro/internal/fherr"
 )
 
-// This file is the panic-free facade of the evaluator: every public
-// primitive gains an error-returning *E variant that (1) validates its
-// ciphertext and plaintext operands against the parameter set before the
-// hot kernels run, (2) converts any panic escaping the panicking core —
-// including worker-pool panics re-thrown by ring.Parallel — into a typed
-// fherr sentinel via a recover shim, and (3) runs the integrity/fault-
-// injection hooks on the result.
-//
-// The panicking methods (Add, Mul, Rotate, …) remain the hot path:
-// internal kernels keep their cheap panics, and the conversion cost is
-// paid once at the API boundary, not per kernel call.
+// This file is the evaluator's one checked boundary. The panicking
+// methods (Add, Mul, Rotate, EvalLinearTransform, …) are the only op
+// surface and the hot path: internal kernels keep their cheap panics.
+// Code that must never panic and must honour a deadline — a server, a
+// CLI — runs any of them through Do, which pays validation, context
+// binding, panic conversion and the integrity/fault hooks once per call
+// at the API boundary, not per kernel call.
 
 // SetFaultInjector attaches a chaos-testing fault injector (nil
 // detaches it). See internal/faultinject; production evaluators leave
@@ -31,13 +29,10 @@ func (ev *Evaluator) SetFaultInjector(fi *faultinject.Injector) {
 // FaultInjector returns the attached injector, which may be nil.
 func (ev *Evaluator) FaultInjector() *faultinject.Injector { return ev.fi }
 
-// SetIntegrity toggles checksum sealing: when on, every ciphertext a
-// checked (*E) method returns is Sealed, so later Validate calls detect
-// any out-of-band mutation of its payload (see Ciphertext.Seal).
+// SetIntegrity toggles checksum sealing: when on, every ciphertext Do
+// returns is Sealed, so later Validate calls detect any out-of-band
+// mutation of its payload (see Ciphertext.Seal).
 func (ev *Evaluator) SetIntegrity(on bool) { ev.integrity = on }
-
-// Integrity reports whether checksum sealing is enabled.
-func (ev *Evaluator) Integrity() bool { return ev.integrity }
 
 // WithIntegrity is the construction-time form of SetIntegrity(true).
 func WithIntegrity() EvaluatorOption {
@@ -68,154 +63,47 @@ func (ev *Evaluator) finish(site string, out *Ciphertext) {
 	}
 }
 
-// checked wraps one panicking core op: validate every ciphertext operand,
-// recover any panic into a typed error, run the finish hooks on success.
-// On error the returned ciphertext is always nil. Each call records a
-// span named "ckks.<op>E" covering validation, the core op and the
-// finish hooks, so the checked facade's end-to-end latency (including
-// validation/seal overhead) gets its own histogram next to the core
-// op's span — their gap is the cost of safety.
-func (ev *Evaluator) checked(op string, ins []*Ciphertext, core func() *Ciphertext) (out *Ciphertext, err error) {
-	sp := ev.rec.StartOp("ckks." + op + "E")
+// Do is the checked boundary: it runs one core op — or any composition
+// of them — with the guarantees the panicking surface does not give.
+//
+//  1. Every ciphertext in ins is validated against the parameter set
+//     before any kernel runs.
+//  2. f receives a shallow copy of the evaluator bound to ctx: keys,
+//     vault, recorder, tracer and injector are shared by pointer, the
+//     context is the copy's own, so nothing ambient is written on ev and
+//     a later call never inherits a dead context. Op boundaries and
+//     fan-out units inside f stop with fherr.ErrCanceled once ctx is
+//     done (see context.go); f must call the ops on the evaluator it is
+//     handed, not on ev, for that to hold.
+//  3. Any panic escaping f — a precondition violation, a worker-pool
+//     panic re-thrown by ring.Parallel, a cancellation — is recovered
+//     into a typed fherr error; the returned ciphertext is then nil.
+//  4. The result is sealed when integrity is on and passed through the
+//     fault-injection hooks at site op (op+".c0", ".c1", ".scale").
+//
+// op is the site name of the core op, e.g. "ckks.Rotate". The call is
+// recorded as a span named op+"E" covering validation, f and the hooks,
+// next to the core op's own span — their gap is the cost of safety.
+//
+//	out, err := ev.Do(ctx, "ckks.Rotate", func(ev *Evaluator) *Ciphertext {
+//		return ev.Rotate(ct, 3)
+//	}, ct)
+//
+// Plaintext operands are checked with Parameters.ValidatePlaintext
+// before the call.
+func (ev *Evaluator) Do(ctx context.Context, op string, f func(*Evaluator) *Ciphertext, ins ...*Ciphertext) (out *Ciphertext, err error) {
+	sp := ev.rec.StartOp(op + "E")
 	defer sp.End()
 	for _, ct := range ins {
 		if err := ev.params.Validate(ct); err != nil {
 			return nil, err
 		}
 	}
-	defer func() {
-		if err != nil {
-			out = nil
-			ev.rec.Add("ckks.checked.errors", 1)
-		}
-	}()
+	bound := *ev
+	bound.opCtx = ctx
 	defer fherr.RecoverTo(&err)
-	ev.checkInterrupt()
-	out = core()
-	ev.finish("ckks."+op, out)
-	return out, nil
-}
-
-// AddE is the checked form of Add.
-func (ev *Evaluator) AddE(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
-	return ev.checked("Add", []*Ciphertext{ct0, ct1}, func() *Ciphertext { return ev.Add(ct0, ct1) })
-}
-
-// SubE is the checked form of Sub.
-func (ev *Evaluator) SubE(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
-	return ev.checked("Sub", []*Ciphertext{ct0, ct1}, func() *Ciphertext { return ev.Sub(ct0, ct1) })
-}
-
-// NegE is the checked form of Neg.
-func (ev *Evaluator) NegE(ct *Ciphertext) (*Ciphertext, error) {
-	return ev.checked("Neg", []*Ciphertext{ct}, func() *Ciphertext { return ev.Neg(ct) })
-}
-
-// AddPlainE is the checked form of AddPlain.
-func (ev *Evaluator) AddPlainE(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
-	if err := ev.params.ValidatePlaintext(pt); err != nil {
-		return nil, err
-	}
-	return ev.checked("AddPlain", []*Ciphertext{ct}, func() *Ciphertext { return ev.AddPlain(ct, pt) })
-}
-
-// SubPlainE is the checked form of SubPlain.
-func (ev *Evaluator) SubPlainE(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
-	if err := ev.params.ValidatePlaintext(pt); err != nil {
-		return nil, err
-	}
-	return ev.checked("SubPlain", []*Ciphertext{ct}, func() *Ciphertext { return ev.SubPlain(ct, pt) })
-}
-
-// MulPlainE is the checked form of MulPlain.
-func (ev *Evaluator) MulPlainE(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
-	if err := ev.params.ValidatePlaintext(pt); err != nil {
-		return nil, err
-	}
-	return ev.checked("MulPlain", []*Ciphertext{ct}, func() *Ciphertext { return ev.MulPlain(ct, pt) })
-}
-
-// MulPlainRescaleE is the checked form of MulPlainRescale.
-func (ev *Evaluator) MulPlainRescaleE(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
-	if err := ev.params.ValidatePlaintext(pt); err != nil {
-		return nil, err
-	}
-	return ev.checked("MulPlainRescale", []*Ciphertext{ct}, func() *Ciphertext { return ev.MulPlainRescale(ct, pt) })
-}
-
-// RescaleE is the checked form of Rescale. A level-0 operand returns
-// fherr.ErrLevelMismatch instead of panicking.
-func (ev *Evaluator) RescaleE(ct *Ciphertext) (*Ciphertext, error) {
-	return ev.checked("Rescale", []*Ciphertext{ct}, func() *Ciphertext { return ev.Rescale(ct) })
-}
-
-// DropLevelE is the checked form of DropLevel.
-func (ev *Evaluator) DropLevelE(ct *Ciphertext, level int) (*Ciphertext, error) {
-	return ev.checked("DropLevel", []*Ciphertext{ct}, func() *Ciphertext { return ev.DropLevel(ct, level) })
-}
-
-// MulRelinE is the checked form of MulRelin. A missing relinearization
-// key returns fherr.ErrKeyMissing.
-func (ev *Evaluator) MulRelinE(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
-	return ev.checked("MulRelin", []*Ciphertext{ct0, ct1}, func() *Ciphertext { return ev.MulRelin(ct0, ct1) })
-}
-
-// MulE is the checked form of Mul (tensor + relinearize + rescale).
-func (ev *Evaluator) MulE(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
-	return ev.checked("Mul", []*Ciphertext{ct0, ct1}, func() *Ciphertext { return ev.Mul(ct0, ct1) })
-}
-
-// SquareE is the checked form of Square.
-func (ev *Evaluator) SquareE(ct *Ciphertext) (*Ciphertext, error) {
-	return ev.checked("Square", []*Ciphertext{ct}, func() *Ciphertext { return ev.Square(ct) })
-}
-
-// RotateE is the checked form of Rotate. A missing Galois key returns
-// fherr.ErrKeyMissing.
-func (ev *Evaluator) RotateE(ct *Ciphertext, k int) (*Ciphertext, error) {
-	return ev.checked("Rotate", []*Ciphertext{ct}, func() *Ciphertext { return ev.Rotate(ct, k) })
-}
-
-// ConjugateE is the checked form of Conjugate.
-func (ev *Evaluator) ConjugateE(ct *Ciphertext) (*Ciphertext, error) {
-	return ev.checked("Conjugate", []*Ciphertext{ct}, func() *Ciphertext { return ev.Conjugate(ct) })
-}
-
-// MatchScaleLevelE is the checked form of MatchScaleLevel.
-func (ev *Evaluator) MatchScaleLevelE(ct *Ciphertext, level int, targetScale float64) (*Ciphertext, error) {
-	return ev.checked("MatchScaleLevel", []*Ciphertext{ct},
-		func() *Ciphertext { return ev.MatchScaleLevel(ct, level, targetScale) })
-}
-
-// SwitchKeysE is the checked form of SwitchKeys.
-func (ev *Evaluator) SwitchKeysE(ct *Ciphertext, swk *SwitchingKey) (*Ciphertext, error) {
-	return ev.checked("SwitchKeys", []*Ciphertext{ct}, func() *Ciphertext { return ev.SwitchKeys(ct, swk) })
-}
-
-// InnerSumE is the checked form of InnerSum. An invalid width returns
-// fherr.ErrDegree.
-func (ev *Evaluator) InnerSumE(ct *Ciphertext, n int) (*Ciphertext, error) {
-	return ev.checked("InnerSum", []*Ciphertext{ct}, func() *Ciphertext { return ev.InnerSum(ct, n) })
-}
-
-// RotateHoistedE is the checked form of RotateHoisted. Every returned
-// ciphertext passes through the finish hooks; on error the map is nil.
-func (ev *Evaluator) RotateHoistedE(ct *Ciphertext, steps []int) (out map[int]*Ciphertext, err error) {
-	sp := ev.rec.StartOp("ckks.RotateHoistedE")
-	defer sp.End()
-	if err := ev.params.Validate(ct); err != nil {
-		return nil, err
-	}
-	defer func() {
-		if err != nil {
-			out = nil
-			ev.rec.Add("ckks.checked.errors", 1)
-		}
-	}()
-	defer fherr.RecoverTo(&err)
-	out = ev.RotateHoisted(ct, steps)
-	for _, res := range out {
-		ev.finish("ckks.RotateHoisted", res)
-	}
-	return out, nil
+	bound.checkInterrupt()
+	res := f(&bound)
+	ev.finish(op, res)
+	return res, nil
 }

@@ -53,14 +53,14 @@ type Evaluator struct {
 	tr *memtrace.Tracer
 
 	// fi, when non-nil, is a chaos-testing fault injector consulted at the
-	// named hook sites of the checked (*E) methods and the key-switch
-	// digit resolve (see internal/faultinject). Nil costs one pointer
+	// named hook sites of Do and the key-switch digit resolve (see
+	// internal/faultinject). Nil costs one pointer
 	// comparison per hook. Injection mutates shared state: run chaos
 	// experiments with SetWorkers(1).
 	fi *faultinject.Injector
 
-	// integrity, when true, makes the checked (*E) methods Seal every
-	// ciphertext they return, arming the checksum comparison in Validate.
+	// integrity, when true, makes Do Seal every ciphertext it returns,
+	// arming the checksum comparison in Validate.
 	integrity bool
 
 	// vault is the bounded cache of demand-materialized uniform key
@@ -68,10 +68,10 @@ type Evaluator struct {
 	// non-nil; unlimited budget by default (WithKeyBudget/SetKeyBudget).
 	vault *keyVault
 
-	// opCtx, when non-nil, is the cancellation context bound to
-	// subsequent operations (see SetOpContext in context.go): op
-	// boundaries and fan-out units check it and abort with a typed
-	// fherr.ErrCanceled once it is done.
+	// opCtx is nil on every evaluator a caller holds. Do sets it on the
+	// shallow copy it hands its op (see context.go): op boundaries and
+	// fan-out units check it and abort with a typed fherr.ErrCanceled
+	// once it is done.
 	opCtx context.Context
 }
 
@@ -97,7 +97,7 @@ func NewEvaluator(params *Parameters, keys *EvaluationKeySet, opts ...EvaluatorO
 	if keys == nil {
 		keys = &EvaluationKeySet{}
 	}
-	ev := &Evaluator{params: params, keys: keys, workers: 1, vault: newKeyVault(params)}
+	ev := &Evaluator{params: params, keys: keys, iMono: map[int]*ring.Poly{}, workers: 1, vault: newKeyVault(params)}
 	for _, opt := range opts {
 		opt(ev)
 	}
@@ -187,9 +187,6 @@ func (ev *Evaluator) Recorder() *obs.Recorder { return ev.rec }
 // predicted bytes/ops/NTTs for its exact parameter point, so traces and
 // the drift report can put predicted next to measured per op.
 func (ev *Evaluator) SetCostModel(m obs.CostModel) { ev.model = m }
-
-// CostModel returns the attached cost ledger, which may be nil.
-func (ev *Evaluator) CostModel() obs.CostModel { return ev.model }
 
 // startOp opens the hierarchical span for one evaluator-level op and
 // stamps the cost ledger on it: ciphertext telemetry (level, scale,
@@ -445,8 +442,8 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 // DropLevel returns the ciphertext truncated to the given lower level
 // without any scaling (the RNS representation just loses limbs).
 func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) *Ciphertext {
-	if level > ct.Level {
-		panic(fmt.Sprintf("ckks: DropLevel level (got=%d, want<=%d)", level, ct.Level))
+	if level < 0 || level > ct.Level {
+		panic(fmt.Sprintf("ckks: DropLevel level (got=%d, want within [0,%d])", level, ct.Level))
 	}
 	out := ct.CopyNew()
 	out.C0.Coeffs = out.C0.Coeffs[:level+1]

@@ -125,8 +125,8 @@ func FuzzValidateCiphertext(f *testing.F) {
 			return
 		}
 		// Validate accepted the mutant: the checked API must succeed on it.
-		if _, err := ev.NegE(ct); err != nil {
-			t.Fatalf("Validate accepted but NegE failed: %v", err)
+		if _, err := doNeg(ev, ct); err != nil {
+			t.Fatalf("Validate accepted but Neg through Do failed: %v", err)
 		}
 	})
 }
@@ -164,25 +164,28 @@ func FuzzEvaluatorOps(f *testing.F) {
 		if toggleNTT {
 			ct.C1.IsNTT = false
 		}
-		var err error
+		var name string
+		var f coreOp
+		ins := []*Ciphertext{ct}
 		switch op % 8 {
 		case 0:
-			_, err = ev.AddE(ct, b)
+			name, f, ins = "Add", func(ev *Evaluator) *Ciphertext { return ev.Add(ct, b) }, append(ins, b)
 		case 1:
-			_, err = ev.SubE(ct, b)
+			name, f, ins = "Sub", func(ev *Evaluator) *Ciphertext { return ev.Sub(ct, b) }, append(ins, b)
 		case 2:
-			_, err = ev.MulE(ct, b)
+			name, f, ins = "Mul", func(ev *Evaluator) *Ciphertext { return ev.Mul(ct, b) }, append(ins, b)
 		case 3:
-			_, err = ev.RotateE(ct, int(rot))
+			name, f = "Rotate", func(ev *Evaluator) *Ciphertext { return ev.Rotate(ct, int(rot)) }
 		case 4:
-			_, err = ev.RescaleE(ct)
+			name, f = "Rescale", func(ev *Evaluator) *Ciphertext { return ev.Rescale(ct) }
 		case 5:
-			_, err = ev.InnerSumE(ct, int(width))
+			name, f = "InnerSum", func(ev *Evaluator) *Ciphertext { return ev.InnerSum(ct, int(width)) }
 		case 6:
-			_, err = ev.SquareE(ct)
+			name, f = "Square", func(ev *Evaluator) *Ciphertext { return ev.Square(ct) }
 		case 7:
-			_, err = ev.DropLevelE(ct, int(levelDelta))
+			name, f = "DropLevel", func(ev *Evaluator) *Ciphertext { return ev.DropLevel(ct, int(levelDelta)) }
 		}
+		_, err := do(ev, name, f, ins...)
 		if err != nil {
 			assertTypedError(t, err)
 		}

@@ -261,7 +261,7 @@ func (ev *Evaluator) EvalLinearTransformHoistedModDown(ct *Ciphertext, lt *Linea
 	accUs := make([]rns.PolyQP, outer)
 	accVs := make([]rns.PolyQP, outer)
 	used := make([]bool, outer)
-	ev.fanOutChunked(len(steps), outer, func(w, start, end int) {
+	ev.FanOutChunked(len(steps), outer, func(w, start, end int) {
 		accU := ev.getZeroPolyQP(level)
 		accV := ev.getZeroPolyQP(level)
 		for idx := start; idx < end; idx++ {

@@ -10,9 +10,6 @@ import (
 // Multiplying by it rotates nothing, costs no level and no scale — the
 // cheapest way to multiply every slot by the imaginary unit.
 func (ev *Evaluator) iMonomialAtLevel(level int) *ring.Poly {
-	if ev.iMono == nil {
-		ev.iMono = map[int]*ring.Poly{}
-	}
 	if p, ok := ev.iMono[level]; ok {
 		return p
 	}

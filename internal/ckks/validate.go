@@ -8,9 +8,9 @@ import (
 	"repro/internal/ring"
 )
 
-// This file is the single invariant checker behind the panic-free (*E)
-// evaluator facade: every checked entry point funnels its operands
-// through Parameters.Validate before touching the hot kernels, so a
+// This file is the single invariant checker behind the evaluator's
+// checked boundary: Do (and bootstrap.BootstrapE through it) funnels its
+// operands through Parameters.Validate before touching the hot kernels, so a
 // corrupted or mis-assembled ciphertext surfaces as a typed error at the
 // API boundary instead of an index panic (or worse, silent garbage) deep
 // inside a kernel.

@@ -7,6 +7,7 @@
 package fhecli
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -487,15 +488,15 @@ func binop(args []string, w io.Writer, op string) error {
 	if err != nil {
 		return err
 	}
-	// The checked API rejects malformed or mismatched ciphertext files
-	// with a typed error instead of crashing the process.
-	var res *ckks.Ciphertext
-	switch op {
-	case "add":
-		res, err = ev.AddE(a, b)
-	case "mul":
-		res, err = ev.MulE(a, b)
+	// The checked boundary rejects malformed or mismatched ciphertext
+	// files with a typed error instead of crashing the process.
+	site, core := "ckks.Add", (*ckks.Evaluator).Add
+	if op == "mul" {
+		site, core = "ckks.Mul", (*ckks.Evaluator).Mul
 	}
+	res, err := ev.Do(context.Background(), site, func(ev *ckks.Evaluator) *ckks.Ciphertext {
+		return core(ev, a, b)
+	}, a, b)
 	if err != nil {
 		return err
 	}
@@ -529,7 +530,9 @@ func rotate(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := ev.RotateE(ct, *by)
+	res, err := ev.Do(context.Background(), "ckks.Rotate", func(ev *ckks.Evaluator) *ckks.Ciphertext {
+		return ev.Rotate(ct, *by)
+	}, ct)
 	if err != nil {
 		return err
 	}
@@ -628,7 +631,9 @@ func innerSum(args []string, w io.Writer) error {
 	}
 	ev := ckks.NewEvaluator(k.params, keys, ckks.WithWorkers(workerCount))
 	attachTelemetry(ev, k.params)
-	res, err := ev.InnerSumE(ct, *n)
+	res, err := ev.Do(context.Background(), "ckks.InnerSum", func(ev *ckks.Evaluator) *ckks.Ciphertext {
+		return ev.InnerSum(ct, *n)
+	}, ct)
 	if err != nil {
 		return err
 	}

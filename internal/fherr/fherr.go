@@ -8,11 +8,11 @@
 // for observability (internal/obs) and tracing (internal/memtrace): the
 // hot kernels stay branch-free and enforce their preconditions with
 // panic(...) in the unified `pkg: what (got=…, want=…)` message format,
-// while the error-returning entry points (ckks.Evaluator's *E methods,
-// bootstrap.Bootstrapper.BootstrapE) wrap their panicking cores with
-// RecoverTo, which classifies the message into a sentinel. No
-// malformed-but-well-typed caller input can crash a server built on the
-// checked surface; see docs/ROBUSTNESS.md.
+// while the one error-returning boundary (ckks.Evaluator.Do, which
+// bootstrap.Bootstrapper.BootstrapE also goes through) wraps the
+// panicking core with RecoverTo, which classifies the message into a
+// sentinel. No malformed-but-well-typed caller input can crash a server
+// that calls through the boundary; see docs/ROBUSTNESS.md.
 package fherr
 
 import (
@@ -51,8 +51,8 @@ var (
 	// worst-slot precision below the configured floor.
 	ErrPrecisionLoss = errors.New("fherr: precision below floor")
 	// ErrCanceled: the operation was cut short by a context deadline or
-	// cancellation (see ckks.Evaluator.SetOpContext) — the work is
-	// incomplete but the evaluator's state is intact and reusable.
+	// cancellation of the context passed to ckks.Evaluator.Do — the work
+	// is incomplete but the evaluator's state is intact and reusable.
 	ErrCanceled = errors.New("fherr: operation canceled")
 	// ErrUsage: a CLI was invoked with bad flags or arguments.
 	ErrUsage = errors.New("fherr: usage")
@@ -184,12 +184,15 @@ func FromPanic(r any) error {
 }
 
 // RecoverTo is the documented API-boundary shim: deferred at the top of
-// every error-returning entry point, it converts a panic from the
-// internal kernels into a classified error assigned to *errp. Usage:
+// an error-returning entry point, it converts a panic from the internal
+// kernels into a classified error assigned to *errp. Usage (this is the
+// core of ckks.Evaluator.Do):
 //
-//	func (ev *Evaluator) MulE(a, b *Ciphertext) (out *Ciphertext, err error) {
+//	func (ev *Evaluator) Do(ctx context.Context, op string, f func(*Evaluator) *Ciphertext, ins ...*Ciphertext) (out *Ciphertext, err error) {
 //		defer fherr.RecoverTo(&err)
-//		return ev.Mul(a, b), nil
+//		bound := *ev
+//		bound.opCtx = ctx
+//		return f(&bound), nil
 //	}
 //
 // A nil panic value (normal return) leaves *errp untouched.

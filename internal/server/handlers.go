@@ -314,7 +314,7 @@ func (s *Server) handleEncrypt(ctx context.Context, r *http.Request) (any, error
 		vals[i] = complex(v, 0)
 	}
 	var out ctJSON
-	err = sess.run(ctx, func() error {
+	err = sess.run(func() error {
 		ct := sess.encSk.Encrypt(sess.enc.Encode(vals))
 		out, err = encodeCt(ct)
 		return err
@@ -348,7 +348,7 @@ func (s *Server) handleDecrypt(ctx context.Context, r *http.Request) (any, error
 		n = 8
 	}
 	var vals []float64
-	err = sess.run(ctx, func() error {
+	err = sess.run(func() error {
 		if err := sess.params.Validate(ct); err != nil {
 			return err
 		}
@@ -412,6 +412,26 @@ func (s *Server) handleRotate(ctx context.Context, r *http.Request) (any, error)
 	return s.evalOp(ctx, sess, req)
 }
 
+// evalOps maps the wire name of an eval op to the evaluator op it runs:
+// site is the span / fault-hook name handed to ckks.Evaluator.Do, binary
+// ops need operand b, by is the rotation step, innersum width or target
+// level.
+var evalOps = map[string]struct {
+	site   string
+	binary bool
+	core   func(ev *ckks.Evaluator, a, b *ckks.Ciphertext, by int) *ckks.Ciphertext
+}{
+	"add":       {"ckks.Add", true, func(ev *ckks.Evaluator, a, b *ckks.Ciphertext, _ int) *ckks.Ciphertext { return ev.Add(a, b) }},
+	"sub":       {"ckks.Sub", true, func(ev *ckks.Evaluator, a, b *ckks.Ciphertext, _ int) *ckks.Ciphertext { return ev.Sub(a, b) }},
+	"mul":       {"ckks.Mul", true, func(ev *ckks.Evaluator, a, b *ckks.Ciphertext, _ int) *ckks.Ciphertext { return ev.Mul(a, b) }},
+	"square":    {"ckks.Square", false, func(ev *ckks.Evaluator, a, _ *ckks.Ciphertext, _ int) *ckks.Ciphertext { return ev.Square(a) }},
+	"rescale":   {"ckks.Rescale", false, func(ev *ckks.Evaluator, a, _ *ckks.Ciphertext, _ int) *ckks.Ciphertext { return ev.Rescale(a) }},
+	"droplevel": {"ckks.DropLevel", false, func(ev *ckks.Evaluator, a, _ *ckks.Ciphertext, by int) *ckks.Ciphertext { return ev.DropLevel(a, by) }},
+	"rotate":    {"ckks.Rotate", false, func(ev *ckks.Evaluator, a, _ *ckks.Ciphertext, by int) *ckks.Ciphertext { return ev.Rotate(a, by) }},
+	"conjugate": {"ckks.Conjugate", false, func(ev *ckks.Evaluator, a, _ *ckks.Ciphertext, _ int) *ckks.Ciphertext { return ev.Conjugate(a) }},
+	"innersum":  {"ckks.InnerSum", false, func(ev *ckks.Evaluator, a, _ *ckks.Ciphertext, by int) *ckks.Ciphertext { return ev.InnerSum(a, by) }},
+}
+
 func (s *Server) evalOp(ctx context.Context, sess *session, req evalRequest) (any, error) {
 	a, err := decodeCt("a", req.A)
 	if err != nil {
@@ -434,52 +454,34 @@ func (s *Server) evalOp(ctx context.Context, sess *session, req evalRequest) (an
 		return nil, ErrChaosDisabled
 	}
 
-	step := func(out *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-		switch req.Op {
-		case "add":
-			if b == nil {
-				return nil, badRequest("op %q needs operand b", req.Op)
-			}
-			return sess.ev.AddE(out, b)
-		case "sub":
-			if b == nil {
-				return nil, badRequest("op %q needs operand b", req.Op)
-			}
-			return sess.ev.SubE(out, b)
-		case "mul":
-			if b == nil {
-				return nil, badRequest("op %q needs operand b", req.Op)
-			}
-			return sess.ev.MulE(out, b)
-		case "square":
-			return sess.ev.SquareE(out)
-		case "rescale":
-			return sess.ev.RescaleE(out)
-		case "droplevel":
-			return sess.ev.DropLevelE(out, req.By)
-		case "rotate":
-			return sess.ev.RotateE(out, req.By)
-		case "conjugate":
-			return sess.ev.ConjugateE(out)
-		case "innersum":
-			return sess.ev.InnerSumE(out, req.By)
-		default:
-			return nil, badRequest("unknown op %q", req.Op)
-		}
+	op, ok := evalOps[req.Op]
+	if !ok {
+		return nil, badRequest("unknown op %q", req.Op)
+	}
+	if op.binary && b == nil {
+		return nil, badRequest("op %q needs operand b", req.Op)
 	}
 
 	var out ctJSON
-	err = sess.run(ctx, func() error {
+	err = sess.run(func() error {
 		cur := a
 		for i := 0; i < repeat; i++ {
-			next, err := step(cur)
+			// One boundary crossing per step: operands validated, result
+			// sealed and passed through the fault hooks every time.
+			ins := []*ckks.Ciphertext{cur}
+			if op.binary {
+				ins = append(ins, b)
+			}
+			next, err := sess.ev.Do(ctx, op.site, func(ev *ckks.Evaluator) *ckks.Ciphertext {
+				return op.core(ev, cur, b, req.By)
+			}, ins...)
 			if err != nil {
 				return err
 			}
 			cur = next
 		}
 		if req.Guard && req.Op == "rotate" {
-			if err := sess.probeRotate(req.By); err != nil {
+			if err := sess.probeRotate(ctx, req.By); err != nil {
 				return err
 			}
 		}
@@ -515,8 +517,8 @@ func (s *Server) handleBootstrap(ctx context.Context, r *http.Request) (any, err
 		return nil, err
 	}
 	var out ctJSON
-	err = sess.run(ctx, func() error {
-		res, err := sess.btp.BootstrapE(ct)
+	err = sess.run(func() error {
+		res, err := sess.btp.BootstrapE(ctx, ct)
 		if err != nil {
 			return err
 		}

@@ -114,6 +114,9 @@ func TestStatusMapping(t *testing.T) {
 		{"guard without chaos", "POST", "/v1/tenants/map/eval", evalRequest{Op: "rotate", A: ct, By: 1, Guard: true}, 403, "chaos-disabled"},
 		{"bootstrap disabled", "POST", "/v1/tenants/map/bootstrap", bootstrapRequest{Ct: ct}, 412, "bootstrap-disabled"},
 		{"level exhaustion", "POST", "/v1/tenants/map/eval", evalRequest{Op: "rescale", A: ct, Repeat: 8}, 422, "ErrLevelMismatch"},
+		// A client-chosen negative level is bad input, never a 5xx.
+		{"droplevel to -1", "POST", "/v1/tenants/map/eval", evalRequest{Op: "droplevel", A: ct, By: -1}, 422, "ErrLevelMismatch"},
+		{"droplevel to -2", "POST", "/v1/tenants/map/eval", evalRequest{Op: "droplevel", A: ct, By: -2}, 422, "ErrLevelMismatch"},
 	}
 	for _, tc := range cases {
 		status, body := doJSON(t, tc.method, base+tc.path, tc.body, nil)

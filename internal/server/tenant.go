@@ -43,11 +43,12 @@ type TenantConfig struct {
 }
 
 // session is one tenant's full FHE context. All evaluator state is
-// serialized by mu: the ckks.Evaluator is not goroutine-safe, and the op
-// context (deadline binding) is per-evaluator, so the lock is held from
-// SetOpContext through the last op of a request. Concurrency across
-// tenants comes from distinct sessions; concurrency within a tenant is
-// serialized (matching the single logical key-state of a tenant).
+// serialized by mu: the ckks.Evaluator is not goroutine-safe, so the lock
+// is held through the last op of a request. The request deadline is not
+// session state — each op binds it through ckks.Evaluator.Do. Concurrency
+// across tenants comes from distinct sessions; concurrency within a
+// tenant is serialized (matching the single logical key-state of a
+// tenant).
 type session struct {
 	mu     sync.Mutex
 	id     string
@@ -170,7 +171,7 @@ func newSession(id string, cfg TenantConfig, chaos bool, rec *obs.Recorder) (*se
 		if err != nil {
 			return nil, fmt.Errorf("tenant %s: bootstrapper: %w", id, err)
 		}
-		btp.SetRecorder(rec)
+		btp.Evaluator().SetRecorder(rec)
 		btp.Evaluator().SetWorkers(cfg.Workers)
 		if cfg.KeyBudgetBytes > 0 {
 			btp.Evaluator().SetKeyBudget(cfg.KeyBudgetBytes)
@@ -190,23 +191,10 @@ func newSession(id string, cfg TenantConfig, chaos bool, rec *obs.Recorder) (*se
 	return s, nil
 }
 
-// run executes f with the session locked and the request context bound
-// to the evaluator, so deadlines and drain cancellation reach into
-// ring-level fan-outs. The binding is cleared before unlock — a later
-// request never inherits a dead context.
-func (s *session) run(ctx context.Context, f func() error) error {
+// run executes f with the session locked.
+func (s *session) run(f func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ev.SetOpContext(ctx)
-	if s.btp != nil {
-		s.btp.SetOpContext(ctx)
-	}
-	defer func() {
-		s.ev.SetOpContext(nil)
-		if s.btp != nil {
-			s.btp.SetOpContext(nil)
-		}
-	}()
 	return f()
 }
 
@@ -218,8 +206,10 @@ func (s *session) run(ctx context.Context, f func() error) error {
 // key expects), so the 0.5 threshold cleanly separates it from CKKS
 // approximation noise (~1e-4 at these parameters). Must be called with
 // s.mu held (i.e. from inside run).
-func (s *session) probeRotate(step int) error {
-	out, err := s.ev.RotateE(s.canaryCt, step)
+func (s *session) probeRotate(ctx context.Context, step int) error {
+	out, err := s.ev.Do(ctx, "ckks.Rotate", func(ev *ckks.Evaluator) *ckks.Ciphertext {
+		return ev.Rotate(s.canaryCt, step)
+	}, s.canaryCt)
 	if err != nil {
 		return err
 	}
