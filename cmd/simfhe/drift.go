@@ -30,7 +30,7 @@ func driftCmd(args []string) {
 	ways := fs.Int("ways", def.Ways, "cache set associativity")
 	tol := fs.Float64("tol", def.Tolerance, "tolerance for the calibrated kinds: Mult, Rescale (0.20 = ±20%)")
 	wide := fs.Float64("wide-tol", def.WideTolerance, "tolerance for every other attributed kind")
-	probes := fs.Int("mult-probes", def.MultProbes, "explicit top-level Mult ops prepended to the bootstrap workload")
+	probes := fs.Int("mult-probes", def.MultProbes, "explicit top-level probes (one Mult and one RotateHoisted each) prepended to the bootstrap workload")
 	out := fs.String("out", "", "write the drift report as JSON (- for stdout)")
 	jsonOnly := fs.Bool("json", false, "write the JSON report to stdout instead of the table")
 	strict := fs.Bool("strict", false, "exit nonzero when any gated kind diverges past its tolerance")

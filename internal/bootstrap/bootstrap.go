@@ -23,13 +23,6 @@ type Parameters struct {
 	// PtMatVecMult stages in CoeffToSlot and SlotToCoeff.
 	CtSIter int
 	StCIter int
-	// BSGSRatio selects the baby-step count n1 for the DFT matrix products
-	// (0 disables BSGS and uses the naive hoisted loop).
-	N1 int
-	// HoistedModDown evaluates the DFT stages with the MAD
-	// ModDown-hoisting optimization (§3.2) instead of the textbook
-	// schedule. Results are identical up to noise.
-	HoistedModDown bool
 }
 
 // DefaultParameters returns a configuration suitable for the test-scale
@@ -41,7 +34,6 @@ func DefaultParameters() Parameters {
 		DoubleAngle: 3,
 		CtSIter:     3,
 		StCIter:     2,
-		N1:          0,
 	}
 }
 
@@ -78,12 +70,12 @@ func NewBootstrapper(params *ckks.Parameters, bparams Parameters, sk *ckks.Secre
 	// CoeffToSlot: fold 1/(2n) (iFFT normalization + conjugate split) and
 	// Δ/(K·q0) (EvalMod input normalization) into the matrices.
 	ctsFold := (1 / (2 * n)) * (delta / kq0)
-	cts := buildDFT(enc, params, bparams.CtSIter, L, true, ctsFold, bparams.N1, bparams.HoistedModDown)
+	cts := buildDFT(enc, params, bparams.CtSIter, L, true, ctsFold)
 
 	// SlotToCoeff: fold q0/(2π·Δ) (EvalMod output denormalization).
 	stcLevel := L - bparams.CtSIter - ChebyshevDepth(bparams.SineDegree) - bparams.DoubleAngle
 	stcFold := q0 / (2 * math.Pi * delta)
-	stc := buildDFT(enc, params, bparams.StCIter, stcLevel, false, stcFold, bparams.N1, bparams.HoistedModDown)
+	stc := buildDFT(enc, params, bparams.StCIter, stcLevel, false, stcFold)
 
 	// Keys: relinearization + conjugation + all DFT rotations. With
 	// compressKeys the whole set is dropped to seed-only form — dozens of
@@ -227,7 +219,7 @@ func (b *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) *ckks.Ciphertext {
 	// order, with the EvalMod normalization folded in.
 	tr.Mark("bootstrap.CoeffToSlot")
 	sp = rec.StartOp("bootstrap.CoeffToSlot")
-	w := b.cts.apply(ev, raised, b.bparams.HoistedModDown)
+	w := b.cts.apply(ev, raised)
 
 	// Conjugate split into the two real coefficient halves.
 	wc := ev.Conjugate(w)
@@ -250,7 +242,7 @@ func (b *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) *ckks.Ciphertext {
 	tr.Mark("bootstrap.SlotToCoeff")
 	sp = rec.StartOp("bootstrap.SlotToCoeff")
 	recombined := ev.Add(ctReal, ev.MulByI(ctImag))
-	out := b.stc.apply(ev, recombined, b.bparams.HoistedModDown)
+	out := b.stc.apply(ev, recombined)
 	sp.End()
 	tr.Mark("bootstrap.Done")
 	fi.Poly("bootstrap.SlotToCoeff.c0", out.C0)

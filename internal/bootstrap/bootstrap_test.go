@@ -178,44 +178,6 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	t.Logf("bootstrap: output level %d, max slot error %.3g", out.Level, maxErrC(msg, got))
 }
 
-// TestBootstrapHoistedModDownMatches verifies that running the entire
-// bootstrap with the MAD ModDown-hoisting optimization produces the same
-// refreshed message.
-func TestBootstrapHoistedModDownMatches(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bootstrap is expensive; skipping in -short mode")
-	}
-	params := bootParams(t)
-	src := bootSource()
-	kg := ckks.NewKeyGenerator(params, src)
-	sk := kg.GenSecretKeySparse(16)
-
-	bp := DefaultParameters()
-	bp.HoistedModDown = true
-	btp, err := NewBootstrapper(params, bp, sk, src, true) // compressed keys too
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	enc := ckks.NewEncoder(params)
-	encryptor := ckks.NewSecretKeyEncryptor(params, sk, src)
-	dec := ckks.NewDecryptor(params, sk)
-
-	n := params.Slots()
-	msg := make([]complex128, n)
-	for i := range msg {
-		msg[i] = complex(rand.Float64()*2-1, 0)
-	}
-	ct := encryptor.Encrypt(enc.Encode(msg))
-	ct = btp.Evaluator().DropLevel(ct, 0)
-
-	out := btp.Bootstrap(ct)
-	got := enc.Decode(dec.DecryptToPlaintext(out))
-	if err := maxErrC(msg, got); err > 5e-4 {
-		t.Errorf("hoisted-ModDown bootstrap error %.3g too large", err)
-	}
-}
-
 func TestRequiredKMonotone(t *testing.T) {
 	// K grows with the secret weight and (slowly) with the ring degree
 	// and the failure exponent.

@@ -1,6 +1,7 @@
 package bootstrap
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand/v2"
@@ -56,11 +57,10 @@ func keyStructBytes(params *ckks.Parameters, keys *ckks.EvaluationKeySet) int64 
 // constrained budget must actually buy memory: fully-expanded key bytes
 // over (seed-only key bytes + the vault's peak resident bytes) >= 1.5x.
 //
-// Both runs use the SAME bootstrapper: keygen consumes the PRNG stream
-// in map-iteration order over the rotation-step set, so two separately
-// constructed bootstrappers hold different (equally valid) keys. The
-// contract under test is vault-vs-materialized for one fixed key set,
-// which demands one key set.
+// Both runs use the SAME bootstrapper, because the contract under test is
+// vault-vs-materialized for one fixed key set. (Two bootstrappers built
+// from one seed would hold the same keys too — keygen walks the sorted
+// rotation-step set; TestBootstrapperDeterministic pins that.)
 func TestBootstrapKeyBudgetBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bootstrap is expensive; skipping in -short mode")
@@ -117,6 +117,53 @@ func TestBootstrapKeyBudgetBitIdentical(t *testing.T) {
 }
 
 func dnumOf(params *ckks.Parameters) int64 { return int64(params.Dnum()) }
+
+// TestBootstrapperDeterministic: two bootstrappers built from one seed
+// hold byte-identical Galois key sets — key generation consumes its PRNG
+// stream in sorted rotation-step order, never in map order — and refresh
+// one ciphertext to the same bits.
+func TestBootstrapperDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bootstrap is expensive; skipping in -short mode")
+	}
+	a, params, sk := vaultBootstrapper(t)
+	b, _, _ := vaultBootstrapper(t)
+	ka, kb := a.Evaluator().Keys().Galois, b.Evaluator().Keys().Galois
+	if len(ka) != len(kb) {
+		t.Fatalf("%d vs %d Galois keys", len(ka), len(kb))
+	}
+	if _, dead := ka[1]; dead {
+		t.Error("a Galois key for the identity (g = 1) was generated")
+	}
+	for g, gk := range ka {
+		other, ok := kb[g]
+		if !ok {
+			t.Fatalf("Galois element %d keyed by one bootstrapper only", g)
+		}
+		var wa, wb bytes.Buffer
+		if _, err := gk.WriteTo(&wa); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := other.WriteTo(&wb); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wa.Bytes(), wb.Bytes()) {
+			t.Fatalf("Galois key %d differs between two constructions on one seed", g)
+		}
+	}
+
+	enc := ckks.NewEncoder(params)
+	msg := make([]complex128, params.Slots())
+	for i := range msg {
+		msg[i] = complex(rand.Float64()*2-1, rand.Float64()*2-1)
+	}
+	ct := ckks.NewSecretKeyEncryptor(params, sk, bootSource()).Encrypt(enc.Encode(msg))
+	ct = a.Evaluator().DropLevel(ct, 0)
+	outA, outB := a.Bootstrap(ct), b.Bootstrap(ct)
+	if !outA.C0.Equal(outB.C0) || !outA.C1.Equal(outB.C1) {
+		t.Error("two bootstrappers on one seed refresh one ciphertext differently")
+	}
+}
 
 // TestBootstrapVaultFaultDetectedByPrecisionGuard closes the chaos loop
 // at the pipeline level: a bit flip injected into a vault-materialized

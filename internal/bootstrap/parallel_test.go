@@ -23,9 +23,7 @@ func TestBootstrapBitIdenticalAcrossWorkers(t *testing.T) {
 	kg := ckks.NewKeyGenerator(params, src)
 	sk := kg.GenSecretKeySparse(16)
 
-	bp := DefaultParameters()
-	bp.HoistedModDown = true // cover the per-worker accumulator merge too
-	btp, err := NewBootstrapper(params, bp, sk, src, true)
+	btp, err := NewBootstrapper(params, DefaultParameters(), sk, src, true)
 	if err != nil {
 		t.Fatal(err)
 	}

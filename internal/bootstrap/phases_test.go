@@ -124,7 +124,7 @@ func TestCoeffToSlotMatchesPlainTransform(t *testing.T) {
 	}
 
 	got := fx.dec
-	w := fx.btp.cts.apply(fx.btp.ev, raised, false)
+	w := fx.btp.cts.apply(fx.btp.ev, raised)
 	gotSlots := fx.enc.Decode(got.DecryptToPlaintext(w))
 
 	// Scale-relative comparison (the slot values are ~1e-2 … 1).

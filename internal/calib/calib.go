@@ -114,12 +114,7 @@ type ToggleRow struct {
 	MeasuredBase, MeasuredOpt uint64
 	ModeledPct, MeasuredPct   float64 // opt vs base, in percent
 	Agree                     bool    // sign(modeled Δ) == sign(measured Δ)
-	// Informational toggles do not gate AllWithinTolerance: they flag a
-	// known schedule divergence between the functional library and the
-	// model (documented in docs/OBSERVABILITY.md) rather than a
-	// validated direction.
-	Informational bool
-	Note          string
+	Note                      string
 }
 
 func pct(base, opt uint64) float64 {
@@ -162,7 +157,7 @@ func (r *Report) AllWithinTolerance() bool {
 		}
 	}
 	for _, t := range r.Toggles {
-		if !t.Informational && !t.Agree {
+		if !t.Agree {
 			return false
 		}
 	}
@@ -232,9 +227,6 @@ func (r *Report) WriteTable(w io.Writer) {
 			agree := "YES"
 			if !t.Agree {
 				agree = "NO"
-			}
-			if t.Informational {
-				agree += " (info)"
 			}
 			fmt.Fprintf(w, "%-16s %9.1fK %+5.1f%% %9.1fK %+5.1f%% %8s\n",
 				t.Name,
@@ -321,8 +313,10 @@ func newHarness(cfg Config) (*harness, error) {
 		}
 		diags[d] = vec
 	}
+	// An explicit split (the model's own is √diags too): the computed one
+	// would follow the evaluator's key-product economics, not the model's.
 	n1 := int(math.Round(math.Sqrt(float64(cfg.Diags))))
-	lt := ckks.NewLinearTransform(enc, diags, params.MaxLevel(), params.Scale(), n1, true)
+	lt := ckks.NewLinearTransform(enc, diags, params.MaxLevel(), params.Scale(), n1, false)
 
 	stepSet := map[int]bool{}
 	rotSteps := make([]int, 0, cfg.Rotations)
@@ -331,9 +325,7 @@ func newHarness(cfg Config) (*harness, error) {
 		stepSet[k] = true
 	}
 	for _, s := range lt.RotationSteps() {
-		if s != 0 {
-			stepSet[s] = true
-		}
+		stepSet[s] = true
 	}
 	steps := make([]int, 0, len(stepSet))
 	for s := range stepSet {
@@ -370,7 +362,6 @@ func newHarness(cfg Config) (*harness, error) {
 	_ = ev.Rotate(ctA, 1)
 	_ = ev.RotateHoisted(ctA, rotSteps)
 	_ = ev.EvalLinearTransform(ctA, lt)
-	_ = ev.EvalLinearTransformHoistedModDown(ctA, lt)
 
 	h.tr = memtrace.New()
 	ev.SetTracer(h.tr)
@@ -460,18 +451,18 @@ func Run(cfg Config) (*Report, error) {
 			cfg.Limbs, nttPasses)))
 
 	rotEvents := h.trace(func() { _ = h.ev.Rotate(h.ctA, 1) })
-	rep.Rows = append(rep.Rows, h.row("rotate", mctx.Rotate(cfg.Limbs), rotEvents, true, ""))
+	rep.Rows = append(rep.Rows, h.row("rotate", mctx.Rotate(cfg.Limbs), rotEvents, false, ""))
 
 	hoistEvents := h.trace(func() { _ = h.ev.RotateHoisted(h.ctA, h.rotSteps) })
 	rep.Rows = append(rep.Rows, h.row(
 		fmt.Sprintf("rotate_hoisted_x%d", cfg.Rotations),
-		mctx.HoistedRotations(cfg.Limbs, cfg.Rotations), hoistEvents, true, ""))
+		mctx.HoistedRotations(cfg.Limbs, cfg.Rotations), hoistEvents, false, ""))
 
 	matvecEvents := h.trace(func() { _ = h.ev.EvalLinearTransform(h.ctA, h.lt) })
 	rep.Rows = append(rep.Rows, h.row(
 		fmt.Sprintf("ptmatvec_d%d", cfg.Diags),
 		mctx.PtMatVecMult(cfg.Limbs, cfg.Diags), matvecEvents, true,
-		"BSGS schedules differ slightly (functional n1 fixed, model picks its own split)"))
+		"informational: the functional giant step is a full key switch (ModDown pair, ModUp, key product); the model's baseline ModDowns every baby step and its ModDownHoist price assumes a giant rotation with no ModUp/ModDown, which no RNS implementation can run — measured lands between the two"))
 
 	// --- Toggle 1: CacheBeta. The same hoisted-rotation trace replayed
 	// at a cache large enough to keep the raised digits resident across
@@ -506,24 +497,7 @@ func Run(cfg Config) (*Report, error) {
 	rep.Toggles = append(rep.Toggles, newToggleRow("cache_alpha", mBase, mOpt, tBase, tOpt,
 		fmt.Sprintf("same Mult trace, %d-limb vs %d-limb cache; O(α) ModUp intermediates stay resident", cfg.CacheLimbs, alphaLimbs)))
 
-	// --- Toggle 3 (informational): ModDownHoist. The functional hoisted
-	// path implements the paper's Figure 5(c) schedule — one raised
-	// key-switch inner product per non-zero diagonal, a single ModDown
-	// pair at the end — while the model's hoisted matvec keeps a BSGS
-	// split. At this calibration point (β=3, 8 diagonals) the extra key
-	// reads outweigh the saved ModDowns, so measured traffic moves the
-	// opposite way; see docs/OBSERVABILITY.md.
-	hoistedMatvecEvents := h.trace(func() { _ = h.ev.EvalLinearTransformHoistedModDown(h.ctA, h.lt) })
-	mBase = mctx.PtMatVecMult(cfg.Limbs, cfg.Diags)
-	mOpt = cfg.modelCtx(simfhe.OptSet{ModDownHoist: true}, cfg.CacheLimbs).PtMatVecMult(cfg.Limbs, cfg.Diags)
-	tBase = h.measure(matvecEvents)
-	tOpt = h.measure(hoistedMatvecEvents)
-	hoistRow := newToggleRow("moddown_hoist", mBase, mOpt, tBase, tOpt,
-		"informational: functional hoisted schedule is per-diagonal (Fig. 5(c)), model's is BSGS; directions can differ at small β")
-	hoistRow.Informational = true
-	rep.Toggles = append(rep.Toggles, hoistRow)
-
-	// --- Toggle 4: KeyCompression. The model halves key-read traffic:
+	// --- Toggle 3: KeyCompression. The model halves key-read traffic:
 	// only the b halves of the switching-key digits stream from DRAM, the
 	// uniform a halves are regenerated on chip from a 32-byte seed. The
 	// functional counterpart is the key vault: a seed-compressed Galois

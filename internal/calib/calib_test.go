@@ -32,9 +32,6 @@ func TestCalibrationTolerance(t *testing.T) {
 		}
 	}
 	for _, tg := range rep.Toggles {
-		if tg.Informational {
-			continue
-		}
 		if !tg.Agree {
 			t.Errorf("toggle %s: modeled %+.1f%% but measured %+.1f%% (directions differ)",
 				tg.Name, tg.ModeledPct, tg.MeasuredPct)

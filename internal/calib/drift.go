@@ -3,14 +3,14 @@ package calib
 // Drift: online per-op-kind predicted-vs-measured divergence, built on
 // the hierarchical span ledger. Where calib.Run traces hand-picked op
 // windows, RunDrift runs a real workload (one full bootstrap plus
-// explicit Mult probes) with the recorder, the memtrace tracer and the
-// cost ledger all attached, then aggregates every *top-level* op span —
-// a kind-mapped span with no kind-mapped ancestor, so a Mult owns its
-// nested MulRelin/Rescale children instead of double-counting them —
-// into a per-kind table: predicted bytes (the span's pred.bytes ledger
-// attribute, summed) vs measured bytes (the span's memtrace window
-// [trace.begin, trace.end) replayed through the same cache simulator
-// the calibration gate uses).
+// explicit Mult and RotateHoisted probes) with the recorder, the
+// memtrace tracer and the cost ledger all attached, then aggregates
+// every *top-level* op span — a kind-mapped span with no kind-mapped
+// ancestor, so a Mult owns its nested MulRelin/Rescale children instead
+// of double-counting them — into a per-kind table: predicted bytes (the
+// span's pred.bytes ledger attribute, summed) vs measured bytes (the
+// span's memtrace window [trace.begin, trace.end) replayed through the
+// same cache simulator the calibration gate uses).
 
 import (
 	"fmt"
@@ -40,9 +40,11 @@ type DriftConfig struct {
 	Tolerance     float64
 	WideTolerance float64
 
-	// MultProbes is the number of explicit top-level Mult ops prepended
-	// to the workload: the bootstrap pipeline itself always splits into
-	// MulRelin + Rescale, so the composed Mult kind needs its own probes.
+	// MultProbes is the number of explicit top-level probes prepended to
+	// the workload, each one Mult and one RotateHoisted: the bootstrap
+	// pipeline itself always splits Mult into MulRelin + Rescale and
+	// rotates only inside its linear transforms (which carry no
+	// prediction), so the two kinds need their own probes.
 	MultProbes int
 }
 
@@ -74,12 +76,7 @@ type DriftKind struct {
 	DeltaPct  float64 `json:"delta_pct"`  // (measured − predicted) / predicted · 100
 	TolPct    float64 `json:"tol_pct"`    // gate width applied to this kind
 	WithinTol bool    `json:"within_tol"`
-	// Informational kinds do not gate (known schedule divergence between
-	// the functional library and the model, documented in
-	// docs/OBSERVABILITY.md); they are still reported.
-	Informational bool   `json:"informational"`
-	Note          string `json:"note,omitempty"`
-	// NTT attribution (informational): the model's limb-transform count
+	// NTT attribution (not gated): the model's limb-transform count
 	// vs the kernel counters' count over the same spans.
 	PredNTT uint64 `json:"pred_ntt"`
 	MeasNTT uint64 `json:"meas_ntt"`
@@ -98,10 +95,10 @@ type DriftReport struct {
 	SkippedSpans int `json:"skipped_spans"`
 }
 
-// Gate reports whether every non-informational kind met its tolerance.
+// Gate reports whether every kind met its tolerance.
 func (r *DriftReport) Gate() bool {
 	for _, k := range r.Kinds {
-		if !k.Informational && !k.WithinTol {
+		if !k.WithinTol {
 			return false
 		}
 	}
@@ -122,18 +119,16 @@ func (r *DriftReport) WriteTable(w io.Writer) {
 		if !k.WithinTol {
 			ok = "FAIL"
 		}
-		if k.Informational {
-			ok = "info"
-		}
 		fmt.Fprintf(w, "%-16s %5d %11.2fK %11.2fK %+7.1f%% %5.0f%% %6s %4d/%d\n",
 			k.Kind, k.Count,
 			float64(k.PredBytes)/1024, float64(k.MeasBytes)/1024,
 			k.DeltaPct, k.TolPct, ok, k.PredNTT, k.MeasNTT)
-		if k.Note != "" {
-			fmt.Fprintf(w, "%-16s   %s\n", "", k.Note)
-		}
 	}
 }
+
+// driftHoistFanout is the fan-out of one RotateHoisted probe: the
+// rotate_hoisted_x8 point of the offline calibration.
+const driftHoistFanout = 8
 
 // driftKindOf maps a span name to its ledger kind ("" = not an op span).
 func driftKindOf(name string) string {
@@ -202,9 +197,19 @@ func RunDrift(cfg DriftConfig) (*DriftReport, error) {
 	ctB := encryptor.Encrypt(enc.Encode(mkVec(1.1)))
 	ctBoot := ev.DropLevel(ctA, 0)
 
+	// The RotateHoisted probes fan out over the first driftHoistFanout
+	// rotation steps the bootstrapper already holds keys for.
+	var hoistSteps []int
+	for k := 1; k < n && len(hoistSteps) < driftHoistFanout; k++ {
+		if _, ok := ev.Keys().Galois[params.RingQ().GaloisElement(k)]; ok {
+			hoistSteps = append(hoistSteps, k)
+		}
+	}
+
 	// Untraced warm-up settles lazy state (key-vault digit expansion,
 	// scratch pools) so the traced windows hold steady-state schedules.
 	_ = ev.Mul(ctA, ctB)
+	_ = ev.RotateHoisted(ctA, hoistSteps)
 	_ = btp.Bootstrap(ctBoot)
 
 	rec := obs.NewRecorder(obs.WithSpanCap(1 << 16))
@@ -212,10 +217,10 @@ func RunDrift(cfg DriftConfig) (*DriftReport, error) {
 	tr := memtrace.New()
 	ev.SetTracer(tr)
 
-	// The workload proper: explicit Mult probes (the pipeline itself only
-	// ever issues MulRelin + Rescale separately), then one full bootstrap.
+	// The workload proper: the explicit probes, then one full bootstrap.
 	for i := 0; i < cfg.MultProbes; i++ {
 		_ = ev.Mul(ctA, ctB)
+		_ = ev.RotateHoisted(ctA, hoistSteps)
 	}
 	_ = btp.Bootstrap(ctBoot)
 
@@ -242,8 +247,8 @@ func RunDrift(cfg DriftConfig) (*DriftReport, error) {
 	agg := map[string]*DriftKind{}
 	rep := &DriftReport{
 		Config: cfg,
-		Functional: fmt.Sprintf("ckks N=2^%d, %d Q-limbs + %d P-limbs, compressed keys, workers=1, bootstrap + %d Mult probes",
-			cfg.LogN, len(logQ), params.Alpha(), cfg.MultProbes),
+		Functional: fmt.Sprintf("ckks N=2^%d, %d Q-limbs + %d P-limbs, compressed keys, workers=1, bootstrap + %d Mult and RotateHoisted×%d probes",
+			cfg.LogN, len(logQ), params.Alpha(), cfg.MultProbes, len(hoistSteps)),
 		Model: model.Ctx().P.String(),
 	}
 	for _, sp := range snap.Spans {
@@ -283,16 +288,8 @@ func RunDrift(cfg DriftConfig) (*DriftReport, error) {
 			k.DeltaPct = 100 * (float64(k.MeasBytes) - float64(k.PredBytes)) / float64(k.PredBytes)
 		}
 		k.TolPct = 100 * cfg.WideTolerance
-		switch kind {
-		case "Mult", "Rescale":
+		if kind == "Mult" || kind == "Rescale" {
 			k.TolPct = 100 * cfg.Tolerance
-		case "RotateHoisted":
-			// Same divergence the offline calibration documents: the
-			// functional hoisted schedule is per-diagonal (Fig. 5(c)),
-			// the model's is BSGS — byte totals differ although the NTT
-			// counts match exactly.
-			k.Informational = true
-			k.Note = "informational: hoisted schedules differ (functional per-diagonal vs model BSGS); NTT counts agree"
 		}
 		k.WithinTol = math.Abs(k.DeltaPct) <= k.TolPct
 		rep.Kinds = append(rep.Kinds, *k)

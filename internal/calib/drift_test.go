@@ -47,8 +47,10 @@ func TestDriftBootstrapGate(t *testing.T) {
 			t.Errorf("%s: delta %+.1f%% outside the calibrated ±20%% window", kind, k.DeltaPct)
 		}
 	}
-	if m := kinds["Mult"]; m.Count != DefaultDriftConfig().MultProbes {
-		t.Errorf("Mult count = %d, want %d probes", m.Count, DefaultDriftConfig().MultProbes)
+	for _, kind := range []string{"Mult", "RotateHoisted"} {
+		if k := kinds[kind]; k.Count != DefaultDriftConfig().MultProbes {
+			t.Errorf("%s count = %d, want %d probes", kind, k.Count, DefaultDriftConfig().MultProbes)
+		}
 	}
 	// The model's limb-transform count must match the kernel counters
 	// exactly for the compute-structured kinds: any mismatch means span
@@ -58,8 +60,8 @@ func TestDriftBootstrapGate(t *testing.T) {
 			t.Errorf("%s: NTT count predicted %d != measured %d", k.Kind, k.PredNTT, k.MeasNTT)
 		}
 	}
-	if !kinds["RotateHoisted"].Informational {
-		t.Errorf("RotateHoisted should be informational (hoisted schedules diverge)")
+	if k := kinds["RotateHoisted"]; k.TolPct != 30 || !k.WithinTol {
+		t.Errorf("RotateHoisted: delta %+.1f%% against ±%v%%, want gated at ±30%% and inside it", k.DeltaPct, k.TolPct)
 	}
 
 	// The report must round-trip as JSON for the CI artifact.

@@ -144,7 +144,7 @@ func (e *Encoder) EncodeAtLevel(values []complex128, scale float64, level int) *
 
 // EncodeQP encodes values into a raised plaintext with both Q and P limbs,
 // as required to multiply diagonals against raised (mod PQ) ciphertext
-// parts in the hoisted-ModDown PtMatVecMult (§3.2, Figure 5).
+// parts in the linear transform (§3.2, Figure 5).
 func (e *Encoder) EncodeQP(values []complex128, scale float64, level int) rns.PolyQP {
 	coeffs := e.coeffsFromValues(values, scale)
 	rQ := e.params.RingQ().AtLevel(level)

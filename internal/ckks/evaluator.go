@@ -499,6 +499,20 @@ type kskOperands struct {
 
 var kskOperandsPool = sync.Pool{New: func() any { return new(kskOperands) }}
 
+// getKskOperands draws operand views for a sum of beta products over
+// limbs raised limbs. The rows are stale; the caller fills every one.
+// Return them with kskRelease.
+func getKskOperands(limbs, beta int) *kskOperands {
+	ops := kskOperandsPool.Get().(*kskOperands)
+	ops.beta = beta
+	if need := 3 * limbs * beta; cap(ops.rows) < need {
+		ops.rows = make([][]uint64, need)
+	} else {
+		ops.rows = ops.rows[:need]
+	}
+	return ops
+}
+
 // raisedLimb returns the first n words of limb i of a raised polynomial,
 // counting the nQ limbs of its Q part first and its P limbs after them.
 func raisedLimb(p rns.PolyQP, i, nQ, n int) []uint64 {
@@ -528,14 +542,8 @@ func (ev *Evaluator) kskInnerProduct(level int, digits []rns.PolyQP, perm []int,
 	p := ev.params
 	n, nQ, nP := p.N(), level+1, p.Alpha()
 	beta := len(digits)
-	ops := kskOperandsPool.Get().(*kskOperands)
+	ops := getKskOperands(nQ+nP, beta)
 	defer ev.kskRelease(ops, swk)
-	ops.beta = beta
-	if need := 3 * (nQ + nP) * beta; cap(ops.rows) < need {
-		ops.rows = make([][]uint64, need)
-	} else {
-		ops.rows = ops.rows[:need]
-	}
 	for j := 0; j < beta; j++ {
 		key := swk.Digits[j]
 		if key.A.Q == nil {
@@ -559,26 +567,39 @@ func (ev *Evaluator) kskInnerProduct(level int, digits []rns.PolyQP, perm []int,
 	// Key traffic: both key halves stream once over every raised limb —
 	// 2·β·(ℓ+1+kP) limbs of 8N bytes.
 	ev.rec.Add("ckks.key.bytes", 2*uint64(beta)*uint64(nQ+nP)*8*uint64(n))
+	ev.gatherMulAccumulate(nQ, nP, ops, perm, u, v, memtrace.ClassCt, memtrace.ClassKey, workers)
+}
+
+// gatherMulAccumulate runs the fused kernel over every raised limb of one
+// operand view, writing the pair (u, v) = (Σ_j b_j ⊙ σ(d_j), Σ_j a_j ⊙
+// σ(d_j)). It serves the key-switch product (d the raised digits, b and a
+// the key halves) and the linear transform's diagonal sum (d the raised
+// plaintext diagonals, b and a the halves of the raised baby-step
+// ciphertexts); dClass and baClass are the memory-trace classes of the two
+// operand kinds. The split is over limbs and every output word is an exact
+// sum, so the pair is bit-identical for any worker count.
+func (ev *Evaluator) gatherMulAccumulate(nQ, nP int, ops *kskOperands, perm []int, u, v rns.PolyQP, dClass, baClass memtrace.Class, workers int) {
 	if ring.EffectiveWorkers(nQ+nP, workers) == 1 {
 		// Closure-free serial path (a closure handed to the pool is heap-
 		// allocated even when it runs inline); same cancellation points.
 		for i := 0; i < nQ+nP; i++ {
 			ev.checkInterrupt()
-			ev.kskLimb(i, nQ, ops, perm, u, v)
+			ev.kskLimb(i, nQ, ops, perm, u, v, dClass, baClass)
 		}
 	} else {
-		ev.fanOut(nQ+nP, workers, func(i int) { ev.kskLimb(i, nQ, ops, perm, u, v) })
+		ev.fanOut(nQ+nP, workers, func(i int) { ev.kskLimb(i, nQ, ops, perm, u, v, dClass, baClass) })
 	}
 	u.Q.IsNTT, u.P.IsNTT = true, true
 	v.Q.IsNTT, v.P.IsNTT = true, true
 }
 
 // kskLimb runs the fused kernel on raised limb i (Q limbs first, then P).
-// Memory hooks: per digit the limb reads two key rows (class key) and the
-// shared raised digit once — gathered through perm on chip, feeding both
-// products — and the two output rows are written once at the end; their
-// eventual writeback is the model's 2·raised ciphertext writes.
-func (ev *Evaluator) kskLimb(i, nQ int, ops *kskOperands, perm []int, u, v rns.PolyQP) {
+// Memory hooks: per term the limb reads the b and a rows (class baClass:
+// key for a key switch) and the d row once (class dClass) — gathered
+// through perm on chip, feeding both products — and the two output rows
+// are written once at the end; their eventual writeback is the model's
+// 2·raised ciphertext writes.
+func (ev *Evaluator) kskLimb(i, nQ int, ops *kskOperands, perm []int, u, v rns.PolyQP, dClass, baClass memtrace.Class) {
 	var s *ring.SubRing
 	if i < nQ {
 		s = ev.params.RingQ().SubRings[i]
@@ -589,9 +610,9 @@ func (ev *Evaluator) kskLimb(i, nQ int, ops *kskOperands, perm []int, u, v rns.P
 	d, b, a := ops.limb(i)
 	if ev.tr != nil {
 		for j := range d {
-			ev.tr.ReadClass(b[j], memtrace.ClassKey)
-			ev.tr.Read(d[j])
-			ev.tr.ReadClass(a[j], memtrace.ClassKey)
+			ev.tr.ReadClass(b[j], baClass)
+			ev.tr.ReadClass(d[j], dClass)
+			ev.tr.ReadClass(a[j], baClass)
 		}
 	}
 	s.GatherMulAccumulate(d, b, a, perm, ui, vi)
@@ -628,8 +649,18 @@ func (ev *Evaluator) keySwitchRaised(level int, x *ring.Poly, swk *SwitchingKey)
 	return u, v
 }
 
-// keySwitchDown applies the two ModDowns of Algorithm 3 line 4.
+// keySwitchDown applies the two ModDowns of Algorithm 3 line 4 into
+// freshly allocated polynomials: the halves of a result ciphertext.
 func (ev *Evaluator) keySwitchDown(level int, u, v rns.PolyQP, workers int) (p0, p1 *ring.Poly) {
+	rQ := ev.params.RingQ().AtLevel(level)
+	p0, p1 = rQ.NewPoly(), rQ.NewPoly()
+	ev.modDownPair(level, u, v, p0, p1, workers)
+	return p0, p1
+}
+
+// modDownPair is the ModDown pair of Algorithm 3 line 4 into caller-owned
+// polynomials (pooled scratch where the pair is an intermediate).
+func (ev *Evaluator) modDownPair(level int, u, v rns.PolyQP, p0, p1 *ring.Poly, workers int) {
 	// Per ModDown: kP iNTTs of the P limbs plus level+1 forward NTTs of
 	// the correction limbs. Every key switch funnels through here, so the
 	// keyswitch counter lives here too.
@@ -637,11 +668,8 @@ func (ev *Evaluator) keySwitchDown(level int, u, v rns.PolyQP, workers int) (p0,
 	ev.rec.Add("ckks.keyswitch", 1)
 	ev.rec.Add("ckks.limbs", uint64(level+1))
 	conv := ev.params.Converter()
-	rQ := ev.params.RingQ().AtLevel(level)
-	p0, p1 = rQ.NewPoly(), rQ.NewPoly()
 	conv.ModDown(level, u, p0, workers)
 	conv.ModDown(level, v, p1, workers)
-	return p0, p1
 }
 
 // KeySwitch computes ⟦x·w⟧ under the target key (full Algorithm 3).

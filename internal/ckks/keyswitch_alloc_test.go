@@ -101,3 +101,23 @@ func TestHoistedTransformThrashAllocatesNoKeys(t *testing.T) {
 		t.Errorf("thrashing budget allocates %d B per transform, resident budget %d B: more than half a key digit (%d B) apart", thrash, resident, db)
 	}
 }
+
+// TestLinearTransformSpansOffAllocFree: without a recorder the transform's
+// instrumentation — one op span with its attributes, a lite child per baby
+// step, group sum and giant step, the rotation counter — allocates nothing.
+func TestLinearTransformSpansOffAllocFree(t *testing.T) {
+	ev := NewEvaluator(newTestContext(t).params, nil)
+	if avg := testing.AllocsPerRun(100, func() {
+		sp := ev.startOp("LinearTransform", 4, 1<<40, 64)
+		sp.SetAttr("lt.n1", 16)
+		sp.SetAttr("lt.babies", 16)
+		sp.SetAttr("lt.giants", 5)
+		ev.rec.Add("ckks.rotate", 19)
+		for _, name := range []string{"ckks.lt.baby", "ckks.lt.accumulate", "ckks.lt.giant"} {
+			ev.rec.StartLinked(name).End()
+		}
+		ev.endOp(sp)
+	}); avg != 0 {
+		t.Errorf("the recorder-off span path allocates %.2f times per transform", avg)
+	}
+}

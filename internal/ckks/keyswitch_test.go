@@ -83,21 +83,21 @@ func hoistedBudgetCase(ev *Evaluator, ct *Ciphertext, lt *LinearTransform, steps
 	return out
 }
 
-// TestHoistedTransformGoldenAcrossBudgets runs a hoisted-ModDown transform
-// over seed-only keys (and the mixed rotation / relinearization / ladder
-// workload after it) under budgets {unlimited, a quarter of the transform's
-// keys, one byte} × every worker count and demands the ciphertext of the
-// fully materialized baseline, bit for bit. Under the quarter budget it
-// also asserts what holding a key only for its product buys: the resident
-// set peaks at the budget plus the digits the products in flight hold —
-// not at the whole fan-out, which is where pinning the sweep put it (4×
-// the budget).
+// TestHoistedTransformGoldenAcrossBudgets runs a linear transform (n1 = 4:
+// three keyed baby steps, two keyed giant steps) over seed-only keys (and
+// the mixed rotation / relinearization / ladder workload after it) under
+// budgets {unlimited, a quarter of the transform's keys, one byte} × every
+// worker count and demands the ciphertext of the fully materialized
+// baseline, bit for bit. Under the quarter budget it also asserts what
+// holding a key only for its product buys: the resident set peaks at the
+// budget plus the digits the products in flight hold — not at the whole
+// fan-out, which is where pinning the sweep put it (4× the budget).
 func TestHoistedTransformGoldenAcrossBudgets(t *testing.T) {
 	tc := newTestContext(t)
 	p := tc.params
 	diagIdx := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
 	steps := []int{1, 2, 3, 4}
-	lt := NewLinearTransform(tc.enc, DiagsFromMatrix(randomBandedMatrix(p.Slots(), diagIdx)), p.MaxLevel(), p.Scale(), 0, true)
+	lt := NewLinearTransform(tc.enc, DiagsFromMatrix(randomBandedMatrix(p.Slots(), diagIdx)), p.MaxLevel(), p.Scale(), 4, true)
 	keys := &EvaluationKeySet{
 		Rlk:    tc.kg.GenRelinearizationKey(tc.sk, true),
 		Galois: tc.kg.GenGaloisKeys(lt.RotationSteps(), tc.sk),

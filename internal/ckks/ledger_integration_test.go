@@ -6,6 +6,7 @@ package ckks_test
 // cost-ledger annotations the drift harness and dashboard consume.
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ckks"
@@ -125,5 +126,93 @@ func TestEvaluatorSpanHierarchyWithLedger(t *testing.T) {
 	// relies on the children being annotated too).
 	if _, ok := byName["ckks.Rescale"].Attrs["pred.bytes"]; !ok {
 		t.Error("Rescale span missing pred.bytes")
+	}
+}
+
+// TestLinearTransformSpanTree: a transform is one ckks.LinearTransform op
+// span — telemetry attributes, no pred.* (the ledger has no such kind; the
+// frozen bench adds its own prediction for the call) — that directly owns
+// a lite child per baby step, per giant group's sum and per keyed giant
+// step, next to the rns spans of its 1 + #non-zero-giants ModUps and
+// ModDown pairs; and recording changes no output bit.
+func TestLinearTransformSpanTree(t *testing.T) {
+	params, err := ckks.NewParameters(ckks.ParametersLiteral{
+		LogN: 10, LogQ: []int{48, 40, 40, 40, 40, 40}, LogP: []int{50, 50}, LogScale: 40,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seed [prng.SeedSize]byte
+	copy(seed[:], "ledger integration test")
+	src := prng.NewSource(seed)
+	kg := ckks.NewKeyGenerator(params, src)
+	sk := kg.GenSecretKey()
+	enc := ckks.NewEncoder(params)
+	n := params.Slots()
+	diags := map[int][]complex128{}
+	for _, d := range []int{0, 1, 2, 3, 5, 9} { // n1 = 4: babies {0,1,2,3}, giants {0,4,8}
+		vec := make([]complex128, n)
+		for i := range vec {
+			vec[i] = complex(float64((i+d)%5)/5, 0)
+		}
+		diags[d] = vec
+	}
+	lt := ckks.NewLinearTransform(enc, diags, params.MaxLevel(), params.Scale(), 4, false)
+	ev := ckks.NewEvaluator(params, &ckks.EvaluationKeySet{Galois: kg.GenGaloisKeys(lt.RotationSteps(), sk)})
+	ct := ckks.NewSecretKeyEncryptor(params, sk, src).Encrypt(enc.Encode(diags[1]))
+	untraced := ev.EvalLinearTransform(ct, lt)
+
+	rec := obs.NewRecorder()
+	ev.SetRecorder(rec)
+	defer ev.SetRecorder(nil)
+	model, err := ledger.ForParameters(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev.SetCostModel(model)
+	traced := ev.EvalLinearTransform(ct, lt)
+	if !traced.C0.Equal(untraced.C0) || !traced.C1.Equal(untraced.C1) {
+		t.Error("traced transform differs from the untraced one")
+	}
+
+	var op obs.SpanRecord
+	children := map[string]int{}
+	spans := rec.Snapshot().Spans
+	for _, sp := range spans {
+		if sp.Name == "ckks.LinearTransform" {
+			op = sp
+		}
+	}
+	if op.ID == 0 {
+		t.Fatal("no ckks.LinearTransform span")
+	}
+	for _, sp := range spans {
+		if sp.Parent == op.ID {
+			children[sp.Name]++
+		}
+	}
+	for key, want := range map[string]float64{
+		"ct.level": float64(ct.Level), "op.fanout": 6, "lt.n1": 4, "lt.babies": 4, "lt.giants": 3,
+	} {
+		if got, ok := op.Attrs[key]; !ok || got != want {
+			t.Errorf("attr %s = %v (present %v), want %v", key, got, ok, want)
+		}
+	}
+	for key := range op.Attrs {
+		if strings.HasPrefix(key, "pred.") {
+			t.Errorf("span carries %s: the transform must not be predicted twice", key)
+		}
+	}
+	beta := params.Beta(ct.Level)
+	for name, want := range map[string]int{
+		"ckks.lt.baby": 4, "ckks.lt.accumulate": 3, "ckks.lt.giant": 2,
+		"rns.ModUpDigit": 3 * beta, "rns.ModDown": 2 * 3,
+	} {
+		if children[name] != want {
+			t.Errorf("%d %s children, want %d (all children: %v)", children[name], name, want, children)
+		}
+	}
+	if got := op.Counters["ckks.rotate"]; got != 5 {
+		t.Errorf("ckks.rotate = %d over the transform, want 5 keyed steps", got)
 	}
 }

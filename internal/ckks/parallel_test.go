@@ -75,25 +75,28 @@ func TestRotateHoistedBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestHoistedModDownBitIdenticalAcrossWorkers covers the per-worker
-// accumulator merge in EvalLinearTransformHoistedModDown: regrouping the
+// TestHoistedModDownBitIdenticalAcrossWorkers covers the transform's two
+// fan-outs — baby steps into their own raised pairs, giant groups into
+// per-worker accumulators merged in worker order: regrouping the
 // raised-basis sum must be exact (modular addition is associative), so the
 // chunked accumulation has to match the serial left-to-right one word for
-// word.
+// word. n1 = 4 splits the diagonals into three giant groups, so two workers
+// do merge; the computed split keeps them all baby steps.
 func TestHoistedModDownBitIdenticalAcrossWorkers(t *testing.T) {
 	diagIdx := []int{0, 1, 3, 9, 20}
-	tc, evSerial, lt, _ := setupLinTransTest(t, diagIdx, 0, true)
-	ct := tc.encSk.Encrypt(tc.enc.Encode(randomValues(tc.params.Slots(), 1)))
+	for _, n1 := range []int{0, 4} {
+		tc, evSerial, lt, _ := setupLinTransTest(t, diagIdx, n1)
+		ct := tc.encSk.Encrypt(tc.enc.Encode(randomValues(tc.params.Slots(), 1)))
 
-	golden := evSerial.EvalLinearTransformHoistedModDown(ct, lt)
-	for _, w := range evalWorkerCounts()[1:] {
-		evSerial.SetWorkers(w)
-		got := evSerial.EvalLinearTransformHoistedModDown(ct, lt)
-		if !ctEqual(got, golden) {
-			t.Errorf("hoisted-ModDown transform with %d workers is not bit-identical to serial", w)
+		golden := evSerial.EvalLinearTransformHoistedModDown(ct, lt)
+		for _, w := range evalWorkerCounts()[1:] {
+			evSerial.SetWorkers(w)
+			got := evSerial.EvalLinearTransformHoistedModDown(ct, lt)
+			if !ctEqual(got, golden) {
+				t.Errorf("n1=%d: transform with %d workers is not bit-identical to serial", n1, w)
+			}
 		}
 	}
-	evSerial.SetWorkers(1)
 }
 
 // TestSetWorkersDefaults pins the knob semantics: n ≤ 0 resolves to

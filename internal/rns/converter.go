@@ -44,6 +44,13 @@ type Converter struct {
 	qpPool sync.Pool // scratch PolyQP at the full chain size
 	upPool sync.Pool // *modUpScratch: ModUpDigit output-view headers
 
+	// Per-limb constants of the P and q_ℓ divisions, each with its Shoup
+	// companion. Built once in NewConverter and read-only afterwards, so
+	// concurrent conversions share them without locking.
+	pModQ    []shoupConst   // [i] = P mod q_i (PModUp)
+	pInvModQ []shoupConst   // [i] = P⁻¹ mod q_i (ModDown)
+	qInvModQ [][]shoupConst // [ℓ][i] = q_ℓ⁻¹ mod q_i, i < ℓ (Rescale)
+
 	// rec, when non-nil, receives the counters "rns.extend" (basis
 	// extensions performed), "rns.extend.coeffs" (coefficients
 	// converted), "rns.extend.bytes" (kernel read+write traffic),
@@ -58,10 +65,33 @@ type Converter struct {
 	tr *memtrace.Tracer
 }
 
-// NewConverter builds a Converter for the given modulus chains. RingP may
-// have any number of limbs ≥ 1.
+// shoupConst is a fixed multiplier w < q with ShoupPrecomp(w, q).
+type shoupConst struct{ w, shoup uint64 }
+
+func newShoupConst(w, q uint64) shoupConst {
+	return shoupConst{w: w, shoup: mathutil.ShoupPrecomp(w, q)}
+}
+
+// NewConverter builds a Converter for the given modulus chains, which must
+// be disjoint (P is inverted modulo every q_i here). RingP may have any
+// number of limbs ≥ 1.
 func NewConverter(ringQ, ringP *ring.Ring) *Converter {
 	c := &Converter{RingQ: ringQ, RingP: ringP, tables: make(map[tableKey]*ExtTable)}
+	nQ := len(ringQ.Moduli)
+	c.pModQ = make([]shoupConst, nQ)
+	c.pInvModQ = make([]shoupConst, nQ)
+	c.qInvModQ = make([][]shoupConst, nQ)
+	for i, qi := range ringQ.Moduli {
+		pMod := ProductMod(ringP.Moduli, qi)
+		c.pModQ[i] = newShoupConst(pMod, qi)
+		c.pInvModQ[i] = newShoupConst(mathutil.InvMod(pMod, qi), qi)
+	}
+	for l, ql := range ringQ.Moduli {
+		c.qInvModQ[l] = make([]shoupConst, l)
+		for i, qi := range ringQ.Moduli[:l] {
+			c.qInvModQ[l][i] = newShoupConst(mathutil.InvMod(ql%qi, qi), qi)
+		}
+	}
 	c.qpPool.New = func() any {
 		c.rec.Add("rns.pool.miss", 1)
 		p := c.NewPolyQP(ringQ.MaxLevel())
@@ -401,13 +431,12 @@ func (c *Converter) ModDown(levelQ int, a PolyQP, out *ring.Poly, workers int) {
 func (c *Converter) modDownLimb(a PolyQP, out *ring.Poly, hat [][]uint64, n, i int) {
 	s := c.RingQ.SubRings[i]
 	s.NTT(hat[i])
-	pInv := mathutil.InvMod(ProductMod(c.RingP.Moduli, s.Q), s.Q)
-	pInvShoup := mathutil.ShoupPrecomp(pInv, s.Q)
+	pInv := c.pInvModQ[i]
 	ai, oi := a.Q.Coeffs[i], out.Coeffs[i]
 	hi := hat[i]
 	c.tr.Read(ai[:n])
 	for j := 0; j < n; j++ {
-		oi[j] = mathutil.MulModShoup(mathutil.SubMod(ai[j], hi[j], s.Q), pInv, pInvShoup, s.Q)
+		oi[j] = mathutil.MulModShoup(mathutil.SubMod(ai[j], hi[j], s.Q), pInv.w, pInv.shoup, s.Q)
 	}
 	c.tr.Write(oi[:n])
 }
@@ -447,11 +476,11 @@ func (c *Converter) Rescale(levelQ int, a *ring.Poly, out *ring.Poly, workers in
 
 	if ring.EffectiveWorkers(levelQ, workers) == 1 {
 		for i := 0; i < levelQ; i++ {
-			c.rescaleLimb(a, out, scr, last, ql, half, n, i)
+			c.rescaleLimb(a, out, scr, last, levelQ, half, n, i)
 		}
 	} else {
 		ring.Parallel(levelQ, workers, func(i int) {
-			c.rescaleLimb(a, out, scr, last, ql, half, n, i)
+			c.rescaleLimb(a, out, scr, last, levelQ, half, n, i)
 		})
 	}
 	c.tr.Discard(last)
@@ -461,10 +490,9 @@ func (c *Converter) Rescale(levelQ int, a *ring.Poly, out *ring.Poly, workers in
 
 // rescaleLimb is the per-q_i body of Rescale, named so the serial path
 // avoids a dispatch closure.
-func (c *Converter) rescaleLimb(a, out, scr *ring.Poly, last []uint64, ql, half uint64, n, i int) {
+func (c *Converter) rescaleLimb(a, out, scr *ring.Poly, last []uint64, levelQ int, half uint64, n, i int) {
 	s := c.RingQ.SubRings[i]
-	qlInv := mathutil.InvMod(ql%s.Q, s.Q)
-	qlInvShoup := mathutil.ShoupPrecomp(qlInv, s.Q)
+	qlInv := c.qInvModQ[levelQ][i]
 	halfMod := half % s.Q
 
 	// b = (last' − q_ℓ/2) mod q_i, transformed forward.
@@ -478,7 +506,7 @@ func (c *Converter) rescaleLimb(a, out, scr *ring.Poly, last []uint64, ql, half 
 	ai, oi := a.Coeffs[i], out.Coeffs[i]
 	c.tr.Read(ai[:n])
 	for j := 0; j < n; j++ {
-		oi[j] = mathutil.MulModShoup(mathutil.SubMod(ai[j], b[j], s.Q), qlInv, qlInvShoup, s.Q)
+		oi[j] = mathutil.MulModShoup(mathutil.SubMod(ai[j], b[j], s.Q), qlInv.w, qlInv.shoup, s.Q)
 	}
 	c.tr.Write(oi[:n])
 	// The correction limb is dead after the combine — the model's
@@ -514,12 +542,11 @@ func (c *Converter) PModUp(levelQ int, a *ring.Poly, out PolyQP, workers int) {
 // avoids a dispatch closure.
 func (c *Converter) pModUpLimb(a *ring.Poly, out PolyQP, n, i int) {
 	s := c.RingQ.SubRings[i]
-	pMod := ProductMod(c.RingP.Moduli, s.Q)
-	pShoup := mathutil.ShoupPrecomp(pMod, s.Q)
+	pMod := c.pModQ[i]
 	ai, oi := a.Coeffs[i], out.Q.Coeffs[i]
 	c.tr.Read(ai[:n])
 	for j := 0; j < n; j++ {
-		oi[j] = mathutil.MulModShoup(ai[j], pMod, pShoup, s.Q)
+		oi[j] = mathutil.MulModShoup(ai[j], pMod.w, pMod.shoup, s.Q)
 	}
 	c.tr.Write(oi[:n])
 }

@@ -283,8 +283,8 @@ func TestModDownFlooring(t *testing.T) {
 
 func TestRescaleRounds(t *testing.T) {
 	const n = 32
-	ringQ, _ := testRings(t, n, 4, 1)
-	conv := NewConverter(ringQ, ringQ.AtLevel(0)) // P unused here
+	ringQ, ringP := testRings(t, n, 4, 1)
+	conv := NewConverter(ringQ, ringP) // Rescale never touches P
 	src := fixedSource()
 
 	levelQ := 3
