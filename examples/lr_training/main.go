@@ -77,8 +77,8 @@ func functionalLR() {
 	for s := 0; s < steps; s++ {
 		// z = w ⊙ x — the HELR forward pass.
 		ctZ := eval.Mul(ctW, eval.DropLevel(ctX, ctW.Level))
-		// σ(z) via the HELR degree-7 polynomial (≈6 levels).
-		ctSig := eval.EvalPolynomial(ctZ, ckks.SigmoidCoeffs())
+		// σ(z) via the HELR degree-7 polynomial (4 levels).
+		ctSig := eval.EvalPolynomial(ctZ, ckks.Monomial, ckks.SigmoidCoeffs())
 		// grad_i = (σ(z) − y_i) ⊙ x_i, then the slot mean by the same
 		// rotate-and-sum ladder HELR uses for Xᵀ·e.
 		ctY := enc.EncodeAtLevel(ys, ctSig.Scale, ctSig.Level)

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/ckks"
+	"repro/internal/mathutil"
 	"repro/internal/prng"
 )
 
@@ -59,9 +60,19 @@ type Bootstrapper struct {
 // secret. The secret should be sparse (see KeyGenerator.GenSecretKeySparse)
 // so the Parameters.K range bound holds.
 func NewBootstrapper(params *ckks.Parameters, bparams Parameters, sk *ckks.SecretKey, src *prng.Source, compressKeys bool) (*Bootstrapper, error) {
-	enc := ckks.NewEncoder(params)
 	L := params.MaxLevel()
 
+	// Level budget, from the schedule EvalMod executes: CoeffToSlot starts
+	// at L, the sine polynomial takes its plan's depth and each double-angle
+	// step one more, and the last SlotToCoeff group must still have a level
+	// to rescale into. Checked before anything is encoded or keyed.
+	_, sineDepth := mathutil.NewPSPlan(bparams.SineDegree).Cost()
+	stcLevel := L - bparams.CtSIter - sineDepth - bparams.DoubleAngle
+	if end := stcLevel - bparams.StCIter; end < 0 {
+		return nil, fmt.Errorf("bootstrap: parameter chain too short (%d Q-limbs; SlotToCoeff would end at level %d)", L+1, end)
+	}
+
+	enc := ckks.NewEncoder(params)
 	q0 := float64(params.Q()[0])
 	delta := params.Scale()
 	n := float64(params.Slots())
@@ -73,7 +84,6 @@ func NewBootstrapper(params *ckks.Parameters, bparams Parameters, sk *ckks.Secre
 	cts := buildDFT(enc, params, bparams.CtSIter, L, true, ctsFold)
 
 	// SlotToCoeff: fold q0/(2π·Δ) (EvalMod output denormalization).
-	stcLevel := L - bparams.CtSIter - ChebyshevDepth(bparams.SineDegree) - bparams.DoubleAngle
 	stcFold := q0 / (2 * math.Pi * delta)
 	stc := buildDFT(enc, params, bparams.StCIter, stcLevel, false, stcFold)
 
@@ -106,7 +116,7 @@ func NewBootstrapper(params *ckks.Parameters, bparams Parameters, sk *ckks.Secre
 		return math.Cos(2 * math.Pi * (kf*u - 0.25) / r)
 	}, bparams.SineDegree)
 
-	b := &Bootstrapper{
+	return &Bootstrapper{
 		params:  params,
 		bparams: bparams,
 		enc:     enc,
@@ -115,11 +125,7 @@ func NewBootstrapper(params *ckks.Parameters, bparams Parameters, sk *ckks.Secre
 		stc:     stc,
 
 		sineCoeffs: sine,
-	}
-	if stcLevel-bparams.StCIter+1 < 0 {
-		return nil, fmt.Errorf("bootstrap: parameter chain too short (SlotToCoeff would end at level %d)", stcLevel-bparams.StCIter)
-	}
-	return b, nil
+	}, nil
 }
 
 // Evaluator exposes the bootstrapper's evaluator. It holds every rotation
@@ -184,7 +190,7 @@ func (b *Bootstrapper) modRaise(ct *ckks.Ciphertext) *ckks.Ciphertext {
 // DoubleAngle applications of cos(2θ) = 2cos²θ − 1.
 func (b *Bootstrapper) evalMod(ct *ckks.Ciphertext) *ckks.Ciphertext {
 	ev := b.ev
-	out := EvalChebyshev(ev, ct, b.sineCoeffs)
+	out := ev.EvalPolynomial(ct, ckks.Chebyshev, b.sineCoeffs)
 	for i := 0; i < b.bparams.DoubleAngle; i++ {
 		sq := ev.MulRelin(out, out)
 		sq = ev.Add(sq, sq)

@@ -57,59 +57,6 @@ func TestChebyshevCoeffsAccuracy(t *testing.T) {
 	}
 }
 
-func TestChebyshevDepth(t *testing.T) {
-	// Depth must be positive and grow slowly (≈ 2·log2 d).
-	prev := 0
-	for _, d := range []int{3, 7, 15, 31, 63} {
-		dep := ChebyshevDepth(d)
-		if dep <= 0 || dep > 2*20 {
-			t.Fatalf("ChebyshevDepth(%d) = %d", d, dep)
-		}
-		if dep < prev {
-			t.Fatalf("depth not monotone: %d then %d", prev, dep)
-		}
-		prev = dep
-	}
-	if ChebyshevDepth(0) != 0 {
-		t.Error("ChebyshevDepth(0) != 0")
-	}
-}
-
-func TestEvalChebyshevHomomorphic(t *testing.T) {
-	params := bootParams(t)
-	src := bootSource()
-	kg := ckks.NewKeyGenerator(params, src)
-	sk := kg.GenSecretKey()
-	rlk := kg.GenRelinearizationKey(sk, false)
-	ev := ckks.NewEvaluator(params, &ckks.EvaluationKeySet{Rlk: rlk})
-	enc := ckks.NewEncoder(params)
-	encryptor := ckks.NewSecretKeyEncryptor(params, sk, src)
-	dec := ckks.NewDecryptor(params, sk)
-
-	f := func(x float64) float64 { return math.Cos(5*x) * math.Exp(-x*x) }
-	coeffs := ChebyshevCoeffs(f, 23)
-
-	n := params.Slots()
-	xs := make([]complex128, n)
-	for i := range xs {
-		xs[i] = complex(rand.Float64()*2-1, 0)
-	}
-	ct := encryptor.Encrypt(enc.Encode(xs))
-	out := EvalChebyshev(ev, ct, coeffs)
-
-	got := enc.Decode(dec.DecryptToPlaintext(out))
-	worst := 0.0
-	for i := range xs {
-		want := f(real(xs[i]))
-		if d := cmplx.Abs(got[i] - complex(want, 0)); d > worst {
-			worst = d
-		}
-	}
-	if worst > 1e-4 {
-		t.Errorf("homomorphic Chebyshev error %.3g too large", worst)
-	}
-}
-
 // TestCoeffToSlotRoundTrip checks that applying CtS then (conjugate-split,
 // recombine) then StC without EvalMod is the identity up to the folded
 // constants — isolating the homomorphic DFT from the sine machinery.

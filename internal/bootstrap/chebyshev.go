@@ -9,12 +9,7 @@
 // that the MAD optimizations leave bootstrapping semantics unchanged.
 package bootstrap
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/ckks"
-)
+import "math"
 
 // ChebyshevCoeffs returns the degree-`degree` Chebyshev interpolation
 // coefficients of f on [-1, 1] (Chebyshev–Gauss nodes), so that
@@ -45,202 +40,4 @@ func EvalChebyshevPlain(coeffs []float64, x float64) float64 {
 		b1, b2 = 2*x*b1-b2+coeffs[k], b1
 	}
 	return x*b1 - b2 + coeffs[0]
-}
-
-// ChebyshevDepth returns the exact number of levels EvalChebyshev consumes
-// for the given degree: the depth of the Chebyshev power ladder plus the
-// recursion depth. NewBootstrapper uses it to place the SlotToCoeff
-// matrices at the level the pipeline will actually reach.
-func ChebyshevDepth(degree int) int {
-	if degree <= 0 {
-		return 0
-	}
-	m := 1
-	for m*m < degree+1 {
-		m <<= 1
-	}
-	// Power-ladder depth.
-	dep := map[int]int{1: 0}
-	maxDep := 0
-	for k := 2; k <= m; k++ {
-		a, b := (k+1)/2, k/2
-		dep[k] = max(dep[a], dep[b]) + 1
-		maxDep = max(maxDep, dep[k])
-	}
-	for g := m; 2*g <= degree; g *= 2 {
-		dep[2*g] = dep[g] + 1
-		maxDep = max(maxDep, dep[2*g])
-	}
-	cc := &chebCtx{m: m}
-	return maxDep + cc.depthOf(degree)
-}
-
-// chebCtx carries the ciphertext Chebyshev powers and the evaluator during
-// a recursive baby-step/giant-step polynomial evaluation.
-type chebCtx struct {
-	ev *ckks.Evaluator
-	t  map[int]*ckks.Ciphertext // T_k(x)
-	m  int                      // baby-step bound (power of two)
-}
-
-// EvalChebyshev homomorphically evaluates Σ c_k·T_k(slots(ct)) for slot
-// values in [-1, 1], using the Paterson–Stockmeyer-style recursion over
-// the Chebyshev basis. The result lands near the input scale; the number
-// of levels consumed is Depth(len(coeffs)-1, m) plus the power-basis
-// depth (≈ 2·log2(degree) in total).
-func EvalChebyshev(ev *ckks.Evaluator, ct *ckks.Ciphertext, coeffs []float64) *ckks.Ciphertext {
-	// Trim negligible high-order terms.
-	d := len(coeffs) - 1
-	for d > 0 && math.Abs(coeffs[d]) < 1e-14 {
-		d--
-	}
-	coeffs = coeffs[:d+1]
-	if d == 0 {
-		out := ev.MulByConstReal(ct, 0, 1)
-		return ev.AddConstReal(out, coeffs[0])
-	}
-
-	// Baby-step bound m = 2^ceil(log2(sqrt(d+1))).
-	m := 1
-	for m*m < d+1 {
-		m <<= 1
-	}
-	cc := &chebCtx{ev: ev, t: map[int]*ckks.Ciphertext{1: ct}, m: m}
-	cc.genBabyPowers()
-	cc.genGiantPowers(d)
-
-	minT := ct.Level
-	for _, tk := range cc.t {
-		if tk.Level < minT {
-			minT = tk.Level
-		}
-	}
-	rootLevel := minT - cc.depthOf(len(coeffs)-1)
-	if rootLevel < 0 {
-		panic(fmt.Sprintf("bootstrap: Chebyshev degree %d needs %d more levels", d, -rootLevel))
-	}
-	return cc.evalRecurse(coeffs, rootLevel, ct.Scale)
-}
-
-// genBabyPowers computes T_2 … T_{m-1} via T_{a+b} = 2·T_a·T_b − T_{a−b}.
-func (cc *chebCtx) genBabyPowers() {
-	for k := 2; k < cc.m; k++ {
-		a := (k + 1) / 2
-		b := k / 2
-		cc.t[k] = cc.chebStep(cc.t[a], cc.t[b], a-b)
-	}
-}
-
-// genGiantPowers computes T_m, T_{2m}, … up to the polynomial degree via
-// the double-angle identity T_{2g} = 2·T_g² − 1.
-func (cc *chebCtx) genGiantPowers(degree int) {
-	if cc.m >= 2 {
-		a := (cc.m + 1) / 2
-		b := cc.m / 2
-		cc.t[cc.m] = cc.chebStep(cc.t[a], cc.t[b], a-b)
-	}
-	for g := cc.m; 2*g <= degree; g *= 2 {
-		cc.t[2*g] = cc.chebStep(cc.t[g], cc.t[g], 0)
-	}
-}
-
-// chebStep returns 2·T_a·T_b − T_d (with T_0 = 1), rescaled once.
-func (cc *chebCtx) chebStep(ta, tb *ckks.Ciphertext, d int) *ckks.Ciphertext {
-	ev := cc.ev
-	level := ta.Level
-	if tb.Level < level {
-		level = tb.Level
-	}
-	prod := ev.MulRelin(ev.DropLevel(ta, level), ev.DropLevel(tb, level))
-	prod = ev.Add(prod, prod) // 2·T_a·T_b
-	if d == 0 {
-		prod = ev.AddConstReal(prod, -1)
-	} else {
-		td := cc.t[d]
-		// Scale-align T_d up to the product scale with an exact constant.
-		aligned := ev.MulByConstReal(ev.DropLevel(td, level), 1, prod.Scale/td.Scale)
-		prod = ev.Sub(prod, aligned)
-	}
-	return ev.Rescale(prod)
-}
-
-// depthOf returns the number of levels evalRecurse consumes for a
-// Chebyshev polynomial of the given degree.
-func (cc *chebCtx) depthOf(degree int) int {
-	if degree < cc.m {
-		return 1
-	}
-	g := cc.largestGiant(degree)
-	dq := cc.depthOf(degree - g)
-	dr := cc.depthOf(g - 1)
-	return max(1+dq, dr)
-}
-
-// largestGiant returns the largest computed giant power ≤ degree.
-func (cc *chebCtx) largestGiant(degree int) int {
-	g := cc.m
-	for 2*g <= degree {
-		g *= 2
-	}
-	return g
-}
-
-// evalRecurse evaluates the Chebyshev-basis polynomial so the result lands
-// at exactly (level, ≈scale): p = T_g·q + r with the division done in the
-// Chebyshev basis via T_g·T_j = (T_{g+j} + T_{g−j})/2.
-func (cc *chebCtx) evalRecurse(coeffs []float64, level int, scale float64) *ckks.Ciphertext {
-	ev := cc.ev
-	d := len(coeffs) - 1
-	if d < cc.m {
-		return cc.evalLeaf(coeffs, level, scale)
-	}
-	g := cc.largestGiant(d)
-
-	// Quotient: q_0 = c_g, q_j = 2·c_{g+j}.
-	q := make([]float64, d-g+1)
-	q[0] = coeffs[g]
-	for j := 1; j <= d-g; j++ {
-		q[j] = 2 * coeffs[g+j]
-	}
-	// Remainder: r_k = c_k minus the fold-down spill c_{g+j} at index g−j.
-	r := make([]float64, g)
-	copy(r, coeffs[:g])
-	for j := 1; j <= d-g; j++ {
-		r[g-j] -= coeffs[g+j]
-	}
-
-	tg := ev.DropLevel(cc.t[g], level+1)
-	qLevelScale := scale * float64(ev.Params().Q()[level+1]) / tg.Scale
-	qHat := cc.evalRecurse(q, level+1, qLevelScale)
-	prod := ev.Rescale(ev.MulRelin(qHat, tg))
-	rHat := cc.evalRecurse(r, level, prod.Scale)
-	return ev.Add(prod, rHat)
-}
-
-// evalLeaf combines baby powers with plaintext constants, landing at
-// exactly (level, ≈scale) after one Rescale.
-func (cc *chebCtx) evalLeaf(coeffs []float64, level int, scale float64) *ckks.Ciphertext {
-	ev := cc.ev
-	target := scale * float64(ev.Params().Q()[level+1])
-	var acc *ckks.Ciphertext
-	for k := 1; k < len(coeffs); k++ {
-		if math.Abs(coeffs[k]) < 1e-14 {
-			continue
-		}
-		tk := ev.DropLevel(cc.t[k], level+1)
-		term := ev.MulByConstReal(tk, coeffs[k], target/tk.Scale)
-		if acc == nil {
-			acc = term
-		} else {
-			acc = ev.Add(acc, term)
-		}
-	}
-	if acc == nil {
-		// All non-constant terms vanished: produce a zero at the target.
-		tk := ev.DropLevel(cc.t[1], level+1)
-		acc = ev.MulByConstReal(tk, 0, 1)
-		acc.Scale = target
-	}
-	acc = ev.AddConstReal(acc, coeffs[0])
-	return ev.Rescale(acc)
 }

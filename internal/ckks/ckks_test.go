@@ -384,6 +384,17 @@ func TestDropLevel(t *testing.T) {
 	if err := maxErr(a, got); err > 1e-6 {
 		t.Errorf("DropLevel error %.3g", err)
 	}
+	// The result is the caller's to mutate (Do's fault hooks do, in place):
+	// it shares no storage with its input, unlike the evaluator's internal
+	// limb views.
+	sum := ct.ComputeChecksum()
+	for i := range out.C0.Coeffs {
+		out.C0.Coeffs[i][0] ^= 1
+		out.C1.Coeffs[i][0] ^= 1
+	}
+	if ct.ComputeChecksum() != sum {
+		t.Error("mutating DropLevel's result changed its input")
+	}
 }
 
 func TestBetaDnum(t *testing.T) {

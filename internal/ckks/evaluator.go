@@ -452,6 +452,20 @@ func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) *Ciphertext {
 	return out
 }
 
+// atLevel is DropLevel without the copy: a view of ct's first level+1
+// limbs that shares ct's storage. It is for handing a higher-level
+// operand to an op that takes its level from the operand and only reads
+// it (MulByConstReal); binary ops already evaluate at the lower level of
+// the two and need neither. The view must not be written or returned.
+func (ct *Ciphertext) atLevel(level int) *Ciphertext {
+	return &Ciphertext{
+		C0:    &ring.Poly{Coeffs: ct.C0.Coeffs[:level+1], IsNTT: ct.C0.IsNTT},
+		C1:    &ring.Poly{Coeffs: ct.C1.Coeffs[:level+1], IsNTT: ct.C1.IsNTT},
+		Scale: ct.Scale,
+		Level: level,
+	}
+}
+
 // decomposeModUp performs the Decomp + ModUp front half of KeySwitch
 // (Algorithm 3 lines 1–2): it splits x into β digits and raises each to
 // the Q∪P basis. The result can be reused across many automorphisms —
@@ -869,7 +883,7 @@ func (ev *Evaluator) MatchScaleLevel(ct *Ciphertext, level int, targetScale floa
 	if ct.Level <= level {
 		panic(fmt.Sprintf("ckks: MatchScaleLevel level (got=%d, want>%d)", ct.Level, level))
 	}
-	adj := ev.DropLevel(ct, level+1)
+	adj := ct.atLevel(level + 1)
 	ratio := targetScale * float64(ev.params.Q()[level+1]) / adj.Scale
 	if ratio < 1 {
 		panic(fmt.Sprintf("ckks: MatchScaleLevel scale mismatch (got=ratio %.3g, want>=1)", ratio))

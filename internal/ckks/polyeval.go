@@ -3,27 +3,44 @@ package ckks
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/mathutil"
 )
 
-// Homomorphic polynomial evaluation in the power basis with the
-// Paterson–Stockmeyer baby-step/giant-step schedule: log-depth, ~2√d
-// ciphertext multiplications. This is the evaluator HELR's sigmoid and
-// similar activation polynomials run on. (Bootstrapping's EvalMod uses
-// the Chebyshev-basis variant in internal/bootstrap, which is better
-// conditioned for the high-degree sine; for the low-degree application
-// polynomials the power basis is simpler and exact.)
+// Homomorphic polynomial evaluation: the one executor of the
+// Paterson–Stockmeyer schedule mathutil.PSPlan describes. HELR's sigmoid
+// and similar low-degree activation polynomials come with monomial
+// coefficients, simple and exact at those degrees; bootstrapping's EvalMod
+// comes with Chebyshev coefficients, which are better conditioned for the
+// high-degree sine. The schedule is the same for both; the basis enters
+// in exactly two places, power and split.
 
-// polyEvalCtx carries the powers of the input ciphertext.
-type polyEvalCtx struct {
-	ev *Evaluator
-	x  map[int]*Ciphertext // x^k
-	m  int                 // baby-step bound (power of two)
+// Basis names the family a polynomial's coefficients are written in.
+type Basis int
+
+const (
+	// Monomial coefficients: p(x) = Σ c_k·xᵏ.
+	Monomial Basis = iota
+	// Chebyshev coefficients: p(x) = Σ c_k·T_k(x), slot values in [-1, 1].
+	Chebyshev
+)
+
+// polyEval carries one evaluation: the schedule and the basis elements
+// b_k (xᵏ or T_k(x)) built so far.
+type polyEval struct {
+	ev    *Evaluator
+	basis Basis
+	plan  mathutil.PSPlan
+	b     []*Ciphertext
 }
 
-// EvalPolynomial evaluates Σ c_k·xᵏ over the slots of ct. The slot values
-// should be O(1) in magnitude (the usual CKKS regime) so intermediate
-// powers stay encodable. Levels consumed: ≈ 2·log2(degree).
-func (ev *Evaluator) EvalPolynomial(ct *Ciphertext, coeffs []float64) *Ciphertext {
+// EvalPolynomial evaluates Σ c_k·b_k over the slots of ct, b_k = xᵏ or
+// T_k(x) as basis says. The slot values should be O(1) in magnitude (the
+// usual CKKS regime; within [-1, 1] for Chebyshev) so intermediate basis
+// elements stay encodable. The result lands near the input scale, exactly
+// the plan's depth below the input level (≈ 2·log2(degree)).
+func (ev *Evaluator) EvalPolynomial(ct *Ciphertext, basis Basis, coeffs []float64) *Ciphertext {
+	// Trim negligible high-order terms.
 	d := len(coeffs) - 1
 	for d > 0 && math.Abs(coeffs[d]) < 1e-14 {
 		d--
@@ -33,92 +50,85 @@ func (ev *Evaluator) EvalPolynomial(ct *Ciphertext, coeffs []float64) *Ciphertex
 		out := ev.MulByConstReal(ct, 0, 1)
 		return ev.AddConstReal(out, coeffs[0])
 	}
-	m := 1
-	for m*m < d+1 {
-		m <<= 1
+	plan := mathutil.NewPSPlan(d)
+	_, depth := plan.Cost()
+	if ct.Level < depth {
+		panic(fmt.Sprintf("ckks: EvalPolynomial level (got=%d, want>=%d for degree %d)", ct.Level, depth, d))
 	}
-	pe := &polyEvalCtx{ev: ev, x: map[int]*Ciphertext{1: ct}, m: m}
-	pe.genPowers(d)
-
-	minLvl := ct.Level
-	for _, xk := range pe.x {
-		if xk.Level < minLvl {
-			minLvl = xk.Level
-		}
+	pe := &polyEval{ev: ev, basis: basis, plan: plan, b: make([]*Ciphertext, d+1)}
+	pe.b[1] = ct
+	for _, s := range plan.Ladder {
+		pe.b[s.K] = pe.power(s.I, s.J)
 	}
-	rootLevel := minLvl - pe.depthOf(d)
-	if rootLevel < 0 {
-		panic(fmt.Sprintf("ckks: polynomial degree %d needs %d more levels", d, -rootLevel))
-	}
-	return pe.evalRecurse(coeffs, rootLevel, ct.Scale)
+	return pe.evalRecurse(coeffs, ct.Level-depth, ct.Scale)
 }
 
-// genPowers computes the baby powers x²…x^{m} and the giants x^{2m},
-// x^{4m}, … via x^{a+b} = x^a·x^b.
-func (pe *polyEvalCtx) genPowers(degree int) {
+// power builds b_{i+j} from b_i and b_j, rescaled once: xⁱ·xʲ, or
+// 2·T_i·T_j − T_{i−j} with T_0 = 1. MulRelin evaluates at the lower of
+// the two levels, so neither operand is truncated first.
+func (pe *polyEval) power(i, j int) *Ciphertext {
 	ev := pe.ev
-	mul := func(a, b *Ciphertext) *Ciphertext {
-		lvl := a.Level
-		if b.Level < lvl {
-			lvl = b.Level
+	prod := ev.MulRelin(pe.b[i], pe.b[j])
+	if pe.basis == Chebyshev {
+		prod = ev.Add(prod, prod)
+		if i == j {
+			prod = ev.AddConstReal(prod, -1)
+		} else {
+			// Scale-align T_{i−j} up to the product scale with an exact constant.
+			td := pe.b[i-j]
+			prod = ev.Sub(prod, ev.MulByConstReal(td.atLevel(prod.Level), 1, prod.Scale/td.Scale))
 		}
-		return ev.Rescale(ev.MulRelin(ev.DropLevel(a, lvl), ev.DropLevel(b, lvl)))
 	}
-	for k := 2; k <= pe.m; k++ {
-		pe.x[k] = mul(pe.x[(k+1)/2], pe.x[k/2])
-	}
-	for g := pe.m; 2*g <= degree; g *= 2 {
-		pe.x[2*g] = mul(pe.x[g], pe.x[g])
-	}
+	return ev.Rescale(prod)
 }
 
-func (pe *polyEvalCtx) largestGiant(degree int) int {
-	g := pe.m
-	for 2*g <= degree {
-		g *= 2
+// split divides p = b_g·q + r. Monomials split verbatim: q is c_g … c_d
+// and r is c_0 … c_{g−1}. In the Chebyshev basis T_g·T_j = (T_{g+j} +
+// T_{g−j})/2, so q_0 = c_g, q_j = 2·c_{g+j}, and each c_{g+j} folds down
+// onto r_{g−j}.
+func (pe *polyEval) split(coeffs []float64, g int) (q, r []float64) {
+	if pe.basis != Chebyshev {
+		return coeffs[g:], coeffs[:g]
 	}
-	return g
+	q = append([]float64(nil), coeffs[g:]...)
+	r = append([]float64(nil), coeffs[:g]...)
+	for j := 1; j < len(q); j++ {
+		q[j] *= 2
+		r[g-j] -= coeffs[g+j]
+	}
+	return q, r
 }
 
-func (pe *polyEvalCtx) depthOf(degree int) int {
-	if degree < pe.m {
-		return 1
-	}
-	g := pe.largestGiant(degree)
-	return max(1+pe.depthOf(degree-g), pe.depthOf(g-1))
-}
-
-// evalRecurse mirrors the Chebyshev recursion with the simpler monomial
-// split p = x^g·q + r: the quotient takes coefficients c_g…c_d verbatim
-// and the remainder is c_0…c_{g−1} untouched.
-func (pe *polyEvalCtx) evalRecurse(coeffs []float64, level int, scale float64) *Ciphertext {
+// evalRecurse evaluates the polynomial so the result lands at exactly
+// (level, ≈scale): q one level up, at the scale that brings its product
+// with b_g back to scale after the Rescale, then r at the product's level.
+func (pe *polyEval) evalRecurse(coeffs []float64, level int, scale float64) *Ciphertext {
 	ev := pe.ev
 	d := len(coeffs) - 1
-	if d < pe.m {
+	if d < pe.plan.Baby {
 		return pe.evalLeaf(coeffs, level, scale)
 	}
-	g := pe.largestGiant(d)
-	q := coeffs[g:]
-	r := coeffs[:g]
-
-	xg := ev.DropLevel(pe.x[g], level+1)
-	qScale := scale * float64(ev.Params().Q()[level+1]) / xg.Scale
-	qHat := pe.evalRecurse(q, level+1, qScale)
-	prod := ev.Rescale(ev.MulRelin(qHat, xg))
-	rHat := pe.evalRecurse(r, level, prod.Scale)
-	return ev.Add(prod, rHat)
+	g := pe.plan.Giant(d)
+	q, r := pe.split(coeffs, g)
+	bg := pe.b[g]
+	qHat := pe.evalRecurse(q, level+1, scale*float64(ev.params.Q()[level+1])/bg.Scale)
+	prod := ev.Rescale(ev.MulRelin(qHat, bg))
+	return ev.Add(prod, pe.evalRecurse(r, level, prod.Scale))
 }
 
-func (pe *polyEvalCtx) evalLeaf(coeffs []float64, level int, scale float64) *Ciphertext {
+// evalLeaf combines baby elements with plaintext constants, landing at
+// exactly (level, ≈scale) after one Rescale. Each b_k is read through a
+// limb view at level+1, never copied.
+func (pe *polyEval) evalLeaf(coeffs []float64, level int, scale float64) *Ciphertext {
 	ev := pe.ev
-	target := scale * float64(ev.Params().Q()[level+1])
+	target := scale * float64(ev.params.Q()[level+1])
 	var acc *Ciphertext
 	for k := 1; k < len(coeffs); k++ {
 		if math.Abs(coeffs[k]) < 1e-14 {
 			continue
 		}
-		xk := ev.DropLevel(pe.x[k], level+1)
-		term := ev.MulByConstReal(xk, coeffs[k], target/xk.Scale)
+		bk := pe.b[k]
+		term := ev.MulByConstReal(bk.atLevel(level+1), coeffs[k], target/bk.Scale)
 		if acc == nil {
 			acc = term
 		} else {
@@ -126,8 +136,8 @@ func (pe *polyEvalCtx) evalLeaf(coeffs []float64, level int, scale float64) *Cip
 		}
 	}
 	if acc == nil {
-		xk := ev.DropLevel(pe.x[1], level+1)
-		acc = ev.MulByConstReal(xk, 0, 1)
+		// All non-constant terms vanished: produce a zero at the target.
+		acc = ev.MulByConstReal(pe.b[1].atLevel(level+1), 0, 1)
 		acc.Scale = target
 	}
 	acc = ev.AddConstReal(acc, coeffs[0])

@@ -1,18 +1,21 @@
 package ckks
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
 )
 
+var basisName = map[Basis]string{Monomial: "monomial", Chebyshev: "chebyshev"}
+
 // polyTestContext builds a context with a deeper chain for polynomial
-// evaluation (degree 7 needs ~6 levels).
+// evaluation (degree 63 needs 9 levels).
 func polyTestContext(t *testing.T) (*testContext, *Evaluator) {
 	t.Helper()
 	params, err := NewParameters(ParametersLiteral{
 		LogN:     10,
-		LogQ:     []int{50, 40, 40, 40, 40, 40, 40, 40, 40},
+		LogQ:     []int{50, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40},
 		LogP:     []int{50, 50},
 		LogScale: 40,
 	})
@@ -34,7 +37,16 @@ func polyTestContext(t *testing.T) (*testContext, *Evaluator) {
 	return tc, NewEvaluator(params, &EvaluationKeySet{Rlk: rlk})
 }
 
-func evalPlain(coeffs []float64, x float64) float64 {
+// evalPlain evaluates Σ c_k·b_k(x) in the clear: Horner for monomials,
+// Clenshaw for Chebyshev.
+func evalPlain(basis Basis, coeffs []float64, x float64) float64 {
+	if basis == Chebyshev {
+		var b1, b2 float64
+		for k := len(coeffs) - 1; k >= 1; k-- {
+			b1, b2 = 2*x*b1-b2+coeffs[k], b1
+		}
+		return x*b1 - b2 + coeffs[0]
+	}
 	acc := 0.0
 	for k := len(coeffs) - 1; k >= 0; k-- {
 		acc = acc*x + coeffs[k]
@@ -42,35 +54,45 @@ func evalPlain(coeffs []float64, x float64) float64 {
 	return acc
 }
 
+// TestEvalPolynomialAgainstPlain is the executor's one table: every
+// (basis, degree) row is decrypted against the plain evaluation of the
+// same coefficients. Degrees sit on both sides of each change of shape in
+// the schedule: a single leaf (1), the first split (2, 3), a new baby
+// bound (4, 5, 16), a full giant ladder (15, 31, 63) and a ragged one (23).
+// No coefficient is zero, so no row is shortened by the trim.
 func TestEvalPolynomialAgainstPlain(t *testing.T) {
 	tc, ev := polyTestContext(t)
-	coeffs := []float64{0.3, -1.2, 0.5, 0.25, -0.125, 0.0625}
-
-	n := tc.params.Slots()
-	xs := make([]complex128, n)
+	rng := rand.New(rand.NewPCG(22, 1))
+	xs := make([]complex128, tc.params.Slots())
 	for i := range xs {
-		xs[i] = complex(rand.Float64()*2-1, 0)
+		xs[i] = complex(rng.Float64()*2-1, 0)
 	}
 	ct := tc.encSk.Encrypt(tc.enc.Encode(xs))
-	out := ev.EvalPolynomial(ct, coeffs)
 
-	got := tc.enc.Decode(tc.dec.DecryptToPlaintext(out))
-	worst := 0.0
-	for i := range xs {
-		want := evalPlain(coeffs, real(xs[i]))
-		if d := math.Abs(real(got[i]) - want); d > worst {
-			worst = d
+	for _, basis := range []Basis{Monomial, Chebyshev} {
+		for _, d := range []int{1, 2, 3, 4, 5, 7, 15, 16, 23, 31, 63} {
+			t.Run(fmt.Sprintf("%s/%d", basisName[basis], d), func(t *testing.T) {
+				coeffs := make([]float64, d+1)
+				for k := range coeffs {
+					coeffs[k] = (rng.Float64() - 0.4) / float64(k+1)
+				}
+				got := tc.enc.Decode(tc.dec.DecryptToPlaintext(ev.EvalPolynomial(ct, basis, coeffs)))
+				worst := 0.0
+				for i := range xs {
+					worst = max(worst, math.Abs(real(got[i])-evalPlain(basis, coeffs, real(xs[i]))))
+				}
+				if worst > 1e-4 {
+					t.Errorf("polynomial evaluation error %.3g too large", worst)
+				}
+			})
 		}
-	}
-	if worst > 1e-4 {
-		t.Errorf("polynomial evaluation error %.3g too large", worst)
 	}
 }
 
 func TestEvalPolynomialConstant(t *testing.T) {
 	tc, ev := polyTestContext(t)
 	ct := tc.encSk.Encrypt(tc.enc.Encode(randomValues(tc.params.Slots(), 1)))
-	out := ev.EvalPolynomial(ct, []float64{0.75})
+	out := ev.EvalPolynomial(ct, Monomial, []float64{0.75})
 	got := tc.enc.Decode(tc.dec.DecryptToPlaintext(out))
 	for i := 0; i < 8; i++ {
 		if d := math.Abs(real(got[i]) - 0.75); d > 1e-6 {
@@ -84,10 +106,14 @@ func TestEvalPolynomialTrimsZeroTail(t *testing.T) {
 	ct := tc.encSk.Encrypt(tc.enc.Encode(randomValues(tc.params.Slots(), 1)))
 	// The zero tail must not consume extra levels: degree-1 poly padded
 	// with zeros should leave the same level as unpadded.
-	a := ev.EvalPolynomial(ct, []float64{0.1, 0.9})
-	b := ev.EvalPolynomial(ct, []float64{0.1, 0.9, 0, 0, 0, 0, 0, 0})
+	a := ev.EvalPolynomial(ct, Monomial, []float64{0.1, 0.9})
+	b := ev.EvalPolynomial(ct, Monomial, []float64{0.1, 0.9, 0, 0, 0, 0, 0, 0})
 	if a.Level != b.Level {
 		t.Errorf("zero tail consumed levels: %d vs %d", a.Level, b.Level)
+	}
+	// Degree 1 is one leaf: a single Rescale, no square nothing reads.
+	if a.Level != ct.Level-1 {
+		t.Errorf("degree-1 polynomial went from level %d to %d, want one level", ct.Level, a.Level)
 	}
 }
 
@@ -103,7 +129,7 @@ func TestSigmoidDegree7(t *testing.T) {
 		xs[i] = complex(rand.Float64()*8-4, 0) // inputs in [-4, 4]
 	}
 	ct := tc.encSk.Encrypt(tc.enc.Encode(xs))
-	out := ev.EvalPolynomial(ct, coeffs)
+	out := ev.EvalPolynomial(ct, Monomial, coeffs)
 
 	got := tc.enc.Decode(tc.dec.DecryptToPlaintext(out))
 	worst := 0.0
@@ -121,7 +147,7 @@ func TestSigmoidDegree7(t *testing.T) {
 	}
 	approxErr := 0.0
 	for x := -4.0; x <= 4; x += 0.25 {
-		d := math.Abs(evalPlain(coeffs, x) - 1/(1+math.Exp(-x)))
+		d := math.Abs(evalPlain(Monomial, coeffs, x) - 1/(1+math.Exp(-x)))
 		if d > approxErr {
 			approxErr = d
 		}

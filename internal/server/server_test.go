@@ -341,3 +341,43 @@ func TestRetryAfterEstimate(t *testing.T) {
 		t.Errorf("backlogged retryAfterSec = %d, want clamped 5", got)
 	}
 }
+
+// TestSessionKeysReproducibleFromSeed: a TenantConfig.Seed fixes the
+// tenant's keys — two sessions built from one seed hold byte-identical
+// Galois key sets (key generation walks the sorted rotation-step list,
+// never a map) and rotate one ciphertext to the same bits.
+func TestSessionKeysReproducibleFromSeed(t *testing.T) {
+	cfg := TenantConfig{LogN: 10, Levels: 2, Rots: []int{7, 3, 100, 5}, Seed: "reproducible tenant"}
+	a, err := newSession("a", cfg, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := newSession("b", cfg, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ka, kb := a.ev.Keys().Galois, b.ev.Keys().Galois
+	if len(ka) != len(kb) {
+		t.Fatalf("%d vs %d Galois keys", len(ka), len(kb))
+	}
+	differ := 0
+	for g, gk := range ka {
+		var wa, wb bytes.Buffer
+		if _, err := gk.WriteTo(&wa); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := kb[g].WriteTo(&wb); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wa.Bytes(), wb.Bytes()) {
+			differ++
+		}
+	}
+	if differ > 0 {
+		t.Errorf("%d of %d Galois keys differ between two sessions on one seed", differ, len(ka))
+	}
+	ra, rb := a.ev.Rotate(a.canaryCt, 7), b.ev.Rotate(a.canaryCt, 7)
+	if !ra.C0.Equal(rb.C0) || !ra.C1.Equal(rb.C1) {
+		t.Error("two sessions on one seed rotate one ciphertext differently")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/cmplx"
+	"sort"
 	"sync"
 
 	"repro/internal/bootstrap"
@@ -129,25 +130,21 @@ func newSession(id string, cfg TenantConfig, chaos bool, rec *obs.Recorder) (*se
 	}
 
 	// Rotation set: the tenant's requested steps plus the InnerSum
-	// ladder. Keys are generated compressed so the evaluator's key vault
-	// (bounded by KeyBudgetBytes) demand-materializes the expanded
-	// halves.
-	steps := map[int]struct{}{}
+	// ladder (the key generator keys each Galois element once). Sorted, so
+	// the generator consumes its PRNG in one order and a Seed reproduces
+	// the tenant's keys bit for bit. Keys are generated compressed so the
+	// evaluator's key vault (bounded by KeyBudgetBytes) demand-materializes
+	// the expanded halves.
+	steps := ckks.InnerSumRotations(params.Slots())
 	for _, k := range cfg.Rots {
 		if k != 0 {
-			steps[k] = struct{}{}
+			steps = append(steps, k)
 		}
 	}
-	for _, k := range ckks.InnerSumRotations(params.Slots()) {
-		steps[k] = struct{}{}
-	}
-	stepList := make([]int, 0, len(steps))
-	for k := range steps {
-		stepList = append(stepList, k)
-	}
+	sort.Ints(steps)
 	rlk := kg.GenRelinearizationKey(sk, true)
 	rlk.DropExpanded()
-	gks := kg.GenGaloisKeys(stepList, sk)
+	gks := kg.GenGaloisKeys(steps, sk)
 
 	ev := ckks.NewEvaluator(params, &ckks.EvaluationKeySet{Rlk: rlk, Galois: gks},
 		ckks.WithWorkers(cfg.Workers), ckks.WithKeyBudget(cfg.KeyBudgetBytes), ckks.WithIntegrity())

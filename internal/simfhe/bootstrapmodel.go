@@ -1,6 +1,10 @@
 package simfhe
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/mathutil"
+)
 
 // Bootstrap cost model: Algorithm 4 composed from the primitive models,
 // with the level schedule tracked explicitly so each operation is charged
@@ -24,59 +28,11 @@ func (b BootstrapBreakdown) Total() Cost {
 	return b.ModRaise.Plus(b.CoeffToSlot).Plus(b.EvalMod).Plus(b.SlotToCoeff)
 }
 
-// chebMults returns the ciphertext–ciphertext multiplication count and
-// level depth of the baby-step/giant-step Chebyshev evaluation used by
-// EvalMod (mirroring internal/bootstrap's EvalChebyshev).
-func chebMults(degree int) (mults, depth int) {
-	if degree <= 0 {
-		return 0, 0
-	}
-	m := 1
-	for m*m < degree+1 {
-		m <<= 1
-	}
-	// Power ladder: T_2 … T_{m-1} plus the giants T_m, T_{2m}, …
-	mults = m - 2
-	if m >= 2 {
-		mults++ // T_m
-	}
-	powDepth := 0
-	{
-		dep := map[int]int{1: 0}
-		for k := 2; k <= m; k++ {
-			a, b := (k+1)/2, k/2
-			dep[k] = max(dep[a], dep[b]) + 1
-			powDepth = max(powDepth, dep[k])
-		}
-		for g := m; 2*g <= degree; g *= 2 {
-			dep[2*g] = dep[g] + 1
-			powDepth = max(powDepth, dep[2*g])
-			mults++
-		}
-	}
-	// Recursion internal nodes: ≈ one multiplication per leaf beyond the
-	// first.
-	leaves := (degree + m) / m
-	mults += leaves - 1
-	depth = powDepth + recursionDepth(degree, m)
-	return mults, depth
-}
-
-func recursionDepth(degree, m int) int {
-	if degree < m {
-		return 1
-	}
-	g := m
-	for 2*g <= degree {
-		g *= 2
-	}
-	return max(1+recursionDepth(degree-g, m), recursionDepth(g-1, m))
-}
-
 // EvalModDepth returns the levels consumed by the approximate modular
-// reduction (Chebyshev + double-angle).
+// reduction: the depth of the Paterson–Stockmeyer schedule the functional
+// evaluator runs for the sine polynomial, plus the double-angle steps.
 func (p Params) EvalModDepth() int {
-	_, d := chebMults(p.SineDegree)
+	_, d := mathutil.NewPSPlan(p.SineDegree).Cost()
 	return d + p.DoubleAngle
 }
 
@@ -162,7 +118,7 @@ func (c Ctx) bootstrapTree() (root *CostTree, limbsAfter int) {
 	// leaf scalar multiplications and constant adds at ≈ one per
 	// polynomial coefficient, then one free multiply-by-i plus one add
 	// recombine the halves.
-	mults, depth := chebMults(p.SineDegree)
+	mults, depth := mathutil.NewPSPlan(p.SineDegree).Cost()
 	mults += p.DoubleAngle
 	depth += p.DoubleAngle
 	var multCost Cost
