@@ -192,10 +192,7 @@ func (b *Bootstrapper) evalMod(ct *ckks.Ciphertext) *ckks.Ciphertext {
 	ev := b.ev
 	out := ev.EvalPolynomial(ct, ckks.Chebyshev, b.sineCoeffs)
 	for i := 0; i < b.bparams.DoubleAngle; i++ {
-		sq := ev.MulRelin(out, out)
-		sq = ev.Add(sq, sq)
-		sq = ev.AddConstReal(sq, -1)
-		out = ev.Rescale(sq)
+		out = ev.DoubleAngle(out)
 	}
 	return out
 }

@@ -107,7 +107,7 @@ func (d *homomorphicDFT) apply(ev *ckks.Evaluator, ct *ckks.Ciphertext) *ckks.Ci
 		if ct.Level > g.lt.Level {
 			ct = ev.DropLevel(ct, g.lt.Level)
 		}
-		ct = ev.Rescale(ev.EvalLinearTransform(ct, g.lt))
+		ct = ev.EvalLinearTransformRescale(ct, g.lt)
 	}
 	return ct
 }

@@ -423,6 +423,8 @@ func Run(cfg Config) (*Report, error) {
 	multEvents := h.trace(func() { _ = h.ev.Rescale(h.ev.MulRelin(h.ctA, h.ctB)) })
 	rep.Rows = append(rep.Rows, h.row("mult", mctx.Mult(cfg.Limbs), multEvents, false,
 		"functional MulRelin+Rescale vs model Mult (tensor, relin, recombine, rescale ×2)"))
+	// The merged Mul, for the moddown_merge toggle below.
+	mergedEvents := h.trace(func() { _ = h.ev.Mul(h.ctA, h.ctB) })
 
 	// Rescale window: a fresh unrescaled product, then window only the
 	// Rescale call itself.
@@ -527,6 +529,18 @@ func Run(cfg Config) (*Report, error) {
 	tOptC := memtrace.Measure(compEvents.events, cfg.geometry(keyLimbs), compEvents.classify)
 	rep.Toggles = append(rep.Toggles, newToggleRow("key_compress", mBase, mOpt, tBase, tOptC,
 		fmt.Sprintf("Rotate with materialized vs vault-expanded keys, %d-limb replay (= key working set); a halves regenerate on chip", keyLimbs)))
+
+	// --- Toggle 4: ModDownMerge (§3.2, Figure 4(c)). Off is the unfused
+	// composition the mult row gates, on is the evaluator's Mul: the lifts
+	// of d0 and d1 join the raised pair and one division by P·q_ℓ per half
+	// replaces the ModDown pair, the recombination adds and the Rescale.
+	// Same cache on both sides; the delta is the ℓ+1 transforms per half
+	// that no longer make their round trip, and the intermediate
+	// ciphertext that is never written.
+	mBase = cfg.modelCtx(simfhe.NoOpts(), cfg.CacheLimbs).Mult(cfg.Limbs)
+	mOpt = cfg.modelCtx(simfhe.OptSet{ModDownMerge: true}, cfg.CacheLimbs).Mult(cfg.Limbs)
+	rep.Toggles = append(rep.Toggles, newToggleRow("moddown_merge", mBase, mOpt, h.measure(multEvents), h.measure(mergedEvents),
+		"Rescale(MulRelin) vs Mul, same cache; one division by P·q_ℓ per half closes the product"))
 
 	if cfg.Bootstrap {
 		if err := bootstrapRows(cfg, rep); err != nil {

@@ -31,10 +31,17 @@ func TestCalibrationTolerance(t *testing.T) {
 				100*rep.Config.Tolerance)
 		}
 	}
+	seen := map[string]bool{}
 	for _, tg := range rep.Toggles {
+		seen[tg.Name] = true
 		if !tg.Agree {
 			t.Errorf("toggle %s: modeled %+.1f%% but measured %+.1f%% (directions differ)",
 				tg.Name, tg.ModeledPct, tg.MeasuredPct)
+		}
+	}
+	for _, name := range []string{"cache_beta", "cache_alpha", "key_compress", "moddown_merge"} {
+		if !seen[name] {
+			t.Errorf("toggle %s missing from the report", name)
 		}
 	}
 }

@@ -6,8 +6,8 @@ package calib
 // explicit Mult and RotateHoisted probes) with the recorder, the
 // memtrace tracer and the cost ledger all attached, then aggregates
 // every *top-level* op span — a kind-mapped span with no kind-mapped
-// ancestor, so a Mult owns its nested MulRelin/Rescale children instead
-// of double-counting them — into a per-kind table: predicted bytes (the
+// ancestor, so a Rotate owns its nested KeySwitch instead of
+// double-counting it — into a per-kind table: predicted bytes (the
 // span's pred.bytes ledger attribute, summed) vs measured bytes (the
 // span's memtrace window [trace.begin, trace.end) replayed through the
 // same cache simulator the calibration gate uses).
@@ -42,9 +42,10 @@ type DriftConfig struct {
 
 	// MultProbes is the number of explicit top-level probes prepended to
 	// the workload, each one Mult and one RotateHoisted: the bootstrap
-	// pipeline itself always splits Mult into MulRelin + Rescale and
-	// rotates only inside its linear transforms (which carry no
-	// prediction), so the two kinds need their own probes.
+	// pipeline rotates only inside its linear transforms (which carry no
+	// prediction), and its Mults all sit inside EvalMod, most with a
+	// Chebyshev correction the model does not price; the probes are the
+	// plain instances of both kinds.
 	MultProbes int
 }
 

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/bootstrap"
+	"repro/internal/mathutil"
 )
 
 // TestDriftBootstrapGate is the acceptance gate for the cost-ledger
@@ -33,10 +36,15 @@ func TestDriftBootstrapGate(t *testing.T) {
 	for _, k := range rep.Kinds {
 		kinds[k.Kind] = k
 	}
-	for _, want := range []string{"Mult", "MulRelin", "Rescale", "RotateHoisted"} {
+	for _, want := range []string{"Mult", "Rescale", "Conjugate", "RotateHoisted"} {
 		if _, ok := kinds[want]; !ok {
 			t.Errorf("kind %q missing from drift report", want)
 		}
+	}
+	// No library code composes the unfused pair any more: every product of
+	// the bootstrap is a merged Mult.
+	if k, ok := kinds["MulRelin"]; ok {
+		t.Errorf("%d top-level MulRelin spans in a bootstrap, want none", k.Count)
 	}
 	for _, kind := range []string{"Mult", "Rescale"} {
 		k := kinds[kind]
@@ -47,10 +55,16 @@ func TestDriftBootstrapGate(t *testing.T) {
 			t.Errorf("%s: delta %+.1f%% outside the calibrated ±20%% window", kind, k.DeltaPct)
 		}
 	}
-	for _, kind := range []string{"Mult", "RotateHoisted"} {
-		if k := kinds[kind]; k.Count != DefaultDriftConfig().MultProbes {
-			t.Errorf("%s count = %d, want %d probes", kind, k.Count, DefaultDriftConfig().MultProbes)
-		}
+	probes := DefaultDriftConfig().MultProbes
+	if k := kinds["RotateHoisted"]; k.Count != probes {
+		t.Errorf("RotateHoisted count = %d, want %d probes", k.Count, probes)
+	}
+	// Mult: the probes, plus per EvalMod half the sine polynomial's
+	// non-scalar products and one per double-angle step.
+	bp := bootstrap.DefaultParameters()
+	sineMults, _ := mathutil.NewPSPlan(bp.SineDegree).Cost()
+	if k, want := kinds["Mult"], probes+2*(sineMults+bp.DoubleAngle); k.Count != want {
+		t.Errorf("Mult count = %d, want %d (probes + 2 EvalMod halves)", k.Count, want)
 	}
 	// The model's limb-transform count must match the kernel counters
 	// exactly for the compute-structured kinds: any mismatch means span

@@ -31,8 +31,8 @@ type Evaluator struct {
 	workers int
 
 	// rec, when non-nil, receives a hierarchical span per primitive
-	// ("ckks.Mult" owns its "ckks.Rescale"/"ckks.KeySwitch" children,
-	// which own the rns sub-op and ring worker spans) and the counters
+	// ("ckks.Rotate" owns its "ckks.KeySwitch", which owns the rns sub-op,
+	// key-product and ring worker spans) and the counters
 	// "ckks.ntt" (limb-sized (i)NTT invocations, counted analytically at
 	// the converter call sites), "ckks.keyswitch", "ckks.mult",
 	// "ckks.rotate", "ckks.rescale", "ckks.limbs" and "ckks.key.bytes"
@@ -394,19 +394,53 @@ func (ev *Evaluator) MulByConstReal(ct *Ciphertext, c float64, constScale float6
 // AddConstReal adds the real constant c to every slot, encoding it at the
 // ciphertext's own scale (no level or scale change).
 func (ev *Evaluator) AddConstReal(ct *Ciphertext, c float64) *Ciphertext {
-	rQ := ev.params.RingQ().AtLevel(ct.Level)
 	out := ct.CopyNew()
+	ev.addConst(out, c)
+	return out
+}
+
+// addConst is AddConstReal in place, for a ciphertext the caller owns.
+func (ev *Evaluator) addConst(ct *Ciphertext, c float64) {
+	rQ := ev.params.RingQ().AtLevel(ct.Level)
 	v := math.Round(c * ct.Scale)
 	for i, s := range rQ.SubRings {
 		ci := mathutil.ReduceFloat(v, s.Q)
-		oi := out.C0.Coeffs[i]
+		oi := ct.C0.Coeffs[i]
 		// In NTT form a constant polynomial is the same constant in every
 		// slot, so the broadcast add is exact.
 		for j := 0; j < rQ.N; j++ {
 			oi[j] = mathutil.AddMod(oi[j], ci, s.Q)
 		}
 	}
-	return out
+}
+
+// mulByConstThenAdd is acc += MulByConstReal(ct, c, constScale) in one
+// pass and no temporary: the same modular sum as Add of the two, limb for
+// limb. ct is read at acc's level; acc must already carry the product's
+// scale.
+func (ev *Evaluator) mulByConstThenAdd(ct *Ciphertext, c, constScale float64, acc *Ciphertext) {
+	if !sameScale(acc.Scale, ct.Scale*constScale) {
+		panic(fmt.Sprintf("ckks: Add scale mismatch (got=2^%.2f, want=2^%.2f)", log2(ct.Scale*constScale), log2(acc.Scale)))
+	}
+	rQ := ev.params.RingQ().AtLevel(acc.Level)
+	scaled := math.Round(c * constScale)
+	for i, s := range rQ.SubRings {
+		w := mathutil.ReduceFloat(scaled, s.Q)
+		ev.mulScalarThenAddLimb(s, ct.C0.Coeffs[i], w, acc.C0.Coeffs[i])
+		ev.mulScalarThenAddLimb(s, ct.C1.Coeffs[i], w, acc.C1.Coeffs[i])
+	}
+}
+
+// mulScalarThenAddLimb sets acc[j] += w·x[j] mod q over one limb.
+func (ev *Evaluator) mulScalarThenAddLimb(s *ring.SubRing, x []uint64, w uint64, acc []uint64) {
+	x, acc = x[:s.N], acc[:s.N]
+	ws := mathutil.ShoupPrecomp(w, s.Q)
+	ev.tr.Read(x)
+	ev.tr.Read(acc)
+	for j, xj := range x {
+		acc[j] = mathutil.AddMod(acc[j], mathutil.MulModShoup(xj, w, ws, s.Q), s.Q)
+	}
+	ev.tr.Write(acc)
 }
 
 // Rescale divides the ciphertext by its top limb modulus (Table 2's
@@ -658,7 +692,9 @@ func (ev *Evaluator) keySwitchRaised(level int, x *ring.Poly, swk *SwitchingKey)
 	conv := ev.params.Converter()
 	u, v = conv.GetPolyQP(level), conv.GetPolyQP(level)
 	digits := ev.decomposeModUp(level, x, ev.workers)
+	child := ev.rec.StartLinked("ckks.ks.product")
 	ev.kskInnerProduct(level, digits, nil, swk, u, v, ev.workers)
+	child.End()
 	ev.putDigits(digits)
 	return u, v
 }
@@ -696,40 +732,6 @@ func (ev *Evaluator) KeySwitch(level int, x *ring.Poly, swk *SwitchingKey) (p0, 
 	conv.PutPolyQP(u)
 	conv.PutPolyQP(v)
 	return p0, p1
-}
-
-// MulRelin returns ct0·ct1, relinearized with the evaluator's
-// relinearization key, without the trailing Rescale (Table 2's Mult is
-// MulRelin followed by Rescale; keeping them separate lets callers batch
-// additions at the doubled scale first).
-func (ev *Evaluator) MulRelin(ct0, ct1 *Ciphertext) *Ciphertext {
-	if ev.keys.Rlk == nil {
-		panic("ckks: relinearization key missing (got=nil, want=key)")
-	}
-	level := minLevel(ct0, ct1)
-	sp := ev.startOp("MulRelin", level, ct0.Scale, 0)
-	defer ev.endOp(sp)
-	ev.rec.Add("ckks.mult", 1)
-	rQ := ev.params.RingQ().AtLevel(level)
-
-	d0, d1, d2 := rQ.NewPoly(), rQ.NewPoly(), rQ.NewPoly()
-	rQ.MulCoeffs(ct0.C0, ct1.C0, d0)
-	rQ.MulCoeffs(ct0.C0, ct1.C1, d1)
-	rQ.MulCoeffsThenAdd(ct0.C1, ct1.C0, d1)
-	rQ.MulCoeffs(ct0.C1, ct1.C1, d2)
-
-	p0, p1 := ev.KeySwitch(level, d2, &ev.keys.Rlk.SwitchingKey)
-	out := &Ciphertext{C0: rQ.NewPoly(), C1: rQ.NewPoly(), Scale: ct0.Scale * ct1.Scale, Level: level}
-	rQ.Add(d0, p0, out.C0)
-	rQ.Add(d1, p1, out.C1)
-	return out
-}
-
-// Mul is the full Table 2 Mult: tensor, relinearize, rescale.
-func (ev *Evaluator) Mul(ct0, ct1 *Ciphertext) *Ciphertext {
-	sp := ev.startOp("Mult", minLevel(ct0, ct1), ct0.Scale, 0)
-	defer ev.endOp(sp)
-	return ev.Rescale(ev.MulRelin(ct0, ct1))
 }
 
 // galoisKey fetches the Galois key for element g.
@@ -848,30 +850,6 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) map[int]*Ciphert
 		out[j.k] = results[idx]
 	}
 	ev.putDigits(digits)
-	return out
-}
-
-// Square returns ct² relinearized (no rescale): the tensor step exploits
-// symmetry (d1 = 2·a0·a1), saving one of Mult's four pointwise products.
-func (ev *Evaluator) Square(ct *Ciphertext) *Ciphertext {
-	if ev.keys.Rlk == nil {
-		panic("ckks: relinearization key missing (got=nil, want=key)")
-	}
-	level := ct.Level
-	sp := ev.startOp("Square", level, ct.Scale, 0)
-	defer ev.endOp(sp)
-	rQ := ev.params.RingQ().AtLevel(level)
-
-	d0, d1, d2 := rQ.NewPoly(), rQ.NewPoly(), rQ.NewPoly()
-	rQ.MulCoeffs(ct.C0, ct.C0, d0)
-	rQ.MulCoeffs(ct.C0, ct.C1, d1)
-	rQ.Add(d1, d1, d1)
-	rQ.MulCoeffs(ct.C1, ct.C1, d2)
-
-	p0, p1 := ev.KeySwitch(level, d2, &ev.keys.Rlk.SwitchingKey)
-	out := &Ciphertext{C0: rQ.NewPoly(), C1: rQ.NewPoly(), Scale: ct.Scale * ct.Scale, Level: level}
-	rQ.Add(d0, p0, out.C0)
-	rQ.Add(d1, p1, out.C1)
 	return out
 }
 

@@ -4,6 +4,7 @@ package ckks
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -29,6 +30,40 @@ func TestKskInnerProductAllocFree(t *testing.T) {
 		ev.kskInnerProduct(level, digits, nil, swk, u, v, 1)
 	}); avg >= 1 {
 		t.Errorf("kskInnerProduct allocates %.2f times per call in steady state", avg)
+	}
+}
+
+// TestMulRelinAllocatesOnlyItsOutput: the raised tensor core draws d0, d1,
+// d2, the raised digits and the raised pair from pools, so a steady-state
+// MulRelin allocates its two output polynomials and nothing else
+// ciphertext-sized (less than one limb of bookkeeping), and the merged Mul
+// the same at one level down. GC is held off so the pools are not drained
+// mid-run; the best of a few tries discards a goroutine migration's misses.
+func TestMulRelinAllocatesOnlyItsOutput(t *testing.T) {
+	tc, ev := checkedTestEval(t)
+	a, b := encryptRandom(tc), encryptRandom(tc)
+	limb := uint64(8 * tc.params.N())
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, c := range []struct {
+		op    string
+		call  func()
+		limbs uint64
+	}{
+		{"MulRelin", func() { ev.MulRelin(a, b) }, uint64(2 * (a.Level + 1))},
+		{"Mul", func() { ev.Mul(a, b) }, uint64(2 * a.Level)},
+	} {
+		c.call() // warm the pools
+		best := ^uint64(0)
+		var m0, m1 runtime.MemStats
+		for try := 0; try < 5; try++ {
+			runtime.ReadMemStats(&m0)
+			c.call()
+			runtime.ReadMemStats(&m1)
+			best = min(best, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		if best >= (c.limbs+1)*limb {
+			t.Errorf("%s allocates %d B, want its %d output limbs (%d B) and under one limb more", c.op, best, c.limbs, c.limbs*limb)
+		}
 	}
 }
 

@@ -66,30 +66,20 @@ func TestEvaluatorSpanHierarchyWithLedger(t *testing.T) {
 	if mult.Parent != 0 {
 		t.Errorf("Mult should be a root span, parent = %d", mult.Parent)
 	}
-	// The Mult span owns its constituent ops: MulRelin directly, Rescale
-	// and KeySwitch transitively (KeySwitch nests under MulRelin).
-	byID := map[uint64]obs.SpanRecord{}
-	for _, sp := range snap.Spans {
-		byID[sp.ID] = sp
-	}
-	isDescendantOfMult := func(sp obs.SpanRecord) bool {
-		for p := sp.Parent; p != 0; p = byID[p].Parent {
-			if p == mult.ID {
-				return true
-			}
-			if _, ok := byID[p]; !ok {
-				return false
-			}
-		}
-		return false
-	}
+	// The merged Mult composes no unfused op: its children are the tensor,
+	// key-product and lift stages and the rns spans, all directly under it.
 	for _, name := range []string{"ckks.MulRelin", "ckks.Rescale", "ckks.KeySwitch"} {
+		if _, ok := byName[name]; ok {
+			t.Errorf("%s span under a merged Mult", name)
+		}
+	}
+	for _, name := range []string{"ckks.mult.tensor", "ckks.ks.product", "ckks.mult.lift", "rns.ModUpDigit", "rns.ModDown"} {
 		sp, ok := byName[name]
 		if !ok {
 			t.Fatalf("no %s span", name)
 		}
-		if !isDescendantOfMult(sp) {
-			t.Errorf("%s (parent %d) is not a descendant of Mult %d", name, sp.Parent, mult.ID)
+		if sp.Parent != mult.ID {
+			t.Errorf("%s (parent %d) is not a child of Mult %d", name, sp.Parent, mult.ID)
 		}
 	}
 
@@ -122,10 +112,23 @@ func TestEvaluatorSpanHierarchyWithLedger(t *testing.T) {
 		t.Errorf("measured/predicted = %.2f (meas %d, pred %d): attribution window looks wrong", ratio, meas, wantPred.Bytes)
 	}
 
-	// Nested op spans carry their own predictions (the drift harness
-	// relies on the children being annotated too).
-	if _, ok := byName["ckks.Rescale"].Attrs["pred.bytes"]; !ok {
-		t.Error("Rescale span missing pred.bytes")
+	// The prediction is the merged tree's: the model's limb-transform count
+	// is the one the kernels ran.
+	if got := mult.Counters["ring.ntt"] + mult.Counters["ring.intt"]; got != wantPred.NTT {
+		t.Errorf("Mult ran %d limb transforms, the model predicts %d", got, wantPred.NTT)
+	}
+
+	// The unfused composition still carries its own predictions, the
+	// children annotated too (the drift harness relies on it).
+	rec.Reset()
+	ev.Rescale(ev.MulRelin(ct0, ct1))
+	for _, sp := range rec.Snapshot().Spans {
+		byName[sp.Name] = sp
+	}
+	for _, name := range []string{"ckks.MulRelin", "ckks.Rescale"} {
+		if _, ok := byName[name].Attrs["pred.bytes"]; !ok {
+			t.Errorf("%s span missing pred.bytes", name)
+		}
 	}
 }
 

@@ -218,18 +218,35 @@ func (s *ltPartial) add(rQ, rP *ring.Ring, conv *rns.Converter, u, v rns.PolyQP,
 //     Decomp+ModUp and one gathered key product by its giant step, whose
 //     raised output joins the same accumulator (its rotated c0 half is
 //     summed in Q);
-//  5. one ModDown pair closes the op.
+//  5. one ModDown pair closes the op (the c0 sum joins the raised u half
+//     first, through the free lift).
 //
 // ModUps = ModDown pairs = 1 + #non-zero giant steps; keyed products =
 // #non-zero baby steps + #non-zero giant steps, each holding its key only
 // for the product, so the transform runs inside any key budget. The result
-// carries scale ct.Scale·lt.Scale; the caller owes one Rescale.
+// carries scale ct.Scale·lt.Scale; the caller owes one Rescale
+// (EvalLinearTransformRescale pays it inside the closing division).
 //
 // Baby steps and giant groups fan out across workers, each worker summing
 // its groups into its own accumulators, merged in worker order afterwards.
 // Every sum is exact modular addition, so the result is bit-identical for
 // every worker count.
 func (ev *Evaluator) EvalLinearTransform(ct *Ciphertext, lt *LinearTransform) *Ciphertext {
+	return ev.evalLinearTransform(ct, lt, (*Evaluator).lower)
+}
+
+// EvalLinearTransformRescale is Rescale(EvalLinearTransform(ct, lt)), bit
+// for bit, with the closing ModDown pair and the Rescale merged into one
+// division by P·q_ℓ per half (MAD §3.2): what a DFT stage of bootstrapping
+// wants. ct must be above level 0.
+func (ev *Evaluator) EvalLinearTransformRescale(ct *Ciphertext, lt *LinearTransform) *Ciphertext {
+	requireRescalable(ct.Level)
+	return ev.evalLinearTransform(ct, lt, (*Evaluator).lowerRescale)
+}
+
+// evalLinearTransform is the one transform body; close is the closer its
+// raised result ends in.
+func (ev *Evaluator) evalLinearTransform(ct *Ciphertext, lt *LinearTransform, close func(*Evaluator, raisedCt) *Ciphertext) *Ciphertext {
 	if ct.Level > lt.Level {
 		panic(fmt.Sprintf("ckks: EvalLinearTransform level (got=%d, want<=%d)", ct.Level, lt.Level))
 	}
@@ -243,11 +260,14 @@ func (ev *Evaluator) EvalLinearTransform(ct *Ciphertext, lt *LinearTransform) *C
 	sp := ev.startOp("LinearTransform", level, ct.Scale, lt.diagonals)
 	defer ev.endOp(sp)
 	sp.SetAttr("lt.n1", float64(lt.N1))
-	out := &Ciphertext{Scale: ct.Scale * lt.Scale, Level: level}
 	if len(lt.groups) == 0 { // no diagonals: the zero map
-		out.C0, out.C1 = rQ.NewPoly(), rQ.NewPoly()
-		out.C0.IsNTT, out.C1.IsNTT = true, true
-		return out
+		zero := raisedCt{u: conv.GetPolyQP(level), v: conv.GetPolyQP(level), level: level, scale: ct.Scale * lt.Scale}
+		for _, p := range [2]rns.PolyQP{zero.u, zero.v} {
+			p.Q.Zero()
+			p.P.Zero()
+			p.Q.IsNTT, p.P.IsNTT = true, true
+		}
+		return close(ev, zero)
 	}
 
 	// Resolve every Galois key here (nil for the unkeyed step 0): a missing
@@ -323,15 +343,13 @@ func (ev *Evaluator) EvalLinearTransform(ct *Ciphertext, lt *LinearTransform) *C
 		sum.add(rQ, rP, conv, part.u, part.v, part.c0)
 	}
 
-	// Step 5: the closing ModDown pair.
-	out.C0, out.C1 = ev.keySwitchDown(level, sum.u, sum.v, ev.workers)
-	conv.PutPolyQP(sum.u)
-	conv.PutPolyQP(sum.v)
+	// Step 5: close. ⌊(u + P·c0)/P⌋ = ⌊u/P⌋ + c0, so the Q-basis c0 sum
+	// rides the division instead of waiting for its output.
 	if sum.c0 != nil {
-		rQ.Add(out.C0, sum.c0, out.C0)
+		ev.addLifted(level, sum.c0, sum.u)
 		rQ.PutScratch(sum.c0)
 	}
-	return out
+	return close(ev, raisedCt{u: sum.u, v: sum.v, level: level, scale: ct.Scale * lt.Scale})
 }
 
 // EvalLinearTransformHoistedModDown is EvalLinearTransform under the name
@@ -380,10 +398,7 @@ func (ev *Evaluator) hoistedStepRaised(level int, ct *Ciphertext, digits []rns.P
 	// Add P·σ(c0) to the u half so (u, v) is the raised rotation.
 	c0r := rQ.GetScratch()
 	rQ.AutomorphismNTT(ct.C0, gk.GaloisEl, c0r)
-	lifted := conv.GetPolyQP(level)
-	conv.PModUp(level, c0r, lifted, workers)
-	rQ.Add(u.Q, lifted.Q, u.Q)
+	ev.addLifted(level, c0r, u)
 	rQ.PutScratch(c0r)
-	conv.PutPolyQP(lifted)
 	return u, v
 }

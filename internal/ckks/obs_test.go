@@ -22,18 +22,37 @@ func obsTestEvaluator(t *testing.T) (*Evaluator, *obs.Recorder, *Ciphertext, *Ci
 	return ev, rec, ct0, ct1
 }
 
-// TestRecorderCountsMult: one Mul must emit the Mult/MulRelin/KeySwitch/
-// Rescale spans and counter totals that match the analytic accounting at
-// the operation's level.
+// TestRecorderCountsMult: one Mul is one ckks.Mult span that decomposes
+// into tensor, ModUp, key product, lift and the two merged divisions —
+// no nested MulRelin/KeySwitch/Rescale op any more — with counter totals
+// that match the analytic accounting at the operation's level.
 func TestRecorderCountsMult(t *testing.T) {
 	ev, rec, ct0, ct1 := obsTestEvaluator(t)
 	level := ct0.Level
 	ev.Mul(ct0, ct1)
 
 	snap := rec.Snapshot()
-	for _, name := range []string{"ckks.Mult", "ckks.MulRelin", "ckks.KeySwitch", "ckks.Rescale"} {
-		if n := len(snap.SpansNamed(name)); n != 1 {
-			t.Errorf("got %d %s spans, want 1", n, name)
+	beta := ev.Params().Beta(level)
+	mult := snap.SpansNamed("ckks.Mult")
+	if len(mult) != 1 {
+		t.Fatalf("got %d ckks.Mult spans, want 1", len(mult))
+	}
+	children := map[string]int{}
+	for _, sp := range snap.Spans {
+		if sp.Parent == mult[0].ID {
+			children[sp.Name]++
+		}
+	}
+	for name, want := range map[string]int{
+		"ckks.mult.tensor": 1, "rns.ModUpDigit": beta, "ckks.ks.product": 1, "ckks.mult.lift": 1, "rns.ModDown": 2,
+	} {
+		if children[name] != want {
+			t.Errorf("%d %s children of Mult, want %d (all children: %v)", children[name], name, want, children)
+		}
+	}
+	for _, name := range []string{"ckks.MulRelin", "ckks.KeySwitch", "ckks.Rescale", "rns.Rescale"} {
+		if n := len(snap.SpansNamed(name)); n != 0 {
+			t.Errorf("got %d %s spans, want 0: the merged Mult composes no unfused op", n, name)
 		}
 	}
 	if got := rec.Counter("ckks.mult"); got != 1 {
@@ -45,17 +64,16 @@ func TestRecorderCountsMult(t *testing.T) {
 	if got := rec.Counter("ckks.rescale"); got != 1 {
 		t.Errorf("ckks.rescale = %d, want 1", got)
 	}
-	// Analytic NTT total: decomposeModUp β·(level+1+kP), two ModDowns
-	// 2·(kP+level+1), Rescale 2·(1+level).
+	// Analytic NTT total: decomposeModUp β·(level+1+kP), then per half one
+	// division by P·q_ℓ — kP+1 iNTTs of the dropped limbs, level forward
+	// NTTs of the corrections. The unfused pair paid 2·(level+1) more.
 	kP := len(ev.Params().RingP().Moduli)
-	beta := ev.Params().Beta(level)
-	want := uint64(beta*(level+1+kP) + 2*(kP+level+1) + 2*(1+level))
+	want := uint64(beta*(level+1+kP) + 2*(kP+1+level))
 	if got := rec.Counter("ckks.ntt"); got != want {
 		t.Errorf("ckks.ntt = %d, want %d", got, want)
 	}
 	// The Mult span's counter deltas attribute the whole operation.
-	sp := snap.SpansNamed("ckks.Mult")[0]
-	if got := sp.Counters["ckks.ntt"]; got != want {
+	if got := mult[0].Counters["ckks.ntt"]; got != want {
 		t.Errorf("Mult span ntt delta = %d, want %d", got, want)
 	}
 }

@@ -64,22 +64,24 @@ func (ev *Evaluator) EvalPolynomial(ct *Ciphertext, basis Basis, coeffs []float6
 }
 
 // power builds b_{i+j} from b_i and b_j, rescaled once: xⁱ·xʲ, or
-// 2·T_i·T_j − T_{i−j} with T_0 = 1. MulRelin evaluates at the lower of
-// the two levels, so neither operand is truncated first.
+// 2·T_i·T_j − T_{i−j} with T_0 = 1. The product evaluates at the lower
+// of the two levels, so neither operand is truncated first, and the
+// Chebyshev correction is applied to the raised product, before its one
+// division by P·q_ℓ.
 func (pe *polyEval) power(i, j int) *Ciphertext {
 	ev := pe.ev
-	prod := ev.MulRelin(pe.b[i], pe.b[j])
-	if pe.basis == Chebyshev {
-		prod = ev.Add(prod, prod)
-		if i == j {
-			prod = ev.AddConstReal(prod, -1)
-		} else {
-			// Scale-align T_{i−j} up to the product scale with an exact constant.
-			td := pe.b[i-j]
-			prod = ev.Sub(prod, ev.MulByConstReal(td.atLevel(prod.Level), 1, prod.Scale/td.Scale))
-		}
+	switch {
+	case pe.basis != Chebyshev:
+		return ev.Mul(pe.b[i], pe.b[j])
+	case i == j:
+		return ev.DoubleAngle(pe.b[i])
 	}
-	return ev.Rescale(prod)
+	return ev.mulRescale(pe.b[i], pe.b[j], func(r raisedCt) {
+		ev.doubleRaised(r)
+		// Scale-align T_{i−j} up to the product scale with an exact constant.
+		td := pe.b[i-j]
+		ev.subScaledRaised(r, td, r.scale/td.Scale)
+	})
 }
 
 // split divides p = b_g·q + r. Monomials split verbatim: q is c_g … c_d
@@ -112,13 +114,14 @@ func (pe *polyEval) evalRecurse(coeffs []float64, level int, scale float64) *Cip
 	q, r := pe.split(coeffs, g)
 	bg := pe.b[g]
 	qHat := pe.evalRecurse(q, level+1, scale*float64(ev.params.Q()[level+1])/bg.Scale)
-	prod := ev.Rescale(ev.MulRelin(qHat, bg))
+	prod := ev.Mul(qHat, bg)
 	return ev.Add(prod, pe.evalRecurse(r, level, prod.Scale))
 }
 
 // evalLeaf combines baby elements with plaintext constants, landing at
 // exactly (level, ≈scale) after one Rescale. Each b_k is read through a
-// limb view at level+1, never copied.
+// limb view at level+1, never copied: the first term allocates the
+// accumulator and every later one is a fused acc += c_k·b_k pass.
 func (pe *polyEval) evalLeaf(coeffs []float64, level int, scale float64) *Ciphertext {
 	ev := pe.ev
 	target := scale * float64(ev.params.Q()[level+1])
@@ -127,12 +130,11 @@ func (pe *polyEval) evalLeaf(coeffs []float64, level int, scale float64) *Cipher
 		if math.Abs(coeffs[k]) < 1e-14 {
 			continue
 		}
-		bk := pe.b[k]
-		term := ev.MulByConstReal(bk.atLevel(level+1), coeffs[k], target/bk.Scale)
+		bk := pe.b[k].atLevel(level + 1)
 		if acc == nil {
-			acc = term
+			acc = ev.MulByConstReal(bk, coeffs[k], target/bk.Scale)
 		} else {
-			acc = ev.Add(acc, term)
+			ev.mulByConstThenAdd(bk, coeffs[k], target/bk.Scale, acc)
 		}
 	}
 	if acc == nil {
@@ -140,7 +142,7 @@ func (pe *polyEval) evalLeaf(coeffs []float64, level int, scale float64) *Cipher
 		acc = ev.MulByConstReal(pe.b[1].atLevel(level+1), 0, 1)
 		acc.Scale = target
 	}
-	acc = ev.AddConstReal(acc, coeffs[0])
+	ev.addConst(acc, coeffs[0])
 	return ev.Rescale(acc)
 }
 

@@ -83,7 +83,12 @@ func (m *Model) PredictOp(kind string, limbs, fanout int) (obs.OpCost, bool) {
 	var c simfhe.Cost
 	switch kind {
 	case "Mult":
-		c = m.ctx.Mult(limbs)
+		// The evaluator's Mul closes with the merged ModDown (§3.2): price
+		// that tree. MulRelin, Rescale and KeySwitch stay the unfused ops
+		// they still are.
+		merged := m.ctx
+		merged.Opts.ModDownMerge = true
+		c = merged.Mult(limbs)
 	case "MulRelin", "Square":
 		c = m.ctx.MulRelin(limbs)
 	case "Rescale":

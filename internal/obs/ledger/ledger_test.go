@@ -7,14 +7,16 @@ import (
 	"repro/internal/simfhe"
 )
 
-func bootParams(t *testing.T) *ckks.Parameters {
+func bootParams(t *testing.T) *ckks.Parameters { return bootParamsAt(t, 10) }
+
+func bootParamsAt(t *testing.T, logN int) *ckks.Parameters {
 	t.Helper()
 	logQ := []int{48}
 	for i := 0; i < 16; i++ {
 		logQ = append(logQ, 40)
 	}
 	p, err := ckks.NewParameters(ckks.ParametersLiteral{
-		LogN: 10, LogQ: logQ, LogP: []int{50, 50, 50}, LogScale: 40,
+		LogN: logN, LogQ: logQ, LogP: []int{50, 50, 50}, LogScale: 40,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -36,6 +38,22 @@ func TestForParametersInfersModelPoint(t *testing.T) {
 	}
 }
 
+// TestForParametersCoversBenchBootstrap: the frozen bootstrap workload
+// runs at LogN 9; the model must cover that point, or its pred.* rows
+// read 0.
+func TestForParametersCoversBenchBootstrap(t *testing.T) {
+	m, err := ForParameters(bootParamsAt(t, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mp := m.Ctx().P; mp.LogN != 9 || mp.L != 17 || mp.Dnum != 6 {
+		t.Errorf("inferred %+v, want logN=9 L=17 dnum=6", mp)
+	}
+	if c, ok := m.PredictOp("Mult", 12, 0); !ok || c.Bytes == 0 {
+		t.Errorf("PredictOp(Mult) at LogN 9 = %+v, %v", c, ok)
+	}
+}
+
 func TestForParametersAtUsesCacheLimbs(t *testing.T) {
 	m, err := ForParametersAt(bootParams(t), 12)
 	if err != nil {
@@ -50,7 +68,7 @@ func TestForParametersNoDnum(t *testing.T) {
 	// One special limb: ceil((L+d)/d) ≥ 2 for every d, so no dnum
 	// reproduces kP=1 and the inference must fail cleanly.
 	p, err := ckks.NewParameters(ckks.ParametersLiteral{
-		LogN: 9, LogQ: []int{50, 40, 40}, LogP: []int{50}, LogScale: 40,
+		LogN: 10, LogQ: []int{50, 40, 40}, LogP: []int{50}, LogScale: 40,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,13 +84,16 @@ func TestPredictOpKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := m.Ctx()
+	// Mult is priced as the evaluator runs it: with the ModDown merge.
+	merged := ctx
+	merged.Opts.ModDownMerge = true
 	cases := []struct {
 		kind   string
 		limbs  int
 		fanout int
 		want   uint64
 	}{
-		{"Mult", 12, 0, ctx.Mult(12).Bytes()},
+		{"Mult", 12, 0, merged.Mult(12).Bytes()},
 		{"MulRelin", 12, 0, ctx.MulRelin(12).Bytes()},
 		{"Square", 12, 0, ctx.MulRelin(12).Bytes()},
 		{"Rescale", 12, 0, ctx.RescalePoly(12).Times(2).Bytes()},

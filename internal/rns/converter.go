@@ -51,6 +51,11 @@ type Converter struct {
 	pInvModQ []shoupConst   // [i] = P⁻¹ mod q_i (ModDown)
 	qInvModQ [][]shoupConst // [ℓ][i] = q_ℓ⁻¹ mod q_i, i < ℓ (Rescale)
 
+	// The merged division by P·q_ℓ (ModDownRescale), per dropped level ℓ ≥ 1.
+	pqBasis    [][]uint64     // [ℓ] = {p_0 … p_{α−1}, q_ℓ}, the dropped basis
+	pqInvModQ  [][]shoupConst // [ℓ][i] = (P·q_ℓ)⁻¹ mod q_i, i < ℓ
+	pHalfQModQ [][]uint64     // [ℓ][i] = P·⌊q_ℓ/2⌋ mod q_i, i ≤ ℓ (the rounding offset)
+
 	// rec, when non-nil, receives the counters "rns.extend" (basis
 	// extensions performed), "rns.extend.coeffs" (coefficients
 	// converted), "rns.extend.bytes" (kernel read+write traffic),
@@ -86,10 +91,21 @@ func NewConverter(ringQ, ringP *ring.Ring) *Converter {
 		c.pModQ[i] = newShoupConst(pMod, qi)
 		c.pInvModQ[i] = newShoupConst(mathutil.InvMod(pMod, qi), qi)
 	}
+	c.pqBasis = make([][]uint64, nQ)
+	c.pqInvModQ = make([][]shoupConst, nQ)
+	c.pHalfQModQ = make([][]uint64, nQ)
 	for l, ql := range ringQ.Moduli {
 		c.qInvModQ[l] = make([]shoupConst, l)
+		c.pqInvModQ[l] = make([]shoupConst, l)
 		for i, qi := range ringQ.Moduli[:l] {
-			c.qInvModQ[l][i] = newShoupConst(mathutil.InvMod(ql%qi, qi), qi)
+			qlInv := mathutil.InvMod(ql%qi, qi)
+			c.qInvModQ[l][i] = newShoupConst(qlInv, qi)
+			c.pqInvModQ[l][i] = newShoupConst(mathutil.MulMod(c.pInvModQ[i].w, qlInv, qi), qi)
+		}
+		c.pqBasis[l] = append(append([]uint64(nil), ringP.Moduli...), ql)
+		c.pHalfQModQ[l] = make([]uint64, l+1)
+		for i, qi := range ringQ.Moduli[:l+1] {
+			c.pHalfQModQ[l][i] = mathutil.MulMod(c.pModQ[i].w, (ql>>1)%qi, qi)
 		}
 	}
 	c.qpPool.New = func() any {
@@ -139,9 +155,12 @@ func (c *Converter) PutPolyQP(p PolyQP) {
 // value built in one cheap pass: limb counts, the first and last modulus
 // of each basis, and the full sums of both bases. Two distinct bases can
 // only collide if they agree on length, endpoints and total sum
-// simultaneously; since every basis handled by one Converter is a
-// sub-sequence of its two fixed disjoint prime chains, first modulus plus
-// length already pins the basis down, and the sums are a safety margin.
+// simultaneously. The bases one Converter handles are runs of its Q chain
+// (digits, output ranges), the P chain, and P followed by one q_ℓ (the
+// merged division): a run is pinned by first modulus and length, and the
+// L bases {p_0 … p_{α−1}, q_ℓ} — same first modulus, same length — by
+// their last modulus, which the sum alone would also tell apart
+// (TestTableKeyTellsMergedBasesApart).
 type tableKey struct {
 	lenIn, lenOut     int
 	firstIn, lastIn   uint64
@@ -260,7 +279,8 @@ func extendParallel(t *ExtTable, src, dst [][]uint64, n, workers int) {
 }
 
 // modUpScratch recycles the output-view headers ModUpDigit rebuilds per
-// call (moduli, coefficient slices, sub-rings for every generated limb).
+// call (moduli, coefficient slices, sub-rings for every generated limb);
+// modDown borrows its slice headers for the dropped-limb rows.
 // Only the coefficient-slice headers alias caller memory; they are cleared
 // on release. Capacity grows to the largest raised basis and sticks.
 type modUpScratch struct {
@@ -370,6 +390,27 @@ func (c *Converter) ModUpDigit(levelQ, start, end int, aQ *ring.Poly, out PolyQP
 // representative in [0, PQ); the sub-integer error this introduces is the
 // standard key-switching rounding noise.
 func (c *Converter) ModDown(levelQ int, a PolyQP, out *ring.Poly, workers int) {
+	c.modDown(levelQ, 0, a, out, workers)
+}
+
+// ModDownRescale is the merged ModDown of MAD §3.2 (Figure 4(c)): one
+// division of a raised polynomial by P·q_ℓ, rounding to nearest in q_ℓ,
+// into a level-(levelQ−1) polynomial in NTT form. It returns the integers
+// Rescale(ModDown(a)) returns — ⌊(⌊x/P⌋ + ⌊q_ℓ/2⌋)/q_ℓ⌋ =
+// ⌊(x + P·⌊q_ℓ/2⌋)/(P·q_ℓ)⌋ — with α+1 iNTTs and ℓ NTTs instead of α+1
+// and 2ℓ+1, and no intermediate polynomial.
+func (c *Converter) ModDownRescale(levelQ int, a PolyQP, out *ring.Poly, workers int) {
+	if levelQ < 1 {
+		panic(fmt.Sprintf("rns: ModDownRescale level (got=%d, want>=1)", levelQ))
+	}
+	c.modDown(levelQ, 1, a, out, workers)
+}
+
+// modDown divides a raised polynomial by its dropped limbs: the α limbs of
+// P and the top dropQ ∈ {0, 1} limbs of Q. With dropQ = 1 the dropped
+// limb q_ℓ first receives the offset P·⌊q_ℓ/2⌋ (zero modulo every p_j),
+// which turns the flooring division by P·q_ℓ into the rounding one.
+func (c *Converter) modDown(levelQ, dropQ int, a PolyQP, out *ring.Poly, workers int) {
 	if !a.Q.IsNTT || !a.P.IsNTT {
 		panic("rns: ModDown input domain (got=coefficient form, want=NTT)")
 	}
@@ -377,66 +418,98 @@ func (c *Converter) ModDown(levelQ int, a PolyQP, out *ring.Poly, workers int) {
 	defer sp.End()
 	n := c.RingQ.N
 	kP := len(c.RingP.Moduli)
+	outQ := levelQ + 1 - dropQ // limbs kept
 
-	// iNTT the P limbs (Algorithm 2 line 1 restricted to B′; the Q limbs
-	// can stay in evaluation form because the correction limb we build for
-	// each q_i is transformed forward instead).
+	// iNTT the dropped limbs (Algorithm 2 line 1 restricted to B′; the kept
+	// limbs can stay in evaluation form because the correction limb we build
+	// for each q_i is transformed forward instead). The P limbs land in P
+	// scratch, q_ℓ in the Q scratch row the corrections leave free. The
+	// scratch pool is shared across levels, so the full ring's pool serves
+	// here without materializing an AtLevel view.
 	scrP := c.RingP.GetScratch()
 	defer c.RingP.PutScratch(scrP)
-	pCoeff := scrP.Coeffs[:kP]
-	if ring.EffectiveWorkers(kP, workers) == 1 {
-		for j := 0; j < kP; j++ {
-			c.tr.Read(a.P.Coeffs[j][:n])
-			copy(pCoeff[j][:n], a.P.Coeffs[j][:n])
-			c.tr.WriteClass(pCoeff[j][:n], memtrace.ClassScratch)
-			c.RingP.SubRings[j].INTT(pCoeff[j])
-		}
-	} else {
-		ring.Parallel(kP, workers, func(j int) {
-			c.tr.Read(a.P.Coeffs[j][:n])
-			copy(pCoeff[j][:n], a.P.Coeffs[j][:n])
-			c.tr.WriteClass(pCoeff[j][:n], memtrace.ClassScratch)
-			c.RingP.SubRings[j].INTT(pCoeff[j])
-		})
-	}
-
-	// NewLimb from basis P into each q_i (Algorithm 2 line 3, slot-wise).
-	// The scratch pool is shared across levels, so the full ring's pool
-	// serves here without materializing an AtLevel view.
-	qModuli := c.RingQ.Moduli[:levelQ+1]
 	scrQ := c.RingQ.GetScratch()
 	defer c.RingQ.PutScratch(scrQ)
-	hat := scrQ.Coeffs[:levelQ+1]
-	c.extend(c.table(c.RingP.Moduli, qModuli), pCoeff, hat, n, workers,
-		memtrace.ClassScratch, memtrace.ClassScratch)
-
-	// (x − x̂)·P^{-1} per limb (Algorithm 2 line 4), staying in NTT form by
-	// transforming the correction limb forward (line 5 folded in).
-	if ring.EffectiveWorkers(levelQ+1, workers) == 1 {
-		for i := 0; i <= levelQ; i++ {
-			c.modDownLimb(a, out, hat, n, i)
+	sc := c.getModUpScratch()
+	defer c.putModUpScratch(sc)
+	dropped, basis := append(sc.slices, scrP.Coeffs[:kP]...), c.RingP.Moduli
+	if dropQ == 1 {
+		dropped, basis = append(dropped, scrQ.Coeffs[levelQ]), c.pqBasis[levelQ]
+	}
+	sc.slices = dropped
+	if ring.EffectiveWorkers(len(dropped), workers) == 1 {
+		for j := range dropped {
+			c.modDownDropped(a, dropped, levelQ, n, j)
 		}
 	} else {
-		ring.Parallel(levelQ+1, workers, func(i int) {
-			c.modDownLimb(a, out, hat, n, i)
+		ring.Parallel(len(dropped), workers, func(j int) {
+			c.modDownDropped(a, dropped, levelQ, n, j)
 		})
 	}
-	out.Coeffs = out.Coeffs[:levelQ+1]
+
+	// NewLimb from the dropped basis into each kept q_i (Algorithm 2 line 3,
+	// slot-wise).
+	hat := scrQ.Coeffs[:outQ]
+	c.extend(c.table(basis, c.RingQ.Moduli[:outQ]), dropped, hat, n, workers,
+		memtrace.ClassScratch, memtrace.ClassScratch)
+
+	// (x − x̂)·(dropped modulus)^{-1} per limb (Algorithm 2 line 4), staying in
+	// NTT form by transforming the correction limb forward (line 5 folded in).
+	if ring.EffectiveWorkers(outQ, workers) == 1 {
+		for i := 0; i < outQ; i++ {
+			c.modDownLimb(a, out, hat, levelQ, dropQ, n, i)
+		}
+	} else {
+		ring.Parallel(outQ, workers, func(i int) {
+			c.modDownLimb(a, out, hat, levelQ, dropQ, n, i)
+		})
+	}
+	out.Coeffs = out.Coeffs[:outQ]
 	out.IsNTT = true
 }
 
-// modDownLimb is the per-q_i tail of ModDown: forward-NTT the correction
-// limb and apply (x − x̂)·P^{-1}. A named function so the serial path can
-// call it without constructing a dispatch closure.
-func (c *Converter) modDownLimb(a PolyQP, out *ring.Poly, hat [][]uint64, n, i int) {
+// modDownDropped brings dropped limb j of a — P limb j, or for j = α the
+// top Q limb plus its rounding offset — to coefficient form in dropped[j].
+// A named function so the serial path can call it without constructing a
+// dispatch closure.
+func (c *Converter) modDownDropped(a PolyQP, dropped [][]uint64, levelQ, n, j int) {
+	src, s := a.Q.Coeffs[levelQ], c.RingQ.SubRings[levelQ]
+	if j < len(c.RingP.Moduli) {
+		src, s = a.P.Coeffs[j], c.RingP.SubRings[j]
+	}
+	dst := dropped[j][:n]
+	c.tr.Read(src[:n])
+	copy(dst, src[:n])
+	c.tr.WriteClass(dst, memtrace.ClassScratch)
+	s.INTT(dst)
+	if j == len(c.RingP.Moduli) {
+		off := c.pHalfQModQ[levelQ][levelQ]
+		for k := range dst {
+			dst[k] = mathutil.AddMod(dst[k], off, s.Q)
+		}
+	}
+}
+
+// modDownLimb is the per-q_i tail of modDown: take the rounding offset
+// back out of the correction limb (dropQ = 1: x̂ was extended from
+// x + P·⌊q_ℓ/2⌋), forward-NTT it and apply (x − x̂)·(dropped modulus)^{-1}.
+// Named for the same reason as modDownDropped.
+func (c *Converter) modDownLimb(a PolyQP, out *ring.Poly, hat [][]uint64, levelQ, dropQ, n, i int) {
 	s := c.RingQ.SubRings[i]
-	s.NTT(hat[i])
-	pInv := c.pInvModQ[i]
+	inv := c.pInvModQ[i]
+	hi := hat[i][:n]
+	if dropQ == 1 {
+		inv = c.pqInvModQ[levelQ][i]
+		off := c.pHalfQModQ[levelQ][i]
+		for j := range hi {
+			hi[j] = mathutil.SubMod(hi[j], off, s.Q)
+		}
+	}
+	s.NTT(hi)
 	ai, oi := a.Q.Coeffs[i], out.Coeffs[i]
-	hi := hat[i]
 	c.tr.Read(ai[:n])
 	for j := 0; j < n; j++ {
-		oi[j] = mathutil.MulModShoup(mathutil.SubMod(ai[j], hi[j], s.Q), pInv.w, pInv.shoup, s.Q)
+		oi[j] = mathutil.MulModShoup(mathutil.SubMod(ai[j], hi[j], s.Q), inv.w, inv.shoup, s.Q)
 	}
 	c.tr.Write(oi[:n])
 }

@@ -95,7 +95,14 @@ func BenchmarkModUp(b *testing.B) {
 
 // BenchmarkModDown measures Algorithm 2 at bootstrap scale, workers=1;
 // steady state must report 0 allocs/op.
-func BenchmarkModDown(b *testing.B) {
+func BenchmarkModDown(b *testing.B) { benchModDown(b, (*Converter).ModDown) }
+
+// BenchmarkModDownMerged is the same input through the division by P·q_ℓ
+// (§3.2 ModDown merge): one more iNTT and one forward NTT fewer than
+// ModDown alone, with the Rescale's ℓ+1 transforms gone altogether.
+func BenchmarkModDownMerged(b *testing.B) { benchModDown(b, (*Converter).ModDownRescale) }
+
+func benchModDown(b *testing.B, div func(c *Converter, levelQ int, a PolyQP, out *ring.Poly, workers int)) {
 	qMod, pMod := benchBases(b)
 	ringQ, err := ring.NewRing(1<<13, qMod)
 	if err != nil {
@@ -113,11 +120,12 @@ func BenchmarkModDown(b *testing.B) {
 	ringP.SampleUniform(src, a.P)
 	a.Q.IsNTT, a.P.IsNTT = true, true
 	out := ringQ.NewPoly()
-	conv.ModDown(levelQ, a, out, 1) // warm tables and pools
+	div(conv, levelQ, a, out, 1) // warm tables and pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		conv.ModDown(levelQ, a, out, 1)
+		out.Resize(levelQ + 1)
+		div(conv, levelQ, a, out, 1)
 	}
 }
 
@@ -135,6 +143,42 @@ func BenchmarkTableKey(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if conv.table(pMod, qMod) == nil {
 			b.Fatal("nil table")
+		}
+	}
+}
+
+// TestTableKeyTellsMergedBasesApart pins what the merged division relies
+// on: its input bases {p_0 … p_{α−1}, q_ℓ} share first modulus and length
+// for every ℓ, and first modulus with the plain P basis, yet each maps to
+// its own key and Converter.table returns the table of the basis asked for.
+func TestTableKeyTellsMergedBasesApart(t *testing.T) {
+	ringQ, ringP := testRings(t, 32, 17, 3)
+	conv := NewConverter(ringQ, ringP)
+	bases := [][]uint64{ringP.Moduli}
+	for l := 1; l <= ringQ.MaxLevel(); l++ {
+		bases = append(bases, append(append([]uint64(nil), ringP.Moduli...), ringQ.Moduli[l]))
+	}
+	// One fixed output basis, so only the input side can tell keys apart.
+	out := ringQ.Moduli[:1]
+	seen := map[tableKey]int{}
+	for k, in := range bases {
+		key := makeTableKey(in, out)
+		if prev, dup := seen[key]; dup {
+			t.Errorf("bases %d and %d share a table key", prev, k)
+		}
+		seen[key] = k
+	}
+	for round := 0; round < 2; round++ { // the miss path, then the hit path
+		for k, in := range bases {
+			tab := conv.table(in, out)
+			if len(tab.In) != len(in) {
+				t.Fatalf("basis %d: table has %d input limbs, want %d", k, len(tab.In), len(in))
+			}
+			for i := range in {
+				if tab.In[i] != in[i] {
+					t.Errorf("basis %d: table input limb %d is %d, want %d", k, i, tab.In[i], in[i])
+				}
+			}
 		}
 	}
 }

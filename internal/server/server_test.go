@@ -133,6 +133,34 @@ func TestStatusMapping(t *testing.T) {
 	}
 }
 
+// TestMulAtLevelZeroIsRejectedBeforeTheKeySwitch: a mul that can only fail
+// its rescale is a 422 before any kernel runs — it must not hold an
+// admission slot and the tenant lock for a whole key switch first.
+func TestMulAtLevelZeroIsRejectedBeforeTheKeySwitch(t *testing.T) {
+	srv, base := startServer(t, Config{Slots: 2, Queue: 2})
+	ct := makeTenant(t, base, "low", TenantConfig{LogN: 10, Levels: 2})
+	status, body := doJSON(t, "POST", base+"/v1/tenants/low/eval", evalRequest{Op: "droplevel", A: ct, By: 0}, nil)
+	if status != 200 {
+		t.Fatalf("droplevel: %d %s", status, body)
+	}
+	var bottom evalResponse
+	if err := json.Unmarshal(body, &bottom); err != nil {
+		t.Fatal(err)
+	}
+
+	status, body = doJSON(t, "POST", base+"/v1/tenants/low/eval", evalRequest{Op: "mul", A: bottom.Ct, B: bottom.Ct}, nil)
+	if status != 422 || errKind(t, body) != "ErrLevelMismatch" {
+		t.Errorf("mul at level 0: status %d, body %s; want 422 ErrLevelMismatch", status, body)
+	}
+	rec := srv.Recorder()
+	if n := len(rec.Snapshot().SpansNamed("rns.ModUpDigit")); n != 0 {
+		t.Errorf("mul at level 0 entered rns.ModUpDigit %d times before its 422", n)
+	}
+	if n := rec.Counter("ckks.keyswitch") + rec.Counter("ckks.mult"); n != 0 {
+		t.Errorf("mul at level 0 counted %d key switches and tensors before its 422", n)
+	}
+}
+
 // TestBackpressure429 saturates a 1-slot/1-queue server and checks the
 // overload contract: excess arrivals get fast 429s with a Retry-After
 // hint, and nothing hangs or times out.

@@ -62,8 +62,8 @@ func Optimal() Params {
 // Validate reports whether the parameter set is internally consistent.
 func (p Params) Validate() error {
 	switch {
-	case p.LogN < 10 || p.LogN > 18:
-		return fmt.Errorf("simfhe: LogN %d outside [10,18]", p.LogN)
+	case p.LogN < 9 || p.LogN > 18:
+		return fmt.Errorf("simfhe: LogN %d outside [9,18]", p.LogN)
 	case p.LogQ < 20 || p.LogQ > 60:
 		return fmt.Errorf("simfhe: LogQ %d outside [20,60]", p.LogQ)
 	case p.L < 2:
