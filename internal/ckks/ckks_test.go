@@ -1,9 +1,12 @@
 package ckks
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"math/rand/v2"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/prng"
@@ -395,6 +398,35 @@ func TestDropLevel(t *testing.T) {
 	if ct.ComputeChecksum() != sum {
 		t.Error("mutating DropLevel's result changed its input")
 	}
+
+	// Only the kept limbs are copied: dropping a 17-limb ciphertext to
+	// level 0 allocates its 2 limbs, not 34 and a truncation.
+	logQ := []int{48}
+	for len(logQ) < 17 {
+		logQ = append(logQ, 40)
+	}
+	p17, err := NewParameters(ParametersLiteral{LogN: 10, LogQ: logQ, LogP: []int{50, 50}, LogScale: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rQ := p17.RingQ()
+	wide := &Ciphertext{C0: rQ.NewPoly(), C1: rQ.NewPoly(), Scale: p17.Scale(), Level: p17.MaxLevel()}
+	ev17 := NewEvaluator(p17, nil)
+	limb := uint64(8 * p17.N())
+	best := ^uint64(0)
+	var m0, m1 runtime.MemStats
+	for try := 0; try < 5; try++ {
+		runtime.ReadMemStats(&m0)
+		low := ev17.DropLevel(wide, 0)
+		runtime.ReadMemStats(&m1)
+		if low.Level != 0 || len(low.C0.Coeffs) != 1 || len(low.C1.Coeffs) != 1 {
+			t.Fatalf("DropLevel(·, 0) kept level %d and %d+%d limbs", low.Level, len(low.C0.Coeffs), len(low.C1.Coeffs))
+		}
+		best = min(best, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	if best >= 3*limb {
+		t.Errorf("DropLevel of 17 limbs to level 0 allocates %d B, want its 2 limbs (%d B) and under one limb more", best, 2*limb)
+	}
 }
 
 func TestBetaDnum(t *testing.T) {
@@ -445,6 +477,41 @@ func TestMulByI(t *testing.T) {
 	got = tc.enc.Decode(tc.dec.DecryptToPlaintext(back))
 	if err := maxErr(a, got); err > 1e-6 {
 		t.Errorf("MulByMinusI(MulByI(x)) != x: %.3g", err)
+	}
+}
+
+// TestMulByIConcurrentDo: the copies Do hands out share the evaluator's
+// state by pointer, so MulByI must only read it. Concurrent Do(MulByI)
+// calls at two levels on one evaluator — the first MulByI calls these
+// parameters see — must be race-free (CI runs this under -race) and return
+// what a serial call returns afterwards.
+func TestMulByIConcurrentDo(t *testing.T) {
+	tc := newTestContext(t)
+	ev := NewEvaluator(tc.params, nil)
+	top := encryptRandom(tc)
+	ins := []*Ciphertext{top, ev.DropLevel(top, 1)}
+
+	const perLevel = 4
+	outs := make([]*Ciphertext, perLevel*len(ins))
+	var wg sync.WaitGroup
+	for k := range outs {
+		ct := ins[k%len(ins)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out, err := ev.Do(context.Background(), "ckks.MulByI", func(ev *Evaluator) *Ciphertext { return ev.MulByI(ct) }, ct)
+			if err != nil {
+				t.Errorf("level %d: Do(MulByI): %v", ct.Level, err)
+			}
+			outs[k] = out
+		}()
+	}
+	wg.Wait()
+	for k, out := range outs {
+		ct := ins[k%len(ins)]
+		if out != nil && !ctEqual(out, ev.MulByI(ct)) {
+			t.Errorf("level %d: concurrent Do(MulByI) differs from the serial call", ct.Level)
+		}
 	}
 }
 

@@ -23,16 +23,15 @@ func log2(x float64) float64 { return math.Log2(x) }
 type Evaluator struct {
 	params *Parameters
 	keys   *EvaluationKeySet
-	iMono  map[int]*ring.Poly // cached NTT(X^{N/2}) per level (see MulByI)
 
 	// workers is the parallelism budget for the limb-, digit- and
 	// rotation-level fan-outs (1 = serial; set via WithWorkers/SetWorkers).
 	// Results are bit-identical for every worker count.
 	workers int
 
-	// rec, when non-nil, receives a hierarchical span per primitive
-	// ("ckks.Rotate" owns its "ckks.KeySwitch", which owns the rns sub-op,
-	// key-product and ring worker spans) and the counters
+	// rec, when non-nil, receives a hierarchical span per primitive (an op
+	// span — "ckks.Rotate", "ckks.Mult", … — directly owns its rns sub-op,
+	// stage and ring worker spans; no op nests another) and the counters
 	// "ckks.ntt" (limb-sized (i)NTT invocations, counted analytically at
 	// the converter call sites), "ckks.keyswitch", "ckks.mult",
 	// "ckks.rotate", "ckks.rescale", "ckks.limbs" and "ckks.key.bytes"
@@ -97,7 +96,7 @@ func NewEvaluator(params *Parameters, keys *EvaluationKeySet, opts ...EvaluatorO
 	if keys == nil {
 		keys = &EvaluationKeySet{}
 	}
-	ev := &Evaluator{params: params, keys: keys, iMono: map[int]*ring.Poly{}, workers: 1, vault: newKeyVault(params)}
+	ev := &Evaluator{params: params, keys: keys, workers: 1, vault: newKeyVault(params)}
 	for _, opt := range opts {
 		opt(ev)
 	}
@@ -426,19 +425,26 @@ func (ev *Evaluator) mulByConstThenAdd(ct *Ciphertext, c, constScale float64, ac
 	scaled := math.Round(c * constScale)
 	for i, s := range rQ.SubRings {
 		w := mathutil.ReduceFloat(scaled, s.Q)
-		ev.mulScalarThenAddLimb(s, ct.C0.Coeffs[i], w, acc.C0.Coeffs[i])
-		ev.mulScalarThenAddLimb(s, ct.C1.Coeffs[i], w, acc.C1.Coeffs[i])
+		ws := mathutil.ShoupPrecomp(w, s.Q)
+		ev.mulScalarThenAddLimb(s, ct.C0.Coeffs[i], nil, w, ws, acc.C0.Coeffs[i])
+		ev.mulScalarThenAddLimb(s, ct.C1.Coeffs[i], nil, w, ws, acc.C1.Coeffs[i])
 	}
 }
 
-// mulScalarThenAddLimb sets acc[j] += w·x[j] mod q over one limb.
-func (ev *Evaluator) mulScalarThenAddLimb(s *ring.SubRing, x []uint64, w uint64, acc []uint64) {
+// mulScalarThenAddLimb sets acc[j] += w·x[perm[j]] mod q over one limb
+// (perm nil: the identity; ws is w's Shoup companion).
+func (ev *Evaluator) mulScalarThenAddLimb(s *ring.SubRing, x []uint64, perm []int, w, ws uint64, acc []uint64) {
 	x, acc = x[:s.N], acc[:s.N]
-	ws := mathutil.ShoupPrecomp(w, s.Q)
 	ev.tr.Read(x)
 	ev.tr.Read(acc)
-	for j, xj := range x {
-		acc[j] = mathutil.AddMod(acc[j], mathutil.MulModShoup(xj, w, ws, s.Q), s.Q)
+	if perm == nil {
+		for j, xj := range x {
+			acc[j] = mathutil.AddMod(acc[j], mathutil.MulModShoup(xj, w, ws, s.Q), s.Q)
+		}
+	} else {
+		for j, k := range perm[:s.N] {
+			acc[j] = mathutil.AddMod(acc[j], mathutil.MulModShoup(x[k], w, ws, s.Q), s.Q)
+		}
 	}
 	ev.tr.Write(acc)
 }
@@ -479,11 +485,7 @@ func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) *Ciphertext {
 	if level < 0 || level > ct.Level {
 		panic(fmt.Sprintf("ckks: DropLevel level (got=%d, want within [0,%d])", level, ct.Level))
 	}
-	out := ct.CopyNew()
-	out.C0.Coeffs = out.C0.Coeffs[:level+1]
-	out.C1.Coeffs = out.C1.Coeffs[:level+1]
-	out.Level = level
-	return out
+	return ct.atLevel(level).CopyNew()
 }
 
 // atLevel is DropLevel without the copy: a view of ct's first level+1
@@ -680,32 +682,37 @@ func (ev *Evaluator) kskRelease(ops *kskOperands, swk *SwitchingKey) {
 	kskOperandsPool.Put(ops)
 }
 
-// keySwitchRaised runs Algorithm 3 up to (but not including) the final
-// ModDown: it returns the raised pair (u, v) = ⟦P·x·w⟧ over R²_{PQ},
-// the "very important intermediate value" the MAD algorithmic
-// optimizations operate on directly. The returned pair is pooled; the
-// caller must release it with Converter().PutPolyQP when done.
-func (ev *Evaluator) keySwitchRaised(level int, x *ring.Poly, swk *SwitchingKey) (u, v rns.PolyQP) {
+// keyedStep is the evaluator's one key switch up to its closer: it writes
+// the raised pair (u, v) = Σ_j ksk_j ⊙ σ(d_j) + (P·σ(c0), 0) — Algorithm 3's
+// intermediate value, which the MAD algorithmic optimizations operate on
+// directly — with σ the slot permutation perm (nil = identity), applied to
+// the digits inside the kernel and to c0 inside the lift. c0 may be nil.
+// Closing the pair returns ⌊u/P⌋ + σ(c0) exactly: P·σ(c0) is zero on the P
+// limbs the division extends from. Every rotation, key switch and
+// relinearization runs through here and ends in lower or lowerRescale.
+func (ev *Evaluator) keyedStep(level int, digits []rns.PolyQP, perm []int, swk *SwitchingKey, c0 *ring.Poly, u, v rns.PolyQP, workers int) {
+	ev.kskInnerProduct(level, digits, perm, swk, u, v, workers)
+	if c0 != nil {
+		ev.addLifted(level, c0, perm, u)
+	}
+}
+
+// keySwitch is the unhoisted keyed step: one Decomp+ModUp of x, then the
+// step on the identity permutation — the raised pair of (c0, 0) +
+// KeySwitch(x) at the given scale, pooled, for the caller to close. The
+// caller owns the op span.
+func (ev *Evaluator) keySwitch(level int, x, c0 *ring.Poly, swk *SwitchingKey, scale float64) raisedCt {
 	if err := ev.params.checkKeyLevels(swk); err != nil {
 		panic(err)
 	}
 	conv := ev.params.Converter()
-	u, v = conv.GetPolyQP(level), conv.GetPolyQP(level)
+	r := raisedCt{u: conv.GetPolyQP(level), v: conv.GetPolyQP(level), level: level, scale: scale}
 	digits := ev.decomposeModUp(level, x, ev.workers)
 	child := ev.rec.StartLinked("ckks.ks.product")
-	ev.kskInnerProduct(level, digits, nil, swk, u, v, ev.workers)
+	ev.keyedStep(level, digits, nil, swk, c0, r.u, r.v, ev.workers)
 	child.End()
 	ev.putDigits(digits)
-	return u, v
-}
-
-// keySwitchDown applies the two ModDowns of Algorithm 3 line 4 into
-// freshly allocated polynomials: the halves of a result ciphertext.
-func (ev *Evaluator) keySwitchDown(level int, u, v rns.PolyQP, workers int) (p0, p1 *ring.Poly) {
-	rQ := ev.params.RingQ().AtLevel(level)
-	p0, p1 = rQ.NewPoly(), rQ.NewPoly()
-	ev.modDownPair(level, u, v, p0, p1, workers)
-	return p0, p1
+	return r
 }
 
 // modDownPair is the ModDown pair of Algorithm 3 line 4 into caller-owned
@@ -726,12 +733,8 @@ func (ev *Evaluator) modDownPair(level int, u, v rns.PolyQP, p0, p1 *ring.Poly, 
 func (ev *Evaluator) KeySwitch(level int, x *ring.Poly, swk *SwitchingKey) (p0, p1 *ring.Poly) {
 	sp := ev.startOp("KeySwitch", level, 0, 0)
 	defer ev.endOp(sp)
-	u, v := ev.keySwitchRaised(level, x, swk)
-	p0, p1 = ev.keySwitchDown(level, u, v, ev.workers)
-	conv := ev.params.Converter()
-	conv.PutPolyQP(u)
-	conv.PutPolyQP(v)
-	return p0, p1
+	out := ev.lower(ev.keySwitch(level, x, nil, swk, 0), ev.workers)
+	return out.C0, out.C1
 }
 
 // galoisKey fetches the Galois key for element g.
@@ -754,58 +757,39 @@ func (ev *Evaluator) Rotate(ct *Ciphertext, k int) *Ciphertext {
 	sp := ev.startOp("Rotate", ct.Level, ct.Scale, 0)
 	defer ev.endOp(sp)
 	ev.rec.Add("ckks.rotate", 1)
-	return ev.automorphism(ct, g)
+	return ev.lower(ev.galoisRaised(ct, g), ev.workers)
 }
 
 // Conjugate returns the slot-wise complex conjugate (Table 2 Conjugate).
 func (ev *Evaluator) Conjugate(ct *Ciphertext) *Ciphertext {
 	sp := ev.startOp("Conjugate", ct.Level, ct.Scale, 0)
 	defer ev.endOp(sp)
-	return ev.automorphism(ct, ev.params.RingQ().GaloisElementConjugate())
+	return ev.lower(ev.galoisRaised(ct, ev.params.RingQ().GaloisElementConjugate()), ev.workers)
 }
 
-func (ev *Evaluator) automorphism(ct *Ciphertext, g uint64) *Ciphertext {
-	level := ct.Level
-	rQ := ev.params.RingQ().AtLevel(level)
+// galoisRaised is the raised pair of Rotate and Conjugate: σ_g of both
+// halves into pooled scratch, then the key switch of σ_g(c1) with σ_g(c0)
+// as its c0. Decomposing the rotated c1 — not gathering the digits of c1
+// through σ_g, as the hoisted paths do — is what fixes their rounding.
+func (ev *Evaluator) galoisRaised(ct *Ciphertext, g uint64) raisedCt {
 	gk := ev.galoisKey(g)
-
-	c0r, c1r := rQ.NewPoly(), rQ.NewPoly()
-	rQ.AutomorphismNTT(ct.C0, g, c0r)
-	rQ.AutomorphismNTT(ct.C1, g, c1r)
-
-	p0, p1 := ev.KeySwitch(level, c1r, &gk.SwitchingKey)
-	out := &Ciphertext{C0: rQ.NewPoly(), C1: p1, Scale: ct.Scale, Level: level}
-	rQ.Add(c0r, p0, out.C0)
-	return out
-}
-
-// rotateFromDigits applies one hoisted rotation step given the shared
-// raised digits of c1: the key-switch inner product gathers the digits
-// through the step's Galois permutation (no rotated copy exists), then
-// ModDown, and recombine with the rotated c0. All scratch is pooled. The
-// step's key is held only for its product, so steps may fan out in
-// parallel under any key budget.
-func (ev *Evaluator) rotateFromDigits(level int, ct *Ciphertext, digits []rns.PolyQP, g uint64, gk *GaloisKey, workers int) *Ciphertext {
-	rQ := ev.params.RingQ().AtLevel(level)
-	conv := ev.params.Converter()
-
-	u, v := conv.GetPolyQP(level), conv.GetPolyQP(level)
-	ev.kskInnerProduct(level, digits, rQ.AutomorphismNTTIndex(g), &gk.SwitchingKey, u, v, workers)
-	p0, p1 := ev.keySwitchDown(level, u, v, workers)
-	conv.PutPolyQP(u)
-	conv.PutPolyQP(v)
-
-	c0r := rQ.NewPoly()
-	rQ.AutomorphismNTT(ct.C0, g, c0r)
-	res := &Ciphertext{C0: rQ.NewPoly(), C1: p1, Scale: ct.Scale, Level: level}
-	rQ.Add(c0r, p0, res.C0)
-	return res
+	rQ := ev.params.RingQ().AtLevel(ct.Level)
+	c0, c1 := rQ.GetScratch(), rQ.GetScratch()
+	rQ.AutomorphismNTT(ct.C0, g, c0)
+	rQ.AutomorphismNTT(ct.C1, g, c1)
+	r := ev.keySwitch(ct.Level, c1, c0, &gk.SwitchingKey, ct.Scale)
+	rQ.PutScratch(c0)
+	rQ.PutScratch(c1)
+	return r
 }
 
 // RotateHoisted rotates one ciphertext by many steps, sharing a single
 // Decomp + ModUp across all of them (the standard ModUp hoisting of
-// Halevi–Shoup/GAZELLE referenced in §3.2). The map includes step 0 as a
-// copy when requested. The steps are independent of each other, so the
+// Halevi–Shoup/GAZELLE referenced in §3.2): each step is one keyed step
+// that gathers the shared digits and c0 through its Galois permutation (no
+// rotated copy exists) and holds its key only for its product, so steps
+// may fan out in parallel under any key budget. The map includes step 0 as
+// a copy when requested. The steps are independent of each other, so the
 // worker budget fans out across them first and falls back to limb-level
 // parallelism inside each step.
 func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) map[int]*Ciphertext {
@@ -822,7 +806,6 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) map[int]*Ciphert
 
 	type stepJob struct {
 		k  int
-		g  uint64
 		gk *GaloisKey
 	}
 	out := make(map[int]*Ciphertext, len(steps))
@@ -837,14 +820,17 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) map[int]*Ciphert
 		// Resolved here so a missing key surfaces on this goroutine, before
 		// any step runs. Each key is used by exactly one step's product and
 		// held only for it: the sweep runs inside the key budget.
-		jobs = append(jobs, stepJob{k: k, g: g, gk: ev.galoisKey(g)})
+		jobs = append(jobs, stepJob{k: k, gk: ev.galoisKey(g)})
 	}
 
+	rQ, conv := ev.params.RingQ().AtLevel(level), ev.params.Converter()
 	outer, inner := splitWorkers(ev.workers, len(jobs))
 	results := make([]*Ciphertext, len(jobs))
 	ev.fanOut(len(jobs), outer, func(idx int) {
 		j := jobs[idx]
-		results[idx] = ev.rotateFromDigits(level, ct, digits, j.g, j.gk, inner)
+		r := raisedCt{u: conv.GetPolyQP(level), v: conv.GetPolyQP(level), level: level, scale: ct.Scale}
+		ev.keyedStep(level, digits, rQ.AutomorphismNTTIndex(j.gk.GaloisEl), &j.gk.SwitchingKey, ct.C0, r.u, r.v, inner)
+		results[idx] = ev.lower(r, inner)
 	})
 	for idx, j := range jobs {
 		out[j.k] = results[idx]
@@ -871,12 +857,9 @@ func (ev *Evaluator) MatchScaleLevel(ct *Ciphertext, level int, targetScale floa
 
 // SwitchKeys re-encrypts ct to the key the switching key targets: the
 // generic decryption-key change of §2.2. The ciphertext's message is
-// unchanged.
+// unchanged. It is recorded as a KeySwitch op.
 func (ev *Evaluator) SwitchKeys(ct *Ciphertext, swk *SwitchingKey) *Ciphertext {
-	level := ct.Level
-	rQ := ev.params.RingQ().AtLevel(level)
-	p0, p1 := ev.KeySwitch(level, ct.C1, swk)
-	out := &Ciphertext{C0: rQ.NewPoly(), C1: p1, Scale: ct.Scale, Level: level}
-	rQ.Add(ct.C0, p0, out.C0)
-	return out
+	sp := ev.startOp("KeySwitch", ct.Level, ct.Scale, 0)
+	defer ev.endOp(sp)
+	return ev.lower(ev.keySwitch(ct.Level, ct.C1, ct.C0, swk, ct.Scale), ev.workers)
 }

@@ -170,8 +170,7 @@ func (kg *KeyGenerator) genSwitchingKey(w *ring.Poly, sk *SecretKey, compress bo
 		end := min(start+alpha, level+1)
 		for i := start; i < end; i++ {
 			s := rQ.SubRings[i]
-			pMod := rns.ProductMod(rP.Moduli, s.Q)
-			pShoup := mathutil.ShoupPrecomp(pMod, s.Q)
+			pMod, pShoup := conv.PModQ(i)
 			bi, wi := b.Q.Coeffs[i], w.Coeffs[i]
 			for c := 0; c < p.N(); c++ {
 				bi[c] = mathutil.AddMod(bi[c], mathutil.MulModShoup(wi[c], pMod, pShoup, s.Q), s.Q)

@@ -172,35 +172,24 @@ func (lt *LinearTransform) RotationSteps() []int {
 }
 
 // ltPartial is one worker's share of a transform: the raised sum of its
-// giant groups' outputs and the Q-basis sum of their rotated c0 halves.
-// Zero until the first group lands.
+// giant groups' outputs. Zero until the first group lands.
 type ltPartial struct {
 	u, v rns.PolyQP
-	c0   *ring.Poly
 }
 
-// add folds a raised pair and, when non-nil, a Q-basis c0 term into the
-// share and takes the buffers over: the first of each kind becomes the
-// share's accumulator, later ones return to their pools.
-func (s *ltPartial) add(rQ, rP *ring.Ring, conv *rns.Converter, u, v rns.PolyQP, c0 *ring.Poly) {
+// add folds a raised pair into the share and takes the buffers over: the
+// first becomes the share's accumulator, later ones return to the pool.
+func (s *ltPartial) add(rQ, rP *ring.Ring, conv *rns.Converter, u, v rns.PolyQP) {
 	if s.u.Q == nil {
 		s.u, s.v = u, v
-	} else {
-		rQ.Add(s.u.Q, u.Q, s.u.Q)
-		rP.Add(s.u.P, u.P, s.u.P)
-		rQ.Add(s.v.Q, v.Q, s.v.Q)
-		rP.Add(s.v.P, v.P, s.v.P)
-		conv.PutPolyQP(u)
-		conv.PutPolyQP(v)
+		return
 	}
-	switch {
-	case c0 == nil:
-	case s.c0 == nil:
-		s.c0 = c0
-	default:
-		rQ.Add(s.c0, c0, s.c0)
-		rQ.PutScratch(c0)
-	}
+	rQ.Add(s.u.Q, u.Q, s.u.Q)
+	rP.Add(s.u.P, u.P, s.u.P)
+	rQ.Add(s.v.Q, v.Q, s.v.Q)
+	rP.Add(s.v.P, v.P, s.v.P)
+	conv.PutPolyQP(u)
+	conv.PutPolyQP(v)
 }
 
 // EvalLinearTransform applies the transform with the double-hoisted
@@ -215,11 +204,10 @@ func (s *ltPartial) add(rQ, rP *ring.Ring, conv *rns.Converter, u, v rns.PolyQP,
 //     multiply-accumulate per raised limb, exact in 128 bits;
 //  4. the group of giant step 0 is already a summand of the result and
 //     stays raised; every other group pays one ModDown pair, one
-//     Decomp+ModUp and one gathered key product by its giant step, whose
-//     raised output joins the same accumulator (its rotated c0 half is
-//     summed in Q);
-//  5. one ModDown pair closes the op (the c0 sum joins the raised u half
-//     first, through the free lift).
+//     Decomp+ModUp and one keyed step by its giant step — the gathered key
+//     product plus the lift of the rotated first half — whose raised
+//     output joins the same accumulator;
+//  5. one ModDown pair closes the op.
 //
 // ModUps = ModDown pairs = 1 + #non-zero giant steps; keyed products =
 // #non-zero baby steps + #non-zero giant steps, each holding its key only
@@ -246,7 +234,7 @@ func (ev *Evaluator) EvalLinearTransformRescale(ct *Ciphertext, lt *LinearTransf
 
 // evalLinearTransform is the one transform body; close is the closer its
 // raised result ends in.
-func (ev *Evaluator) evalLinearTransform(ct *Ciphertext, lt *LinearTransform, close func(*Evaluator, raisedCt) *Ciphertext) *Ciphertext {
+func (ev *Evaluator) evalLinearTransform(ct *Ciphertext, lt *LinearTransform, close func(*Evaluator, raisedCt, int) *Ciphertext) *Ciphertext {
 	if ct.Level > lt.Level {
 		panic(fmt.Sprintf("ckks: EvalLinearTransform level (got=%d, want<=%d)", ct.Level, lt.Level))
 	}
@@ -267,7 +255,7 @@ func (ev *Evaluator) evalLinearTransform(ct *Ciphertext, lt *LinearTransform, cl
 			p.P.Zero()
 			p.Q.IsNTT, p.P.IsNTT = true, true
 		}
-		return close(ev, zero)
+		return close(ev, zero, ev.workers)
 	}
 
 	// Resolve every Galois key here (nil for the unkeyed step 0): a missing
@@ -292,13 +280,20 @@ func (ev *Evaluator) evalLinearTransform(ct *Ciphertext, lt *LinearTransform, cl
 	sp.SetAttr("lt.babies", float64(len(babies)))
 	sp.SetAttr("lt.giants", float64(len(giants)))
 
-	// Steps 1–2: the raised baby steps.
+	// Steps 1–2: the raised baby steps, each a keyed step on the shared
+	// digits — or, for step 0, the free PModUp lift of both halves.
 	digits := ev.decomposeModUp(level, ct.C1, ev.workers)
 	us, vs := make([]rns.PolyQP, len(babies)), make([]rns.PolyQP, len(babies))
 	outer, inner := splitWorkers(ev.workers, len(babies))
 	ev.fanOut(len(babies), outer, func(k int) {
 		child := ev.rec.StartLinked("ckks.lt.baby")
-		us[k], vs[k] = ev.hoistedStepRaised(level, ct, digits, babies[k], inner)
+		us[k], vs[k] = conv.GetPolyQP(level), conv.GetPolyQP(level)
+		if gk := babies[k]; gk != nil {
+			ev.keyedStep(level, digits, rQ.AutomorphismNTTIndex(gk.GaloisEl), &gk.SwitchingKey, ct.C0, us[k], vs[k], inner)
+		} else {
+			conv.PModUp(level, ct.C0, us[k], inner)
+			conv.PModUp(level, ct.C1, vs[k], inner)
+		}
 		child.End()
 	})
 	ev.putDigits(digits)
@@ -313,22 +308,20 @@ func (ev *Evaluator) evalLinearTransform(ct *Ciphertext, lt *LinearTransform, cl
 			child := ev.rec.StartLinked("ckks.lt.accumulate")
 			ev.ltGroupSum(level, &lt.groups[k], us, vs, u, v, inner)
 			child.End()
-			var c0 *ring.Poly
 			if gk := giants[k]; gk != nil {
 				// The ModDown pair and the ModUp carry their own rns spans;
-				// the giant span is the keyed product and the rotated c0.
-				q0 := rQ.GetScratch()
-				c0 = rQ.GetScratch()
-				ev.modDownPair(level, u, v, q0, c0, inner)
-				digits := ev.decomposeModUp(level, c0, inner)
+				// the giant span is the keyed step that overwrites (u, v).
+				q0, q1 := rQ.GetScratch(), rQ.GetScratch()
+				ev.modDownPair(level, u, v, q0, q1, inner)
+				digits := ev.decomposeModUp(level, q1, inner)
 				child = ev.rec.StartLinked("ckks.lt.giant")
-				ev.kskInnerProduct(level, digits, rQ.AutomorphismNTTIndex(gk.GaloisEl), &gk.SwitchingKey, u, v, inner)
-				ev.putDigits(digits)
-				rQ.AutomorphismNTT(q0, gk.GaloisEl, c0)
-				rQ.PutScratch(q0)
+				ev.keyedStep(level, digits, rQ.AutomorphismNTTIndex(gk.GaloisEl), &gk.SwitchingKey, q0, u, v, inner)
 				child.End()
+				ev.putDigits(digits)
+				rQ.PutScratch(q0)
+				rQ.PutScratch(q1)
 			}
-			parts[w].add(rQ, rP, conv, u, v, c0)
+			parts[w].add(rQ, rP, conv, u, v)
 		}
 	})
 	for k := range us {
@@ -337,19 +330,12 @@ func (ev *Evaluator) evalLinearTransform(ct *Ciphertext, lt *LinearTransform, cl
 	}
 
 	// Merge the workers' shares in worker order (there are no more workers
-	// than groups, so every share holds at least one).
+	// than groups, so every share holds at least one), then step 5: close.
 	sum := parts[0]
 	for _, part := range parts[1:] {
-		sum.add(rQ, rP, conv, part.u, part.v, part.c0)
+		sum.add(rQ, rP, conv, part.u, part.v)
 	}
-
-	// Step 5: close. ⌊(u + P·c0)/P⌋ = ⌊u/P⌋ + c0, so the Q-basis c0 sum
-	// rides the division instead of waiting for its output.
-	if sum.c0 != nil {
-		ev.addLifted(level, sum.c0, sum.u)
-		rQ.PutScratch(sum.c0)
-	}
-	return close(ev, raisedCt{u: sum.u, v: sum.v, level: level, scale: ct.Scale * lt.Scale})
+	return close(ev, raisedCt{u: sum.u, v: sum.v, level: level, scale: ct.Scale * lt.Scale}, ev.workers)
 }
 
 // EvalLinearTransformHoistedModDown is EvalLinearTransform under the name
@@ -376,29 +362,4 @@ func (ev *Evaluator) ltGroupSum(level int, g *ltGroup, us, vs []rns.PolyQP, u, v
 		}
 	}
 	ev.gatherMulAccumulate(nQ, nP, ops, nil, u, v, memtrace.ClassPt, memtrace.ClassCt, workers)
-}
-
-// hoistedStepRaised produces the raised pair (u, v) of one baby step from
-// the shared raised digits of ct.C1: for step 0 (gk nil) the PModUp lift
-// of the input ciphertext, otherwise the rotated key-switch product with
-// P·σ(c0) folded into the u half. The returned pair is pooled; release
-// with PutPolyQP.
-func (ev *Evaluator) hoistedStepRaised(level int, ct *Ciphertext, digits []rns.PolyQP, gk *GaloisKey, workers int) (u, v rns.PolyQP) {
-	p := ev.params
-	rQ := p.RingQ().AtLevel(level)
-	conv := p.Converter()
-	u, v = conv.GetPolyQP(level), conv.GetPolyQP(level)
-	if gk == nil {
-		// Unrotated term: lift both halves with the free PModUp.
-		conv.PModUp(level, ct.C0, u, workers)
-		conv.PModUp(level, ct.C1, v, workers)
-		return u, v
-	}
-	ev.kskInnerProduct(level, digits, rQ.AutomorphismNTTIndex(gk.GaloisEl), &gk.SwitchingKey, u, v, workers)
-	// Add P·σ(c0) to the u half so (u, v) is the raised rotation.
-	c0r := rQ.GetScratch()
-	rQ.AutomorphismNTT(ct.C0, gk.GaloisEl, c0r)
-	ev.addLifted(level, c0r, u)
-	rQ.PutScratch(c0r)
-	return u, v
 }

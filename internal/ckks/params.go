@@ -15,6 +15,7 @@ package ckks
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/mathutil"
 	"repro/internal/ring"
@@ -42,6 +43,7 @@ type Parameters struct {
 	ringQ *ring.Ring
 	ringP *ring.Ring
 	conv  *rns.Converter
+	iMono func() *ring.Poly // NTT(X^{N/2}) over the full Q chain, built once on first use (see MulByI)
 }
 
 // NewParameters instantiates a parameter literal, generating NTT-friendly
@@ -95,6 +97,7 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 		ringQ:    ringQ,
 		ringP:    ringP,
 		conv:     rns.NewConverter(ringQ, ringP),
+		iMono:    sync.OnceValue(func() *ring.Poly { return iMonomial(ringQ) }),
 	}, nil
 }
 

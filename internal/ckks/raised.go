@@ -23,11 +23,11 @@ type raisedCt struct {
 
 // mulRaised is the one tensor core every ciphertext product shares:
 // d0 = a0·b0, d1 = a0·b1 + a1·b0, d2 = a1·b1 (the same operand twice
-// takes the symmetric d1 = 2·a0·a1), relinearize d2 up to the raised pair,
-// then add the lifts of d0 and d1 into its Q limbs. All temporaries are
+// takes the symmetric d1 = 2·a0·a1), then the keyed step that relinearizes
+// d2 with d0 as its c0, then the lift of d1 into v. All temporaries are
 // pooled. The caller owns the op span; the linked children here split it
-// into tensor, key product (keySwitchRaised) and lift next to the rns
-// spans of the ModUp.
+// into tensor, key product (with the lift of d0) and the lift of d1 next
+// to the rns spans of the ModUp.
 func (ev *Evaluator) mulRaised(ct0, ct1 *Ciphertext) raisedCt {
 	if ev.keys.Rlk == nil {
 		panic("ckks: relinearization key missing (got=nil, want=key)")
@@ -44,16 +44,15 @@ func (ev *Evaluator) mulRaised(ct0, ct1 *Ciphertext) raisedCt {
 	d0.IsNTT, d1.IsNTT, d2.IsNTT = true, true, true
 	child.End()
 
-	u, v := ev.keySwitchRaised(level, d2, &ev.keys.Rlk.SwitchingKey)
+	r := ev.keySwitch(level, d2, d0, &ev.keys.Rlk.SwitchingKey, ct0.Scale*ct1.Scale)
 
 	child = ev.rec.StartLinked("ckks.mult.lift")
-	ev.addLifted(level, d0, u)
-	ev.addLifted(level, d1, v)
+	ev.addLifted(level, d1, nil, r.v)
 	child.End()
 	rQ.PutScratch(d0)
 	rQ.PutScratch(d1)
 	rQ.PutScratch(d2)
-	return raisedCt{u: u, v: v, level: level, scale: ct0.Scale * ct1.Scale}
+	return r
 }
 
 // tensorLimb writes limb i of the tensor product in one pass: each input
@@ -83,18 +82,16 @@ func (ev *Evaluator) tensorLimb(s *ring.SubRing, ct0, ct1 *Ciphertext, i int, d0
 	ev.tr.Write(d2)
 }
 
-// addLifted adds P·x — the PModUp lift of a Q-basis polynomial (Algorithm
-// 5: one scalar multiply per coefficient, zero P limbs) — into the Q limbs
-// of the raised polynomial dst, in one pass and without materializing it.
-func (ev *Evaluator) addLifted(level int, x *ring.Poly, dst rns.PolyQP) {
+// addLifted adds P·σ(x) — the PModUp lift of a Q-basis polynomial
+// (Algorithm 5: one scalar multiply per coefficient, zero P limbs), read
+// through the slot permutation perm (nil = identity) — into the Q limbs of
+// the raised polynomial dst, in one pass and without materializing it.
+func (ev *Evaluator) addLifted(level int, x *ring.Poly, perm []int, dst rns.PolyQP) {
+	conv := ev.params.Converter()
 	for i, s := range ev.params.RingQ().SubRings[:level+1] {
-		ev.mulScalarThenAddLimb(s, x.Coeffs[i], ev.pModQ(s), dst.Q.Coeffs[i])
+		w, ws := conv.PModQ(i)
+		ev.mulScalarThenAddLimb(s, x.Coeffs[i], perm, w, ws, dst.Q.Coeffs[i])
 	}
-}
-
-// pModQ returns P mod q for the modulus of s.
-func (ev *Evaluator) pModQ(s *ring.SubRing) uint64 {
-	return rns.ProductMod(ev.params.RingP().Moduli, s.Q)
 }
 
 // doubleRaised sets r = 2·r over all ℓ+1+α limbs.
@@ -110,10 +107,11 @@ func (ev *Evaluator) doubleRaised(r raisedCt) {
 // AddConstReal would to the lowered ciphertext: P·round(c·scale) on the Q
 // limbs of u (a constant is the same word in every NTT slot).
 func (ev *Evaluator) addConstRaised(r raisedCt, c float64) {
-	rQ := ev.params.RingQ().AtLevel(r.level)
+	rQ, conv := ev.params.RingQ().AtLevel(r.level), ev.params.Converter()
 	v := math.Round(c * r.scale)
 	for i, s := range rQ.SubRings {
-		ci := mathutil.MulMod(mathutil.ReduceFloat(v, s.Q), ev.pModQ(s), s.Q)
+		pw, ps := conv.PModQ(i)
+		ci := mathutil.MulModShoup(mathutil.ReduceFloat(v, s.Q), pw, ps, s.Q)
 		ui := r.u.Q.Coeffs[i][:s.N]
 		for j := range ui {
 			ui[j] = mathutil.AddMod(ui[j], ci, s.Q)
@@ -126,20 +124,23 @@ func (ev *Evaluator) addConstRaised(r raisedCt, c float64) {
 // would on the lowered ciphertext: one multiply-add by −k·P per Q limb.
 // ct is read at r's level.
 func (ev *Evaluator) subScaledRaised(r raisedCt, ct *Ciphertext, k float64) {
-	rQ := ev.params.RingQ().AtLevel(r.level)
+	rQ, conv := ev.params.RingQ().AtLevel(r.level), ev.params.Converter()
 	k = -math.Round(k)
 	for i, s := range rQ.SubRings {
-		w := mathutil.MulMod(mathutil.ReduceFloat(k, s.Q), ev.pModQ(s), s.Q)
-		ev.mulScalarThenAddLimb(s, ct.C0.Coeffs[i], w, r.u.Q.Coeffs[i])
-		ev.mulScalarThenAddLimb(s, ct.C1.Coeffs[i], w, r.v.Q.Coeffs[i])
+		pw, ps := conv.PModQ(i)
+		w := mathutil.MulModShoup(mathutil.ReduceFloat(k, s.Q), pw, ps, s.Q)
+		ws := mathutil.ShoupPrecomp(w, s.Q)
+		ev.mulScalarThenAddLimb(s, ct.C0.Coeffs[i], nil, w, ws, r.u.Q.Coeffs[i])
+		ev.mulScalarThenAddLimb(s, ct.C1.Coeffs[i], nil, w, ws, r.v.Q.Coeffs[i])
 	}
 }
 
 // lower closes r with the ModDown pair of Algorithm 3 line 4: the
 // ciphertext (⌊u/P⌋, ⌊v/P⌋) at r's level and scale, in fresh polynomials.
-func (ev *Evaluator) lower(r raisedCt) *Ciphertext {
-	out := &Ciphertext{Scale: r.scale, Level: r.level}
-	out.C0, out.C1 = ev.keySwitchDown(r.level, r.u, r.v, ev.workers)
+func (ev *Evaluator) lower(r raisedCt, workers int) *Ciphertext {
+	rQ := ev.params.RingQ().AtLevel(r.level)
+	out := &Ciphertext{C0: rQ.NewPoly(), C1: rQ.NewPoly(), Scale: r.scale, Level: r.level}
+	ev.modDownPair(r.level, r.u, r.v, out.C0, out.C1, workers)
 	ev.release(r)
 	return out
 }
@@ -149,7 +150,7 @@ func (ev *Evaluator) lower(r raisedCt) *Ciphertext {
 // the integers Rescale(lower(r)) returns, with ℓ+1 fewer NTTs per half and
 // no intermediate ciphertext. r.level must be ≥ 1; the entries check it
 // before any work (requireRescalable).
-func (ev *Evaluator) lowerRescale(r raisedCt) *Ciphertext {
+func (ev *Evaluator) lowerRescale(r raisedCt, workers int) *Ciphertext {
 	level := r.level
 	// Per half: kP+1 iNTTs of the dropped limbs plus level forward NTTs of
 	// the correction limbs. It is a key switch's closer and a rescale.
@@ -165,8 +166,8 @@ func (ev *Evaluator) lowerRescale(r raisedCt) *Ciphertext {
 		Scale: r.scale / float64(ev.params.Q()[level]),
 		Level: level - 1,
 	}
-	conv.ModDownRescale(level, r.u, out.C0, ev.workers)
-	conv.ModDownRescale(level, r.v, out.C1, ev.workers)
+	conv.ModDownRescale(level, r.u, out.C0, workers)
+	conv.ModDownRescale(level, r.v, out.C1, workers)
 	ev.release(r)
 	return out
 }
@@ -193,7 +194,7 @@ func requireRescalable(level int) {
 func (ev *Evaluator) MulRelin(ct0, ct1 *Ciphertext) *Ciphertext {
 	sp := ev.startOp("MulRelin", minLevel(ct0, ct1), ct0.Scale, 0)
 	defer ev.endOp(sp)
-	return ev.lower(ev.mulRaised(ct0, ct1))
+	return ev.lower(ev.mulRaised(ct0, ct1), ev.workers)
 }
 
 // Square returns ct² relinearized (no rescale): the tensor step exploits
@@ -201,7 +202,7 @@ func (ev *Evaluator) MulRelin(ct0, ct1 *Ciphertext) *Ciphertext {
 func (ev *Evaluator) Square(ct *Ciphertext) *Ciphertext {
 	sp := ev.startOp("Square", ct.Level, ct.Scale, 0)
 	defer ev.endOp(sp)
-	return ev.lower(ev.mulRaised(ct, ct))
+	return ev.lower(ev.mulRaised(ct, ct), ev.workers)
 }
 
 // Mul is the full Table 2 Mult — tensor, relinearize, rescale — with the
@@ -231,5 +232,5 @@ func (ev *Evaluator) mulRescale(ct0, ct1 *Ciphertext, middle func(raisedCt)) *Ci
 	if middle != nil {
 		middle(r)
 	}
-	return ev.lowerRescale(r)
+	return ev.lowerRescale(r, ev.workers)
 }

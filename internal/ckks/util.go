@@ -4,31 +4,29 @@ import (
 	"repro/internal/ring"
 )
 
-// iMonomialAtLevel returns (caching per level) the NTT image of the
-// monomial X^{N/2}, whose canonical-embedding image is the constant vector
+// iMonomial returns the NTT image of the monomial X^{N/2} over the full Q
+// chain, whose canonical-embedding image is the constant vector
 // (i, i, …, i): every evaluation point is ζ^{5^j·N/2} = i^{5^j mod 4} = i.
 // Multiplying by it rotates nothing, costs no level and no scale — the
-// cheapest way to multiply every slot by the imaginary unit.
-func (ev *Evaluator) iMonomialAtLevel(level int) *ring.Poly {
-	if p, ok := ev.iMono[level]; ok {
-		return p
-	}
-	rQ := ev.params.RingQ().AtLevel(level)
+// cheapest way to multiply every slot by the imaginary unit. Each limb's
+// NTT is independent of the others, so its first ℓ+1 limbs are the image
+// at level ℓ.
+func iMonomial(rQ *ring.Ring) *ring.Poly {
 	p := rQ.NewPoly()
 	for i := range rQ.SubRings {
-		p.Coeffs[i][ev.params.N()/2] = 1
+		p.Coeffs[i][rQ.N/2] = 1
 	}
-	p.IsNTT = false
 	rQ.NTTPoly(p)
-	ev.iMono[level] = p
 	return p
 }
 
 // MulByI multiplies every slot by the imaginary unit i, exactly and for
-// free (no level, no scale change): a pointwise product with NTT(X^{N/2}).
+// free (no level, no scale change): a pointwise product with NTT(X^{N/2}),
+// read through a level view of the parameter set's one image — built once,
+// on first use, then only read, so concurrent calls share no mutable state.
 func (ev *Evaluator) MulByI(ct *Ciphertext) *Ciphertext {
 	rQ := ev.params.RingQ().AtLevel(ct.Level)
-	mono := ev.iMonomialAtLevel(ct.Level)
+	mono := &ring.Poly{Coeffs: ev.params.iMono().Coeffs[:ct.Level+1], IsNTT: true}
 	out := &Ciphertext{C0: rQ.NewPoly(), C1: rQ.NewPoly(), Scale: ct.Scale, Level: ct.Level}
 	rQ.MulCoeffs(ct.C0, mono, out.C0)
 	rQ.MulCoeffs(ct.C1, mono, out.C1)

@@ -611,6 +611,12 @@ func (c *Converter) PModUp(levelQ int, a *ring.Poly, out PolyQP, workers int) {
 	out.P.IsNTT = a.IsNTT
 }
 
+// PModQ returns P mod q_i and its Shoup companion: PModUp's lift factor,
+// for callers that fuse the lift into a multiply-add pass of their own.
+func (c *Converter) PModQ(i int) (w, shoup uint64) {
+	return c.pModQ[i].w, c.pModQ[i].shoup
+}
+
 // pModUpLimb is the per-q_i body of PModUp, named so the serial path
 // avoids a dispatch closure.
 func (c *Converter) pModUpLimb(a *ring.Poly, out PolyQP, n, i int) {
