@@ -4,8 +4,10 @@
 // primality testing, generation of NTT-friendly primes, primitive roots of
 // unity, and bit-reversal permutations.
 //
-// All moduli handled by this package are odd primes strictly below 2^62 so
-// that lazy-reduction tricks (values kept below 2q) never overflow uint64.
+// The one invariant every reduction here relies on is 4q < 2^64: the NTT's
+// lazy butterflies keep values in [0, 4q) and Barrett.Reduce128 sums two
+// partial residues in [0, 2q). MaxModulusBits = 61 guarantees it with a bit
+// to spare.
 package mathutil
 
 import (
@@ -14,8 +16,8 @@ import (
 )
 
 // MaxModulusBits is the largest bit-length of a modulus supported by the
-// arithmetic in this package. Keeping moduli below 2^62 leaves headroom for
-// lazy reductions in the NTT (values in [0, 4q)).
+// arithmetic in this package. Any q < 2^61 satisfies 4q < 2^64, the
+// headroom the lazy reductions need.
 const MaxModulusBits = 61
 
 // AddMod returns (a + b) mod q. It requires a, b < q.
@@ -27,12 +29,14 @@ func AddMod(a, b, q uint64) uint64 {
 	return s
 }
 
-// SubMod returns (a - b) mod q. It requires a, b < q.
+// SubMod returns (a - b) mod q. It requires a, b < q. The borrow select
+// compiles to a conditional move, so random residues cost no mispredicts.
 func SubMod(a, b, q uint64) uint64 {
-	if a >= b {
-		return a - b
+	r := a - b
+	if a < b {
+		r += q
 	}
-	return a + q - b
+	return r
 }
 
 // NegMod returns (-a) mod q. It requires a < q.
@@ -55,31 +59,32 @@ func MulMod(a, b, q uint64) uint64 {
 // fixed q. The zero value is not usable; construct with NewBarrett.
 type Barrett struct {
 	Q  uint64 // the modulus
-	hi uint64 // high 64 bits of floor(2^128 / q)
-	lo uint64 // low 64 bits of floor(2^128 / q)
+	hi uint64 // μ = floor(2^64 / q), the one-word Barrett constant
+	lo uint64 // floor(w·2^64 / q) for w = 2^64 mod q: the Shoup companion of w
 }
 
-// NewBarrett precomputes the Barrett constant floor(2^128/q) for modulus q.
-// It panics if q is zero or exceeds MaxModulusBits bits, which indicates a
-// programming error rather than a runtime condition.
+// NewBarrett precomputes the reduction constants for modulus q ≥ 2.
+// Together hi and lo are floor(2^128/q). It panics if q < 2 or q exceeds
+// MaxModulusBits bits, which indicates a programming error rather than a
+// runtime condition.
 func NewBarrett(q uint64) Barrett {
-	if q == 0 || bits.Len64(q) > MaxModulusBits {
+	if q < 2 || bits.Len64(q) > MaxModulusBits {
 		panic(fmt.Sprintf("mathutil: modulus %d out of supported range", q))
 	}
-	// floor(2^128 / q): divide (2^128 - 1) by q; since q does not divide
-	// 2^128 exactly for q > 1 and not a power of two, the floor of
-	// (2^128-1)/q equals floor(2^128/q) for all odd q > 1.
-	hi, r := bits.Div64(1, 0, q) // floor(2^64 / q), remainder r
-	lo, _ := bits.Div64(r, 0, q)
+	hi, w := bits.Div64(1, 0, q) // floor(2^64 / q), remainder 2^64 mod q
+	lo, _ := bits.Div64(w, 0, q)
 	return Barrett{Q: q, hi: hi, lo: lo}
 }
 
-// Reduce returns x mod q for any 64-bit x.
+// Reduce returns x mod q for any 64-bit x: one-word Barrett leaves
+// x − floor(x·μ/2^64)·q in [0, 2q), and one conditional subtract finishes.
 func (b Barrett) Reduce(x uint64) uint64 {
-	if x < b.Q {
-		return x
+	qhat, _ := bits.Mul64(x, b.hi)
+	r := x - qhat*b.Q
+	if r >= b.Q {
+		r -= b.Q
 	}
-	return b.Reduce128(0, x)
+	return r
 }
 
 // MulMod returns (x*y) mod q via the precomputed Barrett constant.
@@ -89,50 +94,27 @@ func (b Barrett) MulMod(x, y uint64) uint64 {
 	return b.Reduce128(hi, lo)
 }
 
-// Reduce128 reduces the 128-bit value hi·2^64 + lo modulo q.
+// Reduce128 reduces the 128-bit value hi·2^64 + lo modulo q, exactly, for
+// every input. It folds the two words separately:
+//
+//	t = hi·w mod q by Shoup (hi·2^64 ≡ hi·w),  t ∈ [0, 2q)
+//	u = lo mod q by one-word Barrett,          u ∈ [0, 2q)
+//
+// so t + u < 4q < 2^64 and two conditional subtracts land it in [0, q).
+// Since w = 2^64 − μ·q, hi·w ≡ −hi·μ·q (mod 2^64), so t + u is one
+// multiply by q away from lo; the subtracts compile to conditional moves,
+// so no branch depends on the data.
 func (b Barrett) Reduce128(hi, lo uint64) uint64 {
-	// Estimate quotient qhat = floor(x / q) using the precomputed
-	// m = floor(2^128/q) split into (b.hi, b.lo):
-	//   qhat ≈ floor( (x * m) / 2^128 )
-	// x = hi*2^64 + lo, m = mh*2^64 + ml. The product x*m spans 256 bits;
-	// we need bits [128, 256).
-	mh, ml := b.hi, b.lo
-
-	// lo * ml: contributes carries only
-	c1h, _ := bits.Mul64(lo, ml)
-	// lo * mh: contributes bits [64, 192)
-	c2h, c2l := bits.Mul64(lo, mh)
-	// hi * ml: contributes bits [64, 192)
-	c3h, c3l := bits.Mul64(hi, ml)
-	// hi * mh: contributes bits [128, 256)
-	c4h, c4l := bits.Mul64(hi, mh)
-
-	// Sum the [64,128) column to extract its carry into [128,192).
-	mid, carry1 := bits.Add64(c2l, c3l, 0)
-	mid, carry2 := bits.Add64(mid, c1h, 0)
-	_ = mid
-
-	// Sum the [128,192) column.
-	q128, carryA := bits.Add64(c2h, c3h, 0)
-	q128, carryB := bits.Add64(q128, c4l, 0)
-	q128, carryC := bits.Add64(q128, carry1+carry2, 0)
-
-	qTop := c4h + carryA + carryB + carryC // bits [192, 256)
-
-	// qhat = qTop*2^64 + q128; the true quotient fits in 64 bits when the
-	// input is < q*2^64, but reduce defensively using 128-bit arithmetic.
-	// r = x - qhat*q (mod 2^128), then correct.
-	ph, pl := bits.Mul64(q128, b.Q)
-	ph += qTop * b.Q // wraps; only low 128 bits of the product matter
-	rlo, borrow := bits.Sub64(lo, pl, 0)
-	rhi, _ := bits.Sub64(hi, ph, borrow)
-
-	// The estimate is off by at most 2, so at most two corrections.
-	for rhi != 0 || rlo >= b.Q {
-		rlo, borrow = bits.Sub64(rlo, b.Q, 0)
-		rhi -= borrow
+	qt, _ := bits.Mul64(hi, b.lo)
+	qu, _ := bits.Mul64(lo, b.hi)
+	r := lo - (hi*b.hi+qt+qu)*b.Q // = t + u, exact mod 2^64 since t+u < 2^64
+	if q2 := b.Q << 1; r >= q2 {
+		r -= q2
 	}
-	return rlo
+	if r >= b.Q {
+		r -= b.Q
+	}
+	return r
 }
 
 // ShoupPrecomp returns the Shoup precomputation floor(w * 2^64 / q) for a

@@ -2,6 +2,7 @@ package mathutil
 
 import (
 	"math/big"
+	"math/bits"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -15,7 +16,11 @@ var testPrimes = []uint64{
 	786433,              // 20-bit
 	1152921504589807619, // 60-bit
 	1152921504606830593, // just below 2^60
+	2305843009213554689, // 61-bit (MaxModulusBits), 2^13 | q-1
 }
+
+// q61 is the largest test prime, at the MaxModulusBits boundary.
+var q61 = testPrimes[len(testPrimes)-1]
 
 func TestTestPrimesArePrime(t *testing.T) {
 	for _, q := range testPrimes {
@@ -25,21 +30,102 @@ func TestTestPrimesArePrime(t *testing.T) {
 	}
 }
 
+// TestAddSubNegMod checks the add/sub/neg primitives on every test prime,
+// including the 61-bit one where a+b and a+q−b come closest to 2^64, over
+// the operand boundaries {0, 1, q−2, q−1} and random residues.
 func TestAddSubNegMod(t *testing.T) {
-	q := uint64(786433)
-	for i := 0; i < 1000; i++ {
-		a := rand.Uint64N(q)
-		b := rand.Uint64N(q)
-		if got, want := AddMod(a, b, q), (a+b)%q; got != want {
-			t.Fatalf("AddMod(%d,%d,%d) = %d, want %d", a, b, q, got, want)
+	for _, q := range testPrimes {
+		ops := []uint64{0, 1, q - 2, q - 1}
+		for i := 0; i < 40; i++ {
+			ops = append(ops, rand.Uint64N(q))
 		}
-		if got, want := SubMod(a, b, q), (a+q-b)%q; got != want {
-			t.Fatalf("SubMod(%d,%d,%d) = %d, want %d", a, b, q, got, want)
-		}
-		if got, want := NegMod(a, q), (q-a)%q; got != want {
-			t.Fatalf("NegMod(%d,%d) = %d, want %d", a, q, got, want)
+		for _, a := range ops {
+			for _, b := range ops {
+				if got, want := AddMod(a, b, q), bigMod(q, a, b, 1); got != want {
+					t.Fatalf("AddMod(%d,%d,%d) = %d, want %d", a, b, q, got, want)
+				}
+				if got, want := SubMod(a, b, q), bigMod(q, a, b, -1); got != want {
+					t.Fatalf("SubMod(%d,%d,%d) = %d, want %d", a, b, q, got, want)
+				}
+			}
+			if got, want := NegMod(a, q), (q-a)%q; got != want {
+				t.Fatalf("NegMod(%d,%d) = %d, want %d", a, q, got, want)
+			}
 		}
 	}
+}
+
+// bigMod returns (a + sign·b) mod q computed in math/big.
+func bigMod(q, a, b uint64, sign int64) uint64 {
+	x := new(big.Int).Mul(new(big.Int).SetUint64(b), big.NewInt(sign))
+	x.Add(x, new(big.Int).SetUint64(a))
+	return x.Mod(x, new(big.Int).SetUint64(q)).Uint64()
+}
+
+// reduce128Moduli returns moduli of every bit length from 2 to
+// MaxModulusBits: each length's smallest value (a power of two), its
+// largest (2^b − 1), and a random one in between, plus every test prime.
+func reduce128Moduli(r *rand.Rand) []uint64 {
+	qs := append([]uint64(nil), testPrimes...)
+	for b := 2; b <= MaxModulusBits; b++ {
+		lo := uint64(1) << (b - 1)
+		qs = append(qs, lo, 2*lo-1, lo+r.Uint64N(lo))
+	}
+	return qs
+}
+
+// TestReduce128AgainstBig is a math/big differential of Barrett.Reduce128
+// (and of Reduce on the hi = 0 inputs) over the whole 128-bit input
+// domain: hi above q, both words all-ones, hi = 0, and random words.
+func TestReduce128AgainstBig(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	const ones = ^uint64(0)
+	for _, q := range reduce128Moduli(r) {
+		br := NewBarrett(q)
+		bq := new(big.Int).SetUint64(q)
+		inputs := [][2]uint64{
+			{0, 0}, {0, ones}, {ones, ones}, {ones, 0},
+			{q - 1, ones}, {q, 0}, {q, ones}, {0, q - 1}, {0, q}, {0, 2*q - 1},
+		}
+		for i := 0; i < 300; i++ {
+			inputs = append(inputs,
+				[2]uint64{r.Uint64(), r.Uint64()},            // random
+				[2]uint64{q + r.Uint64N(ones-q), r.Uint64()}, // hi ≥ q
+				[2]uint64{0, r.Uint64()},                     // hi = 0
+			)
+		}
+		for _, in := range inputs {
+			hi, lo := in[0], in[1]
+			x := new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64)
+			x.Or(x, new(big.Int).SetUint64(lo))
+			want := x.Mod(x, bq).Uint64()
+			if got := br.Reduce128(hi, lo); got != want {
+				t.Fatalf("q=%d: Reduce128(%#x, %#x) = %d, want %d", q, hi, lo, got, want)
+			}
+			if hi == 0 {
+				if got := br.Reduce(lo); got != want {
+					t.Fatalf("q=%d: Reduce(%#x) = %d, want %d", q, lo, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzReduce128 checks Reduce128 against the hardware 128/64 division for
+// any input words and any modulus in [2, 2^MaxModulusBits).
+func FuzzReduce128(f *testing.F) {
+	const ones = ^uint64(0)
+	f.Add(uint64(0), uint64(0), uint64(0))
+	f.Add(ones, ones, ones)
+	f.Add(q61, ones, q61-2)
+	f.Add(uint64(1)<<63, uint64(12345), uint64(12289))
+	f.Fuzz(func(t *testing.T, hi, lo, qSeed uint64) {
+		q := 2 + qSeed%(1<<MaxModulusBits-2)
+		_, want := bits.Div64(hi%q, lo, q)
+		if got := NewBarrett(q).Reduce128(hi, lo); got != want {
+			t.Fatalf("q=%d: Reduce128(%#x, %#x) = %d, want %d", q, hi, lo, got, want)
+		}
+	})
 }
 
 func TestMulModAgainstBig(t *testing.T) {
@@ -83,6 +169,46 @@ func TestBarrettReduce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// benchOperands is the size of the operand tables the reduction benchmarks
+// cycle through: random draws, too many for a branch predictor to learn
+// (on a Xeon it still memorizes a 2^12-entry cycle), so a data-dependent
+// branch pays its real mispredict rate.
+const benchOperands = 1 << 14
+
+var benchSink uint64
+
+func BenchmarkReduce128(b *testing.B) {
+	r := rand.New(rand.NewPCG(3, 4))
+	br := NewBarrett(q61)
+	hi, lo := make([]uint64, benchOperands), make([]uint64, benchOperands)
+	for i := range hi {
+		// A 122-bit lazy sum, the shape Extend and GatherMulAccumulate close.
+		hi[i], lo[i] = bits.Mul64(r.Uint64N(q61), r.Uint64N(q61))
+	}
+	var s uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i & (benchOperands - 1)
+		s += br.Reduce128(hi[k], lo[k])
+	}
+	benchSink = s
+}
+
+func BenchmarkSubMod(b *testing.B) {
+	r := rand.New(rand.NewPCG(5, 6))
+	x, y := make([]uint64, benchOperands), make([]uint64, benchOperands)
+	for i := range x {
+		x[i], y[i] = r.Uint64N(q61), r.Uint64N(q61)
+	}
+	var s uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i & (benchOperands - 1)
+		s += SubMod(x[k], y[k], q61)
+	}
+	benchSink = s
 }
 
 func TestShoupMul(t *testing.T) {

@@ -36,9 +36,10 @@ const ExtendTile = 512
 // extendFoldEvery bounds the number of 122-bit products the lazy kernel
 // may accumulate into a 128-bit (hi, lo) pair before folding with a
 // Barrett reduction. Each product of a y_i < 2^61 by a table entry
-// < 2^61 is at most (2^61-1)^2, so 64 such products sum to strictly less
-// than 2^128; past that the accumulator must be reduced back below 2^61
-// (one product's worth) before accumulation continues. Every basis used
+// < 2^61 is at most (2^61-1)^2 = 2^122 − 2^62 + 1, so 64 such products on
+// top of a seed below 2^61 (the exact path's correction, or a previous
+// fold) sum to strictly less than 2^128; past that the accumulator must be
+// reduced back below 2^61 before accumulation continues. Every basis used
 // by CKKS key switching has ℓ ≤ 64 limbs, so the fold is effectively
 // never taken — it exists so the kernel stays correct for arbitrary ℓ.
 const extendFoldEvery = 64
@@ -55,7 +56,7 @@ type ExtTable struct {
 	qiTildeShoup []uint64   // Shoup precomputation of the above
 	qiStar       [][]uint64 // [j][i] = (Q/q_i) mod p_j
 	qModOut      []uint64   // Q mod p_j
-	vqOut        [][]uint64 // [j][k] = (k·Q) mod p_j for k ∈ [0, ℓ]
+	vqOut        [][]uint64 // [j][k] = (−k·Q) mod p_j for k ∈ [0, ℓ]
 	qiInvFloat   []float64  // 1 / q_i
 	outBarrett   []mathutil.Barrett
 
@@ -115,10 +116,11 @@ func NewExtTable(in, out []uint64) *ExtTable {
 		// true sum is < ℓ and the float64 summation error across ℓ ≤ 64
 		// terms stays far below 1, so the correction v·Q mod p_j is one of
 		// ℓ+1 values and the hot kernel can look it up instead of paying a
-		// Barrett multiply per output element.
+		// Barrett multiply per output element. It is stored negated so the
+		// kernel seeds its accumulator with it and needs no final subtract.
 		t.vqOut[j] = make([]uint64, len(in)+1)
 		for k := 1; k <= len(in); k++ {
-			t.vqOut[j][k] = mathutil.AddMod(t.vqOut[j][k-1], qMod, pj)
+			t.vqOut[j][k] = mathutil.SubMod(t.vqOut[j][k-1], qMod, pj)
 		}
 		for i := range in {
 			prod := uint64(1)
@@ -252,13 +254,21 @@ func (t *ExtTable) extendTile(src, dst [][]uint64, c0, b int, sc *extScratch, ex
 		}
 	}
 
-	// Stage 2: one output limb at a time, lazily accumulated.
+	// Stage 2: one output limb at a time, lazily accumulated. The exact
+	// path seeds each accumulator with the correction −v·Q mod p_j, so the
+	// closing Reduce128 already yields Σ y_i·Q*_i − v·Q mod p_j.
 	hi, lo := sc.hi[:b], sc.lo[:b]
 	for j := range t.Out {
 		br := t.outBarrett[j]
-		pj := t.Out[j]
 		clear(hi)
-		clear(lo)
+		if exact {
+			vq := t.vqOut[j]
+			for c, vc := range v {
+				lo[c] = vq[vc]
+			}
+		} else {
+			clear(lo)
+		}
 		for i := range t.In {
 			w := t.qiStar[j][i]
 			yi := sc.y[i][:b]
@@ -278,16 +288,8 @@ func (t *ExtTable) extendTile(src, dst [][]uint64, c0, b int, sc *extScratch, ex
 			}
 		}
 		dj := dst[j][c0 : c0+b]
-		if exact {
-			vq := t.vqOut[j]
-			for c := range dj {
-				r := br.Reduce128(hi[c], lo[c])
-				dj[c] = mathutil.SubMod(r, vq[v[c]], pj)
-			}
-		} else {
-			for c := range dj {
-				dj[c] = br.Reduce128(hi[c], lo[c])
-			}
+		for c := range dj {
+			dj[c] = br.Reduce128(hi[c], lo[c])
 		}
 	}
 }

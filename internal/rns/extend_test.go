@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/mathutil"
 	"repro/internal/obs"
+	"repro/internal/ring"
 )
 
 // makeLimbs allocates an ℓ×n limb matrix.
@@ -28,23 +29,20 @@ func fillResidues(moduli []uint64, xs []*big.Int, dst [][]uint64) {
 	}
 }
 
-// TestExtendMatchesReferenceAllBases demands the tiled lazy kernel be
-// bit-identical to the retained scalar oracle on every basis pair the
-// Converter ever builds — all ModUp digit slices [start, end) of the Q
-// chain at every level, and the ModDown P → Q pair at every level — at
-// worker counts {1, 2, GOMAXPROCS}, over coefficient counts that
-// straddle the tile boundary.
-func TestExtendMatchesReferenceAllBases(t *testing.T) {
-	const nQ, nP = 6, 2
-	ringQ, ringP := testRings(t, 32, nQ, nP)
-	src := fixedSource()
+// basisPair is one input → output basis of a basis extension.
+type basisPair struct {
+	name    string
+	in, out []uint64
+}
 
-	type basisPair struct {
-		name    string
-		in, out []uint64
-	}
+// converterBasisPairs lists every basis pair a Converter over (ringQ,
+// ringP) ever extends between: all ModUp digit slices [start, end) of the
+// Q chain at every level into the rest of Q and P, the ModDown P → Q pair
+// at every level, and the merged division's {P, q_ℓ} → Q[:ℓ] at every
+// level ℓ ≥ 1.
+func converterBasisPairs(ringQ, ringP *ring.Ring) []basisPair {
+	nQ := len(ringQ.Moduli)
 	var pairs []basisPair
-	// ModUpDigit pairs: digit [start, end) at level levelQ.
 	for levelQ := 0; levelQ < nQ; levelQ++ {
 		for start := 0; start <= levelQ; start++ {
 			for end := start + 1; end <= levelQ+1; end++ {
@@ -64,47 +62,102 @@ func TestExtendMatchesReferenceAllBases(t *testing.T) {
 			}
 		}
 	}
-	// ModDown pairs: P → Q[:levelQ+1].
 	for levelQ := 0; levelQ < nQ; levelQ++ {
 		pairs = append(pairs, basisPair{name: "moddown", in: ringP.Moduli, out: ringQ.Moduli[:levelQ+1]})
+	}
+	for levelQ := 1; levelQ < nQ; levelQ++ {
+		in := append(append([]uint64(nil), ringP.Moduli...), ringQ.Moduli[levelQ])
+		pairs = append(pairs, basisPair{name: "moddown-rescale", in: in, out: ringQ.Moduli[:levelQ]})
+	}
+	return pairs
+}
+
+// TestExtendMatchesReferenceAllBases demands the tiled lazy kernel be
+// bit-identical to the retained scalar oracle on every basis pair the
+// Converter ever builds, at worker counts {1, 2, GOMAXPROCS}, over
+// coefficient counts that straddle the tile boundary. Besides uniform
+// residues it feeds all-zero and all-(q_i − 1) inputs, the two ends of
+// [0, Q): x = 0 seeds the accumulator with v = 0, and x = Q − 1 puts
+// frac(Σ y_i/q_i) = x/Q against 1, the float-slack edge of the estimate.
+func TestExtendMatchesReferenceAllBases(t *testing.T) {
+	const nQ, nP = 6, 2
+	ringQ, ringP := testRings(t, 32, nQ, nP)
+	src := fixedSource()
+	fills := []struct {
+		name string
+		val  func(q uint64) uint64
+	}{
+		{"uniform", func(q uint64) uint64 { return src.Uint64() % q }},
+		{"zero", func(uint64) uint64 { return 0 }},
+		{"max", func(q uint64) uint64 { return q - 1 }},
 	}
 
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	sizes := []int{1, 7, ExtendTile - 1, ExtendTile, ExtendTile + 1, 2*ExtendTile + 33}
-	for _, n := range sizes {
-		for _, p := range pairs {
-			tab := NewExtTable(p.in, p.out)
-			in := makeLimbs(len(p.in), n)
-			for i, q := range p.in {
-				for c := range in[i] {
-					in[i][c] = src.Uint64() % q
+	for _, fill := range fills {
+		for _, n := range sizes {
+			for _, p := range converterBasisPairs(ringQ, ringP) {
+				tab := NewExtTable(p.in, p.out)
+				in := makeLimbs(len(p.in), n)
+				for i, q := range p.in {
+					for c := range in[i] {
+						in[i][c] = fill.val(q)
+					}
 				}
-			}
-			want := makeLimbs(len(p.out), n)
-			tab.ExtendReference(in, want)
-			wantApprox := makeLimbs(len(p.out), n)
-			tab.ExtendApproxReference(in, wantApprox)
+				want := makeLimbs(len(p.out), n)
+				tab.ExtendReference(in, want)
+				wantApprox := makeLimbs(len(p.out), n)
+				tab.ExtendApproxReference(in, wantApprox)
 
-			for _, w := range workerCounts {
-				got := makeLimbs(len(p.out), n)
-				extendParallel(tab, in, got, n, w)
-				for j := range want {
-					for c := range want[j] {
-						if got[j][c] != want[j][c] {
-							t.Fatalf("%s ℓ=%d→%d n=%d workers=%d: Extend[%d][%d] = %d, reference %d",
-								p.name, len(p.in), len(p.out), n, w, j, c, got[j][c], want[j][c])
+				for _, w := range workerCounts {
+					got := makeLimbs(len(p.out), n)
+					extendParallel(tab, in, got, n, w)
+					for j := range want {
+						for c := range want[j] {
+							if got[j][c] != want[j][c] {
+								t.Fatalf("%s %s ℓ=%d→%d n=%d workers=%d: Extend[%d][%d] = %d, reference %d",
+									fill.name, p.name, len(p.in), len(p.out), n, w, j, c, got[j][c], want[j][c])
+							}
+						}
+					}
+				}
+				gotApprox := makeLimbs(len(p.out), n)
+				tab.ExtendApprox(in, gotApprox)
+				for j := range wantApprox {
+					for c := range wantApprox[j] {
+						if gotApprox[j][c] != wantApprox[j][c] {
+							t.Fatalf("%s %s ℓ=%d→%d n=%d: ExtendApprox[%d][%d] = %d, reference %d",
+								fill.name, p.name, len(p.in), len(p.out), n, j, c, gotApprox[j][c], wantApprox[j][c])
 						}
 					}
 				}
 			}
-			gotApprox := makeLimbs(len(p.out), n)
-			tab.ExtendApprox(in, gotApprox)
-			for j := range wantApprox {
-				for c := range wantApprox[j] {
-					if gotApprox[j][c] != wantApprox[j][c] {
-						t.Fatalf("%s ℓ=%d→%d n=%d: ExtendApprox[%d][%d] = %d, reference %d",
-							p.name, len(p.in), len(p.out), n, j, c, gotApprox[j][c], wantApprox[j][c])
-					}
+		}
+	}
+}
+
+// TestExtTableNegatedCorrection pins the seeded correction table on every
+// basis shape the converter builds: entry k for output modulus p_j is the
+// canonical residue of −k·Q, i.e. entry + k·Q ≡ 0 (mod p_j), for every
+// k ∈ [0, ℓ] the overflow estimate can take.
+func TestExtTableNegatedCorrection(t *testing.T) {
+	ringQ, ringP := testRings(t, 32, 6, 2)
+	for _, p := range converterBasisPairs(ringQ, ringP) {
+		tab := NewExtTable(p.in, p.out)
+		bigQ := bigProduct(p.in)
+		for j, pj := range p.out {
+			row := tab.vqOut[j]
+			if len(row) != len(p.in)+1 {
+				t.Fatalf("%s ℓ=%d→%d: correction row %d has %d entries, want ℓ+1 = %d",
+					p.name, len(p.in), len(p.out), j, len(row), len(p.in)+1)
+			}
+			bp := new(big.Int).SetUint64(pj)
+			for k, e := range row {
+				sum := new(big.Int).Mul(bigQ, big.NewInt(int64(k)))
+				sum.Add(sum, new(big.Int).SetUint64(e))
+				if e >= pj || sum.Mod(sum, bp).Sign() != 0 {
+					t.Fatalf("%s ℓ=%d→%d: vqOut[%d][%d] = %d is not −%d·Q mod %d",
+						p.name, len(p.in), len(p.out), j, k, e, k, pj)
 				}
 			}
 		}
