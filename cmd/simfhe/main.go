@@ -12,13 +12,10 @@
 //	simfhe cost              §4.4 performance vs area/cost trade-off
 //	simfhe sweep [-axis=fftiter] sensitivity sweep around the optimal point
 //	simfhe validate [-strict] [-out=FILE] [-cache-limbs=6]
-//	                         trace the functional evaluator through the cache
-//	                         simulator and compare measured DRAM traffic
-//	                         against the analytic model (calibration report)
-//	simfhe drift [-strict] [-json] [-out=FILE]
-//	                         run a real bootstrap workload with the cost
-//	                         ledger attached; per-op-kind predicted vs
-//	                         measured traffic from the span hierarchy
+//	                         trace calibration probes and one bootstrap
+//	                         through the cache simulator and compare
+//	                         measured DRAM traffic against the cost
+//	                         ledger's prediction per top-level op span
 //	simfhe ai                Table 4 on a roofline (ridge points, utilization)
 //	simfhe json              every experiment as a machine-readable report
 //	simfhe run <file>        run a schedule DSL file through the model
@@ -139,8 +136,6 @@ func run(cmd string, args []string) {
 		sweep(args)
 	case "validate":
 		validateCmd(args)
-	case "drift":
-		driftCmd(args)
 	case "ai":
 		aiRoofline()
 	case "json":
@@ -164,10 +159,9 @@ func run(cmd string, args []string) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: simfhe [-debug-addr ADDR] {table4|fig2|fig3|table5|table6|fig6|boot|cost|run|trace|sweep|validate|drift|ai|json|all} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: simfhe [-debug-addr ADDR] {table4|fig2|fig3|table5|table6|fig6|boot|cost|run|trace|sweep|validate|ai|json|all} [flags]")
 	fmt.Fprintln(os.Stderr, "  run/boot/trace accept -trace-out FILE (Chrome trace JSON) and -metrics-out FILE (Prometheus text)")
-	fmt.Fprintln(os.Stderr, "  validate [-strict] [-out FILE] traces the functional evaluator through the cache simulator and compares measured vs modeled DRAM traffic")
-	fmt.Fprintln(os.Stderr, "  drift [-strict] [-json] [-out FILE] runs a bootstrap workload with the cost ledger attached and reports per-op-kind predicted vs measured traffic")
+	fmt.Fprintln(os.Stderr, "  validate [-strict] [-out FILE] traces calibration probes and one bootstrap through the cache simulator and compares measured vs ledger-predicted DRAM traffic")
 }
 
 // refMachine is the paper's 32 MB reference system (8192 modular

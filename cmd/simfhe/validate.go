@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"repro/internal/calib"
+	"repro/internal/fherr"
 )
 
 // validateReport is the machine-readable form of `simfhe validate`.
@@ -16,43 +17,36 @@ type validateReport struct {
 }
 
 // validateCmd runs the functional evaluator side-by-side with the
-// analytic model: it traces real homomorphic ops through the cache
-// simulator and compares measured DRAM traffic against the model's
-// prediction at the same parameters (internal/calib).
+// analytic model: it traces real homomorphic ops — calibration probes and
+// one bootstrap — through the cache simulator and compares measured DRAM
+// traffic against the cost ledger's prediction for the same top-level op
+// spans (internal/calib).
 func validateCmd(args []string) {
 	fs := flag.NewFlagSet("validate", flag.ExitOnError)
-	def := calib.DefaultConfig()
-	logN := fs.Int("logn", def.LogN, "ring degree exponent")
-	limbs := fs.Int("limbs", def.Limbs, "ciphertext limb count (model L)")
-	dnum := fs.Int("dnum", def.Dnum, "key-switching digit count")
-	cacheLimbs := fs.Int("cache-limbs", def.CacheLimbs, "simulated on-chip capacity, in limbs of 8*N bytes")
-	line := fs.Int("line", def.LineBytes, "cache line size in bytes")
-	ways := fs.Int("ways", def.Ways, "cache set associativity")
-	tol := fs.Float64("tol", def.Tolerance, "relative tolerance for the gating rows (0.20 = ±20%)")
-	diags := fs.Int("diags", def.Diags, "plaintext matrix diagonal count")
-	rotations := fs.Int("rotations", def.Rotations, "hoisted-rotation fan-out")
-	boot := fs.Bool("boot", false, "also trace one full bootstrap, reported per phase (informational)")
-	out := fs.String("out", "", "write the calibration report as JSON (- for stdout)")
-	metricsOut := fs.String("metrics-out", "", "write measured/modeled byte counters as Prometheus text")
-	strict := fs.Bool("strict", false, "exit nonzero when a gating row or toggle fails")
+	cfg := calib.DefaultConfig()
+	fs.IntVar(&cfg.LogN, "logn", cfg.LogN, "ring degree exponent")
+	fs.IntVar(&cfg.Limbs, "limbs", cfg.Limbs, "calibration-chain limb count (model L)")
+	fs.IntVar(&cfg.Dnum, "dnum", cfg.Dnum, "calibration-chain key-switching digit count")
+	fs.IntVar(&cfg.CacheLimbs, "cache-limbs", cfg.CacheLimbs, "simulated on-chip capacity, in limbs of 8*N bytes")
+	fs.IntVar(&cfg.LineBytes, "line", cfg.LineBytes, "cache line size in bytes")
+	fs.IntVar(&cfg.Ways, "ways", cfg.Ways, "cache set associativity")
+	fs.Float64Var(&cfg.Tolerance, "tol", cfg.Tolerance, "relative tolerance of every gated row (0.20 = ±20%); must be positive")
+	fs.IntVar(&cfg.Diags, "diags", cfg.Diags, "plaintext matrix diagonal count")
+	fs.IntVar(&cfg.Rotations, "rotations", cfg.Rotations, "hoisted-rotation fan-out")
+	out := fs.String("out", "", "write the report as JSON (- for stdout)")
+	metricsOut := fs.String("metrics-out", "", "write predicted/measured byte counters as Prometheus text")
+	strict := fs.Bool("strict", false, "exit nonzero when a gated row or toggle fails")
 	fs.Parse(args)
 
-	cfg := calib.Config{
-		LogN: *logN, Limbs: *limbs, Dnum: *dnum,
-		CacheLimbs: *cacheLimbs, LineBytes: *line, Ways: *ways,
-		Tolerance: *tol,
-		Diags:     *diags, Rotations: *rotations,
-		Bootstrap: *boot,
-	}
 	rep, err := calib.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "validate:", err)
-		os.Exit(1)
+		os.Exit(fherr.ExitCode(err))
 	}
 	rep.WriteTable(os.Stdout)
-	pass := rep.AllWithinTolerance()
+	pass := rep.Gate()
 	if pass {
-		fmt.Println("\nvalidation: PASS (gating rows within tolerance, toggle directions reproduced)")
+		fmt.Println("\nvalidation: PASS (gated rows within tolerance, toggle directions reproduced)")
 	} else {
 		fmt.Println("\nvalidation: FAIL (see rows above; deviations are discussed in docs/OBSERVABILITY.md)")
 	}

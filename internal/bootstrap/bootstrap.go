@@ -209,45 +209,50 @@ func (b *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) *ckks.Ciphertext {
 		ct = ev.DropLevel(ct, 0)
 	}
 
+	// Each phase is an op span stamped, as the evaluator's op spans are,
+	// with its memtrace window [trace.begin, trace.end).
 	tr := ev.Tracer()
+	phase := func(name string, body func()) {
+		sp := rec.StartOp(name)
+		if tr != nil {
+			sp.SetAttr("trace.begin", float64(tr.Len()))
+		}
+		body()
+		if tr != nil {
+			sp.SetAttr("trace.end", float64(tr.Len()))
+		}
+		sp.End()
+	}
 	fi := ev.FaultInjector()
-	tr.Mark("bootstrap.ModRaise")
-	sp := rec.StartOp("bootstrap.ModRaise")
-	raised := b.modRaise(ct)
-	sp.End()
+	var raised, ctReal, ctImag, out *ckks.Ciphertext
+	phase("bootstrap.ModRaise", func() { raised = b.modRaise(ct) })
 	fi.Poly("bootstrap.ModRaise.c0", raised.C0)
 	fi.Poly("bootstrap.ModRaise.c1", raised.C1)
 
 	// CoeffToSlot: slots now hold (t_j + i·t_{j+n})/(2n·…) in bit-reversed
 	// order, with the EvalMod normalization folded in.
-	tr.Mark("bootstrap.CoeffToSlot")
-	sp = rec.StartOp("bootstrap.CoeffToSlot")
-	w := b.cts.apply(ev, raised)
-
-	// Conjugate split into the two real coefficient halves.
-	wc := ev.Conjugate(w)
-	ctReal := ev.Add(w, wc)
-	ctImag := ev.MulByMinusI(ev.Sub(w, wc))
-	sp.End()
+	phase("bootstrap.CoeffToSlot", func() {
+		w := b.cts.apply(ev, raised)
+		// Conjugate split into the two real coefficient halves.
+		wc := ev.Conjugate(w)
+		ctReal = ev.Add(w, wc)
+		ctImag = ev.MulByMinusI(ev.Sub(w, wc))
+	})
 	fi.Poly("bootstrap.CoeffToSlot.c0", ctReal.C0)
 	fi.Poly("bootstrap.CoeffToSlot.c1", ctReal.C1)
 
 	// Approximate modular reduction on each half.
-	tr.Mark("bootstrap.EvalMod")
-	sp = rec.StartOp("bootstrap.EvalMod")
-	ctReal = b.evalMod(ctReal)
-	ctImag = b.evalMod(ctImag)
-	sp.End()
+	phase("bootstrap.EvalMod", func() {
+		ctReal = b.evalMod(ctReal)
+		ctImag = b.evalMod(ctImag)
+	})
 	fi.Poly("bootstrap.EvalMod.c0", ctReal.C0)
 	fi.Poly("bootstrap.EvalMod.c1", ctReal.C1)
 
 	// Recombine and return to the coefficient domain.
-	tr.Mark("bootstrap.SlotToCoeff")
-	sp = rec.StartOp("bootstrap.SlotToCoeff")
-	recombined := ev.Add(ctReal, ev.MulByI(ctImag))
-	out := b.stc.apply(ev, recombined)
-	sp.End()
-	tr.Mark("bootstrap.Done")
+	phase("bootstrap.SlotToCoeff", func() {
+		out = b.stc.apply(ev, ev.Add(ctReal, ev.MulByI(ctImag)))
+	})
 	fi.Poly("bootstrap.SlotToCoeff.c0", out.C0)
 	fi.Poly("bootstrap.SlotToCoeff.c1", out.C1)
 

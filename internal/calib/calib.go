@@ -1,21 +1,28 @@
 // Package calib validates the SimFHE analytic cost model against the
-// functional evaluator: it runs real homomorphic operations with a
-// memtrace.Tracer attached, replays the recorded limb-granular access
-// stream through a parametric cache simulator (memtrace.Sim), and
-// compares the *measured* DRAM traffic with the *modeled* traffic the
-// simulator predicts for the same parameters and cache capacity.
+// functional evaluator: it runs real homomorphic operations with the
+// cost ledger, the span recorder and a memtrace.Tracer attached, replays
+// the recorded limb-granular access stream through a parametric cache
+// simulator (memtrace.Sim), and compares the *measured* DRAM traffic
+// with the traffic the ledger *predicts* for the same spans.
 //
-// The calibration runs at small-but-real parameters (N = 2^10, 12 limbs
-// by default) with a single worker, so the traced schedule is
-// deterministic. The modeled side uses the matching simfhe.Params (same
-// limb counts, same 8-byte coefficients, cache capacity expressed in
-// limbs) with no MAD optimizations — the unoptimized streaming schedule
-// is what the functional library implements.
+// There is one path. The unit is the top-level op span: a span the
+// ledger prices with no priced ancestor. A row's prediction is the sum
+// of its top-level spans' pred.bytes; its measurement is the replay of
+// its windows — one per probe call, or one per span. The ledger
+// (internal/obs/ledger) is the only place an op or a parameter set maps
+// to the model; the rows no priced span covers yet read their cost from
+// the fixture's own ledger point, one table entry each.
 //
-// Beyond per-op totals, the calibration checks the *direction* of MAD
-// toggles: the same traces replayed (or re-traced) under a toggled
-// configuration must move measured traffic the same way the model says
-// it moves.
+// Two chains are traced, each built by newFixture with one worker (the
+// traced schedule is deterministic), seed-compressed keys and a warm key
+// vault: the calibration chain (N = 2^10, 12 + 4 limbs by default) for
+// the probe rows and toggles, and the bootstrap chain (17 + 3 limbs) for
+// one row per priced op kind and one per bootstrap phase.
+//
+// Beyond per-row totals, the report checks the *direction* of MAD
+// toggles: the same probe's spans re-priced at a second ledger point and
+// replayed at that point's capacity must move measured traffic the way
+// the model says it moves.
 package calib
 
 import (
@@ -26,133 +33,131 @@ import (
 
 	"repro/internal/bootstrap"
 	"repro/internal/ckks"
+	"repro/internal/fherr"
 	"repro/internal/memtrace"
+	"repro/internal/obs"
+	"repro/internal/obs/ledger"
 	"repro/internal/prng"
 	"repro/internal/ring"
 	"repro/internal/simfhe"
 )
 
-// Config selects the calibration point.
+// Config selects the calibration point. The bootstrap chain shares its
+// ring degree, cache geometry, tolerance and hoisted fan-out.
 type Config struct {
-	LogN  int // ring degree exponent (≥ 10: the model's Validate floor)
-	Limbs int // full ciphertext limb count (model L, functional len(LogQ))
-	Dnum  int // key-switching digit count
+	LogN  int `json:"log_n"` // ring degree exponent (≥ 10: the model's Validate floor)
+	Limbs int `json:"limbs"` // calibration-chain Q-limb count (model L)
+	Dnum  int `json:"dnum"`  // calibration-chain key-switching digit count
 
-	CacheLimbs int // simulated on-chip capacity, in limbs of 8·N bytes
-	LineBytes  int // cache line size (0 = memtrace default, 64)
-	Ways       int // set associativity (0 = memtrace default, 8)
+	CacheLimbs int `json:"cache_limbs"` // simulated on-chip capacity, in limbs of 8·N bytes
+	LineBytes  int `json:"line_bytes"`  // cache line size (0 = memtrace default, 64)
+	Ways       int `json:"ways"`        // set associativity (0 = memtrace default, 8)
 
-	Tolerance float64 // relative tolerance for the gating rows (0.20 = ±20%)
+	Tolerance float64 `json:"tolerance"` // relative tolerance of every gated row (0.20 = ±20%)
 
-	Diags     int // PtMatVecMult diagonal count
-	Rotations int // hoisted-rotation fan-out
-
-	Bootstrap bool // also trace one full bootstrap, reported per phase
+	Diags     int `json:"diags"`     // PtMatVecMult diagonal count
+	Rotations int `json:"rotations"` // hoisted-rotation fan-out
 }
 
 // DefaultConfig is the calibration point the tests and CI gate on.
 func DefaultConfig() Config {
 	return Config{
 		LogN: 10, Limbs: 12, Dnum: 4,
-		CacheLimbs: 6, LineBytes: 64, Ways: 8,
+		CacheLimbs: ledger.DefaultCacheLimbs, LineBytes: 64, Ways: 8,
 		Tolerance: 0.20,
 		Diags:     8, Rotations: 8,
 	}
 }
 
-// Alpha mirrors simfhe.Params.Alpha: limbs per digit = raised special
-// limbs.
-func (c Config) Alpha() int { return (c.Limbs + c.Dnum) / c.Dnum }
+// The bootstrap chain: the calibration chain is too short for the
+// pipeline's depth. bootProbes explicit Mul + RotateHoisted pairs run
+// ahead of the bootstrap: the pipeline rotates only inside its linear
+// transforms, which carry no prediction, and its Mults all sit inside
+// EvalMod; the probes are the plain instances of both kinds.
+const (
+	bootQLimbs, bootPLimbs = 17, 3
+	bootProbes             = 3
+)
 
-// LimbBytes is the size of one limb row: 8·N bytes.
-func (c Config) LimbBytes() uint64 { return 8 << c.LogN }
+// alpha is the calibration chain's special-limb count: limbs per digit.
+func (c Config) alpha() int { return (c.Limbs + c.Dnum) / c.Dnum }
+
+func (c Config) limbBytes() uint64 { return 8 << c.LogN }
+
+// geometry builds the memtrace cache geometry for a capacity in limbs.
+func (c Config) geometry(limbs int) memtrace.Geometry {
+	return memtrace.Geometry{
+		CapacityBytes: uint64(limbs) * c.limbBytes(),
+		LineBytes:     c.LineBytes,
+		Ways:          c.Ways,
+	}
+}
 
 // Breakdown is DRAM traffic split by operand class, in bytes. The model
-// folds functional scratch into its Ct ("working limb") class, so
-// tolerance comparisons use Total; the split is diagnostic.
+// folds functional scratch into its working-limb traffic, so tolerance
+// comparisons use Total; the split is diagnostic.
 type Breakdown struct {
-	Ct, Key, Pt, Scratch uint64
+	Ct      uint64 `json:"ct"`
+	Key     uint64 `json:"key"`
+	Pt      uint64 `json:"pt"`
+	Scratch uint64 `json:"scratch"`
 }
 
 // Total sums the classes.
 func (b Breakdown) Total() uint64 { return b.Ct + b.Key + b.Pt + b.Scratch }
 
-func modelBreakdown(c simfhe.Cost) Breakdown {
-	return Breakdown{Ct: c.CtRead + c.CtWrite, Key: c.KeyRead, Pt: c.PtRead}
-}
-
-func measuredBreakdown(t memtrace.Traffic) Breakdown {
+func (b Breakdown) plus(t memtrace.Traffic) Breakdown {
 	cls := func(c memtrace.Class) uint64 { return t.ReadBytes[c] + t.WriteBytes[c] }
 	return Breakdown{
-		Ct:      cls(memtrace.ClassCt),
-		Key:     cls(memtrace.ClassKey),
-		Pt:      cls(memtrace.ClassPt),
-		Scratch: cls(memtrace.ClassScratch),
+		Ct:      b.Ct + cls(memtrace.ClassCt),
+		Key:     b.Key + cls(memtrace.ClassKey),
+		Pt:      b.Pt + cls(memtrace.ClassPt),
+		Scratch: b.Scratch + cls(memtrace.ClassScratch),
 	}
 }
 
-// Row is one op's modeled-vs-measured comparison.
+// Row is one predicted-vs-measured comparison.
 type Row struct {
-	Op       string
-	Modeled  Breakdown
-	Measured Breakdown
-	DeltaPct float64 // (measured − modeled) / modeled · 100, on totals
-	// WithinTol reports |DeltaPct| ≤ 100·Tolerance.
-	WithinTol bool
-	// Informational rows do not gate AllWithinTolerance (the acceptance
-	// bar covers the unoptimized Mult and Rescale; the rest is reported
-	// for context, with deviations discussed in docs/OBSERVABILITY.md).
-	Informational bool
-	Note          string
+	Name      string    `json:"name"`
+	Count     int       `json:"count"`     // top-level op spans in the row's windows
+	Pred      uint64    `json:"pred"`      // ledger-predicted DRAM bytes
+	Meas      Breakdown `json:"meas"`      // replayed DRAM bytes by operand class
+	DeltaPct  float64   `json:"delta_pct"` // (measured − predicted) / predicted · 100
+	Gated     bool      `json:"gated"`     // counts toward Gate; otherwise informational
+	WithinTol bool      `json:"within_tol"`
+	// Limb-transform counts: the model's vs the kernel counters' over the
+	// same windows. Equal means no window leaks work across op boundaries.
+	PredNTT uint64 `json:"pred_ntt"`
+	MeasNTT uint64 `json:"meas_ntt"`
+	Note    string `json:"note,omitempty"`
 }
 
-// ToggleRow checks that a MAD optimization moves measured traffic in the
-// modeled direction.
-type ToggleRow struct {
-	Name                      string
-	ModeledBase, ModeledOpt   uint64
-	MeasuredBase, MeasuredOpt uint64
-	ModeledPct, MeasuredPct   float64 // opt vs base, in percent
-	Agree                     bool    // sign(modeled Δ) == sign(measured Δ)
-	Note                      string
+// Toggle checks that a MAD optimization moves measured traffic in the
+// predicted direction: Opt is a probe's spans re-priced at the toggle's
+// ledger point and replayed at its capacity, Base the same at the
+// baseline point.
+type Toggle struct {
+	Name  string `json:"name"`
+	Base  Row    `json:"base"`
+	Opt   Row    `json:"opt"`
+	Agree bool   `json:"agree"` // sign(predicted Δ) == sign(measured Δ)
 }
 
-func pct(base, opt uint64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return 100 * (float64(opt) - float64(base)) / float64(base)
-}
-
-func newToggleRow(name string, mBase, mOpt simfhe.Cost, tBase, tOpt memtrace.Traffic, note string) ToggleRow {
-	r := ToggleRow{
-		Name:         name,
-		ModeledBase:  mBase.Bytes(),
-		ModeledOpt:   mOpt.Bytes(),
-		MeasuredBase: tBase.Total(),
-		MeasuredOpt:  tOpt.Total(),
-		Note:         note,
-	}
-	r.ModeledPct = pct(r.ModeledBase, r.ModeledOpt)
-	r.MeasuredPct = pct(r.MeasuredBase, r.MeasuredOpt)
-	r.Agree = (r.ModeledPct < 0) == (r.MeasuredPct < 0)
-	return r
-}
-
-// Report is the calibration result.
+// Report is the validation result.
 type Report struct {
-	Config     Config
-	Functional string // functional parameter description
-	Model      string // model parameter description
-	Rows       []Row
-	Toggles    []ToggleRow
+	Config  Config   `json:"config"`
+	Rows    []Row    `json:"rows"`
+	Toggles []Toggle `json:"toggles"`
+	// SkippedSpans counts top-level op spans without a prediction (level
+	// outside the model's domain) or a trace window.
+	SkippedSpans int `json:"skipped_spans"`
 }
 
-// AllWithinTolerance reports whether every gating row met the tolerance
-// and every toggle reproduced the modeled direction.
-func (r *Report) AllWithinTolerance() bool {
+// Gate reports whether every gated row met the tolerance and every
+// toggle reproduced the predicted direction.
+func (r *Report) Gate() bool {
 	for _, row := range r.Rows {
-		if !row.Informational && !row.WithinTol {
+		if row.Gated && !row.WithinTol {
 			return false
 		}
 	}
@@ -168,61 +173,67 @@ func (r *Report) AllWithinTolerance() bool {
 // Prometheus exporter.
 func (r *Report) Counters() map[string]uint64 {
 	out := make(map[string]uint64)
+	put := func(p string, row Row) {
+		out[p+"_predicted_bytes"] = row.Pred
+		out[p+"_measured_bytes"] = row.Meas.Total()
+		out[p+"_measured_ct_bytes"] = row.Meas.Ct
+		out[p+"_measured_key_bytes"] = row.Meas.Key
+		out[p+"_measured_pt_bytes"] = row.Meas.Pt
+		out[p+"_measured_scratch_bytes"] = row.Meas.Scratch
+	}
 	for _, row := range r.Rows {
-		p := "calib_" + row.Op
-		out[p+"_modeled_bytes"] = row.Modeled.Total()
-		out[p+"_measured_bytes"] = row.Measured.Total()
-		out[p+"_measured_ct_bytes"] = row.Measured.Ct
-		out[p+"_measured_key_bytes"] = row.Measured.Key
-		out[p+"_measured_pt_bytes"] = row.Measured.Pt
-		out[p+"_measured_scratch_bytes"] = row.Measured.Scratch
+		put("calib_"+row.Name, row)
 	}
 	for _, t := range r.Toggles {
 		p := "calib_toggle_" + t.Name
-		out[p+"_modeled_base_bytes"] = t.ModeledBase
-		out[p+"_modeled_opt_bytes"] = t.ModeledOpt
-		out[p+"_measured_base_bytes"] = t.MeasuredBase
-		out[p+"_measured_opt_bytes"] = t.MeasuredOpt
+		put(p+"_base", t.Base)
+		put(p+"_opt", t.Opt)
+		out[p+"_agree"] = 0
 		if t.Agree {
 			out[p+"_agree"] = 1
-		} else {
-			out[p+"_agree"] = 0
 		}
 	}
 	return out
 }
 
-// WriteTable renders the human-readable calibration report.
+func pct(base, opt uint64) float64 {
+	if base == 0 {
+		return 0
+	}
+	return 100 * (float64(opt) - float64(base)) / float64(base)
+}
+
+// WriteTable renders the human-readable report.
 func (r *Report) WriteTable(w io.Writer) {
-	fmt.Fprintf(w, "== Model validation: measured (trace + cache sim) vs modeled DRAM traffic ==\n")
-	fmt.Fprintf(w, "   functional: %s\n", r.Functional)
-	fmt.Fprintf(w, "   model:      %s, cache %d limbs (%d KiB), line %dB, %d-way\n",
-		r.Model, r.Config.CacheLimbs,
-		uint64(r.Config.CacheLimbs)*r.Config.LimbBytes()/1024,
-		r.Config.LineBytes, r.Config.Ways)
-	fmt.Fprintf(w, "%-22s %12s %12s %8s %6s   %s\n",
-		"op", "modeled", "measured", "delta", "ok", "measured by class (ct/key/pt/scratch)")
+	c := r.Config
+	fmt.Fprintf(w, "== Model validation: ledger-predicted vs measured (trace + cache sim) DRAM traffic ==\n")
+	fmt.Fprintf(w, "   chains: N=2^%d, workers=1, seed-compressed keys, warm vault; calibration %d Q + %d P limbs (dnum=%d); bootstrap %d Q + %d P limbs, %d Mul and RotateHoisted×%d probes, then one bootstrap\n",
+		c.LogN, c.Limbs, c.alpha(), c.Dnum, bootQLimbs, bootPLimbs, bootProbes, c.Rotations)
+	fmt.Fprintf(w, "   cache:  %d limbs (%d KiB), line %dB, %d-way; gated rows ±%.0f%%\n",
+		c.CacheLimbs, uint64(c.CacheLimbs)*c.limbBytes()/1024, c.LineBytes, c.Ways, 100*c.Tolerance)
+	fmt.Fprintf(w, "   spans:  a row prices its top-level op spans (priced, no priced ancestor); %d without a prediction\n", r.SkippedSpans)
+	fmt.Fprintf(w, "%-22s %5s %12s %12s %8s %6s %11s   %s\n",
+		"row", "count", "predicted", "measured", "delta", "ok", "ntt p/m", "measured by class (ct/key/pt/scratch)")
 	for _, row := range r.Rows {
-		ok := "PASS"
-		if !row.WithinTol {
-			ok = "FAIL"
+		ok := "info"
+		if row.Gated {
+			ok = "PASS"
+			if !row.WithinTol {
+				ok = "FAIL"
+			}
 		}
-		if row.Informational {
-			ok = "info"
-		}
-		fmt.Fprintf(w, "%-22s %11.2fK %11.2fK %+7.1f%% %6s   %.1fK/%.1fK/%.1fK/%.1fK\n",
-			row.Op,
-			float64(row.Modeled.Total())/1024, float64(row.Measured.Total())/1024,
-			row.DeltaPct, ok,
-			float64(row.Measured.Ct)/1024, float64(row.Measured.Key)/1024,
-			float64(row.Measured.Pt)/1024, float64(row.Measured.Scratch)/1024)
+		m := row.Meas
+		fmt.Fprintf(w, "%-22s %5d %11.2fK %11.2fK %+7.1f%% %6s %11s   %.1fK/%.1fK/%.1fK/%.1fK\n",
+			row.Name, row.Count, float64(row.Pred)/1024, float64(m.Total())/1024, row.DeltaPct, ok,
+			fmt.Sprintf("%d/%d", row.PredNTT, row.MeasNTT),
+			float64(m.Ct)/1024, float64(m.Key)/1024, float64(m.Pt)/1024, float64(m.Scratch)/1024)
 		if row.Note != "" {
 			fmt.Fprintf(w, "%-22s   %s\n", "", row.Note)
 		}
 	}
 	if len(r.Toggles) > 0 {
-		fmt.Fprintf(w, "\n-- MAD toggle directions --\n")
-		fmt.Fprintf(w, "%-16s %22s %22s %6s\n", "toggle", "modeled base->opt", "measured base->opt", "agree")
+		fmt.Fprintf(w, "\n-- MAD toggle directions: one probe's spans at two ledger points --\n")
+		fmt.Fprintf(w, "%-16s %22s %22s %6s\n", "toggle", "predicted base->opt", "measured base->opt", "agree")
 		for _, t := range r.Toggles {
 			agree := "YES"
 			if !t.Agree {
@@ -230,62 +241,66 @@ func (r *Report) WriteTable(w io.Writer) {
 			}
 			fmt.Fprintf(w, "%-16s %9.1fK %+5.1f%% %9.1fK %+5.1f%% %8s\n",
 				t.Name,
-				float64(t.ModeledBase)/1024, t.ModeledPct,
-				float64(t.MeasuredBase)/1024, t.MeasuredPct,
+				float64(t.Base.Pred)/1024, pct(t.Base.Pred, t.Opt.Pred),
+				float64(t.Base.Meas.Total())/1024, pct(t.Base.Meas.Total(), t.Opt.Meas.Total()),
 				agree)
-			if t.Note != "" {
-				fmt.Fprintf(w, "%-16s   %s\n", "", t.Note)
+			if t.Opt.Note != "" {
+				fmt.Fprintf(w, "%-16s   %s\n", "", t.Opt.Note)
 			}
 		}
 	}
 }
 
-// harness owns the functional setup of one calibration run.
-type harness struct {
+// chain is one functional parameter point of the report.
+type chain struct {
+	qLimbs, pLimbs int
+	boot           bool // key and run a Bootstrapper; otherwise the probes' rlk and Galois keys
+}
+
+// probe is one row spec: a call traced as one window (nil for rows whose
+// windows are spans), and for the rows no priced op span covers yet, the
+// cost read from the fixture's model point.
+type probe struct {
+	name  string
+	call  func()
+	gated bool
+	model func(simfhe.Ctx) simfhe.Cost
+	note  string
+}
+
+// window is one stretch [begin, end) of the access stream and the limb
+// transforms the kernels ran in it.
+type window struct {
+	begin, end int
+	ntt        uint64
+}
+
+// fixture owns the functional setup of one chain.
+type fixture struct {
 	cfg    Config
 	params *ckks.Parameters
 	ev     *ckks.Evaluator
+	model  *ledger.Model
+	rec    *obs.Recorder
 	tr     *memtrace.Tracer
-	geo    memtrace.Geometry
-
-	ctA, ctB *ckks.Ciphertext
-	lt       *ckks.LinearTransform
-	rotSteps []int
+	a, b   *ckks.Ciphertext
+	probes []probe
+	top    []obs.SpanRecord // top-level op spans, once traced
 }
 
-// geometry builds the memtrace cache geometry for a capacity in limbs.
-func (c Config) geometry(limbs int) memtrace.Geometry {
-	return memtrace.Geometry{
-		CapacityBytes: uint64(limbs) * c.LimbBytes(),
-		LineBytes:     c.LineBytes,
-		Ways:          c.Ways,
-	}
-}
-
-// modelParams is the simfhe.Params matching the functional setup.
-func (c Config) modelParams() simfhe.Params {
-	return simfhe.Params{
-		LogN: c.LogN, LogQ: 40, L: c.Limbs, Dnum: c.Dnum,
-		FFTIter: 3, SineDegree: 31, DoubleAngle: 3,
-	}
-}
-
-// modelCtx builds a model context at the configured cache with the given
-// optimizations; cacheLimbs overrides the capacity (for toggle rows that
-// model a larger cache).
-func (c Config) modelCtx(opts simfhe.OptSet, cacheLimbs int) simfhe.Ctx {
-	p := c.modelParams()
-	cache := simfhe.CacheConfig{Bytes: uint64(cacheLimbs) * p.LimbBytes()}
-	return simfhe.NewCtx(p, cache, opts)
-}
-
-func newHarness(cfg Config) (*harness, error) {
-	logQ := make([]int, cfg.Limbs)
-	logQ[0] = 48
-	for i := 1; i < cfg.Limbs; i++ {
+// newFixture is the one builder of a chain's functional setup:
+// parameters, a seeded keygen, seed-compressed keys, the evaluator at one
+// worker, the ledger model, and the chain's probes — run once untraced,
+// so lazy state (key-vault digit expansion, scratch pools) settles before
+// the recorder and the tracer attach and traced windows hold only the
+// steady-state schedule.
+func newFixture(cfg Config, c chain) (*fixture, error) {
+	logQ := make([]int, c.qLimbs)
+	for i := range logQ {
 		logQ[i] = 40
 	}
-	logP := make([]int, cfg.Alpha())
+	logQ[0] = 48
+	logP := make([]int, c.pLimbs)
 	for i := range logP {
 		logP[i] = 50
 	}
@@ -295,49 +310,18 @@ func newHarness(cfg Config) (*harness, error) {
 	if err != nil {
 		return nil, fmt.Errorf("calib: %w", err)
 	}
+	model, err := ledger.ForParametersAt(params, cfg.CacheLimbs, simfhe.NoOpts())
+	if err != nil {
+		return nil, fmt.Errorf("calib: %w", err)
+	}
 
 	var seed [prng.SeedSize]byte
 	copy(seed[:], "simfhe calibration deterministic")
 	src := prng.NewSource(seed)
 	kg := ckks.NewKeyGenerator(params, src)
 	sk := kg.GenSecretKeySparse(16)
-	rlk := kg.GenRelinearizationKey(sk, false)
-
 	enc := ckks.NewEncoder(params)
 	n := params.Slots()
-	diags := make(map[int][]complex128, cfg.Diags)
-	for d := 0; d < cfg.Diags; d++ {
-		vec := make([]complex128, n)
-		for t := range vec {
-			vec[t] = complex(float64((d+t)%7)/8+0.1, 0)
-		}
-		diags[d] = vec
-	}
-	// An explicit split (the model's own is √diags too): the computed one
-	// would follow the evaluator's key-product economics, not the model's.
-	n1 := int(math.Round(math.Sqrt(float64(cfg.Diags))))
-	lt := ckks.NewLinearTransform(enc, diags, params.MaxLevel(), params.Scale(), n1, false)
-
-	stepSet := map[int]bool{}
-	rotSteps := make([]int, 0, cfg.Rotations)
-	for k := 1; k <= cfg.Rotations; k++ {
-		rotSteps = append(rotSteps, k)
-		stepSet[k] = true
-	}
-	for _, s := range lt.RotationSteps() {
-		stepSet[s] = true
-	}
-	steps := make([]int, 0, len(stepSet))
-	for s := range stepSet {
-		steps = append(steps, s)
-	}
-	sort.Ints(steps)
-	gks := kg.GenRotationKeys(steps, sk, false)
-
-	ev := ckks.NewEvaluator(params, &ckks.EvaluationKeySet{Rlk: rlk, Galois: gks})
-	// One worker: the traced schedule is serial and deterministic.
-	ev.SetWorkers(1)
-
 	encryptor := ckks.NewSecretKeyEncryptor(params, sk, src)
 	mkVec := func(phase float64) []complex128 {
 		v := make([]complex128, n)
@@ -346,333 +330,310 @@ func newHarness(cfg Config) (*harness, error) {
 		}
 		return v
 	}
-	ctA := encryptor.Encrypt(enc.Encode(mkVec(0.3)))
-	ctB := encryptor.Encrypt(enc.Encode(mkVec(1.1)))
+	f := &fixture{cfg: cfg, params: params, model: model,
+		a: encryptor.Encrypt(enc.Encode(mkVec(0.3))), b: encryptor.Encrypt(enc.Encode(mkVec(1.1)))}
+	a, b := f.a, f.b
 
-	h := &harness{
-		cfg: cfg, params: params, ev: ev,
-		ctA: ctA, ctB: ctB, lt: lt, rotSteps: rotSteps,
-		geo: cfg.geometry(cfg.CacheLimbs),
+	var steps []int // the hoisted fan-out
+	if c.boot {
+		btp, err := bootstrap.NewBootstrapper(params, bootstrap.DefaultParameters(), sk, src, true)
+		if err != nil {
+			return nil, fmt.Errorf("calib: %w", err)
+		}
+		ev := btp.Evaluator()
+		f.ev = ev
+		// Fan out over the first steps the bootstrapper holds keys for.
+		for k := 1; k < n && len(steps) < cfg.Rotations; k++ {
+			if _, ok := ev.Keys().Galois[params.RingQ().GaloisElement(k)]; ok {
+				steps = append(steps, k)
+			}
+		}
+		for i := 0; i < bootProbes; i++ {
+			f.probes = append(f.probes,
+				probe{call: func() { ev.Mul(a, b) }},
+				probe{call: func() { ev.RotateHoisted(a, steps) }})
+		}
+		low := ev.DropLevel(a, 0)
+		f.probes = append(f.probes, probe{call: func() { btp.Bootstrap(low) }})
+	} else {
+		diags := make(map[int][]complex128, cfg.Diags)
+		for d := 0; d < cfg.Diags; d++ {
+			vec := make([]complex128, n)
+			for t := range vec {
+				vec[t] = complex(float64((d+t)%7)/8+0.1, 0)
+			}
+			diags[d] = vec
+		}
+		// An explicit split (the model's own is √diags too): the computed
+		// one would follow the evaluator's key-product economics, not the
+		// model's.
+		n1 := int(math.Round(math.Sqrt(float64(cfg.Diags))))
+		lt := ckks.NewLinearTransform(enc, diags, params.MaxLevel(), params.Scale(), n1, false)
+		for k := 1; k <= cfg.Rotations; k++ {
+			steps = append(steps, k)
+		}
+		rlk := kg.GenRelinearizationKey(sk, true)
+		rlk.DropExpanded()
+		f.ev = ckks.NewEvaluator(params, &ckks.EvaluationKeySet{
+			Rlk: rlk, Galois: kg.GenGaloisKeys(append(lt.RotationSteps(), steps...), sk),
+		})
+		ev := f.ev
+
+		prod := ev.MulRelin(a, b)
+		poly := a.C0.CopyNew()
+		rQ := params.RingQ()
+		// The model charges (N/2)·log N butterflies per limb and one
+		// read+write sweep of the limb per DRAM pass; the pass count comes
+		// from the kernel's own schedule, so the cache-blocked kernel
+		// cannot silently change its traffic contract without this row
+		// catching it.
+		passes := ring.NTTPasses(params.N())
+		f.probes = []probe{
+			{name: "mult", gated: true, call: func() { ev.Rescale(ev.MulRelin(a, b)) },
+				note: "Rescale(MulRelin): the ledger prices its two spans as the unmerged Mult"},
+			{name: "rescale", gated: true, call: func() { ev.Rescale(prod) },
+				note: "both ciphertext halves rescaled (model RescalePoly ×2)"},
+			{name: "ntt_roundtrip", gated: true, call: func() { rQ.INTTPoly(poly); rQ.NTTPoly(poly) },
+				model: func(m simfhe.Ctx) simfhe.Cost { return m.NTTPoly(cfg.Limbs, passes).Times(2) },
+				note:  fmt.Sprintf("a kernel, no op span: iNTT+NTT on one poly, %d DRAM pass(es) per transform (ring.NTTPasses)", passes)},
+			{name: "rotate", gated: true, call: func() { ev.Rotate(a, 1) }},
+			{name: fmt.Sprintf("rotate_hoisted_x%d", cfg.Rotations), gated: true, call: func() { ev.RotateHoisted(a, steps) }},
+			{name: fmt.Sprintf("ptmatvec_d%d", cfg.Diags), call: func() { ev.EvalLinearTransform(a, lt) },
+				model: func(m simfhe.Ctx) simfhe.Cost { return m.PtMatVecMult(cfg.Limbs, cfg.Diags) },
+				note:  "informational, no ledger kind yet: the functional giant step is a full key switch (ModDown pair, ModUp, key product); the model's baseline ModDowns every baby step and its ModDownHoist price assumes a giant rotation with no ModUp/ModDown, which no RNS implementation can run — measured lands between the two"},
+		}
 	}
+	f.ev.SetWorkers(1)
+	f.ev.SetCostModel(model)
 
-	// Untraced warm-up: lazy state (Galois-key digit expansion, scratch
-	// pools) settles before the tracer attaches, so traced windows hold
-	// only the steady-state schedule.
-	_ = ev.Rescale(ev.MulRelin(ctA, ctB))
-	_ = ev.Rotate(ctA, 1)
-	_ = ev.RotateHoisted(ctA, rotSteps)
-	_ = ev.EvalLinearTransform(ctA, lt)
-
-	h.tr = memtrace.New()
-	ev.SetTracer(h.tr)
-	return h, nil
-}
-
-// trace records the events of one op invocation.
-func (h *harness) trace(op func()) []memtrace.Access {
-	start := h.tr.Len()
-	op()
-	return h.tr.Slice(start, h.tr.Len())
-}
-
-// measure replays events at the default geometry.
-func (h *harness) measure(events []memtrace.Access) memtrace.Traffic {
-	return memtrace.Measure(events, h.geo, h.tr.Classify)
-}
-
-func (h *harness) row(op string, modeled simfhe.Cost, events []memtrace.Access, informational bool, note string) Row {
-	t := h.measure(events)
-	row := Row{
-		Op:            op,
-		Modeled:       modelBreakdown(modeled),
-		Measured:      measuredBreakdown(t),
-		Informational: informational,
-		Note:          note,
+	for _, p := range f.probes {
+		p.call()
 	}
-	m, g := float64(row.Modeled.Total()), float64(row.Measured.Total())
-	if m > 0 {
-		row.DeltaPct = 100 * (g - m) / m
-	}
-	row.WithinTol = math.Abs(row.DeltaPct) <= 100*h.cfg.Tolerance
-	return row
+	f.rec = obs.NewRecorder(obs.WithSpanCap(1 << 16))
+	f.ev.SetRecorder(f.rec)
+	f.tr = memtrace.New()
+	f.ev.SetTracer(f.tr)
+	return f, nil
 }
 
-// Run executes the calibration and returns the report.
+func (f *fixture) ntt() uint64 { return f.rec.Counter("ring.ntt") + f.rec.Counter("ring.intt") }
+
+// trace runs call as one window of the access stream.
+func (f *fixture) trace(call func()) window {
+	w := window{begin: f.tr.Len(), ntt: f.ntt()}
+	call()
+	w.end, w.ntt = f.tr.Len(), f.ntt()-w.ntt
+	return w
+}
+
+// spanWindow is the window an op or phase span stamped on itself.
+func spanWindow(sp obs.SpanRecord) window {
+	return window{
+		begin: int(sp.Attrs["trace.begin"]), end: int(sp.Attrs["trace.end"]),
+		ntt: sp.Counters["ring.ntt"] + sp.Counters["ring.intt"],
+	}
+}
+
+// settle selects the top-level op spans of everything traced so far —
+// the one span rule: a span the ledger prices with no priced ancestor,
+// so a Rotate owns its nested KeySwitch instead of double-counting it —
+// and returns how many of them carry no prediction or trace window.
+func (f *fixture) settle() (skipped int) {
+	spans := f.rec.Snapshot().Spans
+	byID := make(map[uint64]obs.SpanRecord, len(spans))
+	for _, sp := range spans {
+		byID[sp.ID] = sp
+	}
+	priced := func(sp obs.SpanRecord) bool { _, ok := ledger.Kind(sp.Name); return ok }
+	for _, sp := range spans {
+		nested := false
+		for p := sp.Parent; p != 0 && !nested; p = byID[p].Parent {
+			nested = priced(byID[p])
+		}
+		if !priced(sp) || nested {
+			continue
+		}
+		_, okP := sp.Attrs["pred.bytes"]
+		_, okB := sp.Attrs["trace.begin"]
+		_, okE := sp.Attrs["trace.end"]
+		if !okP || !okB || !okE {
+			skipped++
+			continue
+		}
+		f.top = append(f.top, sp)
+	}
+	return skipped
+}
+
+// row prices the top-level spans inside ws — by their own pred.* stamps
+// when m is nil, re-priced through m.PredictOp otherwise — or, for a
+// probe no priced span covers yet, at p.model on the fixture's own model
+// point; and it replays ws at limbs of cache.
+func (f *fixture) row(p probe, ws []window, m *ledger.Model, limbs int) Row {
+	r := Row{Name: p.name, Gated: p.gated, Note: p.note}
+	geo := f.cfg.geometry(limbs)
+	for _, w := range ws {
+		r.Meas = r.Meas.plus(memtrace.Measure(f.tr.Slice(w.begin, w.end), geo, f.tr.Classify))
+		r.MeasNTT += w.ntt
+		for _, sp := range f.top {
+			if sw := spanWindow(sp); sw.begin < w.begin || sw.end > w.end {
+				continue
+			}
+			r.Count++
+			c := obs.OpCost{Bytes: uint64(sp.Attrs["pred.bytes"]), NTT: uint64(sp.Attrs["pred.ntt"])}
+			if m != nil {
+				kind, _ := ledger.Kind(sp.Name)
+				c, _ = m.PredictOp(kind, int(sp.Attrs["ct.level"])+1, int(sp.Attrs["op.fanout"]))
+			}
+			r.Pred += c.Bytes
+			r.PredNTT += c.NTT
+		}
+	}
+	if p.model != nil {
+		c := p.model(f.model.Ctx())
+		r.Pred, r.PredNTT = c.Bytes(), c.NTT
+	}
+	r.DeltaPct = pct(r.Pred, r.Meas.Total())
+	r.WithinTol = math.Abs(r.DeltaPct) <= 100*f.cfg.Tolerance
+	return r
+}
+
+// Run traces both chains and returns the report. A non-positive
+// tolerance is a usage error, not a default.
 func Run(cfg Config) (*Report, error) {
 	if cfg.Tolerance <= 0 {
-		cfg.Tolerance = 0.20
+		return nil, fherr.Errorf(fherr.ErrUsage, "calib: tolerance %g: want > 0", cfg.Tolerance)
 	}
-	mp := cfg.modelParams()
-	if err := mp.Validate(); err != nil {
-		return nil, fmt.Errorf("calib: model side: %w", err)
-	}
-	h, err := newHarness(cfg)
-	if err != nil {
+	rep := &Report{Config: cfg}
+	if err := rep.calibrate(); err != nil {
 		return nil, err
 	}
-	mctx := cfg.modelCtx(simfhe.NoOpts(), cfg.CacheLimbs)
-
-	rep := &Report{
-		Config: cfg,
-		Functional: fmt.Sprintf("ckks N=2^%d, %d Q-limbs + %d P-limbs, dnum=%d, workers=1",
-			cfg.LogN, cfg.Limbs, cfg.Alpha(), cfg.Dnum),
-		Model: mp.String(),
-	}
-
-	// --- Per-op rows. Gating: Mult and Rescale (the acceptance bar).
-	multEvents := h.trace(func() { _ = h.ev.Rescale(h.ev.MulRelin(h.ctA, h.ctB)) })
-	rep.Rows = append(rep.Rows, h.row("mult", mctx.Mult(cfg.Limbs), multEvents, false,
-		"functional MulRelin+Rescale vs model Mult (tensor, relin, recombine, rescale ×2)"))
-	// The merged Mul, for the moddown_merge toggle below.
-	mergedEvents := h.trace(func() { _ = h.ev.Mul(h.ctA, h.ctB) })
-
-	// Rescale window: a fresh unrescaled product, then window only the
-	// Rescale call itself.
-	prod := h.ev.MulRelin(h.ctA, h.ctB)
-	rescaleEvents := h.trace(func() { _ = h.ev.Rescale(prod) })
-	rep.Rows = append(rep.Rows, h.row("rescale", mctx.RescalePoly(cfg.Limbs).Times(2), rescaleEvents, false,
-		"both ciphertext halves rescaled (model RescalePoly ×2)"))
-
-	// NTT round trip: iNTT + NTT over one ciphertext polynomial, traced
-	// at limb granularity and gated. The model charges (N/2)·log N
-	// butterflies per limb and one read+write sweep of the limb per DRAM
-	// pass; the pass count comes from the kernel's own schedule
-	// (ring.NTTPasses: 1 single-phase, 2 blocked), so the cache-blocked
-	// kernel cannot silently change its traffic contract without this row
-	// catching it.
-	nttPasses := ring.NTTPasses(1 << cfg.LogN)
-	nttPoly := h.ctA.C0.CopyNew()
-	rQ := h.params.RingQ()
-	nttEvents := h.trace(func() {
-		rQ.INTTPoly(nttPoly)
-		rQ.NTTPoly(nttPoly)
-	})
-	rep.Rows = append(rep.Rows, h.row("ntt_roundtrip",
-		mctx.NTTPoly(cfg.Limbs, nttPasses).Times(2), nttEvents, false,
-		fmt.Sprintf("iNTT+NTT on one poly, %d limbs, %d DRAM pass(es) per transform (ring.NTTPasses)",
-			cfg.Limbs, nttPasses)))
-
-	rotEvents := h.trace(func() { _ = h.ev.Rotate(h.ctA, 1) })
-	rep.Rows = append(rep.Rows, h.row("rotate", mctx.Rotate(cfg.Limbs), rotEvents, false, ""))
-
-	hoistEvents := h.trace(func() { _ = h.ev.RotateHoisted(h.ctA, h.rotSteps) })
-	rep.Rows = append(rep.Rows, h.row(
-		fmt.Sprintf("rotate_hoisted_x%d", cfg.Rotations),
-		mctx.HoistedRotations(cfg.Limbs, cfg.Rotations), hoistEvents, false, ""))
-
-	matvecEvents := h.trace(func() { _ = h.ev.EvalLinearTransform(h.ctA, h.lt) })
-	rep.Rows = append(rep.Rows, h.row(
-		fmt.Sprintf("ptmatvec_d%d", cfg.Diags),
-		mctx.PtMatVecMult(cfg.Limbs, cfg.Diags), matvecEvents, true,
-		"informational: the functional giant step is a full key switch (ModDown pair, ModUp, key product); the model's baseline ModDowns every baby step and its ModDownHoist price assumes a giant rotation with no ModUp/ModDown, which no RNS implementation can run — measured lands between the two"))
-
-	// --- Toggle 1: CacheBeta. The same hoisted-rotation trace replayed
-	// at a cache large enough to keep the raised digits resident across
-	// rotations must drop measured traffic, as the model's O(β) caching
-	// predicts. The model needs ≥ 2·dnum limbs for the toggle to
-	// survive Effective; the measured cache must hold the full raised
-	// digit set plus one rotation's streaming working set, so size it
-	// generously.
-	bigLimbs := 4 * mp.Beta(cfg.Limbs) * mp.RaisedLimbs(cfg.Limbs)
-	if min := 2 * cfg.Dnum; bigLimbs < min {
-		bigLimbs = min
-	}
-	mBase := cfg.modelCtx(simfhe.NoOpts(), cfg.CacheLimbs).HoistedRotations(cfg.Limbs, cfg.Rotations)
-	mOpt := cfg.modelCtx(simfhe.OptSet{CacheBeta: true}, bigLimbs).HoistedRotations(cfg.Limbs, cfg.Rotations)
-	tBase := h.measure(hoistEvents)
-	tOpt := memtrace.Measure(hoistEvents, cfg.geometry(bigLimbs), h.tr.Classify)
-	rep.Toggles = append(rep.Toggles, newToggleRow("cache_beta", mBase, mOpt, tBase, tOpt,
-		fmt.Sprintf("same trace, %d-limb vs %d-limb cache; digit re-reads become hits", cfg.CacheLimbs, bigLimbs)))
-
-	// --- Toggle 2: CacheAlpha. The Mult trace replayed at a cache that
-	// holds the O(α) key-switching working set (model threshold 2α+3
-	// limbs): ModUp digit scratch and basis-extension intermediates stay
-	// resident instead of making the DRAM round trip.
-	alphaLimbs := 2*mp.Alpha() + 3
-	if alphaLimbs <= cfg.CacheLimbs {
-		alphaLimbs = cfg.CacheLimbs + mp.Alpha()
-	}
-	mBase = cfg.modelCtx(simfhe.NoOpts(), cfg.CacheLimbs).Mult(cfg.Limbs)
-	mOpt = cfg.modelCtx(simfhe.OptSet{CacheAlpha: true}, alphaLimbs).Mult(cfg.Limbs)
-	tBase = h.measure(multEvents)
-	tOpt = memtrace.Measure(multEvents, cfg.geometry(alphaLimbs), h.tr.Classify)
-	rep.Toggles = append(rep.Toggles, newToggleRow("cache_alpha", mBase, mOpt, tBase, tOpt,
-		fmt.Sprintf("same Mult trace, %d-limb vs %d-limb cache; O(α) ModUp intermediates stay resident", cfg.CacheLimbs, alphaLimbs)))
-
-	// --- Toggle 3: KeyCompression. The model halves key-read traffic:
-	// only the b halves of the switching-key digits stream from DRAM, the
-	// uniform a halves are regenerated on chip from a 32-byte seed. The
-	// functional counterpart is the key vault: a seed-compressed Galois
-	// key whose a halves are demand-materialized. In the trace, vault
-	// expansion is a write (write-allocate without fetch: generated, not
-	// read) and vault eviction is a Discard (dropped, never written back),
-	// so at a replay capacity that holds the key working set — the
-	// capacity IS the vault budget, on-chip SRAM in the accelerator
-	// reading of §3.2 — the a halves contribute zero DRAM key traffic,
-	// while the materialized baseline pays a compulsory read per limb.
-	// Replay capacity: the full rotate working set — both key halves
-	// (2·β·raised), the raised decomposition digits (β·raised), the
-	// accumulator pair and ciphertext limbs — so neither side suffers
-	// capacity evictions and the only DRAM delta is the key stream
-	// itself. The vault materializes whole digits up front (digit
-	// granularity, not the per-limb streaming of a hardware regenerator),
-	// so at a tighter capacity the expanded a limbs would be evicted
-	// dirty before use and charged twice.
-	keyLimbs := 4*mp.Beta(cfg.Limbs)*mp.RaisedLimbs(cfg.Limbs) + 4*mp.Alpha() + 2*cfg.Limbs
-	compEvents, err := compressedRotateTrace(cfg, h)
-	if err != nil {
+	if err := rep.bootstrap(); err != nil {
 		return nil, err
-	}
-	mBase = cfg.modelCtx(simfhe.NoOpts(), keyLimbs).Rotate(cfg.Limbs)
-	mOpt = cfg.modelCtx(simfhe.OptSet{KeyCompression: true}, keyLimbs).Rotate(cfg.Limbs)
-	tBase = memtrace.Measure(rotEvents, cfg.geometry(keyLimbs), h.tr.Classify)
-	tOptC := memtrace.Measure(compEvents.events, cfg.geometry(keyLimbs), compEvents.classify)
-	rep.Toggles = append(rep.Toggles, newToggleRow("key_compress", mBase, mOpt, tBase, tOptC,
-		fmt.Sprintf("Rotate with materialized vs vault-expanded keys, %d-limb replay (= key working set); a halves regenerate on chip", keyLimbs)))
-
-	// --- Toggle 4: ModDownMerge (§3.2, Figure 4(c)). Off is the unfused
-	// composition the mult row gates, on is the evaluator's Mul: the lifts
-	// of d0 and d1 join the raised pair and one division by P·q_ℓ per half
-	// replaces the ModDown pair, the recombination adds and the Rescale.
-	// Same cache on both sides; the delta is the ℓ+1 transforms per half
-	// that no longer make their round trip, and the intermediate
-	// ciphertext that is never written.
-	mBase = cfg.modelCtx(simfhe.NoOpts(), cfg.CacheLimbs).Mult(cfg.Limbs)
-	mOpt = cfg.modelCtx(simfhe.OptSet{ModDownMerge: true}, cfg.CacheLimbs).Mult(cfg.Limbs)
-	rep.Toggles = append(rep.Toggles, newToggleRow("moddown_merge", mBase, mOpt, h.measure(multEvents), h.measure(mergedEvents),
-		"Rescale(MulRelin) vs Mul, same cache; one division by P·q_ℓ per half closes the product"))
-
-	if cfg.Bootstrap {
-		if err := bootstrapRows(cfg, rep); err != nil {
-			return nil, err
-		}
 	}
 	return rep, nil
 }
 
-// compressedTrace bundles a traced event window with the tracer's
-// classifier (classification is per-tracer: the compressed run has its
-// own buffers).
-type compressedTrace struct {
-	events   []memtrace.Access
-	classify func(uintptr) memtrace.Class
-}
-
-// compressedRotateTrace traces one Rotate on an evaluator whose Galois
-// key is seed-compressed, with a cold key vault: the digit expansions
-// land inside the traced window as on-chip writes, the b halves stream
-// as DRAM key reads — the functional realization of the model's
-// KeyCompression toggle.
-func compressedRotateTrace(cfg Config, h *harness) (compressedTrace, error) {
-	var seed [prng.SeedSize]byte
-	copy(seed[:], "simfhe calibration deterministic")
-	src := prng.NewSource(seed)
-	kg := ckks.NewKeyGenerator(h.params, src)
-	sk := kg.GenSecretKeySparse(16)
-	gks := kg.GenGaloisKeys([]int{1}, sk)
-	ev := ckks.NewEvaluator(h.params, &ckks.EvaluationKeySet{Galois: gks})
-	ev.SetWorkers(1)
-
-	enc := ckks.NewEncoder(h.params)
-	msg := make([]complex128, h.params.Slots())
-	for i := range msg {
-		msg[i] = complex(float64(i%13)/16, 0)
-	}
-	ct := ckks.NewSecretKeyEncryptor(h.params, sk, src).Encrypt(enc.Encode(msg))
-
-	// Untraced warm-up settles the scratch pools, then the vault is
-	// flushed so the traced Rotate re-materializes every digit.
-	_ = ev.Rotate(ct, 1)
-	ev.FlushKeyVault()
-
-	tr := memtrace.New()
-	ev.SetTracer(tr)
-	_ = ev.Rotate(ct, 1)
-	// Release the vault inside the window: the a halves are scratchpad
-	// contents — the flush records Discards, so the replay drops their
-	// lines without a DRAM writeback. Without this the end-of-replay
-	// Flush would charge the regenerated (dirty, never-read-from-DRAM)
-	// limbs as key write traffic and erase the toggle's saving.
-	ev.FlushKeyVault()
-	return compressedTrace{events: tr.Slice(0, tr.Len()), classify: tr.Classify}, nil
-}
-
-// bootstrapRows traces one full bootstrap at bench-scale parameters
-// (17 Q-limbs — the calibration chain is too short for the pipeline's
-// depth) and reports measured bytes per phase next to the model's
-// per-phase prediction. Informational: the functional EvalMod shape
-// (Chebyshev degree 31, 3 double-angle steps) and DFT split differ from
-// the model's closed forms in more ways than the ±tolerance bar covers.
-func bootstrapRows(cfg Config, rep *Report) error {
-	logQ := []int{48}
-	for i := 0; i < 16; i++ {
-		logQ = append(logQ, 40)
-	}
-	params, err := ckks.NewParameters(ckks.ParametersLiteral{
-		LogN: cfg.LogN, LogQ: logQ, LogP: []int{50, 50, 50}, LogScale: 40,
-	})
+// calibrate adds the calibration chain's probe rows and MAD toggles.
+func (rep *Report) calibrate() error {
+	cfg := rep.Config
+	f, err := newFixture(cfg, chain{qLimbs: cfg.Limbs, pLimbs: cfg.alpha()})
 	if err != nil {
-		return fmt.Errorf("calib: bootstrap: %w", err)
+		return err
 	}
-	var seed [prng.SeedSize]byte
-	copy(seed[:], "simfhe calibration deterministic")
-	src := prng.NewSource(seed)
-	kg := ckks.NewKeyGenerator(params, src)
-	sk := kg.GenSecretKeySparse(16)
-	btp, err := bootstrap.NewBootstrapper(params, bootstrap.DefaultParameters(), sk, src, true)
-	if err != nil {
-		return fmt.Errorf("calib: bootstrap: %w", err)
+	win := make(map[string]window, len(f.probes)+2)
+	for _, p := range f.probes {
+		win[p.name] = f.trace(p.call)
 	}
-	btp.Evaluator().SetWorkers(1)
-	enc := ckks.NewEncoder(params)
-	ct := ckks.NewSecretKeyEncryptor(params, sk, src).Encrypt(enc.Encode(make([]complex128, params.Slots())))
-	ct = btp.Evaluator().DropLevel(ct, 0)
+	// The toggles' second windows, traced last: the merged Mul, and a
+	// Rotate whose key digits expand inside the window. The trailing
+	// flush records the Discards that make the regenerated a halves free;
+	// without it the end-of-replay flush would charge them as key writes.
+	ev, a := f.ev, f.a
+	win["mul"] = f.trace(func() { ev.Mul(a, f.b) })
+	win["rotate_cold"] = f.trace(func() { ev.FlushKeyVault(); ev.Rotate(a, 1); ev.FlushKeyVault() })
+	rep.SkippedSpans += f.settle()
 
-	tr := memtrace.New()
-	btp.Evaluator().SetTracer(tr)
-	_ = btp.Bootstrap(ct)
-
-	// Phase windows from the stream marks.
-	marks := tr.Marks()
-	idx := map[string]int{}
-	for _, m := range marks {
-		idx[m.Label] = m.Index
+	for _, p := range f.probes {
+		rep.Rows = append(rep.Rows, f.row(p, []window{win[p.name]}, nil, cfg.CacheLimbs))
 	}
-	// Model at L=17; dnum chosen so α matches the 3 special limbs.
-	mp := simfhe.Params{LogN: cfg.LogN, LogQ: 40, L: 17, Dnum: 6,
-		FFTIter: 3, SineDegree: 31, DoubleAngle: 3}
-	mcache := simfhe.CacheConfig{Bytes: uint64(cfg.CacheLimbs) * mp.LimbBytes()}
-	bd := simfhe.NewCtx(mp, mcache, simfhe.NoOpts()).Bootstrap()
 
-	phases := []struct {
-		name, from, to string
-		modeled        simfhe.Cost
+	mp, l := f.model.Ctx().P, cfg.Limbs
+	// CacheBeta: the raised digits stay resident across rotations. The
+	// model needs ≥ 2·dnum limbs for the toggle to survive Effective; the
+	// replay must hold the full raised digit set plus one rotation's
+	// streaming working set, so size it generously.
+	betaLimbs := max(4*mp.Beta(l)*mp.RaisedLimbs(l), 2*mp.Dnum)
+	// CacheAlpha: the O(α) key-switching working set (model threshold
+	// 2α+3 limbs) — ModUp digit scratch and basis-extension
+	// intermediates stay resident instead of making the DRAM round trip.
+	alphaLimbs := 2*mp.Alpha() + 3
+	if alphaLimbs <= cfg.CacheLimbs {
+		alphaLimbs = cfg.CacheLimbs + mp.Alpha()
+	}
+	// KeyCompression: the full rotate working set — both key halves, the
+	// raised digits, the accumulator pair and the ciphertext — so neither
+	// side suffers capacity evictions and the only DRAM delta is the key
+	// stream. The capacity is the vault budget (on-chip SRAM in the
+	// accelerator reading of §3.2): expanded a halves are writes without a
+	// fetch and evictions are Discards, so they cost no DRAM traffic.
+	keyLimbs := 4*mp.Beta(l)*mp.RaisedLimbs(l) + 4*mp.Alpha() + 2*l
+	hoisted := fmt.Sprintf("rotate_hoisted_x%d", cfg.Rotations)
+	for _, t := range []struct {
+		name, base, opt     string // toggle, base window, opt window
+		baseLimbs, optLimbs int
+		opts                simfhe.OptSet
+		note                string
 	}{
-		{"boot_modraise", "bootstrap.ModRaise", "bootstrap.CoeffToSlot", bd.ModRaise},
-		{"boot_coeff2slot", "bootstrap.CoeffToSlot", "bootstrap.EvalMod", bd.CoeffToSlot},
-		{"boot_evalmod", "bootstrap.EvalMod", "bootstrap.SlotToCoeff", bd.EvalMod},
-		{"boot_slot2coeff", "bootstrap.SlotToCoeff", "bootstrap.Done", bd.SlotToCoeff},
+		{"cache_beta", hoisted, hoisted, cfg.CacheLimbs, betaLimbs, simfhe.OptSet{CacheBeta: true},
+			fmt.Sprintf("same spans, %d-limb vs %d-limb cache; digit re-reads become hits", cfg.CacheLimbs, betaLimbs)},
+		{"cache_alpha", "mult", "mult", cfg.CacheLimbs, alphaLimbs, simfhe.OptSet{CacheAlpha: true},
+			fmt.Sprintf("same spans, %d-limb vs %d-limb cache; O(α) ModUp intermediates stay resident", cfg.CacheLimbs, alphaLimbs)},
+		{"key_compress", "rotate", "rotate_cold", keyLimbs, keyLimbs, simfhe.OptSet{KeyCompression: true},
+			fmt.Sprintf("warm-vault Rotate vs flush+Rotate+flush, %d-limb replay (= key working set); a halves regenerate on chip", keyLimbs)},
+		{"moddown_merge", "mult", "mul", cfg.CacheLimbs, cfg.CacheLimbs, simfhe.NoOpts(),
+			"Rescale(MulRelin) vs Mul, same cache; one division by P·q_ℓ per half closes the product"},
+	} {
+		baseModel, err := ledger.ForParametersAt(f.params, t.baseLimbs, simfhe.NoOpts())
+		if err != nil {
+			return fmt.Errorf("calib: %w", err)
+		}
+		optModel, err := ledger.ForParametersAt(f.params, t.optLimbs, t.opts)
+		if err != nil {
+			return fmt.Errorf("calib: %w", err)
+		}
+		base := f.row(probe{name: t.base}, []window{win[t.base]}, baseModel, t.baseLimbs)
+		opt := f.row(probe{name: t.opt, note: t.note}, []window{win[t.opt]}, optModel, t.optLimbs)
+		rep.Toggles = append(rep.Toggles, Toggle{Name: t.name, Base: base, Opt: opt,
+			Agree: (opt.Pred < base.Pred) == (opt.Meas.Total() < base.Meas.Total())})
 	}
-	geo := cfg.geometry(cfg.CacheLimbs)
-	for _, ph := range phases {
-		from, okF := idx[ph.from]
-		to, okT := idx[ph.to]
-		if !okF || !okT {
-			return fmt.Errorf("calib: bootstrap trace missing mark %s/%s", ph.from, ph.to)
+	return nil
+}
+
+// bootstrap adds the bootstrap chain's rows, each named by its spans: one
+// per priced op kind (its top-level spans) and one per phase.
+func (rep *Report) bootstrap() error {
+	f, err := newFixture(rep.Config, chain{qLimbs: bootQLimbs, pLimbs: bootPLimbs, boot: true})
+	if err != nil {
+		return err
+	}
+	for _, p := range f.probes {
+		f.trace(p.call)
+	}
+	rep.SkippedSpans += f.settle()
+
+	byKind := map[string][]window{}
+	for _, sp := range f.top {
+		byKind[sp.Name] = append(byKind[sp.Name], spanWindow(sp))
+	}
+	kinds := make([]string, 0, len(byKind))
+	for kind := range byKind {
+		kinds = append(kinds, kind)
+	}
+	sort.Strings(kinds)
+	for _, kind := range kinds {
+		rep.Rows = append(rep.Rows, f.row(probe{name: kind, gated: true}, byKind[kind], nil, rep.Config.CacheLimbs))
+	}
+
+	// The phases have no ledger kind: the functional EvalMod shape and DFT
+	// split differ from the model's closed forms in more ways than the
+	// tolerance covers (docs/OBSERVABILITY.md, "Known deviations").
+	const note = "informational, no ledger kind: model EvalMod/DFT shapes differ"
+	spans := f.rec.Snapshot()
+	for _, p := range []probe{
+		{name: "bootstrap.ModRaise", note: note, model: func(m simfhe.Ctx) simfhe.Cost { return m.Bootstrap().ModRaise }},
+		{name: "bootstrap.CoeffToSlot", note: note, model: func(m simfhe.Ctx) simfhe.Cost { return m.Bootstrap().CoeffToSlot }},
+		{name: "bootstrap.EvalMod", note: note, model: func(m simfhe.Ctx) simfhe.Cost { return m.Bootstrap().EvalMod }},
+		{name: "bootstrap.SlotToCoeff", note: note, model: func(m simfhe.Ctx) simfhe.Cost { return m.Bootstrap().SlotToCoeff }},
+	} {
+		var ws []window
+		for _, sp := range spans.SpansNamed(p.name) {
+			ws = append(ws, spanWindow(sp))
 		}
-		t := memtrace.Measure(tr.Slice(from, to), geo, tr.Classify)
-		row := Row{
-			Op:            ph.name,
-			Modeled:       modelBreakdown(ph.modeled),
-			Measured:      measuredBreakdown(t),
-			Informational: true,
-			Note:          "phase window from stream marks; model EvalMod/DFT shapes differ (see docs/OBSERVABILITY.md)",
+		if len(ws) != 1 {
+			return fmt.Errorf("calib: %d %s spans in one bootstrap, want 1", len(ws), p.name)
 		}
-		if m := float64(row.Modeled.Total()); m > 0 {
-			row.DeltaPct = 100 * (float64(row.Measured.Total()) - m) / m
-		}
-		row.WithinTol = math.Abs(row.DeltaPct) <= 100*cfg.Tolerance
-		rep.Rows = append(rep.Rows, row)
+		rep.Rows = append(rep.Rows, f.row(p, ws, nil, rep.Config.CacheLimbs))
 	}
 	return nil
 }

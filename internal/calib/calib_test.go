@@ -1,42 +1,60 @@
 package calib
 
 import (
+	"encoding/json"
+	"errors"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/bootstrap"
+	"repro/internal/fherr"
+	"repro/internal/mathutil"
 )
 
-// TestCalibrationTolerance is the acceptance bar of the model-validation
-// work: at the default calibration point the measured DRAM traffic of
-// the unoptimized Mult and Rescale must land within ±20% of the model,
-// and the MAD toggle directions must reproduce.
-func TestCalibrationTolerance(t *testing.T) {
+var (
+	defaultOnce sync.Once
+	defaultRep  *Report
+	defaultErr  error
+)
+
+// defaultReport runs the default calibration once for every test here.
+func defaultReport(t *testing.T) *Report {
+	t.Helper()
 	if testing.Short() {
-		t.Skip("calibration traces full ops; skipped in -short")
+		t.Skip("calibration traces full ops and a bootstrap; skipped in -short")
 	}
-	rep, err := Run(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	defaultOnce.Do(func() { defaultRep, defaultErr = Run(DefaultConfig()) })
+	if defaultErr != nil {
+		t.Fatal(defaultErr)
 	}
+	return defaultRep
+}
+
+// TestCalibrationTolerance is the acceptance bar of the model-validation
+// work: at the default point every gated row lands within ±20% of the
+// ledger's prediction, and the MAD toggle directions reproduce.
+func TestCalibrationTolerance(t *testing.T) {
+	rep := defaultReport(t)
 	var sb strings.Builder
 	rep.WriteTable(&sb)
 	t.Logf("\n%s", sb.String())
 
+	rows := map[string]Row{}
 	for _, row := range rep.Rows {
-		if row.Informational {
-			continue
-		}
-		if !row.WithinTol {
-			t.Errorf("%s: measured %d vs modeled %d bytes (%+.1f%%) exceeds ±%.0f%%",
-				row.Op, row.Measured.Total(), row.Modeled.Total(), row.DeltaPct,
-				100*rep.Config.Tolerance)
+		rows[row.Name] = row
+		if row.Gated && !row.WithinTol {
+			t.Errorf("%s: measured %d vs predicted %d bytes (%+.1f%%) exceeds ±%.0f%%",
+				row.Name, row.Meas.Total(), row.Pred, row.DeltaPct, 100*rep.Config.Tolerance)
 		}
 	}
 	seen := map[string]bool{}
 	for _, tg := range rep.Toggles {
 		seen[tg.Name] = true
 		if !tg.Agree {
-			t.Errorf("toggle %s: modeled %+.1f%% but measured %+.1f%% (directions differ)",
-				tg.Name, tg.ModeledPct, tg.MeasuredPct)
+			t.Errorf("toggle %s: predicted %d -> %d but measured %d -> %d (directions differ)",
+				tg.Name, tg.Base.Pred, tg.Opt.Pred, tg.Base.Meas.Total(), tg.Opt.Meas.Total())
 		}
 	}
 	for _, name := range []string{"cache_beta", "cache_alpha", "key_compress", "moddown_merge"} {
@@ -44,25 +62,165 @@ func TestCalibrationTolerance(t *testing.T) {
 			t.Errorf("toggle %s missing from the report", name)
 		}
 	}
+	if !rep.Gate() {
+		t.Error("Gate() = false")
+	}
+}
+
+// TestDriftBootstrapGate is the acceptance gate for the cost-ledger
+// pipeline on the bootstrap workload: every priced op kind of a bootstrap
+// is present, gated, and agrees with the kernel counters, and the span
+// counts match the bootstrap's structure.
+func TestDriftBootstrapGate(t *testing.T) {
+	rep := defaultReport(t)
+	rows := map[string]Row{}
+	for _, row := range rep.Rows {
+		rows[row.Name] = row
+	}
+	if rep.SkippedSpans != 0 {
+		t.Errorf("SkippedSpans = %d, want 0 (every top-level op span should carry a prediction)", rep.SkippedSpans)
+	}
+
+	for _, kind := range []string{"ckks.Mult", "ckks.Rescale", "ckks.Conjugate", "ckks.RotateHoisted"} {
+		row, ok := rows[kind]
+		if !ok {
+			t.Errorf("kind %q missing from the report", kind)
+			continue
+		}
+		if !row.Gated || !row.WithinTol {
+			t.Errorf("%s: gated=%v, delta %+.1f%% against ±%.0f%%, want gated and inside it",
+				kind, row.Gated, row.DeltaPct, 100*rep.Config.Tolerance)
+		}
+		// The model's limb-transform count must match the kernel counters
+		// exactly: any mismatch means span windows leak work across op
+		// boundaries.
+		if row.PredNTT != row.MeasNTT {
+			t.Errorf("%s: NTT count predicted %d != measured %d", kind, row.PredNTT, row.MeasNTT)
+		}
+	}
+	// No library code composes the unfused pair any more: every product of
+	// the bootstrap is a merged Mult.
+	if row, ok := rows["ckks.MulRelin"]; ok {
+		t.Errorf("%d top-level MulRelin spans in a bootstrap, want none", row.Count)
+	}
+	if row := rows["ckks.RotateHoisted"]; row.Count != bootProbes {
+		t.Errorf("RotateHoisted count = %d, want %d probes", row.Count, bootProbes)
+	}
+	// Mult: the probes, plus per EvalMod half the sine polynomial's
+	// non-scalar products and one per double-angle step.
+	bp := bootstrap.DefaultParameters()
+	sineMults, _ := mathutil.NewPSPlan(bp.SineDegree).Cost()
+	if row, want := rows["ckks.Mult"], bootProbes+2*(sineMults+bp.DoubleAngle); row.Count != want {
+		t.Errorf("Mult count = %d, want %d (probes + 2 EvalMod halves)", row.Count, want)
+	}
+
+	// The report must round-trip as JSON for the CI artifact.
+	blob, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	var back Report
+	if err := json.Unmarshal(blob, &back); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if !reflect.DeepEqual(&back, rep) {
+		t.Errorf("JSON round trip changed the report:\n%s", blob)
+	}
+}
+
+// TestCalibrationModeledGolden pins the predicted bytes of every row,
+// toggle side and op kind: the ledger is the only pricing path, so a
+// change here is a model or ledger change, never a harness one.
+func TestCalibrationModeledGolden(t *testing.T) {
+	rep := defaultReport(t)
+	got := map[string]uint64{}
+	for _, row := range rep.Rows {
+		got[row.Name] = row.Pred
+	}
+	for _, tg := range rep.Toggles {
+		got[tg.Name+"/base"] = tg.Base.Pred
+		got[tg.Name+"/opt"] = tg.Opt.Pred
+	}
+	want := map[string]uint64{
+		"mult":                  5455872,
+		"rescale":               376832,
+		"ntt_roundtrip":         393216,
+		"rotate":                4489216,
+		"rotate_hoisted_x8":     23134208,
+		"ptmatvec_d8":           19906560,
+		"ckks.Conjugate":        6553600,
+		"ckks.Mult":             150413312,
+		"ckks.Rescale":          2228224,
+		"ckks.RotateHoisted":    128630784,
+		"bootstrap.ModRaise":    868352,
+		"bootstrap.CoeffToSlot": 156712960,
+		"bootstrap.EvalMod":     136888320,
+		"bootstrap.SlotToCoeff": 21946368,
+		"cache_beta/base":       23134208,
+		"cache_beta/opt":        20381696,
+		"cache_alpha/base":      5455872,
+		"cache_alpha/opt":       4145152,
+		"key_compress/base":     4489216,
+		"key_compress/opt":      4096000,
+		"moddown_merge/base":    5455872,
+		"moddown_merge/opt":     4669440,
+	}
+	if !reflect.DeepEqual(got, want) {
+		for name, w := range want {
+			if got[name] != w {
+				t.Errorf("%s: predicted %d bytes, golden %d", name, got[name], w)
+			}
+		}
+		for name := range got {
+			if _, ok := want[name]; !ok {
+				t.Errorf("%s: predicted %d bytes, not in the golden", name, got[name])
+			}
+		}
+	}
+	counts := map[string]int{}
+	for _, row := range rep.Rows {
+		counts[row.Name] = row.Count
+	}
+	for kind, n := range map[string]int{"ckks.Conjugate": 1, "ckks.Mult": 31, "ckks.Rescale": 8, "ckks.RotateHoisted": 3} {
+		if counts[kind] != n {
+			t.Errorf("%s: %d spans, golden %d", kind, counts[kind], n)
+		}
+	}
+}
+
+// TestRunRejectsNonPositiveTolerance: a zero or negative -tol is a usage
+// error (exit 2), not a silent ±20%.
+func TestRunRejectsNonPositiveTolerance(t *testing.T) {
+	for _, tol := range []float64{0, -1} {
+		cfg := DefaultConfig()
+		cfg.Tolerance = tol
+		_, err := Run(cfg)
+		if !errors.Is(err, fherr.ErrUsage) || fherr.ExitCode(err) != fherr.ExitUsage {
+			t.Errorf("Run(tol=%v) = %v, want a usage error", tol, err)
+		}
+	}
 }
 
 // TestReportCounters checks the exporter flattening carries every row.
 func TestReportCounters(t *testing.T) {
 	rep := &Report{
-		Rows: []Row{{Op: "mult", Modeled: Breakdown{Ct: 100}, Measured: Breakdown{Ct: 90, Scratch: 5}}},
-		Toggles: []ToggleRow{{
-			Name: "cache_beta", ModeledBase: 10, ModeledOpt: 8,
-			MeasuredBase: 11, MeasuredOpt: 9, Agree: true,
+		Rows: []Row{{Name: "mult", Pred: 100, Meas: Breakdown{Ct: 90, Scratch: 5}}},
+		Toggles: []Toggle{{
+			Name: "cache_beta", Base: Row{Pred: 10, Meas: Breakdown{Ct: 11}},
+			Opt: Row{Pred: 8, Meas: Breakdown{Ct: 9}}, Agree: true,
 		}},
 	}
 	c := rep.Counters()
-	if c["calib_mult_modeled_bytes"] != 100 {
-		t.Errorf("modeled = %d, want 100", c["calib_mult_modeled_bytes"])
-	}
-	if c["calib_mult_measured_bytes"] != 95 {
-		t.Errorf("measured = %d, want 95", c["calib_mult_measured_bytes"])
-	}
-	if c["calib_toggle_cache_beta_agree"] != 1 {
-		t.Errorf("agree = %d, want 1", c["calib_toggle_cache_beta_agree"])
+	for name, want := range map[string]uint64{
+		"calib_mult_predicted_bytes":                  100,
+		"calib_mult_measured_bytes":                   95,
+		"calib_mult_measured_scratch_bytes":           5,
+		"calib_toggle_cache_beta_base_measured_bytes": 11,
+		"calib_toggle_cache_beta_opt_predicted_bytes": 8,
+		"calib_toggle_cache_beta_agree":               1,
+	} {
+		if c[name] != want {
+			t.Errorf("%s = %d, want %d", name, c[name], want)
+		}
 	}
 }

@@ -184,17 +184,17 @@ func (ev *Evaluator) Recorder() *obs.Recorder { return ev.rec }
 // SetCostModel attaches a cost ledger (nil detaches it): with both a
 // recorder and a model attached, every op span carries the model's
 // predicted bytes/ops/NTTs for its exact parameter point, so traces and
-// the drift report can put predicted next to measured per op.
+// `simfhe validate` can put predicted next to measured per op.
 func (ev *Evaluator) SetCostModel(m obs.CostModel) { ev.model = m }
 
 // startOp opens the hierarchical span for one evaluator-level op and
 // stamps the cost ledger on it: ciphertext telemetry (level, scale,
 // degree), the model prediction at this (level, fanout) point when a
 // cost model is attached, and the memtrace window start when a tracer is
-// attached (drift replays [trace.begin, trace.end) through the cache sim
-// for the measured side). kind is the span name minus the "ckks."
-// prefix and doubles as the ledger key. Returns nil — and skips all
-// annotation work — when no recorder is attached.
+// attached (`simfhe validate` replays [trace.begin, trace.end) through
+// the cache sim for the measured side). kind is the span name minus the
+// "ckks." prefix and doubles as the ledger key. Returns nil — and skips
+// all annotation work — when no recorder is attached.
 func (ev *Evaluator) startOp(kind string, level int, scale float64, fanout int) *obs.Span {
 	// Every instrumented op boundary doubles as a cancellation point:
 	// with a bound op context, a deadline that expired between ops stops

@@ -3,7 +3,9 @@ package ckks_test
 // External test package: the ledger imports ckks, so wiring both
 // together has to live outside package ckks. This is the end-to-end
 // check that an instrumented evaluator produces the span hierarchy and
-// cost-ledger annotations the drift harness and dashboard consume.
+// cost-ledger annotations `simfhe validate` and the dashboard consume, and
+// the home of the recorder-overhead benchmarks, which price every op span
+// through the real ledger.
 
 import (
 	"strings"
@@ -119,7 +121,7 @@ func TestEvaluatorSpanHierarchyWithLedger(t *testing.T) {
 	}
 
 	// The unfused composition still carries its own predictions, the
-	// children annotated too (the drift harness relies on it).
+	// children annotated too (the calibration's mult probe relies on it).
 	rec.Reset()
 	ev.Rescale(ev.MulRelin(ct0, ct1))
 	for _, sp := range rec.Snapshot().Spans {
@@ -217,5 +219,60 @@ func TestLinearTransformSpanTree(t *testing.T) {
 	}
 	if got := op.Counters["ckks.rotate"]; got != 5 {
 		t.Errorf("ckks.rotate = %d over the transform, want 5 keyed steps", got)
+	}
+}
+
+// benchMul builds the recorder-overhead benchmarks' evaluator and
+// operands: the package tests' parameter point (N = 2^10, 5 Q + 2 P
+// limbs), a relinearization key and two full-level ciphertexts.
+func benchMul(b *testing.B) (*ckks.Evaluator, *ckks.Ciphertext, *ckks.Ciphertext) {
+	params, err := ckks.NewParameters(ckks.ParametersLiteral{
+		LogN: 10, LogQ: []int{45, 40, 40, 40, 40}, LogP: []int{45, 45}, LogScale: 40,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var seed [prng.SeedSize]byte
+	copy(seed[:], "ledger integration test")
+	src := prng.NewSource(seed)
+	kg := ckks.NewKeyGenerator(params, src)
+	sk := kg.GenSecretKey()
+	ev := ckks.NewEvaluator(params, &ckks.EvaluationKeySet{Rlk: kg.GenRelinearizationKey(sk, false)})
+	enc := ckks.NewEncoder(params)
+	vals := make([]complex128, params.Slots())
+	for i := range vals {
+		vals[i] = complex(float64(i%7)/7, 0)
+	}
+	encryptor := ckks.NewSecretKeyEncryptor(params, sk, src)
+	return ev, encryptor.Encrypt(enc.Encode(vals)), encryptor.Encrypt(enc.Encode(vals))
+}
+
+// BenchmarkMultRecorderOff is the baseline: the instrumentation is
+// compiled in but the recorder is nil, so every telemetry call site costs
+// exactly one nil check. Compare against BenchmarkMultRecorderOn to read
+// off the enabled-telemetry overhead (acceptance target: < 5%).
+func BenchmarkMultRecorderOff(b *testing.B) {
+	ev, ct0, ct1 := benchMul(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.Mul(ct0, ct1)
+	}
+}
+
+// BenchmarkMultRecorderOn runs the same multiply with a live recorder
+// and the cost ledger attached: hierarchical spans on every sub-operation,
+// ledger predictions and ciphertext telemetry per op span, counter adds
+// in the kernels, and a histogram observation per span end.
+func BenchmarkMultRecorderOn(b *testing.B) {
+	ev, ct0, ct1 := benchMul(b)
+	ev.SetRecorder(obs.NewRecorder())
+	model, err := ledger.ForParameters(ev.Params())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev.SetCostModel(model)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.Mul(ct0, ct1)
 	}
 }

@@ -4,78 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/simfhe"
 )
-
-// benchEvaluator builds an evaluator with relinearization keys and two
-// ciphertexts at full level for the recorder-overhead benchmarks.
-func benchEvaluator(b *testing.B) (*Evaluator, *Ciphertext, *Ciphertext) {
-	tc := newTestContext(b)
-	rlk := tc.kg.GenRelinearizationKey(tc.sk, false)
-	ev := NewEvaluator(tc.params, &EvaluationKeySet{Rlk: rlk})
-	vals := randomValues(tc.params.Slots(), 1)
-	ct0 := tc.encSk.Encrypt(tc.enc.Encode(vals))
-	ct1 := tc.encSk.Encrypt(tc.enc.Encode(vals))
-	return ev, ct0, ct1
-}
-
-// benchCostModel adapts a simfhe context to obs.CostModel for the
-// enabled-telemetry benchmark. It mirrors internal/obs/ledger.Model
-// (which cannot be imported here: ledger depends on ckks), so the
-// benchmark pays the real model-evaluation cost per op span.
-type benchCostModel struct{ ctx simfhe.Ctx }
-
-func (m benchCostModel) PredictOp(kind string, limbs, _ int) (obs.OpCost, bool) {
-	if limbs < 2 || limbs > m.ctx.P.L {
-		return obs.OpCost{}, false
-	}
-	var c simfhe.Cost
-	switch kind {
-	case "Mult":
-		c = m.ctx.Mult(limbs)
-	case "MulRelin", "Square":
-		c = m.ctx.MulRelin(limbs)
-	case "Rescale":
-		c = m.ctx.RescalePoly(limbs).Times(2)
-	case "KeySwitch":
-		c = m.ctx.KeySwitch(limbs)
-	default:
-		return obs.OpCost{}, false
-	}
-	return obs.OpCost{Bytes: c.Bytes(), Ops: c.Ops(), NTT: c.NTT}, true
-}
-
-// BenchmarkMultRecorderOff is the baseline: the instrumentation is
-// compiled in but the recorder is nil, so every telemetry call site costs
-// exactly one nil check. Compare against BenchmarkMultRecorderOn to read
-// off the enabled-telemetry overhead (acceptance target: < 5%).
-func BenchmarkMultRecorderOff(b *testing.B) {
-	ev, ct0, ct1 := benchEvaluator(b)
-	ev.SetRecorder(nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.Mul(ct0, ct1)
-	}
-}
-
-// BenchmarkMultRecorderOn runs the same multiply with a live recorder
-// and an attached cost model: hierarchical spans on every sub-operation,
-// ledger predictions and ciphertext telemetry per op span, counter adds
-// in the kernels, and a histogram observation per span end.
-func BenchmarkMultRecorderOn(b *testing.B) {
-	ev, ct0, ct1 := benchEvaluator(b)
-	rec := obs.NewRecorder()
-	ev.SetRecorder(rec)
-	mp := simfhe.Params{
-		LogN: 10, LogQ: 40, L: ev.Params().MaxLevel() + 1, Dnum: 1,
-		FFTIter: 3, SineDegree: 31, DoubleAngle: 3,
-	}
-	ev.SetCostModel(benchCostModel{ctx: simfhe.NewCtx(mp, simfhe.CacheConfig{Bytes: 6 * mp.LimbBytes()}, simfhe.NoOpts())})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.Mul(ct0, ct1)
-	}
-}
 
 // BenchmarkSpanNilRecorder pins the disabled-path cost in isolation: a
 // StartSpan/End pair on a nil recorder must not allocate and must cost

@@ -18,7 +18,6 @@
 package memtrace
 
 import (
-	"sort"
 	"sync"
 	"unsafe"
 )
@@ -79,14 +78,6 @@ type Access struct {
 	Class   Class
 }
 
-// Mark is a labeled position in the event stream, used to slice one trace
-// into phases (e.g. bootstrap's ModRaise / CoeffToSlot / EvalMod /
-// SlotToCoeff) after the fact.
-type Mark struct {
-	Label string
-	Index int // index into the event stream of the first event after the mark
-}
-
 // tagRange is one registered address interval with a fixed class.
 type tagRange struct {
 	lo, hi uintptr // [lo, hi)
@@ -101,7 +92,6 @@ type tagRange struct {
 type Tracer struct {
 	mu     sync.Mutex
 	events []Access
-	marks  []Mark
 	tags   []tagRange
 }
 
@@ -213,16 +203,6 @@ func (t *Tracer) Resolve(a Access) Class {
 	return t.Classify(a.Addr)
 }
 
-// Mark records a labeled position at the current end of the stream.
-func (t *Tracer) Mark(label string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.marks = append(t.marks, Mark{Label: label, Index: len(t.events)})
-	t.mu.Unlock()
-}
-
 // Len returns the number of recorded events.
 func (t *Tracer) Len() int {
 	if t == nil {
@@ -263,20 +243,7 @@ func (t *Tracer) Slice(from, to int) []Access {
 	return t.events[from:to]
 }
 
-// Marks returns the recorded marks in stream order.
-func (t *Tracer) Marks() []Mark {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Mark, len(t.marks))
-	copy(out, t.marks)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
-}
-
-// Reset drops recorded events and marks but keeps the tag registry, so a
+// Reset drops recorded events but keeps the tag registry, so a
 // tracer can be reused across ops without re-tagging plaintexts.
 func (t *Tracer) Reset() {
 	if t == nil {
@@ -284,6 +251,5 @@ func (t *Tracer) Reset() {
 	}
 	t.mu.Lock()
 	t.events = t.events[:0]
-	t.marks = t.marks[:0]
 	t.mu.Unlock()
 }

@@ -22,9 +22,8 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	tr.WriteClass(p, ClassScratch)
 	tr.Discard(p)
 	tr.Tag(p, ClassPt)
-	tr.Mark("x")
 	tr.Reset()
-	if tr.Len() != 0 || tr.Events() != nil || tr.Marks() != nil || tr.Slice(0, 10) != nil {
+	if tr.Len() != 0 || tr.Events() != nil || tr.Slice(0, 10) != nil {
 		t.Fatal("nil tracer must report an empty stream")
 	}
 	if tr.Classify(sliceAddr(p)) != ClassCt {
@@ -44,7 +43,6 @@ func TestNilTracerAllocFree(t *testing.T) {
 		tr.ReadClass(p, ClassKey)
 		tr.WriteClass(p, ClassScratch)
 		tr.Discard(p)
-		tr.Mark("m")
 	}); avg != 0 {
 		t.Errorf("nil tracer hooks allocate %.2f times per call", avg)
 	}
@@ -112,30 +110,27 @@ func TestTagClassification(t *testing.T) {
 		t.Errorf("Classify after retag = %v, want key", got)
 	}
 
-	// Reset keeps tags but drops events and marks.
-	tr.Mark("phase")
+	// Reset keeps tags but drops events.
 	tr.Reset()
-	if tr.Len() != 0 || len(tr.Marks()) != 0 {
-		t.Fatal("Reset must drop events and marks")
+	if tr.Len() != 0 {
+		t.Fatal("Reset must drop events")
 	}
 	if got := tr.Classify(sliceAddr(pt)); got != ClassKey {
 		t.Error("Reset must keep the tag registry")
 	}
 }
 
-func TestMarksAndSlice(t *testing.T) {
+// TestSlice: a window [from, to) of the stream, taken at two Len
+// cursors the way op spans stamp trace.begin/trace.end, is exactly the
+// events recorded between them.
+func TestSlice(t *testing.T) {
 	tr := New()
 	a := heapSlice(4)
-	tr.Mark("start")
 	tr.Read(a)
 	tr.Read(a)
-	tr.Mark("mid")
+	mid := tr.Len()
 	tr.Write(a)
-	marks := tr.Marks()
-	if len(marks) != 2 || marks[0].Index != 0 || marks[1].Index != 2 {
-		t.Fatalf("marks = %+v", marks)
-	}
-	if got := tr.Slice(marks[1].Index, tr.Len()); len(got) != 1 || !got[0].Write {
+	if got := tr.Slice(mid, tr.Len()); len(got) != 1 || !got[0].Write {
 		t.Fatalf("Slice(mid, end) = %+v", got)
 	}
 	if got := tr.Slice(-5, 100); len(got) != 3 {

@@ -15,10 +15,9 @@ type OpCost struct {
 // calibrated simfhe model.
 //
 // kind names the operation exactly as its span does, minus the package
-// prefix ("Mult", "MulRelin", "Square", "Rescale", "KeySwitch",
-// "Rotate", "Conjugate", "RotateHoisted"). limbs is the operand limb
-// count (level+1); fanout is the hoisted fan-out width (0 or 1 for
-// non-hoisted ops). ok reports whether the model covers the kind.
+// prefix; the vocabulary lives in internal/obs/ledger. limbs is the
+// operand limb count (level+1); fanout is the hoisted fan-out width (0 or
+// 1 for non-hoisted ops). ok reports whether the model covers the kind.
 type CostModel interface {
 	PredictOp(kind string, limbs, fanout int) (cost OpCost, ok bool)
 }
@@ -27,7 +26,7 @@ type CostModel interface {
 // deltas approximate an op's measured memory traffic: NTT/iNTT kernel
 // sweeps, basis-extension streams, and switching-key reads. This is
 // raw kernel traffic, not cache-filtered DRAM traffic — the calibrated
-// measured side lives in `simfhe drift`, which replays the op's
+// measured side lives in `simfhe validate`, which replays the op's
 // memtrace window through the cache simulator.
 var ByteCounters = []string{"ring.ntt.bytes", "ring.intt.bytes", "rns.extend.bytes", "ckks.key.bytes"}
 

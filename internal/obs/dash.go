@@ -152,7 +152,7 @@ const dashHTML = `<!DOCTYPE html>
 <body>
 <h1>fhe debug dashboard <span id="status"></span></h1>
 <div id="flight"></div>
-<h2>top divergent ops (kernel-counter bytes vs model prediction; calibrated drift = simfhe drift)</h2>
+<h2>top divergent ops (kernel-counter bytes vs model prediction; cache-replayed drift = simfhe validate)</h2>
 <table id="ops"><thead><tr><th>op</th><th>level</th><th>dur µs</th>
 <th>pred B</th><th>meas B</th><th>drift</th></tr></thead><tbody></tbody></table>
 <h2>latency histograms</h2>

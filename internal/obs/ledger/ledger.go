@@ -4,21 +4,24 @@
 // bytes/ops for their exact (level, dnum, toggle) point next to the
 // measured kernel-counter deltas. It lives under internal/obs but in its
 // own package so ckks can depend on the obs.CostModel interface without
-// importing the simulator.
+// importing the simulator. It is the only place a functional op kind or
+// parameter set maps to the model: `simfhe validate` (internal/calib)
+// prices every span through it.
 package ledger
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/ckks"
 	"repro/internal/obs"
 	"repro/internal/simfhe"
 )
 
-// DefaultCacheLimbs mirrors calib.DefaultConfig.CacheLimbs: predictions
-// are made at the same simulated on-chip capacity the model was
-// calibrated against, so per-span drift is comparable to the gated
-// `simfhe validate` rows.
+// DefaultCacheLimbs is the simulated on-chip capacity, in limbs, that
+// predictions are made at by default — the capacity `simfhe validate`
+// replays measured traces at, so per-span drift is comparable to its
+// gated rows.
 const DefaultCacheLimbs = 6
 
 // Model evaluates the simfhe analytic model at one parameter point.
@@ -38,17 +41,16 @@ func (m *Model) Ctx() simfhe.Ctx { return m.ctx }
 // ForParameters derives the simfhe parameter point matching a functional
 // ckks parameter set — same LogN, L = the Q-limb count, and Dnum
 // inferred so the model's α equals the functional special-limb count —
-// evaluated at the calibration cache size with no MAD optimizations,
-// the exact configuration the calibration gate runs at.
+// evaluated at DefaultCacheLimbs with no MAD optimizations, the
+// configuration the functional library implements.
 func ForParameters(p *ckks.Parameters) (*Model, error) {
-	return ForParametersAt(p, DefaultCacheLimbs)
+	return ForParametersAt(p, DefaultCacheLimbs, simfhe.NoOpts())
 }
 
-// ForParametersAt is ForParameters with an explicit simulated cache
-// capacity (in limbs), for consumers — like the drift harness — that
-// replay measured traces at a non-default geometry and need the model
-// evaluated at the same point.
-func ForParametersAt(p *ckks.Parameters, cacheLimbs int) (*Model, error) {
+// ForParametersAt is ForParameters at an explicit simulated cache
+// capacity (in limbs) and MAD optimization set: the second model point a
+// calibration toggle re-prices the same spans at.
+func ForParametersAt(p *ckks.Parameters, cacheLimbs int, opts simfhe.OptSet) (*Model, error) {
 	L := p.MaxLevel() + 1
 	kP := p.Alpha()
 	dnum := 0
@@ -69,7 +71,38 @@ func ForParametersAt(p *ckks.Parameters, cacheLimbs int) (*Model, error) {
 		return nil, fmt.Errorf("ledger: %w", err)
 	}
 	cache := simfhe.CacheConfig{Bytes: uint64(cacheLimbs) * mp.LimbBytes()}
-	return New(mp, cache, simfhe.NoOpts()), nil
+	return New(mp, cache, opts), nil
+}
+
+// pricers is the ledger's kind vocabulary: each op kind the model prices,
+// keyed as the evaluator names its op span minus the "ckks." prefix.
+var pricers = map[string]func(c simfhe.Ctx, limbs, fanout int) simfhe.Cost{
+	// The evaluator's Mul closes with the merged ModDown (§3.2): price
+	// that tree. MulRelin, Rescale and KeySwitch stay the unfused ops they
+	// still are.
+	"Mult": func(c simfhe.Ctx, l, _ int) simfhe.Cost {
+		c.Opts.ModDownMerge = true
+		return c.Mult(l)
+	},
+	"MulRelin":  func(c simfhe.Ctx, l, _ int) simfhe.Cost { return c.MulRelin(l) },
+	"Square":    func(c simfhe.Ctx, l, _ int) simfhe.Cost { return c.MulRelin(l) },
+	"Rescale":   func(c simfhe.Ctx, l, _ int) simfhe.Cost { return c.RescalePoly(l).Times(2) },
+	"KeySwitch": func(c simfhe.Ctx, l, _ int) simfhe.Cost { return c.KeySwitch(l) },
+	"Rotate":    func(c simfhe.Ctx, l, _ int) simfhe.Cost { return c.Rotate(l) },
+	"Conjugate": func(c simfhe.Ctx, l, _ int) simfhe.Cost { return c.Rotate(l) },
+	"RotateHoisted": func(c simfhe.Ctx, l, fanout int) simfhe.Cost {
+		return c.HoistedRotations(l, max(fanout, 1))
+	},
+}
+
+// Kind maps an op span name to the ledger kind it is priced as; ok is
+// false for spans the model has no price for.
+func Kind(span string) (kind string, ok bool) {
+	kind, ok = strings.CutPrefix(span, "ckks.")
+	if _, priced := pricers[kind]; !ok || !priced {
+		return "", false
+	}
+	return kind, true
 }
 
 // PredictOp implements obs.CostModel. limbs is the op's input limb count
@@ -77,33 +110,10 @@ func ForParametersAt(p *ckks.Parameters, cacheLimbs int) (*Model, error) {
 // model's vocabulary, and limb counts outside its domain, report ok=false
 // — the span then simply carries no prediction.
 func (m *Model) PredictOp(kind string, limbs, fanout int) (obs.OpCost, bool) {
-	if m == nil || limbs < 2 || limbs > m.ctx.P.L {
+	price, ok := pricers[kind]
+	if m == nil || !ok || limbs < 2 || limbs > m.ctx.P.L {
 		return obs.OpCost{}, false
 	}
-	var c simfhe.Cost
-	switch kind {
-	case "Mult":
-		// The evaluator's Mul closes with the merged ModDown (§3.2): price
-		// that tree. MulRelin, Rescale and KeySwitch stay the unfused ops
-		// they still are.
-		merged := m.ctx
-		merged.Opts.ModDownMerge = true
-		c = merged.Mult(limbs)
-	case "MulRelin", "Square":
-		c = m.ctx.MulRelin(limbs)
-	case "Rescale":
-		c = m.ctx.RescalePoly(limbs).Times(2)
-	case "KeySwitch":
-		c = m.ctx.KeySwitch(limbs)
-	case "Rotate", "Conjugate":
-		c = m.ctx.Rotate(limbs)
-	case "RotateHoisted":
-		if fanout < 1 {
-			fanout = 1
-		}
-		c = m.ctx.HoistedRotations(limbs, fanout)
-	default:
-		return obs.OpCost{}, false
-	}
+	c := price(m.ctx, limbs, fanout)
 	return obs.OpCost{Bytes: c.Bytes(), Ops: c.Ops(), NTT: c.NTT}, true
 }

@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ckks"
@@ -55,12 +56,45 @@ func TestForParametersCoversBenchBootstrap(t *testing.T) {
 }
 
 func TestForParametersAtUsesCacheLimbs(t *testing.T) {
-	m, err := ForParametersAt(bootParams(t), 12)
+	m, err := ForParametersAt(bootParams(t), 12, simfhe.OptSet{CacheAlpha: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := m.Ctx().Cache.Bytes, 12*m.Ctx().P.LimbBytes(); got != want {
 		t.Errorf("cache = %d bytes, want 12 limbs = %d", got, want)
+	}
+	// 12 limbs hold the 2α+3 working set at α = 3: the toggle survives.
+	if !m.Ctx().Opts.CacheAlpha {
+		t.Errorf("opts = %+v, want CacheAlpha", m.Ctx().Opts)
+	}
+}
+
+// TestKind: the span-name predicate and PredictOp share one vocabulary.
+func TestKind(t *testing.T) {
+	m, err := ForParameters(bootParams(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		span, kind string
+		ok         bool
+	}{
+		{"ckks.Mult", "Mult", true},
+		{"ckks.RotateHoisted", "RotateHoisted", true},
+		{"ckks.LinearTransform", "", false},
+		{"ckks.ks.product", "", false},
+		{"bootstrap.EvalMod", "", false},
+		{"Mult", "", false},
+	} {
+		kind, ok := Kind(tc.span)
+		if kind != tc.kind || ok != tc.ok {
+			t.Errorf("Kind(%q) = %q, %v; want %q, %v", tc.span, kind, ok, tc.kind, tc.ok)
+		}
+		if op, isOp := strings.CutPrefix(tc.span, "ckks."); isOp {
+			if _, priced := m.PredictOp(op, 12, 0); priced != tc.ok {
+				t.Errorf("PredictOp(%q) ok = %v, Kind says %v", op, priced, tc.ok)
+			}
+		}
 	}
 }
 
