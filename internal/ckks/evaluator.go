@@ -504,9 +504,12 @@ func (ct *Ciphertext) atLevel(level int) *Ciphertext {
 
 // decomposeModUp performs the Decomp + ModUp front half of KeySwitch
 // (Algorithm 3 lines 1–2): it splits x into β digits and raises each to
-// the Q∪P basis. The result can be reused across many automorphisms —
-// this is exactly the standard "ModUp hoisting" for rotations. The digits
-// are drawn from the converter's pool; release them with putDigits.
+// the Q∪P basis. The digits come out in Montgomery form (R·d per limb,
+// see rns.Converter.ModUpDigit), the form kskInnerProduct's kernel takes
+// and divides back out, so they feed nothing else. The result can be
+// reused across many automorphisms — this is exactly the standard "ModUp
+// hoisting" for rotations. The digits are drawn from the converter's pool;
+// release them with putDigits.
 func (ev *Evaluator) decomposeModUp(level int, x *ring.Poly, workers int) []rns.PolyQP {
 	p := ev.params
 	conv := p.Converter()

@@ -5,17 +5,21 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/mathutil"
+	"repro/internal/ring"
 	"repro/internal/rns"
 )
 
 // strictKskInnerProduct is the composition kskInnerProduct replaces, kept
-// as its oracle: materialize every rotated digit, then one fully reduced
+// as its oracle: take each digit out of the Montgomery form ModUpDigit
+// writes, materialize every rotated digit, then one fully reduced
 // MulCoeffsThenAdd per digit and key half into zeroed accumulators. swk
 // must have its a halves in place.
 func strictKskInnerProduct(p *Parameters, level int, digits []rns.PolyQP, g uint64, swk *SwitchingKey) (u, v rns.PolyQP) {
 	rQ, rP, conv := p.RingQ().AtLevel(level), p.RingP(), p.Converter()
 	u, v = conv.NewPolyQP(level), conv.NewPolyQP(level)
 	for j, d := range digits {
+		d = rns.PolyQP{Q: fromMForm(rQ, d.Q), P: fromMForm(rP, d.P)}
 		if g != 1 {
 			rot := conv.NewPolyQP(level)
 			rQ.AutomorphismNTT(d.Q, g, rot.Q)
@@ -29,6 +33,19 @@ func strictKskInnerProduct(p *Parameters, level int, digits []rns.PolyQP, g uint
 		rP.MulCoeffsThenAdd(key.A.P, d.P, v.P)
 	}
 	return u, v
+}
+
+// fromMForm returns a copy of x with every word x·R⁻¹ mod q_i, R = 2^64:
+// the canonical polynomial behind one in Montgomery form.
+func fromMForm(r *ring.Ring, x *ring.Poly) *ring.Poly {
+	out := x.CopyNew()
+	for i, q := range r.Moduli {
+		qNeg := mathutil.MontQNeg(q)
+		for c, w := range out.Coeffs[i] {
+			out.Coeffs[i][c] = mathutil.MontReduce(0, w, q, qNeg)
+		}
+	}
+	return out
 }
 
 // TestKskInnerProductMatchesStrict pins the single inner-product body to

@@ -45,7 +45,7 @@ type LinearTransform struct {
 type ltGroup struct {
 	giant int          // the rotation applied to the group's sum
 	baby  []int        // per diagonal, ascending: index into LinearTransform.babies
-	pt    []rns.PolyQP // per diagonal: the pre-rotated raised plaintext
+	pt    []rns.PolyQP // per diagonal: the pre-rotated raised plaintext, in Montgomery form
 }
 
 // rotateVec returns v rotated left by k (k may be negative).
@@ -98,9 +98,23 @@ func NewLinearTransform(enc *Encoder, diags map[int][]complex128, level int, sca
 		}
 		g := &lt.groups[len(lt.groups)-1]
 		g.baby = append(g.baby, sort.SearchInts(lt.babies, d%n1))
-		g.pt = append(g.pt, enc.EncodeQP(rotateVec(byIndex[d], -giant), scale, level))
+		g.pt = append(g.pt, mForm(enc.params, enc.EncodeQP(rotateVec(byIndex[d], -giant), scale, level)))
 	}
 	return lt
+}
+
+// mForm puts a raised plaintext in Montgomery form in place (R·x per limb,
+// R = 2^64): the transform's diagonals are the d operand of the fused
+// kernel in ltGroupSum, which divides the R back out. Set-up work, once
+// per diagonal.
+func mForm(p *Parameters, pt rns.PolyQP) rns.PolyQP {
+	for i, s := range p.RingQ().SubRings[:len(pt.Q.Coeffs)] {
+		s.MForm(pt.Q.Coeffs[i], pt.Q.Coeffs[i])
+	}
+	for j, s := range p.RingP().SubRings {
+		s.MForm(pt.P.Coeffs[j], pt.P.Coeffs[j])
+	}
+	return pt
 }
 
 // chooseN1 returns the power of two n1 in [1, slots] that minimises the
@@ -346,9 +360,10 @@ func (ev *Evaluator) EvalLinearTransformHoistedModDown(ct *Ciphertext, lt *Linea
 
 // ltGroupSum writes Σ_k pt_k ⊙ (u, v)_{baby(k)} over one giant group's
 // diagonals into the raised pair (u, v): per raised limb, one call of the
-// fused key-switch kernel with the plaintext rows in the digit slot and the
-// baby-step halves in the key slots. u and v are overwritten, so pooled
-// scratch needs no zeroing. The diagonals replay as plaintext traffic.
+// fused key-switch kernel with the plaintext rows (in Montgomery form) in
+// the digit slot and the baby-step halves in the key slots. u and v are
+// overwritten, so pooled scratch needs no zeroing. The diagonals replay as
+// plaintext traffic.
 func (ev *Evaluator) ltGroupSum(level int, g *ltGroup, us, vs []rns.PolyQP, u, v rns.PolyQP, workers int) {
 	p := ev.params
 	n, nQ, nP := p.N(), level+1, p.Alpha()

@@ -1,8 +1,9 @@
 // Package mathutil provides the 64-bit modular arithmetic primitives that
 // underpin the RNS-CKKS implementation: Barrett and Shoup modular
-// multiplication, modular exponentiation and inversion, Miller–Rabin
-// primality testing, generation of NTT-friendly primes, primitive roots of
-// unity, and bit-reversal permutations.
+// multiplication, Montgomery reduction of lazy 128-bit sums, modular
+// exponentiation and inversion, Miller–Rabin primality testing, generation
+// of NTT-friendly primes, primitive roots of unity, and bit-reversal
+// permutations.
 //
 // The one invariant every reduction here relies on is 4q < 2^64: the NTT's
 // lazy butterflies keep values in [0, 4q) and Barrett.Reduce128 sums two
@@ -115,6 +116,64 @@ func (b Barrett) Reduce128(hi, lo uint64) uint64 {
 		r -= b.Q
 	}
 	return r
+}
+
+// MulAdd128 returns (hi, lo) + x·w for the 128-bit hi·2^64 + lo, the
+// multiply-accumulate step of the lazy product sums; the caller keeps the
+// sum below 2^128.
+func MulAdd128(hi, lo, x, w uint64) (uint64, uint64) {
+	ph, pl := bits.Mul64(x, w)
+	lo, carry := bits.Add64(lo, pl, 0)
+	return hi + ph + carry, lo
+}
+
+// MontReduce returns T·2^-64 mod q for the 128-bit T = hi·2^64 + lo, the
+// Montgomery reduction (REDC), given qNeg = −q⁻¹ mod 2^64 (MontQNeg). It
+// requires an odd q and T < q·2^64 (so hi < q), which a sum of at most
+// MontMaxTerms products plus one residue meets.
+// With m = lo·qNeg, T + m·q is divisible by 2^64 and below 2q·2^64; its
+// low word is zero, so it carries into the high word exactly when lo ≠ 0,
+// and one conditional subtract lands the quotient in [0, q). One low and
+// one widening multiply, against Reduce128's two of each.
+func MontReduce(hi, lo, q, qNeg uint64) uint64 {
+	mh, _ := bits.Mul64(lo*qNeg, q)
+	r := hi + mh + (lo|-lo)>>63
+	if r >= q {
+		r -= q
+	}
+	return r
+}
+
+// MontQNeg returns −q⁻¹ mod 2^64 for an odd q, MontReduce's constant.
+// Newton's iteration x ← x·(2 − q·x) doubles the correct low bits of the
+// inverse, and x = q is already right mod 8 for any odd q.
+func MontQNeg(q uint64) uint64 {
+	if q&1 == 0 {
+		panic(fmt.Sprintf("mathutil: Montgomery modulus %d is even", q))
+	}
+	x := q
+	for i := 0; i < 5; i++ { // 3 → 6 → 12 → 24 → 48 → 96 bits
+		x *= 2 - q*x
+	}
+	return -x
+}
+
+// MontR returns R = 2^64 mod q: multiplying a residue by R puts it in the
+// Montgomery form MontReduce takes back out.
+func MontR(q uint64) uint64 {
+	_, r := bits.Div64(1, 0, q)
+	return r
+}
+
+// MontMaxTerms returns how many products x·w with x < m and w < q a sum
+// may hold, on top of one residue below q, and still meet MontReduce's
+// precondition T < q·2^64: k = ⌊(2^64−1)/m⌋ − 1 gives k·(m−1) + 1 < 2^64,
+// so T ≤ (q−1)·(k·(m−1) + 1) < q·2^64.
+// That is 7 at m < 2^61 and grows as the moduli shrink; a longer sum
+// reduces its accumulator (Barrett.Reduce128) every k products, which
+// preserves the residue and so whatever factor of R the sum carries.
+func MontMaxTerms(m uint64) int {
+	return int(^uint64(0)/m) - 1
 }
 
 // ShoupPrecomp returns the Shoup precomputation floor(w * 2^64 / q) for a

@@ -171,6 +171,103 @@ func TestBarrettReduce(t *testing.T) {
 	}
 }
 
+// montPrimes returns an NTT prime of every bit length from 28 to
+// MaxModulusBits, the range the CKKS chains draw their moduli from.
+func montPrimes(t testing.TB) []uint64 {
+	t.Helper()
+	var qs []uint64
+	for b := 28; b <= MaxModulusBits; b++ {
+		ps, err := GenerateNTTPrimes(b, 12, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs = append(qs, ps...)
+	}
+	return qs
+}
+
+// TestMontReduceAgainstBig is a math/big differential of MontReduce over
+// its whole input domain T < q·2^64: the top edge T = q·2^64 − 1, lo = 0
+// (no carry out of the low word), hi = 0, hi = q − 1, and random T. It
+// also checks MontQNeg, MontR (MontReduce of R·x is x) and that
+// MontMaxTerms products of worst-case operands plus a seed stay below q·2^64.
+func TestMontReduceAgainstBig(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 8))
+	const ones = ^uint64(0)
+	for _, q := range montPrimes(t) {
+		qNeg := MontQNeg(q)
+		if q*qNeg != ones {
+			t.Fatalf("q=%d: q·MontQNeg(q) = %#x, want −1 mod 2^64", q, q*qNeg)
+		}
+		bq := new(big.Int).SetUint64(q)
+		rInv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), 64), bq)
+		inputs := [][2]uint64{
+			{0, 0}, {0, 1}, {0, ones}, {q - 1, ones}, {q - 1, 0}, {1, 0}, {q - 1, 1},
+		}
+		for i := 0; i < 300; i++ {
+			inputs = append(inputs,
+				[2]uint64{r.Uint64N(q), r.Uint64()}, // random T < q·2^64
+				[2]uint64{r.Uint64N(q), 0},          // lo = 0
+				[2]uint64{0, r.Uint64()},            // hi = 0
+			)
+		}
+		for _, in := range inputs {
+			hi, lo := in[0], in[1]
+			x := new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64)
+			x.Or(x, new(big.Int).SetUint64(lo))
+			x.Mul(x, rInv)
+			want := x.Mod(x, bq).Uint64()
+			if got := MontReduce(hi, lo, q, qNeg); got != want {
+				t.Fatalf("q=%d: MontReduce(%#x, %#x) = %d, want %d", q, hi, lo, got, want)
+			}
+		}
+		rq := MontR(q)
+		if want := new(big.Int).Mod(new(big.Int).Lsh(big.NewInt(1), 64), bq).Uint64(); rq != want {
+			t.Fatalf("q=%d: MontR = %d, want %d", q, rq, want)
+		}
+		for _, v := range []uint64{0, 1, q - 1, r.Uint64N(q)} {
+			hi, lo := bits.Mul64(v, rq)
+			if got := MontReduce(hi, lo, q, qNeg); got != v {
+				t.Fatalf("q=%d: MontReduce(%d·R) = %d, want %d", q, v, got, v)
+			}
+		}
+		k := MontMaxTerms(q)
+		worst := new(big.Int).Mul(new(big.Int).SetUint64(q-1), new(big.Int).SetUint64(q-1))
+		worst.Mul(worst, big.NewInt(int64(k)))
+		worst.Add(worst, new(big.Int).SetUint64(q-1))
+		if limit := new(big.Int).Lsh(bq, 64); worst.Cmp(limit) >= 0 {
+			t.Fatalf("q=%d: %d worst products plus a seed reach q·2^64", q, k)
+		}
+		if bits.Len64(q) == MaxModulusBits && k < 7 {
+			t.Fatalf("q=%d: MontMaxTerms = %d, want ≥ 7 at 61 bits", q, k)
+		}
+	}
+}
+
+// FuzzMontReduce checks MontReduce against the hardware 128/64 division
+// for any T < q·2^64 and any odd modulus in [3, 2^MaxModulusBits):
+// MontReduce(T)·R ≡ T (mod q).
+func FuzzMontReduce(f *testing.F) {
+	const ones = ^uint64(0)
+	f.Add(uint64(0), uint64(0), uint64(0))
+	f.Add(ones, ones, ones)
+	f.Add(q61-1, ones, q61-2)
+	f.Add(uint64(12288), uint64(0), uint64(12287))
+	f.Fuzz(func(t *testing.T, hi, lo, qSeed uint64) {
+		q := 3 + qSeed%(1<<MaxModulusBits-3) | 1
+		hi %= q
+		got := MontReduce(hi, lo, q, MontQNeg(q))
+		if got >= q {
+			t.Fatalf("q=%d: MontReduce(%#x, %#x) = %d, not below q", q, hi, lo, got)
+		}
+		_, want := bits.Div64(hi, lo, q)
+		ph, pl := bits.Mul64(got, MontR(q))
+		if _, back := bits.Div64(ph%q, pl, q); back != want {
+			t.Fatalf("q=%d: MontReduce(%#x, %#x) = %d, and %d·R ≢ T", q, hi, lo, got, got)
+		}
+	})
+}
+
 // benchOperands is the size of the operand tables the reduction benchmarks
 // cycle through: random draws, too many for a branch predictor to learn
 // (on a Xeon it still memorizes a 2^12-entry cycle), so a data-dependent
@@ -192,6 +289,22 @@ func BenchmarkReduce128(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := i & (benchOperands - 1)
 		s += br.Reduce128(hi[k], lo[k])
+	}
+	benchSink = s
+}
+
+func BenchmarkMontReduce(b *testing.B) {
+	r := rand.New(rand.NewPCG(3, 4))
+	qNeg := MontQNeg(q61)
+	hi, lo := make([]uint64, benchOperands), make([]uint64, benchOperands)
+	for i := range hi {
+		hi[i], lo[i] = bits.Mul64(r.Uint64N(q61), r.Uint64N(q61))
+	}
+	var s uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i & (benchOperands - 1)
+		s += MontReduce(hi[k], lo[k], q61, qNeg)
 	}
 	benchSink = s
 }

@@ -3,6 +3,7 @@ package ring
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/mathutil"
@@ -67,13 +68,29 @@ func strictInnerProduct(s *SubRing, d, b, a [][]uint64, perm []int, u, v []uint6
 	}
 }
 
-// TestGatherMulAccumulateMatchesStrict demands the fused key-switch kernel
-// be bit-identical to the strict per-digit composition for every modulus,
-// for lengths around the tile boundary, for digit counts around the
-// 64-product fold guard, and for the identity and every Galois
-// permutation the evaluator tests use (a random index table where the
-// length is not a ring degree). The destination is poisoned first: the
-// kernel must write it, not accumulate into it.
+// fromMForm returns the canonical rows x·R⁻¹ mod q of rows in Montgomery
+// form: what the strict oracle multiplies where the kernel takes R·x.
+func fromMForm(s *SubRing, rows [][]uint64) [][]uint64 {
+	out := make([][]uint64, len(rows))
+	for j, row := range rows {
+		out[j] = make([]uint64, len(row))
+		for c, x := range row {
+			out[j][c] = mathutil.MontReduce(0, x, s.Q, s.qNeg)
+		}
+	}
+	return out
+}
+
+// TestGatherMulAccumulateMatchesStrict demands the fused key-switch kernel,
+// fed digits in Montgomery form, be bit-identical to the strict per-digit
+// composition on the canonical digits: for every modulus, for lengths
+// around the tile boundary, for digit counts around the fold guard (7 and
+// 8 products straddle it at 61 bits, 63–65 are a long sum folded many
+// times), and for the identity and every Galois permutation the evaluator
+// tests use (a random index table where the length is not a ring degree).
+// With worst set every word the kernel reads is q−1, the largest sum it
+// can be fed. The destination is poisoned first: the kernel must write
+// it, not accumulate into it.
 func TestGatherMulAccumulateMatchesStrict(t *testing.T) {
 	src := rand.New(rand.NewPCG(14, 1))
 	for _, n := range []int{InnerProductTile - 1, InnerProductTile, 4 * InnerProductTile} {
@@ -91,14 +108,15 @@ func TestGatherMulAccumulateMatchesStrict(t *testing.T) {
 			perms["conjugate"] = r.AutomorphismNTTIndex(r.GaloisElementConjugate())
 		}
 		for _, s := range r.SubRings {
-			for _, beta := range []int{1, 2, 3, 63, 64, 65} {
+			for _, beta := range []int{1, 2, 3, 7, 8, 63, 64, 65} {
 				for _, worst := range []bool{false, true} {
 					d := innerProductRows(src, beta, n, s.Q, worst)
 					b := innerProductRows(src, beta, n, s.Q, worst)
 					a := innerProductRows(src, beta, n, s.Q, worst)
+					canonical := fromMForm(s, d)
 					for name, perm := range perms {
 						wantU, wantV := make([]uint64, n), make([]uint64, n)
-						strictInnerProduct(s, d, b, a, perm, wantU, wantV)
+						strictInnerProduct(s, canonical, b, a, perm, wantU, wantV)
 						u, v := make([]uint64, n), make([]uint64, n)
 						for c := range u {
 							u[c], v[c] = ^uint64(0), ^uint64(0)
@@ -117,26 +135,44 @@ func TestGatherMulAccumulateMatchesStrict(t *testing.T) {
 	}
 }
 
+// TestMFormRoundTrip checks MForm multiplies by R = 2^64 mod q: the
+// Montgomery reduction of its output is the input, for every modulus.
+func TestMFormRoundTrip(t *testing.T) {
+	r := innerProductRing(t, 64)
+	src := rand.New(rand.NewPCG(14, 3))
+	for _, s := range r.SubRings {
+		x := innerProductRows(src, 1, 64, s.Q, false)[0]
+		x[0], x[1] = 0, s.Q-1
+		m := make([]uint64, len(x))
+		s.MForm(x, m)
+		if back := fromMForm(s, [][]uint64{m})[0]; !slices.Equal(back, x) {
+			t.Fatalf("q=%d: MForm does not invert MontReduce(0, ·)", s.Q)
+		}
+	}
+}
+
 // BenchmarkGatherMulAccumulate times the kernel on one limb at the
-// matvec_hoisted shape (N = 2^12, β = 3), with and without the gather.
+// matvec_hoisted shape (N = 2^12, β = 3) and at the bootstrap shapes
+// (N = 2^9, β = 3 and 6), with and without the gather.
 func BenchmarkGatherMulAccumulate(b *testing.B) {
-	const n, beta = 1 << 12, 3
-	r := testRing(b, n, 1)
-	s := r.SubRings[0]
-	src := rand.New(rand.NewPCG(14, 2))
-	d := innerProductRows(src, beta, n, s.Q, false)
-	kb := innerProductRows(src, beta, n, s.Q, false)
-	ka := innerProductRows(src, beta, n, s.Q, false)
-	u, v := make([]uint64, n), make([]uint64, n)
-	for _, c := range []struct {
-		name string
-		perm []int
-	}{{"identity", nil}, {"rot1", r.AutomorphismNTTIndex(r.GaloisElement(1))}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.SetBytes(int64((3*beta + 2) * n * 8))
-			for i := 0; i < b.N; i++ {
-				s.GatherMulAccumulate(d, kb, ka, c.perm, u, v)
-			}
-		})
+	for _, sh := range []struct{ n, beta int }{{1 << 12, 3}, {1 << 9, 3}, {1 << 9, 6}} {
+		r := testRing(b, sh.n, 1)
+		s := r.SubRings[0]
+		src := rand.New(rand.NewPCG(14, 2))
+		d := innerProductRows(src, sh.beta, sh.n, s.Q, false)
+		kb := innerProductRows(src, sh.beta, sh.n, s.Q, false)
+		ka := innerProductRows(src, sh.beta, sh.n, s.Q, false)
+		u, v := make([]uint64, sh.n), make([]uint64, sh.n)
+		for _, c := range []struct {
+			name string
+			perm []int
+		}{{"identity", nil}, {"rot1", r.AutomorphismNTTIndex(r.GaloisElement(1))}} {
+			b.Run(fmt.Sprintf("N=%d/beta=%d/%s", sh.n, sh.beta, c.name), func(b *testing.B) {
+				b.SetBytes(int64((3*sh.beta + 2) * sh.n * 8))
+				for i := 0; i < b.N; i++ {
+					s.GatherMulAccumulate(d, kb, ka, c.perm, u, v)
+				}
+			})
+		}
 	}
 }

@@ -177,6 +177,17 @@ func (s *SubRing) MulThenAddVec(a, b, acc []uint64) {
 	}
 }
 
+// MForm sets out[j] = a[j]·R mod q with R = 2^64 mod q over a single limb:
+// the Montgomery form GatherMulAccumulate takes its d operand in. a must
+// be canonical; out may alias a.
+func (s *SubRing) MForm(a, out []uint64) {
+	r, rs, q := s.r, s.rShoup, s.Q
+	a = a[:len(out)]
+	for j := range out {
+		out[j] = mathutil.MulModShoup(a[j], r, rs, q)
+	}
+}
+
 // MulScalar sets out = c · a for a scalar c (reduced per modulus).
 func (r *Ring) MulScalar(a *Poly, c uint64, out *Poly) {
 	r.checkCompat(a, out)

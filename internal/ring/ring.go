@@ -40,6 +40,11 @@ type SubRing struct {
 	nInv      uint64 // N^{-1} mod q, folded into the inverse transform
 	nInvShoup uint64
 
+	// Montgomery constants: qNeg = −q⁻¹ mod 2^64 closes the fused inner
+	// product (mathutil.MontReduce), and R = 2^64 mod q with its Shoup
+	// companion puts a row in Montgomery form (MForm).
+	qNeg, r, rShoup uint64
+
 	// Optional observability attachments, shared by every AtLevel view
 	// (views alias the SubRing pointers). Both are nil-safe no-ops when
 	// detached; rec counts kernel invocations, tr records the limb
@@ -89,6 +94,9 @@ func newSubRing(n int, q uint64) (*SubRing, error) {
 
 	s.nInv = mathutil.InvMod(uint64(n), q)
 	s.nInvShoup = mathutil.ShoupPrecomp(s.nInv, q)
+	s.qNeg = mathutil.MontQNeg(q)
+	s.r = mathutil.MontR(q)
+	s.rShoup = mathutil.ShoupPrecomp(s.r, q)
 	return s, nil
 }
 

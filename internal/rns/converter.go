@@ -160,16 +160,18 @@ func (c *Converter) PutPolyQP(p PolyQP) {
 // merged division): a run is pinned by first modulus and length, and the
 // L bases {p_0 … p_{α−1}, q_ℓ} — same first modulus, same length — by
 // their last modulus, which the sum alone would also tell apart
-// (TestTableKeyTellsMergedBasesApart).
+// (TestTableKeyTellsMergedBasesApart). montOut tells ModUp's
+// Montgomery-out tables from canonical ones on the same bases.
 type tableKey struct {
 	lenIn, lenOut     int
 	firstIn, lastIn   uint64
 	firstOut, lastOut uint64
 	sumIn, sumOut     uint64
+	montOut           bool
 }
 
-func makeTableKey(in, out []uint64) tableKey {
-	k := tableKey{lenIn: len(in), lenOut: len(out)}
+func makeTableKey(in, out []uint64, montOut bool) tableKey {
+	k := tableKey{lenIn: len(in), lenOut: len(out), montOut: montOut}
 	if len(in) > 0 {
 		k.firstIn, k.lastIn = in[0], in[len(in)-1]
 	}
@@ -186,17 +188,17 @@ func makeTableKey(in, out []uint64) tableKey {
 }
 
 // table returns (caching) the extension table from the moduli selected by
-// in to those selected by out. Safe under concurrent conversions. The hit
-// path performs no allocation.
-func (c *Converter) table(in, out []uint64) *ExtTable {
-	key := makeTableKey(in, out)
+// in to those selected by out, Montgomery-out when montOut is set. Safe
+// under concurrent conversions. The hit path performs no allocation.
+func (c *Converter) table(in, out []uint64, montOut bool) *ExtTable {
+	key := makeTableKey(in, out, montOut)
 	c.mu.RLock()
 	t, ok := c.tables[key]
 	c.mu.RUnlock()
 	if ok {
 		return t
 	}
-	t = NewExtTable(in, out)
+	t = newExtTable(in, out, montOut)
 	c.mu.Lock()
 	if prev, ok := c.tables[key]; ok {
 		t = prev
@@ -304,10 +306,13 @@ func (c *Converter) putModUpScratch(s *modUpScratch) {
 
 // ModUpDigit implements the ModUp of Algorithm 1 for one key-switching
 // digit: the digit comprises limbs [start, end) of aQ (NTT form, level
-// levelQ). The result is the digit's value extended to the full raised
-// basis Q ∪ P, in NTT form. Limbs inside [start, end) are copied verbatim
-// (Algorithm 1 line 4: no NTT needed on the input limbs); limbs outside
-// are produced by iNTT → NewLimb → NTT.
+// levelQ). The result is the digit's value x extended to the full raised
+// basis Q ∪ P, in NTT form and in Montgomery form: every limb holds
+// R·x mod its modulus, R = 2^64, the form ring.SubRing.GatherMulAccumulate
+// takes its digit operand in. Limbs inside [start, end) are multiplied by
+// R mod q_i (Algorithm 1 line 4: no NTT needed on the input limbs); limbs
+// outside are produced by iNTT → NewLimb → NTT, with NewLimb's
+// Montgomery-out table supplying the R, which the linear NTT keeps.
 func (c *Converter) ModUpDigit(levelQ, start, end int, aQ *ring.Poly, out PolyQP, workers int) {
 	if !aQ.IsNTT {
 		panic("rns: ModUpDigit input domain (got=coefficient form, want=NTT)")
@@ -360,11 +365,11 @@ func (c *Converter) ModUpDigit(levelQ, start, end int, aQ *ring.Poly, out PolyQP
 	}
 
 	// NewLimb (Algorithm 1 line 2, slot-wise → coefficient-chunked).
-	c.extend(c.table(digitModuli, sc.moduli), coeff, sc.slices, n, workers,
+	c.extend(c.table(digitModuli, sc.moduli, true), coeff, sc.slices, n, workers,
 		memtrace.ClassScratch, memtrace.ClassCt)
 
-	// NTT the generated limbs (Algorithm 1 line 3, limb-wise) and copy the
-	// untouched digit limbs.
+	// NTT the generated limbs (Algorithm 1 line 3, limb-wise) and put the
+	// digit's own limbs in Montgomery form.
 	outRings, outSlices := sc.rings, sc.slices
 	if ring.EffectiveWorkers(len(outSlices), workers) == 1 {
 		for k := range outSlices {
@@ -377,7 +382,7 @@ func (c *Converter) ModUpDigit(levelQ, start, end int, aQ *ring.Poly, out PolyQP
 	}
 	for i := start; i < end; i++ {
 		c.tr.Read(aQ.Coeffs[i][:n])
-		copy(out.Q.Coeffs[i][:n], aQ.Coeffs[i][:n])
+		c.RingQ.SubRings[i].MForm(aQ.Coeffs[i][:n], out.Q.Coeffs[i][:n])
 		c.tr.Write(out.Q.Coeffs[i][:n])
 	}
 	out.Q.IsNTT = true
@@ -450,7 +455,7 @@ func (c *Converter) modDown(levelQ, dropQ int, a PolyQP, out *ring.Poly, workers
 	// NewLimb from the dropped basis into each kept q_i (Algorithm 2 line 3,
 	// slot-wise).
 	hat := scrQ.Coeffs[:outQ]
-	c.extend(c.table(basis, c.RingQ.Moduli[:outQ]), dropped, hat, n, workers,
+	c.extend(c.table(basis, c.RingQ.Moduli[:outQ], false), dropped, hat, n, workers,
 		memtrace.ClassScratch, memtrace.ClassScratch)
 
 	// (x − x̂)·(dropped modulus)^{-1} per limb (Algorithm 2 line 4), staying in

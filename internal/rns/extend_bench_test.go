@@ -34,19 +34,24 @@ func benchInput(tab *ExtTable, n int) (src, dst [][]uint64) {
 // BenchmarkExtend sweeps the basis-pair shapes key switching exercises —
 // the ModUp digit extension (narrow → wide), the ModDown correction
 // (P → Q, narrow → wide) and the full-width decomposition (wide → narrow)
-// — comparing the tiled lazy kernel against the retained scalar oracle.
+// at N = 2^13, and the bootstrap workload's two at N = 2^9 (a 3-limb
+// digit raised to 17 limbs, the merged division's {P, q_ℓ} to 16) —
+// comparing the tiled lazy kernel against the retained scalar oracle.
 func BenchmarkExtend(b *testing.B) {
-	const n = 1 << 13
 	qMod, pMod := benchBases(b)
 	shapes := []struct {
 		name    string
+		n       int
 		in, out []uint64
 	}{
-		{"modup_digit_3to18", qMod[:3], append(append([]uint64(nil), qMod[3:]...), pMod...)},
-		{"moddown_3to18", pMod, qMod},
-		{"wide_18to3", qMod, pMod},
+		{"modup_digit_3to18", 1 << 13, qMod[:3], append(append([]uint64(nil), qMod[3:]...), pMod...)},
+		{"moddown_3to18", 1 << 13, pMod, qMod},
+		{"wide_18to3", 1 << 13, qMod, pMod},
+		{"N512/modup_digit_3to17", 1 << 9, qMod[:3], append(append([]uint64(nil), qMod[3:17]...), pMod...)},
+		{"N512/moddown_merged_4to16", 1 << 9, append(append([]uint64(nil), pMod...), qMod[16]), qMod[:16]},
 	}
 	for _, sh := range shapes {
+		n := sh.n
 		tab := NewExtTable(sh.in, sh.out)
 		src, dst := benchInput(tab, n)
 		b.Run(sh.name+"/lazy", func(b *testing.B) {
@@ -137,11 +142,11 @@ func BenchmarkTableKey(b *testing.B) {
 	ringQ, _ := ring.NewRing(1<<13, qMod)
 	ringP, _ := ring.NewRing(1<<13, pMod)
 	conv := NewConverter(ringQ, ringP)
-	conv.table(pMod, qMod) // populate
+	conv.table(pMod, qMod, false) // populate
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if conv.table(pMod, qMod) == nil {
+		if conv.table(pMod, qMod, false) == nil {
 			b.Fatal("nil table")
 		}
 	}
@@ -162,7 +167,7 @@ func TestTableKeyTellsMergedBasesApart(t *testing.T) {
 	out := ringQ.Moduli[:1]
 	seen := map[tableKey]int{}
 	for k, in := range bases {
-		key := makeTableKey(in, out)
+		key := makeTableKey(in, out, false)
 		if prev, dup := seen[key]; dup {
 			t.Errorf("bases %d and %d share a table key", prev, k)
 		}
@@ -170,7 +175,7 @@ func TestTableKeyTellsMergedBasesApart(t *testing.T) {
 	}
 	for round := 0; round < 2; round++ { // the miss path, then the hit path
 		for k, in := range bases {
-			tab := conv.table(in, out)
+			tab := conv.table(in, out, false)
 			if len(tab.In) != len(in) {
 				t.Fatalf("basis %d: table has %d input limbs, want %d", k, len(tab.In), len(in))
 			}

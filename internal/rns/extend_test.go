@@ -1,6 +1,7 @@
 package rns
 
 import (
+	"fmt"
 	"math/big"
 	"runtime"
 	"testing"
@@ -106,8 +107,6 @@ func TestExtendMatchesReferenceAllBases(t *testing.T) {
 				}
 				want := makeLimbs(len(p.out), n)
 				tab.ExtendReference(in, want)
-				wantApprox := makeLimbs(len(p.out), n)
-				tab.ExtendApproxReference(in, wantApprox)
 
 				for _, w := range workerCounts {
 					got := makeLimbs(len(p.out), n)
@@ -121,43 +120,124 @@ func TestExtendMatchesReferenceAllBases(t *testing.T) {
 						}
 					}
 				}
-				gotApprox := makeLimbs(len(p.out), n)
-				tab.ExtendApprox(in, gotApprox)
-				for j := range wantApprox {
-					for c := range wantApprox[j] {
-						if gotApprox[j][c] != wantApprox[j][c] {
-							t.Fatalf("%s %s ℓ=%d→%d n=%d: ExtendApprox[%d][%d] = %d, reference %d",
-								fill.name, p.name, len(p.in), len(p.out), n, j, c, gotApprox[j][c], wantApprox[j][c])
-						}
+			}
+		}
+	}
+}
+
+// requireRTimes fails unless got[j][c] = R·want[j][c] mod out[j] for every
+// word, R = 2^64: the Montgomery-out contract.
+func requireRTimes(t *testing.T, what string, out []uint64, got, want [][]uint64) {
+	t.Helper()
+	for j, pj := range out {
+		r := mathutil.MontR(pj)
+		for c := range want[j] {
+			if exp := mathutil.MulMod(want[j][c], r, pj); got[j][c] != exp {
+				t.Fatalf("%s: word [%d][%d] = %d, want R·%d = %d mod %d", what, j, c, got[j][c], want[j][c], exp, pj)
+			}
+		}
+	}
+}
+
+// TestExtendMontOutIsRTimesReference demands a Montgomery-out table (the
+// ones ModUpDigit extends with) write exactly R·ExtendReference on every
+// ModUp basis pair, for uniform and all-(q_i − 1) inputs.
+func TestExtendMontOutIsRTimesReference(t *testing.T) {
+	ringQ, ringP := testRings(t, 32, 6, 2)
+	src := fixedSource()
+	const n = ExtendTile + 3
+	for _, p := range converterBasisPairs(ringQ, ringP) {
+		if p.name != "modup" {
+			continue
+		}
+		tab := newExtTable(p.in, p.out, true)
+		for _, max := range []bool{false, true} {
+			in := makeLimbs(len(p.in), n)
+			for i, q := range p.in {
+				for c := range in[i] {
+					in[i][c] = q - 1
+					if !max {
+						in[i][c] = src.Uint64() % q
 					}
 				}
 			}
+			want, got := makeLimbs(len(p.out), n), makeLimbs(len(p.out), n)
+			tab.ExtendReference(in, want)
+			tab.Extend(in, got)
+			requireRTimes(t, fmt.Sprintf("ℓ=%d→%d max=%v", len(p.in), len(p.out), max), p.out, got, want)
+		}
+	}
+}
+
+// TestExtendFoldAt61Bits runs the wide stage 2 where its fold guard
+// binds: 61-bit input and output moduli allow MontMaxTerms = 7 products
+// per sum, so ℓ = 7 fills one sum exactly, ℓ = 8 folds once between its
+// two blocks of four, and ℓ = 9 folds and leaves a one-limb tail. Inputs
+// are all-(q_i − 1) (the largest products) and uniform; canonical tables
+// must equal ExtendReference and Montgomery-out tables R times it.
+func TestExtendFoldAt61Bits(t *testing.T) {
+	primes, err := mathutil.GenerateNTTPrimes(61, 5, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := mathutil.MontMaxTerms(primes[0]); k != 7 {
+		t.Fatalf("MontMaxTerms(61-bit) = %d, want 7: the cases below no longer straddle the fold", k)
+	}
+	src := fixedSource()
+	const n = 2*ExtendTile + 5
+	for _, l := range []int{7, 8, 9} {
+		inP, outP := primes[:l], primes[l:]
+		for _, max := range []bool{true, false} {
+			in := makeLimbs(l, n)
+			for i, q := range inP {
+				for c := range in[i] {
+					in[i][c] = q - 1
+					if !max {
+						in[i][c] = src.Uint64() % q
+					}
+				}
+			}
+			want, got := makeLimbs(len(outP), n), makeLimbs(len(outP), n)
+			NewExtTable(inP, outP).ExtendReference(in, want)
+			NewExtTable(inP, outP).Extend(in, got)
+			for j := range want {
+				for c := range want[j] {
+					if got[j][c] != want[j][c] {
+						t.Fatalf("ℓ=%d max=%v: Extend[%d][%d] = %d, reference %d", l, max, j, c, got[j][c], want[j][c])
+					}
+				}
+			}
+			newExtTable(inP, outP, true).Extend(in, got)
+			requireRTimes(t, fmt.Sprintf("ℓ=%d max=%v Montgomery-out", l, max), outP, got, want)
 		}
 	}
 }
 
 // TestExtTableNegatedCorrection pins the seeded correction table on every
 // basis shape the converter builds: entry k for output modulus p_j is the
-// canonical residue of −k·Q, i.e. entry + k·Q ≡ 0 (mod p_j), for every
-// k ∈ [0, ℓ] the overflow estimate can take.
+// canonical residue of −k·Q·R^e, i.e. entry + k·Q·R^e ≡ 0 (mod p_j), for
+// every k ∈ [0, ℓ] the overflow estimate can take, with R = 2^64 and e = 1
+// for a canonical table, 2 for a Montgomery-out one.
 func TestExtTableNegatedCorrection(t *testing.T) {
 	ringQ, ringP := testRings(t, 32, 6, 2)
 	for _, p := range converterBasisPairs(ringQ, ringP) {
-		tab := NewExtTable(p.in, p.out)
-		bigQ := bigProduct(p.in)
-		for j, pj := range p.out {
-			row := tab.vqOut[j]
-			if len(row) != len(p.in)+1 {
-				t.Fatalf("%s ℓ=%d→%d: correction row %d has %d entries, want ℓ+1 = %d",
-					p.name, len(p.in), len(p.out), j, len(row), len(p.in)+1)
-			}
-			bp := new(big.Int).SetUint64(pj)
-			for k, e := range row {
-				sum := new(big.Int).Mul(bigQ, big.NewInt(int64(k)))
-				sum.Add(sum, new(big.Int).SetUint64(e))
-				if e >= pj || sum.Mod(sum, bp).Sign() != 0 {
-					t.Fatalf("%s ℓ=%d→%d: vqOut[%d][%d] = %d is not −%d·Q mod %d",
-						p.name, len(p.in), len(p.out), j, k, e, k, pj)
+		for e, montOut := range []bool{false, true} {
+			tab := newExtTable(p.in, p.out, montOut)
+			rq := new(big.Int).Mul(bigProduct(p.in), new(big.Int).Lsh(big.NewInt(1), 64*uint(e+1)))
+			for j, pj := range p.out {
+				row := tab.vqOut[j]
+				if len(row) != len(p.in)+1 {
+					t.Fatalf("%s ℓ=%d→%d: correction row %d has %d entries, want ℓ+1 = %d",
+						p.name, len(p.in), len(p.out), j, len(row), len(p.in)+1)
+				}
+				bp := new(big.Int).SetUint64(pj)
+				for k, v := range row {
+					sum := new(big.Int).Mul(rq, big.NewInt(int64(k)))
+					sum.Add(sum, new(big.Int).SetUint64(v))
+					if v >= pj || sum.Mod(sum, bp).Sign() != 0 {
+						t.Fatalf("%s ℓ=%d→%d montOut=%v: vqOut[%d][%d] = %d is not −%d·Q·R^%d mod %d",
+							p.name, len(p.in), len(p.out), montOut, j, k, v, k, e+1, pj)
+					}
 				}
 			}
 		}
@@ -259,7 +339,7 @@ func TestExtendBigIntProperty(t *testing.T) {
 }
 
 // TestExtendEmptyInput pins the degenerate contract: extending from an
-// empty basis zeroes the destination for both kernel variants.
+// empty basis zeroes the destination.
 func TestExtendEmptyInput(t *testing.T) {
 	outPrimes, err := mathutil.GenerateNTTPrimes(31, 5, 2)
 	if err != nil {
@@ -287,16 +367,19 @@ func TestExtendEmptyInput(t *testing.T) {
 func TestTableCacheStructuralKey(t *testing.T) {
 	ringQ, ringP := testRings(t, 32, 4, 2)
 	conv := NewConverter(ringQ, ringP)
-	t1 := conv.table(ringQ.Moduli[0:2], ringP.Moduli)
-	t2 := conv.table(ringQ.Moduli[0:2], ringP.Moduli)
+	t1 := conv.table(ringQ.Moduli[0:2], ringP.Moduli, false)
+	t2 := conv.table(ringQ.Moduli[0:2], ringP.Moduli, false)
 	if t1 != t2 {
 		t.Error("identical bases produced distinct cached tables")
 	}
-	t3 := conv.table(ringQ.Moduli[1:3], ringP.Moduli)
+	if conv.table(ringQ.Moduli[0:2], ringP.Moduli, true) == t1 {
+		t.Error("a Montgomery-out table shares a canonical table's cache entry")
+	}
+	t3 := conv.table(ringQ.Moduli[1:3], ringP.Moduli, false)
 	if t3 == t1 {
 		t.Error("distinct bases share a cached table")
 	}
-	t4 := conv.table(ringQ.Moduli[0:3], ringP.Moduli)
+	t4 := conv.table(ringQ.Moduli[0:3], ringP.Moduli, false)
 	if t4 == t1 || t4 == t3 {
 		t.Error("length-differing bases share a cached table")
 	}
