@@ -14,9 +14,7 @@ import (
 	"repro/internal/bootstrap"
 	"repro/internal/ckks"
 	"repro/internal/core"
-	"repro/internal/mathutil"
 	"repro/internal/prng"
-	"repro/internal/ring"
 	"repro/internal/simfhe"
 	"repro/internal/simfhe/apps"
 	"repro/internal/simfhe/design"
@@ -173,36 +171,6 @@ func BenchmarkAblationSingleOpt(b *testing.B) {
 }
 
 // --- Functional-library micro-benchmarks ---
-
-func benchRing(b *testing.B, logN int) *ring.Ring {
-	b.Helper()
-	primes, err := mathutil.GenerateNTTPrimes(55, logN, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := ring.NewRing(1<<logN, primes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return r
-}
-
-func BenchmarkNTT(b *testing.B) {
-	for _, logN := range []int{12, 13, 14} {
-		b.Run(fmt.Sprintf("N=2^%d", logN), func(b *testing.B) {
-			r := benchRing(b, logN)
-			var seed [prng.SeedSize]byte
-			src := prng.NewSource(seed)
-			p := r.NewPoly()
-			r.SampleUniform(src, p)
-			b.SetBytes(int64(8 * r.N))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.SubRings[0].NTT(p.Coeffs[0])
-			}
-		})
-	}
-}
 
 func benchCKKS(b *testing.B) (*ckks.Parameters, *ckks.KeyGenerator, *ckks.SecretKey, *prng.Source) {
 	b.Helper()

@@ -46,6 +46,14 @@ import (
 // and worker counts. Limbs of up to NTTTile words skip phase A entirely
 // and run as a single fused row: one read+write pass over the data,
 // against the reference schedule's log2(N)+1 passes.
+//
+// The butterflies themselves come in two kernels. The scalar Go ones
+// below run everywhere; on amd64 CPUs with AVX-512 IFMA, every sub-ring
+// with q < 2^50 runs vector kernels (ntt_amd64.go, ntt_amd64.s) over the
+// same schedule: the row and column steps dispatch on SubRing.ifma, and
+// the gathers, scatters, counters and trace calls here are shared, so
+// the traffic accounting does not depend on the kernel. Both store
+// canonical residues, so both match the oracles bit for bit.
 
 const (
 	// NTTTile is the row length, in 8-byte coefficients, of the blocked
@@ -106,9 +114,6 @@ func (s *SubRing) NTT(p []uint64) {
 // nttBlocked is the two-phase forward kernel for n > NTTTile.
 func (s *SubRing) nttBlocked(p []uint64) {
 	n := len(p)
-	q := s.Q
-	twoQ := 2 * q
-	tw, tws := s.twiddle, s.twiddleShoup
 	rows := n / NTTTile
 	bw := nttBlockWords / rows
 	if bw < nttMinBlockCols {
@@ -118,37 +123,17 @@ func (s *SubRing) nttBlocked(p []uint64) {
 	buf := sc.buf
 	var traffic uint64
 
-	// Phase A: the first log2(rows) stages, column-blocked. Stage m pairs
-	// matrix rows (r, r+tau) of the same column, tau = rows/(2m); the
-	// twiddle twiddle[m+i] with i = r/(2·tau) is shared by every column
-	// in the block.
+	// Phase A: the first log2(rows) stages, column-blocked.
 	for c0 := 0; c0 < NTTTile; c0 += bw {
 		for r := 0; r < rows; r++ {
 			seg := p[r*NTTTile+c0 : r*NTTTile+c0+bw]
 			s.tr.Read(seg)
 			copy(buf[r*bw:(r+1)*bw], seg)
 		}
-		tau := rows
-		for m := 1; m < rows; m <<= 1 {
-			tau >>= 1
-			for i := 0; i < m; i++ {
-				w, ws := tw[m+i], tws[m+i]
-				r1 := 2 * i * tau
-				for r := r1; r < r1+tau; r++ {
-					xr := buf[r*bw : (r+1)*bw]
-					yr := buf[(r+tau)*bw : (r+tau+1)*bw]
-					yr = yr[:len(xr)] // bounds-check elimination for yr[b]
-					for b := range xr {
-						u := xr[b]
-						if u >= twoQ {
-							u -= twoQ
-						}
-						v := lazyMulShoup(yr[b], w, ws, q)
-						xr[b] = u + v
-						yr[b] = u + twoQ - v
-					}
-				}
-			}
+		if s.ifma {
+			s.nttColumnsIFMA(buf, rows, bw)
+		} else {
+			s.nttColumns(buf, rows, bw)
 		}
 		for r := 0; r < rows; r++ {
 			seg := p[r*NTTTile+c0 : r*NTTTile+c0+bw]
@@ -173,6 +158,38 @@ func (s *SubRing) nttBlocked(p []uint64) {
 	s.rec.Add("ring.ntt.bytes", traffic)
 }
 
+// nttColumns runs phase A's stages on the gathered column block buf
+// (rows rows of bw words). Stage m pairs matrix rows (r, r+tau) of the
+// same column, tau = rows/(2m); the twiddle twiddle[m+i] with
+// i = r/(2·tau) is shared by every column in the block.
+func (s *SubRing) nttColumns(buf []uint64, rows, bw int) {
+	q := s.Q
+	twoQ := 2 * q
+	tw, tws := s.twiddle, s.twiddleShoup
+	tau := rows
+	for m := 1; m < rows; m <<= 1 {
+		tau >>= 1
+		for i := 0; i < m; i++ {
+			w, ws := tw[m+i], tws[m+i]
+			r1 := 2 * i * tau
+			for r := r1; r < r1+tau; r++ {
+				xr := buf[r*bw : (r+1)*bw]
+				yr := buf[(r+tau)*bw : (r+tau+1)*bw]
+				yr = yr[:len(xr)] // bounds-check elimination for yr[b]
+				for b := range xr {
+					u := xr[b]
+					if u >= twoQ {
+						u -= twoQ
+					}
+					v := lazyMulShoup(yr[b], w, ws, q)
+					xr[b] = u + v
+					yr[b] = u + twoQ - v
+				}
+			}
+		}
+	}
+}
+
 // nttRow runs the last log2(len(x)) forward stages on the contiguous,
 // cache-resident row x. base positions the row in the twiddle table: the
 // stage-lm block-li butterfly uses twiddle[lm·base+li], which reduces to
@@ -189,8 +206,12 @@ func (s *SubRing) nttBlocked(p []uint64) {
 // radix-4 fusion needs only one base pointer: those stages fuse, and the
 // exact-reduction epilogue (<4q → <q) rides their stores, eliminating
 // the reference's separate reduction sweep. len(x) must be a power of
-// two ≥ 8.
+// two ≥ 16.
 func (s *SubRing) nttRow(x []uint64, base int) {
+	if s.ifma {
+		s.nttRowIFMA(x, base)
+		return
+	}
 	q := s.Q
 	twoQ := 2 * q
 	tw, tws := s.twiddle, s.twiddleShoup
@@ -373,9 +394,6 @@ func (s *SubRing) INTT(p []uint64) {
 func (s *SubRing) inttBlocked(p []uint64) {
 	n := len(p)
 	q := s.Q
-	twoQ := 2 * q
-	fourQ := 4 * q
-	itw, itws := s.invTwiddle, s.invTwiddleShoup
 	rows := n / NTTTile
 	bw := nttBlockWords / rows
 	if bw < nttMinBlockCols {
@@ -396,7 +414,8 @@ func (s *SubRing) inttBlocked(p []uint64) {
 
 	// Phase 2: the remaining log2(rows) stages pair matrix rows of the
 	// same column, mirroring the forward phase A in reverse; the N^{-1}
-	// exact-reduction epilogue is fused into the scatter.
+	// exact-reduction epilogue is fused into the scatter (scalar) or into
+	// the last column stage (vector, which leaves exact residues in buf).
 	sc := getNTTScratch(rows*bw, s.rec)
 	buf := sc.buf
 	for c0 := 0; c0 < NTTTile; c0 += bw {
@@ -405,39 +424,21 @@ func (s *SubRing) inttBlocked(p []uint64) {
 			s.tr.Read(seg)
 			copy(buf[r*bw:(r+1)*bw], seg)
 		}
-		tau := 1
-		for m := rows; m > 1; m >>= 1 {
-			h := m >> 1
-			r1 := 0
-			for i := 0; i < h; i++ {
-				w, ws := itw[h+i], itws[h+i]
-				for r := r1; r < r1+tau; r++ {
-					xr := buf[r*bw : (r+1)*bw]
-					yr := buf[(r+tau)*bw : (r+tau+1)*bw]
-					yr = yr[:len(xr)] // bounds-check elimination for yr[b]
-					for b := range xr {
-						u, v := xr[b], yr[b]
-						sum := u + v
-						if sum >= fourQ {
-							sum -= fourQ
-						}
-						if sum >= twoQ {
-							sum -= twoQ
-						}
-						xr[b] = sum
-						yr[b] = lazyMulShoup(u+fourQ-v, w, ws, q)
-					}
-				}
-				r1 += tau << 1
-			}
-			tau <<= 1
+		if s.ifma {
+			s.inttColumnsIFMA(buf, rows, bw)
+		} else {
+			s.inttColumns(buf, rows, bw)
 		}
 		for r := 0; r < rows; r++ {
 			seg := p[r*NTTTile+c0 : r*NTTTile+c0+bw]
 			br := buf[r*bw : (r+1)*bw]
-			br = br[:len(seg)] // bounds-check elimination for br[b]
-			for b := range seg {
-				seg[b] = mathutil.MulModShoup(lazyReduce(br[b], q), s.nInv, s.nInvShoup, q)
+			if s.ifma {
+				copy(seg, br)
+			} else {
+				br = br[:len(seg)] // bounds-check elimination for br[b]
+				for b := range seg {
+					seg[b] = mathutil.MulModShoup(lazyReduce(br[b], q), s.nInv, s.nInvShoup, q)
+				}
 			}
 			s.tr.Write(seg)
 		}
@@ -445,6 +446,42 @@ func (s *SubRing) inttBlocked(p []uint64) {
 	}
 	putNTTScratch(sc)
 	s.rec.Add("ring.intt.bytes", traffic)
+}
+
+// inttColumns runs the blocked inverse's column stages on the gathered
+// block buf (rows rows of bw words), mirroring nttColumns in reverse.
+func (s *SubRing) inttColumns(buf []uint64, rows, bw int) {
+	q := s.Q
+	twoQ := 2 * q
+	fourQ := 4 * q
+	itw, itws := s.invTwiddle, s.invTwiddleShoup
+	tau := 1
+	for m := rows; m > 1; m >>= 1 {
+		h := m >> 1
+		r1 := 0
+		for i := 0; i < h; i++ {
+			w, ws := itw[h+i], itws[h+i]
+			for r := r1; r < r1+tau; r++ {
+				xr := buf[r*bw : (r+1)*bw]
+				yr := buf[(r+tau)*bw : (r+tau+1)*bw]
+				yr = yr[:len(xr)] // bounds-check elimination for yr[b]
+				for b := range xr {
+					u, v := xr[b], yr[b]
+					sum := u + v
+					if sum >= fourQ {
+						sum -= fourQ
+					}
+					if sum >= twoQ {
+						sum -= twoQ
+					}
+					xr[b] = sum
+					yr[b] = lazyMulShoup(u+fourQ-v, w, ws, q)
+				}
+			}
+			r1 += tau << 1
+		}
+		tau <<= 1
+	}
 }
 
 // inttRow runs the first log2(len(x)) inverse stages on the contiguous
@@ -456,11 +493,14 @@ func (s *SubRing) inttBlocked(p []uint64) {
 // rationale. When epilogue is set the N^{-1} exact-reduction sweep rides
 // the final stage's stores. len(x) must be a power of two ≥ 16.
 func (s *SubRing) inttRow(x []uint64, base int, epilogue bool) {
+	if s.ifma {
+		s.inttRowIFMA(x, base, epilogue)
+		return
+	}
 	q := s.Q
 	twoQ := 2 * q
 	fourQ := 4 * q
 	itw, itws := s.invTwiddle, s.invTwiddleShoup
-	nInv, nInvShoup := s.nInv, s.nInvShoup
 	n := len(x)
 
 	// First fused pair (strides 1, 2): quads {j, j+1, j+2, j+3} run
@@ -561,6 +601,8 @@ func (s *SubRing) inttRow(x []uint64, base int, epilogue bool) {
 			if last {
 				// Epilogue variant kept separate so the N^{-1}
 				// constants stay out of the steady-state register set.
+				// An epilogue row is a whole limb (base 1), so its one
+				// twiddle is invTwiddle[1], and nInvW = w·N^{-1}.
 				for k := range xx {
 					u, v := xx[k], yy[k]
 					sum := u + v
@@ -570,9 +612,12 @@ func (s *SubRing) inttRow(x []uint64, base int, epilogue bool) {
 					if sum >= twoQ {
 						sum -= twoQ
 					}
-					xx[k] = mathutil.MulModShoup(lazyReduce(sum, q), nInv, nInvShoup, q)
-					pr := lazyMulShoup(u+fourQ-v, w, ws, q)
-					yy[k] = mathutil.MulModShoup(lazyReduce(pr, q), nInv, nInvShoup, q)
+					xx[k] = mathutil.MulModShoup(lazyReduce(sum, q), s.nInv, s.nInvShoup, q)
+					pr := lazyMulShoup(u+fourQ-v, s.nInvW, s.nInvWShoup, q)
+					if pr >= q {
+						pr -= q
+					}
+					yy[k] = pr
 				}
 			} else {
 				for k := 0; k+8 <= len(xx); k += 8 {

@@ -13,7 +13,9 @@ var fuzzSizes = []int{64, 1024, 2 * NTTTile}
 
 // fuzzRingCache builds (once per size) a ring whose moduli sit against
 // the 61-bit cap — where the lazy-reduction bound u+2q-v < 4q has the
-// least headroom below 2^63 — plus one mid-size prime for contrast.
+// least headroom below 2^63 — plus one mid-size prime for contrast and
+// one just below 2^50, where the vector kernel's 4q < 2^52 bound has the
+// least headroom (FuzzNTTRoundTrip runs it wherever the CPU has IFMA).
 var fuzzRingCache sync.Map // int -> *Ring
 
 func fuzzRing(t testing.TB, n int) *Ring {
@@ -32,7 +34,11 @@ func fuzzRing(t testing.TB, n int) *Ring {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRing(n, append(big, mid...))
+	edge, err := mathutil.GenerateNTTPrimes(50, logN, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRing(n, append(append(big, mid...), edge...))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,64 +6,161 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/mathutil"
 	"repro/internal/memtrace"
 	"repro/internal/obs"
 )
 
-// nttTestSizes covers the single-phase path (n ≤ NTTTile), the boundary,
-// and the blocked two-phase path (tile-straddling n > NTTTile).
-var nttTestSizes = []int{16, 64, 256, 1024, NTTTile, 2 * NTTTile, 4 * NTTTile}
+// nttTestSizes covers the single-phase path (n ≤ NTTTile) with the
+// bootstrap shape 2^9, the boundary, and the blocked two-phase path
+// (tile-straddling n > NTTTile) up to the mult_chain shape 2^13.
+var nttTestSizes = []int{16, 64, 256, 512, 1024, NTTTile, 2 * NTTTile, 4 * NTTTile}
 
-// TestNTTMatchesReference is the golden-oracle gate of the kernel
-// rewrite: the fused/blocked NTT and INTT must be bit-identical to the
-// retained reference kernels on every modulus, every size class and
+// kernelTestRing builds a ring of degree n whose moduli reach both NTT
+// kernels: two 45-bit primes and one just below 2^50 (the least room
+// under the vector kernel's 4q < 2^52 bound) select the vector kernel
+// where the CPU has it; a 61-bit prime always runs the scalar one.
+func kernelTestRing(t testing.TB, n int) *Ring {
+	t.Helper()
+	logN := bits.Len(uint(n)) - 1
+	var moduli []uint64
+	for _, c := range []struct{ bits, count int }{{45, 2}, {50, 1}, {61, 1}} {
+		ps, err := mathutil.GenerateNTTPrimes(c.bits, logN, c.count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moduli = append(moduli, ps...)
+	}
+	r, err := NewRing(n, moduli)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// withKernels runs f once per NTT kernel on r's sub-rings: "scalar" with
+// every sub-ring forced onto the Go kernels, then "vector" with each
+// sub-ring back on the kernel newSubRing chose for it. The vector run is
+// logged and skipped when no sub-ring chose the vector kernel (no IFMA
+// on this host, or every q ≥ 2^50).
+func withKernels(t testing.TB, r *Ring, f func(kernel string)) {
+	t.Helper()
+	chosen := make([]bool, len(r.SubRings))
+	vector := false
+	for i, s := range r.SubRings {
+		chosen[i] = s.ifma
+		vector = vector || s.ifma
+	}
+	defer func() {
+		for i, s := range r.SubRings {
+			s.ifma = chosen[i]
+		}
+	}()
+	for _, s := range r.SubRings {
+		s.ifma = false
+	}
+	f("scalar")
+	if !vector {
+		t.Logf("n=%d: no sub-ring selects the vector NTT kernel on this host; vector case skipped", r.N)
+		return
+	}
+	for i, s := range r.SubRings {
+		s.ifma = chosen[i]
+	}
+	f("vector")
+}
+
+// requireEqualPoly fails unless got and want hold the same words.
+func requireEqualPoly(t *testing.T, got, want *Poly, what string) {
+	t.Helper()
+	for i := range want.Coeffs {
+		for j := range want.Coeffs[i] {
+			if got.Coeffs[i][j] != want.Coeffs[i][j] {
+				t.Fatalf("%s: limb %d coeff %d = %d, reference %d",
+					what, i, j, got.Coeffs[i][j], want.Coeffs[i][j])
+			}
+		}
+	}
+}
+
+// TestNTTMatchesReference is the golden-oracle gate of the kernels: the
+// fused/blocked NTT and INTT, scalar and vector, must be bit-identical to
+// the retained reference kernels on every modulus, every size class and
 // every worker count — not just equal mod q, equal as uint64 outputs,
 // since downstream lazy arithmetic depends on the exact representatives.
+// Inputs are uniform residues and the all-(q−1) limb, the largest
+// canonical input.
 func TestNTTMatchesReference(t *testing.T) {
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for _, n := range nttTestSizes {
-		r := testRing(t, n, 3)
-		src := fixedSource()
-		seed := r.NewPoly()
-		r.SampleUniform(src, seed)
-
-		// Forward: reference per limb vs the fused kernel at every
-		// worker count (the parallel path shares SubRing.NTT, so this
-		// also pins schedule-independence of the results).
-		want := seed.CopyNew()
+		r := kernelTestRing(t, n)
+		uniform := r.NewPoly()
+		r.SampleUniform(fixedSource(), uniform)
+		top := r.NewPoly()
 		for i, s := range r.SubRings {
-			s.NTTReference(want.Coeffs[i])
-		}
-		for _, w := range workerCounts {
-			got := seed.CopyNew()
-			r.NTTPolyParallel(got, w)
-			for i := range got.Coeffs {
-				for j := range got.Coeffs[i] {
-					if got.Coeffs[i][j] != want.Coeffs[i][j] {
-						t.Fatalf("n=%d workers=%d: NTT limb %d coeff %d = %d, reference %d",
-							n, w, i, j, got.Coeffs[i][j], want.Coeffs[i][j])
-					}
-				}
+			for j := range top.Coeffs[i] {
+				top.Coeffs[i][j] = s.Q - 1
 			}
 		}
-
-		// Inverse: start from the (verified) forward output.
-		backWant := want.CopyNew()
-		for i, s := range r.SubRings {
-			s.INTTReference(backWant.Coeffs[i])
-		}
-		for _, w := range workerCounts {
-			got := want.CopyNew()
-			got.IsNTT = true
-			r.INTTPolyParallel(got, w)
-			for i := range got.Coeffs {
-				for j := range got.Coeffs[i] {
-					if got.Coeffs[i][j] != backWant.Coeffs[i][j] {
-						t.Fatalf("n=%d workers=%d: INTT limb %d coeff %d = %d, reference %d",
-							n, w, i, j, got.Coeffs[i][j], backWant.Coeffs[i][j])
-					}
-				}
+		for _, in := range []struct {
+			name string
+			p    *Poly
+		}{{"uniform", uniform}, {"q-1", top}} {
+			want, backWant := in.p.CopyNew(), in.p.CopyNew()
+			for i, s := range r.SubRings {
+				s.NTTReference(want.Coeffs[i])
+				s.INTTReference(backWant.Coeffs[i])
 			}
+			withKernels(t, r, func(kernel string) {
+				// Every worker count: the parallel path shares
+				// SubRing.NTT, so this also pins schedule-independence.
+				for _, w := range workerCounts {
+					what := fmt.Sprintf("n=%d %s kernel, %s input, workers=%d", n, kernel, in.name, w)
+					got := in.p.CopyNew()
+					r.NTTPolyParallel(got, w)
+					requireEqualPoly(t, got, want, "NTT "+what)
+
+					got = in.p.CopyNew()
+					got.IsNTT = true
+					r.INTTPolyParallel(got, w)
+					requireEqualPoly(t, got, backWant, "INTT "+what)
+				}
+			})
+		}
+	}
+}
+
+// TestNTTKernelSelection pins the selection rule: a modulus at or above
+// 2^50 (here 55 and 61 bits) always runs the scalar kernel, and every
+// modulus below it runs the kernel the CPU supports. It logs the choice,
+// so a CI log shows whether the runner exercised the vector kernel.
+func TestNTTKernelSelection(t *testing.T) {
+	const logN = 10
+	var below []bool
+	for _, b := range []int{45, 50, 55, 61} {
+		primes, err := mathutil.GenerateNTTPrimes(b, logN, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRing(1<<logN, primes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := r.SubRings[0]
+		kernel := "scalar"
+		if s.ifma {
+			kernel = "vector (AVX-512 IFMA)"
+		}
+		t.Logf("%d-bit q = %d: %s kernel", b, s.Q, kernel)
+		if s.Q < 1<<50 {
+			below = append(below, s.ifma)
+		} else if s.ifma {
+			t.Errorf("q = %d ≥ 2^50 selected the vector kernel", s.Q)
+		}
+	}
+	for _, v := range below {
+		if v != below[0] {
+			t.Errorf("moduli below 2^50 disagree on the kernel: %v", below)
 		}
 	}
 }
@@ -92,40 +189,41 @@ func TestNTTTrafficCountersMatchTrace(t *testing.T) {
 		src := fixedSource()
 		p := r.NewPoly()
 		r.SampleUniform(src, p)
+		withKernels(t, r, func(kernel string) {
+			for _, dir := range []string{"ntt", "intt"} {
+				rec := obs.NewRecorder()
+				tr := memtrace.New()
+				r.SetRecorder(rec)
+				r.SetTracer(tr)
+				if dir == "ntt" {
+					r.SubRings[0].NTT(p.Coeffs[0])
+				} else {
+					r.SubRings[0].INTT(p.Coeffs[0])
+				}
+				r.SetRecorder(nil)
+				r.SetTracer(nil)
 
-		for _, dir := range []string{"ntt", "intt"} {
-			rec := obs.NewRecorder()
-			tr := memtrace.New()
-			r.SetRecorder(rec)
-			r.SetTracer(tr)
-			if dir == "ntt" {
-				r.SubRings[0].NTT(p.Coeffs[0])
-			} else {
-				r.SubRings[0].INTT(p.Coeffs[0])
-			}
-			r.SetRecorder(nil)
-			r.SetTracer(nil)
-
-			var traced uint64
-			for _, ev := range tr.Events() {
-				if !ev.Discard && ev.Class == memtrace.ClassCt {
-					traced += uint64(ev.Bytes)
+				var traced uint64
+				for _, ev := range tr.Events() {
+					if !ev.Discard && ev.Class == memtrace.ClassCt {
+						traced += uint64(ev.Bytes)
+					}
+				}
+				counter := rec.Counter("ring." + dir + ".bytes")
+				want := uint64(16*n) * uint64(NTTPasses(n))
+				if counter != want {
+					t.Errorf("n=%d %s: ring.%s.bytes = %d, want %d (%d passes)",
+						n, kernel, dir, counter, want, NTTPasses(n))
+				}
+				if counter != traced {
+					t.Errorf("n=%d %s: ring.%s.bytes = %d but trace records %d bytes",
+						n, kernel, dir, counter, traced)
+				}
+				if got := rec.Counter("ring." + dir); got != 1 {
+					t.Errorf("n=%d %s: ring.%s = %d, want 1", n, kernel, dir, got)
 				}
 			}
-			counter := rec.Counter("ring." + dir + ".bytes")
-			want := uint64(16*n) * uint64(NTTPasses(n))
-			if counter != want {
-				t.Errorf("n=%d: ring.%s.bytes = %d, want %d (%d passes)",
-					n, dir, counter, want, NTTPasses(n))
-			}
-			if counter != traced {
-				t.Errorf("n=%d: ring.%s.bytes = %d but trace records %d bytes",
-					n, dir, counter, traced)
-			}
-			if got := rec.Counter("ring." + dir); got != 1 {
-				t.Errorf("n=%d: ring.%s = %d, want 1", n, dir, got)
-			}
-		}
+		})
 	}
 }
 
@@ -195,8 +293,9 @@ func TestNTTBlockedTrafficMatchesCacheReplay(t *testing.T) {
 }
 
 // TestNTTAllocFree pins the steady-state allocation contract of both
-// kernel paths: pooled column-block scratch means zero allocations per
-// transform after warm-up, on the serial and the worker-pool paths alike.
+// kernel paths, on both kernels: pooled column-block scratch means zero
+// allocations per transform after warm-up, on the serial and the
+// worker-pool paths alike.
 func TestNTTAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under the race detector (instrumented allocations, random sync.Pool drops)")
@@ -206,16 +305,18 @@ func TestNTTAllocFree(t *testing.T) {
 		src := fixedSource()
 		p := r.NewPoly()
 		r.SampleUniform(src, p)
-		r.NTTPoly(p) // warm the scratch pool
-		r.INTTPoly(p)
-
-		allocs := testing.AllocsPerRun(10, func() {
-			r.NTTPoly(p)
+		withKernels(t, r, func(kernel string) {
+			r.NTTPoly(p) // warm the scratch pool
 			r.INTTPoly(p)
+
+			allocs := testing.AllocsPerRun(10, func() {
+				r.NTTPoly(p)
+				r.INTTPoly(p)
+			})
+			if allocs != 0 {
+				t.Errorf("n=%d %s: NTT+INTT round trip allocates %.1f objects/op, want 0", n, kernel, allocs)
+			}
 		})
-		if allocs != 0 {
-			t.Errorf("n=%d: NTT+INTT round trip allocates %.1f objects/op, want 0", n, allocs)
-		}
 	}
 }
 
@@ -243,47 +344,45 @@ func TestNTTScratchPoolCounters(t *testing.T) {
 	}
 }
 
-// BenchmarkNTT measures the fused/blocked kernel against the retained
-// reference at the size classes the CI smoke bench exercises.
+// BenchmarkNTT times the forward transform of one 45-bit limb at the
+// bootstrap shape 2^9, at 2^10 and at the mult_chain shape 4·NTTTile =
+// 2^13: "scalar" and "vector" run SubRing.NTT with that kernel forced,
+// "reference" runs the retained NTTReference oracle.
 func BenchmarkNTT(b *testing.B) {
-	for _, n := range []int{1024, 4 * NTTTile} {
-		r := testRing(b, n, 1)
-		src := fixedSource()
-		p := r.NewPoly()
-		r.SampleUniform(src, p)
-		s := r.SubRings[0]
-		b.Run(fmt.Sprintf("fused/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s.NTT(p.Coeffs[0])
-			}
-		})
-		b.Run(fmt.Sprintf("reference/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s.NTTReference(p.Coeffs[0])
-			}
-		})
-	}
+	benchNTTKernels(b, (*SubRing).NTT, (*SubRing).NTTReference)
 }
 
 // BenchmarkINTT mirrors BenchmarkNTT for the inverse transform.
 func BenchmarkINTT(b *testing.B) {
-	for _, n := range []int{1024, 4 * NTTTile} {
+	benchNTTKernels(b, (*SubRing).INTT, (*SubRing).INTTReference)
+}
+
+func benchNTTKernels(b *testing.B, transform, reference func(*SubRing, []uint64)) {
+	for _, n := range []int{512, 1024, 4 * NTTTile} {
 		r := testRing(b, n, 1)
-		src := fixedSource()
 		p := r.NewPoly()
-		r.SampleUniform(src, p)
+		r.SampleUniform(fixedSource(), p)
 		s := r.SubRings[0]
-		b.Run(fmt.Sprintf("fused/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s.INTT(p.Coeffs[0])
-			}
-		})
-		b.Run(fmt.Sprintf("reference/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s.INTTReference(p.Coeffs[0])
-			}
-		})
+		chosen := s.ifma
+		for _, kernel := range []string{"scalar", "vector", "reference"} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, kernel), func(b *testing.B) {
+				run := transform
+				switch kernel {
+				case "scalar":
+					s.ifma = false
+				case "vector":
+					if !chosen {
+						b.Skip("vector NTT kernel not selected on this host")
+					}
+				case "reference":
+					run = reference
+				}
+				defer func() { s.ifma = chosen }()
+				b.ReportAllocs()
+				for b.Loop() {
+					run(s, p.Coeffs[0])
+				}
+			})
+		}
 	}
 }

@@ -40,6 +40,15 @@ type SubRing struct {
 	nInv      uint64 // N^{-1} mod q, folded into the inverse transform
 	nInvShoup uint64
 
+	// nInvW = invTwiddle[1]·N^{-1} mod q, the one twiddle of a single-row
+	// inverse transform's last stage with the N^{-1} epilogue folded in,
+	// so that stage's difference output costs one Shoup product.
+	nInvW, nInvWShoup uint64
+
+	// ifma selects the AVX-512 IFMA kernels (ntt_amd64.s): set when the
+	// CPU and OS support them and q < 2^50, so 4q fits a 52-bit lane.
+	ifma bool
+
 	// Montgomery constants: qNeg = −q⁻¹ mod 2^64 closes the fused inner
 	// product (mathutil.MontReduce), and R = 2^64 mod q with its Shoup
 	// companion puts a row in Montgomery form (MForm).
@@ -94,6 +103,9 @@ func newSubRing(n int, q uint64) (*SubRing, error) {
 
 	s.nInv = mathutil.InvMod(uint64(n), q)
 	s.nInvShoup = mathutil.ShoupPrecomp(s.nInv, q)
+	s.nInvW = mathutil.MulModShoup(s.invTwiddle[1], s.nInv, s.nInvShoup, q)
+	s.nInvWShoup = mathutil.ShoupPrecomp(s.nInvW, q)
+	s.ifma = ifmaUsable(q)
 	s.qNeg = mathutil.MontQNeg(q)
 	s.r = mathutil.MontR(q)
 	s.rShoup = mathutil.ShoupPrecomp(s.r, q)

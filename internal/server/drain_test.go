@@ -132,13 +132,15 @@ func TestGracefulDrainSIGTERM(t *testing.T) {
 // TestDrainBudgetCancelsInFlight is the other half of the contract: a
 // drain budget far below the in-flight bootstrap's runtime cancels it —
 // the client gets a typed 504, the drain finishes in a fraction of the
-// bootstrap time, and nothing is left running.
+// bootstrap time, and nothing is left running. The budget sits an order
+// of magnitude below the bootstrap's runtime, so the bootstrap cannot
+// finish inside it even on a loaded host.
 func TestDrainBudgetCancelsInFlight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bootstrap keygen is expensive; skipping in -short mode")
 	}
 	srv, base := startServer(t, Config{Slots: 1, Queue: 2,
-		DrainBudget: 50 * time.Millisecond, DefaultDeadline: 5 * time.Minute})
+		DrainBudget: 5 * time.Millisecond, DefaultDeadline: 5 * time.Minute})
 	ct := bootTenant(t, base, "cancel")
 
 	// Reference: how long does this bootstrap take end to end?
@@ -181,7 +183,7 @@ func TestDrainBudgetCancelsInFlight(t *testing.T) {
 	if res.status != 504 || res.kind != "ErrCanceled" {
 		t.Errorf("cancelled bootstrap: status %d kind %q, want 504/ErrCanceled", res.status, res.kind)
 	}
-	// Budget (50ms) + one cancellation latency (≤ one evaluator op) +
+	// Budget (5ms) + one cancellation latency (≤ one evaluator op) +
 	// shutdown bookkeeping must beat re-running the whole bootstrap.
 	if drainTime > full {
 		t.Errorf("forced drain took %v, full bootstrap only %v — cancellation did not stop work", drainTime, full)
