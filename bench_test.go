@@ -1,10 +1,11 @@
 package repro
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section, plus micro-benchmarks of the functional library's
-// kernels. The simulator benchmarks report the paper's metrics (Gops, GB,
-// arithmetic intensity, runtime, throughput) as custom benchmark metrics,
-// so `go test -bench=. -benchmem` regenerates the evaluation in one run.
+// evaluation section, plus worker-count sweeps of the functional
+// library (its per-op latencies live in bench/). The simulator
+// benchmarks report the paper's metrics (Gops, GB, arithmetic
+// intensity, runtime, throughput) as custom benchmark metrics, so
+// `go test -bench=. -benchmem` regenerates the evaluation in one run.
 
 import (
 	"fmt"
@@ -170,7 +171,7 @@ func BenchmarkAblationSingleOpt(b *testing.B) {
 	}
 }
 
-// --- Functional-library micro-benchmarks ---
+// --- Functional-library worker sweeps ---
 
 func benchCKKS(b *testing.B) (*ckks.Parameters, *ckks.KeyGenerator, *ckks.SecretKey, *prng.Source) {
 	b.Helper()
@@ -189,46 +190,6 @@ func benchCKKS(b *testing.B) (*ckks.Parameters, *ckks.KeyGenerator, *ckks.Secret
 	kg := ckks.NewKeyGenerator(params, src)
 	sk := kg.GenSecretKey()
 	return params, kg, sk, src
-}
-
-func BenchmarkCKKSMult(b *testing.B) {
-	params, kg, sk, src := benchCKKS(b)
-	rlk := kg.GenRelinearizationKey(sk, false)
-	ev := ckks.NewEvaluator(params, &ckks.EvaluationKeySet{Rlk: rlk})
-	enc := ckks.NewEncoder(params)
-	encryptor := ckks.NewSecretKeyEncryptor(params, sk, src)
-	ct := encryptor.Encrypt(enc.Encode(make([]complex128, params.Slots())))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ev.Mul(ct, ct)
-	}
-}
-
-func BenchmarkCKKSRotate(b *testing.B) {
-	params, kg, sk, src := benchCKKS(b)
-	gks := kg.GenRotationKeys([]int{1}, sk, false)
-	ev := ckks.NewEvaluator(params, &ckks.EvaluationKeySet{Galois: gks})
-	enc := ckks.NewEncoder(params)
-	encryptor := ckks.NewSecretKeyEncryptor(params, sk, src)
-	ct := encryptor.Encrypt(enc.Encode(make([]complex128, params.Slots())))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ev.Rotate(ct, 1)
-	}
-}
-
-func BenchmarkCKKSRotateHoisted(b *testing.B) {
-	params, kg, sk, src := benchCKKS(b)
-	steps := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	gks := kg.GenRotationKeys(steps, sk, false)
-	ev := ckks.NewEvaluator(params, &ckks.EvaluationKeySet{Galois: gks})
-	enc := ckks.NewEncoder(params)
-	encryptor := ckks.NewSecretKeyEncryptor(params, sk, src)
-	ct := encryptor.Encrypt(enc.Encode(make([]complex128, params.Slots())))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ev.RotateHoisted(ct, steps)
-	}
 }
 
 func benchBootstrapper(b *testing.B) (*bootstrap.Bootstrapper, *ckks.Ciphertext) {
@@ -255,14 +216,6 @@ func benchBootstrapper(b *testing.B) (*bootstrap.Bootstrapper, *ckks.Ciphertext)
 	encryptor := ckks.NewSecretKeyEncryptor(params, sk, src)
 	ct := encryptor.Encrypt(enc.Encode(make([]complex128, params.Slots())))
 	return btp, btp.Evaluator().DropLevel(ct, 0)
-}
-
-func BenchmarkFunctionalBootstrap(b *testing.B) {
-	btp, ct := benchBootstrapper(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = btp.Bootstrap(ct)
-	}
 }
 
 // parallelWorkerCounts is the sweep the parallel benchmarks run: serial,

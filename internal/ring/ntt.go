@@ -49,7 +49,7 @@ import (
 //
 // The butterflies themselves come in two kernels. The scalar Go ones
 // below run everywhere; on amd64 CPUs with AVX-512 IFMA, every sub-ring
-// with q < 2^50 runs vector kernels (ntt_amd64.go, ntt_amd64.s) over the
+// with q < 2^51 runs vector kernels (ntt_amd64.go, ntt_amd64.s) over the
 // same schedule: the row and column steps dispatch on SubRing.ifma, and
 // the gathers, scatters, counters and trace calls here are shared, so
 // the traffic accounting does not depend on the kernel. Both store

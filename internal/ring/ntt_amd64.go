@@ -4,7 +4,8 @@ package ring
 // butterflies per ZMM vector.
 //
 // For q < 2^50 every lazy value (< 4q) fits the 52-bit lanes of
-// VPMADD52{L,H}UQ, so a Harvey butterfly needs no 64-bit product:
+// VPMADD52{L,H}UQ, so a Harvey butterfly needs no 64-bit product (moduli
+// up to 2^51 are handled below):
 //
 //	quotient  Q = hi52(y·w')                   w' = ⌊w·2^52/q⌋
 //	product   v = (lo52(y·w) + lo52(Q·(2^52−q))) mod 2^52 ∈ [0, 2q)
@@ -20,11 +21,22 @@ package ring
 // The inverse butterfly forms its difference as u + 2q − v (< 4q), not
 // the scalar u + 4q − v, which can pass 2^52: the vector kernel folds its
 // inputs below 2q once, on entry, and every stage stores values < 2q.
+//
+// For 2^50 ≤ q < 2^51 a lazy value below 4q can reach 2^52, so each
+// kernel's second loop folds every multiplicand y below 2q (one
+// VPSUBQ/VPMINUQ pair) before its product: the forward butterfly's y,
+// the inverse butterfly's difference u + 2q − v, and both products of
+// the fused N^{-1} stage. Then y < 2q < 2^52, the quotient still errs by
+// at most one (y·(w·2^52/q − w′)/2^52 < 1), v = y·w − Q·q ∈ [0, 2q) is
+// below 2^52 so the 52-bit mask keeps it whole, and w′ < 2^52 since
+// w < q. The sums u + v and u + 2q − v are below 4q < 2^53 in 64-bit
+// lanes. Each kernel picks its loop once per call from bit 50 of q, so
+// limbs below 2^50 run the unfolded instruction stream.
 
 // ifmaUsable reports whether modulus q runs on the vector kernels: the
-// CPU has AVX512F and AVX512IFMA, the OS saves ZMM state, and q < 2^50.
+// CPU has AVX512F and AVX512IFMA, the OS saves ZMM state, and q < 2^51.
 func ifmaUsable(q uint64) bool {
-	return cpuHasIFMA && q < 1<<50
+	return cpuHasIFMA && q < 1<<51
 }
 
 var cpuHasIFMA = detectIFMA()

@@ -7,6 +7,12 @@
 //
 // and every Shoup companion is read from the 64-bit table and shifted
 // right by 12.
+//
+// Every kernel has two loops built from the same macros and picks one
+// per call from bit 50 of q: below 2^50 the products are MULLAZY, and
+// for 2^50 ≤ q < 2^51 they are MULWIDE, which first folds the
+// multiplicand below 2q. Folding below 2^50 too would make the 45-bit
+// transforms 12–34 % slower (docs/PERF.md "Wide limbs").
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -52,23 +58,54 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VPSUBQ  B, X, T; \
 	VPMINUQ T, X, X
 
-// FWDBF is the Cooley–Tukey butterfly on X, Y < 4q: u = X folded below
-// 2q, v = Y·W lazily; X ← u + v, Y ← u + 2q − v, both < 4q.
-#define FWDBF(X, Y, W, WS, T0, T1) \
+// MULWIDE is MULLAZY for a lazy A < 4q that can reach 2^52 (q ≥ 2^50):
+// A is folded below 2q < 2^52 in place first.
+#define MULWIDE(A, W, WS, OUT, T) \
+	FOLD(A, Z30, T); \
+	MULLAZY(A, W, WS, OUT, T)
+
+// FWDBF is the Cooley–Tukey butterfly on X, Y < 4q with products MUL:
+// u = X folded below 2q, v = Y·W lazily; X ← u + v, Y ← u + 2q − v,
+// both < 4q.
+#define FWDBF(MUL, X, Y, W, WS, T0, T1) \
 	FOLD(X, Z30, T0); \
-	MULLAZY(Y, W, WS, T1, T0); \
+	MUL(Y, W, WS, T1, T0); \
 	VPADDQ Z30, X, Y; \
 	VPADDQ T1, X, X; \
 	VPSUBQ T1, Y, Y
 
-// INVBF is the Gentleman–Sande butterfly on X, Y < 2q:
-// X ← X + Y folded below 2q, Y ← (X + 2q − Y)·W lazily, below 2q.
-#define INVBF(X, Y, W, WS, T0, T1) \
+// INVBF is the Gentleman–Sande butterfly on X, Y < 2q with products
+// MUL: X ← X + Y folded below 2q, Y ← (X + 2q − Y)·W lazily, below 2q.
+#define INVBF(MUL, X, Y, W, WS, T0, T1) \
 	VPADDQ Z30, X, T1; \
 	VPSUBQ Y, T1, T1; \
 	VPADDQ Y, X, X; \
 	FOLD(X, Z30, T0); \
-	MULLAZY(T1, W, WS, Y, T0)
+	MUL(T1, W, WS, Y, T0)
+
+// STAGE is the block loop of fwdStageIFMA and invStageIFMA: butterfly
+// BF with products MUL, labels BLOCK and LOOP.
+#define STAGE(BF, MUL, BLOCK, LOOP) \
+BLOCK: \
+	VPBROADCASTQ (SI), Z27; \
+	VPBROADCASTQ (R8), Z26; \
+	VPSRLQ       $12, Z26, Z26; \
+	LEAQ         (DI)(CX*1), R9; \
+	XORQ         R10, R10; \
+LOOP: \
+	VMOVDQU64 (DI)(R10*1), Z0; \
+	VMOVDQU64 (R9)(R10*1), Z1; \
+	BF(MUL, Z0, Z1, Z27, Z26, Z2, Z3); \
+	VMOVDQU64 Z0, (DI)(R10*1); \
+	VMOVDQU64 Z1, (R9)(R10*1); \
+	ADDQ      $64, R10; \
+	CMPQ      R10, CX; \
+	JB        LOOP; \
+	LEAQ (DI)(CX*2), DI; \
+	ADDQ $8, SI; \
+	ADDQ $8, R8; \
+	DECQ BX; \
+	JNZ  BLOCK
 
 // Lane permutations of the register-resident stages. A 16-word group
 // x0…x15 is held as two vectors X, Y whose lanes pair up as one stage's
@@ -186,33 +223,64 @@ TEXT ·fwdStageIFMA(SB), NOSPLIT, $0-88
 	SHLQ $3, CX           // half-width in bytes
 	TESTQ BX, BX
 	JZ   fwdStageDone
-
-fwdStageBlock:
-	VPBROADCASTQ (SI), Z27
-	VPBROADCASTQ (R8), Z26
-	VPSRLQ       $12, Z26, Z26
-	LEAQ         (DI)(CX*1), R9
-	XORQ         R10, R10
-
-fwdStageLoop:
-	VMOVDQU64 (DI)(R10*1), Z0
-	VMOVDQU64 (R9)(R10*1), Z1
-	FWDBF(Z0, Z1, Z27, Z26, Z2, Z3)
-	VMOVDQU64 Z0, (DI)(R10*1)
-	VMOVDQU64 Z1, (R9)(R10*1)
-	ADDQ      $64, R10
-	CMPQ      R10, CX
-	JB        fwdStageLoop
-
-	LEAQ (DI)(CX*2), DI
-	ADDQ $8, SI
-	ADDQ $8, R8
-	DECQ BX
-	JNZ  fwdStageBlock
+	BTQ  $50, AX
+	JCS  fwdStageWideBlock
+	STAGE(FWDBF, MULLAZY, fwdStageBlock, fwdStageLoop)
+	JMP  fwdStageDone
+	STAGE(FWDBF, MULWIDE, fwdStageWideBlock, fwdStageWideLoop)
 
 fwdStageDone:
 	VZEROUPPER
 	RET
+
+// FWDTAIL is fwdTailIFMA's group loop with products MUL, label LOOP.
+#define FWDTAIL(MUL, LOOP) \
+LOOP: \
+	VMOVDQU64 (DI), Z0; \
+	VMOVDQU64 64(DI), Z1; \
+	/* Stride 4: twiddles w4[0] ×4, w4[1] ×4. */ \
+	VSHUFI64X2 $0x44, Z1, Z0, Z2; \
+	VSHUFI64X2 $0xEE, Z1, Z0, Z3; \
+	VMOVDQU    (SI), X4; \
+	VPERMQ     Z4, Z20, Z5; \
+	VMOVDQU    (R8), X6; \
+	VPERMQ     Z6, Z20, Z6; \
+	VPSRLQ     $12, Z6, Z6; \
+	FWDBF(MUL, Z2, Z3, Z5, Z6, Z7, Z8); \
+	/* Stride 2. */ \
+	VSHUFI64X2 $0x88, Z3, Z2, Z0; \
+	VSHUFI64X2 $0xDD, Z3, Z2, Z1; \
+	VMOVDQU    (R9), Y4; \
+	VPERMQ     Z4, Z21, Z5; \
+	VMOVDQU    (R10), Y6; \
+	VPERMQ     Z6, Z21, Z6; \
+	VPSRLQ     $12, Z6, Z6; \
+	FWDBF(MUL, Z0, Z1, Z5, Z6, Z7, Z8); \
+	/* Stride 1, then the exact reduction < 4q → < q. */ \
+	VPUNPCKLQDQ Z1, Z0, Z2; \
+	VPUNPCKHQDQ Z1, Z0, Z3; \
+	VPERMQ      (R11), Z22, Z5; \
+	VPSRLQ      $12, (R12), Z6; \
+	VPERMQ      Z6, Z22, Z6; \
+	FWDBF(MUL, Z2, Z3, Z5, Z6, Z7, Z8); \
+	FOLD(Z2, Z30, Z7); \
+	FOLD(Z3, Z30, Z8); \
+	FOLD(Z2, Z31, Z7); \
+	FOLD(Z3, Z31, Z8); \
+	VMOVDQA64 Z2, Z0; \
+	VPERMT2Q  Z3, Z23, Z0; \
+	VPERMT2Q  Z3, Z24, Z2; \
+	VMOVDQU64 Z0, (DI); \
+	VMOVDQU64 Z2, 64(DI); \
+	ADDQ $128, DI; \
+	ADDQ $16, SI; \
+	ADDQ $16, R8; \
+	ADDQ $32, R9; \
+	ADDQ $32, R10; \
+	ADDQ $64, R11; \
+	ADDQ $64, R12; \
+	DECQ BX; \
+	JNZ  LOOP
 
 // func fwdTailIFMA(x, w4, ws4, w2, ws2, w1, ws1 []uint64, q uint64)
 TEXT ·fwdTailIFMA(SB), NOSPLIT, $0-176
@@ -234,62 +302,61 @@ TEXT ·fwdTailIFMA(SB), NOSPLIT, $0-176
 	SHRQ $4, BX           // 16-word groups
 	TESTQ BX, BX
 	JZ   fwdTailDone
-
-fwdTailLoop:
-	VMOVDQU64 (DI), Z0
-	VMOVDQU64 64(DI), Z1
-
-	// Stride 4: twiddles w4[0] ×4, w4[1] ×4.
-	VSHUFI64X2 $0x44, Z1, Z0, Z2
-	VSHUFI64X2 $0xEE, Z1, Z0, Z3
-	VMOVDQU    (SI), X4
-	VPERMQ     Z4, Z20, Z5
-	VMOVDQU    (R8), X6
-	VPERMQ     Z6, Z20, Z6
-	VPSRLQ     $12, Z6, Z6
-	FWDBF(Z2, Z3, Z5, Z6, Z7, Z8)
-
-	// Stride 2.
-	VSHUFI64X2 $0x88, Z3, Z2, Z0
-	VSHUFI64X2 $0xDD, Z3, Z2, Z1
-	VMOVDQU    (R9), Y4
-	VPERMQ     Z4, Z21, Z5
-	VMOVDQU    (R10), Y6
-	VPERMQ     Z6, Z21, Z6
-	VPSRLQ     $12, Z6, Z6
-	FWDBF(Z0, Z1, Z5, Z6, Z7, Z8)
-
-	// Stride 1, then the exact reduction < 4q → < q.
-	VPUNPCKLQDQ Z1, Z0, Z2
-	VPUNPCKHQDQ Z1, Z0, Z3
-	VPERMQ      (R11), Z22, Z5
-	VPSRLQ      $12, (R12), Z6
-	VPERMQ      Z6, Z22, Z6
-	FWDBF(Z2, Z3, Z5, Z6, Z7, Z8)
-	FOLD(Z2, Z30, Z7)
-	FOLD(Z3, Z30, Z8)
-	FOLD(Z2, Z31, Z7)
-	FOLD(Z3, Z31, Z8)
-
-	VMOVDQA64 Z2, Z0
-	VPERMT2Q  Z3, Z23, Z0
-	VPERMT2Q  Z3, Z24, Z2
-	VMOVDQU64 Z0, (DI)
-	VMOVDQU64 Z2, 64(DI)
-
-	ADDQ $128, DI
-	ADDQ $16, SI
-	ADDQ $16, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $64, R11
-	ADDQ $64, R12
-	DECQ BX
-	JNZ  fwdTailLoop
+	BTQ  $50, AX
+	JCS  fwdTailWide
+	FWDTAIL(MULLAZY, fwdTailLoop)
+	JMP  fwdTailDone
+	FWDTAIL(MULWIDE, fwdTailWide)
 
 fwdTailDone:
 	VZEROUPPER
 	RET
+
+// INVHEAD is invHeadIFMA's group loop with products MUL, label LOOP.
+#define INVHEAD(MUL, LOOP) \
+LOOP: \
+	VMOVDQU64 (DI), Z0; \
+	VMOVDQU64 64(DI), Z1; \
+	FOLD(Z0, Z30, Z7); \
+	FOLD(Z1, Z30, Z8); \
+	/* Stride 1: twiddles w1[0..8) in order. */ \
+	VMOVDQA64 Z0, Z2; \
+	VPERMT2Q  Z1, Z20, Z2; \
+	VPERMT2Q  Z1, Z21, Z0; \
+	VMOVDQU64 (SI), Z5; \
+	VPSRLQ    $12, (R8), Z6; \
+	INVBF(MUL, Z2, Z0, Z5, Z6, Z7, Z8); \
+	/* Stride 2. */ \
+	VPUNPCKLQDQ Z0, Z2, Z3; \
+	VPUNPCKHQDQ Z0, Z2, Z4; \
+	VMOVDQU     (R9), Y5; \
+	VPERMQ      Z5, Z22, Z5; \
+	VMOVDQU     (R10), Y6; \
+	VPERMQ      Z6, Z22, Z6; \
+	VPSRLQ      $12, Z6, Z6; \
+	INVBF(MUL, Z3, Z4, Z5, Z6, Z7, Z8); \
+	/* Stride 4. */ \
+	VSHUFI64X2 $0x88, Z4, Z3, Z0; \
+	VSHUFI64X2 $0xDD, Z4, Z3, Z1; \
+	VMOVDQU    (R11), X5; \
+	VPERMQ     Z5, Z23, Z5; \
+	VMOVDQU    (R12), X6; \
+	VPERMQ     Z6, Z23, Z6; \
+	VPSRLQ     $12, Z6, Z6; \
+	INVBF(MUL, Z0, Z1, Z5, Z6, Z7, Z8); \
+	VSHUFI64X2 $0x88, Z1, Z0, Z2; \
+	VSHUFI64X2 $0xDD, Z1, Z0, Z3; \
+	VMOVDQU64  Z2, (DI); \
+	VMOVDQU64  Z3, 64(DI); \
+	ADDQ $128, DI; \
+	ADDQ $64, SI; \
+	ADDQ $64, R8; \
+	ADDQ $32, R9; \
+	ADDQ $32, R10; \
+	ADDQ $16, R11; \
+	ADDQ $16, R12; \
+	DECQ BX; \
+	JNZ  LOOP
 
 // func invHeadIFMA(x, w1, ws1, w2, ws2, w4, ws4 []uint64, q uint64)
 TEXT ·invHeadIFMA(SB), NOSPLIT, $0-176
@@ -310,55 +377,11 @@ TEXT ·invHeadIFMA(SB), NOSPLIT, $0-176
 	SHRQ $4, BX
 	TESTQ BX, BX
 	JZ   invHeadDone
-
-invHeadLoop:
-	VMOVDQU64 (DI), Z0
-	VMOVDQU64 64(DI), Z1
-	FOLD(Z0, Z30, Z7)
-	FOLD(Z1, Z30, Z8)
-
-	// Stride 1: twiddles w1[0..8) in order.
-	VMOVDQA64 Z0, Z2
-	VPERMT2Q  Z1, Z20, Z2
-	VPERMT2Q  Z1, Z21, Z0
-	VMOVDQU64 (SI), Z5
-	VPSRLQ    $12, (R8), Z6
-	INVBF(Z2, Z0, Z5, Z6, Z7, Z8)
-
-	// Stride 2.
-	VPUNPCKLQDQ Z0, Z2, Z3
-	VPUNPCKHQDQ Z0, Z2, Z4
-	VMOVDQU     (R9), Y5
-	VPERMQ      Z5, Z22, Z5
-	VMOVDQU     (R10), Y6
-	VPERMQ      Z6, Z22, Z6
-	VPSRLQ      $12, Z6, Z6
-	INVBF(Z3, Z4, Z5, Z6, Z7, Z8)
-
-	// Stride 4.
-	VSHUFI64X2 $0x88, Z4, Z3, Z0
-	VSHUFI64X2 $0xDD, Z4, Z3, Z1
-	VMOVDQU    (R11), X5
-	VPERMQ     Z5, Z23, Z5
-	VMOVDQU    (R12), X6
-	VPERMQ     Z6, Z23, Z6
-	VPSRLQ     $12, Z6, Z6
-	INVBF(Z0, Z1, Z5, Z6, Z7, Z8)
-
-	VSHUFI64X2 $0x88, Z1, Z0, Z2
-	VSHUFI64X2 $0xDD, Z1, Z0, Z3
-	VMOVDQU64  Z2, (DI)
-	VMOVDQU64  Z3, 64(DI)
-
-	ADDQ $128, DI
-	ADDQ $64, SI
-	ADDQ $64, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $16, R11
-	ADDQ $16, R12
-	DECQ BX
-	JNZ  invHeadLoop
+	BTQ  $50, AX
+	JCS  invHeadWide
+	INVHEAD(MULLAZY, invHeadLoop)
+	JMP  invHeadDone
+	INVHEAD(MULWIDE, invHeadWide)
 
 invHeadDone:
 	VZEROUPPER
@@ -376,33 +399,34 @@ TEXT ·invStageIFMA(SB), NOSPLIT, $0-88
 	SHLQ $3, CX
 	TESTQ BX, BX
 	JZ   invStageDone
-
-invStageBlock:
-	VPBROADCASTQ (SI), Z27
-	VPBROADCASTQ (R8), Z26
-	VPSRLQ       $12, Z26, Z26
-	LEAQ         (DI)(CX*1), R9
-	XORQ         R10, R10
-
-invStageLoop:
-	VMOVDQU64 (DI)(R10*1), Z0
-	VMOVDQU64 (R9)(R10*1), Z1
-	INVBF(Z0, Z1, Z27, Z26, Z2, Z3)
-	VMOVDQU64 Z0, (DI)(R10*1)
-	VMOVDQU64 Z1, (R9)(R10*1)
-	ADDQ      $64, R10
-	CMPQ      R10, CX
-	JB        invStageLoop
-
-	LEAQ (DI)(CX*2), DI
-	ADDQ $8, SI
-	ADDQ $8, R8
-	DECQ BX
-	JNZ  invStageBlock
+	BTQ  $50, AX
+	JCS  invStageWideBlock
+	STAGE(INVBF, MULLAZY, invStageBlock, invStageLoop)
+	JMP  invStageDone
+	STAGE(INVBF, MULWIDE, invStageWideBlock, invStageWideLoop)
 
 invStageDone:
 	VZEROUPPER
 	RET
+
+// INVLAST is invLastIFMA's loop with products MUL, label LOOP: both
+// products take a lazy sum or difference below 4q.
+#define INVLAST(MUL, LOOP) \
+LOOP: \
+	VMOVDQU64 (DI)(R10*1), Z0; \
+	VMOVDQU64 (R9)(R10*1), Z1; \
+	VPADDQ    Z1, Z0, Z2; \
+	VPADDQ    Z30, Z0, Z3; \
+	VPSUBQ    Z1, Z3, Z3; \
+	MUL(Z2, Z27, Z26, Z0, Z4); \
+	MUL(Z3, Z25, Z24, Z1, Z5); \
+	FOLD(Z0, Z31, Z4); \
+	FOLD(Z1, Z31, Z5); \
+	VMOVDQU64 Z0, (DI)(R10*1); \
+	VMOVDQU64 Z1, (R9)(R10*1); \
+	ADDQ      $64, R10; \
+	CMPQ      R10, CX; \
+	JB        LOOP
 
 // func invLastIFMA(x []uint64, n, nShoup, nw, nwShoup, q uint64)
 TEXT ·invLastIFMA(SB), NOSPLIT, $0-64
@@ -421,22 +445,11 @@ TEXT ·invLastIFMA(SB), NOSPLIT, $0-64
 	XORQ R10, R10
 	TESTQ CX, CX
 	JZ   invLastDone
-
-invLastLoop:
-	VMOVDQU64 (DI)(R10*1), Z0
-	VMOVDQU64 (R9)(R10*1), Z1
-	VPADDQ    Z1, Z0, Z2
-	VPADDQ    Z30, Z0, Z3
-	VPSUBQ    Z1, Z3, Z3
-	MULLAZY(Z2, Z27, Z26, Z0, Z4)
-	MULLAZY(Z3, Z25, Z24, Z1, Z5)
-	FOLD(Z0, Z31, Z4)
-	FOLD(Z1, Z31, Z5)
-	VMOVDQU64 Z0, (DI)(R10*1)
-	VMOVDQU64 Z1, (R9)(R10*1)
-	ADDQ      $64, R10
-	CMPQ      R10, CX
-	JB        invLastLoop
+	BTQ  $50, AX
+	JCS  invLastWide
+	INVLAST(MULLAZY, invLastLoop)
+	JMP  invLastDone
+	INVLAST(MULWIDE, invLastWide)
 
 invLastDone:
 	VZEROUPPER

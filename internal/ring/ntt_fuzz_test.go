@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"math/bits"
 	"sync"
 	"testing"
 
@@ -11,34 +12,26 @@ import (
 // blocked two-phase path.
 var fuzzSizes = []int{64, 1024, 2 * NTTTile}
 
-// fuzzRingCache builds (once per size) a ring whose moduli sit against
-// the 61-bit cap — where the lazy-reduction bound u+2q-v < 4q has the
-// least headroom below 2^63 — plus one mid-size prime for contrast and
-// one just below 2^50, where the vector kernel's 4q < 2^52 bound has the
-// least headroom (FuzzNTTRoundTrip runs it wherever the CPU has IFMA).
+// fuzzRingCache builds (once per size) a ring on kernelTestModuli plus a
+// second 61-bit prime: two primes against the 61-bit cap, where the
+// lazy-reduction bound u+2q-v < 4q has the least headroom below 2^63,
+// mid-size 45-bit primes for contrast, and the vector kernel's edges —
+// just below 2^50, where the unfolded products' 4q < 2^52 bound is
+// tightest, one just above 2^50, and the largest below 2^51, where the
+// folded products' 2q < 2^52 is (FuzzNTTRoundTrip runs those three on
+// the vector kernel wherever the CPU has IFMA).
 var fuzzRingCache sync.Map // int -> *Ring
 
 func fuzzRing(t testing.TB, n int) *Ring {
 	if r, ok := fuzzRingCache.Load(n); ok {
 		return r.(*Ring)
 	}
-	logN := 0
-	for 1<<logN < n {
-		logN++
-	}
+	logN := bits.Len(uint(n)) - 1
 	big, err := mathutil.GenerateNTTPrimes(61, logN, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid, err := mathutil.GenerateNTTPrimes(45, logN, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edge, err := mathutil.GenerateNTTPrimes(50, logN, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRing(n, append(append(big, mid...), edge...))
+	r, err := NewRing(n, append(kernelTestModuli(t, logN), big[1]))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/mathutil"
@@ -16,33 +17,80 @@ import (
 // (tile-straddling n > NTTTile) up to the mult_chain shape 2^13.
 var nttTestSizes = []int{16, 64, 256, 512, 1024, NTTTile, 2 * NTTTile, 4 * NTTTile}
 
-// kernelTestRing builds a ring of degree n whose moduli reach both NTT
-// kernels: two 45-bit primes and one just below 2^50 (the least room
-// under the vector kernel's 4q < 2^52 bound) select the vector kernel
-// where the CPU has it; a 61-bit prime always runs the scalar one.
+// kernelTestRing builds a ring of degree n on kernelTestModuli.
 func kernelTestRing(t testing.TB, n int) *Ring {
 	t.Helper()
-	logN := bits.Len(uint(n)) - 1
-	var moduli []uint64
-	for _, c := range []struct{ bits, count int }{{45, 2}, {50, 1}, {61, 1}} {
-		ps, err := mathutil.GenerateNTTPrimes(c.bits, logN, c.count)
-		if err != nil {
-			t.Fatal(err)
-		}
-		moduli = append(moduli, ps...)
-	}
-	r, err := NewRing(n, moduli)
+	r, err := NewRing(n, kernelTestModuli(t, bits.Len(uint(n))-1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
 }
 
+// kernelTestModuli returns NTT primes for degree 2^logN that reach both
+// NTT kernels and both vector loops. Two 45-bit primes and one just below
+// 2^50 (the least room under the narrow loop's 4q < 2^52) run the narrow
+// loop; one just above 2^50, as GenerateNTTPrimesNear draws for CKKS, and
+// the largest below 2^51 (the least room under the wide loop's
+// 2q < 2^52) run the wide loop — all where the CPU has IFMA. A 61-bit
+// prime, against the modulus cap, always runs the scalar kernel.
+func kernelTestModuli(t testing.TB, logN int) []uint64 {
+	t.Helper()
+	var moduli []uint64
+	add := func(ps []uint64, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		moduli = append(moduli, ps...)
+	}
+	add(mathutil.GenerateNTTPrimes(45, logN, 2))
+	add(mathutil.GenerateNTTPrimes(50, logN, 1))
+	moduli = append(moduli, wideCKKSPrime(t, logN))
+	add(mathutil.GenerateNTTPrimes(51, logN, 1))
+	add(mathutil.GenerateNTTPrimes(61, logN, 1))
+	return moduli
+}
+
+// wideCKKSPrime returns the first prime above 2^50 that
+// GenerateNTTPrimesNear draws for 50-bit CKKS limbs at degree 2^logN.
+func wideCKKSPrime(t testing.TB, logN int) uint64 {
+	t.Helper()
+	primes, err := mathutil.GenerateNTTPrimesNear(50, logN, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range primes {
+		if q > 1<<50 {
+			return q
+		}
+	}
+	t.Fatalf("logN=%d: no prime above 2^50 among %v", logN, primes)
+	return 0
+}
+
+// modulusName writes q as its distance from the nearest power of two,
+// e.g. 2^50 + 16385.
+func modulusName(q uint64) string {
+	e := bits.Len64(q) // 2^(e−1) ≤ q < 2^e
+	if above := q - 1<<(e-1); above < 1<<e-q {
+		return fmt.Sprintf("2^%d + %d", e-1, above)
+	}
+	return fmt.Sprintf("2^%d − %d", e, uint64(1)<<e-q)
+}
+
+// kernelName names the NTT kernel s runs.
+func kernelName(s *SubRing) string {
+	if s.ifma {
+		return "vector (AVX-512 IFMA)"
+	}
+	return "scalar"
+}
+
 // withKernels runs f once per NTT kernel on r's sub-rings: "scalar" with
 // every sub-ring forced onto the Go kernels, then "vector" with each
 // sub-ring back on the kernel newSubRing chose for it. The vector run is
 // logged and skipped when no sub-ring chose the vector kernel (no IFMA
-// on this host, or every q ≥ 2^50).
+// on this host, or every q ≥ 2^51).
 func withKernels(t testing.TB, r *Ring, f func(kernel string)) {
 	t.Helper()
 	chosen := make([]bool, len(r.SubRings))
@@ -127,40 +175,58 @@ func TestNTTMatchesReference(t *testing.T) {
 				}
 			})
 		}
+		names := make([]string, len(r.SubRings))
+		for i, s := range r.SubRings {
+			names[i] = fmt.Sprintf("q = %s: %s", modulusName(s.Q), kernelName(s))
+		}
+		t.Logf("n=%d matches the reference on the scalar kernel and on each modulus's own: %s",
+			n, strings.Join(names, "; "))
 	}
 }
 
 // TestNTTKernelSelection pins the selection rule: a modulus at or above
-// 2^50 (here 55 and 61 bits) always runs the scalar kernel, and every
-// modulus below it runs the kernel the CPU supports. It logs the choice,
-// so a CI log shows whether the runner exercised the vector kernel.
+// 2^51 (here 55 and 61 bits) always runs the scalar kernel, and every
+// modulus below it — 45-bit, either side of 2^50, just below 2^51 — runs
+// the kernel a 45-bit modulus does, the one the CPU supports. So does
+// every 50-bit prime CKKS parameters draw at the benchmark ring sizes: on
+// an IFMA host no benchmark limb runs the scalar kernel. It logs each
+// choice, so a CI log shows whether the runner exercised the vector
+// kernel.
 func TestNTTKernelSelection(t *testing.T) {
 	const logN = 10
-	var below []bool
-	for _, b := range []int{45, 50, 55, 61} {
-		primes, err := mathutil.GenerateNTTPrimes(b, logN, 1)
+	extra, err := mathutil.GenerateNTTPrimes(55, logN, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moduli := append(kernelTestModuli(t, logN), extra...)
+	var narrow bool // the kernel a 45-bit modulus selects
+	for i, q := range moduli {
+		s, err := newSubRing(1<<logN, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewRing(1<<logN, primes)
-		if err != nil {
-			t.Fatal(err)
+		t.Logf("q = %s = %d: %s kernel", modulusName(q), q, kernelName(s))
+		if i == 0 {
+			narrow = s.ifma
 		}
-		s := r.SubRings[0]
-		kernel := "scalar"
-		if s.ifma {
-			kernel = "vector (AVX-512 IFMA)"
-		}
-		t.Logf("%d-bit q = %d: %s kernel", b, s.Q, kernel)
-		if s.Q < 1<<50 {
-			below = append(below, s.ifma)
-		} else if s.ifma {
-			t.Errorf("q = %d ≥ 2^50 selected the vector kernel", s.Q)
+		if want := narrow && q < 1<<51; s.ifma != want {
+			t.Errorf("q = %s selected ifma = %v, want %v", modulusName(q), s.ifma, want)
 		}
 	}
-	for _, v := range below {
-		if v != below[0] {
-			t.Errorf("moduli below 2^50 disagree on the kernel: %v", below)
+	for _, logN := range []int{9, 11, 12, 13} {
+		primes, err := mathutil.GenerateNTTPrimesNear(50, logN, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range primes {
+			s, err := newSubRing(1<<logN, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.ifma != narrow {
+				t.Errorf("logN=%d: CKKS prime q = %s selected ifma = %v, a 45-bit modulus %v",
+					logN, modulusName(q), s.ifma, narrow)
+			}
 		}
 	}
 }
@@ -344,9 +410,10 @@ func TestNTTScratchPoolCounters(t *testing.T) {
 	}
 }
 
-// BenchmarkNTT times the forward transform of one 45-bit limb at the
-// bootstrap shape 2^9, at 2^10 and at the mult_chain shape 4·NTTTile =
-// 2^13: "scalar" and "vector" run SubRing.NTT with that kernel forced,
+// BenchmarkNTT times the forward transform of one limb at the bootstrap
+// shape 2^9, at 2^10 and at the mult_chain shape 4·NTTTile = 2^13, on a
+// 45-bit modulus and on one just above 2^50, the kind CKKS parameters
+// draw: "scalar" and "vector" run SubRing.NTT with that kernel forced,
 // "reference" runs the retained NTTReference oracle.
 func BenchmarkNTT(b *testing.B) {
 	benchNTTKernels(b, (*SubRing).NTT, (*SubRing).NTTReference)
@@ -359,30 +426,43 @@ func BenchmarkINTT(b *testing.B) {
 
 func benchNTTKernels(b *testing.B, transform, reference func(*SubRing, []uint64)) {
 	for _, n := range []int{512, 1024, 4 * NTTTile} {
-		r := testRing(b, n, 1)
-		p := r.NewPoly()
-		r.SampleUniform(fixedSource(), p)
-		s := r.SubRings[0]
-		chosen := s.ifma
-		for _, kernel := range []string{"scalar", "vector", "reference"} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, kernel), func(b *testing.B) {
-				run := transform
-				switch kernel {
-				case "scalar":
-					s.ifma = false
-				case "vector":
-					if !chosen {
-						b.Skip("vector NTT kernel not selected on this host")
+		logN := bits.Len(uint(n)) - 1
+		narrow, err := mathutil.GenerateNTTPrimes(45, logN, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range []struct {
+			name string
+			q    uint64
+		}{{"45bit", narrow[0]}, {"2^50+k", wideCKKSPrime(b, logN)}} {
+			r, err := NewRing(n, []uint64{m.q})
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := r.NewPoly()
+			r.SampleUniform(fixedSource(), p)
+			s := r.SubRings[0]
+			chosen := s.ifma
+			for _, kernel := range []string{"scalar", "vector", "reference"} {
+				b.Run(fmt.Sprintf("n=%d/q=%s/%s", n, m.name, kernel), func(b *testing.B) {
+					run := transform
+					switch kernel {
+					case "scalar":
+						s.ifma = false
+					case "vector":
+						if !chosen {
+							b.Skip("vector NTT kernel not selected on this host")
+						}
+					case "reference":
+						run = reference
 					}
-				case "reference":
-					run = reference
-				}
-				defer func() { s.ifma = chosen }()
-				b.ReportAllocs()
-				for b.Loop() {
-					run(s, p.Coeffs[0])
-				}
-			})
+					defer func() { s.ifma = chosen }()
+					b.ReportAllocs()
+					for b.Loop() {
+						run(s, p.Coeffs[0])
+					}
+				})
+			}
 		}
 	}
 }

@@ -46,7 +46,8 @@ type SubRing struct {
 	nInvW, nInvWShoup uint64
 
 	// ifma selects the AVX-512 IFMA kernels (ntt_amd64.s): set when the
-	// CPU and OS support them and q < 2^50, so 4q fits a 52-bit lane.
+	// CPU and OS support them and q < 2^51, so 2q fits a 52-bit lane
+	// (from 2^50 up the kernels fold each multiplicand below 2q).
 	ifma bool
 
 	// Montgomery constants: qNeg = −q⁻¹ mod 2^64 closes the fused inner
