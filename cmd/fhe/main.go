@@ -12,6 +12,16 @@
 //	fhe decrypt -dir keys [-slots 8] ct.bin
 //	fhe info    ct.bin
 //
+// The compute subcommands are the ckks op table (internal/ckks/ops.go),
+// the same one fhed's eval endpoint dispatches through: add, sub and mul
+// take two ciphertext files; square, rescale, droplevel, rotate,
+// conjugate and innersum take one, with -by as the target level, the
+// rotation step or the inner-sum width. `sum -n N` is the CLI's spelling
+// of `innersum -by N`. The output defaults to <subcommand>.bin. Every
+// rot<k>.bin in the key directory is loaded, so a missing rotation key
+// or a bad inner-sum width fails in the library with a typed error
+// (exit 3), as it does in fhed.
+//
 // A leading -debug-addr ADDR serves net/http/pprof under /debug/pprof,
 // the evaluator's ckks.* counters and latency histograms under /metrics
 // (Prometheus text) and a liveness report under /healthz for the

@@ -74,17 +74,15 @@ type chaosReport struct {
 }
 
 func runChaos() (*chaosReport, error) {
-	// Every op under test crosses the checked boundary, where faults are
-	// injected and detected.
+	// Every op under test crosses the checked boundary through the op
+	// table, where faults are injected and detected.
 	ctx := context.Background()
-	mul := func(ev *ckks.Evaluator, x, y *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-		return ev.Do(ctx, "ckks.Mul", func(ev *ckks.Evaluator) *ckks.Ciphertext { return ev.Mul(x, y) }, x, y)
-	}
-	add := func(ev *ckks.Evaluator, x, y *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-		return ev.Do(ctx, "ckks.Add", func(ev *ckks.Evaluator) *ckks.Ciphertext { return ev.Add(x, y) }, x, y)
-	}
-	rotate := func(ev *ckks.Evaluator, x *ckks.Ciphertext, k int) (*ckks.Ciphertext, error) {
-		return ev.Do(ctx, "ckks.Rotate", func(ev *ckks.Evaluator) *ckks.Ciphertext { return ev.Rotate(x, k) }, x)
+	apply := func(ev *ckks.Evaluator, name string, x, y *ckks.Ciphertext, by int) (*ckks.Ciphertext, error) {
+		op, err := ckks.LookupOp(name)
+		if err != nil {
+			return nil, err
+		}
+		return ev.Apply(ctx, op, x, y, by)
 	}
 
 	params, err := paramsFor(10, 3)
@@ -129,7 +127,7 @@ func runChaos() (*chaosReport, error) {
 	// Output-site corruption: fault the Mul result, let the next op's
 	// operand validation catch it. The reference product is computed
 	// before arming, so the only Add failure mode is the injected fault.
-	ref, err := mul(ev, a, b)
+	ref, err := apply(ev, "mul", a, b, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +146,7 @@ func runChaos() (*chaosReport, error) {
 		fi.Reset()
 		fi.Arm(of.fault)
 		c := chaosCase{Class: of.class, Site: of.fault.Site, Integrity: true}
-		x, err := mul(ev, a, b)
+		x, err := apply(ev, "mul", a, b, 0)
 		c.Fired = len(fi.Events())
 		if err != nil {
 			// The op itself failed; an output-site fault should not do
@@ -157,7 +155,7 @@ func runChaos() (*chaosReport, error) {
 			record(c)
 			continue
 		}
-		_, err = add(ev, x, ref)
+		_, err = apply(ev, "add", x, ref, 0)
 		if err != nil {
 			c.Error = err.Error()
 			c.Detected = errors.Is(err, of.want)
@@ -171,14 +169,14 @@ func runChaos() (*chaosReport, error) {
 	fi.Reset()
 	fi.Arm(faultinject.Fault{Site: "ckks.ksk.digitB", Kind: faultinject.KindTruncateLimbs, Keep: 1})
 	c := chaosCase{Class: "key-digit-truncate", Site: "ckks.ksk.digitB", Integrity: true}
-	_, err = rotate(ev, a, 1)
+	_, err = apply(ev, "rotate", a, nil, 1)
 	c.Fired = len(fi.Events())
 	if err != nil {
 		c.Error = err.Error()
 		c.Detected = errors.Is(err, fherr.ErrInternal)
 	}
 	fi.Reset()
-	if _, rerr := rotate(ev, a, 2); rerr != nil {
+	if _, rerr := apply(ev, "rotate", a, nil, 2); rerr != nil {
 		c.Detected = false
 		c.Error = fmt.Sprintf("evaluator unusable after recovery: %v", rerr)
 	}
@@ -202,7 +200,7 @@ func runChaos() (*chaosReport, error) {
 	evV.FlushKeyVault() // drop the clean expansions so the fault can land
 	fi.Arm(faultinject.Fault{Site: "ckks.keyvault.digitA", Kind: faultinject.KindBitFlip, Limb: 0, Coeff: 7, Bit: 33})
 	c = chaosCase{Class: "vault-digit-bit-flip", Site: "ckks.keyvault.digitA"}
-	bad, err := rotate(evV, a, 1)
+	bad, err := apply(evV, "rotate", a, nil, 1)
 	c.Fired = len(fi.Events())
 	if err != nil {
 		c.Error = err.Error()
@@ -224,7 +222,7 @@ func runChaos() (*chaosReport, error) {
 	}
 	fi.Reset()
 	evV.FlushKeyVault()
-	if rec2, rerr := rotate(evV, a, 1); rerr != nil {
+	if rec2, rerr := apply(evV, "rotate", a, nil, 1); rerr != nil {
 		c.Detected = false
 		c.Error = fmt.Sprintf("evaluator unusable after vault flush: %v", rerr)
 	} else if !rec2.C0.Equal(cleanRot.C0) || !rec2.C1.Equal(cleanRot.C1) {
@@ -243,13 +241,11 @@ func runChaos() (*chaosReport, error) {
 	clean := ev.DropLevel(ev.Add(a, b), a.Level-1)
 	fi.Arm(faultinject.Fault{Site: "ckks.Add.c0", Kind: faultinject.KindBitFlip, Limb: 1 << 30, Coeff: 12, Bit: 3})
 	c = chaosCase{Class: "top-limb-flip-then-drop", Site: "ckks.Add.c0"}
-	x, err := add(ev, a, b)
+	x, err := apply(ev, "add", a, b, 0)
 	c.Fired = len(fi.Events())
 	if err != nil {
 		c.Error = err.Error()
-	} else if dropped, derr := ev.Do(ctx, "ckks.DropLevel", func(ev *ckks.Evaluator) *ckks.Ciphertext {
-		return ev.DropLevel(x, x.Level-1)
-	}, x); derr != nil {
+	} else if dropped, derr := apply(ev, "droplevel", x, nil, x.Level-1); derr != nil {
 		c.Error = derr.Error()
 	} else {
 		c.Harmless = dropped.C0.Equal(clean.C0) && dropped.C1.Equal(clean.C1)

@@ -16,12 +16,12 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/ckks"
 	"repro/internal/fherr"
 	"repro/internal/obs"
-	"repro/internal/obs/ledger"
 	"repro/internal/prng"
 )
 
@@ -49,11 +49,13 @@ var workerCount = 1
 // counters, memory gauges); a leading -flight-out FILE sets where the
 // flight recorder dumps its window when a fault is classified; a leading
 // -chaos runs the fault-injection smoke suite instead of a subcommand.
+// Every name in the ckks op table is a subcommand (see evalCmd).
 // Output goes to w; errors are returned, typed so the caller can map
 // them to exit codes with fherr.ExitCode.
 func Run(args []string, w io.Writer) error {
 	usageErr := fherr.Errorf(fherr.ErrUsage,
-		"usage: fhe [-debug-addr ADDR] [-workers N] [-stats] [-flight-out FILE] [-chaos [-chaos-out FILE]] {keygen|encrypt|add|mul|rotate|sum|decrypt|info} [flags]")
+		"usage: fhe [-debug-addr ADDR] [-workers N] [-stats] [-flight-out FILE] [-chaos [-chaos-out FILE]] {keygen|encrypt|decrypt|info|%s|sum} [flags]",
+		strings.Join(ckks.OpNames(), "|"))
 	if len(args) == 0 {
 		return usageErr
 	}
@@ -111,20 +113,12 @@ func dispatch(args []string, w io.Writer) error {
 		return keygen(args[1:], w)
 	case "encrypt":
 		return encrypt(args[1:], w)
-	case "add":
-		return binop(args[1:], w, "add")
-	case "mul":
-		return binop(args[1:], w, "mul")
-	case "rotate":
-		return rotate(args[1:], w)
-	case "sum":
-		return innerSum(args[1:], w)
 	case "decrypt":
 		return decrypt(args[1:], w)
 	case "info":
 		return info(args[1:], w)
 	default:
-		return fherr.Errorf(fherr.ErrUsage, "unknown subcommand %q", args[0])
+		return evalCmd(args[0], args[1:], w)
 	}
 }
 
@@ -156,7 +150,6 @@ func printStats(w io.Writer, r *obs.Recorder) {
 				h.Quantile(0.50)/1e3, h.Quantile(0.95)/1e3, h.Quantile(0.99)/1e3, float64(h.Max)/1e3)
 		}
 	}
-	printLedger(w, s)
 	if len(s.Counters) > 0 {
 		fmt.Fprintf(w, "%-40s %15s\n", "counter", "value")
 		names := make([]string, 0, len(s.Counters))
@@ -181,48 +174,17 @@ func printStats(w io.Writer, r *obs.Recorder) {
 	}
 }
 
-// printLedger renders the per-op cost-ledger section of -stats: spans
-// that carry a model prediction are grouped by op name, with predicted
-// bytes (analytic model) next to the measured kernel-counter deltas.
-func printLedger(w io.Writer, s obs.Snapshot) {
-	type acc struct {
-		count      int
-		pred, meas uint64
-	}
-	byOp := map[string]*acc{}
-	for _, sp := range s.Spans {
-		pred, okP := sp.Attrs["pred.bytes"]
-		meas, okM := sp.MeasuredBytes()
-		if !okP || !okM || pred <= 0 {
-			continue
-		}
-		a := byOp[sp.Name]
-		if a == nil {
-			a = &acc{}
-			byOp[sp.Name] = a
-		}
-		a.count++
-		a.pred += uint64(pred)
-		a.meas += meas
-	}
-	if len(byOp) == 0 {
-		return
-	}
-	names := make([]string, 0, len(byOp))
-	for k := range byOp {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(w, "%-28s %8s %14s %14s %8s\n", "ledger op", "count", "pred bytes", "meas bytes", "delta")
-	for _, name := range names {
-		a := byOp[name]
-		delta := 100 * (float64(a.meas) - float64(a.pred)) / float64(a.pred)
-		fmt.Fprintf(w, "%-28s %8d %14d %14d %+7.1f%%\n", name, a.count, a.pred, a.meas, delta)
-	}
-}
-
 // paramsFor rebuilds the parameter set from the sizes stored at keygen.
+// It owns the bounds, so keygen's flags and a key directory's params
+// file share one check, and a corrupt file is refused before it sizes a
+// modulus chain or any key file is read.
 func paramsFor(logN, levels int) (*ckks.Parameters, error) {
+	if logN < 10 || logN > 14 {
+		return nil, fmt.Errorf("logn %d outside [10,14]", logN)
+	}
+	if levels < 1 || levels > 12 {
+		return nil, fmt.Errorf("levels %d outside [1,12]", levels)
+	}
 	logQ := []int{50}
 	for i := 0; i < levels; i++ {
 		logQ = append(logQ, 40)
@@ -236,8 +198,6 @@ func paramsFor(logN, levels int) (*ckks.Parameters, error) {
 type keyDir struct {
 	dir    string
 	params *ckks.Parameters
-	logN   int
-	levels int
 }
 
 func openKeyDir(dir string) (*keyDir, error) {
@@ -253,7 +213,7 @@ func openKeyDir(dir string) (*keyDir, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &keyDir{dir: dir, params: params, logN: logN, levels: levels}, nil
+	return &keyDir{dir: dir, params: params}, nil
 }
 
 // secretKey regenerates the secret key from the stored seed. Storing the
@@ -273,49 +233,38 @@ func (k *keyDir) secretKey() (*ckks.SecretKey, error) {
 	return kg.GenSecretKey(), nil
 }
 
-// evaluator loads the compressed evaluation keys.
-func (k *keyDir) evaluator(needRotation int) (*ckks.Evaluator, error) {
-	keys := &ckks.EvaluationKeySet{Galois: map[uint64]*ckks.GaloisKey{}}
-	rlkFile, err := os.Open(filepath.Join(k.dir, "rlk.bin"))
-	if err != nil {
-		return nil, err
-	}
-	defer rlkFile.Close()
-	swk, _, err := ckks.ReadSwitchingKey(rlkFile)
+// evaluator loads every evaluation key in the directory: the
+// relinearization key and each rot<k>.bin rotation key. The keys are
+// seed-compressed, so the vault expands only the digits an op uses; an
+// op whose key is absent fails in the library with fherr.ErrKeyMissing.
+func (k *keyDir) evaluator() (*ckks.Evaluator, error) {
+	rlk, err := readKeyFile(filepath.Join(k.dir, "rlk.bin"))
 	if err != nil {
 		return nil, fmt.Errorf("reading relinearization key: %w", err)
 	}
-	keys.Rlk = &ckks.RelinearizationKey{SwitchingKey: *swk}
-
-	if needRotation != 0 {
-		g := k.params.RingQ().GaloisElement(needRotation)
-		name := fmt.Sprintf("rot%d.bin", needRotation)
-		f, err := os.Open(filepath.Join(k.dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("no key for rotation %d (re-run keygen with -rots including it): %w", needRotation, err)
+	keys := &ckks.EvaluationKeySet{
+		Rlk:    &ckks.RelinearizationKey{SwitchingKey: *rlk},
+		Galois: map[uint64]*ckks.GaloisKey{},
+	}
+	entries, err := os.ReadDir(k.dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range entries {
+		var step int
+		if _, err := fmt.Sscanf(e.Name(), "rot%d.bin", &step); err != nil || e.Name() != fmt.Sprintf("rot%d.bin", step) {
+			continue
 		}
-		defer f.Close()
-		gswk, _, err := ckks.ReadSwitchingKey(f)
+		swk, err := readKeyFile(filepath.Join(k.dir, e.Name()))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("reading %s: %w", e.Name(), err)
 		}
-		keys.Galois[g] = &ckks.GaloisKey{GaloisEl: g, SwitchingKey: *gswk}
+		g := k.params.RingQ().GaloisElement(step)
+		keys.Galois[g] = &ckks.GaloisKey{GaloisEl: g, SwitchingKey: *swk}
 	}
 	ev := ckks.NewEvaluator(k.params, keys, ckks.WithWorkers(workerCount))
-	attachTelemetry(ev, k.params)
-	return ev, nil
-}
-
-// attachTelemetry wires the shared recorder and, when the parameter set
-// maps onto the analytic model, the cost ledger — so -stats can report
-// predicted-vs-measured traffic per op. Parameter sets outside the
-// model's domain (no dnum reproduces the special-limb count) simply run
-// without predictions.
-func attachTelemetry(ev *ckks.Evaluator, params *ckks.Parameters) {
 	ev.SetRecorder(recorder)
-	if m, err := ledger.ForParameters(params); err == nil {
-		ev.SetCostModel(m)
-	}
+	return ev, nil
 }
 
 func keygen(args []string, w io.Writer) error {
@@ -326,12 +275,6 @@ func keygen(args []string, w io.Writer) error {
 	rots := fs.String("rots", "1,2,3,4", "comma-separated rotation steps to key")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *logN < 10 || *logN > 14 {
-		return fmt.Errorf("-logn %d outside [10,14]", *logN)
-	}
-	if *levels < 1 || *levels > 12 {
-		return fmt.Errorf("-levels %d outside [1,12]", *levels)
 	}
 	params, err := paramsFor(*logN, *levels)
 	if err != nil {
@@ -391,6 +334,16 @@ func splitCSV(s string) []string {
 		}
 	}
 	return out
+}
+
+func readKeyFile(path string) (*ckks.SwitchingKey, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	swk, _, err := ckks.ReadSwitchingKey(f)
+	return swk, err
 }
 
 func writeKeyFile(path string, k *ckks.SwitchingKey) error {
@@ -462,84 +415,59 @@ func writeCt(path string, ct *ckks.Ciphertext) error {
 	return err
 }
 
-func binop(args []string, w io.Writer, op string) error {
-	fs := flag.NewFlagSet(op, flag.ContinueOnError)
+// evalCmd runs one op-table entry as a subcommand,
+//
+//	fhe <op> [-dir keys] [-out <op>.bin] [-by N] a.bin [b.bin]
+//
+// with two ciphertext files for a binary op and one otherwise. `sum -n`
+// is the CLI's spelling of `innersum -by`. The checked boundary rejects
+// malformed or mismatched ciphertext files, a missing rotation key and a
+// bad inner-sum width with the library's typed errors.
+func evalCmd(name string, args []string, w io.Writer) error {
+	opName, byFlag, byDefault := name, "by", 1
+	if name == "sum" {
+		opName, byFlag, byDefault = "innersum", "n", 4
+	}
+	op, err := ckks.LookupOp(opName)
+	if err != nil {
+		return fherr.Errorf(fherr.ErrUsage, "unknown subcommand %q", name)
+	}
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	dir := fs.String("dir", "keys", "key directory")
-	out := fs.String("out", op+".bin", "output ciphertext file")
+	out := fs.String("out", name+".bin", "output ciphertext file")
+	by := fs.Int(byFlag, byDefault, "rotation step, inner-sum width or target level (other ops ignore it)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() != 2 {
-		return fherr.Errorf(fherr.ErrUsage, "%s: need exactly two ciphertext files", op)
+	arity := 1
+	if op.Binary {
+		arity = 2
+	}
+	if fs.NArg() != arity {
+		return fherr.Errorf(fherr.ErrUsage, "%s: need %d ciphertext file(s)", name, arity)
 	}
 	k, err := openKeyDir(*dir)
 	if err != nil {
 		return err
 	}
-	a, err := readCt(fs.Arg(0))
+	cts := make([]*ckks.Ciphertext, 2)
+	for i, path := range fs.Args() {
+		if cts[i], err = readCt(path); err != nil {
+			return err
+		}
+	}
+	ev, err := k.evaluator()
 	if err != nil {
 		return err
 	}
-	b, err := readCt(fs.Arg(1))
-	if err != nil {
-		return err
-	}
-	ev, err := k.evaluator(0)
-	if err != nil {
-		return err
-	}
-	// The checked boundary rejects malformed or mismatched ciphertext
-	// files with a typed error instead of crashing the process.
-	site, core := "ckks.Add", (*ckks.Evaluator).Add
-	if op == "mul" {
-		site, core = "ckks.Mul", (*ckks.Evaluator).Mul
-	}
-	res, err := ev.Do(context.Background(), site, func(ev *ckks.Evaluator) *ckks.Ciphertext {
-		return core(ev, a, b)
-	}, a, b)
+	res, err := ev.Apply(context.Background(), op, cts[0], cts[1], *by)
 	if err != nil {
 		return err
 	}
 	if err := writeCt(*out, res); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%s -> %s (level %d)\n", op, *out, res.Level)
-	return nil
-}
-
-func rotate(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("rotate", flag.ContinueOnError)
-	dir := fs.String("dir", "keys", "key directory")
-	out := fs.String("out", "rot.bin", "output ciphertext file")
-	by := fs.Int("by", 1, "rotation step")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fherr.Errorf(fherr.ErrUsage, "rotate: need one ciphertext file")
-	}
-	k, err := openKeyDir(*dir)
-	if err != nil {
-		return err
-	}
-	ct, err := readCt(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	ev, err := k.evaluator(*by)
-	if err != nil {
-		return err
-	}
-	res, err := ev.Do(context.Background(), "ckks.Rotate", func(ev *ckks.Evaluator) *ckks.Ciphertext {
-		return ev.Rotate(ct, *by)
-	}, ct)
-	if err != nil {
-		return err
-	}
-	if err := writeCt(*out, res); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "rotate by %d -> %s (level %d)\n", *by, *out, res.Level)
+	fmt.Fprintf(w, "%s -> %s (level %d)\n", name, *out, res.Level)
 	return nil
 }
 
@@ -588,58 +516,5 @@ func info(args []string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "%s: level %d, %d limbs x %d coefficients, scale 2^%.1f, %d bytes\n",
 		args[0], ct.Level, ct.C0.Level()+1, len(ct.C0.Coeffs[0]), math.Log2(ct.Scale), st.Size())
-	return nil
-}
-
-// innerSum folds the first -n slots with the rotate-and-sum ladder; the
-// key directory must hold rotation keys for the powers of two below n.
-func innerSum(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("sum", flag.ContinueOnError)
-	dir := fs.String("dir", "keys", "key directory")
-	out := fs.String("out", "sum.bin", "output ciphertext file")
-	n := fs.Int("n", 4, "slot count to fold (power of two)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fherr.Errorf(fherr.ErrUsage, "sum: need one ciphertext file")
-	}
-	if *n < 1 || *n&(*n-1) != 0 {
-		return fherr.Errorf(fherr.ErrUsage, "sum: -n %d is not a power of two", *n)
-	}
-	k, err := openKeyDir(*dir)
-	if err != nil {
-		return err
-	}
-	ct, err := readCt(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	keys := &ckks.EvaluationKeySet{Galois: map[uint64]*ckks.GaloisKey{}}
-	for _, step := range ckks.InnerSumRotations(*n) {
-		f, err := os.Open(filepath.Join(k.dir, fmt.Sprintf("rot%d.bin", step)))
-		if err != nil {
-			return fmt.Errorf("sum over %d slots needs rotation key %d: %w", *n, step, err)
-		}
-		swk, _, err := ckks.ReadSwitchingKey(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		g := k.params.RingQ().GaloisElement(step)
-		keys.Galois[g] = &ckks.GaloisKey{GaloisEl: g, SwitchingKey: *swk}
-	}
-	ev := ckks.NewEvaluator(k.params, keys, ckks.WithWorkers(workerCount))
-	attachTelemetry(ev, k.params)
-	res, err := ev.Do(context.Background(), "ckks.InnerSum", func(ev *ckks.Evaluator) *ckks.Ciphertext {
-		return ev.InnerSum(ct, *n)
-	}, ct)
-	if err != nil {
-		return err
-	}
-	if err := writeCt(*out, res); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "inner sum over %d slots -> %s (slot 0 holds the total)\n", *n, *out)
 	return nil
 }

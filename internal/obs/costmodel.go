@@ -29,16 +29,3 @@ type CostModel interface {
 // measured side lives in `simfhe validate`, which replays the op's
 // memtrace window through the cache simulator.
 var ByteCounters = []string{"ring.ntt.bytes", "ring.intt.bytes", "rns.extend.bytes", "ckks.key.bytes"}
-
-// MeasuredBytes sums the ByteCounters deltas captured by a full span.
-// ok is false for lite spans (no counter snapshot) and spans whose
-// window saw none of the byte counters move.
-func (sp SpanRecord) MeasuredBytes() (total uint64, ok bool) {
-	for _, k := range ByteCounters {
-		if v, present := sp.Counters[k]; present {
-			total += v
-			ok = true
-		}
-	}
-	return total, ok
-}

@@ -2,17 +2,14 @@ package obs
 
 import (
 	"encoding/json"
-	"math"
 	"net/http"
 	"runtime"
-	"sort"
 	"time"
 )
 
 // Live debug dashboard: /dash serves a zero-dependency HTML page that
 // polls /dash/data (JSON) and renders counters, gauges, histogram
-// percentiles, the most model-divergent recent ops, and flight-recorder
-// status. Everything is computed from a Snapshot, so the handlers are
+// percentiles and flight-recorder status. Everything is computed from a Snapshot, so the handlers are
 // safe under concurrent recording.
 
 type dashKV struct {
@@ -29,17 +26,6 @@ type dashHist struct {
 	MaxUs float64 `json:"max_us"`
 }
 
-// dashOp is one ledger-annotated op span: predicted vs measured bytes and
-// the signed divergence of measured over predicted.
-type dashOp struct {
-	Name      string  `json:"name"`
-	Level     int     `json:"level"`
-	DurUs     float64 `json:"dur_us"`
-	PredBytes float64 `json:"pred_bytes"`
-	MeasBytes float64 `json:"meas_bytes"`
-	DriftPct  float64 `json:"drift_pct"`
-}
-
 type dashData struct {
 	UptimeSec    float64    `json:"uptime_seconds"`
 	Goroutines   int        `json:"goroutines"`
@@ -50,18 +36,16 @@ type dashData struct {
 	Counters     []dashKV   `json:"counters"`
 	Gauges       []dashKV   `json:"gauges"`
 	Hists        []dashHist `json:"hists"`
-	TopDivergent []dashOp   `json:"top_divergent"`
 }
 
 func (d *DebugServer) dashData() dashData {
 	out := dashData{
-		UptimeSec:    time.Since(d.started).Seconds(),
-		Goroutines:   runtime.NumGoroutine(),
-		Recorder:     d.rec != nil,
-		Counters:     []dashKV{},
-		Gauges:       []dashKV{},
-		Hists:        []dashHist{},
-		TopDivergent: []dashOp{},
+		UptimeSec:  time.Since(d.started).Seconds(),
+		Goroutines: runtime.NumGoroutine(),
+		Recorder:   d.rec != nil,
+		Counters:   []dashKV{},
+		Gauges:     []dashKV{},
+		Hists:      []dashHist{},
 	}
 	if d.rec == nil {
 		return out
@@ -86,34 +70,6 @@ func (d *DebugServer) dashData() dashData {
 			P99us: h.Quantile(0.99) / 1e3,
 			MaxUs: float64(h.Max) / 1e3,
 		})
-	}
-	for _, sp := range s.Spans {
-		pred, okP := sp.Attrs["pred.bytes"]
-		meas, okM := sp.MeasuredBytes()
-		if !okP || !okM || pred <= 0 {
-			continue
-		}
-		op := dashOp{
-			Name:      sp.Name,
-			DurUs:     float64(sp.Dur.Nanoseconds()) / 1e3,
-			PredBytes: pred,
-			MeasBytes: float64(meas),
-			DriftPct:  100 * (float64(meas) - pred) / pred,
-		}
-		if lv, ok := sp.Attrs["ct.level"]; ok {
-			op.Level = int(lv)
-		}
-		out.TopDivergent = append(out.TopDivergent, op)
-	}
-	sort.Slice(out.TopDivergent, func(i, j int) bool {
-		di, dj := math.Abs(out.TopDivergent[i].DriftPct), math.Abs(out.TopDivergent[j].DriftPct)
-		if di != dj {
-			return di > dj
-		}
-		return out.TopDivergent[i].Name < out.TopDivergent[j].Name
-	})
-	if len(out.TopDivergent) > 15 {
-		out.TopDivergent = out.TopDivergent[:15]
 	}
 	return out
 }
@@ -152,9 +108,6 @@ const dashHTML = `<!DOCTYPE html>
 <body>
 <h1>fhe debug dashboard <span id="status"></span></h1>
 <div id="flight"></div>
-<h2>top divergent ops (kernel-counter bytes vs model prediction; cache-replayed drift = simfhe validate)</h2>
-<table id="ops"><thead><tr><th>op</th><th>level</th><th>dur µs</th>
-<th>pred B</th><th>meas B</th><th>drift</th></tr></thead><tbody></tbody></table>
 <h2>latency histograms</h2>
 <table id="hists"><thead><tr><th>name</th><th>count</th><th>p50 µs</th>
 <th>p95 µs</th><th>p99 µs</th><th>max µs</th></tr></thead><tbody></tbody></table>
@@ -175,9 +128,7 @@ function fill(id, rows, cols) {
     const tr = document.createElement("tr");
     for (const c of cols) {
       const td = document.createElement("td");
-      if (typeof c === "function") { c(td, r); } else {
-        td.textContent = typeof r[c] === "number" ? fmt(r[c]) : r[c];
-      }
+      td.textContent = typeof r[c] === "number" ? fmt(r[c]) : r[c];
       tr.appendChild(td);
     }
     tb.appendChild(tr);
@@ -200,11 +151,6 @@ async function tick() {
     " · " + fmt(d.retained_spans) + "/" + fmt(d.span_cap) + " spans retained · " +
     (drops > 0 ? '<span class="warn">' : '<span class="ok">') + fmt(drops) +
     " dropped</span>";
-  fill("ops", d.top_divergent || [], ["name", "level", "dur_us", "pred_bytes", "meas_bytes",
-    (td, r) => {
-      td.textContent = (r.drift_pct >= 0 ? "+" : "") + r.drift_pct.toFixed(1) + "%";
-      td.className = Math.abs(r.drift_pct) > 30 ? "bad" : Math.abs(r.drift_pct) > 20 ? "warn" : "ok";
-    }]);
   fill("hists", d.hists || [], ["name", "count", "p50_us", "p95_us", "p99_us", "max_us"]);
   fill("counters", d.counters || [], ["name", "value"]);
   fill("gauges", d.gauges || [], ["name", "value"]);

@@ -86,30 +86,6 @@ func TestResetReRootsInFlightSpans(t *testing.T) {
 	}
 }
 
-func TestMeasuredBytes(t *testing.T) {
-	r := NewRecorder()
-	sp := r.StartSpan("op")
-	r.Add("ring.ntt.bytes", 100)
-	r.Add("rns.extend.bytes", 50)
-	r.Add("ring.ntt", 7) // not a byte counter: must not contribute
-	sp.End()
-	rec := r.Snapshot().Spans[0]
-	if got, ok := rec.MeasuredBytes(); !ok || got != 150 {
-		t.Errorf("MeasuredBytes = %d, %v; want 150, true", got, ok)
-	}
-
-	lite := r.StartLinked("leaf")
-	lite.End()
-	for _, sp := range r.Snapshot().Spans {
-		if sp.Name != "leaf" {
-			continue
-		}
-		if _, ok := sp.MeasuredBytes(); ok {
-			t.Errorf("lite span reported measured bytes")
-		}
-	}
-}
-
 func TestNilSpanHierarchyMethods(t *testing.T) {
 	var r *Recorder
 	sp := r.StartOp("x")
@@ -215,7 +191,7 @@ func TestPrometheusHelpLines(t *testing.T) {
 
 func TestDashEndpoints(t *testing.T) {
 	r := NewRecorder()
-	sp := r.StartOp("ckks.Mult").SetAttr("pred.bytes", 1000).SetAttr("ct.level", 5)
+	sp := r.StartOp("ckks.Mult")
 	r.Add("ring.ntt.bytes", 1500)
 	sp.End()
 	r.Observe("ckks.Mult", 2500)
@@ -239,12 +215,8 @@ func TestDashEndpoints(t *testing.T) {
 	if !data.Recorder || data.Spans != 1 || data.SpanCap != DefaultSpanCap {
 		t.Errorf("flight status = %+v", data)
 	}
-	if len(data.TopDivergent) != 1 {
-		t.Fatalf("top divergent = %+v, want 1 entry", data.TopDivergent)
-	}
-	op := data.TopDivergent[0]
-	if op.Name != "ckks.Mult" || op.Level != 5 || op.PredBytes != 1000 || op.MeasBytes != 1500 || op.DriftPct != 50 {
-		t.Errorf("divergent op = %+v", op)
+	if len(data.Counters) != 1 || data.Counters[0] != (dashKV{"ring.ntt.bytes", 1500}) {
+		t.Errorf("counters = %+v", data.Counters)
 	}
 	if len(data.Hists) == 0 || data.Hists[0].Count != 2 {
 		t.Errorf("hists = %+v", data.Hists)

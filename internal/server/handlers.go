@@ -412,26 +412,9 @@ func (s *Server) handleRotate(ctx context.Context, r *http.Request) (any, error)
 	return s.evalOp(ctx, sess, req)
 }
 
-// evalOps maps the wire name of an eval op to the evaluator op it runs:
-// site is the span / fault-hook name handed to ckks.Evaluator.Do, binary
-// ops need operand b, by is the rotation step, innersum width or target
-// level.
-var evalOps = map[string]struct {
-	site   string
-	binary bool
-	core   func(ev *ckks.Evaluator, a, b *ckks.Ciphertext, by int) *ckks.Ciphertext
-}{
-	"add":       {"ckks.Add", true, func(ev *ckks.Evaluator, a, b *ckks.Ciphertext, _ int) *ckks.Ciphertext { return ev.Add(a, b) }},
-	"sub":       {"ckks.Sub", true, func(ev *ckks.Evaluator, a, b *ckks.Ciphertext, _ int) *ckks.Ciphertext { return ev.Sub(a, b) }},
-	"mul":       {"ckks.Mul", true, func(ev *ckks.Evaluator, a, b *ckks.Ciphertext, _ int) *ckks.Ciphertext { return ev.Mul(a, b) }},
-	"square":    {"ckks.Square", false, func(ev *ckks.Evaluator, a, _ *ckks.Ciphertext, _ int) *ckks.Ciphertext { return ev.Square(a) }},
-	"rescale":   {"ckks.Rescale", false, func(ev *ckks.Evaluator, a, _ *ckks.Ciphertext, _ int) *ckks.Ciphertext { return ev.Rescale(a) }},
-	"droplevel": {"ckks.DropLevel", false, func(ev *ckks.Evaluator, a, _ *ckks.Ciphertext, by int) *ckks.Ciphertext { return ev.DropLevel(a, by) }},
-	"rotate":    {"ckks.Rotate", false, func(ev *ckks.Evaluator, a, _ *ckks.Ciphertext, by int) *ckks.Ciphertext { return ev.Rotate(a, by) }},
-	"conjugate": {"ckks.Conjugate", false, func(ev *ckks.Evaluator, a, _ *ckks.Ciphertext, _ int) *ckks.Ciphertext { return ev.Conjugate(a) }},
-	"innersum":  {"ckks.InnerSum", false, func(ev *ckks.Evaluator, a, _ *ckks.Ciphertext, by int) *ckks.Ciphertext { return ev.InnerSum(a, by) }},
-}
-
+// evalOp runs one eval request through the ckks op table. The op is
+// looked up before the session lock, so an unknown name is a 400 that
+// never waits on the tenant; each repeat step is one Apply.
 func (s *Server) evalOp(ctx context.Context, sess *session, req evalRequest) (any, error) {
 	a, err := decodeCt("a", req.A)
 	if err != nil {
@@ -453,13 +436,9 @@ func (s *Server) evalOp(ctx context.Context, sess *session, req evalRequest) (an
 	if req.Guard && sess.fi == nil {
 		return nil, ErrChaosDisabled
 	}
-
-	op, ok := evalOps[req.Op]
-	if !ok {
-		return nil, badRequest("unknown op %q", req.Op)
-	}
-	if op.binary && b == nil {
-		return nil, badRequest("op %q needs operand b", req.Op)
+	op, err := ckks.LookupOp(req.Op)
+	if err != nil {
+		return nil, err
 	}
 
 	var out ctJSON
@@ -468,20 +447,14 @@ func (s *Server) evalOp(ctx context.Context, sess *session, req evalRequest) (an
 		for i := 0; i < repeat; i++ {
 			// One boundary crossing per step: operands validated, result
 			// sealed and passed through the fault hooks every time.
-			ins := []*ckks.Ciphertext{cur}
-			if op.binary {
-				ins = append(ins, b)
-			}
-			next, err := sess.ev.Do(ctx, op.site, func(ev *ckks.Evaluator) *ckks.Ciphertext {
-				return op.core(ev, cur, b, req.By)
-			}, ins...)
+			next, err := sess.ev.Apply(ctx, op, cur, b, req.By)
 			if err != nil {
 				return err
 			}
 			cur = next
 		}
-		if req.Guard && req.Op == "rotate" {
-			if err := sess.probeRotate(ctx, req.By); err != nil {
+		if req.Guard && op.Name == "rotate" {
+			if err := sess.probeRotate(ctx, op, req.By); err != nil {
 				return err
 			}
 		}

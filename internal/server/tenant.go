@@ -195,18 +195,16 @@ func (s *session) run(f func() error) error {
 	return f()
 }
 
-// probeRotate is the guarded-eval canary check: rotate the canary by
-// step with the same evaluator (and thus the same cached switching-key
-// digits) the user's op just used, decrypt, and compare against the
-// expected slot permutation. Key-material corruption produces a huge
-// error (the inner product lands far from the ring element the secret
-// key expects), so the 0.5 threshold cleanly separates it from CKKS
-// approximation noise (~1e-4 at these parameters). Must be called with
-// s.mu held (i.e. from inside run).
-func (s *session) probeRotate(ctx context.Context, step int) error {
-	out, err := s.ev.Do(ctx, "ckks.Rotate", func(ev *ckks.Evaluator) *ckks.Ciphertext {
-		return ev.Rotate(s.canaryCt, step)
-	}, s.canaryCt)
+// probeRotate is the guarded-eval canary check: apply the rotate op the
+// user's request just ran to the canary by step, with the same evaluator
+// (and thus the same cached switching-key digits), decrypt, and compare
+// against the expected slot permutation. Key-material corruption
+// produces a huge error (the inner product lands far from the ring
+// element the secret key expects), so the 0.5 threshold cleanly
+// separates it from CKKS approximation noise (~1e-4 at these
+// parameters). Must be called with s.mu held (i.e. from inside run).
+func (s *session) probeRotate(ctx context.Context, rotate ckks.Op, step int) error {
+	out, err := s.ev.Apply(ctx, rotate, s.canaryCt, nil, step)
 	if err != nil {
 		return err
 	}
