@@ -1,11 +1,9 @@
 package repro
 
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section, plus worker-count sweeps of the functional
-// library (its per-op latencies live in bench/). The simulator
-// benchmarks report the paper's metrics (Gops, GB, arithmetic
-// intensity, runtime, throughput) as custom benchmark metrics, so
-// `go test -bench=. -benchmem` regenerates the evaluation in one run.
+// Root benchmarks: the Table 5 parameter search (the one simulator call
+// slow enough to time) and worker-count sweeps of the functional library
+// (its per-op latencies live in bench/). The paper's tables and figures
+// are `simfhe` commands, not benchmarks.
 
 import (
 	"fmt"
@@ -14,66 +12,10 @@ import (
 
 	"repro/internal/bootstrap"
 	"repro/internal/ckks"
-	"repro/internal/core"
 	"repro/internal/prng"
 	"repro/internal/simfhe"
-	"repro/internal/simfhe/apps"
-	"repro/internal/simfhe/design"
 	"repro/internal/simfhe/search"
 )
-
-// --- Table 4: primitive-operation costs and arithmetic intensity ---
-
-func BenchmarkTable4(b *testing.B) {
-	for _, row := range core.Table4() {
-		b.Run(row.Name, func(b *testing.B) {
-			var c simfhe.Cost
-			for i := 0; i < b.N; i++ {
-				ctx := simfhe.NewCtx(simfhe.Baseline(), simfhe.MB(2), simfhe.NoOpts())
-				c = ctx.Mult(ctx.P.L) // representative re-evaluation cost
-			}
-			_ = c
-			b.ReportMetric(row.Cost.GOps(), "Gops")
-			b.ReportMetric(row.Cost.GB(), "GB")
-			b.ReportMetric(row.Cost.AI(), "ops/byte")
-		})
-	}
-}
-
-// --- Figure 2: cumulative caching optimizations ---
-
-func BenchmarkFig2(b *testing.B) {
-	pts := core.Figure2()
-	base := pts[0].Cost
-	for _, pt := range pts {
-		b.Run(pt.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = core.Figure2()
-			}
-			b.ReportMetric(pt.Cost.GB(), "GB")
-			b.ReportMetric(100*(1-float64(pt.Cost.Bytes())/float64(base.Bytes())), "%DRAM-saved")
-			b.ReportMetric(pt.Cost.AI(), "ops/byte")
-		})
-	}
-}
-
-// --- Figure 3: cumulative algorithmic optimizations ---
-
-func BenchmarkFig3(b *testing.B) {
-	pts := core.Figure3()
-	base := pts[0].Cost
-	for _, pt := range pts {
-		b.Run(pt.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = core.Figure3()
-			}
-			b.ReportMetric(pt.Cost.GOps(), "Gops")
-			b.ReportMetric(pt.Cost.GB(), "GB")
-			b.ReportMetric(100*(1-float64(pt.Cost.Ops())/float64(base.Ops())), "%ops-saved")
-			b.ReportMetric(pt.Cost.AI(), "ops/byte")
-		})
-	}
-}
 
 // --- Table 5: the brute-force parameter search itself ---
 
@@ -88,87 +30,6 @@ func BenchmarkTable5Search(b *testing.B) {
 	b.ReportMetric(float64(best.Params.L), "L")
 	b.ReportMetric(float64(best.Params.Dnum), "dnum")
 	b.ReportMetric(float64(best.Params.FFTIter), "fftIter")
-}
-
-// --- Table 6: bootstrapping throughput per design ---
-
-func BenchmarkTable6(b *testing.B) {
-	for _, row := range design.Table6() {
-		b.Run(row.Original.Name, func(b *testing.B) {
-			var r design.BootstrapResult
-			for i := 0; i < b.N; i++ {
-				r = design.RunBootstrap(row.Original.WithMemory(32), simfhe.Optimal(), simfhe.AllOpts())
-			}
-			b.ReportMetric(row.OrigTput, "orig-tput")
-			b.ReportMetric(r.Throughput, "MAD-tput")
-			b.ReportMetric(r.RuntimeMs, "MAD-ms")
-			b.ReportMetric(row.Normalized, "normalized")
-		})
-	}
-}
-
-// --- Figure 6: application comparisons ---
-
-func BenchmarkFig6LR(b *testing.B) {
-	w := apps.HELR()
-	for _, d := range design.All() {
-		b.Run(d.Name, func(b *testing.B) {
-			var orig, mad apps.Result
-			for i := 0; i < b.N; i++ {
-				orig = apps.Run(w, d, simfhe.Baseline(), simfhe.CachingOpts())
-				mad = apps.Run(w, d.WithMemory(32), simfhe.Optimal(), simfhe.AllOpts())
-			}
-			b.ReportMetric(orig.RuntimeS, "orig-s")
-			b.ReportMetric(mad.RuntimeS, "MAD32-s")
-			b.ReportMetric(orig.RuntimeS/mad.RuntimeS, "speedup")
-		})
-	}
-}
-
-func BenchmarkFig6ResNet(b *testing.B) {
-	w := apps.ResNet20()
-	for _, d := range []design.Design{design.BTS, design.ARK, design.CraterLake} {
-		b.Run(d.Name, func(b *testing.B) {
-			var orig, mad apps.Result
-			for i := 0; i < b.N; i++ {
-				orig = apps.Run(w, d, simfhe.Baseline(), simfhe.CachingOpts())
-				mad = apps.Run(w, d.WithMemory(32), simfhe.Optimal(), simfhe.AllOpts())
-			}
-			b.ReportMetric(orig.RuntimeS, "orig-s")
-			b.ReportMetric(mad.RuntimeS, "MAD32-s")
-			b.ReportMetric(orig.RuntimeS/mad.RuntimeS, "speedup")
-		})
-	}
-}
-
-// --- Ablation: each MAD optimization in isolation (DESIGN.md §ablations) ---
-
-func BenchmarkAblationSingleOpt(b *testing.B) {
-	p := simfhe.Optimal()
-	singles := []struct {
-		name string
-		opts simfhe.OptSet
-	}{
-		{"none", simfhe.NoOpts()},
-		{"O1-only", simfhe.OptSet{CacheO1: true}},
-		{"beta-only", simfhe.OptSet{CacheBeta: true}},
-		{"alpha-only", simfhe.OptSet{CacheAlpha: true}},
-		{"merge-only", simfhe.OptSet{ModDownMerge: true}},
-		{"hoist-only", simfhe.OptSet{ModDownHoist: true}},
-		{"keycomp-only", simfhe.OptSet{KeyCompression: true}},
-		{"all", simfhe.AllOpts()},
-	}
-	for _, s := range singles {
-		b.Run(s.name, func(b *testing.B) {
-			var c simfhe.Cost
-			for i := 0; i < b.N; i++ {
-				c = simfhe.NewCtx(p, simfhe.MB(64), s.opts).Bootstrap().Total()
-			}
-			b.ReportMetric(c.GOps(), "Gops")
-			b.ReportMetric(c.GB(), "GB")
-			b.ReportMetric(c.AI(), "ops/byte")
-		})
-	}
 }
 
 // --- Functional-library worker sweeps ---

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"runtime"
@@ -65,22 +66,21 @@ func cpuModel() string {
 	return ""
 }
 
-// writeBenchJSON marshals a metadata-stamped report to the given path
-// (- for stdout), exiting on failure.
-func writeBenchJSON(report any, out string) {
+// writeReport marshals a metadata-stamped report to the path out, or to
+// w when out is "-".
+func writeReport(w io.Writer, report any, out string) error {
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "simfhe:", err)
-		os.Exit(1)
+		return err
 	}
 	data = append(data, '\n')
 	if out == "-" {
-		os.Stdout.Write(data)
-		return
+		_, err := w.Write(data)
+		return err
 	}
 	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "simfhe:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote report to %s\n", out)
+	fmt.Fprintf(stderr, "wrote report to %s\n", out)
+	return nil
 }

@@ -1,12 +1,11 @@
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
-	"os"
+	"io"
 
 	"repro/internal/calib"
-	"repro/internal/fherr"
 )
 
 // validateReport is the machine-readable form of `simfhe validate`.
@@ -20,9 +19,10 @@ type validateReport struct {
 // analytic model: it traces real homomorphic ops — calibration probes and
 // one bootstrap — through the cache simulator and compares measured DRAM
 // traffic against the cost ledger's prediction for the same top-level op
-// spans (internal/calib).
-func validateCmd(args []string) {
-	fs := flag.NewFlagSet("validate", flag.ExitOnError)
+// spans (internal/calib). With -out -, stdout carries only the JSON
+// report, and the table and verdict go to stderr.
+func validateCmd(args []string, w io.Writer) error {
+	fs := newFlagSet("validate")
 	cfg := calib.DefaultConfig()
 	fs.IntVar(&cfg.LogN, "logn", cfg.LogN, "ring degree exponent")
 	fs.IntVar(&cfg.Limbs, "limbs", cfg.Limbs, "calibration-chain limb count (model L)")
@@ -36,29 +36,40 @@ func validateCmd(args []string) {
 	out := fs.String("out", "", "write the report as JSON (- for stdout)")
 	metricsOut := fs.String("metrics-out", "", "write predicted/measured byte counters as Prometheus text")
 	strict := fs.Bool("strict", false, "exit nonzero when a gated row or toggle fails")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	rep, err := calib.Run(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "validate:", err)
-		os.Exit(fherr.ExitCode(err))
+		return fmt.Errorf("validate: %w", err)
 	}
-	rep.WriteTable(os.Stdout)
+	table := w
+	if *out == "-" {
+		table = stderr
+	}
+	rep.WriteTable(table)
 	pass := rep.Gate()
 	if pass {
-		fmt.Println("\nvalidation: PASS (gated rows within tolerance, toggle directions reproduced)")
+		fmt.Fprintln(table, "\nvalidation: PASS (gated rows within tolerance, toggle directions reproduced)")
 	} else {
-		fmt.Println("\nvalidation: FAIL (see rows above; deviations are discussed in docs/OBSERVABILITY.md)")
+		fmt.Fprintln(table, "\nvalidation: FAIL (see rows above; deviations are discussed in docs/OBSERVABILITY.md)")
 	}
 
 	if *out != "" {
-		writeBenchJSON(validateReport{
+		err := writeReport(w, validateReport{
 			Meta: collectMeta(fmt.Sprintf("logN=%d limbs=%d dnum=%d cacheLimbs=%d", cfg.LogN, cfg.Limbs, cfg.Dnum, cfg.CacheLimbs)),
 			Pass: pass, Report: rep,
 		}, *out)
+		if err != nil {
+			return err
+		}
 	}
-	exportObs("", *metricsOut, nil, rep.Counters())
+	if err := exportObs("", *metricsOut, nil, rep.Counters()); err != nil {
+		return err
+	}
 	if *strict && !pass {
-		os.Exit(1)
+		return errors.New("validate: a gated row or toggle failed (-strict)")
 	}
+	return nil
 }
