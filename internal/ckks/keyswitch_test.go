@@ -48,12 +48,33 @@ func fromMForm(r *ring.Ring, x *ring.Poly) *ring.Poly {
 	return out
 }
 
+// withKernels runs f with p's rings forced onto the scalar kernels, then
+// back on the vector kernels their limbs selected. The vector run is
+// logged and skipped when no limb selects them on this host.
+func withKernels(t *testing.T, p *Parameters, f func(kernel string)) {
+	t.Helper()
+	rQ, rP := p.RingQ(), p.RingP()
+	defer func() {
+		rQ.UseVectorKernels(true)
+		rP.UseVectorKernels(true)
+	}()
+	rQ.UseVectorKernels(false)
+	rP.UseVectorKernels(false)
+	f("scalar")
+	if vq, vp := rQ.UseVectorKernels(true), rP.UseVectorKernels(true); !vq && !vp {
+		t.Log("no limb selects the vector kernels on this host; vector case skipped")
+		return
+	}
+	f("vector")
+}
+
 // TestKskInnerProductMatchesStrict pins the single inner-product body to
-// the strict per-digit composition, bit for bit: at the top level and at a
-// level whose last digit is partial, for the identity and for Galois
-// gathers, for keys with their a halves in place and seed-only keys served
-// by the vault, under every worker count. The destinations come from the
-// pool unzeroed, as the callers hand them over.
+// the strict per-digit composition, bit for bit, on the scalar and the
+// vector key product: at the top level and at a level whose last digit is
+// partial, for the identity and for Galois gathers, for keys with their a
+// halves in place and seed-only keys served by the vault, under every
+// worker count. The destinations come from the pool unzeroed, as the
+// callers hand them over.
 func TestKskInnerProductMatchesStrict(t *testing.T) {
 	tc := newTestContext(t)
 	p := tc.params
@@ -72,18 +93,20 @@ func TestKskInnerProductMatchesStrict(t *testing.T) {
 			if g != 1 {
 				perm = p.RingQ().AutomorphismNTTIndex(g)
 			}
-			for name, key := range map[string]*SwitchingKey{"expanded": swk, "seed-only": seedOnly} {
-				for _, w := range evalWorkerCounts() {
-					u, v := conv.GetPolyQP(level), conv.GetPolyQP(level)
-					u.Q.Coeffs[0][0], v.P.Coeffs[0][0] = ^uint64(0), ^uint64(0) // stale scratch
-					ev.kskInnerProduct(level, digits, perm, key, u, v, w)
-					if !u.Q.Equal(wantU.Q) || !u.P.Equal(wantU.P) || !v.Q.Equal(wantV.Q) || !v.P.Equal(wantV.P) {
-						t.Errorf("level=%d galois=%d key=%s workers=%d: fused inner product differs from the strict composition", level, g, name, w)
+			withKernels(t, p, func(kernel string) {
+				for name, key := range map[string]*SwitchingKey{"expanded": swk, "seed-only": seedOnly} {
+					for _, w := range evalWorkerCounts() {
+						u, v := conv.GetPolyQP(level), conv.GetPolyQP(level)
+						u.Q.Coeffs[0][0], v.P.Coeffs[0][0] = ^uint64(0), ^uint64(0) // stale scratch
+						ev.kskInnerProduct(level, digits, perm, key, u, v, w)
+						if !u.Q.Equal(wantU.Q) || !u.P.Equal(wantU.P) || !v.Q.Equal(wantV.Q) || !v.P.Equal(wantV.P) {
+							t.Errorf("level=%d galois=%d key=%s workers=%d %s kernel: fused inner product differs from the strict composition", level, g, name, w, kernel)
+						}
+						conv.PutPolyQP(u)
+						conv.PutPolyQP(v)
 					}
-					conv.PutPolyQP(u)
-					conv.PutPolyQP(v)
 				}
-			}
+			})
 		}
 		ev.putDigits(digits)
 	}

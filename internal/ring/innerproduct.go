@@ -1,10 +1,84 @@
 package ring
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/mathutil"
 )
+
+// The key product and the second stage of a basis extension
+// (rns.ExtTable.Extend) are both sums of word products closed by one
+// Montgomery reduction. The scalar kernels sum exactly in 128 bits and
+// close with mathutil.MontReduce. On amd64 CPUs with AVX-512 IFMA, a
+// modulus q < 2^51 runs them eight words per ZMM vector
+// (innerproduct_amd64.s) with the same outputs, bit for bit:
+//
+//   - Sum. Each product x·w, x, w < 2^51, is split by VPMADD52LUQ and
+//     VPMADD52HUQ into its low and high 52 bits, added into two 64-bit
+//     lanes lo and hi, so T = hi·2^52 + lo exactly. Each term adds less
+//     than 2^52 to lo, so a sum of up to MaxLaneTerms = 4095 products on
+//     a seed below 2^52 cannot wrap lo; longer sums run the scalar kernel.
+//     Each high part is below 2^50, so hi < 4095·2^50 < 2^62.
+//   - Close. The lanes compute MontReduce(T) = T·2^-64 mod q itself, so
+//     every table, key and Montgomery-form digit keeps its 2^64 carrier.
+//     Normalize (hi += lo >> 52 < 2^12, lo &= 2^52 − 1), then one 52-bit
+//     REDC round with qn = −q⁻¹ mod 2^52: m = lo·qn mod 2^52 makes
+//     lo + m·q a multiple of 2^52, and r1 = hi + ⌊(lo + m·q)/2^52⌋
+//     ≡ T·2^-52 is below 2^62 + 2^12 + 2^51 + 1 < 2^64. A second round
+//     on r1 = h·2^52 + l, h < 2^12, gives r2 = h + ⌊(l + m'·q)/2^52⌋
+//     ≡ T·2^-104 below q + 2^12 < 2^52, a valid IFMA operand. One Shoup product by 2^40 mod q (companion
+//     ⌊(2^40 mod q)·2^52/q⌋, quotient off by at most one since r2 < 2^52)
+//     lands r2·2^40 ≡ T·2^-64 in [0, 2q), and one VPMINUQ fold in [0, q):
+//     the canonical residue, which is all MontReduce can return.
+
+// MaxLaneTerms is the longest sum of products the vector kernels close
+// exactly: one more and the low lane could wrap.
+const MaxLaneTerms = 4095
+
+// VectorMont holds one modulus's constants for the vector kernels'
+// Montgomery close: q, −q⁻¹ mod 2^52, and 2^40 mod q with its 52-bit
+// Shoup companion.
+type VectorMont struct {
+	q, qn, r40, r40Shoup uint64
+}
+
+// NewVectorMont returns the vector close for q and whether this CPU runs
+// the vector kernels for q: AVX-512 IFMA is available (the probe the NTT
+// kernels use) and q < 2^51. q must be odd.
+func NewVectorMont(q uint64) (VectorMont, bool) {
+	if !ifmaUsable(q) {
+		return VectorMont{}, false
+	}
+	r40 := uint64(1<<40) % q
+	return VectorMont{
+		q:        q,
+		qn:       mathutil.MontQNeg(q) & (1<<52 - 1),
+		r40:      r40,
+		r40Shoup: mathutil.ShoupPrecomp(r40, q) >> 12,
+	}, true
+}
+
+// SeededSum writes
+//
+//	dst[c] = (seed[idx[c]] + Σ_i y[i][c]·w[i])·2^-64 mod q
+//
+// for c in [0, len(dst)), canonical, on the vector kernel: what a
+// 128-bit sum closed by mathutil.MontReduce writes. It needs
+// 1 ≤ len(w) = len(y) ≤ MaxLaneTerms, every y row and idx at least
+// len(dst) long, y words below 2^51, w and seed words below q, and every
+// idx[c] < len(seed); an index past the end reads the last seed word.
+func (m *VectorMont) SeededSum(dst []uint64, y [][]uint64, w, seed, idx []uint64) {
+	if len(w) == 0 || len(w) > MaxLaneTerms || len(y) != len(w) || len(seed) == 0 {
+		panic(fmt.Sprintf("ring: SeededSum over %d rows and %d weights, %d seeds", len(y), len(w), len(seed)))
+	}
+	n := len(dst)
+	_ = idx[:n]
+	for _, row := range y {
+		_ = row[:n]
+	}
+	seededSumIFMA(dst, y, w, seed, idx, uint64(len(seed)-1), m.q, m.qn, m.r40, m.r40Shoup)
+}
 
 // InnerProductTile is the coefficient-blocking width of the key-switch
 // inner-product kernel: the number of output words whose four 128-bit
@@ -33,8 +107,23 @@ const InnerProductTile = 256
 // MontReduce's q·2^64 bound and its residue unchanged. All inputs must be
 // below q; the outputs are canonical and equal, bit for bit, to the strict
 // per-digit MulThenAddVec composition on the canonical digits in any digit
-// order.
+// order. A sub-ring on the vector kernels (SubRing.ifma) sums up to
+// MaxLaneTerms digits on them; d, b and a rows must then be at least
+// len(u) words, and a perm entry past that reads the row's last word.
 func (s *SubRing) GatherMulAccumulate(d, b, a [][]uint64, perm []int, u, v []uint64) {
+	if s.ifma && len(d) > 0 && len(d) <= MaxLaneTerms {
+		n := len(u)
+		_, _, _ = v[:n], b[:len(d)], a[:len(d)]
+		for j := range d {
+			_, _, _ = d[j][:n], b[j][:n], a[j][:n]
+		}
+		if perm != nil {
+			_ = perm[:n]
+		}
+		m := &s.vmont
+		gatherMulAccIFMA(d, b, a, perm, u, v, uint64(max(n, 1)-1), m.q, m.qn, m.r40, m.r40Shoup)
+		return
+	}
 	var uhi, ulo, vhi, vlo [InnerProductTile]uint64
 	br, q, qNeg := s.Barrett, s.Q, s.qNeg
 	fold := mathutil.MontMaxTerms(q)

@@ -2,10 +2,11 @@
 
 package ring
 
-// The vector kernels are amd64-only: elsewhere every SubRing runs the
-// scalar Go kernels, and the methods below are never reached.
+// The vector kernels are amd64-only: elsewhere every SubRing and every
+// VectorMont runs the scalar Go kernels, and the functions below are
+// never reached.
 
-const noVectorKernel = "ring: no vector NTT kernel on this architecture"
+const noVectorKernel = "ring: no vector kernel on this architecture"
 
 func ifmaUsable(uint64) bool { return false }
 
@@ -13,3 +14,11 @@ func (s *SubRing) nttRowIFMA([]uint64, int)           { panic(noVectorKernel) }
 func (s *SubRing) inttRowIFMA([]uint64, int, bool)    { panic(noVectorKernel) }
 func (s *SubRing) nttColumnsIFMA([]uint64, int, int)  { panic(noVectorKernel) }
 func (s *SubRing) inttColumnsIFMA([]uint64, int, int) { panic(noVectorKernel) }
+
+func gatherMulAccIFMA(_, _, _ [][]uint64, _ []int, _, _ []uint64, _, _, _, _, _ uint64) {
+	panic(noVectorKernel)
+}
+
+func seededSumIFMA([]uint64, [][]uint64, []uint64, []uint64, []uint64, uint64, uint64, uint64, uint64, uint64) {
+	panic(noVectorKernel)
+}

@@ -86,34 +86,19 @@ func kernelName(s *SubRing) string {
 	return "scalar"
 }
 
-// withKernels runs f once per NTT kernel on r's sub-rings: "scalar" with
+// withKernels runs f once per kernel on r's sub-rings: "scalar" with
 // every sub-ring forced onto the Go kernels, then "vector" with each
 // sub-ring back on the kernel newSubRing chose for it. The vector run is
 // logged and skipped when no sub-ring chose the vector kernel (no IFMA
 // on this host, or every q ≥ 2^51).
 func withKernels(t testing.TB, r *Ring, f func(kernel string)) {
 	t.Helper()
-	chosen := make([]bool, len(r.SubRings))
-	vector := false
-	for i, s := range r.SubRings {
-		chosen[i] = s.ifma
-		vector = vector || s.ifma
-	}
-	defer func() {
-		for i, s := range r.SubRings {
-			s.ifma = chosen[i]
-		}
-	}()
-	for _, s := range r.SubRings {
-		s.ifma = false
-	}
+	defer r.UseVectorKernels(true)
+	r.UseVectorKernels(false)
 	f("scalar")
-	if !vector {
-		t.Logf("n=%d: no sub-ring selects the vector NTT kernel on this host; vector case skipped", r.N)
+	if !r.UseVectorKernels(true) {
+		t.Logf("n=%d: no sub-ring selects the vector kernels on this host; vector case skipped", r.N)
 		return
-	}
-	for i, s := range r.SubRings {
-		s.ifma = chosen[i]
 	}
 	f("vector")
 }

@@ -45,10 +45,13 @@ type SubRing struct {
 	// so that stage's difference output costs one Shoup product.
 	nInvW, nInvWShoup uint64
 
-	// ifma selects the AVX-512 IFMA kernels (ntt_amd64.s): set when the
-	// CPU and OS support them and q < 2^51, so 2q fits a 52-bit lane
-	// (from 2^50 up the kernels fold each multiplicand below 2q).
-	ifma bool
+	// ifma selects the AVX-512 IFMA kernels (ntt_amd64.s,
+	// innerproduct_amd64.s) for the NTT and the key product, with vmont
+	// the product's close: set when the CPU and OS support them and
+	// q < 2^51, so 2q fits a 52-bit lane (from 2^50 up the NTT kernels
+	// fold each multiplicand below 2q).
+	ifma  bool
+	vmont VectorMont
 
 	// Montgomery constants: qNeg = −q⁻¹ mod 2^64 closes the fused inner
 	// product (mathutil.MontReduce), and R = 2^64 mod q with its Shoup
@@ -106,7 +109,7 @@ func newSubRing(n int, q uint64) (*SubRing, error) {
 	s.nInvShoup = mathutil.ShoupPrecomp(s.nInv, q)
 	s.nInvW = mathutil.MulModShoup(s.invTwiddle[1], s.nInv, s.nInvShoup, q)
 	s.nInvWShoup = mathutil.ShoupPrecomp(s.nInvW, q)
-	s.ifma = ifmaUsable(q)
+	s.vmont, s.ifma = NewVectorMont(q)
 	s.qNeg = mathutil.MontQNeg(q)
 	s.r = mathutil.MontR(q)
 	s.rShoup = mathutil.ShoupPrecomp(s.r, q)
@@ -156,6 +159,20 @@ func NewRing(n int, moduli []uint64) (*Ring, error) {
 		r.SubRings[i] = s
 	}
 	return r, nil
+}
+
+// UseVectorKernels puts every sub-ring of r on the vector kernels its
+// constructor selected (on) or on the scalar Go kernels (off), and
+// reports whether any sub-ring now runs a vector kernel. The two compute
+// the same words; the switch exists so tests can check both. AtLevel
+// views share sub-rings, so it covers every view.
+func (r *Ring) UseVectorKernels(on bool) bool {
+	vector := false
+	for _, s := range r.SubRings {
+		s.ifma = on && s.vmont.q != 0
+		vector = vector || s.ifma
+	}
+	return vector
 }
 
 // MaxLevel returns the highest level (index of the last modulus).

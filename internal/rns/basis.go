@@ -10,7 +10,10 @@
 // need all coefficients of one limb. The production kernel below resolves
 // that tension the way the paper's limb re-ordering does in hardware:
 // coefficients are processed in cache-resident tiles, inside which every
-// loop streams contiguous memory (see docs/PERF.md).
+// loop streams contiguous memory (see docs/PERF.md). Where the CPU has
+// AVX-512 IFMA and every modulus is below 2^51, the extension's second
+// stage runs on the ring package's vector kernel (ring.VectorMont), eight
+// coefficients per instruction, with the same output words.
 package rns
 
 import (
@@ -19,6 +22,7 @@ import (
 
 	"repro/internal/mathutil"
 	"repro/internal/memtrace"
+	"repro/internal/ring"
 )
 
 // ExtendTile is the cache-blocking width of the basis-extension kernel:
@@ -57,6 +61,13 @@ type ExtTable struct {
 	outBarrett   []mathutil.Barrett
 	outQNeg      []uint64 // −p_j⁻¹ mod 2^64, the Montgomery constant
 	fold         int      // products per sum between folds: MontMaxTerms(max q_i)
+
+	// ifma selects the vector stage 2 (ring.VectorMont.SeededSum, one
+	// close per output limb in outVec): set at construction when the CPU
+	// runs the ring's vector kernels, every In and Out modulus is below
+	// 2^51 and 1 ≤ ℓ ≤ ring.MaxLaneTerms.
+	ifma   bool
+	outVec []ring.VectorMont
 
 	scratch sync.Pool // *extScratch, sized for ExtendTile coefficients
 }
@@ -114,10 +125,15 @@ func newExtTable(in, out []uint64, montOut bool) *ExtTable {
 	// Each output word sums ℓ products y_i·w with y_i < q_i and w < p_j on
 	// a seed below p_j.
 	t.fold = mathutil.MontMaxTerms(maxIn)
+	t.ifma = len(in) > 0 && len(in) <= ring.MaxLaneTerms && maxIn < 1<<51
+	t.outVec = make([]ring.VectorMont, len(out))
 	for j, pj := range out {
 		br := mathutil.NewBarrett(pj)
 		t.outBarrett[j] = br
 		t.outQNeg[j] = mathutil.MontQNeg(pj)
+		var ok bool
+		t.outVec[j], ok = ring.NewVectorMont(pj)
+		t.ifma = t.ifma && ok
 		scale := mathutil.MontR(pj) // R^e: the factor the closing MontReduce divides out, times R for montOut
 		if montOut {
 			scale = br.MulMod(scale, scale)
@@ -213,7 +229,8 @@ func (t *ExtTable) Extend(src, dst [][]uint64) {
 // materializes y_i = [x]_{q_i}·Q̃_i mod q_i into contiguous per-limb rows
 // (i-outer/c-inner: src rows and y rows both stream sequentially) and
 // accumulates the float overflow estimate in the same ascending-i order as
-// the reference kernel, so the rounding is identical. Stage 2 runs
+// the reference kernel, so the rounding is identical: each product is
+// rounded before it is added, on every architecture. Stage 2 runs
 // j-outer/c-inner: each output word is the 128-bit sum
 //
 //	T = (−v·Q)·R^e + Σ_i y_i·(Q*_i·R^e)   (mod p_j)
@@ -224,7 +241,8 @@ func (t *ExtTable) Extend(src, dst [][]uint64) {
 // pass into the tile's (hi, lo) scratch and reduces it (Reduce128, the
 // residue unchanged) whenever the next four would exceed t.fold products.
 // Every inner loop touches only contiguous rows of the tile scratch or of
-// src/dst.
+// src/dst. A table with the vector stage 2 (t.ifma) computes the same
+// words with ring.VectorMont.SeededSum, one call per output limb.
 func (t *ExtTable) extendTile(src, dst [][]uint64, c0, b int, sc *extScratch) {
 	// Stage 1: y values and overflow estimate.
 	vf := sc.vf[:b]
@@ -236,7 +254,7 @@ func (t *ExtTable) extendTile(src, dst [][]uint64, c0, b int, sc *extScratch) {
 		for c, x := range si {
 			w := mathutil.MulModShoup(x, tilde, tildeShoup, qi)
 			yi[c] = w
-			vf[c] += float64(w) * inv
+			vf[c] += float64(float64(w) * inv) // the conversion rounds the product: no FMA
 		}
 	}
 	v := sc.v[:b]
@@ -249,6 +267,12 @@ func (t *ExtTable) extendTile(src, dst [][]uint64, c0, b int, sc *extScratch) {
 
 	// Stage 2: one output limb at a time.
 	y := sc.y[:len(t.In)]
+	if t.ifma {
+		for j := range t.Out {
+			t.outVec[j].SeededSum(dst[j][c0:c0+b], y, t.qiStarMont[j], t.vqOut[j], v)
+		}
+		return
+	}
 	for j := range t.Out {
 		p, pNeg, w, vq := t.Out[j], t.outQNeg[j], t.qiStarMont[j], t.vqOut[j]
 		dj := dst[j][c0 : c0+b]
@@ -392,7 +416,7 @@ func (t *ExtTable) ExtendReference(src, dst [][]uint64) {
 		for i := range t.In {
 			yi := mathutil.MulModShoup(src[i][c], t.qiTilde[i], t.qiTildeShoup[i], t.In[i])
 			y[i] = yi
-			vFloat += float64(yi) * t.qiInvFloat[i]
+			vFloat += float64(float64(yi) * t.qiInvFloat[i]) // the conversion rounds the product: no FMA
 		}
 		v := uint64(vFloat)
 		for j := range t.Out {

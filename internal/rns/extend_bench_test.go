@@ -9,11 +9,12 @@ import (
 )
 
 // benchBases builds a bootstrap-scale modulus layout: an 18-limb Q chain
-// and a 3-limb P basis of 40-bit NTT primes at degree 2^13 — the shape of
-// the raised basis inside key switching at full depth.
+// and a 3-limb P basis of the CKKS primes around 2^50 the workloads draw
+// (GenerateNTTPrimesNear) at degree 2^13 — the shape of the raised basis
+// inside key switching at full depth, on limbs the vector stage 2 serves.
 func benchBases(b *testing.B) (q, p []uint64) {
 	b.Helper()
-	primes, err := mathutil.GenerateNTTPrimes(40, 13, 21)
+	primes, err := mathutil.GenerateNTTPrimesNear(50, 13, 21)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -36,7 +37,8 @@ func benchInput(tab *ExtTable, n int) (src, dst [][]uint64) {
 // (P → Q, narrow → wide) and the full-width decomposition (wide → narrow)
 // at N = 2^13, and the bootstrap workload's two at N = 2^9 (a 3-limb
 // digit raised to 17 limbs, the merged division's {P, q_ℓ} to 16) —
-// comparing the tiled lazy kernel against the retained scalar oracle.
+// comparing the tiled lazy kernel, with the scalar and the vector stage
+// 2, against the retained scalar oracle.
 func BenchmarkExtend(b *testing.B) {
 	qMod, pMod := benchBases(b)
 	shapes := []struct {
@@ -54,13 +56,21 @@ func BenchmarkExtend(b *testing.B) {
 		n := sh.n
 		tab := NewExtTable(sh.in, sh.out)
 		src, dst := benchInput(tab, n)
-		b.Run(sh.name+"/lazy", func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(8 * n * (len(sh.in) + len(sh.out))))
-			for i := 0; i < b.N; i++ {
-				tab.Extend(src, dst)
-			}
-		})
+		chosen := tab.ifma
+		for _, kernel := range []string{"scalar", "vector"} {
+			b.Run(sh.name+"/lazy/kernel="+kernel, func(b *testing.B) {
+				if kernel == "vector" && !chosen {
+					b.Skip("vector stage 2 not selected on this host")
+				}
+				tab.ifma = kernel == "vector"
+				defer func() { tab.ifma = chosen }()
+				b.ReportAllocs()
+				b.SetBytes(int64(8 * n * (len(sh.in) + len(sh.out))))
+				for i := 0; i < b.N; i++ {
+					tab.Extend(src, dst)
+				}
+			})
+		}
 		b.Run(sh.name+"/reference", func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(8 * n * (len(sh.in) + len(sh.out))))

@@ -2,8 +2,14 @@ package rns
 
 import (
 	"fmt"
+	"maps"
 	"math/big"
+	"math/bits"
+	"math/rand/v2"
 	"runtime"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/mathutil"
@@ -73,16 +79,91 @@ func converterBasisPairs(ringQ, ringP *ring.Ring) []basisPair {
 	return pairs
 }
 
-// TestExtendMatchesReferenceAllBases demands the tiled lazy kernel be
-// bit-identical to the retained scalar oracle on every basis pair the
-// Converter ever builds, at worker counts {1, 2, GOMAXPROCS}, over
-// coefficient counts that straddle the tile boundary. Besides uniform
-// residues it feeds all-zero and all-(q_i − 1) inputs, the two ends of
-// [0, Q): x = 0 seeds the accumulator with v = 0, and x = Q − 1 puts
-// frac(Σ y_i/q_i) = x/Q against 1, the float-slack edge of the estimate.
+// modulusClass is one family of NTT primes the basis-change kernels are
+// tested on.
+type modulusClass struct {
+	name string
+	bits int
+	near bool // GenerateNTTPrimesNear (alternating around 2^bits) instead of the largest below 2^bits
+}
+
+// modulusClasses are the classes the workloads build, plus the edges of
+// the vector stage 2: 40- and 45-bit primes, the CKKS primes alternating
+// around 2^50, and the largest NTT primes below 2^51, where the lane
+// sums and the close have the least headroom.
+var modulusClasses = []modulusClass{
+	{"40-bit", 40, false},
+	{"45-bit", 45, false},
+	{"2^50 ± k", 50, true},
+	{"2^51 − k", 51, false},
+}
+
+// classRings builds a Q ring of nQ and a P ring of nP distinct primes of
+// class c at degree n.
+func classRings(t testing.TB, c modulusClass, n, nQ, nP int) (*ring.Ring, *ring.Ring) {
+	t.Helper()
+	logN := bits.Len(uint(n)) - 1
+	gen := mathutil.GenerateNTTPrimes
+	if c.near {
+		gen = mathutil.GenerateNTTPrimesNear
+	}
+	primes, err := gen(c.bits, logN, nQ+nP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ringQ, err := ring.NewRing(n, primes[:nQ])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ringP, err := ring.NewRing(n, primes[nQ:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ringQ, ringP
+}
+
+// withExtendKernels runs f once per stage-2 kernel of tab: "scalar",
+// then "vector" when newExtTable chose it (IFMA on this host, every
+// modulus below 2^51, ℓ ≤ ring.MaxLaneTerms). It returns the kernels
+// that ran.
+func withExtendKernels(tab *ExtTable, f func(kernel string)) []string {
+	chosen := tab.ifma
+	defer func() { tab.ifma = chosen }()
+	tab.ifma = false
+	f("scalar")
+	if !chosen {
+		return []string{"scalar"}
+	}
+	tab.ifma = true
+	f("vector")
+	return []string{"scalar", "vector"}
+}
+
+// requireEqualLimbs fails unless got and want hold the same words.
+func requireEqualLimbs(t *testing.T, what string, got, want [][]uint64) {
+	t.Helper()
+	for j := range want {
+		for c := range want[j] {
+			if got[j][c] != want[j][c] {
+				t.Fatalf("%s: Extend[%d][%d] = %d, reference %d", what, j, c, got[j][c], want[j][c])
+			}
+		}
+	}
+}
+
+// TestExtendMatchesReferenceAllBases demands the tiled lazy kernel, with
+// the scalar and the vector stage 2, be bit-identical to the retained
+// scalar oracle on every basis pair the Converter ever builds, for every
+// modulus class, at worker counts {1, 2, GOMAXPROCS}, over coefficient
+// counts that straddle the tile boundary and the vector's eight-word
+// groups. Besides uniform residues it feeds all-zero and all-(q_i − 1)
+// inputs, the two ends of [0, Q): x = 0 seeds the accumulator with v = 0,
+// and x = Q − 1 puts frac(Σ y_i/q_i) = x/Q against 1, the float-slack
+// edge of the estimate. Last, it runs the vector kernel's term limit:
+// ℓ = ring.MaxLaneTerms input limbs still run the vector stage 2, one
+// more hands the sum to the scalar kernel.
 func TestExtendMatchesReferenceAllBases(t *testing.T) {
 	const nQ, nP = 6, 2
-	ringQ, ringP := testRings(t, 32, nQ, nP)
 	src := fixedSource()
 	fills := []struct {
 		name string
@@ -93,36 +174,139 @@ func TestExtendMatchesReferenceAllBases(t *testing.T) {
 		{"max", func(q uint64) uint64 { return q - 1 }},
 	}
 
-	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
-	sizes := []int{1, 7, ExtendTile - 1, ExtendTile, ExtendTile + 1, 2*ExtendTile + 33}
-	for _, fill := range fills {
-		for _, n := range sizes {
-			for _, p := range converterBasisPairs(ringQ, ringP) {
-				tab := NewExtTable(p.in, p.out)
-				in := makeLimbs(len(p.in), n)
-				for i, q := range p.in {
-					for c := range in[i] {
-						in[i][c] = fill.val(q)
-					}
-				}
-				want := makeLimbs(len(p.out), n)
-				tab.ExtendReference(in, want)
-
-				for _, w := range workerCounts {
-					got := makeLimbs(len(p.out), n)
-					extendParallel(tab, in, got, n, w)
-					for j := range want {
-						for c := range want[j] {
-							if got[j][c] != want[j][c] {
-								t.Fatalf("%s %s ℓ=%d→%d n=%d workers=%d: Extend[%d][%d] = %d, reference %d",
-									fill.name, p.name, len(p.in), len(p.out), n, w, j, c, got[j][c], want[j][c])
-							}
+	workerCounts := slices.Compact(slices.Sorted(slices.Values([]int{1, 2, runtime.GOMAXPROCS(0)})))
+	sizes := []int{1, 7, 255, ExtendTile - 1, ExtendTile, ExtendTile + 1, 2*ExtendTile + 33}
+	check := func(what string, tab *ExtTable, in [][]uint64, n int, workers []int) []string {
+		want := makeLimbs(len(tab.Out), n)
+		tab.ExtendReference(in, want)
+		return withExtendKernels(tab, func(kernel string) {
+			for _, w := range workers {
+				got := makeLimbs(len(tab.Out), n)
+				extendParallel(tab, in, got, n, w)
+				requireEqualLimbs(t, fmt.Sprintf("%s %s kernel ℓ=%d→%d n=%d workers=%d",
+					what, kernel, len(tab.In), len(tab.Out), n, w), got, want)
+			}
+		})
+	}
+	for _, class := range modulusClasses {
+		ringQ, ringP := classRings(t, class, 32, nQ, nP)
+		var ran []string
+		pairs := converterBasisPairs(ringQ, ringP)
+		for _, fill := range fills {
+			for _, n := range sizes {
+				for _, p := range pairs {
+					tab := NewExtTable(p.in, p.out)
+					in := makeLimbs(len(p.in), n)
+					for i, q := range p.in {
+						for c := range in[i] {
+							in[i][c] = fill.val(q)
 						}
 					}
+					ran = check(class.name+" "+fill.name+" "+p.name, tab, in, n, workerCounts)
 				}
 			}
 		}
+		t.Logf("%s: %s stage 2 matched the reference on %d basis pairs", class.name, strings.Join(ran, " and "), len(pairs))
 	}
+
+	primes, err := mathutil.GenerateNTTPrimesNear(50, 4, ring.MaxLaneTerms+3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 17
+	for _, l := range []int{ring.MaxLaneTerms, ring.MaxLaneTerms + 1} {
+		tab := NewExtTable(primes[:l], primes[l:l+2])
+		in := makeLimbs(l, n)
+		for i, q := range tab.In {
+			for c := range in[i] {
+				in[i][c] = q - 1
+				if c%2 == 1 {
+					in[i][c] = src.Uint64() % q
+				}
+			}
+		}
+		ran := check("term limit", tab, in, n, []int{1})
+		t.Logf("ℓ = %d input limbs: %s stage 2 matched the reference", l, strings.Join(ran, " and "))
+	}
+}
+
+// TestKeyProductKernelSelection pins the vector kernels' reach: where
+// the CPU has IFMA (probed on a 45-bit prime), every modulus the
+// benchmark workloads build — their CKKS Q and P chains at logN 13, 12
+// and 9, drawn as ckks.NewParameters draws them — selects the vector key
+// product (ring.NewVectorMont, which SubRing.ifma is set from), and
+// every basis pair their converters extend between, canonical and
+// Montgomery-out, selects the vector stage 2. Elsewhere every one
+// selects the scalar kernels.
+func TestKeyProductKernelSelection(t *testing.T) {
+	probe, err := mathutil.GenerateNTTPrimes(45, 9, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, host := ring.NewVectorMont(probe[0])
+	want := map[bool]string{false: "scalar", true: "vector (AVX-512 IFMA)"}[host]
+	for _, w := range []struct {
+		name       string
+		logN       int
+		logQ, logP []int
+	}{
+		{"mult_chain", 13, []int{50, 40, 40, 40, 40, 40, 40, 40, 40}, []int{50, 50, 50}},
+		{"matvec_hoisted", 12, []int{50, 40, 40, 40, 40, 40}, []int{50, 50}},
+		{"bootstrap", 9, append([]int{48}, slices.Repeat([]int{40}, 16)...), []int{50, 50, 50}},
+	} {
+		count := map[int]int{}
+		for _, b := range append(slices.Clone(w.logQ), w.logP...) {
+			count[b]++
+		}
+		pool := map[int][]uint64{}
+		for _, b := range slices.Sorted(maps.Keys(count)) {
+			ps, err := mathutil.GenerateNTTPrimesNear(b, w.logN, count[b])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range ps {
+				if _, ok := ring.NewVectorMont(q); ok != host {
+					t.Errorf("%s: q = %d (%d-bit class) selects the vector key product = %v, want %v", w.name, q, b, ok, host)
+				}
+			}
+			t.Logf("%s logN=%d: %d primes near 2^%d, %s to %s: %s key product", w.name, w.logN, len(ps), b,
+				modulusName(slices.Min(ps)), modulusName(slices.Max(ps)), want)
+			pool[b] = ps
+		}
+		chain := func(sizes []int) *ring.Ring {
+			moduli := make([]uint64, len(sizes))
+			for i, b := range sizes {
+				moduli[i], pool[b] = pool[b][0], pool[b][1:]
+			}
+			r, err := ring.NewRing(1<<w.logN, moduli)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		ringQ := chain(w.logQ)
+		ringP := chain(w.logP)
+		pairs := converterBasisPairs(ringQ, ringP)
+		for _, p := range pairs {
+			for _, montOut := range []bool{false, true} {
+				if tab := newExtTable(p.in, p.out, montOut); tab.ifma != host {
+					t.Errorf("%s: %s ℓ=%d→%d montOut=%v selects the vector stage 2 = %v, want %v",
+						w.name, p.name, len(p.in), len(p.out), montOut, tab.ifma, host)
+				}
+			}
+		}
+		t.Logf("%s: %d basis pairs: %s stage 2", w.name, len(pairs), want)
+	}
+}
+
+// modulusName writes q as its distance from the nearest power of two,
+// e.g. 2^50 + 16385.
+func modulusName(q uint64) string {
+	e := bits.Len64(q) // 2^(e−1) ≤ q < 2^e
+	if above := q - 1<<(e-1); above < 1<<e-q {
+		return fmt.Sprintf("2^%d + %d", e-1, above)
+	}
+	return fmt.Sprintf("2^%d − %d", e, uint64(1)<<e-q)
 }
 
 // requireRTimes fails unless got[j][c] = R·want[j][c] mod out[j] for every
@@ -140,32 +324,39 @@ func requireRTimes(t *testing.T, what string, out []uint64, got, want [][]uint64
 }
 
 // TestExtendMontOutIsRTimesReference demands a Montgomery-out table (the
-// ones ModUpDigit extends with) write exactly R·ExtendReference on every
-// ModUp basis pair, for uniform and all-(q_i − 1) inputs.
+// ones ModUpDigit extends with), scalar and vector, write exactly
+// R·ExtendReference on every ModUp basis pair of every modulus class,
+// for uniform and all-(q_i − 1) inputs.
 func TestExtendMontOutIsRTimesReference(t *testing.T) {
-	ringQ, ringP := testRings(t, 32, 6, 2)
 	src := fixedSource()
 	const n = ExtendTile + 3
-	for _, p := range converterBasisPairs(ringQ, ringP) {
-		if p.name != "modup" {
-			continue
-		}
-		tab := newExtTable(p.in, p.out, true)
-		for _, max := range []bool{false, true} {
-			in := makeLimbs(len(p.in), n)
-			for i, q := range p.in {
-				for c := range in[i] {
-					in[i][c] = q - 1
-					if !max {
-						in[i][c] = src.Uint64() % q
+	for _, class := range modulusClasses {
+		ringQ, ringP := classRings(t, class, 32, 6, 2)
+		var ran []string
+		for _, p := range converterBasisPairs(ringQ, ringP) {
+			if p.name != "modup" {
+				continue
+			}
+			tab := newExtTable(p.in, p.out, true)
+			for _, max := range []bool{false, true} {
+				in := makeLimbs(len(p.in), n)
+				for i, q := range p.in {
+					for c := range in[i] {
+						in[i][c] = q - 1
+						if !max {
+							in[i][c] = src.Uint64() % q
+						}
 					}
 				}
+				want, got := makeLimbs(len(p.out), n), makeLimbs(len(p.out), n)
+				tab.ExtendReference(in, want)
+				ran = withExtendKernels(tab, func(kernel string) {
+					tab.Extend(in, got)
+					requireRTimes(t, fmt.Sprintf("%s %s kernel ℓ=%d→%d max=%v", class.name, kernel, len(p.in), len(p.out), max), p.out, got, want)
+				})
 			}
-			want, got := makeLimbs(len(p.out), n), makeLimbs(len(p.out), n)
-			tab.ExtendReference(in, want)
-			tab.Extend(in, got)
-			requireRTimes(t, fmt.Sprintf("ℓ=%d→%d max=%v", len(p.in), len(p.out), max), p.out, got, want)
 		}
+		t.Logf("%s: %s Montgomery-out stage 2 matched R·reference", class.name, strings.Join(ran, " and "))
 	}
 }
 
@@ -409,4 +600,69 @@ func TestExtendCounters(t *testing.T) {
 	if got := rec.Counter("rns.extend.coeffs"); got != uint64(2*ringQ.N) {
 		t.Errorf("rns.extend.coeffs = %d, want %d", got, 2*ringQ.N)
 	}
+}
+
+// fuzzExtendPrimes are the limbs FuzzExtend draws its bases from: the
+// CKKS primes alternating around 2^50 and the largest NTT primes below
+// 2^51, where the vector stage 2's lanes and close have the least
+// headroom.
+var fuzzExtendPrimes = sync.OnceValues(func() ([]uint64, error) {
+	near, err := mathutil.GenerateNTTPrimesNear(50, 10, 24)
+	if err != nil {
+		return nil, err
+	}
+	top, err := mathutil.GenerateNTTPrimes(51, 10, 16)
+	return append(near, top...), err
+})
+
+// FuzzExtend pits the vector stage 2 of the basis extension against the
+// scalar one, bit for bit, canonical and Montgomery-out, on bases of 1–20
+// input and 1–20 output limbs drawn from fuzzExtendPrimes, at lengths off
+// and on the eight-word groups and the tile. fill picks the words:
+// uniform, all q_i − 1, or a per-word mix of 0, q_i − 1 and uniform.
+func FuzzExtend(f *testing.F) {
+	f.Add(uint64(1), uint16(2+20*16), uint8(0), false)
+	f.Add(uint64(2), uint16(3+20*13+400*3), uint8(1), true)
+	f.Add(uint64(3), uint16(19+20*19+400*4), uint8(1), false)
+	f.Add(^uint64(0), uint16(0), uint8(2), true)
+	f.Add(uint64(0xdeadbeefcafe), uint16(7+20*2+400*1), uint8(2), false)
+	f.Fuzz(func(t *testing.T, seed uint64, shape uint16, fill uint8, montOut bool) {
+		pool, err := fuzzExtendPrimes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lIn, lOut := 1+int(shape%20), 1+int(shape/20%20)
+		n := []int{1, 7, 64, ExtendTile + 1, 2*ExtendTile + 33}[int(shape/400)%5]
+		rng := rand.New(rand.NewPCG(seed, 2))
+		picked := slices.Clone(pool)
+		rng.Shuffle(len(picked), func(i, j int) { picked[i], picked[j] = picked[j], picked[i] })
+		tab := newExtTable(picked[:lIn], picked[lIn:lIn+lOut], montOut)
+		if !tab.ifma {
+			t.Skip("the vector stage 2 is not selected on this host")
+		}
+		in := makeLimbs(lIn, n)
+		for i, q := range tab.In {
+			for c := range in[i] {
+				x := rng.Uint64()
+				switch fill % 3 {
+				case 0:
+					in[i][c] = x % q
+				case 1:
+					in[i][c] = q - 1
+				case 2:
+					in[i][c] = []uint64{0, q - 1, x % q}[x>>62%3]
+				}
+			}
+		}
+		var want [][]uint64
+		withExtendKernels(tab, func(kernel string) {
+			got := makeLimbs(lOut, n)
+			tab.Extend(in, got)
+			if kernel == "scalar" {
+				want = got
+				return
+			}
+			requireEqualLimbs(t, fmt.Sprintf("vector vs scalar ℓ=%d→%d n=%d montOut=%v", lIn, lOut, n, montOut), got, want)
+		})
+	})
 }
