@@ -404,12 +404,10 @@ func (ev *Evaluator) addConst(ct *Ciphertext, c float64) {
 	v := math.Round(c * ct.Scale)
 	for i, s := range rQ.SubRings {
 		ci := mathutil.ReduceFloat(v, s.Q)
-		oi := ct.C0.Coeffs[i]
+		oi := ct.C0.Coeffs[i][:rQ.N]
 		// In NTT form a constant polynomial is the same constant in every
 		// slot, so the broadcast add is exact.
-		for j := 0; j < rQ.N; j++ {
-			oi[j] = mathutil.AddMod(oi[j], ci, s.Q)
-		}
+		s.ReduceThenAddConst(oi, s.Q, ci, oi)
 	}
 }
 
@@ -432,20 +430,13 @@ func (ev *Evaluator) mulByConstThenAdd(ct *Ciphertext, c, constScale float64, ac
 }
 
 // mulScalarThenAddLimb sets acc[j] += w·x[perm[j]] mod q over one limb
-// (perm nil: the identity; ws is w's Shoup companion).
+// (perm nil: the identity; ws is w's Shoup companion), traced
+// (ring.SubRing.MulScalarThenAdd).
 func (ev *Evaluator) mulScalarThenAddLimb(s *ring.SubRing, x []uint64, perm []int, w, ws uint64, acc []uint64) {
 	x, acc = x[:s.N], acc[:s.N]
 	ev.tr.Read(x)
 	ev.tr.Read(acc)
-	if perm == nil {
-		for j, xj := range x {
-			acc[j] = mathutil.AddMod(acc[j], mathutil.MulModShoup(xj, w, ws, s.Q), s.Q)
-		}
-	} else {
-		for j, k := range perm[:s.N] {
-			acc[j] = mathutil.AddMod(acc[j], mathutil.MulModShoup(x[k], w, ws, s.Q), s.Q)
-		}
-	}
+	s.MulScalarThenAdd(x, perm, w, ws, acc)
 	ev.tr.Write(acc)
 }
 

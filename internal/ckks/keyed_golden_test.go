@@ -123,22 +123,24 @@ func (f *keyedGoldenFixture) keyedOps(ev *Evaluator) map[string]*Ciphertext {
 func TestKeyedOpsGolden(t *testing.T) {
 	f := newKeyedGoldenFixture(t)
 	p := f.tc.params
-	for _, budget := range []int64{0, digitBytes(p)} {
-		for _, w := range []int{1, 2} {
-			ev := NewEvaluator(p, cloneKeySet(t, f.keys), WithWorkers(w), WithKeyBudget(budget))
-			got := f.keyedOps(ev)
-			if len(got) != len(keyedOpsGolden) {
-				t.Errorf("budget=%d workers=%d: %d rows, golden has %d", budget, w, len(got), len(keyedOpsGolden))
-			}
-			for name, ct := range got {
-				h := sha256.New()
-				if _, err := ct.WriteTo(h); err != nil {
-					t.Fatal(err)
+	withKernels(t, p, func(kernel string) {
+		for _, budget := range []int64{0, digitBytes(p)} {
+			for _, w := range []int{1, 2} {
+				ev := NewEvaluator(p, cloneKeySet(t, f.keys), WithWorkers(w), WithKeyBudget(budget))
+				got := f.keyedOps(ev)
+				if len(got) != len(keyedOpsGolden) {
+					t.Errorf("%s kernels budget=%d workers=%d: %d rows, golden has %d", kernel, budget, w, len(got), len(keyedOpsGolden))
 				}
-				if sum := hex.EncodeToString(h.Sum(nil)); sum != keyedOpsGolden[name] {
-					t.Errorf("budget=%d workers=%d: %q: %q, golden %q", budget, w, name, sum, keyedOpsGolden[name])
+				for name, ct := range got {
+					h := sha256.New()
+					if _, err := ct.WriteTo(h); err != nil {
+						t.Fatal(err)
+					}
+					if sum := hex.EncodeToString(h.Sum(nil)); sum != keyedOpsGolden[name] {
+						t.Errorf("%s kernels budget=%d workers=%d: %q: %q, golden %q", kernel, budget, w, name, sum, keyedOpsGolden[name])
+					}
 				}
 			}
 		}
-	}
+	})
 }

@@ -48,20 +48,17 @@ func fromMForm(r *ring.Ring, x *ring.Poly) *ring.Poly {
 	return out
 }
 
-// withKernels runs f with p's rings forced onto the scalar kernels, then
-// back on the vector kernels their limbs selected. The vector run is
-// logged and skipped when no limb selects them on this host.
+// withKernels runs f with p's rings and basis-extension tables forced
+// onto the scalar kernels (rns.Converter.UseVectorKernels), then back on
+// the vector kernels their constructors selected. The vector run is
+// logged and skipped when nothing selects them on this host.
 func withKernels(t *testing.T, p *Parameters, f func(kernel string)) {
 	t.Helper()
-	rQ, rP := p.RingQ(), p.RingP()
-	defer func() {
-		rQ.UseVectorKernels(true)
-		rP.UseVectorKernels(true)
-	}()
-	rQ.UseVectorKernels(false)
-	rP.UseVectorKernels(false)
+	conv := p.Converter()
+	defer conv.UseVectorKernels(true)
+	conv.UseVectorKernels(false)
 	f("scalar")
-	if vq, vp := rQ.UseVectorKernels(true), rP.UseVectorKernels(true); !vq && !vp {
+	if !conv.UseVectorKernels(true) {
 		t.Log("no limb selects the vector kernels on this host; vector case skipped")
 		return
 	}

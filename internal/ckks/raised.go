@@ -55,27 +55,21 @@ func (ev *Evaluator) mulRaised(ct0, ct1 *Ciphertext) raisedCt {
 	return r
 }
 
-// tensorLimb writes limb i of the tensor product in one pass: each input
-// row is read once and each output row written once (Table 3's Tensor).
+// tensorLimb writes limb i of the tensor product in one pass
+// (ring.SubRing.Tensor): each input row is read once and each output row
+// written once (Table 3's Tensor).
 func (ev *Evaluator) tensorLimb(s *ring.SubRing, ct0, ct1 *Ciphertext, i int, d0, d1, d2 []uint64) {
-	br, q, n := s.Barrett, s.Q, s.N
+	n := s.N
 	a0, a1, b0, b1 := ct0.C0.Coeffs[i][:n], ct0.C1.Coeffs[i][:n], ct1.C0.Coeffs[i][:n], ct1.C1.Coeffs[i][:n]
 	d0, d1, d2 = d0[:n], d1[:n], d2[:n]
 	ev.tr.Read(a0)
 	ev.tr.Read(a1)
 	if ct0 == ct1 {
-		for j := range d0 {
-			cross := br.MulMod(a0[j], a1[j])
-			d0[j], d1[j], d2[j] = br.MulMod(a0[j], a0[j]), mathutil.AddMod(cross, cross, q), br.MulMod(a1[j], a1[j])
-		}
+		s.TensorSquare(d0, d1, d2, a0, a1)
 	} else {
 		ev.tr.Read(b0)
 		ev.tr.Read(b1)
-		for j := range d0 {
-			d0[j] = br.MulMod(a0[j], b0[j])
-			d1[j] = mathutil.AddMod(br.MulMod(a0[j], b1[j]), br.MulMod(a1[j], b0[j]), q)
-			d2[j] = br.MulMod(a1[j], b1[j])
-		}
+		s.Tensor(d0, d1, d2, a0, a1, b0, b1)
 	}
 	ev.tr.Write(d0)
 	ev.tr.Write(d1)
@@ -113,9 +107,7 @@ func (ev *Evaluator) addConstRaised(r raisedCt, c float64) {
 		pw, ps := conv.PModQ(i)
 		ci := mathutil.MulModShoup(mathutil.ReduceFloat(v, s.Q), pw, ps, s.Q)
 		ui := r.u.Q.Coeffs[i][:s.N]
-		for j := range ui {
-			ui[j] = mathutil.AddMod(ui[j], ci, s.Q)
-		}
+		s.ReduceThenAddConst(ui, s.Q, ci, ui)
 	}
 }
 

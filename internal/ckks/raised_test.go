@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/fherr"
@@ -44,28 +45,39 @@ func TestMergedOpsAreTheUnfusedCompositions(t *testing.T) {
 	low := NewEvaluator(p, nil).DropLevel(a, 1) // the last level a merged op accepts
 
 	budgets := map[string]int64{"tiny": 1, "one-key": int64(p.Beta(p.MaxLevel())) * digitBytes(p), "unlimited": 0}
-	for name, budget := range budgets {
-		for _, w := range evalWorkerCounts() {
-			ev := NewEvaluator(p, cloneKeySet(t, keys), WithWorkers(w), WithKeyBudget(budget))
-			for _, c := range []struct {
-				op          string
-				got, oracle *Ciphertext
-			}{
-				{"Mul", ev.Mul(a, b), ev.Rescale(ev.MulRelin(a, b))},
-				{"Mul at level 1", ev.Mul(low, b), ev.Rescale(ev.MulRelin(low, b))},
-				{"Square", ev.Square(a), ev.MulRelin(a, a.CopyNew())},
-				{"DoubleAngle", ev.DoubleAngle(a), func() *Ciphertext {
-					sq := ev.MulRelin(a, a.CopyNew())
-					return ev.Rescale(ev.AddConstReal(ev.Add(sq, sq), -1))
-				}()},
-				{"EvalLinearTransformRescale", ev.EvalLinearTransformRescale(a, lt), ev.Rescale(ev.EvalLinearTransform(a, lt))},
-			} {
-				if !bytes.Equal(wire(t, c.got), wire(t, c.oracle)) {
-					t.Errorf("budget=%s workers=%d: %s differs from the unfused composition", name, w, c.op)
+	// Every merged op's bytes, keyed by op/budget/workers: the scalar and
+	// the vector kernels must write the same ones.
+	merged := map[string][]byte{}
+	withKernels(t, p, func(kernel string) {
+		for name, budget := range budgets {
+			for _, w := range evalWorkerCounts() {
+				ev := NewEvaluator(p, cloneKeySet(t, keys), WithWorkers(w), WithKeyBudget(budget))
+				for _, c := range []struct {
+					op          string
+					got, oracle *Ciphertext
+				}{
+					{"Mul", ev.Mul(a, b), ev.Rescale(ev.MulRelin(a, b))},
+					{"Mul at level 1", ev.Mul(low, b), ev.Rescale(ev.MulRelin(low, b))},
+					{"Square", ev.Square(a), ev.MulRelin(a, a.CopyNew())},
+					{"DoubleAngle", ev.DoubleAngle(a), func() *Ciphertext {
+						sq := ev.MulRelin(a, a.CopyNew())
+						return ev.Rescale(ev.AddConstReal(ev.Add(sq, sq), -1))
+					}()},
+					{"EvalLinearTransformRescale", ev.EvalLinearTransformRescale(a, lt), ev.Rescale(ev.EvalLinearTransform(a, lt))},
+				} {
+					got := wire(t, c.got)
+					if !bytes.Equal(got, wire(t, c.oracle)) {
+						t.Errorf("%s kernels budget=%s workers=%d: %s differs from the unfused composition", kernel, name, w, c.op)
+					}
+					key := fmt.Sprintf("%s/%s/%d", c.op, name, w)
+					if prev, ok := merged[key]; ok && !bytes.Equal(got, prev) {
+						t.Errorf("%s: the %s kernels write other bytes than the scalar ones", key, kernel)
+					}
+					merged[key] = got
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestChebyshevPowerIsTheUnfusedRecurrence covers the one linear middle

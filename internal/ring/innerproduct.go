@@ -36,11 +36,13 @@ import (
 // exactly: one more and the low lane could wrap.
 const MaxLaneTerms = 4095
 
-// VectorMont holds one modulus's constants for the vector kernels'
-// Montgomery close: q, −q⁻¹ mod 2^52, and 2^40 mod q with its 52-bit
-// Shoup companion.
+// VectorMont holds one modulus's constants for the vector kernels:
+// q, −q⁻¹ mod 2^52, and 2^40 mod q with its 52-bit Shoup companion for
+// the Montgomery close; 2^52 mod q with its companion and ⌊2^52/q⌋ for
+// the pointwise kernels (pointwise.go).
 type VectorMont struct {
-	q, qn, r40, r40Shoup uint64
+	q, qn, r40, r40Shoup    uint64
+	r52, r52Shoup, oneShoup uint64
 }
 
 // NewVectorMont returns the vector close for q and whether this CPU runs
@@ -50,12 +52,15 @@ func NewVectorMont(q uint64) (VectorMont, bool) {
 	if !ifmaUsable(q) {
 		return VectorMont{}, false
 	}
-	r40 := uint64(1<<40) % q
+	r40, r52 := uint64(1<<40)%q, uint64(1<<52)%q
 	return VectorMont{
 		q:        q,
 		qn:       mathutil.MontQNeg(q) & (1<<52 - 1),
 		r40:      r40,
 		r40Shoup: mathutil.ShoupPrecomp(r40, q) >> 12,
+		r52:      r52,
+		r52Shoup: mathutil.ShoupPrecomp(r52, q) >> 12,
+		oneShoup: mathutil.ShoupPrecomp(1, q) >> 12,
 	}, true
 }
 

@@ -1,4 +1,5 @@
 #include "textflag.h"
+#include "ifma_amd64.h"
 
 // AVX-512 IFMA multiply-accumulate kernels: the key-switch inner product
 // (gatherMulAccIFMA) and the seeded sum of a basis extension's second
@@ -10,7 +11,7 @@
 //	Z26 = 2^40 mod q, Z25 = ⌊Z26·2^52/q⌋, Z24 = the largest valid index
 //
 // and walk the output in groups of eight words, a group past the end
-// masked.
+// masked. LANEMASK and REDC52 are in ifma_amd64.h.
 
 // CLOSECONSTS loads Z25–Z29 and Z31 from the arguments; clobbers AX.
 #define CLOSECONSTS(Q, QN, R40, R40S) \
@@ -23,35 +24,6 @@
 	INCQ         AX; \
 	SUBQ         Q, AX; \
 	VPBROADCASTQ AX, Z28
-
-// LANEMASK sets mask K to the lanes of a group with REM words left: all
-// eight for REM ≥ 8, the low REM for 0 < REM < 8, none for REM ≤ 0.
-// Clobbers AX and CX.
-#define LANEMASK(REM, K) \
-	MOVQ    REM, CX; \
-	XORL    AX, AX; \
-	CMPQ    CX, AX; \
-	CMOVQLT AX, CX; \
-	MOVQ    $8, AX; \
-	CMPQ    CX, AX; \
-	CMOVQGT AX, CX; \
-	MOVL    $1, AX; \
-	SHLQ    CX, AX; \
-	DECQ    AX; \
-	KMOVW   AX, K
-
-// REDC52 sets HI ← (HI·2^52 + LO)/2^52 + the multiple of q that makes the
-// division exact, ≡ (HI·2^52 + LO)·2^-52 (mod q), for LO < 2^52:
-// m = LO·(−q⁻¹) mod 2^52 makes LO + lo52(m·q) a multiple of 2^52, so it
-// is 0 when LO = 0 and 2^52 otherwise, and its carry is
-// (LO + 2^52 − 1) >> 52. Clobbers LO and T.
-#define REDC52(LO, HI, T) \
-	VPXORQ      T, T, T; \
-	VPMADD52LUQ Z27, LO, T; \
-	VPMADD52HUQ Z31, T, HI; \
-	VPADDQ      Z29, LO, LO; \
-	VPSRLQ      $52, LO, LO; \
-	VPADDQ      LO, HI, HI
 
 // MONTCLOSE sets LO ← T·2^-64 mod q in [0, q) for the lane sum
 // T = HI·2^52 + LO, HI < 2^62: normalize, two 52-bit REDC rounds

@@ -34,7 +34,9 @@ package ring
 // limbs below 2^50 run the unfolded instruction stream.
 
 // ifmaUsable reports whether modulus q runs on the vector kernels: the
-// CPU has AVX512F and AVX512IFMA, the OS saves ZMM state, and q < 2^51.
+// CPU has AVX512F, AVX512DQ (the first stage of a basis extension
+// converts with VCVTUQQ2PD and VCVTTPD2UQQ) and AVX512IFMA, the OS saves
+// ZMM state, and q < 2^51.
 func ifmaUsable(q uint64) bool {
 	return cpuHasIFMA && q < 1<<51
 }
@@ -55,8 +57,10 @@ func detectIFMA() bool {
 	if xcr0, _ := xgetbv(); xcr0&0xE6 != 0xE6 {
 		return false
 	}
+	// CPUID.7.0:EBX bits 16, 17 and 21: AVX512F, AVX512DQ, AVX512IFMA.
 	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&(1<<16) != 0 && ebx7&(1<<21) != 0 // AVX512F, AVX512IFMA
+	const want = 1<<16 | 1<<17 | 1<<21
+	return ebx7&want == want
 }
 
 // Implemented in ntt_amd64.s.

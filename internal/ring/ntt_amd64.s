@@ -1,4 +1,5 @@
 #include "textflag.h"
+#include "ifma_amd64.h"
 
 // AVX-512 IFMA NTT kernels; the arithmetic and its bounds are described
 // in ntt_amd64.go. Every kernel keeps these constants resident:
@@ -6,7 +7,7 @@
 //	Z31 = q, Z30 = 2q, Z29 = 2^52 − 1, Z28 = 2^52 − q
 //
 // and every Shoup companion is read from the 64-bit table and shifted
-// right by 12.
+// right by 12. MULLAZY and FOLD are in ifma_amd64.h.
 //
 // Every kernel has two loops built from the same macros and picks one
 // per call from bit 50 of q: below 2^50 the products are MULLAZY, and
@@ -42,21 +43,6 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	INCQ         DX; \
 	SUBQ         AX, DX; \
 	VPBROADCASTQ DX, Z28
-
-// MULLAZY sets OUT ← A·W mod q in [0, 2q) for A < 2^52, with
-// WS = ⌊W·2^52/q⌋. T is clobbered; OUT and T must differ from A.
-#define MULLAZY(A, W, WS, OUT, T) \
-	VPXORQ      T, T, T; \
-	VPMADD52HUQ WS, A, T; \
-	VPXORQ      OUT, OUT, OUT; \
-	VPMADD52LUQ W, A, OUT; \
-	VPMADD52LUQ Z28, T, OUT; \
-	VPANDQ      Z29, OUT, OUT
-
-// FOLD sets X ← min(X, X − B), one conditional subtraction of B.
-#define FOLD(X, B, T) \
-	VPSUBQ  B, X, T; \
-	VPMINUQ T, X, X
 
 // MULWIDE is MULLAZY for a lazy A < 4q that can reach 2^52 (q ≥ 2^50):
 // A is folded below 2q < 2^52 in place first.

@@ -22,3 +22,12 @@ func gatherMulAccIFMA(_, _, _ [][]uint64, _ []int, _, _ []uint64, _, _, _, _, _ 
 func seededSumIFMA([]uint64, [][]uint64, []uint64, []uint64, []uint64, uint64, uint64, uint64, uint64, uint64) {
 	panic(noVectorKernel)
 }
+
+func tensorIFMA(_, _, _, _, _, _, _ []uint64, _, _, _, _ uint64) { panic(noVectorKernel) }
+func tensorSquareIFMA(_, _, _, _, _ []uint64, _, _, _, _ uint64) { panic(noVectorKernel) }
+func mulScalarAddIFMA(_, _ []uint64, _ []int, _, _, _, _ uint64) { panic(noVectorKernel) }
+func subMulIFMA(_, _, _ []uint64, _, _, _ uint64)                { panic(noVectorKernel) }
+func reduceAddIFMA(_, _ []uint64, _, _, _ uint64)                { panic(noVectorKernel) }
+func scaleEstimateIFMA(_ [][]uint64, _ int, _ [][]uint64, _, _ []uint64) {
+	panic(noVectorKernel)
+}

@@ -175,10 +175,15 @@ func TestNTTMatchesReference(t *testing.T) {
 // the kernel a 45-bit modulus does, the one the CPU supports. So does
 // every 50-bit prime CKKS parameters draw at the benchmark ring sizes: on
 // an IFMA host no benchmark limb runs the scalar kernel. It logs each
-// choice, so a CI log shows whether the runner exercised the vector
-// kernel.
+// choice, and the CPU probe's outcome, so a CI log shows whether the
+// runner exercised the vector kernels.
 func TestNTTKernelSelection(t *testing.T) {
 	const logN = 10
+	if ifmaUsable(0) {
+		t.Log("CPU probe: AVX512F, AVX512DQ, AVX512IFMA and OS-saved ZMM state present; vector kernels for q < 2^51")
+	} else {
+		t.Log("CPU probe: AVX512F, AVX512DQ, AVX512IFMA or OS-saved ZMM state missing (or not amd64); scalar kernels only")
+	}
 	extra, err := mathutil.GenerateNTTPrimes(55, logN, 1)
 	if err != nil {
 		t.Fatal(err)

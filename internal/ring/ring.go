@@ -46,10 +46,11 @@ type SubRing struct {
 	nInvW, nInvWShoup uint64
 
 	// ifma selects the AVX-512 IFMA kernels (ntt_amd64.s,
-	// innerproduct_amd64.s) for the NTT and the key product, with vmont
-	// the product's close: set when the CPU and OS support them and
-	// q < 2^51, so 2q fits a 52-bit lane (from 2^50 up the NTT kernels
-	// fold each multiplicand below 2q).
+	// innerproduct_amd64.s, pointwise_amd64.s) for the NTT, the key
+	// product and the pointwise kernels, with vmont their constants: set
+	// when the CPU and OS support them and q < 2^51, so 2q fits a 52-bit
+	// lane (from 2^50 up the NTT kernels fold each multiplicand below
+	// 2q).
 	ifma  bool
 	vmont VectorMont
 
@@ -165,7 +166,9 @@ func NewRing(n int, moduli []uint64) (*Ring, error) {
 // constructor selected (on) or on the scalar Go kernels (off), and
 // reports whether any sub-ring now runs a vector kernel. The two compute
 // the same words; the switch exists so tests can check both. AtLevel
-// views share sub-rings, so it covers every view.
+// views share sub-rings, so it covers every view; the basis-extension
+// tables a converter builds over r are switched by
+// rns.Converter.UseVectorKernels, which calls this.
 func (r *Ring) UseVectorKernels(on bool) bool {
 	vector := false
 	for _, s := range r.SubRings {

@@ -11,9 +11,11 @@
 // that tension the way the paper's limb re-ordering does in hardware:
 // coefficients are processed in cache-resident tiles, inside which every
 // loop streams contiguous memory (see docs/PERF.md). Where the CPU has
-// AVX-512 IFMA and every modulus is below 2^51, the extension's second
-// stage runs on the ring package's vector kernel (ring.VectorMont), eight
-// coefficients per instruction, with the same output words.
+// AVX-512 IFMA and every modulus is below 2^51, both stages of the
+// extension run on the ring package's vector kernels (ring.VectorEstimate,
+// ring.VectorMont), eight coefficients per instruction, with the same
+// output words, and so do the per-word passes of ModDown and Rescale
+// (ring.SubRing.SubThenMulScalar, ReduceThenAddConst).
 package rns
 
 import (
@@ -62,12 +64,16 @@ type ExtTable struct {
 	outQNeg      []uint64 // −p_j⁻¹ mod 2^64, the Montgomery constant
 	fold         int      // products per sum between folds: MontMaxTerms(max q_i)
 
-	// ifma selects the vector stage 2 (ring.VectorMont.SeededSum, one
-	// close per output limb in outVec): set at construction when the CPU
-	// runs the ring's vector kernels, every In and Out modulus is below
-	// 2^51 and 1 ≤ ℓ ≤ ring.MaxLaneTerms.
-	ifma   bool
-	outVec []ring.VectorMont
+	// ifma selects the vector stages: stage 1 on inVec
+	// (ring.VectorEstimate.ScaleAndEstimate), stage 2 on outVec
+	// (ring.VectorMont.SeededSum, one close per output limb). vector is
+	// the constructor's choice, made when the CPU runs the ring's vector
+	// kernels, every In and Out modulus is below 2^51 and
+	// 1 ≤ ℓ ≤ ring.MaxLaneTerms; ifma is vector unless the owning
+	// Converter's kernel switch is off.
+	ifma, vector bool
+	inVec        ring.VectorEstimate
+	outVec       []ring.VectorMont
 
 	scratch sync.Pool // *extScratch, sized for ExtendTile coefficients
 }
@@ -125,15 +131,16 @@ func newExtTable(in, out []uint64, montOut bool) *ExtTable {
 	// Each output word sums ℓ products y_i·w with y_i < q_i and w < p_j on
 	// a seed below p_j.
 	t.fold = mathutil.MontMaxTerms(maxIn)
-	t.ifma = len(in) > 0 && len(in) <= ring.MaxLaneTerms && maxIn < 1<<51
+	var ok bool
+	t.inVec, ok = ring.NewVectorEstimate(in, t.qiTilde, t.qiTildeShoup, t.qiInvFloat)
+	t.vector = ok && len(in) > 0 && len(in) <= ring.MaxLaneTerms
 	t.outVec = make([]ring.VectorMont, len(out))
 	for j, pj := range out {
 		br := mathutil.NewBarrett(pj)
 		t.outBarrett[j] = br
 		t.outQNeg[j] = mathutil.MontQNeg(pj)
-		var ok bool
 		t.outVec[j], ok = ring.NewVectorMont(pj)
-		t.ifma = t.ifma && ok
+		t.vector = t.vector && ok
 		scale := mathutil.MontR(pj) // R^e: the factor the closing MontReduce divides out, times R for montOut
 		if montOut {
 			scale = br.MulMod(scale, scale)
@@ -167,6 +174,7 @@ func newExtTable(in, out []uint64, montOut bool) *ExtTable {
 			t.qiStarMont[j][i] = br.MulMod(prod, scale)
 		}
 	}
+	t.ifma = t.vector
 	nIn := len(in)
 	t.scratch.New = func() any {
 		sc := &extScratch{
@@ -241,14 +249,25 @@ func (t *ExtTable) Extend(src, dst [][]uint64) {
 // pass into the tile's (hi, lo) scratch and reduces it (Reduce128, the
 // residue unchanged) whenever the next four would exceed t.fold products.
 // Every inner loop touches only contiguous rows of the tile scratch or of
-// src/dst. A table with the vector stage 2 (t.ifma) computes the same
-// words with ring.VectorMont.SeededSum, one call per output limb.
+// src/dst. A table on the vector kernels (t.ifma) computes the same words
+// with ring.VectorEstimate.ScaleAndEstimate (stage 1: the same Shoup
+// products and float sum, in the same order, never fused) and
+// ring.VectorMont.SeededSum, one call per output limb.
 func (t *ExtTable) extendTile(src, dst [][]uint64, c0, b int, sc *extScratch) {
+	y, v := sc.y[:len(t.In)], sc.v[:b]
+	if t.ifma {
+		t.inVec.ScaleAndEstimate(src, c0, y, v)
+		for j := range t.Out {
+			t.outVec[j].SeededSum(dst[j][c0:c0+b], y, t.qiStarMont[j], t.vqOut[j], v)
+		}
+		return
+	}
+
 	// Stage 1: y values and overflow estimate.
 	vf := sc.vf[:b]
 	clear(vf)
 	for i := range t.In {
-		yi := sc.y[i][:b]
+		yi := y[i][:b]
 		si := src[i][c0 : c0+b]
 		qi, tilde, tildeShoup, inv := t.In[i], t.qiTilde[i], t.qiTildeShoup[i], t.qiInvFloat[i]
 		for c, x := range si {
@@ -257,7 +276,6 @@ func (t *ExtTable) extendTile(src, dst [][]uint64, c0, b int, sc *extScratch) {
 			vf[c] += float64(float64(w) * inv) // the conversion rounds the product: no FMA
 		}
 	}
-	v := sc.v[:b]
 	for c := range v {
 		// Flooring the float sum recovers the positive-range
 		// representative exactly (up to float64 slack at the wrap
@@ -266,13 +284,6 @@ func (t *ExtTable) extendTile(src, dst [][]uint64, c0, b int, sc *extScratch) {
 	}
 
 	// Stage 2: one output limb at a time.
-	y := sc.y[:len(t.In)]
-	if t.ifma {
-		for j := range t.Out {
-			t.outVec[j].SeededSum(dst[j][c0:c0+b], y, t.qiStarMont[j], t.vqOut[j], v)
-		}
-		return
-	}
 	for j := range t.Out {
 		p, pNeg, w, vq := t.Out[j], t.outQNeg[j], t.qiStarMont[j], t.vqOut[j]
 		dj := dst[j][c0 : c0+b]

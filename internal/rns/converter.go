@@ -40,6 +40,7 @@ type Converter struct {
 
 	mu     sync.RWMutex
 	tables map[tableKey]*ExtTable
+	scalar bool // UseVectorKernels(false): tables built from now on run scalar
 
 	qpPool sync.Pool // scratch PolyQP at the full chain size
 	upPool sync.Pool // *modUpScratch: ModUpDigit output-view headers
@@ -120,6 +121,25 @@ func NewConverter(ringQ, ringP *ring.Ring) *Converter {
 // SetRecorder attaches an observability recorder (nil detaches it). Not
 // safe to call concurrently with conversions.
 func (c *Converter) SetRecorder(r *obs.Recorder) { c.rec = r }
+
+// UseVectorKernels puts the converter on the vector kernels its
+// constructors selected (on) or on the scalar Go kernels (off): both
+// rings (ring.Ring.UseVectorKernels) and every extension table, cached
+// or built later. It reports whether any ring or cached table now runs a
+// vector kernel. The two compute the same words; the switch exists so
+// tests can check both. Not safe to call concurrently with conversions.
+func (c *Converter) UseVectorKernels(on bool) bool {
+	vector := c.RingQ.UseVectorKernels(on)
+	vector = c.RingP.UseVectorKernels(on) || vector
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.scalar = !on
+	for _, t := range c.tables {
+		t.ifma = on && t.vector
+		vector = vector || t.ifma
+	}
+	return vector
+}
 
 // SetTracer attaches a memory access tracer (nil detaches it). Not safe
 // to call concurrently with conversions.
@@ -203,6 +223,7 @@ func (c *Converter) table(in, out []uint64, montOut bool) *ExtTable {
 	if prev, ok := c.tables[key]; ok {
 		t = prev
 	} else {
+		t.ifma = t.vector && !c.scalar
 		c.tables[key] = t
 	}
 	c.mu.Unlock()
@@ -488,10 +509,7 @@ func (c *Converter) modDownDropped(a PolyQP, dropped [][]uint64, levelQ, n, j in
 	c.tr.WriteClass(dst, memtrace.ClassScratch)
 	s.INTT(dst)
 	if j == len(c.RingP.Moduli) {
-		off := c.pHalfQModQ[levelQ][levelQ]
-		for k := range dst {
-			dst[k] = mathutil.AddMod(dst[k], off, s.Q)
-		}
+		s.ReduceThenAddConst(dst, s.Q, c.pHalfQModQ[levelQ][levelQ], dst)
 	}
 }
 
@@ -505,18 +523,13 @@ func (c *Converter) modDownLimb(a PolyQP, out *ring.Poly, hat [][]uint64, levelQ
 	hi := hat[i][:n]
 	if dropQ == 1 {
 		inv = c.pqInvModQ[levelQ][i]
-		off := c.pHalfQModQ[levelQ][i]
-		for j := range hi {
-			hi[j] = mathutil.SubMod(hi[j], off, s.Q)
-		}
+		s.ReduceThenAddConst(hi, s.Q, mathutil.NegMod(c.pHalfQModQ[levelQ][i], s.Q), hi)
 	}
 	s.NTT(hi)
-	ai, oi := a.Q.Coeffs[i], out.Coeffs[i]
-	c.tr.Read(ai[:n])
-	for j := 0; j < n; j++ {
-		oi[j] = mathutil.MulModShoup(mathutil.SubMod(ai[j], hi[j], s.Q), inv.w, inv.shoup, s.Q)
-	}
-	c.tr.Write(oi[:n])
+	ai, oi := a.Q.Coeffs[i][:n], out.Coeffs[i][:n]
+	c.tr.Read(ai)
+	s.SubThenMulScalar(ai, hi, inv.w, inv.shoup, oi)
+	c.tr.Write(oi)
 }
 
 // Rescale divides a level-levelQ polynomial (NTT form) by its top limb
@@ -544,13 +557,9 @@ func (c *Converter) Rescale(levelQ int, a *ring.Poly, out *ring.Poly, workers in
 	c.tr.Read(a.Coeffs[levelQ][:n])
 	copy(last, a.Coeffs[levelQ][:n])
 	c.tr.WriteClass(last, memtrace.ClassScratch)
-	c.RingQ.SubRings[levelQ].INTT(last)
-	for j := 0; j < n; j++ {
-		last[j] += half
-		if last[j] >= ql {
-			last[j] -= ql
-		}
-	}
+	sl := c.RingQ.SubRings[levelQ]
+	sl.INTT(last)
+	sl.ReduceThenAddConst(last, ql, half, last)
 
 	if ring.EffectiveWorkers(levelQ, workers) == 1 {
 		for i := 0; i < levelQ; i++ {
@@ -571,22 +580,17 @@ func (c *Converter) Rescale(levelQ int, a *ring.Poly, out *ring.Poly, workers in
 func (c *Converter) rescaleLimb(a, out, scr *ring.Poly, last []uint64, levelQ int, half uint64, n, i int) {
 	s := c.RingQ.SubRings[i]
 	qlInv := c.qInvModQ[levelQ][i]
-	halfMod := half % s.Q
 
 	// b = (last' − q_ℓ/2) mod q_i, transformed forward.
 	b := scr.Coeffs[i][:n]
-	for j := 0; j < n; j++ {
-		b[j] = mathutil.SubMod(s.Barrett.Reduce(last[j]), halfMod, s.Q)
-	}
+	s.ReduceThenAddConst(last, c.RingQ.Moduli[levelQ], mathutil.NegMod(half%s.Q, s.Q), b)
 	c.tr.WriteClass(b, memtrace.ClassScratch)
 	s.NTT(b)
 
-	ai, oi := a.Coeffs[i], out.Coeffs[i]
-	c.tr.Read(ai[:n])
-	for j := 0; j < n; j++ {
-		oi[j] = mathutil.MulModShoup(mathutil.SubMod(ai[j], b[j], s.Q), qlInv.w, qlInv.shoup, s.Q)
-	}
-	c.tr.Write(oi[:n])
+	ai, oi := a.Coeffs[i][:n], out.Coeffs[i][:n]
+	c.tr.Read(ai)
+	s.SubThenMulScalar(ai, b, qlInv.w, qlInv.shoup, oi)
+	c.tr.Write(oi)
 	// The correction limb is dead after the combine — the model's
 	// RescalePoly generates and transforms it entirely in cache, so its
 	// eventual eviction must not count as DRAM write traffic.

@@ -11,7 +11,7 @@ import (
 // benchBases builds a bootstrap-scale modulus layout: an 18-limb Q chain
 // and a 3-limb P basis of the CKKS primes around 2^50 the workloads draw
 // (GenerateNTTPrimesNear) at degree 2^13 — the shape of the raised basis
-// inside key switching at full depth, on limbs the vector stage 2 serves.
+// inside key switching at full depth, on limbs the vector stages serve.
 func benchBases(b *testing.B) (q, p []uint64) {
 	b.Helper()
 	primes, err := mathutil.GenerateNTTPrimesNear(50, 13, 21)
@@ -37,8 +37,8 @@ func benchInput(tab *ExtTable, n int) (src, dst [][]uint64) {
 // (P → Q, narrow → wide) and the full-width decomposition (wide → narrow)
 // at N = 2^13, and the bootstrap workload's two at N = 2^9 (a 3-limb
 // digit raised to 17 limbs, the merged division's {P, q_ℓ} to 16) —
-// comparing the tiled lazy kernel, with the scalar and the vector stage
-// 2, against the retained scalar oracle.
+// comparing the tiled lazy kernel, with the scalar and the vector stages
+// 1 and 2, against the retained scalar oracle.
 func BenchmarkExtend(b *testing.B) {
 	qMod, pMod := benchBases(b)
 	shapes := []struct {
@@ -60,7 +60,7 @@ func BenchmarkExtend(b *testing.B) {
 		for _, kernel := range []string{"scalar", "vector"} {
 			b.Run(sh.name+"/lazy/kernel="+kernel, func(b *testing.B) {
 				if kernel == "vector" && !chosen {
-					b.Skip("vector stage 2 not selected on this host")
+					b.Skip("vector stages not selected on this host")
 				}
 				tab.ifma = kernel == "vector"
 				defer func() { tab.ifma = chosen }()

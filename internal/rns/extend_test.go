@@ -122,7 +122,7 @@ func classRings(t testing.TB, c modulusClass, n, nQ, nP int) (*ring.Ring, *ring.
 	return ringQ, ringP
 }
 
-// withExtendKernels runs f once per stage-2 kernel of tab: "scalar",
+// withExtendKernels runs f once per kernel pair of tab: "scalar",
 // then "vector" when newExtTable chose it (IFMA on this host, every
 // modulus below 2^51, ℓ ≤ ring.MaxLaneTerms). It returns the kernels
 // that ran.
@@ -152,16 +152,17 @@ func requireEqualLimbs(t *testing.T, what string, got, want [][]uint64) {
 }
 
 // TestExtendMatchesReferenceAllBases demands the tiled lazy kernel, with
-// the scalar and the vector stage 2, be bit-identical to the retained
-// scalar oracle on every basis pair the Converter ever builds, for every
-// modulus class, at worker counts {1, 2, GOMAXPROCS}, over coefficient
-// counts that straddle the tile boundary and the vector's eight-word
-// groups. Besides uniform residues it feeds all-zero and all-(q_i − 1)
+// the scalar and the vector stages 1 and 2, be bit-identical to the
+// retained scalar oracle on every basis pair the Converter ever builds,
+// for every modulus class, at worker counts {1, 2, GOMAXPROCS}, over
+// coefficient counts that straddle the tile boundary and the vector
+// kernels' eight- and sixteen-word groups. Besides uniform residues it feeds all-zero and all-(q_i − 1)
 // inputs, the two ends of [0, Q): x = 0 seeds the accumulator with v = 0,
 // and x = Q − 1 puts frac(Σ y_i/q_i) = x/Q against 1, the float-slack
-// edge of the estimate. Last, it runs the vector kernel's term limit:
-// ℓ = ring.MaxLaneTerms input limbs still run the vector stage 2, one
-// more hands the sum to the scalar kernel.
+// edge of the estimate, which the vector stage 1 must floor as the
+// scalar one does. Last, it runs the vector kernel's term limit:
+// ℓ = ring.MaxLaneTerms input limbs still run the vector stages, one
+// more hands the extension to the scalar kernels.
 func TestExtendMatchesReferenceAllBases(t *testing.T) {
 	const nQ, nP = 6, 2
 	src := fixedSource()
@@ -206,7 +207,7 @@ func TestExtendMatchesReferenceAllBases(t *testing.T) {
 				}
 			}
 		}
-		t.Logf("%s: %s stage 2 matched the reference on %d basis pairs", class.name, strings.Join(ran, " and "), len(pairs))
+		t.Logf("%s: %s stages 1 and 2 matched the reference on %d basis pairs", class.name, strings.Join(ran, " and "), len(pairs))
 	}
 
 	primes, err := mathutil.GenerateNTTPrimesNear(50, 4, ring.MaxLaneTerms+3)
@@ -226,7 +227,7 @@ func TestExtendMatchesReferenceAllBases(t *testing.T) {
 			}
 		}
 		ran := check("term limit", tab, in, n, []int{1})
-		t.Logf("ℓ = %d input limbs: %s stage 2 matched the reference", l, strings.Join(ran, " and "))
+		t.Logf("ℓ = %d input limbs: %s stages 1 and 2 matched the reference", l, strings.Join(ran, " and "))
 	}
 }
 
@@ -297,6 +298,69 @@ func TestKeyProductKernelSelection(t *testing.T) {
 		}
 		t.Logf("%s: %d basis pairs: %s stage 2", w.name, len(pairs), want)
 	}
+}
+
+// TestConverterKernelSwitch pins Converter.UseVectorKernels: switched
+// off, no extension table the converter has cached, and none it builds
+// afterwards, runs a vector kernel, and ModUp, ModDown, ModDownRescale
+// and Rescale still write the words they write on the kernels the
+// constructors chose; switched back on, every table is back on its
+// constructor's choice.
+func TestConverterKernelSwitch(t *testing.T) {
+	const n, levelQ = 64, 4
+	ringQ, ringP := classRings(t, modulusClasses[2], n, levelQ+1, 2)
+	c := NewConverter(ringQ, ringP)
+	a := ringQ.NewPoly()
+	ringQ.SampleUniform(fixedSource(), a)
+	ringQ.NTTPoly(a)
+	run := func(c *Converter) []*ring.Poly {
+		up := c.NewPolyQP(levelQ)
+		c.ModUpDigit(levelQ, 0, 2, a, up, 1)
+		down, merged, rescaled := ringQ.NewPoly(), ringQ.NewPoly(), ringQ.NewPoly()
+		c.ModDown(levelQ, up, down, 1)
+		c.ModDownRescale(levelQ, up, merged, 1)
+		c.Rescale(levelQ, a, rescaled, 1)
+		return []*ring.Poly{up.Q, up.P, down, merged, rescaled}
+	}
+	want := run(c)
+	tables := func() []*ExtTable { return slices.Collect(maps.Values(c.tables)) }
+	cached := tables()
+
+	if c.UseVectorKernels(false) {
+		t.Error("UseVectorKernels(false) reports a vector kernel still running")
+	}
+	for _, tab := range tables() {
+		if tab.ifma {
+			t.Errorf("ℓ=%d→%d: cached table still on the vector kernels after UseVectorKernels(false)", len(tab.In), len(tab.Out))
+		}
+	}
+	for i, p := range run(c) {
+		if !p.Equal(want[i]) {
+			t.Errorf("output %d differs between the chosen and the scalar kernels", i)
+		}
+	}
+	c.ModUpDigit(levelQ, 2, 4, a, c.NewPolyQP(levelQ), 1) // a basis not cached before the switch
+	if len(tables()) == len(cached) {
+		t.Fatal("the second digit built no new table")
+	}
+	for _, tab := range tables() {
+		if tab.ifma {
+			t.Errorf("ℓ=%d→%d: table built after UseVectorKernels(false) runs the vector kernels", len(tab.In), len(tab.Out))
+		}
+	}
+
+	vector := c.UseVectorKernels(true)
+	chose := false
+	for _, tab := range tables() {
+		if tab.ifma != tab.vector {
+			t.Errorf("ℓ=%d→%d: UseVectorKernels(true) left ifma = %v, the constructor chose %v", len(tab.In), len(tab.Out), tab.ifma, tab.vector)
+		}
+		chose = chose || tab.vector
+	}
+	if chose && !vector {
+		t.Error("UseVectorKernels(true) reports no vector kernel, but a table chose one")
+	}
+	t.Logf("vector kernels on this host: %v", vector)
 }
 
 // modulusName writes q as its distance from the nearest power of two,
