@@ -123,7 +123,7 @@ func (f *keyedGoldenFixture) keyedOps(ev *Evaluator) map[string]*Ciphertext {
 func TestKeyedOpsGolden(t *testing.T) {
 	f := newKeyedGoldenFixture(t)
 	p := f.tc.params
-	withKernels(t, p, func(kernel string) {
+	withKernels(t, func(kernel string) {
 		for _, budget := range []int64{0, digitBytes(p)} {
 			for _, w := range []int{1, 2} {
 				ev := NewEvaluator(p, cloneKeySet(t, f.keys), WithWorkers(w), WithKeyBudget(budget))

@@ -48,20 +48,20 @@ func fromMForm(r *ring.Ring, x *ring.Poly) *ring.Poly {
 	return out
 }
 
-// withKernels runs f with p's rings and basis-extension tables forced
-// onto the scalar kernels (rns.Converter.UseVectorKernels), then back on
-// the vector kernels their constructors selected. The vector run is
-// logged and skipped when nothing selects them on this host.
-func withKernels(t *testing.T, p *Parameters, f func(kernel string)) {
+// withKernels runs f with every ring and basis-extension kernel on its
+// scalar body (ring.UseVectorKernels(false)), then back on the bodies
+// their constructors chose. The vector run is logged and skipped when
+// this host has no vector kernels.
+func withKernels(t *testing.T, f func(kernel string)) {
 	t.Helper()
-	conv := p.Converter()
-	defer conv.UseVectorKernels(true)
-	conv.UseVectorKernels(false)
+	defer ring.UseVectorKernels(true)
+	host := ring.UseVectorKernels(false)
 	f("scalar")
-	if !conv.UseVectorKernels(true) {
-		t.Log("no limb selects the vector kernels on this host; vector case skipped")
+	if !host {
+		t.Log("no vector kernels on this host; vector case skipped")
 		return
 	}
+	ring.UseVectorKernels(true)
 	f("vector")
 }
 
@@ -90,7 +90,7 @@ func TestKskInnerProductMatchesStrict(t *testing.T) {
 			if g != 1 {
 				perm = p.RingQ().AutomorphismNTTIndex(g)
 			}
-			withKernels(t, p, func(kernel string) {
+			withKernels(t, func(kernel string) {
 				for name, key := range map[string]*SwitchingKey{"expanded": swk, "seed-only": seedOnly} {
 					for _, w := range evalWorkerCounts() {
 						u, v := conv.GetPolyQP(level), conv.GetPolyQP(level)

@@ -48,7 +48,7 @@ func TestMergedOpsAreTheUnfusedCompositions(t *testing.T) {
 	// Every merged op's bytes, keyed by op/budget/workers: the scalar and
 	// the vector kernels must write the same ones.
 	merged := map[string][]byte{}
-	withKernels(t, p, func(kernel string) {
+	withKernels(t, func(kernel string) {
 		for name, budget := range budgets {
 			for _, w := range evalWorkerCounts() {
 				ev := NewEvaluator(p, cloneKeySet(t, keys), WithWorkers(w), WithKeyBudget(budget))

@@ -112,11 +112,11 @@ const InnerProductTile = 256
 // MontReduce's q·2^64 bound and its residue unchanged. All inputs must be
 // below q; the outputs are canonical and equal, bit for bit, to the strict
 // per-digit MulThenAddVec composition on the canonical digits in any digit
-// order. A sub-ring on the vector kernels (SubRing.ifma) sums up to
+// order. A sub-ring on the vector kernels (SubRing.vector) sums up to
 // MaxLaneTerms digits on them; d, b and a rows must then be at least
 // len(u) words, and a perm entry past that reads the row's last word.
 func (s *SubRing) GatherMulAccumulate(d, b, a [][]uint64, perm []int, u, v []uint64) {
-	if s.ifma && len(d) > 0 && len(d) <= MaxLaneTerms {
+	if len(d) > 0 && len(d) <= MaxLaneTerms && s.vectorKernel() {
 		n := len(u)
 		_, _, _ = v[:n], b[:len(d)], a[:len(d)]
 		for j := range d {

@@ -50,7 +50,8 @@ import (
 // The butterflies themselves come in two kernels. The scalar Go ones
 // below run everywhere; on amd64 CPUs with AVX-512 IFMA, every sub-ring
 // with q < 2^51 runs vector kernels (ntt_amd64.go, ntt_amd64.s) over the
-// same schedule: the row and column steps dispatch on SubRing.ifma, and
+// same schedule: each transform reads SubRing.vectorKernel once and its
+// row and column steps dispatch on that, and
 // the gathers, scatters, counters and trace calls here are shared, so
 // the traffic accounting does not depend on the kernel. Both store
 // canonical residues, so both match the oracles bit for bit.
@@ -104,15 +105,16 @@ func (s *SubRing) NTT(p []uint64) {
 	if n <= NTTTile {
 		s.rec.Add("ring.ntt.bytes", 16*uint64(n))
 		s.tr.Read(p)
-		s.nttRow(p, 1)
+		s.nttRow(p, 1, s.vectorKernel())
 		s.tr.Write(p)
 		return
 	}
-	s.nttBlocked(p)
+	s.nttBlocked(p, s.vectorKernel())
 }
 
-// nttBlocked is the two-phase forward kernel for n > NTTTile.
-func (s *SubRing) nttBlocked(p []uint64) {
+// nttBlocked is the two-phase forward kernel for n > NTTTile, on the
+// vector kernels when vec is set.
+func (s *SubRing) nttBlocked(p []uint64, vec bool) {
 	n := len(p)
 	rows := n / NTTTile
 	bw := nttBlockWords / rows
@@ -130,7 +132,7 @@ func (s *SubRing) nttBlocked(p []uint64) {
 			s.tr.Read(seg)
 			copy(buf[r*bw:(r+1)*bw], seg)
 		}
-		if s.ifma {
+		if vec {
 			s.nttColumnsIFMA(buf, rows, bw)
 		} else {
 			s.nttColumns(buf, rows, bw)
@@ -151,7 +153,7 @@ func (s *SubRing) nttBlocked(p []uint64) {
 	for r := 0; r < rows; r++ {
 		row := p[r*NTTTile : (r+1)*NTTTile]
 		s.tr.Read(row)
-		s.nttRow(row, rows+r)
+		s.nttRow(row, rows+r, vec)
 		s.tr.Write(row)
 		traffic += 16 * NTTTile
 	}
@@ -206,9 +208,9 @@ func (s *SubRing) nttColumns(buf []uint64, rows, bw int) {
 // radix-4 fusion needs only one base pointer: those stages fuse, and the
 // exact-reduction epilogue (<4q → <q) rides their stores, eliminating
 // the reference's separate reduction sweep. len(x) must be a power of
-// two ≥ 16.
-func (s *SubRing) nttRow(x []uint64, base int) {
-	if s.ifma {
+// two ≥ 16. With vec set it runs the vector kernels instead.
+func (s *SubRing) nttRow(x []uint64, base int, vec bool) {
+	if vec {
 		s.nttRowIFMA(x, base)
 		return
 	}
@@ -383,15 +385,16 @@ func (s *SubRing) INTT(p []uint64) {
 	if n <= NTTTile {
 		s.rec.Add("ring.intt.bytes", 16*uint64(n))
 		s.tr.Read(p)
-		s.inttRow(p, 1, true)
+		s.inttRow(p, 1, true, s.vectorKernel())
 		s.tr.Write(p)
 		return
 	}
-	s.inttBlocked(p)
+	s.inttBlocked(p, s.vectorKernel())
 }
 
-// inttBlocked is the two-phase inverse kernel for n > NTTTile.
-func (s *SubRing) inttBlocked(p []uint64) {
+// inttBlocked is the two-phase inverse kernel for n > NTTTile, on the
+// vector kernels when vec is set.
+func (s *SubRing) inttBlocked(p []uint64, vec bool) {
 	n := len(p)
 	q := s.Q
 	rows := n / NTTTile
@@ -407,7 +410,7 @@ func (s *SubRing) inttBlocked(p []uint64) {
 	for r := 0; r < rows; r++ {
 		row := p[r*NTTTile : (r+1)*NTTTile]
 		s.tr.Read(row)
-		s.inttRow(row, rows+r, false)
+		s.inttRow(row, rows+r, false, vec)
 		s.tr.Write(row)
 		traffic += 16 * NTTTile
 	}
@@ -424,7 +427,7 @@ func (s *SubRing) inttBlocked(p []uint64) {
 			s.tr.Read(seg)
 			copy(buf[r*bw:(r+1)*bw], seg)
 		}
-		if s.ifma {
+		if vec {
 			s.inttColumnsIFMA(buf, rows, bw)
 		} else {
 			s.inttColumns(buf, rows, bw)
@@ -432,7 +435,7 @@ func (s *SubRing) inttBlocked(p []uint64) {
 		for r := 0; r < rows; r++ {
 			seg := p[r*NTTTile+c0 : r*NTTTile+c0+bw]
 			br := buf[r*bw : (r+1)*bw]
-			if s.ifma {
+			if vec {
 				copy(seg, br)
 			} else {
 				br = br[:len(seg)] // bounds-check elimination for br[b]
@@ -491,9 +494,10 @@ func (s *SubRing) inttColumns(buf []uint64, rows, bw int) {
 // contiguous quads and fuse radix-4 style; the remaining strided stages
 // run as register-clean radix-2 sweeps, mirroring nttRow's layout
 // rationale. When epilogue is set the N^{-1} exact-reduction sweep rides
-// the final stage's stores. len(x) must be a power of two ≥ 16.
-func (s *SubRing) inttRow(x []uint64, base int, epilogue bool) {
-	if s.ifma {
+// the final stage's stores. len(x) must be a power of two ≥ 16. With
+// vec set it runs the vector kernels instead.
+func (s *SubRing) inttRow(x []uint64, base int, epilogue, vec bool) {
+	if vec {
 		s.inttRowIFMA(x, base, epilogue)
 		return
 	}

@@ -33,14 +33,9 @@ package ring
 // lanes. Each kernel picks its loop once per call from bit 50 of q, so
 // limbs below 2^50 run the unfolded instruction stream.
 
-// ifmaUsable reports whether modulus q runs on the vector kernels: the
-// CPU has AVX512F, AVX512DQ (the first stage of a basis extension
-// converts with VCVTUQQ2PD and VCVTTPD2UQQ) and AVX512IFMA, the OS saves
-// ZMM state, and q < 2^51.
-func ifmaUsable(q uint64) bool {
-	return cpuHasIFMA && q < 1<<51
-}
-
+// cpuHasIFMA reports whether the CPU has AVX512F, AVX512DQ (the first
+// stage of a basis extension converts with VCVTUQQ2PD and VCVTTPD2UQQ)
+// and AVX512IFMA, and the OS saves ZMM state.
 var cpuHasIFMA = detectIFMA()
 
 func detectIFMA() bool {

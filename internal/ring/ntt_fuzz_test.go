@@ -39,6 +39,37 @@ func fuzzRing(t testing.TB, n int) *Ring {
 	return r
 }
 
+// requireKernelsAgree runs call on the scalar and on the vector kernels
+// (withKernels) and fails on the first word the two runs write
+// differently.
+func requireKernelsAgree(t *testing.T, what string, call func() [][]uint64) {
+	t.Helper()
+	var want [][]uint64
+	withKernels(t, func(kernel string) {
+		got := call()
+		if kernel == "scalar" {
+			want = got
+			return
+		}
+		for i := range want {
+			for j := range want[i] {
+				if got[i][j] != want[i][j] {
+					t.Fatalf("%s: vector output %d word %d = %d, scalar %d", what, i, j, got[i][j], want[i][j])
+				}
+			}
+		}
+	})
+}
+
+// poisonedRow returns n words a kernel must overwrite, not read.
+func poisonedRow(n int) []uint64 {
+	d := make([]uint64, n)
+	for j := range d {
+		d[j] = ^uint64(0)
+	}
+	return d
+}
+
 // splitmix64 expands one seed into a deterministic coefficient stream.
 func splitmix64(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15

@@ -8,7 +8,7 @@ package ring
 
 const noVectorKernel = "ring: no vector kernel on this architecture"
 
-func ifmaUsable(uint64) bool { return false }
+const cpuHasIFMA = false
 
 func (s *SubRing) nttRowIFMA([]uint64, int)           { panic(noVectorKernel) }
 func (s *SubRing) inttRowIFMA([]uint64, int, bool)    { panic(noVectorKernel) }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/mathutil"
@@ -68,39 +67,32 @@ func wideCKKSPrime(t testing.TB, logN int) uint64 {
 	return 0
 }
 
-// modulusName writes q as its distance from the nearest power of two,
-// e.g. 2^50 + 16385.
-func modulusName(q uint64) string {
-	e := bits.Len64(q) // 2^(e−1) ≤ q < 2^e
-	if above := q - 1<<(e-1); above < 1<<e-q {
-		return fmt.Sprintf("2^%d + %d", e-1, above)
-	}
-	return fmt.Sprintf("2^%d − %d", e, uint64(1)<<e-q)
-}
-
-// kernelName names the NTT kernel s runs.
-func kernelName(s *SubRing) string {
-	if s.ifma {
-		return "vector (AVX-512 IFMA)"
-	}
-	return "scalar"
-}
-
-// withKernels runs f once per kernel on r's sub-rings: "scalar" with
-// every sub-ring forced onto the Go kernels, then "vector" with each
-// sub-ring back on the kernel newSubRing chose for it. The vector run is
-// logged and skipped when no sub-ring chose the vector kernel (no IFMA
-// on this host, or every q ≥ 2^51).
-func withKernels(t testing.TB, r *Ring, f func(kernel string)) {
+// withKernels runs f once per kernel: "scalar" with the kernel switch
+// off, then "vector" with every sub-ring back on the kernel newSubRing
+// chose for it. The vector run is logged and skipped when this host has
+// no vector kernels.
+func withKernels(t testing.TB, f func(kernel string)) {
 	t.Helper()
-	defer r.UseVectorKernels(true)
-	r.UseVectorKernels(false)
+	defer UseVectorKernels(true)
+	host := UseVectorKernels(false)
 	f("scalar")
-	if !r.UseVectorKernels(true) {
-		t.Logf("n=%d: no sub-ring selects the vector kernels on this host; vector case skipped", r.N)
+	if !host {
+		t.Log("no vector kernels on this host; vector case skipped")
 		return
 	}
+	UseVectorKernels(true)
 	f("vector")
+}
+
+// setKernel runs the rest of b on kernel: "scalar" with the kernel
+// switch off, "vector" (skipped where s did not choose it) or any other
+// name with it on. The switch is back on when b ends.
+func setKernel(b *testing.B, s *SubRing, kernel string) {
+	b.Cleanup(func() { UseVectorKernels(true) })
+	if kernel == "vector" && !s.vector {
+		b.Skip("vector kernels not selected on this host")
+	}
+	UseVectorKernels(kernel != "scalar")
 }
 
 // requireEqualPoly fails unless got and want hold the same words.
@@ -116,13 +108,14 @@ func requireEqualPoly(t *testing.T, got, want *Poly, what string) {
 	}
 }
 
-// TestNTTMatchesReference is the golden-oracle gate of the kernels: the
-// fused/blocked NTT and INTT, scalar and vector, must be bit-identical to
-// the retained reference kernels on every modulus, every size class and
-// every worker count — not just equal mod q, equal as uint64 outputs,
-// since downstream lazy arithmetic depends on the exact representatives.
-// Inputs are uniform residues and the all-(q−1) limb, the largest
-// canonical input.
+// TestNTTMatchesReference is the golden-oracle gate of the ring-level
+// transforms: the fused/blocked NTT and INTT, scalar and vector, must be
+// bit-identical to the retained reference kernels on every modulus,
+// every size class and every worker count — not just equal mod q, equal
+// as uint64 outputs, since downstream lazy arithmetic depends on the
+// exact representatives. Inputs are uniform residues and the all-(q−1)
+// limb, the largest canonical input. The per-limb kernels on every
+// modulus class are rows of internal/rns's TestKernelsMatch.
 func TestNTTMatchesReference(t *testing.T) {
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for _, n := range nttTestSizes {
@@ -144,7 +137,7 @@ func TestNTTMatchesReference(t *testing.T) {
 				s.NTTReference(want.Coeffs[i])
 				s.INTTReference(backWant.Coeffs[i])
 			}
-			withKernels(t, r, func(kernel string) {
+			withKernels(t, func(kernel string) {
 				// Every worker count: the parallel path shares
 				// SubRing.NTT, so this also pins schedule-independence.
 				for _, w := range workerCounts {
@@ -160,26 +153,25 @@ func TestNTTMatchesReference(t *testing.T) {
 				}
 			})
 		}
-		names := make([]string, len(r.SubRings))
-		for i, s := range r.SubRings {
-			names[i] = fmt.Sprintf("q = %s: %s", modulusName(s.Q), kernelName(s))
-		}
-		t.Logf("n=%d matches the reference on the scalar kernel and on each modulus's own: %s",
-			n, strings.Join(names, "; "))
 	}
 }
 
-// TestNTTKernelSelection pins the selection rule: a modulus at or above
-// 2^51 (here 55 and 61 bits) always runs the scalar kernel, and every
-// modulus below it — 45-bit, either side of 2^50, just below 2^51 — runs
-// the kernel a 45-bit modulus does, the one the CPU supports. So does
-// every 50-bit prime CKKS parameters draw at the benchmark ring sizes: on
-// an IFMA host no benchmark limb runs the scalar kernel. It logs each
-// choice, and the CPU probe's outcome, so a CI log shows whether the
-// runner exercised the vector kernels.
+// TestNTTKernelSelection pins the selection rule and the switch: a
+// modulus at or above 2^51 (here 55 and 61 bits) always runs the scalar
+// kernel, and every modulus below it — 45-bit, either side of 2^50, just
+// below 2^51 — runs the kernel a 45-bit modulus does, the one the CPU
+// supports. So does every 50-bit prime CKKS parameters draw at the
+// benchmark ring sizes: on a host with the vector kernels no benchmark
+// limb runs the scalar kernel. UseVectorKernels(false) puts every
+// sub-ring on its scalar kernel and UseVectorKernels(true) back on its
+// constructor's choice. It logs each choice, and the CPU probe's
+// outcome, so a CI log shows whether the runner exercised the vector
+// kernels.
 func TestNTTKernelSelection(t *testing.T) {
 	const logN = 10
-	if ifmaUsable(0) {
+	host := UseVectorKernels(true)
+	defer UseVectorKernels(true)
+	if host {
 		t.Log("CPU probe: AVX512F, AVX512DQ, AVX512IFMA and OS-saved ZMM state present; vector kernels for q < 2^51")
 	} else {
 		t.Log("CPU probe: AVX512F, AVX512DQ, AVX512IFMA or OS-saved ZMM state missing (or not amd64); scalar kernels only")
@@ -188,20 +180,17 @@ func TestNTTKernelSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	moduli := append(kernelTestModuli(t, logN), extra...)
-	var narrow bool // the kernel a 45-bit modulus selects
-	for i, q := range moduli {
+	var subRings []*SubRing
+	for _, q := range append(kernelTestModuli(t, logN), extra...) {
 		s, err := newSubRing(1<<logN, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("q = %s = %d: %s kernel", modulusName(q), q, kernelName(s))
-		if i == 0 {
-			narrow = s.ifma
+		if want := host && q < 1<<51; s.vector != want {
+			t.Errorf("q = %d (%d bits) chooses the vector kernel = %v, want %v", q, bits.Len64(q), s.vector, want)
 		}
-		if want := narrow && q < 1<<51; s.ifma != want {
-			t.Errorf("q = %s selected ifma = %v, want %v", modulusName(q), s.ifma, want)
-		}
+		t.Logf("q = %d (%d bits): vector kernel %v", q, bits.Len64(q), s.vector)
+		subRings = append(subRings, s)
 	}
 	for _, logN := range []int{9, 11, 12, 13} {
 		primes, err := mathutil.GenerateNTTPrimesNear(50, logN, 4)
@@ -213,9 +202,16 @@ func TestNTTKernelSelection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.ifma != narrow {
-				t.Errorf("logN=%d: CKKS prime q = %s selected ifma = %v, a 45-bit modulus %v",
-					logN, modulusName(q), s.ifma, narrow)
+			if s.vector != host {
+				t.Errorf("logN=%d: CKKS prime q = %d chooses the vector kernel = %v, want %v", logN, q, s.vector, host)
+			}
+		}
+	}
+	for _, on := range []bool{false, true} {
+		UseVectorKernels(on)
+		for _, s := range subRings {
+			if got := s.vectorKernel(); got != (on && s.vector) {
+				t.Errorf("UseVectorKernels(%v): q = %d runs the vector kernel = %v, want %v", on, s.Q, got, on && s.vector)
 			}
 		}
 	}
@@ -245,7 +241,7 @@ func TestNTTTrafficCountersMatchTrace(t *testing.T) {
 		src := fixedSource()
 		p := r.NewPoly()
 		r.SampleUniform(src, p)
-		withKernels(t, r, func(kernel string) {
+		withKernels(t, func(kernel string) {
 			for _, dir := range []string{"ntt", "intt"} {
 				rec := obs.NewRecorder()
 				tr := memtrace.New()
@@ -361,7 +357,7 @@ func TestNTTAllocFree(t *testing.T) {
 		src := fixedSource()
 		p := r.NewPoly()
 		r.SampleUniform(src, p)
-		withKernels(t, r, func(kernel string) {
+		withKernels(t, func(kernel string) {
 			r.NTTPoly(p) // warm the scratch pool
 			r.INTTPoly(p)
 
@@ -432,21 +428,13 @@ func benchNTTKernels(b *testing.B, transform, reference func(*SubRing, []uint64)
 			p := r.NewPoly()
 			r.SampleUniform(fixedSource(), p)
 			s := r.SubRings[0]
-			chosen := s.ifma
 			for _, kernel := range []string{"scalar", "vector", "reference"} {
 				b.Run(fmt.Sprintf("n=%d/q=%s/%s", n, m.name, kernel), func(b *testing.B) {
+					setKernel(b, s, kernel)
 					run := transform
-					switch kernel {
-					case "scalar":
-						s.ifma = false
-					case "vector":
-						if !chosen {
-							b.Skip("vector NTT kernel not selected on this host")
-						}
-					case "reference":
+					if kernel == "reference" {
 						run = reference
 					}
-					defer func() { s.ifma = chosen }()
 					b.ReportAllocs()
 					for b.Loop() {
 						run(s, p.Coeffs[0])

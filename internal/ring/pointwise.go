@@ -11,7 +11,7 @@ import (
 // product (Tensor, TensorSquare), of the P·x lift and the scaled
 // multiply-adds (MulScalarThenAdd), and of the ModDown and Rescale
 // closers (SubThenMulScalar, ReduceThenAddConst). Each has a scalar Go
-// body and, on a sub-ring with the vector kernels (SubRing.ifma), an
+// body and, on a sub-ring with the vector kernels (SubRing.vector), an
 // AVX-512 IFMA body (pointwise_amd64.s) that runs eight words per ZMM
 // vector and writes the same canonical words:
 //
@@ -29,8 +29,8 @@ import (
 //     ⌊2^52/q⌋) and one fold.
 //
 // Every scalar body returns the canonical residue, so the two paths agree
-// word for word; TestPointwiseKernelsMatchScalar and
-// FuzzPointwiseKernels hold them to it. Every kernel writes len(out)
+// word for word; internal/rns's TestKernelsMatch and FuzzKernels hold
+// them to it. Every kernel writes len(out)
 // words (d0 for the tensor, acc for MulScalarThenAdd) and reads as many
 // from each input; out may alias an input read at the same index.
 
@@ -41,7 +41,7 @@ import (
 func (s *SubRing) Tensor(d0, d1, d2, a0, a1, b0, b1 []uint64) {
 	n := len(d0)
 	d1, d2, a0, a1, b0, b1 = d1[:n], d2[:n], a0[:n], a1[:n], b0[:n], b1[:n]
-	if s.ifma {
+	if s.vectorKernel() {
 		m := &s.vmont
 		tensorIFMA(d0, d1, d2, a0, a1, b0, b1, m.q, m.qn, m.r52, m.r52Shoup)
 		return
@@ -59,7 +59,7 @@ func (s *SubRing) Tensor(d0, d1, d2, a0, a1, b0, b1 []uint64) {
 func (s *SubRing) TensorSquare(d0, d1, d2, a0, a1 []uint64) {
 	n := len(d0)
 	d1, d2, a0, a1 = d1[:n], d2[:n], a0[:n], a1[:n]
-	if s.ifma {
+	if s.vectorKernel() {
 		m := &s.vmont
 		tensorSquareIFMA(d0, d1, d2, a0, a1, m.q, m.qn, m.r52, m.r52Shoup)
 		return
@@ -83,7 +83,7 @@ func (s *SubRing) MulScalarThenAdd(x []uint64, perm []int, w, wShoup uint64, acc
 	} else if perm = perm[:n]; n > 0 {
 		_ = x[0]
 	}
-	if s.ifma {
+	if s.vectorKernel() {
 		mulScalarAddIFMA(acc, x, perm, uint64(max(len(x), 1)-1), w, wShoup>>12, s.Q)
 		return
 	}
@@ -105,7 +105,7 @@ func (s *SubRing) MulScalarThenAdd(x []uint64, perm []int, w, wShoup uint64, acc
 func (s *SubRing) SubThenMulScalar(a, b []uint64, w, wShoup uint64, out []uint64) {
 	n := len(out)
 	a, b = a[:n], b[:n]
-	if s.ifma {
+	if s.vectorKernel() {
 		subMulIFMA(out, a, b, w, wShoup>>12, s.Q)
 		return
 	}
@@ -122,7 +122,7 @@ func (s *SubRing) SubThenMulScalar(a, b []uint64, w, wShoup uint64, out []uint64
 // body.
 func (s *SubRing) ReduceThenAddConst(x []uint64, xBound, c uint64, out []uint64) {
 	x = x[:len(out)]
-	if s.ifma && xBound <= 1<<52 {
+	if xBound <= 1<<52 && s.vectorKernel() {
 		reduceAddIFMA(out, x, c, s.vmont.oneShoup, s.Q)
 		return
 	}

@@ -12,6 +12,7 @@ package ring
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/mathutil"
 	"repro/internal/memtrace"
@@ -45,14 +46,15 @@ type SubRing struct {
 	// so that stage's difference output costs one Shoup product.
 	nInvW, nInvWShoup uint64
 
-	// ifma selects the AVX-512 IFMA kernels (ntt_amd64.s,
-	// innerproduct_amd64.s, pointwise_amd64.s) for the NTT, the key
-	// product and the pointwise kernels, with vmont their constants: set
-	// when the CPU and OS support them and q < 2^51, so 2q fits a 52-bit
-	// lane (from 2^50 up the NTT kernels fold each multiplicand below
-	// 2q).
-	ifma  bool
-	vmont VectorMont
+	// vector is newSubRing's choice of the AVX-512 IFMA kernels
+	// (ntt_amd64.s, innerproduct_amd64.s, pointwise_amd64.s) for the NTT,
+	// the key product and the pointwise kernels, with vmont their
+	// constants: made when the CPU and OS support them and q < 2^51, so
+	// 2q fits a 52-bit lane (from 2^50 up the NTT kernels fold each
+	// multiplicand below 2q). It never changes; UseVectorKernels(false)
+	// overrides it for every sub-ring at once.
+	vector bool
+	vmont  VectorMont
 
 	// Montgomery constants: qNeg = −q⁻¹ mod 2^64 closes the fused inner
 	// product (mathutil.MontReduce), and R = 2^64 mod q with its Shoup
@@ -110,7 +112,7 @@ func newSubRing(n int, q uint64) (*SubRing, error) {
 	s.nInvShoup = mathutil.ShoupPrecomp(s.nInv, q)
 	s.nInvW = mathutil.MulModShoup(s.invTwiddle[1], s.nInv, s.nInvShoup, q)
 	s.nInvWShoup = mathutil.ShoupPrecomp(s.nInvW, q)
-	s.vmont, s.ifma = NewVectorMont(q)
+	s.vmont, s.vector = NewVectorMont(q)
 	s.qNeg = mathutil.MontQNeg(q)
 	s.r = mathutil.MontR(q)
 	s.rShoup = mathutil.ShoupPrecomp(s.r, q)
@@ -162,20 +164,36 @@ func NewRing(n int, moduli []uint64) (*Ring, error) {
 	return r, nil
 }
 
-// UseVectorKernels puts every sub-ring of r on the vector kernels its
-// constructor selected (on) or on the scalar Go kernels (off), and
-// reports whether any sub-ring now runs a vector kernel. The two compute
-// the same words; the switch exists so tests can check both. AtLevel
-// views share sub-rings, so it covers every view; the basis-extension
-// tables a converter builds over r are switched by
-// rns.Converter.UseVectorKernels, which calls this.
-func (r *Ring) UseVectorKernels(on bool) bool {
-	vector := false
-	for _, s := range r.SubRings {
-		s.ifma = on && s.vmont.q != 0
-		vector = vector || s.ifma
-	}
-	return vector
+// scalarOnly is the package's one kernel switch, off by default: set,
+// every kernel — a sub-ring's NTT, key product and pointwise kernels,
+// and the rns extension tables' stages — runs its scalar Go body
+// whatever its constructor chose. Each kernel call reads it once, at
+// entry, never per word.
+var scalarOnly atomic.Bool
+
+// UseVectorKernels sets the kernel switch: on (the default) runs every
+// kernel on the body its constructor chose, off runs every one on the
+// scalar Go body. Both write the same words; the switch exists so tests
+// and benchmarks can run both. It reports whether this host has the
+// vector kernels (amd64 with AVX512F, DQ and IFMA, ZMM state saved by
+// the OS). A call already running finishes on the body it started on.
+func UseVectorKernels(on bool) bool {
+	scalarOnly.Store(!on)
+	return cpuHasIFMA
+}
+
+// VectorKernels reports whether the kernel switch is on: the check a
+// kernel outside this package (rns.ExtTable) makes next to its
+// constructor's choice.
+func VectorKernels() bool { return !scalarOnly.Load() }
+
+// vectorKernel reports whether s's kernels run their vector bodies.
+func (s *SubRing) vectorKernel() bool { return s.vector && !scalarOnly.Load() }
+
+// ifmaUsable reports whether modulus q can run on the vector kernels:
+// the host has them (cpuHasIFMA) and q < 2^51.
+func ifmaUsable(q uint64) bool {
+	return cpuHasIFMA && q < 1<<51
 }
 
 // MaxLevel returns the highest level (index of the last modulus).

@@ -64,16 +64,15 @@ type ExtTable struct {
 	outQNeg      []uint64 // −p_j⁻¹ mod 2^64, the Montgomery constant
 	fold         int      // products per sum between folds: MontMaxTerms(max q_i)
 
-	// ifma selects the vector stages: stage 1 on inVec
-	// (ring.VectorEstimate.ScaleAndEstimate), stage 2 on outVec
-	// (ring.VectorMont.SeededSum, one close per output limb). vector is
-	// the constructor's choice, made when the CPU runs the ring's vector
-	// kernels, every In and Out modulus is below 2^51 and
-	// 1 ≤ ℓ ≤ ring.MaxLaneTerms; ifma is vector unless the owning
-	// Converter's kernel switch is off.
-	ifma, vector bool
-	inVec        ring.VectorEstimate
-	outVec       []ring.VectorMont
+	// vector is the constructor's choice of the vector stages: stage 1
+	// on inVec (ring.VectorEstimate.ScaleAndEstimate), stage 2 on outVec
+	// (ring.VectorMont.SeededSum, one close per output limb). It is made
+	// when the CPU runs the ring's vector kernels, every In and Out
+	// modulus is below 2^51 and 1 ≤ ℓ ≤ ring.MaxLaneTerms, and
+	// ring.UseVectorKernels(false) overrides it.
+	vector bool
+	inVec  ring.VectorEstimate
+	outVec []ring.VectorMont
 
 	scratch sync.Pool // *extScratch, sized for ExtendTile coefficients
 }
@@ -174,7 +173,6 @@ func newExtTable(in, out []uint64, montOut bool) *ExtTable {
 			t.qiStarMont[j][i] = br.MulMod(prod, scale)
 		}
 	}
-	t.ifma = t.vector
 	nIn := len(in)
 	t.scratch.New = func() any {
 		sc := &extScratch{
@@ -226,9 +224,10 @@ func (t *ExtTable) Extend(src, dst [][]uint64) {
 	}
 	n := len(src[0])
 	sc := t.scratch.Get().(*extScratch)
+	vec := t.vector && ring.VectorKernels()
 	for c0 := 0; c0 < n; c0 += ExtendTile {
 		b := min(ExtendTile, n-c0)
-		t.extendTile(src, dst, c0, b, sc)
+		t.extendTile(src, dst, c0, b, vec, sc)
 	}
 	t.scratch.Put(sc)
 }
@@ -249,13 +248,14 @@ func (t *ExtTable) Extend(src, dst [][]uint64) {
 // pass into the tile's (hi, lo) scratch and reduces it (Reduce128, the
 // residue unchanged) whenever the next four would exceed t.fold products.
 // Every inner loop touches only contiguous rows of the tile scratch or of
-// src/dst. A table on the vector kernels (t.ifma) computes the same words
-// with ring.VectorEstimate.ScaleAndEstimate (stage 1: the same Shoup
-// products and float sum, in the same order, never fused) and
+// src/dst. With vec set (the table's choice and the ring package's
+// kernel switch, read once per call) it computes the same words with
+// ring.VectorEstimate.ScaleAndEstimate (stage 1: the same Shoup products
+// and float sum, in the same order, never fused) and
 // ring.VectorMont.SeededSum, one call per output limb.
-func (t *ExtTable) extendTile(src, dst [][]uint64, c0, b int, sc *extScratch) {
+func (t *ExtTable) extendTile(src, dst [][]uint64, c0, b int, vec bool, sc *extScratch) {
 	y, v := sc.y[:len(t.In)], sc.v[:b]
-	if t.ifma {
+	if vec {
 		t.inVec.ScaleAndEstimate(src, c0, y, v)
 		for j := range t.Out {
 			t.outVec[j].SeededSum(dst[j][c0:c0+b], y, t.qiStarMont[j], t.vqOut[j], v)
@@ -391,12 +391,13 @@ func (t *ExtTable) ExtendTraced(src, dst [][]uint64, tr *memtrace.Tracer, srcCla
 	}
 	n := len(src[0])
 	sc := t.scratch.Get().(*extScratch)
+	vec := t.vector && ring.VectorKernels()
 	for c0 := 0; c0 < n; c0 += ExtendTile {
 		b := min(ExtendTile, n-c0)
 		for i := range src {
 			tr.ReadClass(src[i][c0:c0+b], srcClass)
 		}
-		t.extendTile(src, dst, c0, b, sc)
+		t.extendTile(src, dst, c0, b, vec, sc)
 		for j := range dst {
 			tr.WriteClass(dst[j][c0:c0+b], dstClass)
 		}

@@ -40,7 +40,6 @@ type Converter struct {
 
 	mu     sync.RWMutex
 	tables map[tableKey]*ExtTable
-	scalar bool // UseVectorKernels(false): tables built from now on run scalar
 
 	qpPool sync.Pool // scratch PolyQP at the full chain size
 	upPool sync.Pool // *modUpScratch: ModUpDigit output-view headers
@@ -121,25 +120,6 @@ func NewConverter(ringQ, ringP *ring.Ring) *Converter {
 // SetRecorder attaches an observability recorder (nil detaches it). Not
 // safe to call concurrently with conversions.
 func (c *Converter) SetRecorder(r *obs.Recorder) { c.rec = r }
-
-// UseVectorKernels puts the converter on the vector kernels its
-// constructors selected (on) or on the scalar Go kernels (off): both
-// rings (ring.Ring.UseVectorKernels) and every extension table, cached
-// or built later. It reports whether any ring or cached table now runs a
-// vector kernel. The two compute the same words; the switch exists so
-// tests can check both. Not safe to call concurrently with conversions.
-func (c *Converter) UseVectorKernels(on bool) bool {
-	vector := c.RingQ.UseVectorKernels(on)
-	vector = c.RingP.UseVectorKernels(on) || vector
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.scalar = !on
-	for _, t := range c.tables {
-		t.ifma = on && t.vector
-		vector = vector || t.ifma
-	}
-	return vector
-}
 
 // SetTracer attaches a memory access tracer (nil detaches it). Not safe
 // to call concurrently with conversions.
@@ -223,7 +203,6 @@ func (c *Converter) table(in, out []uint64, montOut bool) *ExtTable {
 	if prev, ok := c.tables[key]; ok {
 		t = prev
 	} else {
-		t.ifma = t.vector && !c.scalar
 		c.tables[key] = t
 	}
 	c.mu.Unlock()

@@ -56,14 +56,13 @@ func BenchmarkExtend(b *testing.B) {
 		n := sh.n
 		tab := NewExtTable(sh.in, sh.out)
 		src, dst := benchInput(tab, n)
-		chosen := tab.ifma
 		for _, kernel := range []string{"scalar", "vector"} {
 			b.Run(sh.name+"/lazy/kernel="+kernel, func(b *testing.B) {
-				if kernel == "vector" && !chosen {
+				if kernel == "vector" && !tab.vector {
 					b.Skip("vector stages not selected on this host")
 				}
-				tab.ifma = kernel == "vector"
-				defer func() { tab.ifma = chosen }()
+				ring.UseVectorKernels(kernel == "vector")
+				defer ring.UseVectorKernels(true)
 				b.ReportAllocs()
 				b.SetBytes(int64(8 * n * (len(sh.in) + len(sh.out))))
 				for i := 0; i < b.N; i++ {

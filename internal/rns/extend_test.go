@@ -2,14 +2,10 @@ package rns
 
 import (
 	"fmt"
-	"maps"
 	"math/big"
-	"math/bits"
 	"math/rand/v2"
 	"runtime"
 	"slices"
-	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/mathutil"
@@ -79,66 +75,6 @@ func converterBasisPairs(ringQ, ringP *ring.Ring) []basisPair {
 	return pairs
 }
 
-// modulusClass is one family of NTT primes the basis-change kernels are
-// tested on.
-type modulusClass struct {
-	name string
-	bits int
-	near bool // GenerateNTTPrimesNear (alternating around 2^bits) instead of the largest below 2^bits
-}
-
-// modulusClasses are the classes the workloads build, plus the edges of
-// the vector stage 2: 40- and 45-bit primes, the CKKS primes alternating
-// around 2^50, and the largest NTT primes below 2^51, where the lane
-// sums and the close have the least headroom.
-var modulusClasses = []modulusClass{
-	{"40-bit", 40, false},
-	{"45-bit", 45, false},
-	{"2^50 ± k", 50, true},
-	{"2^51 − k", 51, false},
-}
-
-// classRings builds a Q ring of nQ and a P ring of nP distinct primes of
-// class c at degree n.
-func classRings(t testing.TB, c modulusClass, n, nQ, nP int) (*ring.Ring, *ring.Ring) {
-	t.Helper()
-	logN := bits.Len(uint(n)) - 1
-	gen := mathutil.GenerateNTTPrimes
-	if c.near {
-		gen = mathutil.GenerateNTTPrimesNear
-	}
-	primes, err := gen(c.bits, logN, nQ+nP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ringQ, err := ring.NewRing(n, primes[:nQ])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ringP, err := ring.NewRing(n, primes[nQ:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ringQ, ringP
-}
-
-// withExtendKernels runs f once per kernel pair of tab: "scalar",
-// then "vector" when newExtTable chose it (IFMA on this host, every
-// modulus below 2^51, ℓ ≤ ring.MaxLaneTerms). It returns the kernels
-// that ran.
-func withExtendKernels(tab *ExtTable, f func(kernel string)) []string {
-	chosen := tab.ifma
-	defer func() { tab.ifma = chosen }()
-	tab.ifma = false
-	f("scalar")
-	if !chosen {
-		return []string{"scalar"}
-	}
-	tab.ifma = true
-	f("vector")
-	return []string{"scalar", "vector"}
-}
-
 // requireEqualLimbs fails unless got and want hold the same words.
 func requireEqualLimbs(t *testing.T, what string, got, want [][]uint64) {
 	t.Helper()
@@ -151,277 +87,89 @@ func requireEqualLimbs(t *testing.T, what string, got, want [][]uint64) {
 	}
 }
 
-// TestExtendMatchesReferenceAllBases demands the tiled lazy kernel, with
-// the scalar and the vector stages 1 and 2, be bit-identical to the
-// retained scalar oracle on every basis pair the Converter ever builds,
-// for every modulus class, at worker counts {1, 2, GOMAXPROCS}, over
-// coefficient counts that straddle the tile boundary and the vector
-// kernels' eight- and sixteen-word groups. Besides uniform residues it feeds all-zero and all-(q_i − 1)
-// inputs, the two ends of [0, Q): x = 0 seeds the accumulator with v = 0,
-// and x = Q − 1 puts frac(Σ y_i/q_i) = x/Q against 1, the float-slack
-// edge of the estimate, which the vector stage 1 must floor as the
-// scalar one does. Last, it runs the vector kernel's term limit:
-// ℓ = ring.MaxLaneTerms input limbs still run the vector stages, one
-// more hands the extension to the scalar kernels.
-func TestExtendMatchesReferenceAllBases(t *testing.T) {
-	const nQ, nP = 6, 2
-	src := fixedSource()
-	fills := []struct {
-		name string
-		val  func(q uint64) uint64
-	}{
-		{"uniform", func(q uint64) uint64 { return src.Uint64() % q }},
-		{"zero", func(uint64) uint64 { return 0 }},
-		{"max", func(q uint64) uint64 { return q - 1 }},
-	}
+// converterLengths are the words per call checkConverterBases runs:
+// inside one eight-word group, off the groups, either side of one
+// extension tile, and two tiles and a tail.
+var converterLengths = []int{1, 7, ExtendTile - 1, ExtendTile + 1, maxTileLength}
 
-	workerCounts := slices.Compact(slices.Sorted(slices.Values([]int{1, 2, runtime.GOMAXPROCS(0)})))
-	sizes := []int{1, 7, 255, ExtendTile - 1, ExtendTile, ExtendTile + 1, 2*ExtendTile + 33}
-	check := func(what string, tab *ExtTable, in [][]uint64, n int, workers []int) []string {
-		want := makeLimbs(len(tab.Out), n)
-		tab.ExtendReference(in, want)
-		return withExtendKernels(tab, func(kernel string) {
-			for _, w := range workers {
-				got := makeLimbs(len(tab.Out), n)
-				extendParallel(tab, in, got, n, w)
-				requireEqualLimbs(t, fmt.Sprintf("%s %s kernel ℓ=%d→%d n=%d workers=%d",
-					what, kernel, len(tab.In), len(tab.Out), n, w), got, want)
+// checkConverterBases runs kernelRows' Extend check on every basis pair
+// a Converter builds over a Q chain of six and a P basis of two of each
+// modulus class's primes — ModUp's digit slices at every level (with
+// montOut only those, the tables ModUpDigit extends with), ModDown's and
+// the merged division's — at converterLengths on every fill, with 1, 2
+// and GOMAXPROCS workers, each run against ExtendReference (montOut: R
+// times it), on the scalar and the vector kernels. It logs, per class,
+// the pairs and the kernels that matched.
+func checkConverterBases(t *testing.T, montOut bool) {
+	workers := slices.Compact(slices.Sorted(slices.Values([]int{1, 2, runtime.GOMAXPROCS(0)})))
+	host := ring.UseVectorKernels(true)
+	for ci, class := range modulusClasses {
+		c := &kernelCase{class: ci, rng: rand.New(rand.NewPCG(36, uint64(ci)))}
+		pool := c.pool(t)
+		ringQ, err := ring.NewRing(16, pool[:6])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ringP, err := ring.NewRing(16, pool[6:8])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := 0
+		for _, p := range converterBasisPairs(ringQ, ringP) {
+			if montOut && p.name != "modup" {
+				continue
 			}
-		})
-	}
-	for _, class := range modulusClasses {
-		ringQ, ringP := classRings(t, class, 32, nQ, nP)
-		var ran []string
-		pairs := converterBasisPairs(ringQ, ringP)
-		for _, fill := range fills {
-			for _, n := range sizes {
-				for _, p := range pairs {
-					tab := NewExtTable(p.in, p.out)
-					in := makeLimbs(len(p.in), n)
+			pairs++
+			tab := newExtTable(p.in, p.out, montOut)
+			row := kernelRow{name: fmt.Sprintf("Extend %s ℓ=%d→%d montOut=%v", p.name, len(p.in), len(p.out), montOut),
+				draw: func(_ testing.TB, c *kernelCase) (func() [][]uint64, [][]uint64) {
+					src := make([][]uint64, len(p.in))
 					for i, q := range p.in {
-						for c := range in[i] {
-							in[i][c] = fill.val(q)
-						}
+						src[i] = c.row(q)
 					}
-					ran = check(class.name+" "+fill.name+" "+p.name, tab, in, n, workerCounts)
+					want := makeLimbs(len(p.out), c.n)
+					tab.ExtendReference(src, want)
+					if montOut {
+						want = timesR(p.out, want)
+					}
+					return func() [][]uint64 {
+						var got [][]uint64
+						for _, w := range workers {
+							out := makeLimbs(len(p.out), c.n)
+							extendParallel(tab, src, out, c.n, w)
+							got = append(got, out...)
+						}
+						return got
+					}, slices.Repeat(want, len(workers))
+				}}
+			for _, c.n = range converterLengths {
+				for c.fill = range kernelFills {
+					checkKernel(t, row, c)
 				}
 			}
 		}
-		t.Logf("%s: %s stages 1 and 2 matched the reference on %d basis pairs", class.name, strings.Join(ran, " and "), len(pairs))
-	}
-
-	primes, err := mathutil.GenerateNTTPrimesNear(50, 4, ring.MaxLaneTerms+3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 17
-	for _, l := range []int{ring.MaxLaneTerms, ring.MaxLaneTerms + 1} {
-		tab := NewExtTable(primes[:l], primes[l:l+2])
-		in := makeLimbs(l, n)
-		for i, q := range tab.In {
-			for c := range in[i] {
-				in[i][c] = q - 1
-				if c%2 == 1 {
-					in[i][c] = src.Uint64() % q
-				}
-			}
-		}
-		ran := check("term limit", tab, in, n, []int{1})
-		t.Logf("ℓ = %d input limbs: %s stages 1 and 2 matched the reference", l, strings.Join(ran, " and "))
+		t.Logf("%s: %d basis pairs matched on %s", class.name, pairs, choiceName[host && pool[0] < 1<<51])
 	}
 }
 
-// TestKeyProductKernelSelection pins the vector kernels' reach: where
-// the CPU has IFMA (probed on a 45-bit prime), every modulus the
-// benchmark workloads build — their CKKS Q and P chains at logN 13, 12
-// and 9, drawn as ckks.NewParameters draws them — selects the vector key
-// product (ring.NewVectorMont, which SubRing.ifma is set from), and
-// every basis pair their converters extend between, canonical and
-// Montgomery-out, selects the vector stage 2. Elsewhere every one
-// selects the scalar kernels.
-func TestKeyProductKernelSelection(t *testing.T) {
-	probe, err := mathutil.GenerateNTTPrimes(45, 9, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, host := ring.NewVectorMont(probe[0])
-	want := map[bool]string{false: "scalar", true: "vector (AVX-512 IFMA)"}[host]
-	for _, w := range []struct {
-		name       string
-		logN       int
-		logQ, logP []int
-	}{
-		{"mult_chain", 13, []int{50, 40, 40, 40, 40, 40, 40, 40, 40}, []int{50, 50, 50}},
-		{"matvec_hoisted", 12, []int{50, 40, 40, 40, 40, 40}, []int{50, 50}},
-		{"bootstrap", 9, append([]int{48}, slices.Repeat([]int{40}, 16)...), []int{50, 50, 50}},
-	} {
-		count := map[int]int{}
-		for _, b := range append(slices.Clone(w.logQ), w.logP...) {
-			count[b]++
-		}
-		pool := map[int][]uint64{}
-		for _, b := range slices.Sorted(maps.Keys(count)) {
-			ps, err := mathutil.GenerateNTTPrimesNear(b, w.logN, count[b])
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, q := range ps {
-				if _, ok := ring.NewVectorMont(q); ok != host {
-					t.Errorf("%s: q = %d (%d-bit class) selects the vector key product = %v, want %v", w.name, q, b, ok, host)
-				}
-			}
-			t.Logf("%s logN=%d: %d primes near 2^%d, %s to %s: %s key product", w.name, w.logN, len(ps), b,
-				modulusName(slices.Min(ps)), modulusName(slices.Max(ps)), want)
-			pool[b] = ps
-		}
-		chain := func(sizes []int) *ring.Ring {
-			moduli := make([]uint64, len(sizes))
-			for i, b := range sizes {
-				moduli[i], pool[b] = pool[b][0], pool[b][1:]
-			}
-			r, err := ring.NewRing(1<<w.logN, moduli)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return r
-		}
-		ringQ := chain(w.logQ)
-		ringP := chain(w.logP)
-		pairs := converterBasisPairs(ringQ, ringP)
-		for _, p := range pairs {
-			for _, montOut := range []bool{false, true} {
-				if tab := newExtTable(p.in, p.out, montOut); tab.ifma != host {
-					t.Errorf("%s: %s ℓ=%d→%d montOut=%v selects the vector stage 2 = %v, want %v",
-						w.name, p.name, len(p.in), len(p.out), montOut, tab.ifma, host)
-				}
-			}
-		}
-		t.Logf("%s: %d basis pairs: %s stage 2", w.name, len(pairs), want)
-	}
-}
-
-// TestConverterKernelSwitch pins Converter.UseVectorKernels: switched
-// off, no extension table the converter has cached, and none it builds
-// afterwards, runs a vector kernel, and ModUp, ModDown, ModDownRescale
-// and Rescale still write the words they write on the kernels the
-// constructors chose; switched back on, every table is back on its
-// constructor's choice.
-func TestConverterKernelSwitch(t *testing.T) {
-	const n, levelQ = 64, 4
-	ringQ, ringP := classRings(t, modulusClasses[2], n, levelQ+1, 2)
-	c := NewConverter(ringQ, ringP)
-	a := ringQ.NewPoly()
-	ringQ.SampleUniform(fixedSource(), a)
-	ringQ.NTTPoly(a)
-	run := func(c *Converter) []*ring.Poly {
-		up := c.NewPolyQP(levelQ)
-		c.ModUpDigit(levelQ, 0, 2, a, up, 1)
-		down, merged, rescaled := ringQ.NewPoly(), ringQ.NewPoly(), ringQ.NewPoly()
-		c.ModDown(levelQ, up, down, 1)
-		c.ModDownRescale(levelQ, up, merged, 1)
-		c.Rescale(levelQ, a, rescaled, 1)
-		return []*ring.Poly{up.Q, up.P, down, merged, rescaled}
-	}
-	want := run(c)
-	tables := func() []*ExtTable { return slices.Collect(maps.Values(c.tables)) }
-	cached := tables()
-
-	if c.UseVectorKernels(false) {
-		t.Error("UseVectorKernels(false) reports a vector kernel still running")
-	}
-	for _, tab := range tables() {
-		if tab.ifma {
-			t.Errorf("ℓ=%d→%d: cached table still on the vector kernels after UseVectorKernels(false)", len(tab.In), len(tab.Out))
-		}
-	}
-	for i, p := range run(c) {
-		if !p.Equal(want[i]) {
-			t.Errorf("output %d differs between the chosen and the scalar kernels", i)
-		}
-	}
-	c.ModUpDigit(levelQ, 2, 4, a, c.NewPolyQP(levelQ), 1) // a basis not cached before the switch
-	if len(tables()) == len(cached) {
-		t.Fatal("the second digit built no new table")
-	}
-	for _, tab := range tables() {
-		if tab.ifma {
-			t.Errorf("ℓ=%d→%d: table built after UseVectorKernels(false) runs the vector kernels", len(tab.In), len(tab.Out))
-		}
-	}
-
-	vector := c.UseVectorKernels(true)
-	chose := false
-	for _, tab := range tables() {
-		if tab.ifma != tab.vector {
-			t.Errorf("ℓ=%d→%d: UseVectorKernels(true) left ifma = %v, the constructor chose %v", len(tab.In), len(tab.Out), tab.ifma, tab.vector)
-		}
-		chose = chose || tab.vector
-	}
-	if chose && !vector {
-		t.Error("UseVectorKernels(true) reports no vector kernel, but a table chose one")
-	}
-	t.Logf("vector kernels on this host: %v", vector)
-}
-
-// modulusName writes q as its distance from the nearest power of two,
-// e.g. 2^50 + 16385.
-func modulusName(q uint64) string {
-	e := bits.Len64(q) // 2^(e−1) ≤ q < 2^e
-	if above := q - 1<<(e-1); above < 1<<e-q {
-		return fmt.Sprintf("2^%d + %d", e-1, above)
-	}
-	return fmt.Sprintf("2^%d − %d", e, uint64(1)<<e-q)
-}
-
-// requireRTimes fails unless got[j][c] = R·want[j][c] mod out[j] for every
-// word, R = 2^64: the Montgomery-out contract.
-func requireRTimes(t *testing.T, what string, out []uint64, got, want [][]uint64) {
-	t.Helper()
-	for j, pj := range out {
-		r := mathutil.MontR(pj)
-		for c := range want[j] {
-			if exp := mathutil.MulMod(want[j][c], r, pj); got[j][c] != exp {
-				t.Fatalf("%s: word [%d][%d] = %d, want R·%d = %d mod %d", what, j, c, got[j][c], want[j][c], exp, pj)
-			}
-		}
-	}
+// TestExtendMatchesReferenceAllBases demands the tiled lazy Extend, on
+// the scalar and on the vector stages 1 and 2, write ExtendReference's
+// words on every basis pair the Converter ever builds, for every modulus
+// class, at worker counts {1, 2, GOMAXPROCS}, over lengths that straddle
+// the tile and the eight-word groups, on uniform, all-zero, all-(q_i − 1)
+// and mixed words: x = 0 seeds the accumulator with v = 0, and x = Q − 1
+// puts frac(Σ y_i/q_i) = x/Q against 1, the float-slack edge of the
+// estimate. The vector kernel's term limit is the Extend row of
+// TestKernelsMatch.
+func TestExtendMatchesReferenceAllBases(t *testing.T) {
+	checkConverterBases(t, false)
 }
 
 // TestExtendMontOutIsRTimesReference demands a Montgomery-out table (the
 // ones ModUpDigit extends with), scalar and vector, write exactly
-// R·ExtendReference on every ModUp basis pair of every modulus class,
-// for uniform and all-(q_i − 1) inputs.
+// R·ExtendReference on every ModUp basis pair of every modulus class.
 func TestExtendMontOutIsRTimesReference(t *testing.T) {
-	src := fixedSource()
-	const n = ExtendTile + 3
-	for _, class := range modulusClasses {
-		ringQ, ringP := classRings(t, class, 32, 6, 2)
-		var ran []string
-		for _, p := range converterBasisPairs(ringQ, ringP) {
-			if p.name != "modup" {
-				continue
-			}
-			tab := newExtTable(p.in, p.out, true)
-			for _, max := range []bool{false, true} {
-				in := makeLimbs(len(p.in), n)
-				for i, q := range p.in {
-					for c := range in[i] {
-						in[i][c] = q - 1
-						if !max {
-							in[i][c] = src.Uint64() % q
-						}
-					}
-				}
-				want, got := makeLimbs(len(p.out), n), makeLimbs(len(p.out), n)
-				tab.ExtendReference(in, want)
-				ran = withExtendKernels(tab, func(kernel string) {
-					tab.Extend(in, got)
-					requireRTimes(t, fmt.Sprintf("%s %s kernel ℓ=%d→%d max=%v", class.name, kernel, len(p.in), len(p.out), max), p.out, got, want)
-				})
-			}
-		}
-		t.Logf("%s: %s Montgomery-out stage 2 matched R·reference", class.name, strings.Join(ran, " and "))
-	}
+	checkConverterBases(t, true)
 }
 
 // TestExtendFoldAt61Bits runs the wide stage 2 where its fold guard
@@ -455,15 +203,9 @@ func TestExtendFoldAt61Bits(t *testing.T) {
 			want, got := makeLimbs(len(outP), n), makeLimbs(len(outP), n)
 			NewExtTable(inP, outP).ExtendReference(in, want)
 			NewExtTable(inP, outP).Extend(in, got)
-			for j := range want {
-				for c := range want[j] {
-					if got[j][c] != want[j][c] {
-						t.Fatalf("ℓ=%d max=%v: Extend[%d][%d] = %d, reference %d", l, max, j, c, got[j][c], want[j][c])
-					}
-				}
-			}
+			requireEqualLimbs(t, fmt.Sprintf("ℓ=%d max=%v", l, max), got, want)
 			newExtTable(inP, outP, true).Extend(in, got)
-			requireRTimes(t, fmt.Sprintf("ℓ=%d max=%v Montgomery-out", l, max), outP, got, want)
+			requireEqualLimbs(t, fmt.Sprintf("ℓ=%d max=%v Montgomery-out", l, max), got, timesR(outP, want))
 		}
 	}
 }
@@ -666,67 +408,27 @@ func TestExtendCounters(t *testing.T) {
 	}
 }
 
-// fuzzExtendPrimes are the limbs FuzzExtend draws its bases from: the
-// CKKS primes alternating around 2^50 and the largest NTT primes below
-// 2^51, where the vector stage 2's lanes and close have the least
-// headroom.
-var fuzzExtendPrimes = sync.OnceValues(func() ([]uint64, error) {
-	near, err := mathutil.GenerateNTTPrimesNear(50, 10, 24)
-	if err != nil {
-		return nil, err
-	}
-	top, err := mathutil.GenerateNTTPrimes(51, 10, 16)
-	return append(near, top...), err
-})
-
-// FuzzExtend pits the vector stage 2 of the basis extension against the
-// scalar one, bit for bit, canonical and Montgomery-out, on bases of 1–20
-// input and 1–20 output limbs drawn from fuzzExtendPrimes, at lengths off
-// and on the eight-word groups and the tile. fill picks the words:
-// uniform, all q_i − 1, or a per-word mix of 0, q_i − 1 and uniform.
+// FuzzExtend draws one case of TestKernelsMatch's Extend row on a fuzzed
+// basis, where FuzzKernels draws only the row's shapes: 1–20 input and
+// 1–20 output limbs shuffled from one class's primes, by index the
+// class, the length and the fill, and the words from seed.
 func FuzzExtend(f *testing.F) {
-	f.Add(uint64(1), uint16(2+20*16), uint8(0), false)
-	f.Add(uint64(2), uint16(3+20*13+400*3), uint8(1), true)
-	f.Add(uint64(3), uint16(19+20*19+400*4), uint8(1), false)
-	f.Add(^uint64(0), uint16(0), uint8(2), true)
-	f.Add(uint64(0xdeadbeefcafe), uint16(7+20*2+400*1), uint8(2), false)
-	f.Fuzz(func(t *testing.T, seed uint64, shape uint16, fill uint8, montOut bool) {
-		pool, err := fuzzExtendPrimes()
-		if err != nil {
-			t.Fatal(err)
+	f.Add(uint64(1), uint8(4), uint8(0), uint8(0), uint8(2), uint8(16))
+	f.Add(uint64(2), uint8(5), uint8(21), uint8(2), uint8(3), uint8(13))
+	f.Add(uint64(3), uint8(4), uint8(22), uint8(2), uint8(19), uint8(19))
+	f.Add(^uint64(0), uint8(5), uint8(0), uint8(3), uint8(0), uint8(0))
+	f.Add(uint64(0xdeadbeefcafe), uint8(4), uint8(6), uint8(3), uint8(7), uint8(2))
+	extend := kernelRow{name: "Extend", draw: drawExtend}
+	f.Fuzz(func(t *testing.T, seed uint64, class, length, fill, in, out uint8) {
+		c := &kernelCase{
+			class: int(class) % len(modulusClasses),
+			n:     kernelLengths[int(length)%len(kernelLengths)],
+			fill:  int(fill) % len(kernelFills),
+			shape: 100*(1+int(in)%20) + 1 + int(out)%20,
+			rng:   rand.New(rand.NewPCG(seed, 36)),
 		}
-		lIn, lOut := 1+int(shape%20), 1+int(shape/20%20)
-		n := []int{1, 7, 64, ExtendTile + 1, 2*ExtendTile + 33}[int(shape/400)%5]
-		rng := rand.New(rand.NewPCG(seed, 2))
-		picked := slices.Clone(pool)
-		rng.Shuffle(len(picked), func(i, j int) { picked[i], picked[j] = picked[j], picked[i] })
-		tab := newExtTable(picked[:lIn], picked[lIn:lIn+lOut], montOut)
-		if !tab.ifma {
-			t.Skip("the vector stage 2 is not selected on this host")
+		if !checkKernel(t, extend, c) {
+			t.Skipf("Extend does not run at %v", c)
 		}
-		in := makeLimbs(lIn, n)
-		for i, q := range tab.In {
-			for c := range in[i] {
-				x := rng.Uint64()
-				switch fill % 3 {
-				case 0:
-					in[i][c] = x % q
-				case 1:
-					in[i][c] = q - 1
-				case 2:
-					in[i][c] = []uint64{0, q - 1, x % q}[x>>62%3]
-				}
-			}
-		}
-		var want [][]uint64
-		withExtendKernels(tab, func(kernel string) {
-			got := makeLimbs(lOut, n)
-			tab.Extend(in, got)
-			if kernel == "scalar" {
-				want = got
-				return
-			}
-			requireEqualLimbs(t, fmt.Sprintf("vector vs scalar ℓ=%d→%d n=%d montOut=%v", lIn, lOut, n, montOut), got, want)
-		})
 	})
 }

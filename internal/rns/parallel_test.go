@@ -73,9 +73,12 @@ func TestConverterBitIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestConverterConcurrentUse hammers one Converter from many goroutines
-// (distinct scratch, shared lazy table cache) — run under -race in CI.
+// (distinct scratch, shared lazy table cache) — run under -race in CI —
+// while the kernel switch flips: each kernel call reads it once, so a
+// conversion writes the same words whichever kernels its calls ran on.
+// The ring is large enough for the blocked NTT.
 func TestConverterConcurrentUse(t *testing.T) {
-	ringQ, ringP := testRings(t, 32, 4, 2)
+	ringQ, ringP := testRings(t, 2*ring.NTTTile, 4, 2)
 	conv := NewConverter(ringQ, ringP)
 	src := fixedSource()
 	levelQ := ringQ.MaxLevel()
@@ -97,7 +100,9 @@ func TestConverterConcurrentUse(t *testing.T) {
 			done <- out.Q.Equal(want.Q) && out.P.Equal(want.P)
 		}()
 	}
+	defer ring.UseVectorKernels(true)
 	for g := 0; g < goroutines; g++ {
+		ring.UseVectorKernels(g%2 == 1)
 		if !<-done {
 			t.Fatal("concurrent ModUpDigit produced a different result")
 		}
