@@ -8,6 +8,7 @@ import (
 	"repro/internal/mathutil"
 	"repro/internal/ring"
 	"repro/internal/rns"
+	"repro/internal/simd"
 )
 
 // strictKskInnerProduct is the composition kskInnerProduct replaces, kept
@@ -49,19 +50,19 @@ func fromMForm(r *ring.Ring, x *ring.Poly) *ring.Poly {
 }
 
 // withKernels runs f with every ring and basis-extension kernel on its
-// scalar body (ring.UseVectorKernels(false)), then back on the bodies
+// scalar body (simd.UseVectorKernels(false)), then back on the bodies
 // their constructors chose. The vector run is logged and skipped when
 // this host has no vector kernels.
 func withKernels(t *testing.T, f func(kernel string)) {
 	t.Helper()
-	defer ring.UseVectorKernels(true)
-	host := ring.UseVectorKernels(false)
+	defer simd.UseVectorKernels(true)
+	host := simd.UseVectorKernels(false)
 	f("scalar")
 	if !host {
 		t.Log("no vector kernels on this host; vector case skipped")
 		return
 	}
-	ring.UseVectorKernels(true)
+	simd.UseVectorKernels(true)
 	f("vector")
 }
 

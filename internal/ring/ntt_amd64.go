@@ -33,35 +33,7 @@ package ring
 // lanes. Each kernel picks its loop once per call from bit 50 of q, so
 // limbs below 2^50 run the unfolded instruction stream.
 
-// cpuHasIFMA reports whether the CPU has AVX512F, AVX512DQ (the first
-// stage of a basis extension converts with VCVTUQQ2PD and VCVTTPD2UQQ)
-// and AVX512IFMA, and the OS saves ZMM state.
-var cpuHasIFMA = detectIFMA()
-
-func detectIFMA() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	_, _, ecx1, _ := cpuid(1, 0)
-	if ecx1&(1<<27) == 0 { // OSXSAVE: XGETBV is available
-		return false
-	}
-	// XCR0 bits 1, 2 (SSE, AVX) and 5, 6, 7 (opmask, ZMM0–15 upper
-	// halves, ZMM16–31): the OS saves the whole AVX-512 state.
-	if xcr0, _ := xgetbv(); xcr0&0xE6 != 0xE6 {
-		return false
-	}
-	// CPUID.7.0:EBX bits 16, 17 and 21: AVX512F, AVX512DQ, AVX512IFMA.
-	_, ebx7, _, _ := cpuid(7, 0)
-	const want = 1<<16 | 1<<17 | 1<<21
-	return ebx7&want == want
-}
-
 // Implemented in ntt_amd64.s.
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv() (eax, edx uint32)
 
 // fwdStageIFMA runs one strided forward stage over x: len(w) blocks of
 // 2t words, block i pairing x[2it+k] with x[2it+t+k] under twiddle w[i].

@@ -8,8 +8,6 @@ package ring
 
 const noVectorKernel = "ring: no vector kernel on this architecture"
 
-const cpuHasIFMA = false
-
 func (s *SubRing) nttRowIFMA([]uint64, int)           { panic(noVectorKernel) }
 func (s *SubRing) inttRowIFMA([]uint64, int, bool)    { panic(noVectorKernel) }
 func (s *SubRing) nttColumnsIFMA([]uint64, int, int)  { panic(noVectorKernel) }

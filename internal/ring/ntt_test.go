@@ -9,6 +9,7 @@ import (
 	"repro/internal/mathutil"
 	"repro/internal/memtrace"
 	"repro/internal/obs"
+	"repro/internal/simd"
 )
 
 // nttTestSizes covers the single-phase path (n ≤ NTTTile) with the
@@ -73,14 +74,14 @@ func wideCKKSPrime(t testing.TB, logN int) uint64 {
 // no vector kernels.
 func withKernels(t testing.TB, f func(kernel string)) {
 	t.Helper()
-	defer UseVectorKernels(true)
-	host := UseVectorKernels(false)
+	defer simd.UseVectorKernels(true)
+	host := simd.UseVectorKernels(false)
 	f("scalar")
 	if !host {
 		t.Log("no vector kernels on this host; vector case skipped")
 		return
 	}
-	UseVectorKernels(true)
+	simd.UseVectorKernels(true)
 	f("vector")
 }
 
@@ -88,11 +89,11 @@ func withKernels(t testing.TB, f func(kernel string)) {
 // switch off, "vector" (skipped where s did not choose it) or any other
 // name with it on. The switch is back on when b ends.
 func setKernel(b *testing.B, s *SubRing, kernel string) {
-	b.Cleanup(func() { UseVectorKernels(true) })
+	b.Cleanup(func() { simd.UseVectorKernels(true) })
 	if kernel == "vector" && !s.vector {
 		b.Skip("vector kernels not selected on this host")
 	}
-	UseVectorKernels(kernel != "scalar")
+	simd.UseVectorKernels(kernel != "scalar")
 }
 
 // requireEqualPoly fails unless got and want hold the same words.
@@ -162,15 +163,15 @@ func TestNTTMatchesReference(t *testing.T) {
 // below 2^51 — runs the kernel a 45-bit modulus does, the one the CPU
 // supports. So does every 50-bit prime CKKS parameters draw at the
 // benchmark ring sizes: on a host with the vector kernels no benchmark
-// limb runs the scalar kernel. UseVectorKernels(false) puts every
-// sub-ring on its scalar kernel and UseVectorKernels(true) back on its
+// limb runs the scalar kernel. simd.UseVectorKernels(false) puts every
+// sub-ring on its scalar kernel and simd.UseVectorKernels(true) back on its
 // constructor's choice. It logs each choice, and the CPU probe's
 // outcome, so a CI log shows whether the runner exercised the vector
 // kernels.
 func TestNTTKernelSelection(t *testing.T) {
 	const logN = 10
-	host := UseVectorKernels(true)
-	defer UseVectorKernels(true)
+	host := simd.UseVectorKernels(true)
+	defer simd.UseVectorKernels(true)
 	if host {
 		t.Log("CPU probe: AVX512F, AVX512DQ, AVX512IFMA and OS-saved ZMM state present; vector kernels for q < 2^51")
 	} else {
@@ -208,7 +209,7 @@ func TestNTTKernelSelection(t *testing.T) {
 		}
 	}
 	for _, on := range []bool{false, true} {
-		UseVectorKernels(on)
+		simd.UseVectorKernels(on)
 		for _, s := range subRings {
 			if got := s.vectorKernel(); got != (on && s.vector) {
 				t.Errorf("UseVectorKernels(%v): q = %d runs the vector kernel = %v, want %v", on, s.Q, got, on && s.vector)

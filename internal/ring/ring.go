@@ -12,11 +12,11 @@ package ring
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/mathutil"
 	"repro/internal/memtrace"
 	"repro/internal/obs"
+	"repro/internal/simd"
 )
 
 // SubRing holds the per-modulus precomputations for negacyclic NTTs of
@@ -51,7 +51,7 @@ type SubRing struct {
 	// the key product and the pointwise kernels, with vmont their
 	// constants: made when the CPU and OS support them and q < 2^51, so
 	// 2q fits a 52-bit lane (from 2^50 up the NTT kernels fold each
-	// multiplicand below 2q). It never changes; UseVectorKernels(false)
+	// multiplicand below 2q). It never changes; simd.UseVectorKernels(false)
 	// overrides it for every sub-ring at once.
 	vector bool
 	vmont  VectorMont
@@ -164,36 +164,15 @@ func NewRing(n int, moduli []uint64) (*Ring, error) {
 	return r, nil
 }
 
-// scalarOnly is the package's one kernel switch, off by default: set,
-// every kernel — a sub-ring's NTT, key product and pointwise kernels,
-// and the rns extension tables' stages — runs its scalar Go body
-// whatever its constructor chose. Each kernel call reads it once, at
-// entry, never per word.
-var scalarOnly atomic.Bool
-
-// UseVectorKernels sets the kernel switch: on (the default) runs every
-// kernel on the body its constructor chose, off runs every one on the
-// scalar Go body. Both write the same words; the switch exists so tests
-// and benchmarks can run both. It reports whether this host has the
-// vector kernels (amd64 with AVX512F, DQ and IFMA, ZMM state saved by
-// the OS). A call already running finishes on the body it started on.
-func UseVectorKernels(on bool) bool {
-	scalarOnly.Store(!on)
-	return cpuHasIFMA
-}
-
-// VectorKernels reports whether the kernel switch is on: the check a
-// kernel outside this package (rns.ExtTable) makes next to its
-// constructor's choice.
-func VectorKernels() bool { return !scalarOnly.Load() }
-
-// vectorKernel reports whether s's kernels run their vector bodies.
-func (s *SubRing) vectorKernel() bool { return s.vector && !scalarOnly.Load() }
+// vectorKernel reports whether s's kernels run their vector bodies: its
+// constructor chose them and the kernel switch (simd.UseVectorKernels)
+// is on.
+func (s *SubRing) vectorKernel() bool { return s.vector && simd.VectorKernels() }
 
 // ifmaUsable reports whether modulus q can run on the vector kernels:
-// the host has them (cpuHasIFMA) and q < 2^51.
+// the host has them (simd.IFMA) and q < 2^51.
 func ifmaUsable(q uint64) bool {
-	return cpuHasIFMA && q < 1<<51
+	return simd.IFMA() && q < 1<<51
 }
 
 // MaxLevel returns the highest level (index of the last modulus).

@@ -25,6 +25,7 @@ import (
 	"repro/internal/mathutil"
 	"repro/internal/memtrace"
 	"repro/internal/ring"
+	"repro/internal/simd"
 )
 
 // ExtendTile is the cache-blocking width of the basis-extension kernel:
@@ -69,7 +70,7 @@ type ExtTable struct {
 	// (ring.VectorMont.SeededSum, one close per output limb). It is made
 	// when the CPU runs the ring's vector kernels, every In and Out
 	// modulus is below 2^51 and 1 ≤ ℓ ≤ ring.MaxLaneTerms, and
-	// ring.UseVectorKernels(false) overrides it.
+	// simd.UseVectorKernels(false) overrides it.
 	vector bool
 	inVec  ring.VectorEstimate
 	outVec []ring.VectorMont
@@ -224,7 +225,7 @@ func (t *ExtTable) Extend(src, dst [][]uint64) {
 	}
 	n := len(src[0])
 	sc := t.scratch.Get().(*extScratch)
-	vec := t.vector && ring.VectorKernels()
+	vec := t.vector && simd.VectorKernels()
 	for c0 := 0; c0 < n; c0 += ExtendTile {
 		b := min(ExtendTile, n-c0)
 		t.extendTile(src, dst, c0, b, vec, sc)
@@ -391,7 +392,7 @@ func (t *ExtTable) ExtendTraced(src, dst [][]uint64, tr *memtrace.Tracer, srcCla
 	}
 	n := len(src[0])
 	sc := t.scratch.Get().(*extScratch)
-	vec := t.vector && ring.VectorKernels()
+	vec := t.vector && simd.VectorKernels()
 	for c0 := 0; c0 < n; c0 += ExtendTile {
 		b := min(ExtendTile, n-c0)
 		for i := range src {

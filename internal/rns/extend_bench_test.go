@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/mathutil"
 	"repro/internal/ring"
+	"repro/internal/simd"
 )
 
 // benchBases builds a bootstrap-scale modulus layout: an 18-limb Q chain
@@ -61,8 +62,8 @@ func BenchmarkExtend(b *testing.B) {
 				if kernel == "vector" && !tab.vector {
 					b.Skip("vector stages not selected on this host")
 				}
-				ring.UseVectorKernels(kernel == "vector")
-				defer ring.UseVectorKernels(true)
+				simd.UseVectorKernels(kernel == "vector")
+				defer simd.UseVectorKernels(true)
 				b.ReportAllocs()
 				b.SetBytes(int64(8 * n * (len(sh.in) + len(sh.out))))
 				for i := 0; i < b.N; i++ {

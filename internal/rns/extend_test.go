@@ -11,6 +11,7 @@ import (
 	"repro/internal/mathutil"
 	"repro/internal/obs"
 	"repro/internal/ring"
+	"repro/internal/simd"
 )
 
 // makeLimbs allocates an ℓ×n limb matrix.
@@ -102,7 +103,7 @@ var converterLengths = []int{1, 7, ExtendTile - 1, ExtendTile + 1, maxTileLength
 // the pairs and the kernels that matched.
 func checkConverterBases(t *testing.T, montOut bool) {
 	workers := slices.Compact(slices.Sorted(slices.Values([]int{1, 2, runtime.GOMAXPROCS(0)})))
-	host := ring.UseVectorKernels(true)
+	host := simd.UseVectorKernels(true)
 	for ci, class := range modulusClasses {
 		c := &kernelCase{class: ci, rng: rand.New(rand.NewPCG(36, uint64(ci)))}
 		pool := c.pool(t)

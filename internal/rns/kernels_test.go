@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"repro/internal/mathutil"
+	"repro/internal/prng"
 	"repro/internal/ring"
+	"repro/internal/simd"
 )
 
 // The kernel harness. Every kernel with a scalar and a vector body is one
@@ -19,9 +21,9 @@ import (
 // operands and returns the call and, where an independent body exists
 // (NTTReference, the strict per-digit key product, the scalar first-stage
 // loop, ExtendReference), the words the call must write. checkKernel runs
-// the call with ring.UseVectorKernels(false) and, where this host has the
-// vector kernels, again with the switch on, and holds each run to the
-// reference or, without one, the vector run to the scalar one.
+// the call with simd.UseVectorKernels(false) and, where this host has
+// vector kernels (AVX512F), again with the switch on, and holds each run
+// to the reference or, without one, the vector run to the scalar one.
 // TestKernelsMatch walks every row over every modulus class, length,
 // fill, gather and shape of the row; FuzzKernels draws one of each. The
 // harness lives here, not in internal/ring, because the Extend row needs
@@ -272,6 +274,7 @@ type kernelRow struct {
 	name    string
 	shapes  []int // the row's own axis (digits, bases, input limbs); nil: one shape, 0
 	gathers bool  // the kernel reads through a gather: run every one of kernelGathers
+	avx512f bool  // the vector body needs only AVX512F, not IFMA and q < 2^51
 	// draw draws one call's operands for c and returns the call, run once
 	// per kernel, and the words it must write, or nil to hold the vector
 	// run to the scalar one. A nil call skips the case.
@@ -345,6 +348,32 @@ var kernelRows = []kernelRow{
 	// ModUpDigit, ModDown, ModDownRescale and Rescale compose the
 	// kernels above.
 	{name: "Converter", draw: drawConverter},
+	// prng's ChaCha8 epoch: shape 0 reads n raw words, shape 1 n words of
+	// UniformSlice modulo the class's first prime.
+	{name: "Epoch", shapes: []int{0, 1}, avx512f: true, draw: drawEpoch},
+}
+
+// drawEpoch draws a seed — all zero, all 0xff, random or a per-byte mix
+// of the three — and reads the first n words of its stream and one more,
+// which pins the position the call leaves the stream at. The lengths
+// cross the epoch boundaries at 124, 248, … words.
+func drawEpoch(t testing.TB, c *kernelCase) (func() [][]uint64, [][]uint64) {
+	var seed [prng.SeedSize]byte
+	for i := range seed {
+		seed[i] = byte(c.word(256))
+	}
+	q := c.pool(t)[0]
+	return func() [][]uint64 {
+		s, out := prng.NewSource(seed), make([]uint64, c.n)
+		if c.shape == 0 {
+			for i := range out {
+				out[i] = s.Uint64()
+			}
+		} else {
+			s.UniformSlice(out, q)
+		}
+		return [][]uint64{out, {s.Uint64()}}
+	}, nil
 }
 
 // drawKeyProduct draws GatherMulAccumulate's operands: β rows of digits,
@@ -581,23 +610,23 @@ func drawConverter(t testing.TB, c *kernelCase) (func() [][]uint64, [][]uint64) 
 }
 
 // checkKernel draws row's operands for c and runs the call on the scalar
-// kernels and, where this host has them, on the kernels each constructor
-// chose. Each run must write the row's reference or, without one, the
-// scalar run's words. It reports whether the row applies to c.
+// kernels and, where this host has AVX512F, on the kernels each
+// constructor chose. Each run must write the row's reference or, without
+// one, the scalar run's words. It reports whether the row applies to c.
 func checkKernel(t testing.TB, row kernelRow, c *kernelCase) bool {
 	t.Helper()
 	call, want := row.draw(t, c)
 	if call == nil {
 		return false
 	}
-	defer ring.UseVectorKernels(true)
-	host := ring.UseVectorKernels(false)
+	defer simd.UseVectorKernels(true)
+	simd.UseVectorKernels(false)
 	for _, kernel := range []string{"scalar", "vector"} {
 		if kernel == "vector" {
-			if !host {
+			if !simd.AVX512F() { // no vector body of any kernel
 				break
 			}
-			ring.UseVectorKernels(true)
+			simd.UseVectorKernels(true)
 		}
 		got := call()
 		if want == nil {
@@ -625,7 +654,6 @@ func checkKernel(t testing.TB, row kernelRow, c *kernelCase) bool {
 // poisoned destinations. It logs, per row, the cases each class ran and
 // which kernels they ran on.
 func TestKernelsMatch(t *testing.T) {
-	host := ring.UseVectorKernels(true)
 	for _, row := range kernelRows {
 		t.Run(row.name, func(t *testing.T) {
 			var ran []string
@@ -646,8 +674,12 @@ func TestKernelsMatch(t *testing.T) {
 						}
 					}
 				}
+				_, vec := ring.NewVectorMont(c.pool(t)[0])
+				if row.avx512f {
+					vec = simd.AVX512F()
+				}
 				kernels := "scalar"
-				if _, vec := ring.NewVectorMont(c.pool(t)[0]); vec && host {
+				if vec {
 					kernels = "scalar and vector"
 				}
 				ran = append(ran, fmt.Sprintf("%s %d on %s", class.name, cases, kernels))
@@ -701,6 +733,9 @@ func FuzzKernels(f *testing.F) {
 	add(3, "Extend", "2^50 ± k", 1057, "max", "identity", 2003)
 	add(^uint64(0), "Extend", "2^51 − k", 1, "mix", "identity", 101)
 	add(0xdeadbeefcafe, "Extend", "2^50 ± k", 7, "mix", "identity", 603)
+	// The epoch: raw words across two epoch boundaries, and a key limb.
+	add(12, "Epoch", "30-bit", 255, "mix", "identity", 0)
+	add(13, "Epoch", "2^50 ± k", 4096, "uniform", "identity", 1)
 	f.Fuzz(func(t *testing.T, seed uint64, row, class, length, fill, gather, shape uint8) {
 		r := kernelRows[int(row)%len(kernelRows)]
 		c := &kernelCase{
@@ -729,14 +764,23 @@ var choiceName = map[bool]string{false: "scalar", true: "vector (AVX-512 IFMA)"}
 // chooses them and every other the scalar ones. ring.NewVectorMont is
 // the choice a sub-ring makes for its NTT, key product and pointwise
 // kernels; an extension table chooses for its two stages. It logs the
-// probe's outcome and each class's choices; TestKeyProductKernelSelection
+// probe's outcome, the ChaCha8 epoch kernel's body (vector wherever the
+// CPU has AVX512F) and each class's choices; TestKeyProductKernelSelection
 // logs those of the benchmark workloads' chains.
 func TestKernelSelection(t *testing.T) {
-	host := ring.UseVectorKernels(true)
+	host := simd.UseVectorKernels(true)
 	if host {
 		t.Log("CPU probe: AVX512F, AVX512DQ, AVX512IFMA and OS-saved ZMM state present; vector kernels for q < 2^51")
 	} else {
 		t.Log("CPU probe: AVX512F, AVX512DQ, AVX512IFMA or OS-saved ZMM state missing (or not amd64); scalar kernels only")
+	}
+	if simd.AVX512F() {
+		t.Log("CPU probe: AVX512F and OS-saved ZMM state present; the ChaCha8 epoch runs vector (AVX-512F, 16 blocks per call)")
+	} else {
+		t.Log("CPU probe: AVX512F or OS-saved ZMM state missing (or not amd64); the ChaCha8 epoch runs scalar")
+	}
+	if host && !simd.AVX512F() {
+		t.Error("the probe reports IFMA without AVX512F")
 	}
 	pools, err := classPools()
 	if err != nil {
@@ -769,7 +813,7 @@ func TestKernelSelection(t *testing.T) {
 // run, canonical and Montgomery-out, choose them; elsewhere every one
 // chooses the scalar kernels.
 func TestKeyProductKernelSelection(t *testing.T) {
-	host := ring.UseVectorKernels(true)
+	host := simd.UseVectorKernels(true)
 	for _, w := range []struct {
 		name       string
 		logN       int

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ring"
+	"repro/internal/simd"
 )
 
 // workerCounts is the golden-equality matrix: serial, two workers, and
@@ -100,9 +101,9 @@ func TestConverterConcurrentUse(t *testing.T) {
 			done <- out.Q.Equal(want.Q) && out.P.Equal(want.P)
 		}()
 	}
-	defer ring.UseVectorKernels(true)
+	defer simd.UseVectorKernels(true)
 	for g := 0; g < goroutines; g++ {
-		ring.UseVectorKernels(g%2 == 1)
+		simd.UseVectorKernels(g%2 == 1)
 		if !<-done {
 			t.Fatal("concurrent ModUpDigit produced a different result")
 		}
