@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/ckks"
+	"repro/internal/oracle"
 )
 
 // Phase-isolation tests: each stage of Algorithm 4 is checked against its
@@ -65,19 +66,12 @@ func TestModRaisePreservesMessageModQ0(t *testing.T) {
 	rQ := fx.params.RingQ()
 	rQ.INTTPoly(high)
 
-	bigCoeffs := rQ.ToBigCoeffs(high)
-	bigQ := big.NewInt(1)
-	for _, q := range fx.params.Q() {
-		bigQ.Mul(bigQ, new(big.Int).SetUint64(q))
-	}
-	halfQ := new(big.Int).Rsh(bigQ, 1)
+	bigCoeffs := oracle.CRTCompose(rQ, high)
+	bigQ := oracle.Modulus(fx.params.Q())
 	q0 := new(big.Int).SetUint64(fx.params.Q()[0])
 	maxK := int64(0)
 	for j := 0; j < fx.params.N(); j++ {
-		v := bigCoeffs[j]
-		if v.Cmp(halfQ) > 0 {
-			v.Sub(v, bigQ) // centered representative
-		}
+		v := oracle.Centered(bigCoeffs[j], bigQ)
 		// diff = raised − low must be a multiple of q0 …
 		diff := new(big.Int).Sub(v, new(big.Int).SetUint64(low.Coeffs[0][j]))
 		k, rem := new(big.Int).QuoRem(diff, q0, new(big.Int))

@@ -2,9 +2,9 @@ package ckks
 
 import (
 	"math"
-	"math/big"
 	"math/cmplx"
 
+	"repro/internal/mathutil"
 	"repro/internal/ring"
 	"repro/internal/rns"
 )
@@ -19,6 +19,7 @@ type Encoder struct {
 	m        int          // 2N
 	rotGroup []int        // 5^i mod 2N
 	ksiPows  []complex128 // e^{2πi·k/m}
+	crt      []*crtTable  // Decode's CRT composition, one per level
 }
 
 // NewEncoder builds an encoder for the given parameters.
@@ -30,6 +31,7 @@ func NewEncoder(params *Parameters) *Encoder {
 		m:        m,
 		rotGroup: make([]int, n),
 		ksiPows:  make([]complex128, m+1),
+		crt:      make([]*crtTable, params.MaxLevel()+1),
 	}
 	five := 1
 	for i := 0; i < n; i++ {
@@ -39,6 +41,9 @@ func NewEncoder(params *Parameters) *Encoder {
 	for k := 0; k <= m; k++ {
 		angle := 2 * math.Pi * float64(k) / float64(m)
 		e.ksiPows[k] = cmplx.Exp(complex(0, angle))
+	}
+	for l := range e.crt {
+		e.crt[l] = newCRTTable(params.Q()[:l+1])
 	}
 	return e
 }
@@ -165,79 +170,38 @@ func (e *Encoder) Encode(values []complex128) *Plaintext {
 	return e.EncodeAtLevel(values, e.params.Scale(), e.params.MaxLevel())
 }
 
-// setSigned writes the signed float64 integer v (|v| < 2^62) into
-// coefficient j of every limb.
+// setSigned writes the signed float64 integer v into coefficient j of
+// every limb, exactly for every finite v.
 func (e *Encoder) setSigned(rQ *ring.Ring, p *ring.Poly, j int, v float64) {
-	neg := v < 0
-	// Large plaintext magnitudes (e.g. Δ² intermediates) exceed int64;
-	// split into 32-bit halves so the per-limb reduction stays exact.
-	abs := math.Abs(v)
-	hi := uint64(abs / 4294967296.0)
-	lo := uint64(math.Mod(abs, 4294967296.0))
-	for i, s := range rQ.SubRings {
-		val := s.Barrett.Reduce(hi)
-		val = s.Barrett.MulMod(val, 4294967296%s.Q)
-		val = (val + s.Barrett.Reduce(lo)) % s.Q
-		if neg && val != 0 {
-			val = s.Q - val
-		}
-		p.Coeffs[i][j] = val
+	for i, q := range rQ.Moduli {
+		p.Coeffs[i][j] = mathutil.ReduceFloat(v, q)
 	}
 }
 
-// Decode maps a plaintext back into n complex slot values, reconstructing
-// each coefficient through the CRT so plaintexts whose coefficients exceed
-// a single limb decode correctly.
+// Decode maps a plaintext back into n complex slot values. Each
+// coefficient is composed from its residues through the CRT in machine
+// words (crtTable), so plaintexts whose coefficients exceed a single limb
+// decode exactly.
 func (e *Encoder) Decode(pt *Plaintext) []complex128 {
 	n := e.params.Slots()
 	rQ := e.params.RingQ().AtLevel(pt.Level)
-	poly := pt.Value.CopyNew()
+	poly := rQ.GetScratch()
+	defer rQ.PutScratch(poly)
+	pt.Value.Copy(poly)
 	if poly.IsNTT {
 		rQ.INTTPoly(poly)
 	}
-	coeffs := e.signedCoeffs(rQ, poly)
+	t := e.crt[pt.Level]
+	acc := make([]uint64, t.words())
 	vals := make([]complex128, n)
 	inv := 1 / pt.Scale
 	for j := 0; j < n; j++ {
-		vals[j] = complex(coeffs[j]*inv, coeffs[j+n]*inv)
+		re := t.signed(poly.Coeffs, j, acc)
+		im := t.signed(poly.Coeffs, j+n, acc)
+		vals[j] = complex(re*inv, im*inv)
 	}
 	e.specialFFT(vals)
 	return vals
-}
-
-// signedCoeffs reconstructs the centered (signed) coefficients of a
-// coefficient-form polynomial as float64s.
-func (e *Encoder) signedCoeffs(rQ *ring.Ring, poly *ring.Poly) []float64 {
-	n2 := e.params.N()
-	out := make([]float64, n2)
-	if poly.Level() == 0 || len(rQ.Moduli) == 1 {
-		q := rQ.Moduli[0]
-		half := q >> 1
-		for j := 0; j < n2; j++ {
-			v := poly.Coeffs[0][j]
-			if v > half {
-				out[j] = -float64(q - v)
-			} else {
-				out[j] = float64(v)
-			}
-		}
-		return out
-	}
-	big1 := rQ.ToBigCoeffs(poly)
-	bigQ := big.NewInt(1)
-	for _, q := range rQ.Moduli {
-		bigQ.Mul(bigQ, new(big.Int).SetUint64(q))
-	}
-	half := new(big.Int).Rsh(bigQ, 1)
-	for j := 0; j < n2; j++ {
-		v := big1[j]
-		if v.Cmp(half) > 0 {
-			v.Sub(v, bigQ)
-		}
-		f, _ := new(big.Float).SetInt(v).Float64()
-		out[j] = f
-	}
-	return out
 }
 
 // FFTStageCount returns the number of radix-2 butterfly stages in the

@@ -41,12 +41,12 @@ func Precision(want, got []complex128) PrecisionStats {
 		MeanErr:   sum / float64(n),
 		MedianErr: errs[n/2],
 	}
-	s.MinPrecisionBits = bits(s.MaxErr)
-	s.MedianPrecisionBits = bits(s.MedianErr)
+	s.MinPrecisionBits = precisionBits(s.MaxErr)
+	s.MedianPrecisionBits = precisionBits(s.MedianErr)
 	return s
 }
 
-func bits(err float64) float64 {
+func precisionBits(err float64) float64 {
 	if err <= 0 {
 		return 64 // exact to the measurement's resolution
 	}

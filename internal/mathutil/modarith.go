@@ -13,7 +13,10 @@ package mathutil
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+
+	"repro/internal/fherr"
 )
 
 // MaxModulusBits is the largest bit-length of a modulus supported by the
@@ -243,39 +246,31 @@ func BitReversePermute(v []uint64) {
 	}
 }
 
-// ReduceFloat returns the residue of the (possibly huge, possibly negative)
-// real integer v modulo q. v is split into 32-bit chunks so magnitudes far
-// beyond 2^64 — e.g. doubled CKKS scales Δ² ≈ 2^90 — reduce exactly, up to
-// the 53-bit float64 mantissa of v itself.
+// ReduceFloat returns the residue modulo q of the integer part of the
+// real v, exactly for every finite v of either sign. Below 2^64 that is
+// one remainder. Above, |v| = m·2^e with the 53-bit mantissa m, and the
+// residue is m mod q shifted left e bits, at most 64 per 128-by-64-bit
+// remainder — at most 16 of them at the largest float64. NaN and ±Inf have
+// no residue: they panic with an fherr.ErrUsage error.
 func ReduceFloat(v float64, q uint64) uint64 {
-	neg := v < 0
-	if neg {
-		v = -v
+	a := math.Abs(v)
+	var r uint64
+	switch {
+	case a < 1<<64:
+		r = uint64(a) % q
+	case a <= math.MaxFloat64:
+		w := math.Float64bits(a)
+		r = (w&(1<<52-1) | 1<<52) % q
+		for e := uint(w>>52) - 1075; e > 0; {
+			s := min(e, 64)
+			r = bits.Rem64(r>>(64-s), r<<s, q)
+			e -= s
+		}
+	default:
+		panic(fherr.Errorf(fherr.ErrUsage, "mathutil: ReduceFloat value (got=%v, want=finite)", v))
 	}
-	br := NewBarrett(q)
-	base := br.Reduce(1 << 32)
-	var res uint64
-	// Horner over base-2^32 chunks, most significant first.
-	var chunks []uint64
-	for v >= 1 {
-		chunks = append(chunks, uint64(mod232(v)))
-		v = floorDiv232(v)
+	if v < 0 {
+		r = NegMod(r, q)
 	}
-	for i := len(chunks) - 1; i >= 0; i-- {
-		res = br.MulMod(res, base)
-		res = AddMod(res, br.Reduce(chunks[i]), q)
-	}
-	if neg {
-		res = NegMod(res, q)
-	}
-	return res
-}
-
-func mod232(v float64) float64 {
-	return v - floorDiv232(v)*4294967296.0
-}
-
-func floorDiv232(v float64) float64 {
-	f := v / 4294967296.0
-	return float64(uint64(f))
+	return r
 }

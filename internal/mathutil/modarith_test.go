@@ -1,11 +1,15 @@
 package mathutil
 
 import (
+	"errors"
+	"math"
 	"math/big"
 	"math/bits"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/fherr"
 )
 
 // testPrimes is a spread of NTT-friendly primes of several sizes used
@@ -431,4 +435,46 @@ func TestBitReversePermute(t *testing.T) {
 		}
 	}()
 	BitReversePermute(make([]uint64, 3))
+}
+
+// TestReduceFloatAgainstBig checks ReduceFloat against math/big's
+// truncation of v reduced mod q, for v = ±m·2^e at every exponent
+// e = 0…1023 (past 2^96, where a split into 32-bit chunks overflows) with
+// the smallest, the largest and a random mantissa, and at fractions.
+func TestReduceFloatAgainstBig(t *testing.T) {
+	r := rand.New(rand.NewPCG(5, 1023))
+	vals := []float64{0, 0.5, 1.5, 4294967296.75, math.MaxFloat64}
+	for e := 0; e <= 1023; e++ {
+		for _, m := range []float64{1, 2 - 0x1p-52, 1 + r.Float64()} {
+			vals = append(vals, math.Ldexp(m, e))
+		}
+	}
+	for _, q := range testPrimes {
+		bq := new(big.Int).SetUint64(q)
+		for _, v := range vals {
+			for _, sv := range []float64{v, -v} {
+				want, _ := big.NewFloat(sv).Int(nil) // truncates toward zero
+				want.Mod(want, bq)
+				if got := ReduceFloat(sv, q); got != want.Uint64() {
+					t.Fatalf("ReduceFloat(%g, %d) = %d, want %d", sv, q, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestReduceFloatNonFinite: NaN and ±Inf have no residue; ReduceFloat
+// panics with a usage error instead of returning one.
+func TestReduceFloatNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				if !errors.Is(err, fherr.ErrUsage) {
+					t.Errorf("ReduceFloat(%v): recovered %v, want an fherr.ErrUsage error", v, err)
+				}
+			}()
+			ReduceFloat(v, q61)
+		}()
+	}
 }

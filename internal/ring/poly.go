@@ -2,7 +2,6 @@ package ring
 
 import (
 	"fmt"
-	"math/big"
 
 	"repro/internal/mathutil"
 )
@@ -236,54 +235,4 @@ func (r *Ring) MulRingElement(a, b, out *Poly) {
 	r.NTTPoly(bn)
 	r.MulCoeffs(an, bn, out)
 	r.INTTPoly(out)
-}
-
-// ToBigCoeffs reconstructs coefficient j of p (coefficient form) as an
-// integer modulo the product of the ring moduli, via the CRT. Intended for
-// tests and debugging; it allocates big.Ints freely.
-func (r *Ring) ToBigCoeffs(p *Poly) []*big.Int {
-	if p.IsNTT {
-		panic("ring: ToBigCoeffs input domain (got=NTT, want=coefficient form)")
-	}
-	bigQ := big.NewInt(1)
-	for _, q := range r.Moduli {
-		bigQ.Mul(bigQ, new(big.Int).SetUint64(q))
-	}
-	// CRT basis: e_i = (Q/q_i) * ((Q/q_i)^-1 mod q_i)
-	basis := make([]*big.Int, len(r.Moduli))
-	for i, q := range r.Moduli {
-		qi := new(big.Int).SetUint64(q)
-		Qi := new(big.Int).Div(bigQ, qi)
-		inv := new(big.Int).ModInverse(Qi, qi)
-		basis[i] = new(big.Int).Mul(Qi, inv)
-	}
-	out := make([]*big.Int, r.N)
-	for j := 0; j < r.N; j++ {
-		acc := new(big.Int)
-		for i := range r.Moduli {
-			term := new(big.Int).Mul(basis[i], new(big.Int).SetUint64(p.Coeffs[i][j]))
-			acc.Add(acc, term)
-		}
-		acc.Mod(acc, bigQ)
-		out[j] = acc
-	}
-	return out
-}
-
-// SetBigCoeffs sets p (coefficient form) from arbitrary-precision integers,
-// reducing each one modulo every ring modulus. Negative values are allowed.
-func (r *Ring) SetBigCoeffs(coeffs []*big.Int, p *Poly) {
-	if len(coeffs) > r.N {
-		panic("ring: too many coefficients")
-	}
-	p.Zero()
-	tmp := new(big.Int)
-	for i, q := range r.Moduli {
-		qi := new(big.Int).SetUint64(q)
-		for j, c := range coeffs {
-			tmp.Mod(c, qi)
-			p.Coeffs[i][j] = tmp.Uint64()
-		}
-	}
-	p.IsNTT = false
 }

@@ -1,7 +1,6 @@
 package ring
 
 import (
-	"math/big"
 	"testing"
 
 	"repro/internal/mathutil"
@@ -210,30 +209,6 @@ func TestAtLevel(t *testing.T) {
 		}
 	}()
 	r.AtLevel(99)
-}
-
-func TestBigCoeffsRoundTrip(t *testing.T) {
-	r := testRing(t, 32, 3)
-	coeffs := make([]*big.Int, r.N)
-	bigQ := big.NewInt(1)
-	for _, q := range r.Moduli {
-		bigQ.Mul(bigQ, new(big.Int).SetUint64(q))
-	}
-	src := fixedSource()
-	for i := range coeffs {
-		v := new(big.Int).SetUint64(src.Uint64())
-		v.Mul(v, new(big.Int).SetUint64(src.Uint64()))
-		v.Mod(v, bigQ)
-		coeffs[i] = v
-	}
-	p := r.NewPoly()
-	r.SetBigCoeffs(coeffs, p)
-	back := r.ToBigCoeffs(p)
-	for i := range coeffs {
-		if back[i].Cmp(coeffs[i]) != 0 {
-			t.Fatalf("coefficient %d: got %v, want %v", i, back[i], coeffs[i])
-		}
-	}
 }
 
 func TestAutomorphismCoeffsIdentity(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -309,8 +310,16 @@ func (s *Server) handleEncrypt(ctx context.Context, r *http.Request) (any, error
 	if len(req.Values) > sess.params.Slots() {
 		return nil, badRequest("encrypt: %d values > %d slots", len(req.Values), sess.params.Slots())
 	}
+	// |v|·Δ at or past Q/2 would wrap modulo Q and decrypt to garbage.
+	limit := 0.5 / sess.params.Scale()
+	for _, q := range sess.params.Q() {
+		limit *= float64(q)
+	}
 	vals := make([]complex128, sess.params.Slots())
 	for i, v := range req.Values {
+		if !(math.Abs(v) < limit) {
+			return nil, badRequest("encrypt: values[%d] = %g: |v|·scale must stay below Q/2 (|v| < %.3g)", i, v, limit)
+		}
 		vals[i] = complex(v, 0)
 	}
 	var out ctJSON

@@ -109,6 +109,8 @@ func TestStatusMapping(t *testing.T) {
 		{"duplicate tenant", "PUT", "/v1/tenants/map", TenantConfig{}, 409, "tenant-exists"},
 		{"bad body", "POST", "/v1/tenants/map/eval", "not an object", 400, "ErrUsage"},
 		{"unknown op", "POST", "/v1/tenants/map/eval", evalRequest{Op: "frobnicate", A: ct}, 400, "ErrUsage"},
+		// Q ≈ 2^130 and Δ = 2^40: |v| must stay below about 2^89.
+		{"value past Q/2", "POST", "/v1/tenants/map/encrypt", encryptRequest{Values: []float64{1, 1e27}}, 400, "ErrUsage"},
 		{"missing galois key", "POST", "/v1/tenants/map/eval", evalRequest{Op: "rotate", A: ct, By: 3}, 412, "ErrKeyMissing"},
 		{"chaos disabled", "POST", "/v1/tenants/map/chaos", chaosRequest{Site: "x", Kind: "bitflip"}, 403, "chaos-disabled"},
 		{"guard without chaos", "POST", "/v1/tenants/map/eval", evalRequest{Op: "rotate", A: ct, By: 1, Guard: true}, 403, "chaos-disabled"},
