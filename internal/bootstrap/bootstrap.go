@@ -147,28 +147,30 @@ func (b *Bootstrapper) Evaluator() *ckks.Evaluator { return b.ev }
 // k — the quantity EvalMod later removes.
 func (b *Bootstrapper) modRaise(ct *ckks.Ciphertext) *ckks.Ciphertext {
 	p := b.params
-	rQ0 := p.RingQ().AtLevel(0)
 	rQL := p.RingQ()
+	s0 := rQL.SubRings[0]
 	L := p.MaxLevel()
 	q0 := p.Q()[0]
 	half := q0 >> 1
 
 	out := &ckks.Ciphertext{C0: rQL.NewPoly(), C1: rQL.NewPoly(), Scale: ct.Scale, Level: L}
-	// Lift both halves.
+	// Lift both halves. Every v ∈ [0, q_0) lifts to itself mod q_0, so
+	// limb 0 of the output is the input limb in coefficient form: the
+	// iNTT writes it there, and the lift reads it back for the other limbs.
 	for h := 0; h < 2; h++ {
 		inP, outP := ct.C0, out.C0
 		if h == 1 {
 			inP, outP = ct.C1, out.C1
 		}
-		tmp := inP.CopyNew()
-		rQ0.INTTPoly(tmp)
+		s0.INTTTo(outP.Coeffs[0], inP.Coeffs[0])
+		lo := outP.Coeffs[0]
 		workers := b.ev.Workers()
 		// Under BootstrapE the evaluator is bound to the request context,
 		// so a deadline stops the coefficient lift mid-raise.
 		b.ev.FanOutChunked(p.N(), workers, func(_, start, end int) {
 			for j := start; j < end; j++ {
-				v := tmp.Coeffs[0][j]
-				for i := 0; i <= L; i++ {
+				v := lo[j]
+				for i := 1; i <= L; i++ {
 					qi := p.Q()[i]
 					if v > half {
 						// negative representative: v − q0

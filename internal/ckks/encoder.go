@@ -181,23 +181,25 @@ func (e *Encoder) setSigned(rQ *ring.Ring, p *ring.Poly, j int, v float64) {
 // Decode maps a plaintext back into n complex slot values. Each
 // coefficient is composed from its residues through the CRT in machine
 // words (crtTable), so plaintexts whose coefficients exceed a single limb
-// decode exactly.
+// decode exactly. An NTT-form plaintext is transformed into pooled
+// scratch (INTTPolyTo); a coefficient-form one is read in place.
 func (e *Encoder) Decode(pt *Plaintext) []complex128 {
 	n := e.params.Slots()
-	rQ := e.params.RingQ().AtLevel(pt.Level)
-	poly := rQ.GetScratch()
-	defer rQ.PutScratch(poly)
-	pt.Value.Copy(poly)
-	if poly.IsNTT {
-		rQ.INTTPoly(poly)
+	coeffs := pt.Value.Coeffs
+	if pt.Value.IsNTT {
+		rQ := e.params.RingQ().AtLevel(pt.Level)
+		poly := rQ.GetScratch()
+		defer rQ.PutScratch(poly)
+		rQ.INTTPolyTo(poly, pt.Value)
+		coeffs = poly.Coeffs
 	}
 	t := e.crt[pt.Level]
 	acc := make([]uint64, t.words())
 	vals := make([]complex128, n)
 	inv := 1 / pt.Scale
 	for j := 0; j < n; j++ {
-		re := t.signed(poly.Coeffs, j, acc)
-		im := t.signed(poly.Coeffs, j+n, acc)
+		re := t.signed(coeffs, j, acc)
+		im := t.signed(coeffs, j+n, acc)
 		vals[j] = complex(re*inv, im*inv)
 	}
 	e.specialFFT(vals)

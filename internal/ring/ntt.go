@@ -20,10 +20,12 @@ import (
 //   - View the limb as an R×T matrix (T = NTTTile words per row,
 //     R = N/T rows). The first log2(R) forward stages have stride ≥ T, a
 //     multiple of T, so every butterfly pairs two elements of the same
-//     column: columns are closed under those stages. Phase A gathers a
-//     block of columns into contiguous pooled scratch (avoiding the
-//     set-conflict thrashing of power-of-two strides), runs all log2(R)
-//     stages cache-resident, and scatters back.
+//     column: columns are closed under those stages. Phase A runs all
+//     log2(R) stages on one block of bw columns at a time, in place at
+//     row stride T: the block's R segments of bw words (32 KiB in all
+//     up to R = 8, R·4 KiB above; see nttMinBlockCols) stay
+//     cache-resident across its stages, so each is read and written
+//     once, and no limb word is copied to scratch and back.
 //   - The remaining log2(T) stages have stride < T and never cross a row
 //     boundary. Phase B sweeps the rows in order, running all remaining
 //     stages on one cache-resident row before touching the next. Within a
@@ -35,9 +37,11 @@ import (
 //     through two stages.
 //   - The epilogues are folded into the final stores: the forward
 //     exact-reduction sweep into the last fused row stage, the inverse
-//     N^{-1} sweep into the last column scatter. The inverse transform
+//     N^{-1} sweep into the last column stage. The inverse transform
 //     mirrors the forward one with the phases swapped (rows first,
-//     columns last).
+//     columns last), and its first stage may read a separate source
+//     (INTTTo), so a caller that keeps its evaluation-form limb copies
+//     nothing before the transform.
 //
 // Every butterfly performs exactly the reference arithmetic (same lazy
 // <4q bound, same conditional folds, same Shoup products) in a valid
@@ -52,8 +56,8 @@ import (
 // with q < 2^51 runs vector kernels (ntt_amd64.go, ntt_amd64.s) over the
 // same schedule: each transform reads SubRing.vectorKernel once and its
 // row and column steps dispatch on that, and
-// the gathers, scatters, counters and trace calls here are shared, so
-// the traffic accounting does not depend on the kernel. Both store
+// the block loops, counters and trace calls here are shared, so the
+// traffic accounting does not depend on the kernel. Both store
 // canonical residues, so both match the oracles bit for bit.
 
 const (
@@ -64,14 +68,22 @@ const (
 	// this many coefficients are transformed in a single fused pass.
 	NTTTile = 1 << 11
 
-	// nttBlockWords sizes the pooled column-block scratch of phase A:
-	// 2^12 words = 32 KiB, giving R×(nttBlockWords/R) blocks that fit L1
-	// alongside the twiddles for any realistic row count.
+	// nttBlockWords sizes phase A's column blocks: 2^12 words = 32 KiB,
+	// giving R×(nttBlockWords/R)-word blocks that fit L1 alongside the
+	// twiddles up to R = 8 rows (N = 2^14).
 	nttBlockWords = 1 << 12
 
-	// nttMinBlockCols floors the column-block width so gathers never
-	// degrade to sub-cache-line strides (8 words = one 64-byte line).
-	nttMinBlockCols = 8
+	// nttMinBlockCols floors the column-block width at 512 words (4 KiB),
+	// so each row segment of a block covers every set of a 32 KiB 8-way
+	// L1 once. The rows are NTTTile words apart, a multiple of the L1
+	// way size, so narrower segments would all land on the same few
+	// sets: at R = 16 and 32 rows of 256 and 128 words each set would
+	// hold 16 or 32 lines and thrash. With the floor a block above 8 rows
+	// is R·4 KiB (64 KiB at N = 2^15, 128 KiB at 2^16) and its column
+	// stages run out of L2, which measured no slower than copying the
+	// block to contiguous scratch (docs/PERF.md "Zero-copy limb
+	// pipeline").
+	nttMinBlockCols = 512
 )
 
 // NTTPasses reports how many full read+write passes over a limb of n
@@ -117,34 +129,25 @@ func (s *SubRing) NTT(p []uint64) {
 func (s *SubRing) nttBlocked(p []uint64, vec bool) {
 	n := len(p)
 	rows := n / NTTTile
-	bw := nttBlockWords / rows
-	if bw < nttMinBlockCols {
-		bw = nttMinBlockCols
-	}
-	sc := getNTTScratch(rows*bw, s.rec)
-	buf := sc.buf
+	bw := nttBlockWidth(rows)
 	var traffic uint64
 
-	// Phase A: the first log2(rows) stages, column-blocked.
+	// Phase A: the first log2(rows) stages, one column block at a time,
+	// in place.
 	for c0 := 0; c0 < NTTTile; c0 += bw {
 		for r := 0; r < rows; r++ {
-			seg := p[r*NTTTile+c0 : r*NTTTile+c0+bw]
-			s.tr.Read(seg)
-			copy(buf[r*bw:(r+1)*bw], seg)
+			s.tr.Read(p[r*NTTTile+c0 : r*NTTTile+c0+bw])
 		}
 		if vec {
-			s.nttColumnsIFMA(buf, rows, bw)
+			s.nttColumnsIFMA(p, c0, bw, rows)
 		} else {
-			s.nttColumns(buf, rows, bw)
+			s.nttColumns(p, c0, bw, rows)
 		}
 		for r := 0; r < rows; r++ {
-			seg := p[r*NTTTile+c0 : r*NTTTile+c0+bw]
-			copy(seg, buf[r*bw:(r+1)*bw])
-			s.tr.Write(seg)
+			s.tr.Write(p[r*NTTTile+c0 : r*NTTTile+c0+bw])
 		}
 		traffic += 16 * uint64(rows*bw)
 	}
-	putNTTScratch(sc)
 
 	// Phase B: the remaining log2(NTTTile) stages, row-local. Row r of
 	// the matrix view continues at twiddle base rows+r (stage m = rows·lm
@@ -160,11 +163,17 @@ func (s *SubRing) nttBlocked(p []uint64, vec bool) {
 	s.rec.Add("ring.ntt.bytes", traffic)
 }
 
-// nttColumns runs phase A's stages on the gathered column block buf
-// (rows rows of bw words). Stage m pairs matrix rows (r, r+tau) of the
-// same column, tau = rows/(2m); the twiddle twiddle[m+i] with
+// nttBlockWidth is the column-block width of a rows-row matrix view:
+// nttBlockWords/rows words, at least nttMinBlockCols.
+func nttBlockWidth(rows int) int {
+	return max(nttBlockWords/rows, nttMinBlockCols)
+}
+
+// nttColumns runs phase A's stages in place on columns [c0, c0+bw) of
+// the rows×NTTTile matrix p. Stage m pairs matrix rows (r, r+tau) of
+// the same column, tau = rows/(2m); the twiddle twiddle[m+i] with
 // i = r/(2·tau) is shared by every column in the block.
-func (s *SubRing) nttColumns(buf []uint64, rows, bw int) {
+func (s *SubRing) nttColumns(p []uint64, c0, bw, rows int) {
 	q := s.Q
 	twoQ := 2 * q
 	tw, tws := s.twiddle, s.twiddleShoup
@@ -175,8 +184,10 @@ func (s *SubRing) nttColumns(buf []uint64, rows, bw int) {
 			w, ws := tw[m+i], tws[m+i]
 			r1 := 2 * i * tau
 			for r := r1; r < r1+tau; r++ {
-				xr := buf[r*bw : (r+1)*bw]
-				yr := buf[(r+tau)*bw : (r+tau+1)*bw]
+				x := r*NTTTile + c0
+				y := x + tau*NTTTile
+				xr := p[x : x+bw]
+				yr := p[y : y+bw]
 				yr = yr[:len(xr)] // bounds-check elimination for yr[b]
 				for b := range xr {
 					u := xr[b]
@@ -370,103 +381,101 @@ func nttButterfly8(px, py *[8]uint64, w, ws, q, twoQ uint64) {
 
 // INTT transforms the limb p from evaluation form (bit-reversed order) back
 // to natural coefficient order in place, using the Gentleman–Sande
-// algorithm, folding in the final multiplication by N^{-1}.
+// algorithm, folding in the final multiplication by N^{-1}. It is
+// INTTTo(p, p).
+func (s *SubRing) INTT(p []uint64) {
+	s.INTTTo(p, p)
+}
+
+// INTTTo writes the inverse transform of src into dst: its first stage
+// reads src and writes dst, every later stage runs on dst, so src keeps
+// its words and nothing is copied. dst and src are the same slice or do
+// not overlap.
 //
 // Lazy reduction mirrors NTT: sums stay below 4q (folded to < 2q before
 // each butterfly); the closing N^{-1} sweep performs the exact reduction,
 // fused into the final stores. The blocked path runs the phases of the
 // forward kernel in reverse — row-local stages first, column stages last
 // — and reports measured per-phase traffic in ring.intt.bytes exactly
-// like NTT does in ring.ntt.bytes.
-func (s *SubRing) INTT(p []uint64) {
+// like NTT does in ring.ntt.bytes. The memory trace records the transform
+// on dst, as INTT's: a caller that would have copied src into dst traces
+// that copy's read and write itself.
+func (s *SubRing) INTTTo(dst, src []uint64) {
 	s.rec.Add("ring.intt", 1)
 	n := s.N
-	p = p[:n]
+	dst, src = dst[:n], src[:n]
 	if n <= NTTTile {
 		s.rec.Add("ring.intt.bytes", 16*uint64(n))
-		s.tr.Read(p)
-		s.inttRow(p, 1, true, s.vectorKernel())
-		s.tr.Write(p)
+		s.tr.Read(dst)
+		s.inttRow(dst, src, 1, true, s.vectorKernel())
+		s.tr.Write(dst)
 		return
 	}
-	s.inttBlocked(p, s.vectorKernel())
+	s.inttBlocked(dst, src, s.vectorKernel())
 }
 
-// inttBlocked is the two-phase inverse kernel for n > NTTTile, on the
-// vector kernels when vec is set.
-func (s *SubRing) inttBlocked(p []uint64, vec bool) {
+// inttBlocked is the two-phase inverse kernel for n > NTTTile, reading
+// src in phase 1 and working in place on p after it, on the vector
+// kernels when vec is set.
+func (s *SubRing) inttBlocked(p, src []uint64, vec bool) {
 	n := len(p)
-	q := s.Q
 	rows := n / NTTTile
-	bw := nttBlockWords / rows
-	if bw < nttMinBlockCols {
-		bw = nttMinBlockCols
-	}
+	bw := nttBlockWidth(rows)
 	var traffic uint64
 
 	// Phase 1: the first log2(NTTTile) inverse stages (stride < tile),
 	// row-local with fused radix-4 pairs; the N^{-1} epilogue waits for
-	// the column scatter.
+	// the last column stage.
 	for r := 0; r < rows; r++ {
 		row := p[r*NTTTile : (r+1)*NTTTile]
 		s.tr.Read(row)
-		s.inttRow(row, rows+r, false, vec)
+		s.inttRow(row, src[r*NTTTile:(r+1)*NTTTile], rows+r, false, vec)
 		s.tr.Write(row)
 		traffic += 16 * NTTTile
 	}
 
 	// Phase 2: the remaining log2(rows) stages pair matrix rows of the
-	// same column, mirroring the forward phase A in reverse; the N^{-1}
-	// exact-reduction epilogue is fused into the scatter (scalar) or into
-	// the last column stage (vector, which leaves exact residues in buf).
-	sc := getNTTScratch(rows*bw, s.rec)
-	buf := sc.buf
+	// same column, mirroring the forward phase A in reverse, one column
+	// block at a time in place; the N^{-1} exact-reduction epilogue is
+	// fused into the last column stage.
 	for c0 := 0; c0 < NTTTile; c0 += bw {
 		for r := 0; r < rows; r++ {
-			seg := p[r*NTTTile+c0 : r*NTTTile+c0+bw]
-			s.tr.Read(seg)
-			copy(buf[r*bw:(r+1)*bw], seg)
+			s.tr.Read(p[r*NTTTile+c0 : r*NTTTile+c0+bw])
 		}
 		if vec {
-			s.inttColumnsIFMA(buf, rows, bw)
+			s.inttColumnsIFMA(p, c0, bw, rows)
 		} else {
-			s.inttColumns(buf, rows, bw)
+			s.inttColumns(p, c0, bw, rows)
 		}
 		for r := 0; r < rows; r++ {
-			seg := p[r*NTTTile+c0 : r*NTTTile+c0+bw]
-			br := buf[r*bw : (r+1)*bw]
-			if vec {
-				copy(seg, br)
-			} else {
-				br = br[:len(seg)] // bounds-check elimination for br[b]
-				for b := range seg {
-					seg[b] = mathutil.MulModShoup(lazyReduce(br[b], q), s.nInv, s.nInvShoup, q)
-				}
-			}
-			s.tr.Write(seg)
+			s.tr.Write(p[r*NTTTile+c0 : r*NTTTile+c0+bw])
 		}
 		traffic += 16 * uint64(rows*bw)
 	}
-	putNTTScratch(sc)
 	s.rec.Add("ring.intt.bytes", traffic)
 }
 
-// inttColumns runs the blocked inverse's column stages on the gathered
-// block buf (rows rows of bw words), mirroring nttColumns in reverse.
-func (s *SubRing) inttColumns(buf []uint64, rows, bw int) {
+// inttColumns runs the blocked inverse's column stages in place on
+// columns [c0, c0+bw) of p, mirroring nttColumns in reverse. The last
+// stage (pairing rows rows/2 apart, twiddle invTwiddle[1]) carries the N^{-1}
+// epilogue as inttRow's does: its sum is scaled by N^{-1} and its
+// difference by nInvW, both exact.
+func (s *SubRing) inttColumns(p []uint64, c0, bw, rows int) {
 	q := s.Q
 	twoQ := 2 * q
 	fourQ := 4 * q
 	itw, itws := s.invTwiddle, s.invTwiddleShoup
 	tau := 1
-	for m := rows; m > 1; m >>= 1 {
+	for m := rows; m > 2; m >>= 1 {
 		h := m >> 1
 		r1 := 0
 		for i := 0; i < h; i++ {
 			w, ws := itw[h+i], itws[h+i]
 			for r := r1; r < r1+tau; r++ {
-				xr := buf[r*bw : (r+1)*bw]
-				yr := buf[(r+tau)*bw : (r+tau+1)*bw]
+				x := r*NTTTile + c0
+				y := x + tau*NTTTile
+				xr := p[x : x+bw]
+				yr := p[y : y+bw]
 				yr = yr[:len(xr)] // bounds-check elimination for yr[b]
 				for b := range xr {
 					u, v := xr[b], yr[b]
@@ -485,20 +494,26 @@ func (s *SubRing) inttColumns(buf []uint64, rows, bw int) {
 		}
 		tau <<= 1
 	}
+	for r := 0; r < tau; r++ {
+		x := r*NTTTile + c0
+		y := x + tau*NTTTile
+		s.inttLast(p[x:x+bw], p[y:y+bw])
+	}
 }
 
 // inttRow runs the first log2(len(x)) inverse stages on the contiguous
 // row x, the mirror of nttRow: the stage-lh block-li butterfly uses
 // invTwiddle[lh·base+li] (base 1 for a whole small limb, R+r for matrix
 // row r of R). The first two stages (strides 1 and 2) operate on
-// contiguous quads and fuse radix-4 style; the remaining strided stages
-// run as register-clean radix-2 sweeps, mirroring nttRow's layout
-// rationale. When epilogue is set the N^{-1} exact-reduction sweep rides
-// the final stage's stores. len(x) must be a power of two ≥ 16. With
-// vec set it runs the vector kernels instead.
-func (s *SubRing) inttRow(x []uint64, base int, epilogue, vec bool) {
+// contiguous quads and fuse radix-4 style, reading src and writing x;
+// the remaining strided stages run on x as register-clean radix-2
+// sweeps, mirroring nttRow's layout rationale. When epilogue is set the
+// N^{-1} exact-reduction sweep rides the final stage's stores. len(x)
+// must be a power of two ≥ 16, and src is x or does not overlap it.
+// With vec set it runs the vector kernels instead.
+func (s *SubRing) inttRow(x, src []uint64, base int, epilogue, vec bool) {
 	if vec {
-		s.inttRowIFMA(x, base, epilogue)
+		s.inttRowIFMA(x, src, base, epilogue)
 		return
 	}
 	q := s.Q
@@ -520,13 +535,14 @@ func (s *SubRing) inttRow(x []uint64, base int, epilogue, vec bool) {
 	it3s = it3s[:len(it3)]
 	it1 = it1[:2*len(it3)]
 	it1s = it1s[:2*len(it3)]
+	src = src[:n]
 	for li := range it3 {
 		w1, w1s := it1[2*li], it1s[2*li]
 		w2, w2s := it1[2*li+1], it1s[2*li+1]
 		w3, w3s := it3[li], it3s[li]
 		j := li << 2
-		xq := x[j : j+4] // constant length: quad accesses check-free
-		a, b, c, d := xq[0], xq[1], xq[2], xq[3]
+		sq := src[j : j+4] // constant length: quad accesses check-free
+		a, b, c, d := sq[0], sq[1], sq[2], sq[3]
 		s1 := a + b
 		if s1 >= fourQ {
 			s1 -= fourQ
@@ -559,6 +575,7 @@ func (s *SubRing) inttRow(x []uint64, base int, epilogue, vec bool) {
 			b -= twoQ
 		}
 		d = lazyMulShoup(t1+fourQ-t2, w3, w3s, q)
+		xq := x[j : j+4]
 		xq[0], xq[1], xq[2], xq[3] = a, b, c, d
 	}
 
@@ -603,26 +620,9 @@ func (s *SubRing) inttRow(x []uint64, base int, epilogue, vec bool) {
 			yy := x[j1+t : j1+2*t]
 			yy = yy[:len(xx)]
 			if last {
-				// Epilogue variant kept separate so the N^{-1}
-				// constants stay out of the steady-state register set.
 				// An epilogue row is a whole limb (base 1), so its one
-				// twiddle is invTwiddle[1], and nInvW = w·N^{-1}.
-				for k := range xx {
-					u, v := xx[k], yy[k]
-					sum := u + v
-					if sum >= fourQ {
-						sum -= fourQ
-					}
-					if sum >= twoQ {
-						sum -= twoQ
-					}
-					xx[k] = mathutil.MulModShoup(lazyReduce(sum, q), s.nInv, s.nInvShoup, q)
-					pr := lazyMulShoup(u+fourQ-v, s.nInvW, s.nInvWShoup, q)
-					if pr >= q {
-						pr -= q
-					}
-					yy[k] = pr
-				}
+				// twiddle is invTwiddle[1].
+				s.inttLast(xx, yy)
 			} else {
 				for k := 0; k+8 <= len(xx); k += 8 {
 					px := (*[8]uint64)(xx[k:])
@@ -633,6 +633,33 @@ func (s *SubRing) inttRow(x []uint64, base int, epilogue, vec bool) {
 			j1 += t << 1
 		}
 		t <<= 1
+	}
+}
+
+// inttLast is the last inverse stage with the N^{-1} epilogue fused, on
+// the pairs (xx[k], yy[k]) under twiddle invTwiddle[1]: the sum is
+// scaled by N^{-1}, the difference by nInvW = invTwiddle[1]·N^{-1} in
+// one Shoup product, and both are stored exact. A function of its own so
+// the N^{-1} constants stay out of the steady-state register set.
+func (s *SubRing) inttLast(xx, yy []uint64) {
+	q := s.Q
+	twoQ, fourQ := 2*q, 4*q
+	yy = yy[:len(xx)] // bounds-check elimination for yy[k]
+	for k := range xx {
+		u, v := xx[k], yy[k]
+		sum := u + v
+		if sum >= fourQ {
+			sum -= fourQ
+		}
+		if sum >= twoQ {
+			sum -= twoQ
+		}
+		xx[k] = mathutil.MulModShoup(lazyReduce(sum, q), s.nInv, s.nInvShoup, q)
+		pr := lazyMulShoup(u+fourQ-v, s.nInvW, s.nInvWShoup, q)
+		if pr >= q {
+			pr -= q
+		}
+		yy[k] = pr
 	}
 }
 
@@ -702,8 +729,14 @@ func (r *Ring) NTTPoly(p *Poly) {
 
 // INTTPoly transforms every limb of p back to coefficient form.
 func (r *Ring) INTTPoly(p *Poly) {
+	r.INTTPolyTo(p, p)
+}
+
+// INTTPolyTo writes the coefficient form of every limb of src into dst
+// (SubRing.INTTTo), leaving src unchanged unless it is dst.
+func (r *Ring) INTTPolyTo(dst, src *Poly) {
 	for i, s := range r.SubRings {
-		s.INTT(p.Coeffs[i])
+		s.INTTTo(dst.Coeffs[i], src.Coeffs[i])
 	}
-	p.IsNTT = false
+	dst.IsNTT = false
 }

@@ -36,11 +36,14 @@ package ring
 // Implemented in ntt_amd64.s.
 
 // fwdStageIFMA runs one strided forward stage over x: len(w) blocks of
-// 2t words, block i pairing x[2it+k] with x[2it+t+k] under twiddle w[i].
-// t must be a multiple of 8.
+// 2t words under twiddles w[i]. Block i pairs x[2it+j·stride+k] with
+// x[2it+t+j·stride+k] for every segment j < t/stride and k < bw: a row
+// stage is one segment (bw = stride = t), a column stage of the blocked
+// transform one segment of bw columns per matrix row (stride NTTTile).
+// bw must be a multiple of 8 and stride must divide t.
 //
 //go:noescape
-func fwdStageIFMA(x []uint64, t int, w, ws []uint64, q uint64)
+func fwdStageIFMA(x []uint64, t, bw, stride int, w, ws []uint64, q uint64)
 
 // fwdTailIFMA runs the stride-4, -2 and -1 forward stages on each
 // 16-word group of x in registers and stores exact residues in [0, q).
@@ -49,25 +52,27 @@ func fwdStageIFMA(x []uint64, t int, w, ws []uint64, q uint64)
 //go:noescape
 func fwdTailIFMA(x, w4, ws4, w2, ws2, w1, ws1 []uint64, q uint64)
 
-// invHeadIFMA folds x below 2q and runs the stride-1, -2 and -4 inverse
-// stages on each 16-word group in registers; group g reads w1[8g:8g+8],
-// w2[4g:4g+4] and w4[2g:2g+2].
+// invHeadIFMA reads each 16-word group of src, folds it below 2q, runs
+// the stride-1, -2 and -4 inverse stages in registers and writes the
+// group to dst; group g reads w1[8g:8g+8], w2[4g:4g+4] and w4[2g:2g+2].
+// dst and src are the same words or do not overlap.
 //
 //go:noescape
-func invHeadIFMA(x, w1, ws1, w2, ws2, w4, ws4 []uint64, q uint64)
+func invHeadIFMA(dst, src, w1, ws1, w2, ws2, w4, ws4 []uint64, q uint64)
 
 // invStageIFMA is the inverse counterpart of fwdStageIFMA. Inputs must
 // be below 2q.
 //
 //go:noescape
-func invStageIFMA(x []uint64, t int, w, ws []uint64, q uint64)
+func invStageIFMA(x []uint64, t, bw, stride int, w, ws []uint64, q uint64)
 
 // invLastIFMA runs the single-block last inverse stage with the N^{-1}
-// epilogue fused: x[k] ← n·(x[k]+x[k+h]), x[k+h] ← nw·(x[k]−x[k+h]),
-// h = len(x)/2, both exact in [0, q). Inputs must be below 2q.
+// epilogue fused, over the segments of fwdStageIFMA's one block:
+// x[i] ← n·(x[i]+x[i+t]), x[i+t] ← nw·(x[i]−x[i+t]), both exact in
+// [0, q), for i = j·stride+k. Inputs must be below 2q.
 //
 //go:noescape
-func invLastIFMA(x []uint64, n, nShoup, nw, nwShoup, q uint64)
+func invLastIFMA(x []uint64, t, bw, stride int, n, nShoup, nw, nwShoup, q uint64)
 
 // nttRowIFMA is nttRow on the vector kernels: one call per strided
 // stage, then the three contiguous stages and the exact reduction.
@@ -76,7 +81,7 @@ func (s *SubRing) nttRowIFMA(x []uint64, base int) {
 	lm := 1
 	for t := len(x) >> 1; t >= 8; t >>= 1 {
 		lo := lm * base
-		fwdStageIFMA(x, t, tw[lo:lo+lm], tws[lo:lo+lm], s.Q)
+		fwdStageIFMA(x, t, t, t, tw[lo:lo+lm], tws[lo:lo+lm], s.Q)
 		lm <<= 1
 	}
 	l4, l2, l1 := lm*base, 2*lm*base, 4*lm*base
@@ -87,46 +92,50 @@ func (s *SubRing) nttRowIFMA(x []uint64, base int) {
 }
 
 // inttRowIFMA is inttRow on the vector kernels.
-func (s *SubRing) inttRowIFMA(x []uint64, base int, epilogue bool) {
+func (s *SubRing) inttRowIFMA(dst, src []uint64, base int, epilogue bool) {
 	itw, itws := s.invTwiddle, s.invTwiddleShoup
-	n := len(x)
+	n := len(dst)
 	h1, h2, h4 := n>>1, n>>2, n>>3
 	l1, l2, l4 := h1*base, h2*base, h4*base
-	invHeadIFMA(x,
+	invHeadIFMA(dst, src[:n],
 		itw[l1:l1+h1], itws[l1:l1+h1],
 		itw[l2:l2+h2], itws[l2:l2+h2],
 		itw[l4:l4+h4], itws[l4:l4+h4], s.Q)
 	t := 8
 	for h := n >> 4; h >= 1; h >>= 1 {
 		if h == 1 && epilogue {
-			invLastIFMA(x, s.nInv, s.nInvShoup, s.nInvW, s.nInvWShoup, s.Q)
+			invLastIFMA(dst, t, t, t, s.nInv, s.nInvShoup, s.nInvW, s.nInvWShoup, s.Q)
 			break
 		}
 		lo := h * base
-		invStageIFMA(x, t, itw[lo:lo+h], itws[lo:lo+h], s.Q)
+		invStageIFMA(dst, t, t, t, itw[lo:lo+h], itws[lo:lo+h], s.Q)
 		t <<= 1
 	}
 }
 
-// nttColumnsIFMA runs phase A's column stages on the gathered block buf
-// (rows rows of bw words): the rows of one stage block are contiguous,
-// so each stage is one strided stage of half-width tau·bw.
-func (s *SubRing) nttColumnsIFMA(buf []uint64, rows, bw int) {
+// nttColumnsIFMA runs phase A's column stages in place on columns
+// [c0, c0+bw) of the rows×NTTTile matrix p: stage m pairs rows tau
+// apart, so each is one strided stage of half-width tau·NTTTile whose
+// segments are the block's bw words of each row.
+func (s *SubRing) nttColumnsIFMA(p []uint64, c0, bw, rows int) {
+	x := p[c0:]
 	tau := rows
 	for m := 1; m < rows; m <<= 1 {
 		tau >>= 1
-		fwdStageIFMA(buf, tau*bw, s.twiddle[m:2*m], s.twiddleShoup[m:2*m], s.Q)
+		fwdStageIFMA(x, tau*NTTTile, bw, NTTTile, s.twiddle[m:2*m], s.twiddleShoup[m:2*m], s.Q)
 	}
 }
 
-// inttColumnsIFMA runs the blocked inverse's column stages on buf, the
-// last with the N^{-1} epilogue, so buf holds exact residues after it.
-func (s *SubRing) inttColumnsIFMA(buf []uint64, rows, bw int) {
+// inttColumnsIFMA runs the blocked inverse's column stages in place on
+// columns [c0, c0+bw) of p, the last with the N^{-1} epilogue, so the
+// block holds exact residues after it.
+func (s *SubRing) inttColumnsIFMA(p []uint64, c0, bw, rows int) {
+	x := p[c0:]
 	tau := 1
 	for m := rows; m > 2; m >>= 1 {
 		h := m >> 1
-		invStageIFMA(buf, tau*bw, s.invTwiddle[h:m], s.invTwiddleShoup[h:m], s.Q)
+		invStageIFMA(x, tau*NTTTile, bw, NTTTile, s.invTwiddle[h:m], s.invTwiddleShoup[h:m], s.Q)
 		tau <<= 1
 	}
-	invLastIFMA(buf, s.nInv, s.nInvShoup, s.nInvW, s.nInvWShoup, s.Q)
+	invLastIFMA(x, tau*NTTTile, bw, NTTTile, s.nInv, s.nInvShoup, s.nInvW, s.nInvWShoup, s.Q)
 }

@@ -50,29 +50,57 @@
 	FOLD(X, Z30, T0); \
 	MUL(T1, W, WS, Y, T0)
 
-// STAGE is the block loop of fwdStageIFMA and invStageIFMA: butterfly
-// BF with products MUL, labels BLOCK and LOOP.
-#define STAGE(BF, MUL, BLOCK, LOOP) \
+// STAGE is the loop of fwdStageIFMA and invStageIFMA: butterfly BF
+// with products MUL, labels SEG, BLOCK and LOOP. The outer loop walks
+// the segment offsets R12 = j·stride (R13 bytes apart, below the
+// half-width CX); for each it runs every block, whose segment is DX
+// bytes at DI + 2i·CX + R12 paired with the one CX bytes above it. A row
+// stage has one segment, so its blocks run as a plain block loop.
+#define STAGE(BF, MUL, SEG, BLOCK, LOOP) \
+	XORQ R12, R12; \
+SEG: \
+	LEAQ (DI)(R12*1), R11; \
+	MOVQ w_base+48(FP), SI; \
+	MOVQ ws_base+72(FP), R8; \
+	MOVQ w_len+56(FP), BX; \
 BLOCK: \
 	VPBROADCASTQ (SI), Z27; \
 	VPBROADCASTQ (R8), Z26; \
 	VPSRLQ       $12, Z26, Z26; \
-	LEAQ         (DI)(CX*1), R9; \
+	LEAQ         (R11)(CX*1), R9; \
 	XORQ         R10, R10; \
 LOOP: \
-	VMOVDQU64 (DI)(R10*1), Z0; \
+	VMOVDQU64 (R11)(R10*1), Z0; \
 	VMOVDQU64 (R9)(R10*1), Z1; \
 	BF(MUL, Z0, Z1, Z27, Z26, Z2, Z3); \
-	VMOVDQU64 Z0, (DI)(R10*1); \
+	VMOVDQU64 Z0, (R11)(R10*1); \
 	VMOVDQU64 Z1, (R9)(R10*1); \
 	ADDQ      $64, R10; \
-	CMPQ      R10, CX; \
+	CMPQ      R10, DX; \
 	JB        LOOP; \
-	LEAQ (DI)(CX*2), DI; \
+	LEAQ (R11)(CX*2), R11; \
 	ADDQ $8, SI; \
 	ADDQ $8, R8; \
 	DECQ BX; \
-	JNZ  BLOCK
+	JNZ  BLOCK; \
+	ADDQ R13, R12; \
+	CMPQ R12, CX; \
+	JB   SEG
+
+// STAGEARGS loads the arguments of fwdStageIFMA and invStageIFMA
+// other than the twiddles, which STAGE reloads per segment, and the
+// constants, and converts t, bw and stride to bytes.
+#define STAGEARGS \
+	MOVQ x_base+0(FP), DI; \
+	MOVQ w_len+56(FP), BX; \
+	MOVQ q+96(FP), AX; \
+	CONSTS; \
+	MOVQ t+24(FP), CX; \
+	MOVQ bw+32(FP), DX; \
+	MOVQ stride+40(FP), R13; \
+	SHLQ $3, CX; \
+	SHLQ $3, DX; \
+	SHLQ $3, R13
 
 // Lane permutations of the register-resident stages. A 16-word group
 // x0…x15 is held as two vectors X, Y whose lanes pair up as one stage's
@@ -178,23 +206,18 @@ DATA invTw4<>+48(SB)/8, $1
 DATA invTw4<>+56(SB)/8, $1
 GLOBL invTw4<>(SB), RODATA|NOPTR, $64
 
-// func fwdStageIFMA(x []uint64, t int, w, ws []uint64, q uint64)
-TEXT ·fwdStageIFMA(SB), NOSPLIT, $0-88
-	MOVQ x_base+0(FP), DI
-	MOVQ t+24(FP), CX
-	MOVQ w_base+32(FP), SI
-	MOVQ w_len+40(FP), BX
-	MOVQ ws_base+56(FP), R8
-	MOVQ q+80(FP), AX
-	CONSTS
-	SHLQ $3, CX           // half-width in bytes
+// func fwdStageIFMA(x []uint64, t, bw, stride int, w, ws []uint64, q uint64)
+TEXT ·fwdStageIFMA(SB), NOSPLIT, $0-104
+	STAGEARGS
 	TESTQ BX, BX
 	JZ   fwdStageDone
 	BTQ  $50, AX
-	JCS  fwdStageWideBlock
-	STAGE(FWDBF, MULLAZY, fwdStageBlock, fwdStageLoop)
+	JCS  fwdStageWide
+	STAGE(FWDBF, MULLAZY, fwdStageSeg, fwdStageBlock, fwdStageLoop)
 	JMP  fwdStageDone
-	STAGE(FWDBF, MULWIDE, fwdStageWideBlock, fwdStageWideLoop)
+
+fwdStageWide:
+	STAGE(FWDBF, MULWIDE, fwdStageWideSeg, fwdStageWideBlock, fwdStageWideLoop)
 
 fwdStageDone:
 	VZEROUPPER
@@ -280,10 +303,11 @@ fwdTailDone:
 	RET
 
 // INVHEAD is invHeadIFMA's group loop with products MUL, label LOOP.
+// Group g is read from src (R13) and written to dst (DI).
 #define INVHEAD(MUL, LOOP) \
 LOOP: \
-	VMOVDQU64 (DI), Z0; \
-	VMOVDQU64 64(DI), Z1; \
+	VMOVDQU64 (R13), Z0; \
+	VMOVDQU64 64(R13), Z1; \
 	FOLD(Z0, Z30, Z7); \
 	FOLD(Z1, Z30, Z8); \
 	/* Stride 1: twiddles w1[0..8) in order. */ \
@@ -316,6 +340,7 @@ LOOP: \
 	VMOVDQU64  Z2, (DI); \
 	VMOVDQU64  Z3, 64(DI); \
 	ADDQ $128, DI; \
+	ADDQ $128, R13; \
 	ADDQ $64, SI; \
 	ADDQ $64, R8; \
 	ADDQ $32, R9; \
@@ -325,17 +350,18 @@ LOOP: \
 	DECQ BX; \
 	JNZ  LOOP
 
-// func invHeadIFMA(x, w1, ws1, w2, ws2, w4, ws4 []uint64, q uint64)
-TEXT ·invHeadIFMA(SB), NOSPLIT, $0-176
-	MOVQ x_base+0(FP), DI
-	MOVQ x_len+8(FP), BX
-	MOVQ w1_base+24(FP), SI
-	MOVQ ws1_base+48(FP), R8
-	MOVQ w2_base+72(FP), R9
-	MOVQ ws2_base+96(FP), R10
-	MOVQ w4_base+120(FP), R11
-	MOVQ ws4_base+144(FP), R12
-	MOVQ q+168(FP), AX
+// func invHeadIFMA(dst, src, w1, ws1, w2, ws2, w4, ws4 []uint64, q uint64)
+TEXT ·invHeadIFMA(SB), NOSPLIT, $0-200
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), BX
+	MOVQ src_base+24(FP), R13
+	MOVQ w1_base+48(FP), SI
+	MOVQ ws1_base+72(FP), R8
+	MOVQ w2_base+96(FP), R9
+	MOVQ ws2_base+120(FP), R10
+	MOVQ w4_base+144(FP), R11
+	MOVQ ws4_base+168(FP), R12
+	MOVQ q+192(FP), AX
 	CONSTS
 	VMOVDQU64 invEven<>(SB), Z20
 	VMOVDQU64 invOdd<>(SB), Z21
@@ -354,33 +380,31 @@ invHeadDone:
 	VZEROUPPER
 	RET
 
-// func invStageIFMA(x []uint64, t int, w, ws []uint64, q uint64)
-TEXT ·invStageIFMA(SB), NOSPLIT, $0-88
-	MOVQ x_base+0(FP), DI
-	MOVQ t+24(FP), CX
-	MOVQ w_base+32(FP), SI
-	MOVQ w_len+40(FP), BX
-	MOVQ ws_base+56(FP), R8
-	MOVQ q+80(FP), AX
-	CONSTS
-	SHLQ $3, CX
+// func invStageIFMA(x []uint64, t, bw, stride int, w, ws []uint64, q uint64)
+TEXT ·invStageIFMA(SB), NOSPLIT, $0-104
+	STAGEARGS
 	TESTQ BX, BX
 	JZ   invStageDone
 	BTQ  $50, AX
-	JCS  invStageWideBlock
-	STAGE(INVBF, MULLAZY, invStageBlock, invStageLoop)
+	JCS  invStageWide
+	STAGE(INVBF, MULLAZY, invStageSeg, invStageBlock, invStageLoop)
 	JMP  invStageDone
-	STAGE(INVBF, MULWIDE, invStageWideBlock, invStageWideLoop)
+
+invStageWide:
+	STAGE(INVBF, MULWIDE, invStageWideSeg, invStageWideBlock, invStageWideLoop)
 
 invStageDone:
 	VZEROUPPER
 	RET
 
-// INVLAST is invLastIFMA's loop with products MUL, label LOOP: both
-// products take a lazy sum or difference below 4q.
-#define INVLAST(MUL, LOOP) \
+// INVLAST is invLastIFMA's segment loop with products MUL, labels SEG
+// and LOOP: both products take a lazy sum or difference below 4q.
+#define INVLAST(MUL, SEG, LOOP) \
+SEG: \
+	LEAQ (R11)(CX*1), R9; \
+	XORQ R10, R10; \
 LOOP: \
-	VMOVDQU64 (DI)(R10*1), Z0; \
+	VMOVDQU64 (R11)(R10*1), Z0; \
 	VMOVDQU64 (R9)(R10*1), Z1; \
 	VPADDQ    Z1, Z0, Z2; \
 	VPADDQ    Z30, Z0, Z3; \
@@ -389,34 +413,40 @@ LOOP: \
 	MUL(Z3, Z25, Z24, Z1, Z5); \
 	FOLD(Z0, Z31, Z4); \
 	FOLD(Z1, Z31, Z5); \
-	VMOVDQU64 Z0, (DI)(R10*1); \
+	VMOVDQU64 Z0, (R11)(R10*1); \
 	VMOVDQU64 Z1, (R9)(R10*1); \
 	ADDQ      $64, R10; \
-	CMPQ      R10, CX; \
-	JB        LOOP
+	CMPQ      R10, DX; \
+	JB        LOOP; \
+	ADDQ R13, R11; \
+	CMPQ R11, R12; \
+	JB   SEG
 
-// func invLastIFMA(x []uint64, n, nShoup, nw, nwShoup, q uint64)
-TEXT ·invLastIFMA(SB), NOSPLIT, $0-64
-	MOVQ x_base+0(FP), DI
-	MOVQ x_len+8(FP), CX
-	MOVQ q+56(FP), AX
+// func invLastIFMA(x []uint64, t, bw, stride int, n, nShoup, nw, nwShoup, q uint64)
+TEXT ·invLastIFMA(SB), NOSPLIT, $0-88
+	MOVQ x_base+0(FP), R11
+	MOVQ q+80(FP), AX
 	CONSTS
-	VPBROADCASTQ n+24(FP), Z27
-	VPBROADCASTQ nShoup+32(FP), Z26
+	VPBROADCASTQ n+48(FP), Z27
+	VPBROADCASTQ nShoup+56(FP), Z26
 	VPSRLQ       $12, Z26, Z26
-	VPBROADCASTQ nw+40(FP), Z25
-	VPBROADCASTQ nwShoup+48(FP), Z24
+	VPBROADCASTQ nw+64(FP), Z25
+	VPBROADCASTQ nwShoup+72(FP), Z24
 	VPSRLQ       $12, Z24, Z24
-	SHLQ $2, CX           // half of len(x), in bytes
-	LEAQ (DI)(CX*1), R9
-	XORQ R10, R10
+	MOVQ t+24(FP), CX
+	MOVQ bw+32(FP), DX
+	MOVQ stride+40(FP), R13
+	SHLQ $3, CX
+	SHLQ $3, DX
+	SHLQ $3, R13
+	LEAQ (R11)(CX*1), R12
 	TESTQ CX, CX
 	JZ   invLastDone
 	BTQ  $50, AX
 	JCS  invLastWide
-	INVLAST(MULLAZY, invLastLoop)
+	INVLAST(MULLAZY, invLastSeg, invLastLoop)
 	JMP  invLastDone
-	INVLAST(MULWIDE, invLastWide)
+	INVLAST(MULWIDE, invLastWide, invLastWideLoop)
 
 invLastDone:
 	VZEROUPPER

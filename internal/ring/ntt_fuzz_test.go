@@ -9,8 +9,9 @@ import (
 )
 
 // fuzzSizes covers the single-phase path, the tile boundary and the
-// blocked two-phase path.
-var fuzzSizes = []int{64, 1024, 2 * NTTTile}
+// blocked two-phase path with one column block (2 rows) and with two
+// (4 rows, the mult_chain shape).
+var fuzzSizes = []int{64, 1024, 2 * NTTTile, 4 * NTTTile}
 
 // fuzzRingCache builds (once per size) a ring on kernelTestModuli plus a
 // second 61-bit prime: two primes against the 61-bit cap, where the
@@ -165,12 +166,15 @@ func inttStagesChecked(t *testing.T, s *SubRing, p []uint64) {
 // FuzzNTTRoundTrip fuzzes the kernel contract end to end: on random
 // inputs the fused NTT must stay bit-identical to the reference stage
 // loop, the lazy < 4q bound must hold at every stage/pass boundary, and
-// NTT∘INTT must be the exact identity on canonical residues.
+// NTT∘INTT must be the exact identity on canonical residues, through
+// INTTTo into a poisoned destination (leaving its source alone) and
+// through INTT in place.
 func FuzzNTTRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint8(0))
 	f.Add(uint64(0xdeadbeefcafe), uint8(1))
 	f.Add(uint64(0x123456789abcdef), uint8(2))
 	f.Add(^uint64(0), uint8(5))
+	f.Add(uint64(0x5eed), uint8(3))
 	f.Fuzz(func(t *testing.T, seed uint64, sizeSel uint8) {
 		n := fuzzSizes[int(sizeSel)%len(fuzzSizes)]
 		r := fuzzRing(t, n)
@@ -194,11 +198,24 @@ func FuzzNTTRoundTrip(f *testing.F) {
 			}
 
 			// Round trip through the checked inverse stages and through
-			// the fused kernel: both must restore the input exactly.
+			// the fused kernel, out of place and in place: each must
+			// restore the input exactly.
 			back := append([]uint64(nil), want...)
 			inttStagesChecked(t, s, back)
+			to := poisonedRow(n)
+			s.INTTTo(to, got)
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("limb %d (q=%d): INTTTo changed source coeff %d to %d, was %d",
+						li, s.Q, j, got[j], want[j])
+				}
+			}
 			s.INTT(got)
 			for j := range got {
+				if to[j] != orig[j] {
+					t.Fatalf("limb %d (q=%d): NTT∘INTTTo coeff %d = %d, want %d",
+						li, s.Q, j, to[j], orig[j])
+				}
 				if got[j] != orig[j] {
 					t.Fatalf("limb %d (q=%d): NTT∘INTT coeff %d = %d, want %d",
 						li, s.Q, j, got[j], orig[j])

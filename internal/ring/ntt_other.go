@@ -8,10 +8,10 @@ package ring
 
 const noVectorKernel = "ring: no vector kernel on this architecture"
 
-func (s *SubRing) nttRowIFMA([]uint64, int)           { panic(noVectorKernel) }
-func (s *SubRing) inttRowIFMA([]uint64, int, bool)    { panic(noVectorKernel) }
-func (s *SubRing) nttColumnsIFMA([]uint64, int, int)  { panic(noVectorKernel) }
-func (s *SubRing) inttColumnsIFMA([]uint64, int, int) { panic(noVectorKernel) }
+func (s *SubRing) nttRowIFMA([]uint64, int)                 { panic(noVectorKernel) }
+func (s *SubRing) inttRowIFMA(_, _ []uint64, _ int, _ bool) { panic(noVectorKernel) }
+func (s *SubRing) nttColumnsIFMA([]uint64, int, int, int)   { panic(noVectorKernel) }
+func (s *SubRing) inttColumnsIFMA([]uint64, int, int, int)  { panic(noVectorKernel) }
 
 func gatherMulAccIFMA(_, _, _ [][]uint64, _ []int, _, _ []uint64, _, _, _, _, _ uint64) {
 	panic(noVectorKernel)

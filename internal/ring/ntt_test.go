@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/mathutil"
@@ -14,8 +15,10 @@ import (
 
 // nttTestSizes covers the single-phase path (n ≤ NTTTile) with the
 // bootstrap shape 2^9, the boundary, and the blocked two-phase path
-// (tile-straddling n > NTTTile) up to the mult_chain shape 2^13.
-var nttTestSizes = []int{16, 64, 256, 512, 1024, NTTTile, 2 * NTTTile, 4 * NTTTile}
+// (tile-straddling n > NTTTile) from 2 matrix rows through the
+// mult_chain shape 2^13 to 16 rows, so both sides of R = 8 (where a
+// column block still fits L1 associativity) are checked on both kernels.
+var nttTestSizes = []int{16, 64, 256, 512, 1024, NTTTile, 2 * NTTTile, 4 * NTTTile, 8 * NTTTile, 16 * NTTTile}
 
 // kernelTestRing builds a ring of degree n on kernelTestModuli.
 func kernelTestRing(t testing.TB, n int) *Ring {
@@ -115,8 +118,10 @@ func requireEqualPoly(t *testing.T, got, want *Poly, what string) {
 // every size class and every worker count — not just equal mod q, equal
 // as uint64 outputs, since downstream lazy arithmetic depends on the
 // exact representatives. Inputs are uniform residues and the all-(q−1)
-// limb, the largest canonical input. The per-limb kernels on every
-// modulus class are rows of internal/rns's TestKernelsMatch.
+// limb, the largest canonical input. INTTTo is checked into a separate,
+// poisoned destination, which must hold the reference while the source
+// keeps its words, and in place. The per-limb kernels on every modulus
+// class are rows of internal/rns's TestKernelsMatch.
 func TestNTTMatchesReference(t *testing.T) {
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for _, n := range nttTestSizes {
@@ -152,6 +157,17 @@ func TestNTTMatchesReference(t *testing.T) {
 					r.INTTPolyParallel(got, w)
 					requireEqualPoly(t, got, backWant, "INTT "+what)
 				}
+
+				what := fmt.Sprintf("n=%d %s kernel, %s input", n, kernel, in.name)
+				src, dst := in.p.CopyNew(), r.NewPoly()
+				for i := range dst.Coeffs {
+					dst.Coeffs[i] = poisonedRow(n)
+				}
+				r.INTTPolyTo(dst, src)
+				requireEqualPoly(t, dst, backWant, "INTTTo, dst != src, "+what)
+				requireEqualPoly(t, src, in.p, "INTTTo source, "+what)
+				r.INTTPolyTo(src, src)
+				requireEqualPoly(t, src, backWant, "INTTTo, dst == src, "+what)
 			})
 		}
 	}
@@ -235,23 +251,29 @@ func TestNTTPasses(t *testing.T) {
 // kernel actually records in the memory trace — 16·N on the single-phase
 // path, 32·N on the blocked path (one read+write per element per phase,
 // revisited tiles never double-counted) — not the historical one-pass
-// assumption.
+// assumption. It runs the blocked path at 2, 4 and 16 matrix rows, and
+// INTTTo into a separate destination as well as INTT.
 func TestNTTTrafficCountersMatchTrace(t *testing.T) {
-	for _, n := range []int{1024, 2 * NTTTile, 4 * NTTTile} {
+	for _, n := range []int{1024, 2 * NTTTile, 4 * NTTTile, 16 * NTTTile} {
 		r := testRing(t, n, 1)
 		src := fixedSource()
 		p := r.NewPoly()
 		r.SampleUniform(src, p)
+		out := make([]uint64, n)
 		withKernels(t, func(kernel string) {
-			for _, dir := range []string{"ntt", "intt"} {
+			for _, call := range []string{"ntt", "intt", "intt-to"} {
+				dir := strings.TrimSuffix(call, "-to")
 				rec := obs.NewRecorder()
 				tr := memtrace.New()
 				r.SetRecorder(rec)
 				r.SetTracer(tr)
-				if dir == "ntt" {
+				switch call {
+				case "ntt":
 					r.SubRings[0].NTT(p.Coeffs[0])
-				} else {
+				case "intt":
 					r.SubRings[0].INTT(p.Coeffs[0])
+				default:
+					r.SubRings[0].INTTTo(out, p.Coeffs[0])
 				}
 				r.SetRecorder(nil)
 				r.SetTracer(nil)
@@ -265,15 +287,15 @@ func TestNTTTrafficCountersMatchTrace(t *testing.T) {
 				counter := rec.Counter("ring." + dir + ".bytes")
 				want := uint64(16*n) * uint64(NTTPasses(n))
 				if counter != want {
-					t.Errorf("n=%d %s: ring.%s.bytes = %d, want %d (%d passes)",
-						n, kernel, dir, counter, want, NTTPasses(n))
+					t.Errorf("n=%d %s %s: ring.%s.bytes = %d, want %d (%d passes)",
+						n, kernel, call, dir, counter, want, NTTPasses(n))
 				}
 				if counter != traced {
-					t.Errorf("n=%d %s: ring.%s.bytes = %d but trace records %d bytes",
-						n, kernel, dir, counter, traced)
+					t.Errorf("n=%d %s %s: ring.%s.bytes = %d but trace records %d bytes",
+						n, kernel, call, dir, counter, traced)
 				}
 				if got := rec.Counter("ring." + dir); got != 1 {
-					t.Errorf("n=%d %s: ring.%s = %d, want 1", n, kernel, dir, got)
+					t.Errorf("n=%d %s %s: ring.%s = %d, want 1", n, kernel, call, dir, got)
 				}
 			}
 		})
@@ -288,14 +310,19 @@ func TestNTTTrafficCountersMatchTrace(t *testing.T) {
 // the one the cache sim actually sees.
 //
 // The same trace also carries the kernel's memory-schedule gate: replayed
-// at a 32 KiB scratchpad (twice a 16 KiB tile, half this 64 KiB limb) the
+// at a 32 KiB scratchpad (twice a 16 KiB tile, at most half the limb) the
 // blocked kernel must move at least 1.5x fewer DRAM bytes than the
 // reference schedule, which sweeps the whole limb once per butterfly
 // stage plus once for the exact-reduction epilogue — what NTTReference
-// and INTTReference do by construction. `go test -v` logs the ratio
-// docs/PERF.md quotes.
+// and INTTReference do by construction. It runs at 4 and at 16 matrix
+// rows; `go test -v` logs the ratios docs/PERF.md quotes.
 func TestNTTBlockedTrafficMatchesCacheReplay(t *testing.T) {
-	n := 4 * NTTTile
+	for _, n := range []int{4 * NTTTile, 16 * NTTTile} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) { checkBlockedReplay(t, n) })
+	}
+}
+
+func checkBlockedReplay(t *testing.T, n int) {
 	r := testRing(t, n, 1)
 	src := fixedSource()
 	p := r.NewPoly()
@@ -346,9 +373,9 @@ func TestNTTBlockedTrafficMatchesCacheReplay(t *testing.T) {
 }
 
 // TestNTTAllocFree pins the steady-state allocation contract of both
-// kernel paths, on both kernels: pooled column-block scratch means zero
-// allocations per transform after warm-up, on the serial and the
-// worker-pool paths alike.
+// kernel paths, on both kernels: the transforms run in place (INTTTo
+// into its destination) and draw no scratch, so a transform allocates
+// nothing, on the serial and the worker-pool paths alike.
 func TestNTTAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under the race detector (instrumented allocations, random sync.Pool drops)")
@@ -358,61 +385,92 @@ func TestNTTAllocFree(t *testing.T) {
 		src := fixedSource()
 		p := r.NewPoly()
 		r.SampleUniform(src, p)
+		out := r.NewPoly()
 		withKernels(t, func(kernel string) {
-			r.NTTPoly(p) // warm the scratch pool
-			r.INTTPoly(p)
-
 			allocs := testing.AllocsPerRun(10, func() {
 				r.NTTPoly(p)
+				r.INTTPolyTo(out, p)
 				r.INTTPoly(p)
 			})
 			if allocs != 0 {
-				t.Errorf("n=%d %s: NTT+INTT round trip allocates %.1f objects/op, want 0", n, kernel, allocs)
+				t.Errorf("n=%d %s: NTT+INTTTo+INTT allocates %.1f objects/op, want 0", n, kernel, allocs)
 			}
 		})
 	}
 }
 
-// TestNTTScratchPoolCounters checks the blocked path draws its scratch
-// through the observable pool: gets on every blocked transform, misses
-// only while buffers are first sized.
-func TestNTTScratchPoolCounters(t *testing.T) {
-	n := 2 * NTTTile
-	r := testRing(t, n, 1)
-	src := fixedSource()
-	p := r.NewPoly()
-	r.SampleUniform(src, p)
-
-	rec := obs.NewRecorder()
-	r.SetRecorder(rec)
-	r.SubRings[0].NTT(p.Coeffs[0])
-	r.SubRings[0].INTT(p.Coeffs[0])
-	r.SetRecorder(nil)
-
-	if got := rec.Counter("ring.nttpool.get"); got != 2 {
-		t.Errorf("ring.nttpool.get = %d, want 2", got)
+// TestNTTAllocFreeAcrossGC checks the same contract across garbage
+// collections, which empty every sync.Pool: ten NTT+INTT round trips,
+// each after two forced collections, may make no more mallocs than the
+// same loop of collections alone. A transform that drew pooled scratch
+// would allocate it afresh after every pair of collections.
+func TestNTTAllocFreeAcrossGC(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are meaningless under the race detector (instrumented allocations)")
 	}
-	if gets, misses := rec.Counter("ring.nttpool.get"), rec.Counter("ring.nttpool.miss"); misses > gets {
-		t.Errorf("ring.nttpool.miss = %d exceeds gets = %d", misses, gets)
+	mallocs := func(round func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 10 {
+			runtime.GC()
+			runtime.GC()
+			round()
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	for _, n := range []int{1024, 2 * NTTTile, 4 * NTTTile, 8 * NTTTile, 16 * NTTTile} {
+		r := testRing(t, n, 2)
+		p := r.NewPoly()
+		r.SampleUniform(fixedSource(), p)
+		withKernels(t, func(kernel string) {
+			round := func() {
+				r.NTTPoly(p)
+				r.INTTPoly(p)
+			}
+			round()
+			// The collector's own mallocs vary a little between loops;
+			// take the best of three so only the transform's count.
+			var extra uint64
+			for attempt := range 3 {
+				base, got := mallocs(func() {}), mallocs(round)
+				extra = max(got, base) - base
+				if extra == 0 {
+					break
+				}
+				t.Logf("n=%d %s attempt %d: %d mallocs with transforms, %d without", n, kernel, attempt, got, base)
+			}
+			if extra != 0 {
+				t.Errorf("n=%d %s: ten round trips across GC make %d more mallocs than the collections alone, want 0", n, kernel, extra)
+			}
+		})
 	}
 }
 
 // BenchmarkNTT times the forward transform of one limb at the bootstrap
-// shape 2^9, at 2^10 and at the mult_chain shape 4·NTTTile = 2^13, on a
-// 45-bit modulus and on one just above 2^50, the kind CKKS parameters
-// draw: "scalar" and "vector" run SubRing.NTT with that kernel forced,
-// "reference" runs the retained NTTReference oracle.
+// shape 2^9, at 2^10 and the one-row limit NTTTile = 2^11, and on the
+// blocked path at the matvec_hoisted shape 2^12, the mult_chain shape
+// 2^13 and 2^14–2^16 (8 to 32 matrix rows), on a 45-bit modulus
+// and on one just above 2^50, the kind CKKS parameters draw: "scalar"
+// and "vector" run SubRing.NTT with that kernel forced, "reference" runs
+// the retained NTTReference oracle.
 func BenchmarkNTT(b *testing.B) {
-	benchNTTKernels(b, (*SubRing).NTT, (*SubRing).NTTReference)
+	benchNTTKernels(b, (*SubRing).NTT, (*SubRing).NTTReference, nil)
 }
 
-// BenchmarkINTT mirrors BenchmarkNTT for the inverse transform.
+// BenchmarkINTT mirrors BenchmarkNTT for the inverse transform, and adds
+// "scalar-to" and "vector-to": SubRing.INTTTo from a source limb into a
+// separate destination.
 func BenchmarkINTT(b *testing.B) {
-	benchNTTKernels(b, (*SubRing).INTT, (*SubRing).INTTReference)
+	benchNTTKernels(b, (*SubRing).INTT, (*SubRing).INTTReference, (*SubRing).INTTTo)
 }
 
-func benchNTTKernels(b *testing.B, transform, reference func(*SubRing, []uint64)) {
-	for _, n := range []int{512, 1024, 4 * NTTTile} {
+func benchNTTKernels(b *testing.B, transform, reference func(*SubRing, []uint64), to func(s *SubRing, dst, src []uint64)) {
+	kernels := []string{"scalar", "vector", "reference"}
+	if to != nil {
+		kernels = append(kernels, "scalar-to", "vector-to")
+	}
+	for _, n := range []int{512, 1024, NTTTile, 2 * NTTTile, 4 * NTTTile, 8 * NTTTile, 16 * NTTTile, 32 * NTTTile} {
 		logN := bits.Len(uint(n)) - 1
 		narrow, err := mathutil.GenerateNTTPrimes(45, logN, 1)
 		if err != nil {
@@ -428,17 +486,25 @@ func benchNTTKernels(b *testing.B, transform, reference func(*SubRing, []uint64)
 			}
 			p := r.NewPoly()
 			r.SampleUniform(fixedSource(), p)
+			dst := make([]uint64, n)
 			s := r.SubRings[0]
-			for _, kernel := range []string{"scalar", "vector", "reference"} {
+			for _, kernel := range kernels {
 				b.Run(fmt.Sprintf("n=%d/q=%s/%s", n, m.name, kernel), func(b *testing.B) {
-					setKernel(b, s, kernel)
-					run := transform
-					if kernel == "reference" {
-						run = reference
-					}
+					setKernel(b, s, strings.TrimSuffix(kernel, "-to"))
 					b.ReportAllocs()
-					for b.Loop() {
-						run(s, p.Coeffs[0])
+					switch {
+					case kernel == "reference":
+						for b.Loop() {
+							reference(s, p.Coeffs[0])
+						}
+					case strings.HasSuffix(kernel, "-to"):
+						for b.Loop() {
+							to(s, dst, p.Coeffs[0])
+						}
+					default:
+						for b.Loop() {
+							transform(s, p.Coeffs[0])
+						}
 					}
 				})
 			}

@@ -62,38 +62,3 @@ func (r *Ring) PutScratch(p *Poly) {
 	p.Resize(r.scratch.limbs)
 	r.scratch.pool.Put(p)
 }
-
-// nttScratch is the pooled column-block buffer of the blocked NTT/INTT
-// kernels (ntt.go phase A / phase 2): R×B words gathered from one column
-// block so log2(R) butterfly stages run on contiguous, cache-resident
-// data. The pool is package-level rather than per-Ring because SubRing
-// kernels have no Ring back-reference and parallel limb workers draw
-// scratch concurrently; sync.Pool handles both. Buffers are sized on
-// first use and reused at any smaller-or-equal request, so the steady
-// state is allocation-free (enforced by TestNTTAllocFree).
-type nttScratch struct {
-	buf []uint64
-}
-
-var nttScratchPool = sync.Pool{New: func() any { return new(nttScratch) }}
-
-// getNTTScratch draws a column-block buffer of at least `words` words.
-// Occupancy is observable through the caller's recorder under the same
-// convention as the poly pool: every draw bumps ring.nttpool.get, every
-// draw that had to (re)allocate bumps ring.nttpool.miss.
-func getNTTScratch(words int, rec *obs.Recorder) *nttScratch {
-	rec.Add("ring.nttpool.get", 1)
-	sc := nttScratchPool.Get().(*nttScratch)
-	if cap(sc.buf) < words {
-		rec.Add("ring.nttpool.miss", 1)
-		sc.buf = make([]uint64, words)
-	}
-	sc.buf = sc.buf[:words]
-	return sc
-}
-
-// putNTTScratch returns a buffer obtained from getNTTScratch to the pool.
-// The caller must not use sc afterwards.
-func putNTTScratch(sc *nttScratch) {
-	nttScratchPool.Put(sc)
-}

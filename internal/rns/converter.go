@@ -326,22 +326,26 @@ func (c *Converter) ModUpDigit(levelQ, start, end int, aQ *ring.Poly, out PolyQP
 	digitModuli := c.RingQ.Moduli[start:end]
 
 	// iNTT the digit limbs into scratch (Algorithm 1 line 1, limb-wise).
+	// INTTTo reads the input limb in its first stage. The trace records
+	// the input read and the scratch write here and INTTTo traces its
+	// own passes over the scratch limb, so the memtrace replay still
+	// counts the copy the kernel no longer makes; changing that is a
+	// change to the measured traffic of its own (likewise in
+	// modDownDropped and Rescale).
 	scr := c.RingQ.GetScratch()
 	defer c.RingQ.PutScratch(scr)
 	coeff := scr.Coeffs[:end-start]
 	if ring.EffectiveWorkers(end-start, workers) == 1 {
 		for k := 0; k < end-start; k++ {
 			c.tr.Read(aQ.Coeffs[start+k][:n])
-			copy(coeff[k][:n], aQ.Coeffs[start+k][:n])
 			c.tr.WriteClass(coeff[k][:n], memtrace.ClassScratch)
-			c.RingQ.SubRings[start+k].INTT(coeff[k])
+			c.RingQ.SubRings[start+k].INTTTo(coeff[k], aQ.Coeffs[start+k])
 		}
 	} else {
 		ring.Parallel(end-start, workers, func(k int) {
 			c.tr.Read(aQ.Coeffs[start+k][:n])
-			copy(coeff[k][:n], aQ.Coeffs[start+k][:n])
 			c.tr.WriteClass(coeff[k][:n], memtrace.ClassScratch)
-			c.RingQ.SubRings[start+k].INTT(coeff[k])
+			c.RingQ.SubRings[start+k].INTTTo(coeff[k], aQ.Coeffs[start+k])
 		})
 	}
 
@@ -484,9 +488,8 @@ func (c *Converter) modDownDropped(a PolyQP, dropped [][]uint64, levelQ, n, j in
 	}
 	dst := dropped[j][:n]
 	c.tr.Read(src[:n])
-	copy(dst, src[:n])
 	c.tr.WriteClass(dst, memtrace.ClassScratch)
-	s.INTT(dst)
+	s.INTTTo(dst, src)
 	if j == len(c.RingP.Moduli) {
 		s.ReduceThenAddConst(dst, s.Q, c.pHalfQModQ[levelQ][levelQ], dst)
 	}
@@ -534,10 +537,9 @@ func (c *Converter) Rescale(levelQ int, a *ring.Poly, out *ring.Poly, workers in
 	defer c.RingQ.PutScratch(scr)
 	last := scr.Coeffs[levelQ][:n]
 	c.tr.Read(a.Coeffs[levelQ][:n])
-	copy(last, a.Coeffs[levelQ][:n])
 	c.tr.WriteClass(last, memtrace.ClassScratch)
 	sl := c.RingQ.SubRings[levelQ]
-	sl.INTT(last)
+	sl.INTTTo(last, a.Coeffs[levelQ])
 	sl.ReduceThenAddConst(last, ql, half, last)
 
 	if ring.EffectiveWorkers(levelQ, workers) == 1 {

@@ -269,6 +269,26 @@ func transform(kernel, reference func(*ring.SubRing, []uint64)) func(testing.TB,
 	}
 }
 
+// drawINTTTo makes the draw of the INTTTo row: the inverse transform
+// from a source limb into a poisoned destination, whose outputs are the
+// destination, against INTTReference, and the source, which must keep
+// its words.
+func drawINTTTo(t testing.TB, c *kernelCase) (func() [][]uint64, [][]uint64) {
+	if c.n < 16 || c.n&(c.n-1) != 0 {
+		return nil, nil
+	}
+	return c.onLimbs(t, func(s *ring.SubRing, _ []int) (func() [][]uint64, [][]uint64) {
+		x := c.row(s.Q)
+		want := slices.Clone(x)
+		s.INTTReference(want)
+		return func() [][]uint64 {
+			src, dst := slices.Clone(x), c.poisoned()
+			s.INTTTo(dst, src)
+			return [][]uint64{dst, src}
+		}, [][]uint64{want, x}
+	})
+}
+
 // kernelRow is one kernel of the harness.
 type kernelRow struct {
 	name    string
@@ -292,6 +312,7 @@ func (r kernelRow) shapeList() []int {
 var kernelRows = []kernelRow{
 	{name: "NTT", draw: transform((*ring.SubRing).NTT, (*ring.SubRing).NTTReference)},
 	{name: "INTT", draw: transform((*ring.SubRing).INTT, (*ring.SubRing).INTTReference)},
+	{name: "INTTTo", draw: drawINTTTo},
 	// β digits, around the scalar fold guard (7 and 8 products at 61
 	// bits; 63–65 fold many times) and the vector kernel's 4095-term
 	// limit, past which it hands the sum to the scalar kernel.
@@ -719,6 +740,7 @@ func FuzzKernels(f *testing.F) {
 	// One case for each row those corpora do not reach.
 	add(7, "NTT", "2^51 − k", 4096, "uniform", "identity", 0)
 	add(8, "INTT", "2^50 ± k", 512, "max", "identity", 0)
+	add(14, "INTTTo", "2^51 − k", 4096, "mix", "identity", 0)
 	add(9, "TensorSquare", "2^51 − k", 16, "max", "identity", 0)
 	add(10, "ScaleAndEstimate", "2^51 − k", 1057, "mix", "identity", 5)
 	add(11, "Converter", "2^50 ± k", 256, "uniform", "identity", 0)
