@@ -10,6 +10,8 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"math/bits"
+
+	"repro/internal/simd"
 )
 
 // SeedSize is the byte length of a Source seed.
@@ -142,12 +144,16 @@ func (s *Source) Fill(p []byte) {
 
 // UniformSlice fills out with uniform values modulo q: word for word the
 // stream of per-element Uint64n(q) calls — seeds on the wire regenerate
-// the same keys — with the rejection limit hoisted out of the loop and the
-// hardware division of v % q replaced by a multiply-high against the
-// precomputed m = ⌊2^64/q⌋. The quotient estimate ⌊v·m/2^64⌋ is ⌊v/q⌋ or
-// one less, so the remainder lands in [0, 2q) and one conditional
-// subtraction makes it canonical. It reads the epoch buffer a run of
-// words at a time, not one call per word.
+// the same keys — with the rejection limit hoisted out of the loop, and
+// the stream read from the epoch buffer a run of words at a time, not
+// one call per word. Each run is reduced on one of two bodies, both
+// division-free and writing the same words. The scalar body replaces the
+// hardware division of v % q by a multiply-high against the precomputed
+// m = ⌊2^64/q⌋: the quotient estimate ⌊v·m/2^64⌋ is ⌊v/q⌋ or one less,
+// so the remainder lands in [0, 2q) and one conditional subtraction
+// makes it canonical. Where vectorUniform holds, the AVX-512 kernel
+// reduces each run eight words at a time with a float quotient estimate,
+// and the scalar body the last len(run) mod 8 words (4 of a whole epoch).
 func (s *Source) UniformSlice(out []uint64, q uint64) {
 	if q == 0 {
 		panic("prng: UniformSlice(q=0)")
@@ -166,11 +172,18 @@ func (s *Source) UniformSlice(out []uint64, q uint64) {
 	}
 	limit := -q % q     // 2^64 mod q: draws below it are rejected
 	m := ^uint64(0) / q // = ⌊2^64/q⌋, q not being a power of two
+	vector, qinv := vectorUniform(q), 1/float64(q)
 	for len(out) > 0 {
 		// Each word of the run fills at most one element of out.
 		run := s.words()
 		run = run[:min(len(run), len(out))]
+		s.left -= uint(len(run))
 		i := 0
+		if vector {
+			k := len(run) &^ 7
+			i = uniformAVX512(out, run[:k], q, limit, qinv)
+			run = run[k:]
+		}
 		for _, v := range run {
 			if v < limit {
 				continue
@@ -183,9 +196,25 @@ func (s *Source) UniformSlice(out []uint64, q uint64) {
 			out[i] = r
 			i++
 		}
-		s.left -= uint(len(run))
 		out = out[i:]
 	}
+}
+
+// vectorUniform reports whether UniformSlice reduces modulo q, q not a
+// power of two, on the AVX-512 kernel: where the CPU has the IFMA kernels
+// (whose AVX512DQ the float conversions need), the kernel switch is on
+// and 2^20 ≤ q < 2^62. The kernel writes the scalar body's words because
+// the remainder of a draw is unique. Its quotient estimate is
+// q̂ = trunc(fl(fl(v)·fl(1/q))): the conversion of v, the rounding of
+// 1/q (float64(q) itself rounded from 2^53 up) and the product each add
+// a relative error of at most 2^-53, so the product is within 2^-50.9
+// of v/q relatively and, v/q being below 2^64/2^20 = 2^44, within
+// 2^-6.9 < 1 absolutely. q̂ is therefore ⌊v/q⌋ − 1, ⌊v/q⌋ or ⌊v/q⌋ + 1
+// and r = v − q̂·q, computed modulo 2^64, lies in (−q, 2q), which q <
+// 2^62 keeps inside int64: one +q where r is negative and one −q where
+// r ≥ q leave the canonical remainder v mod q, the scalar body's word.
+func vectorUniform(q uint64) bool {
+	return simd.IFMA() && simd.VectorKernels() && 1<<20 <= q && q < 1<<62
 }
 
 // DeriveSeed deterministically derives a sub-seed from the stream; used to

@@ -84,8 +84,10 @@ func (s *refSource) DeriveSeed() [SeedSize]byte {
 	return seed
 }
 
-// forEachBody runs f as one subtest per epoch body this host has: the
-// scalar body with the kernel switch off, the AVX-512 kernel with it on.
+// forEachBody runs f as one subtest per kernel body this host has: the
+// scalar bodies with the kernel switch off, the AVX-512 epoch kernel and,
+// where the CPU has the IFMA kernels, UniformSlice's vector reduction
+// with it on.
 func forEachBody(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
 	defer simd.UseVectorKernels(true)
@@ -93,6 +95,9 @@ func forEachBody(t *testing.T, f func(t *testing.T)) {
 		if body == "vector" && !simd.AVX512F() {
 			t.Logf("no AVX512F on this host: the vector epoch kernel is not run")
 			continue
+		}
+		if body == "vector" && !simd.IFMA() {
+			t.Logf("no AVX512IFMA/DQ on this host: UniformSlice's vector reduction is not run")
 		}
 		simd.UseVectorKernels(body == "vector")
 		t.Run(body, f)
@@ -187,18 +192,87 @@ func TestZeroSourceIsZeroSeed(t *testing.T) {
 }
 
 // fuzzModulus maps a byte to a modulus for Uint64n and UniformSlice:
-// small, a power of two, above 2^63 (half the draws rejected), or near
-// 2^40 (the key limbs).
+// small, a power of two, above 2^63 (half the draws rejected), near 2^40
+// (the key limbs), 2^20 ± k or 2^62 ± k (the edges of the vector
+// reduction's gate 2^20 ≤ q < 2^62), or 2^61 + k, inside the gate, which
+// rejects 1/8 of the draws and so runs the kernel's compress store.
 func fuzzModulus(p byte) uint64 {
-	switch p % 4 {
+	switch p % 6 {
 	case 0:
-		return uint64(p/4) + 1
+		return uint64(p/6) + 1
 	case 1:
 		return 1 << (p / 4 % 64)
 	case 2:
 		return 1<<63 + uint64(p)
+	case 3:
+		return 1<<40 + uint64(p)*977 + 1
+	case 4:
+		edge, k := uint64(1)<<(20+42*(p/6%2)), uint64(p/24)*2+1
+		if p/12%2 == 0 {
+			return edge - k
+		}
+		return edge + k
 	}
-	return 1<<40 + uint64(p)*977 + 1
+	return 1<<61 + uint64(p)
+}
+
+// TestUniformSliceKernelSelection pins the vector reduction's gate: with
+// the kernel switch on, on a host with the IFMA kernels, exactly the
+// moduli 2^20 ≤ q < 2^62 reduce at vector width; with it off, none.
+func TestUniformSliceKernelSelection(t *testing.T) {
+	defer simd.UseVectorKernels(true)
+	for _, c := range []struct {
+		q  uint64
+		in bool
+	}{{1<<20 - 1, false}, {1<<20 + 1, true}, {1<<40 - 87, true}, {1<<62 - 1, true}, {1<<62 + 1, false}, {1<<63 + 29, false}} {
+		for _, on := range []bool{false, true} {
+			simd.UseVectorKernels(on)
+			if got, want := vectorUniform(c.q), c.in && on && simd.IFMA(); got != want {
+				t.Errorf("q=%#x, switch on %v: vector reduction %v, want %v", c.q, on, got, want)
+			}
+		}
+	}
+	t.Logf("vector reduction for 2^20 ≤ q < 2^62 on this host: %v", simd.IFMA())
+}
+
+// TestUniformKernelEdges holds the vector reduction kernel to v mod q,
+// rejections included, on the words where its quotient estimate can be
+// one off: multiples of q and their neighbours (remainders near 0 and
+// near q) across [0, 2^64), 2^64 − 1 and the words around the rejection
+// limit, for moduli across the gate whose 1/q rounds up and down.
+func TestUniformKernelEdges(t *testing.T) {
+	if !simd.IFMA() {
+		t.Skip("no IFMA kernels on this host: the vector reduction is not run")
+	}
+	r := mrand.New(mrand.NewPCG(40, 1))
+	for _, q := range []uint64{1<<20 + 7, 1<<20 + 29, 1<<20 + 199, 1<<40 - 87, 1125899906949121,
+		1<<53 + 1, 1<<61 - 1, 1<<61 + 15, 1<<62 - 57} {
+		limit := -q % q
+		in := []uint64{0, limit - 1, limit, limit + 1, ^uint64(0)}
+		for range 4096 {
+			m := r.Uint64N(^uint64(0) / q) // m·q + q − 1 < 2^64
+			for _, d := range []uint64{0, 1, 2, q - 3, q - 2, q - 1} {
+				in = append(in, m*q+d)
+			}
+		}
+		in = in[:len(in)&^7]
+		var want []uint64
+		for _, v := range in {
+			if v >= limit {
+				want = append(want, v%q)
+			}
+		}
+		got := make([]uint64, len(in))
+		got = got[:uniformAVX512(got, in, q, limit, 1/float64(q))]
+		for i := range min(len(got), len(want)) {
+			if got[i] != want[i] {
+				t.Fatalf("q=%#x: word %d = %d, want %d", q, i, got[i], want[i])
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("q=%#x: %d words written, want %d", q, len(got), len(want))
+		}
+	}
 }
 
 // FuzzSource runs an interleaving of every Source method, each op two
@@ -211,6 +285,10 @@ func FuzzSource(f *testing.F) {
 	f.Add([]byte{}, []byte{2, 250, 2, 251, 2, 252, 2, 253, 0, 1, 6, 7, 2, 254})
 	f.Add([]byte{0xff}, []byte{3, 69, 3, 8, 1, 6, 1, 7, 1, 8, 4, 4, 4, 4, 2, 100, 6, 0, 0, 0})
 	f.Add([]byte("key vault digit"), []byte{2, 123, 0, 0, 2, 124, 5, 1, 2, 125, 1, 255})
+	// Mid-epoch starts into UniformSlice modulo the gate's edges (2^20 −
+	// 1, 2^20 + 1, 2^62 − 1, 2^62 + 1) and 2^61 + k, the switch flipping
+	// between the calls.
+	f.Add([]byte("reduction at vector width"), []byte{0, 0, 2, 4, 2, 17, 0, 1, 2, 16, 2, 10, 2, 22, 3, 5, 2, 101, 2, 203, 0, 0, 2, 251})
 	f.Fuzz(func(t *testing.T, seedBytes, ops []byte) {
 		var seed [SeedSize]byte
 		copy(seed[:], seedBytes)
@@ -289,7 +367,8 @@ func TestSourceAllocs(t *testing.T) {
 }
 
 // benchBodies runs f under sub-benchmarks scalar, vector (where the CPU
-// has AVX512F) and stdlib; f's argument names the one it runs.
+// has AVX512F; UniformSlice reduces at vector width only where it also
+// has the IFMA kernels) and stdlib; f's argument names the one it runs.
 func benchBodies(b *testing.B, f func(b *testing.B, body string)) {
 	defer simd.UseVectorKernels(true)
 	for _, body := range []string{"scalar", "vector", "stdlib"} {
@@ -330,26 +409,35 @@ func BenchmarkKeystream(b *testing.B) {
 	})
 }
 
-// BenchmarkUniformSlice expands one key limb: 4096 words modulo q ≈ 2^40,
-// as the key vault does per limb at N = 2^12.
+// BenchmarkUniformSlice expands one key limb, 4096 words, as the key
+// vault does per limb at N = 2^12: modulo a 40-bit Q limb, modulo
+// matvec_hoisted's first P limb (50 bits), and modulo 2^61 + 15, which
+// rejects 1/8 of the draws.
 func BenchmarkUniformSlice(b *testing.B) {
-	const q = 1<<40 - 87
+	moduli := []struct {
+		name string
+		q    uint64
+	}{{"q=40bit", 1<<40 - 87}, {"q=50bit", 1125899906949121}, {"q=2^61+15", 1<<61 + 15}}
 	seed := testSeed(3)
 	out := make([]uint64, 4096)
 	benchBodies(b, func(b *testing.B, body string) {
-		b.SetBytes(8 * int64(len(out)))
-		if body == "stdlib" {
-			var r refSource
-			for b.Loop() {
-				r.Reseed(seed)
-				r.UniformSlice(out, q)
-			}
-			return
-		}
-		var s Source
-		for b.Loop() {
-			s.Reseed(seed)
-			s.UniformSlice(out, q)
+		for _, m := range moduli {
+			b.Run(m.name, func(b *testing.B) {
+				b.SetBytes(8 * int64(len(out)))
+				if body == "stdlib" {
+					var r refSource
+					for b.Loop() {
+						r.Reseed(seed)
+						r.UniformSlice(out, m.q)
+					}
+					return
+				}
+				var s Source
+				for b.Loop() {
+					s.Reseed(seed)
+					s.UniformSlice(out, m.q)
+				}
+			})
 		}
 	})
 }

@@ -295,6 +295,10 @@ type kernelRow struct {
 	shapes  []int // the row's own axis (digits, bases, input limbs); nil: one shape, 0
 	gathers bool  // the kernel reads through a gather: run every one of kernelGathers
 	avx512f bool  // the vector body needs only AVX512F, not IFMA and q < 2^51
+	lengths []int // the row's own lengths; nil: kernelLengths
+	// note, where set, is appended to the row's log: which body each of
+	// its shapes ran, where the class does not decide it.
+	note func() string
 	// draw draws one call's operands for c and returns the call, run once
 	// per kernel, and the words it must write, or nil to hold the vector
 	// run to the scalar one. A nil call skips the case.
@@ -307,6 +311,14 @@ func (r kernelRow) shapeList() []int {
 		return []int{0}
 	}
 	return r.shapes
+}
+
+// lengthList returns the row's lengths: its own, or kernelLengths.
+func (r kernelRow) lengthList() []int {
+	if r.lengths == nil {
+		return kernelLengths
+	}
+	return r.lengths
 }
 
 var kernelRows = []kernelRow{
@@ -372,6 +384,73 @@ var kernelRows = []kernelRow{
 	// prng's ChaCha8 epoch: shape 0 reads n raw words, shape 1 n words of
 	// UniformSlice modulo the class's first prime.
 	{name: "Epoch", shapes: []int{0, 1}, avx512f: true, draw: drawEpoch},
+	// prng's UniformSlice reduction: shape i reduces modulo
+	// uniformModuli[i].
+	{name: "UniformSlice", shapes: []int{0, 1, 2, 3, 4, 5, 6, 7, 8}, avx512f: true, lengths: uniformLengths,
+		draw: drawUniformSlice, note: uniformNote},
+}
+
+// uniformLengths are the UniformSlice row's lengths: every tail of the
+// reduction's eight-word step, and across the 124-word epochs.
+var uniformLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 123, 124, 125, 248, 1 << kernelLogN}
+
+// uniformModuli are the UniformSlice row's moduli: both sides of each
+// edge of the vector reduction's gate 2^20 ≤ q < 2^62, the workloads' 40-
+// and 50-bit limbs, 2^61 − 1, 2^61 + 15 (inside the gate, an eighth of
+// the draws rejected, so the kernel's compress store runs) and 2^63 + 29
+// (almost half rejected).
+var uniformModuli = []uint64{1<<20 - 1, 1<<20 + 7, 1<<62 - 57, 1<<62 + 57,
+	1<<40 - 87, 1125899906949121, 1<<61 - 1, 1<<61 + 15, 1<<63 + 29}
+
+// uniformVector is prng's gate for the vector reduction (vectorUniform,
+// pinned by prng's TestUniformSliceKernelSelection) on a modulus of
+// uniformModuli, none of which is a power of two.
+func uniformVector(q uint64) bool {
+	return simd.IFMA() && 1<<20 <= q && q < 1<<62
+}
+
+// uniformNote names the body UniformSlice reduces each of uniformModuli
+// on.
+func uniformNote() string {
+	var per []string
+	for _, q := range uniformModuli {
+		body := "scalar"
+		if uniformVector(q) {
+			body = "scalar and vector"
+		}
+		per = append(per, fmt.Sprintf("q=%#x %s", q, body))
+	}
+	return "reductions: " + strings.Join(per, ", ")
+}
+
+// drawUniformSlice draws a seed as drawEpoch does and a start of up to
+// one epoch of raw words into the stream, and fills n words modulo the
+// shape's modulus, then reads one more word, which pins the position the
+// call leaves the stream at. The reference is per-word Uint64n, whose
+// hardware division shares nothing with either body. The class's primes
+// do not enter; each class draws its own seeds.
+func drawUniformSlice(t testing.TB, c *kernelCase) (func() [][]uint64, [][]uint64) {
+	var seed [prng.SeedSize]byte
+	for i := range seed {
+		seed[i] = byte(c.word(256))
+	}
+	q, skip := uniformModuli[c.shape], c.rng.IntN(125)
+	start := func() *prng.Source {
+		s := prng.NewSource(seed)
+		for range skip {
+			s.Uint64()
+		}
+		return s
+	}
+	ref, want := start(), make([]uint64, c.n)
+	for i := range want {
+		want[i] = ref.Uint64n(q)
+	}
+	return func() [][]uint64 {
+		s, out := start(), make([]uint64, c.n)
+		s.UniformSlice(out, q)
+		return [][]uint64{out, {s.Uint64()}}
+	}, [][]uint64{want, {ref.Uint64()}}
 }
 
 // drawEpoch draws a seed — all zero, all 0xff, random or a per-byte mix
@@ -681,7 +760,7 @@ func TestKernelsMatch(t *testing.T) {
 			for ci, class := range modulusClasses {
 				c := &kernelCase{class: ci, rng: rand.New(rand.NewPCG(36, uint64(ci)))}
 				cases := 0
-				for _, c.n = range kernelLengths {
+				for _, c.n = range row.lengthList() {
 					for c.fill = range kernelFills {
 						for c.gather = range kernelGathers {
 							if c.gather != gatherIdentity && !row.gathers {
@@ -705,6 +784,9 @@ func TestKernelsMatch(t *testing.T) {
 				}
 				ran = append(ran, fmt.Sprintf("%s %d on %s", class.name, cases, kernels))
 			}
+			if row.note != nil {
+				ran = append(ran, row.note())
+			}
 			t.Logf("%s matched: %s", row.name, strings.Join(ran, "; "))
 		})
 	}
@@ -725,7 +807,7 @@ func FuzzKernels(f *testing.F) {
 		}
 		r := idx(slices.IndexFunc(kernelRows, func(k kernelRow) bool { return k.name == row }))
 		f.Add(seed, r, idx(slices.IndexFunc(modulusClasses, func(m modulusClass) bool { return m.name == class })),
-			idx(slices.Index(kernelLengths, n)), idx(slices.Index(kernelFills, fill)),
+			idx(slices.Index(kernelRows[r].lengthList(), n)), idx(slices.Index(kernelFills, fill)),
 			idx(slices.Index(kernelGathers, gather)), idx(slices.Index(kernelRows[r].shapeList(), shape)))
 	}
 	// The key product's corpus, on the limbs from 2^49 up, and the 40-
@@ -758,11 +840,18 @@ func FuzzKernels(f *testing.F) {
 	// The epoch: raw words across two epoch boundaries, and a key limb.
 	add(12, "Epoch", "30-bit", 255, "mix", "identity", 0)
 	add(13, "Epoch", "2^50 ± k", 4096, "uniform", "identity", 1)
+	// The reduction: a key limb, the compress store across an epoch
+	// boundary, the gate's upper edge from both sides, and a tail.
+	add(15, "UniformSlice", "40-bit", 4096, "uniform", "identity", 5)
+	add(16, "UniformSlice", "30-bit", 248, "mix", "identity", 7)
+	add(17, "UniformSlice", "2^51 − k", 125, "max", "identity", 2)
+	add(18, "UniformSlice", "61-bit", 124, "zero", "identity", 3)
+	add(19, "UniformSlice", "45-bit", 9, "uniform", "identity", 1)
 	f.Fuzz(func(t *testing.T, seed uint64, row, class, length, fill, gather, shape uint8) {
 		r := kernelRows[int(row)%len(kernelRows)]
 		c := &kernelCase{
 			class: int(class) % len(modulusClasses),
-			n:     kernelLengths[int(length)%len(kernelLengths)],
+			n:     r.lengthList()[int(length)%len(r.lengthList())],
 			fill:  int(fill) % len(kernelFills),
 			rng:   rand.New(rand.NewPCG(seed, 36)),
 		}

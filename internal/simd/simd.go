@@ -1,7 +1,8 @@
 // Package simd is the one CPU probe and the one kernel switch. Every
 // kernel with a vector body — ring's NTT, key product and pointwise
-// kernels, rns's extension tables, prng's ChaCha8 epoch — runs it only
-// where the probe found the instructions it needs and the switch is on.
+// kernels, rns's extension tables, prng's ChaCha8 epoch and UniformSlice
+// reduction — runs it only where the probe found the instructions it
+// needs and the switch is on.
 // It imports nothing of this module, so every kernel package can read it.
 package simd
 
@@ -32,7 +33,7 @@ func VectorKernels() bool { return !scalarOnly.Load() }
 func AVX512F() bool { return hasAVX512F }
 
 // IFMA reports whether the CPU has AVX512F, AVX512DQ (the first stage of
-// a basis extension converts with VCVTUQQ2PD and VCVTTPD2UQQ) and
-// AVX512IFMA, and the OS saves the ZMM state: what the arithmetic
-// kernels need.
+// a basis extension and prng's UniformSlice reduction convert with
+// VCVTUQQ2PD and VCVTTPD2UQQ) and AVX512IFMA, and the OS saves the ZMM
+// state: what the arithmetic kernels need.
 func IFMA() bool { return hasIFMA }
