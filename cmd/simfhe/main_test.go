@@ -180,7 +180,8 @@ func TestExitCodes(t *testing.T) {
 		{"bad -op", []string{"trace", "-op=bogus"}, fherr.ExitUsage},
 		{"bad -slots", []string{"boot", "-slots=40"}, fherr.ExitUsage},
 		{"missing schedule file", []string{"run", "testdata/missing.sched"}, fherr.ExitFailure},
-		{"validate -tol 0", []string{"validate", "-tol", "0"}, fherr.ExitUsage},
+		{"validate -logn 8", []string{"validate", "-logn", "8"}, fherr.ExitUsage},
+		{"validate -logn 18", []string{"validate", "-logn", "18"}, fherr.ExitUsage},
 		{"negative -mb on boot", []string{"boot", "-mb", "-5"}, fherr.ExitUsage},
 		{"negative -mb on run", []string{"run", "-mb", "-5", "testdata/deep.sched"}, fherr.ExitUsage},
 		{"negative -mb on trace", []string{"trace", "-mb", "-5"}, fherr.ExitUsage},

@@ -23,16 +23,7 @@ type validateReport struct {
 // report, and the table and verdict go to stderr.
 func validateCmd(args []string, w io.Writer) error {
 	fs := newFlagSet("validate")
-	cfg := calib.DefaultConfig()
-	fs.IntVar(&cfg.LogN, "logn", cfg.LogN, "ring degree exponent")
-	fs.IntVar(&cfg.Limbs, "limbs", cfg.Limbs, "calibration-chain limb count (model L)")
-	fs.IntVar(&cfg.Dnum, "dnum", cfg.Dnum, "calibration-chain key-switching digit count")
-	fs.IntVar(&cfg.CacheLimbs, "cache-limbs", cfg.CacheLimbs, "simulated on-chip capacity, in limbs of 8*N bytes")
-	fs.IntVar(&cfg.LineBytes, "line", cfg.LineBytes, "cache line size in bytes")
-	fs.IntVar(&cfg.Ways, "ways", cfg.Ways, "cache set associativity")
-	fs.Float64Var(&cfg.Tolerance, "tol", cfg.Tolerance, "relative tolerance of every gated row (0.20 = ±20%); must be positive")
-	fs.IntVar(&cfg.Diags, "diags", cfg.Diags, "plaintext matrix diagonal count")
-	fs.IntVar(&cfg.Rotations, "rotations", cfg.Rotations, "hoisted-rotation fan-out")
+	logN := fs.Int("logn", 10, "ring degree exponent, 9..17; the rest of the calibration point is fixed")
 	out := fs.String("out", "", "write the report as JSON (- for stdout)")
 	metricsOut := fs.String("metrics-out", "", "write predicted/measured byte counters as Prometheus text")
 	strict := fs.Bool("strict", false, "exit nonzero when a gated row or toggle fails")
@@ -40,7 +31,7 @@ func validateCmd(args []string, w io.Writer) error {
 		return err
 	}
 
-	rep, err := calib.Run(cfg)
+	rep, err := calib.Run(*logN)
 	if err != nil {
 		return fmt.Errorf("validate: %w", err)
 	}
@@ -57,6 +48,7 @@ func validateCmd(args []string, w io.Writer) error {
 	}
 
 	if *out != "" {
+		cfg := rep.Config
 		err := writeReport(w, validateReport{
 			Meta: collectMeta(fmt.Sprintf("logN=%d limbs=%d dnum=%d cacheLimbs=%d", cfg.LogN, cfg.Limbs, cfg.Dnum, cfg.CacheLimbs)),
 			Pass: pass, Report: rep,

@@ -15,7 +15,7 @@
 //
 // Two chains are traced, each built by newFixture with one worker (the
 // traced schedule is deterministic), seed-compressed keys and a warm key
-// vault: the calibration chain (N = 2^10, 12 + 4 limbs by default) for
+// vault: the calibration chain (N = 2^logN, 12 + 4 limbs) for
 // the probe rows and toggles, and the bootstrap chain (17 + 3 limbs) for
 // one row per priced op kind and one per bootstrap phase.
 //
@@ -38,20 +38,21 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/ledger"
 	"repro/internal/prng"
-	"repro/internal/ring"
 	"repro/internal/simfhe"
 )
 
-// Config selects the calibration point. The bootstrap chain shares its
-// ring degree, cache geometry, tolerance and hoisted fan-out.
+// Config is the calibration point a report states. The ring degree is
+// Run's one input; every other field is one of the constants below, the
+// same at every degree. The bootstrap chain shares the ring degree, cache
+// geometry, tolerance and hoisted fan-out.
 type Config struct {
-	LogN  int `json:"log_n"` // ring degree exponent (≥ 10: the model's Validate floor)
+	LogN  int `json:"log_n"` // ring degree exponent, in [minLogN, maxLogN]
 	Limbs int `json:"limbs"` // calibration-chain Q-limb count (model L)
 	Dnum  int `json:"dnum"`  // calibration-chain key-switching digit count
 
 	CacheLimbs int `json:"cache_limbs"` // simulated on-chip capacity, in limbs of 8·N bytes
-	LineBytes  int `json:"line_bytes"`  // cache line size (0 = memtrace default, 64)
-	Ways       int `json:"ways"`        // set associativity (0 = memtrace default, 8)
+	LineBytes  int `json:"line_bytes"`  // cache line size
+	Ways       int `json:"ways"`        // set associativity
 
 	Tolerance float64 `json:"tolerance"` // relative tolerance of every gated row (0.20 = ±20%)
 
@@ -59,15 +60,19 @@ type Config struct {
 	Rotations int `json:"rotations"` // hoisted-rotation fan-out
 }
 
-// DefaultConfig is the calibration point the tests and CI gate on.
-func DefaultConfig() Config {
-	return Config{
-		LogN: 10, Limbs: 12, Dnum: 4,
-		CacheLimbs: ledger.DefaultCacheLimbs, LineBytes: 64, Ways: 8,
-		Tolerance: 0.20,
-		Diags:     8, Rotations: 8,
-	}
-}
+// The calibration point's constants. The cache is at least one limb, so
+// a limb-wise kernel's phases share one DRAM pass at every degree.
+const (
+	calLimbs, calDnum = 12, 4
+	cacheLimbs        = ledger.DefaultCacheLimbs
+	lineBytes, ways   = 64, 8
+	tolerance         = 0.20
+	diags, rotations  = 8, 8
+)
+
+// The ring degrees Run accepts: where the model's domain (simfhe.Params,
+// logN 9–18) and the functional library's (ckks, logN 4–17) overlap.
+const minLogN, maxLogN = 9, 17
 
 // The bootstrap chain: the calibration chain is too short for the
 // pipeline's depth. bootProbes explicit Mul + RotateHoisted pairs run
@@ -356,19 +361,19 @@ func newFixture(cfg Config, c chain) (*fixture, error) {
 		low := ev.DropLevel(a, 0)
 		f.probes = append(f.probes, probe{call: func() { btp.Bootstrap(low) }})
 	} else {
-		diags := make(map[int][]complex128, cfg.Diags)
+		mat := make(map[int][]complex128, cfg.Diags)
 		for d := 0; d < cfg.Diags; d++ {
 			vec := make([]complex128, n)
 			for t := range vec {
 				vec[t] = complex(float64((d+t)%7)/8+0.1, 0)
 			}
-			diags[d] = vec
+			mat[d] = vec
 		}
 		// An explicit split (the model's own is √diags too): the computed
 		// one would follow the evaluator's key-product economics, not the
 		// model's.
 		n1 := int(math.Round(math.Sqrt(float64(cfg.Diags))))
-		lt := ckks.NewLinearTransform(enc, diags, params.MaxLevel(), params.Scale(), n1, false)
+		lt := ckks.NewLinearTransform(enc, mat, params.MaxLevel(), params.Scale(), n1, false)
 		for k := 1; k <= cfg.Rotations; k++ {
 			steps = append(steps, k)
 		}
@@ -382,20 +387,19 @@ func newFixture(cfg Config, c chain) (*fixture, error) {
 		prod := ev.MulRelin(a, b)
 		poly := a.C0.CopyNew()
 		rQ := params.RingQ()
-		// The model charges (N/2)·log N butterflies per limb and one
-		// read+write sweep of the limb per DRAM pass; the pass count comes
-		// from the kernel's own schedule, so the cache-blocked kernel
-		// cannot silently change its traffic contract without this row
-		// catching it.
-		passes := ring.NTTPasses(params.N())
+		// The model prices each transform as every primitive prices its
+		// NTTs (MAD's O(1)-limb caching): (N/2)·log N butterflies per limb
+		// and one read and one write of the limb. The blocked kernel's two
+		// phases are L1 tiling; a 32–64 KiB limb stays in the replay cache
+		// between them.
 		f.probes = []probe{
 			{name: "mult", gated: true, call: func() { ev.Rescale(ev.MulRelin(a, b)) },
 				note: "Rescale(MulRelin): the ledger prices its two spans as the unmerged Mult"},
 			{name: "rescale", gated: true, call: func() { ev.Rescale(prod) },
 				note: "both ciphertext halves rescaled (model RescalePoly ×2)"},
 			{name: "ntt_roundtrip", gated: true, call: func() { rQ.INTTPoly(poly); rQ.NTTPoly(poly) },
-				model: func(m simfhe.Ctx) simfhe.Cost { return m.NTTPoly(cfg.Limbs, passes).Times(2) },
-				note:  fmt.Sprintf("a kernel, no op span: iNTT+NTT on one poly, %d DRAM pass(es) per transform (ring.NTTPasses)", passes)},
+				model: func(m simfhe.Ctx) simfhe.Cost { return m.NTTPoly(cfg.Limbs).Times(2) },
+				note:  "a kernel, no op span: iNTT+NTT on one poly, one DRAM pass per transform (a limb stays cached between the kernel's phases)"},
 			{name: "rotate", gated: true, call: func() { ev.Rotate(a, 1) }},
 			{name: fmt.Sprintf("rotate_hoisted_x%d", cfg.Rotations), gated: true, call: func() { ev.RotateHoisted(a, steps) }},
 			{name: fmt.Sprintf("ptmatvec_d%d", cfg.Diags), call: func() { ev.EvalLinearTransform(a, lt) },
@@ -498,13 +502,18 @@ func (f *fixture) row(p probe, ws []window, m *ledger.Model, limbs int) Row {
 	return r
 }
 
-// Run traces both chains and returns the report. A non-positive
-// tolerance is a usage error, not a default.
-func Run(cfg Config) (*Report, error) {
-	if cfg.Tolerance <= 0 {
-		return nil, fherr.Errorf(fherr.ErrUsage, "calib: tolerance %g: want > 0", cfg.Tolerance)
+// Run traces both chains at ring degree 2^logN and returns the report. A
+// degree outside [minLogN, maxLogN] is a usage error.
+func Run(logN int) (*Report, error) {
+	if logN < minLogN || logN > maxLogN {
+		return nil, fherr.Errorf(fherr.ErrUsage, "calib: logN %d: want %d..%d", logN, minLogN, maxLogN)
 	}
-	rep := &Report{Config: cfg}
+	rep := &Report{Config: Config{
+		LogN: logN, Limbs: calLimbs, Dnum: calDnum,
+		CacheLimbs: cacheLimbs, LineBytes: lineBytes, Ways: ways,
+		Tolerance: tolerance,
+		Diags:     diags, Rotations: rotations,
+	}}
 	if err := rep.calibrate(); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package calib
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -13,30 +14,42 @@ import (
 	"repro/internal/mathutil"
 )
 
-var (
-	defaultOnce sync.Once
-	defaultRep  *Report
-	defaultErr  error
-)
+// reports caches one calibration run per ring degree the tests gate.
+var reports = map[int]*struct {
+	once sync.Once
+	rep  *Report
+	err  error
+}{10: {}, 12: {}}
 
-// defaultReport runs the default calibration once for every test here.
-func defaultReport(t *testing.T) *Report {
+// report runs the calibration at logN once for every test here.
+func report(t *testing.T, logN int) *Report {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("calibration traces full ops and a bootstrap; skipped in -short")
 	}
-	defaultOnce.Do(func() { defaultRep, defaultErr = Run(DefaultConfig()) })
-	if defaultErr != nil {
-		t.Fatal(defaultErr)
+	c := reports[logN]
+	c.once.Do(func() { c.rep, c.err = Run(logN) })
+	if c.err != nil {
+		t.Fatal(c.err)
 	}
-	return defaultRep
+	return c.rep
+}
+
+// forEachDegree runs test against the report of every cached degree.
+func forEachDegree(t *testing.T, test func(*testing.T, *Report)) {
+	for _, logN := range []int{10, 12} {
+		t.Run(fmt.Sprintf("logN%d", logN), func(t *testing.T) { test(t, report(t, logN)) })
+	}
 }
 
 // TestCalibrationTolerance is the acceptance bar of the model-validation
-// work: at the default point every gated row lands within ±20% of the
-// ledger's prediction, and the MAD toggle directions reproduce.
-func TestCalibrationTolerance(t *testing.T) {
-	rep := defaultReport(t)
+// work: at the calibration point every gated row lands within ±20% of the
+// ledger's prediction, and the MAD toggle directions reproduce — at a
+// degree the single-phase NTT kernel runs (logN 10) and one the blocked
+// two-phase kernel runs (logN 12).
+func TestCalibrationTolerance(t *testing.T) { forEachDegree(t, testCalibrationTolerance) }
+
+func testCalibrationTolerance(t *testing.T, rep *Report) {
 	var sb strings.Builder
 	rep.WriteTable(&sb)
 	t.Logf("\n%s", sb.String())
@@ -72,7 +85,7 @@ func TestCalibrationTolerance(t *testing.T) {
 // is present, gated, and agrees with the kernel counters, and the span
 // counts match the bootstrap's structure.
 func TestDriftBootstrapGate(t *testing.T) {
-	rep := defaultReport(t)
+	rep := report(t, 10)
 	rows := map[string]Row{}
 	for _, row := range rep.Rows {
 		rows[row.Name] = row
@@ -131,8 +144,9 @@ func TestDriftBootstrapGate(t *testing.T) {
 // TestCalibrationModeledGolden pins the predicted bytes of every row,
 // toggle side and op kind: the ledger is the only pricing path, so a
 // change here is a model or ledger change, never a harness one.
-func TestCalibrationModeledGolden(t *testing.T) {
-	rep := defaultReport(t)
+func TestCalibrationModeledGolden(t *testing.T) { forEachDegree(t, testModeledGolden) }
+
+func testModeledGolden(t *testing.T, rep *Report) {
 	got := map[string]uint64{}
 	for _, row := range rep.Rows {
 		got[row.Name] = row.Pred
@@ -141,30 +155,7 @@ func TestCalibrationModeledGolden(t *testing.T) {
 		got[tg.Name+"/base"] = tg.Base.Pred
 		got[tg.Name+"/opt"] = tg.Opt.Pred
 	}
-	want := map[string]uint64{
-		"mult":                  5455872,
-		"rescale":               376832,
-		"ntt_roundtrip":         393216,
-		"rotate":                4489216,
-		"rotate_hoisted_x8":     23134208,
-		"ptmatvec_d8":           19906560,
-		"ckks.Conjugate":        6553600,
-		"ckks.Mult":             150413312,
-		"ckks.Rescale":          2228224,
-		"ckks.RotateHoisted":    128630784,
-		"bootstrap.ModRaise":    868352,
-		"bootstrap.CoeffToSlot": 156712960,
-		"bootstrap.EvalMod":     136888320,
-		"bootstrap.SlotToCoeff": 21946368,
-		"cache_beta/base":       23134208,
-		"cache_beta/opt":        20381696,
-		"cache_alpha/base":      5455872,
-		"cache_alpha/opt":       4145152,
-		"key_compress/base":     4489216,
-		"key_compress/opt":      4096000,
-		"moddown_merge/base":    5455872,
-		"moddown_merge/opt":     4669440,
-	}
+	want := modeledGolden[rep.Config.LogN]
 	if !reflect.DeepEqual(got, want) {
 		for name, w := range want {
 			if got[name] != w {
@@ -188,15 +179,67 @@ func TestCalibrationModeledGolden(t *testing.T) {
 	}
 }
 
-// TestRunRejectsNonPositiveTolerance: a zero or negative -tol is a usage
-// error (exit 2), not a silent ±20%.
-func TestRunRejectsNonPositiveTolerance(t *testing.T) {
-	for _, tol := range []float64{0, -1} {
-		cfg := DefaultConfig()
-		cfg.Tolerance = tol
-		_, err := Run(cfg)
+// modeledGolden is every row's and toggle side's predicted bytes, per
+// ring degree. The logN 12 map was recorded from the model.
+var modeledGolden = map[int]map[string]uint64{
+	10: {
+		"mult":                  5455872,
+		"rescale":               376832,
+		"ntt_roundtrip":         393216,
+		"rotate":                4489216,
+		"rotate_hoisted_x8":     23134208,
+		"ptmatvec_d8":           19906560,
+		"ckks.Conjugate":        6553600,
+		"ckks.Mult":             150413312,
+		"ckks.Rescale":          2228224,
+		"ckks.RotateHoisted":    128630784,
+		"bootstrap.ModRaise":    868352,
+		"bootstrap.CoeffToSlot": 156712960,
+		"bootstrap.EvalMod":     136888320,
+		"bootstrap.SlotToCoeff": 21946368,
+		"cache_beta/base":       23134208,
+		"cache_beta/opt":        20381696,
+		"cache_alpha/base":      5455872,
+		"cache_alpha/opt":       4145152,
+		"key_compress/base":     4489216,
+		"key_compress/opt":      4096000,
+		"moddown_merge/base":    5455872,
+		"moddown_merge/opt":     4669440,
+	},
+	12: {
+		"mult":                  21823488,
+		"rescale":               1507328,
+		"ntt_roundtrip":         1572864,
+		"rotate":                17956864,
+		"rotate_hoisted_x8":     92536832,
+		"ptmatvec_d8":           79626240,
+		"ckks.Conjugate":        26214400,
+		"ckks.Mult":             601653248,
+		"ckks.Rescale":          8912896,
+		"ckks.RotateHoisted":    514523136,
+		"bootstrap.ModRaise":    3473408,
+		"bootstrap.CoeffToSlot": 879427584,
+		"bootstrap.EvalMod":     547553280,
+		"bootstrap.SlotToCoeff": 120881152,
+		"cache_beta/base":       92536832,
+		"cache_beta/opt":        81526784,
+		"cache_alpha/base":      21823488,
+		"cache_alpha/opt":       16580608,
+		"key_compress/base":     17956864,
+		"key_compress/opt":      16384000,
+		"moddown_merge/base":    21823488,
+		"moddown_merge/opt":     18677760,
+	},
+}
+
+// TestRunRejectsLogNOutsideDomain: a ring degree outside the overlap of
+// the model's and the functional library's domains is a usage error
+// (exit 2), raised before anything is built.
+func TestRunRejectsLogNOutsideDomain(t *testing.T) {
+	for _, logN := range []int{-1, 0, minLogN - 1, maxLogN + 1} {
+		_, err := Run(logN)
 		if !errors.Is(err, fherr.ErrUsage) || fherr.ExitCode(err) != fherr.ExitUsage {
-			t.Errorf("Run(tol=%v) = %v, want a usage error", tol, err)
+			t.Errorf("Run(%d) = %v, want a usage error", logN, err)
 		}
 	}
 }

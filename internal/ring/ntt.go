@@ -86,18 +86,6 @@ const (
 	nttMinBlockCols = 512
 )
 
-// NTTPasses reports how many full read+write passes over a limb of n
-// coefficients the NTT (or INTT) kernel performs: 1 for the single-phase
-// fused kernel (n ≤ NTTTile), 2 for the blocked two-phase kernel. The
-// analytic model (simfhe.Ctx.NTTPoly) and the ring.ntt.bytes counters use
-// the same pass count, so model, counter and memtrace replay agree.
-func NTTPasses(n int) int {
-	if n <= NTTTile {
-		return 1
-	}
-	return 2
-}
-
 // NTT transforms the limb p (natural coefficient order) into evaluation
 // form (bit-reversed order) in place, using the negacyclic Cooley–Tukey
 // algorithm with the 2N-th root of unity merged into the twiddles.

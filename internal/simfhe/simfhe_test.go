@@ -467,6 +467,26 @@ func TestSparseSlotValidation(t *testing.T) {
 	}
 }
 
+// TestNTTPolyOneDRAMPass pins the one NTT pricing rule: each transform
+// reads and writes every limb once, at any ring degree and cache size.
+func TestNTTPolyOneDRAMPass(t *testing.T) {
+	for _, logN := range []int{10, 13} {
+		p := Baseline()
+		p.LogN = logN
+		for _, mb := range []int{0, 32} {
+			c := NewCtx(p, MB(mb), NoOpts())
+			for _, l := range []int{1, 12} {
+				want := p.nttLimb().Times(l)
+				want.CtRead = uint64(l) * p.LimbBytes()
+				want.CtWrite = uint64(l) * p.LimbBytes()
+				if got := c.NTTPoly(l); got != want {
+					t.Errorf("logN=%d %dMB l=%d: NTTPoly = %+v, want %+v", logN, mb, l, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestMulRelinComposesToMult pins the MulRelin extraction: across opt
 // sets (merge excluded — the merged ModDown is inseparable) and levels,
 // Mult must equal MulRelin + 2×RescalePoly up to the documented CacheO1

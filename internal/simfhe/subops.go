@@ -20,17 +20,13 @@ func (p Params) nttLimb() Cost {
 }
 
 // NTTPoly returns the full cost (compute + DRAM traffic) of one forward
-// or inverse NTT applied to `limbs` limbs, with `passes` read+write
-// sweeps of each limb per transform. The pass count is the schedule knob
-// the cache-blocked kernel exposes (ring.NTTPasses): 1 when a limb fits
-// one cache tile and the whole transform is a single fused sweep, 2 on
-// the blocked two-phase path (column phase + row phase). The functional
-// kernels' ring.ntt.bytes counters report exactly this traffic, and the
-// calib "ntt" row gates the model against the measured trace.
-func (c Ctx) NTTPoly(limbs, passes int) Cost {
+// or inverse NTT applied to `limbs` limbs: one read and one write of each
+// limb, as ModUpDigit and ModDownPoly price their NTTs. The calib
+// ntt_roundtrip row gates it against the measured trace.
+func (c Ctx) NTTPoly(limbs int) Cost {
 	return c.P.nttLimb().Times(limbs).
-		Plus(c.P.readCt(limbs).Times(passes)).
-		Plus(c.P.writeCt(limbs).Times(passes))
+		Plus(c.P.readCt(limbs)).
+		Plus(c.P.writeCt(limbs))
 }
 
 // newLimbCost returns the compute cost of the slot-wise basis conversion
