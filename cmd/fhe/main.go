@@ -22,13 +22,6 @@
 // or a bad inner-sum width fails in the library with a typed error
 // (exit 3), as it does in fhed.
 //
-// A leading -debug-addr ADDR serves net/http/pprof under /debug/pprof,
-// the evaluator's ckks.* counters and latency histograms under /metrics
-// (Prometheus text) and a liveness report under /healthz for the
-// duration of the command:
-//
-//	fhe -debug-addr localhost:6060 mul -dir keys -out prod.bin a.bin b.bin
-//
 // A leading -stats prints an end-of-run telemetry table: per-op latency
 // percentiles (from the span histograms), kernel and traffic counters,
 // and runtime memory gauges:
@@ -45,6 +38,10 @@
 // or a chaos-suite injection — the flight recorder dumps its bounded
 // window (the last spans, all counters, gauges and histograms) to
 // FLIGHT.json (override with a leading -flight-out FILE).
+//
+// fhe serves nothing over HTTP: its telemetry is the -stats table and
+// the files above, and fhed's GET /metrics and GET /healthz are the
+// repository's live endpoints.
 //
 // Exit codes: 0 success, 1 generic failure (I/O, missing files),
 // 2 usage errors, 3 ciphertext validation failures (level/scale/domain

@@ -4,7 +4,7 @@
 // schedule of operations, cost attribution trees, and the
 // model-vs-measured validation report.
 //
-//	simfhe [-debug-addr ADDR] COMMAND [flags]
+//	simfhe COMMAND [flags]
 //
 // The commands table below is the one list of subcommands; `simfhe -h`
 // prints each with its synopsis, and `simfhe all` runs every experiment
@@ -15,11 +15,8 @@
 // trace_event JSON, loadable in chrome://tracing or Perfetto) and
 // -metrics-out FILE (Prometheus text format); both files are written
 // before the table, so a reader that closes stdout early cannot lose
-// them. A leading -debug-addr ADDR serves /debug/pprof, /metrics and a
-// /healthz liveness report over HTTP while the command runs, and keeps
-// serving after it until SIGINT:
-//
-//	simfhe -debug-addr localhost:6060 run sched.txt
+// them. simfhe serves nothing over HTTP: it writes files, and fhed's
+// GET /metrics and GET /healthz are the repository's live endpoints.
 //
 // Exit codes: 0 success, 1 generic failure (I/O, missing files, a
 // failed -strict validation), 2 usage errors (bad flags, unknown
@@ -33,13 +30,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"repro/internal/fherr"
-	"repro/internal/obs"
 	"repro/internal/simfhe"
 )
 
@@ -94,10 +87,6 @@ var (
 	stderr io.Writer = os.Stderr
 )
 
-// debugRec backs the /metrics endpoint when -debug-addr is set; the
-// subcommands mirror their exported counters into it.
-var debugRec *obs.Recorder
-
 // Run executes one simfhe command line (without the program name) and
 // writes the command's report to w. Errors are typed so main can map
 // them to exit codes with fherr.ExitCode: bad flags, arguments and enum
@@ -110,9 +99,7 @@ func Run(args []string, w io.Writer) (err error) {
 		}
 	}()
 	global := newFlagSet("simfhe")
-	debugAddr := global.String("debug-addr", "",
-		"serve /debug/pprof, /metrics and /healthz on this address (e.g. localhost:6060) while the command runs")
-	global.Usage = func() { usage(); global.PrintDefaults() }
+	global.Usage = usage
 	if err := parseFlags(global, args); err != nil {
 		return helpIsSuccess(err)
 	}
@@ -126,33 +113,7 @@ func Run(args []string, w io.Writer) (err error) {
 		usage()
 		return fherr.Errorf(fherr.ErrUsage, "unknown command %q", name)
 	}
-	debugRec = nil
-	var dbg *obs.DebugServer
-	if *debugAddr != "" {
-		debugRec = obs.NewRecorder()
-		if dbg, err = obs.NewDebugServer(*debugAddr, debugRec); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "debug server: http://%s/debug/pprof/ and http://%s/metrics\n", dbg.Addr, dbg.Addr)
-	}
-	// Bounded drain on every exit path: in-flight profile scrapes get two
-	// seconds, then the listener is force-closed so the process cannot
-	// hang. Nil-safe without -debug-addr.
-	defer func() {
-		if err := dbg.Shutdown(2 * time.Second); err != nil {
-			fmt.Fprintln(stderr, "simfhe: debug server shutdown:", err)
-		}
-	}()
-	if err := helpIsSuccess(cmd.run(rest, w)); err != nil {
-		return err
-	}
-	if dbg != nil {
-		fmt.Fprintln(stderr, "command done; still serving -debug-addr endpoints (SIGINT to exit)")
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-	}
-	return nil
+	return helpIsSuccess(cmd.run(rest, w))
 }
 
 func lookup(name string) (command, bool) {
@@ -169,11 +130,12 @@ func usage() {
 	for i, c := range commands {
 		names[i] = c.name
 	}
-	fmt.Fprintf(stderr, "usage: simfhe [-debug-addr ADDR] {%s} [flags]\n", strings.Join(names, "|"))
+	fmt.Fprintf(stderr, "usage: simfhe {%s} [flags]\n", strings.Join(names, "|"))
 	for _, c := range commands {
 		fmt.Fprintf(stderr, "  %-9s %s\n", c.name, c.synopsis)
 	}
 	fmt.Fprintln(stderr, "  run/boot/trace accept -trace-out FILE (Chrome trace JSON) and -metrics-out FILE (Prometheus text)")
+	fmt.Fprintln(stderr, "  simfhe writes files and serves nothing; fhed's GET /metrics and GET /healthz are the live endpoints")
 }
 
 // runAll runs every command the table marks for `all`, in table order.

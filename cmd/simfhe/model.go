@@ -45,11 +45,10 @@ func (b *traceBuilder) add(t *simfhe.CostTree) {
 // exporting reports whether a command's spans and counters have anywhere
 // to go, so commands skip building them when they do not.
 func exporting(traceOut, metricsOut string) bool {
-	return traceOut != "" || metricsOut != "" || debugRec != nil
+	return traceOut != "" || metricsOut != ""
 }
 
-// exportObs writes the trace and/or metrics files (empty paths skip) and
-// mirrors the counters into the -debug-addr recorder when one is live.
+// exportObs writes the trace and/or metrics files (empty paths skip).
 func exportObs(traceOut, metricsOut string, spans []obs.SpanRecord, counters map[string]uint64) error {
 	snap := obs.Snapshot{Spans: spans, Counters: counters}
 	write := func(path, what string, fn func(io.Writer) error) error {
@@ -73,13 +72,7 @@ func exportObs(traceOut, metricsOut string, spans []obs.SpanRecord, counters map
 	if err := write(traceOut, "Chrome trace", snap.WriteChromeTrace); err != nil {
 		return err
 	}
-	if err := write(metricsOut, "Prometheus metrics", snap.WritePrometheus); err != nil {
-		return err
-	}
-	for name, v := range counters {
-		debugRec.Add(name, v) // nil-safe no-op without -debug-addr
-	}
-	return nil
+	return write(metricsOut, "Prometheus metrics", snap.WritePrometheus)
 }
 
 // mergeMetrics accumulates a cost's counters into dst under the prefix.

@@ -89,8 +89,9 @@ func (ev *Evaluator) finish(site string, out *Ciphertext) {
 //		return ev.Rotate(ct, 3)
 //	}, ct)
 //
-// Plaintext operands are checked with Parameters.ValidatePlaintext
-// before the call.
+// Do validates only the ciphertexts in ins. A plaintext operand f
+// closes over is not checked: the caller must validate it with
+// Parameters.ValidatePlaintext before calling Do.
 func (ev *Evaluator) Do(ctx context.Context, op string, f func(*Evaluator) *Ciphertext, ins ...*Ciphertext) (out *Ciphertext, err error) {
 	sp := ev.rec.StartOp(op + "E")
 	defer sp.End()

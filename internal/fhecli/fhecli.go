@@ -17,7 +17,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/ckks"
 	"repro/internal/fherr"
@@ -25,10 +24,10 @@ import (
 	"repro/internal/prng"
 )
 
-// recorder, when non-nil (armed by a leading -debug-addr, -stats or
-// -chaos flag), is attached to every evaluator the subcommands build, so
-// /metrics, the -stats summary table and the FLIGHT.json fault dump all
-// see the ckks.* spans and counters of the operation in flight.
+// recorder, when non-nil (armed by a leading -stats or -chaos flag), is
+// attached to every evaluator the subcommands build, so the -stats
+// summary table and the FLIGHT.json fault dump both see the ckks.* spans
+// and counters of the operation in flight.
 var recorder *obs.Recorder
 
 // flightPath is where the dump-on-fault hook (and the chaos suite)
@@ -41,26 +40,23 @@ var flightPath = "FLIGHT.json"
 // bit-identical regardless of the setting.
 var workerCount = 1
 
-// Run dispatches the subcommand. A leading -debug-addr ADDR serves
-// /debug/pprof, /metrics and /healthz over HTTP for the duration of the
-// command (drained with a bounded timeout on exit); a leading -workers N
-// parallelizes the evaluator across N goroutines; a leading -stats
-// prints an end-of-run telemetry table (latency percentiles per op,
-// counters, memory gauges); a leading -flight-out FILE sets where the
-// flight recorder dumps its window when a fault is classified; a leading
-// -chaos runs the fault-injection smoke suite instead of a subcommand.
+// Run dispatches the subcommand. A leading -workers N parallelizes the
+// evaluator across N goroutines; a leading -stats prints an end-of-run
+// telemetry table (latency percentiles per op, counters, memory
+// gauges); a leading -flight-out FILE sets where the flight recorder
+// dumps its window when a fault is classified; a leading -chaos runs
+// the fault-injection smoke suite instead of a subcommand.
 // Every name in the ckks op table is a subcommand (see evalCmd).
 // Output goes to w; errors are returned, typed so the caller can map
 // them to exit codes with fherr.ExitCode.
 func Run(args []string, w io.Writer) error {
 	usageErr := fherr.Errorf(fherr.ErrUsage,
-		"usage: fhe [-debug-addr ADDR] [-workers N] [-stats] [-flight-out FILE] [-chaos [-chaos-out FILE]] {keygen|encrypt|decrypt|info|%s|sum} [flags]",
+		"usage: fhe [-workers N] [-stats] [-flight-out FILE] [-chaos [-chaos-out FILE]] {keygen|encrypt|decrypt|info|%s|sum} [flags]",
 		strings.Join(ckks.OpNames(), "|"))
 	if len(args) == 0 {
 		return usageErr
 	}
 	global := flag.NewFlagSet("fhe", flag.ContinueOnError)
-	debugAddr := global.String("debug-addr", "", "serve /debug/pprof, /metrics and /healthz on this address while the command runs")
 	workers := global.Int("workers", 1, "evaluator goroutines (0 = all cores); results are bit-identical at any setting")
 	stats := global.Bool("stats", false, "print an end-of-run telemetry summary (op latency percentiles, counters, memory gauges)")
 	flightOut := global.String("flight-out", "FLIGHT.json", "where the flight recorder dumps the last spans and counters when a fault is classified")
@@ -77,7 +73,7 @@ func Run(args []string, w io.Writer) error {
 		return usageErr
 	}
 	recorder = nil
-	if *debugAddr != "" || *stats || *chaos {
+	if *stats || *chaos {
 		recorder = obs.NewRecorder()
 	}
 	// Dump-on-fault: any panic classified at an API boundary flushes the
@@ -87,14 +83,6 @@ func Run(args []string, w io.Writer) error {
 		_ = recorder.DumpFlight(flightPath, "panic: "+err.Error())
 	})
 	defer fherr.SetPanicHook(nil)
-	if *debugAddr != "" {
-		dbg, err := obs.NewDebugServer(*debugAddr, recorder)
-		if err != nil {
-			return err
-		}
-		defer dbg.Shutdown(2 * time.Second)
-		fmt.Fprintf(w, "debug server: http://%s/debug/pprof/ and http://%s/metrics\n", dbg.Addr, dbg.Addr)
-	}
 	err := func() error {
 		if *chaos {
 			return ChaosSmoke(w, *chaosOut)

@@ -17,7 +17,7 @@ import (
 func TestSpanRingCapAndDroppedAccounting(t *testing.T) {
 	r := NewRecorder(WithSpanCap(8))
 	for i := 0; i < 20; i++ {
-		r.StartSpan(fmt.Sprintf("op%02d", i)).End()
+		r.StartOp(fmt.Sprintf("op%02d", i)).End()
 	}
 	s := r.Snapshot()
 	if len(s.Spans) != 8 {
@@ -37,7 +37,7 @@ func TestSpanRingCapAndDroppedAccounting(t *testing.T) {
 func TestSpanCapUnbounded(t *testing.T) {
 	r := NewRecorder(WithSpanCap(0))
 	for i := 0; i < 2*DefaultSpanCap/64; i++ {
-		r.StartSpan("op").End()
+		r.StartOp("op").End()
 	}
 	if got := r.Counter(DroppedSpansCounter); got != 0 {
 		t.Fatalf("unbounded recorder dropped %d spans", got)
@@ -56,7 +56,7 @@ func TestResetReanchorsEpoch(t *testing.T) {
 	clock = clock.Add(10 * time.Second)
 	r.Reset()
 	clock = clock.Add(5 * time.Millisecond)
-	sp := r.StartSpan("post-reset")
+	sp := r.StartOp("post-reset")
 	clock = clock.Add(time.Millisecond)
 	sp.End()
 
@@ -81,13 +81,13 @@ func TestResetClearsHistograms(t *testing.T) {
 }
 
 // TestEndAfterResetClampsDeltas is the regression test for the
-// counter-delta underflow: a Reset between StartSpan and End zeroes the
+// counter-delta underflow: a Reset between StartOp and End zeroes the
 // counters below the span's snapshot, and the unsigned subtraction must
 // clamp at zero instead of wrapping to ~2^64.
 func TestEndAfterResetClampsDeltas(t *testing.T) {
 	r := NewRecorder()
 	r.Add("k", 1000)
-	sp := r.StartSpan("in-flight")
+	sp := r.StartOp("in-flight")
 	r.Reset()
 	r.Add("k", 3) // post-reset activity, below the span's snapshot of 1000
 	sp.End()
@@ -126,11 +126,11 @@ func TestConcurrentSnapshotAndExport(t *testing.T) {
 					return
 				default:
 				}
-				sp := r.StartSpan("writer")
+				sp := r.StartOp("writer")
 				r.Add("n", 1)
 				r.SetGauge("g", float64(i))
 				r.Observe("lat", uint64(i%1000)+1)
-				child := sp.StartChild("child")
+				child := r.StartLinked("child")
 				child.End()
 				sp.End()
 			}
@@ -174,7 +174,7 @@ func TestConcurrentSnapshotAndExport(t *testing.T) {
 func TestFlightDump(t *testing.T) {
 	r := NewRecorder(WithSpanCap(4))
 	for i := 0; i < 10; i++ {
-		r.StartSpan(fmt.Sprintf("step%d", i)).End()
+		r.StartOp(fmt.Sprintf("step%d", i)).End()
 	}
 	r.Add("ring.ntt", 42)
 	r.SetGauge("mem.heap_alloc_bytes", 123456)

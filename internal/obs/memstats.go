@@ -1,15 +1,11 @@
 package obs
 
-import (
-	"runtime"
-	"sync"
-	"time"
-)
+import "runtime"
 
-// Runtime memory telemetry: a runtime.MemStats poller publishing
-// heap/GC/goroutine gauges into a recorder, so the /metrics endpoint and
-// the end-of-run stats table expose the process's live working set next
-// to the kernel bytes-moved counters. MAD's thesis is that FHE cost is
+// Runtime memory telemetry: heap/GC/goroutine gauges read from
+// runtime.MemStats into a recorder, so the end-of-run stats table
+// shows the process's live working set next to the kernel bytes-moved
+// counters. MAD's thesis is that FHE cost is
 // governed by memory behavior; this is the runtime half of measuring it.
 
 // PublishMemStats reads runtime.MemStats once and publishes the gauges:
@@ -27,7 +23,7 @@ import (
 //	mem.goroutines         live goroutines
 //
 // Safe on a nil recorder (no-op). ReadMemStats stops the world briefly;
-// call it at op boundaries or from the poller, not inside kernels.
+// call it at op boundaries, not inside kernels.
 func PublishMemStats(r *Recorder) {
 	if r == nil {
 		return
@@ -43,38 +39,4 @@ func PublishMemStats(r *Recorder) {
 	r.SetGauge("mem.gc_pause_total_ns", float64(m.PauseTotalNs))
 	r.SetGauge("mem.gc_cpu_fraction", m.GCCPUFraction)
 	r.SetGauge("mem.goroutines", float64(runtime.NumGoroutine()))
-}
-
-// StartMemPoller publishes MemStats gauges into r every interval until
-// the returned stop function is called. Stop is idempotent and waits for
-// the poller goroutine to exit. A nil recorder (or non-positive
-// interval) returns a no-op stop without starting anything.
-func StartMemPoller(r *Recorder, interval time.Duration) (stop func()) {
-	if r == nil || interval <= 0 {
-		return func() {}
-	}
-	PublishMemStats(r) // publish immediately so short runs still see gauges
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				PublishMemStats(r)
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(done)
-			wg.Wait()
-		})
-	}
 }

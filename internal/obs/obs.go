@@ -12,7 +12,7 @@
 // therefore holds a plain *Recorder field that defaults to nil and never
 // guards call sites:
 //
-//	sp := ev.rec.StartSpan("ckks.Mult") // no-op when ev.rec == nil
+//	sp := ev.rec.StartOp("ckks.Mult") // no-op when ev.rec == nil
 //	defer sp.End()
 //	ev.rec.Add("ckks.ntt", 12)
 package obs
@@ -51,9 +51,9 @@ const DroppedSpansCounter = "obs.dropped_spans"
 // process is a flight recorder — constant memory, always holding the
 // spans that led up to now — rather than a leak.
 //
-// Beyond explicit parent links (StartChild), the recorder carries a
-// trace cursor: StartOp opens a span as a child of the current op span
-// and makes itself current until End, and StartLinked opens a
+// Spans open two ways, both through the recorder's trace cursor: StartOp
+// opens a span as a child of the current op span (a root when none is
+// current) and makes itself current until End, and StartLinked opens a
 // lightweight span under whatever op is current *without* advancing the
 // cursor. The cursor is an atomic pointer, so worker goroutines inside a
 // ring.Parallel fan-out can parent their task spans to the op that
@@ -175,20 +175,12 @@ func NewRecorder(opts ...RecorderOption) *Recorder {
 	return r
 }
 
-// StartSpan opens a root span. End must be called to record it.
-func (r *Recorder) StartSpan(name string) *Span {
-	if r == nil {
-		return nil
-	}
-	return r.startSpan(name, 0, false)
-}
-
 // StartOp opens a span as a child of the recorder's current op span (a
 // root when none is current) and makes it current until End — the
 // context-propagation primitive: nested evaluator calls on the same
 // goroutine form a tree without threading span handles through every
-// signature, and concurrent worker goroutines see the op via
-// CurrentSpan/StartLinked. End restores the previous cursor.
+// signature, and concurrent worker goroutines parent to the op via
+// StartLinked. End restores the previous cursor.
 func (r *Recorder) StartOp(name string) *Span {
 	if r == nil {
 		return nil
@@ -219,25 +211,6 @@ func (r *Recorder) StartLinked(name string) *Span {
 		parent = cur.id
 	}
 	return r.startSpan(name, parent, true)
-}
-
-// CurrentSpan returns the recorder's current op span (nil when no op is
-// in flight or the recorder is nil).
-func (r *Recorder) CurrentSpan() *Span {
-	if r == nil {
-		return nil
-	}
-	return r.cur.Load()
-}
-
-// StartChild opens a span parented under s (falling back to a root span
-// when s is nil but the recorder passed at creation is unknown — a nil
-// span yields a nil child).
-func (s *Span) StartChild(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.r.startSpan(name, s.id, false)
 }
 
 func (r *Recorder) startSpan(name string, parent uint64, lite bool) *Span {
@@ -296,7 +269,7 @@ func (s *Span) End() {
 	var delta map[string]uint64
 	if !s.lite {
 		r.counters.Range(func(k, v any) bool {
-			// A Reset between StartSpan and End can zero counters below the
+			// A Reset between StartOp and End can zero counters below the
 			// span's snapshot; an unsigned subtraction would wrap to a garbage
 			// near-2^64 delta, so deltas are clamped at zero instead.
 			if cur := v.(*atomic.Uint64).Load(); cur > s.snap[k.(string)] {

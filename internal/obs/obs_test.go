@@ -8,9 +8,9 @@ import (
 
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
-	sp := r.StartSpan("x")
+	sp := r.StartOp("x")
+	r.StartLinked("y").End()
 	sp.End()
-	sp.StartChild("y").End()
 	r.Add("c", 1)
 	r.SetGauge("g", 1)
 	r.Reset()
@@ -23,11 +23,32 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	}
 }
 
+// TestNilRecorderAllocFree pins the disabled-path contract that lets
+// instrumentation stay compiled into hot paths: every call the library
+// makes on a nil recorder and its nil spans allocates nothing.
+func TestNilRecorderAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	var r *Recorder
+	allocs := testing.AllocsPerRun(100, func() {
+		sp := r.StartOp("ckks.Mult").SetAttr("pred.bytes", 4096)
+		r.StartLinked("ring.parallel.worker").SetTid(1).End()
+		r.Add("ring.ntt", 12)
+		r.SetGauge("mem.heap_alloc_bytes", 1)
+		r.ObserveDuration("ckks.Mult", time.Millisecond)
+		sp.End()
+	})
+	if allocs != 0 {
+		t.Fatalf("nil recorder path allocates %v times per run, want 0", allocs)
+	}
+}
+
 func TestSpanHierarchyAndCounterDeltas(t *testing.T) {
 	r := NewRecorder()
-	root := r.StartSpan("root")
+	root := r.StartOp("root")
 	r.Add("ops", 3)
-	child := root.StartChild("child")
+	child := r.StartOp("child")
 	r.Add("ops", 4)
 	child.End()
 	r.Add("ops", 5)
@@ -71,9 +92,9 @@ func TestConcurrentRecording(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				sp := r.StartSpan("op")
+				sp := r.StartOp("op")
 				r.Add("count", 1)
-				sp.StartChild("sub").End()
+				r.StartLinked("sub").End()
 				r.SetGauge("last", float64(i))
 				sp.End()
 			}
@@ -100,9 +121,9 @@ func TestConcurrentRecording(t *testing.T) {
 
 func TestSpansNamed(t *testing.T) {
 	r := NewRecorder()
-	r.StartSpan("a").End()
-	r.StartSpan("b").End()
-	r.StartSpan("a").End()
+	r.StartOp("a").End()
+	r.StartOp("b").End()
+	r.StartOp("a").End()
 	if got := len(r.Snapshot().SpansNamed("a")); got != 2 {
 		t.Fatalf("SpansNamed(a) = %d, want 2", got)
 	}
@@ -120,7 +141,7 @@ func TestSnapshotIsACopy(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	r := NewRecorder()
-	r.StartSpan("a").End()
+	r.StartOp("a").End()
 	r.Add("c", 7)
 	r.SetGauge("g", 1)
 	r.Reset()
@@ -132,7 +153,7 @@ func TestReset(t *testing.T) {
 
 func TestSpanDurations(t *testing.T) {
 	r := NewRecorder()
-	sp := r.StartSpan("timed")
+	sp := r.StartOp("timed")
 	time.Sleep(2 * time.Millisecond)
 	sp.End()
 	rec := r.Snapshot().Spans[0]
@@ -145,13 +166,13 @@ func TestSpanDurations(t *testing.T) {
 }
 
 // BenchmarkNoopRecorder proves the disabled instrumentation path (nil
-// recorder) costs a few nil checks: StartSpan + End + one counter Add.
+// recorder) costs a few nil checks: StartOp + End + one counter Add.
 // The acceptance bar is < 5 ns/op on any modern machine.
 func BenchmarkNoopRecorder(b *testing.B) {
 	var r *Recorder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := r.StartSpan("ckks.Mult")
+		sp := r.StartOp("ckks.Mult")
 		r.Add("ckks.ntt", 12)
 		sp.End()
 	}
@@ -163,7 +184,7 @@ func BenchmarkEnabledRecorder(b *testing.B) {
 	r := NewRecorder()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := r.StartSpan("ckks.Mult")
+		sp := r.StartOp("ckks.Mult")
 		r.Add("ckks.ntt", 12)
 		sp.End()
 	}

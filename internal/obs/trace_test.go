@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -10,8 +9,8 @@ import (
 func TestStartOpNesting(t *testing.T) {
 	r := NewRecorder()
 	outer := r.StartOp("ckks.Mult")
-	if got := r.CurrentSpan(); got != outer {
-		t.Fatalf("CurrentSpan = %v, want the outer op", got)
+	if got := r.cur.Load(); got != outer {
+		t.Fatalf("cursor = %v, want the outer op", got)
 	}
 	inner := r.StartOp("ckks.Rescale")
 	if inner.parent != outer.ID() {
@@ -21,16 +20,16 @@ func TestStartOpNesting(t *testing.T) {
 	if leaf.parent != inner.ID() {
 		t.Fatalf("linked parent = %d, want current op %d", leaf.parent, inner.ID())
 	}
-	if got := r.CurrentSpan(); got != inner {
+	if got := r.cur.Load(); got != inner {
 		t.Fatalf("StartLinked moved the cursor to %v", got)
 	}
 	leaf.End()
 	inner.End()
-	if got := r.CurrentSpan(); got != outer {
-		t.Fatalf("End did not restore the cursor: CurrentSpan = %v, want outer", got)
+	if got := r.cur.Load(); got != outer {
+		t.Fatalf("End did not restore the cursor: cursor = %v, want outer", got)
 	}
 	outer.End()
-	if got := r.CurrentSpan(); got != nil {
+	if got := r.cur.Load(); got != nil {
 		t.Fatalf("cursor not cleared after last End: %v", got)
 	}
 
@@ -74,7 +73,7 @@ func TestResetReRootsInFlightSpans(t *testing.T) {
 	outer := r.StartOp("outer")
 	inner := r.StartOp("inner")
 	r.Reset()
-	if got := r.CurrentSpan(); got != nil {
+	if got := r.cur.Load(); got != nil {
 		t.Fatalf("Reset left cursor %v", got)
 	}
 	inner.End()
@@ -94,9 +93,6 @@ func TestNilSpanHierarchyMethods(t *testing.T) {
 		t.Errorf("nil span ID = %d", sp.ID())
 	}
 	sp.End()
-	if r.CurrentSpan() != nil {
-		t.Errorf("nil recorder has a current span")
-	}
 	r.StartLinked("y").End()
 }
 
@@ -161,7 +157,7 @@ func TestPrometheusHelpLines(t *testing.T) {
 	r := NewRecorder()
 	r.Add("ring.ntt.bytes", 10)
 	r.SetGauge("mem.heap_alloc", 5)
-	r.StartSpan("ckks.Mult").End()
+	r.StartOp("ckks.Mult").End()
 	var buf strings.Builder
 	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -186,52 +182,5 @@ func TestPrometheusHelpLines(t *testing.T) {
 		if strings.Contains(name, ".") {
 			t.Errorf("unsanitized metric name %q in exposition", name)
 		}
-	}
-}
-
-func TestDashEndpoints(t *testing.T) {
-	r := NewRecorder()
-	sp := r.StartOp("ckks.Mult")
-	r.Add("ring.ntt.bytes", 1500)
-	sp.End()
-	r.Observe("ckks.Mult", 2500)
-
-	d := &DebugServer{rec: r}
-	rr := httptest.NewRecorder()
-	d.serveDash(rr, nil)
-	if rr.Code != 200 || !strings.Contains(rr.Body.String(), "/dash/data") {
-		t.Fatalf("GET /dash: code %d, body %.80q", rr.Code, rr.Body.String())
-	}
-
-	rr = httptest.NewRecorder()
-	d.serveDashData(rr, nil)
-	if rr.Code != 200 {
-		t.Fatalf("GET /dash/data: code %d", rr.Code)
-	}
-	var data dashData
-	if err := json.Unmarshal(rr.Body.Bytes(), &data); err != nil {
-		t.Fatal(err)
-	}
-	if !data.Recorder || data.Spans != 1 || data.SpanCap != DefaultSpanCap {
-		t.Errorf("flight status = %+v", data)
-	}
-	if len(data.Counters) != 1 || data.Counters[0] != (dashKV{"ring.ntt.bytes", 1500}) {
-		t.Errorf("counters = %+v", data.Counters)
-	}
-	if len(data.Hists) == 0 || data.Hists[0].Count != 2 {
-		t.Errorf("hists = %+v", data.Hists)
-	}
-}
-
-func TestDashDataNilRecorder(t *testing.T) {
-	d := &DebugServer{}
-	rr := httptest.NewRecorder()
-	d.serveDashData(rr, nil)
-	var data dashData
-	if err := json.Unmarshal(rr.Body.Bytes(), &data); err != nil {
-		t.Fatal(err)
-	}
-	if data.Recorder {
-		t.Errorf("nil recorder reported attached")
 	}
 }

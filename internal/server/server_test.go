@@ -321,19 +321,24 @@ func TestEvalRoundTrip(t *testing.T) {
 }
 
 // TestHealthzDuringLoad: the observability plane bypasses admission —
-// a fully saturated server still answers health checks promptly.
+// a fully saturated server still answers health checks promptly — and
+// once the rotate completes, /metrics exposes it in Prometheus text.
 func TestHealthzDuringLoad(t *testing.T) {
 	_, base := startServer(t, Config{Slots: 1, Queue: 1})
 	ct := makeTenant(t, base, "hz", TenantConfig{LogN: 11, Levels: 2})
 
 	// Occupy the only slot.
+	rotated := make(chan int, 1)
 	go func() {
 		raw, _ := json.Marshal(evalRequest{Op: "rotate", A: ct, By: 1, Repeat: 64})
 		resp, err := http.Post(base+"/v1/tenants/hz/rotate", "application/json", bytes.NewReader(raw))
-		if err == nil {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+		if err != nil {
+			rotated <- 0
+			return
 		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		rotated <- resp.StatusCode
 	}()
 	time.Sleep(30 * time.Millisecond)
 
@@ -356,6 +361,34 @@ func TestHealthzDuringLoad(t *testing.T) {
 	}
 	if status, _ := doJSON(t, "GET", base+"/metrics", nil, nil); status != 200 {
 		t.Errorf("metrics: status %d", status)
+	}
+
+	if status := <-rotated; status != 200 {
+		t.Fatalf("rotate: status %d", status)
+	}
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	metrics, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 200 {
+		t.Fatalf("metrics after rotate: status %d", resp.StatusCode)
+	}
+	if got := resp.Header.Get("Content-Type"); got != "text/plain; version=0.0.4" {
+		t.Errorf("metrics Content-Type = %q, want the Prometheus text format", got)
+	}
+	for _, want := range []string{
+		"fhed_requests_total",
+		`fhed_http_rotate_seconds_bucket{le="+Inf"}`,
+		"fhed_http_rotate_seconds_count",
+	} {
+		if !bytes.Contains(metrics, []byte(want)) {
+			t.Errorf("metrics after one rotate lack %s:\n%s", want, metrics)
+		}
 	}
 }
 
