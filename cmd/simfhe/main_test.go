@@ -36,8 +36,9 @@ func withStdio(t *testing.T, errOut io.Writer) {
 
 // goldenCases is every command whose stdout is pinned byte for byte.
 // With exports set, the case also passes -trace-out and -metrics-out and
-// pins both files. validate is not here: its measured columns depend on
-// heap layout (see TestValidateOutStdoutIsJSON).
+// pins both files. validate is not here: the measured opt side of its
+// key_compress toggle depends on which scratch buffers sync.Pool hands
+// back (TestValidateOutStdoutIsJSON checks its output's shape).
 var goldenCases = []struct {
 	name    string
 	args    []string

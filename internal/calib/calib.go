@@ -1,8 +1,8 @@
 // Package calib validates the SimFHE analytic cost model against the
 // functional evaluator: it runs real homomorphic operations with the
 // cost ledger, the span recorder and a memtrace.Tracer attached, replays
-// the recorded limb-granular access stream through a parametric cache
-// simulator (memtrace.Sim), and compares the *measured* DRAM traffic
+// the recorded limb-granular access stream through the model's on-chip
+// capacity (memtrace.Measure), and compares the *measured* DRAM traffic
 // with the traffic the ledger *predicts* for the same spans.
 //
 // There is one path. The unit is the top-level op span: a span the
@@ -44,15 +44,13 @@ import (
 // Config is the calibration point a report states. The ring degree is
 // Run's one input; every other field is one of the constants below, the
 // same at every degree. The bootstrap chain shares the ring degree, cache
-// geometry, tolerance and hoisted fan-out.
+// capacity, tolerance and hoisted fan-out.
 type Config struct {
 	LogN  int `json:"log_n"` // ring degree exponent, in [minLogN, maxLogN]
 	Limbs int `json:"limbs"` // calibration-chain Q-limb count (model L)
 	Dnum  int `json:"dnum"`  // calibration-chain key-switching digit count
 
 	CacheLimbs int `json:"cache_limbs"` // simulated on-chip capacity, in limbs of 8·N bytes
-	LineBytes  int `json:"line_bytes"`  // cache line size
-	Ways       int `json:"ways"`        // set associativity
 
 	Tolerance float64 `json:"tolerance"` // relative tolerance of every gated row (0.20 = ±20%)
 
@@ -65,7 +63,6 @@ type Config struct {
 const (
 	calLimbs, calDnum = 12, 4
 	cacheLimbs        = ledger.DefaultCacheLimbs
-	lineBytes, ways   = 64, 8
 	tolerance         = 0.20
 	diags, rotations  = 8, 8
 )
@@ -88,15 +85,6 @@ const (
 func (c Config) alpha() int { return (c.Limbs + c.Dnum) / c.Dnum }
 
 func (c Config) limbBytes() uint64 { return 8 << c.LogN }
-
-// geometry builds the memtrace cache geometry for a capacity in limbs.
-func (c Config) geometry(limbs int) memtrace.Geometry {
-	return memtrace.Geometry{
-		CapacityBytes: uint64(limbs) * c.limbBytes(),
-		LineBytes:     c.LineBytes,
-		Ways:          c.Ways,
-	}
-}
 
 // Breakdown is DRAM traffic split by operand class, in bytes. The model
 // folds functional scratch into its working-limb traffic, so tolerance
@@ -214,8 +202,8 @@ func (r *Report) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "== Model validation: ledger-predicted vs measured (trace + cache sim) DRAM traffic ==\n")
 	fmt.Fprintf(w, "   chains: N=2^%d, workers=1, seed-compressed keys, warm vault; calibration %d Q + %d P limbs (dnum=%d); bootstrap %d Q + %d P limbs, %d Mul and RotateHoisted×%d probes, then one bootstrap\n",
 		c.LogN, c.Limbs, c.alpha(), c.Dnum, bootQLimbs, bootPLimbs, bootProbes, c.Rotations)
-	fmt.Fprintf(w, "   cache:  %d limbs (%d KiB), line %dB, %d-way; gated rows ±%.0f%%\n",
-		c.CacheLimbs, uint64(c.CacheLimbs)*c.limbBytes()/1024, c.LineBytes, c.Ways, 100*c.Tolerance)
+	fmt.Fprintf(w, "   cache:  %d limbs (%d KiB), fully associative LRU, %dB lines; gated rows ±%.0f%%\n",
+		c.CacheLimbs, uint64(c.CacheLimbs)*c.limbBytes()/1024, memtrace.LineBytes, 100*c.Tolerance)
 	fmt.Fprintf(w, "   spans:  a row prices its top-level op spans (priced, no priced ancestor); %d without a prediction\n", r.SkippedSpans)
 	fmt.Fprintf(w, "%-22s %5s %12s %12s %8s %6s %11s   %s\n",
 		"row", "count", "predicted", "measured", "delta", "ok", "ntt p/m", "measured by class (ct/key/pt/scratch)")
@@ -475,7 +463,7 @@ func (f *fixture) settle() (skipped int) {
 // point; and it replays ws at limbs of cache.
 func (f *fixture) row(p probe, ws []window, m *ledger.Model, limbs int) Row {
 	r := Row{Name: p.name, Gated: p.gated, Note: p.note}
-	geo := f.cfg.geometry(limbs)
+	geo := memtrace.Geometry{CapacityBytes: uint64(limbs) * f.cfg.limbBytes()}
 	for _, w := range ws {
 		r.Meas = r.Meas.plus(memtrace.Measure(f.tr.Slice(w.begin, w.end), geo, f.tr.Classify))
 		r.MeasNTT += w.ntt
@@ -510,9 +498,8 @@ func Run(logN int) (*Report, error) {
 	}
 	rep := &Report{Config: Config{
 		LogN: logN, Limbs: calLimbs, Dnum: calDnum,
-		CacheLimbs: cacheLimbs, LineBytes: lineBytes, Ways: ways,
-		Tolerance: tolerance,
-		Diags:     diags, Rotations: rotations,
+		CacheLimbs: cacheLimbs, Tolerance: tolerance,
+		Diags: diags, Rotations: rotations,
 	}}
 	if err := rep.calibrate(); err != nil {
 		return nil, err

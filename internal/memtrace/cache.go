@@ -1,8 +1,11 @@
 package memtrace
 
-// The cache simulator: a parametric set-associative LRU cache (capacity /
-// line / ways, mirroring simfhe.CacheConfig's single on-chip capacity)
-// that consumes a recorded Access stream and emits measured DRAM traffic.
+// The cache simulator: the analytic model's one on-chip capacity
+// (simfhe.CacheConfig) as a fully associative LRU cache of 64-byte
+// lines. It consumes a recorded Access stream and emits measured DRAM
+// traffic. With no sets there are no conflict misses, so the traffic
+// depends on the order and sizes of the accesses, not on where the heap
+// put the buffers.
 //
 // Policy choices, picked to match the analytic model's accounting:
 //
@@ -13,62 +16,30 @@ package memtrace
 //     a later read of that buffer is a hit or a writeback+refill, never a
 //     spurious compulsory miss.
 //   - Lines remember the class they were installed under; writebacks
-//     (evictions and the final Flush) charge that install class. Read
+//     (evictions and the final flush) charge that install class. Read
 //     misses charge the accessing event's resolved class. This makes
 //     infinite-cache traffic exactly "compulsory reads in, dirty
 //     footprint out", which the conservation test pins down.
-//   - CapacityBytes == 0 means an infinite fully-associative cache: every
-//     line misses exactly once and nothing is evicted until Flush.
+//   - CapacityBytes == 0 never evicts: every line misses exactly once and
+//     stays resident until the flush.
 type Geometry struct {
-	// CapacityBytes is the total cache capacity; 0 simulates an infinite
+	// CapacityBytes is the on-chip capacity; 0 simulates an infinite
 	// cache (compulsory misses only).
 	CapacityBytes uint64
-	// LineBytes is the cache-line size; 0 defaults to 64.
-	LineBytes int
-	// Ways is the set associativity; 0 defaults to 8. Ignored for the
-	// infinite cache.
-	Ways int
 }
 
-// DefaultLineBytes and DefaultWays fill zero Geometry fields.
-const (
-	DefaultLineBytes = 64
-	DefaultWays      = 8
-)
+// LineBytes is the replayed cache-line size.
+const LineBytes = 64
 
-func (g Geometry) line() int {
-	if g.LineBytes <= 0 {
-		return DefaultLineBytes
-	}
-	return g.LineBytes
-}
-
-func (g Geometry) ways() int {
-	if g.Ways <= 0 {
-		return DefaultWays
-	}
-	return g.Ways
-}
-
-// sets returns the number of cache sets (≥ 1) for a finite geometry.
-func (g Geometry) sets() int {
-	n := int(g.CapacityBytes) / (g.line() * g.ways())
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+// pageLines is how many consecutive lines one index entry holds: the
+// replay looks a page up once, not once per line.
+const pageLines = 64
 
 // Traffic is the measured DRAM traffic of one replay: bytes that crossed
-// the cache boundary, split by direction and operand class, plus hit/miss
-// accounting for diagnostics.
+// the cache boundary, split by direction and operand class.
 type Traffic struct {
 	ReadBytes  [NumClasses]uint64
 	WriteBytes [NumClasses]uint64
-	Accesses   uint64 // recorded events replayed
-	LineRefs   uint64 // line-granular references after chopping
-	Hits       uint64
-	Misses     uint64
 }
 
 // TotalRead returns read bytes summed over classes.
@@ -92,186 +63,145 @@ func (t Traffic) TotalWrite() uint64 {
 // Total returns all DRAM bytes moved.
 func (t Traffic) Total() uint64 { return t.TotalRead() + t.TotalWrite() }
 
-// line is one resident cache line.
+// line is one line slot of a page. Resident lines form the LRU list.
 type line struct {
-	tag   uintptr // line-granular address (addr / lineBytes)
-	stamp uint64  // LRU clock at last touch
-	dirty bool
-	class Class // install class, charged on writeback
-	valid bool
+	prev, next *line
+	pg         *page
+	resident   bool
+	dirty      bool
+	class      Class // install class, charged on writeback
 }
 
-// Sim replays an access stream through one cache geometry.
-type Sim struct {
-	geo      Geometry
-	lineSize uintptr
-	finite   bool
-	sets     [][]line          // finite: sets × ways
-	infinite map[uintptr]*line // infinite: tag → line
-	clock    uint64
+// page is the slots of pageLines consecutive lines.
+type page struct {
+	key      uintptr // line address / pageLines
+	resident int
+	lines    [pageLines]line
+}
+
+// sim replays an access stream through one fully associative LRU cache.
+type sim struct {
+	limit    int // resident-line capacity; 0 never evicts
+	resident int
+	pages    map[uintptr]*page
+	lru      line // sentinel: lru.next is the most recent line, lru.prev the least
 	traffic  Traffic
 }
 
-// NewSim returns an empty simulator for the geometry.
-func NewSim(g Geometry) *Sim {
-	s := &Sim{
-		geo:      g,
-		lineSize: uintptr(g.line()),
-		finite:   g.CapacityBytes > 0,
+func newSim(g Geometry) *sim {
+	s := &sim{pages: make(map[uintptr]*page)}
+	if g.CapacityBytes > 0 {
+		s.limit = max(1, int(g.CapacityBytes/LineBytes))
 	}
-	if s.finite {
-		s.sets = make([][]line, g.sets())
-		for i := range s.sets {
-			s.sets[i] = make([]line, g.ways())
-		}
-	} else {
-		s.infinite = make(map[uintptr]*line)
-	}
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
 	return s
 }
 
-// Access replays one event whose class has already been resolved.
-func (s *Sim) Access(a Access, class Class) {
-	s.traffic.Accesses++
+// access replays one event whose class has already been resolved.
+func (s *sim) access(a Access, class Class) {
 	if a.Bytes <= 0 {
 		return
 	}
-	first := a.Addr / s.lineSize
-	last := (a.Addr + uintptr(a.Bytes) - 1) / s.lineSize
+	first := a.Addr / LineBytes
+	last := (a.Addr + uintptr(a.Bytes) - 1) / LineBytes
+	var pg *page
 	for tag := first; tag <= last; tag++ {
+		if pg == nil || pg.key != tag/pageLines {
+			pg = s.page(tag/pageLines, !a.Discard)
+		}
+		if pg == nil {
+			tag |= pageLines - 1 // nothing resident on this page to discard
+			continue
+		}
+		l := &pg.lines[tag%pageLines]
 		if a.Discard {
-			s.discardLine(tag)
-		} else {
-			s.touchLine(tag, a.Write, class)
-		}
-	}
-}
-
-// discardLine invalidates a dead-scratch line without charging a
-// writeback (Access.Discard). Lines the range never touched — or already
-// evicted — are ignored; a discarded range that was partially written
-// back earlier keeps those charges, which is what real hardware does
-// when the discard hint arrives after eviction.
-func (s *Sim) discardLine(tag uintptr) {
-	if !s.finite {
-		delete(s.infinite, tag)
-		return
-	}
-	set := s.sets[int(tag)%len(s.sets)]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i] = line{}
-			return
-		}
-	}
-}
-
-func (s *Sim) touchLine(tag uintptr, write bool, class Class) {
-	s.traffic.LineRefs++
-	s.clock++
-	if !s.finite {
-		l, ok := s.infinite[tag]
-		if !ok {
-			l = &line{tag: tag, valid: true, class: class}
-			s.infinite[tag] = l
-			s.miss(l, write, class)
-		} else {
-			s.traffic.Hits++
-		}
-		if write {
-			l.dirty = true
-		}
-		return
-	}
-
-	set := s.sets[int(tag)%len(s.sets)]
-	for i := range set {
-		l := &set[i]
-		if l.valid && l.tag == tag {
-			s.traffic.Hits++
-			l.stamp = s.clock
-			if write {
-				l.dirty = true
+			if l.resident {
+				s.drop(l)
 			}
-			return
+			continue
 		}
-	}
-	victim := &set[0]
-	for i := range set {
-		l := &set[i]
-		if !l.valid {
-			victim = l
-			break
-		}
-		if l.stamp < victim.stamp {
-			victim = l
-		}
-	}
-	// Miss: evict the LRU way (writing back if dirty), install the line.
-	if victim.valid && victim.dirty {
-		s.traffic.WriteBytes[victim.class] += uint64(s.lineSize)
-	}
-	victim.tag = tag
-	victim.valid = true
-	victim.stamp = s.clock
-	victim.dirty = false
-	victim.class = class
-	s.miss(victim, write, class)
-	if write {
-		victim.dirty = true
+		s.touch(l, a.Write, class)
 	}
 }
 
-// miss charges the DRAM transfer of one installed line: a fill read for
-// read misses, nothing for write misses (write-allocate without fetch).
-func (s *Sim) miss(l *line, write bool, class Class) {
-	s.traffic.Misses++
-	if !write {
-		s.traffic.ReadBytes[class] += uint64(s.lineSize)
+// page returns the page with key, creating it when create is set;
+// otherwise a missing page is nil.
+func (s *sim) page(key uintptr, create bool) *page {
+	pg := s.pages[key]
+	if pg == nil && create {
+		pg = &page{key: key}
+		for i := range pg.lines {
+			pg.lines[i].pg = pg
+		}
+		s.pages[key] = pg
 	}
-	l.class = class
+	return pg
 }
 
-// Flush writes back every dirty line, charging its install class, and
-// invalidates the cache. Call once after a replay so produced data that
-// never got evicted still counts as DRAM write traffic.
-func (s *Sim) Flush() {
-	if !s.finite {
-		for _, l := range s.infinite {
-			if l.dirty {
-				s.traffic.WriteBytes[l.class] += uint64(s.lineSize)
-			}
+// touch makes l the most recent line. A miss installs it, charging a
+// fill read unless it is a write, and evicts the least recent line once
+// the cache is over capacity.
+func (s *sim) touch(l *line, write bool, class Class) {
+	if l.resident {
+		l.prev.next, l.next.prev = l.next, l.prev
+	} else {
+		*l = line{pg: l.pg, resident: true, class: class}
+		l.pg.resident++
+		s.resident++
+		if !write {
+			s.traffic.ReadBytes[class] += LineBytes
 		}
-		s.infinite = make(map[uintptr]*line)
-		return
 	}
-	for i := range s.sets {
-		for j := range s.sets[i] {
-			l := &s.sets[i][j]
-			if l.valid && l.dirty {
-				s.traffic.WriteBytes[l.class] += uint64(s.lineSize)
-			}
-			*l = line{}
+	l.prev, l.next = &s.lru, s.lru.next
+	l.next.prev, s.lru.next = l, l
+	l.dirty = l.dirty || write
+	if s.limit > 0 && s.resident > s.limit {
+		victim := s.lru.prev
+		if victim.dirty {
+			s.traffic.WriteBytes[victim.class] += LineBytes
 		}
+		s.drop(victim)
 	}
 }
 
-// Traffic returns the traffic accumulated so far.
-func (s *Sim) Traffic() Traffic { return s.traffic }
+// drop invalidates a resident line without charging a writeback: the
+// eviction path charges its own, and a discarded dead-scratch line
+// (Access.Discard) costs nothing. A range that was partly written back
+// before the discard keeps those charges, which is what real hardware
+// does when the discard hint arrives after eviction.
+func (s *sim) drop(l *line) {
+	l.prev.next, l.next.prev = l.next, l.prev
+	l.resident = false
+	s.resident--
+	if l.pg.resident--; l.pg.resident == 0 {
+		delete(s.pages, l.pg.key)
+	}
+}
+
+// flush writes back every dirty resident line, charging its install
+// class, so produced data that never got evicted still counts as DRAM
+// write traffic.
+func (s *sim) flush() {
+	for l := s.lru.next; l != &s.lru; l = l.next {
+		if l.dirty {
+			s.traffic.WriteBytes[l.class] += LineBytes
+		}
+	}
+}
 
 // Measure replays events through a fresh cache of geometry g and flushes,
 // returning the measured traffic. classify resolves the class of events
 // recorded as ClassCt (typically Tracer.Classify, to apply plaintext
 // tags); nil keeps every event's recorded class.
 func Measure(events []Access, g Geometry, classify func(uintptr) Class) Traffic {
-	sim := NewSim(g)
+	s := newSim(g)
 	for _, a := range events {
 		c := a.Class
 		if c == ClassCt && classify != nil {
 			c = classify(a.Addr)
 		}
-		sim.Access(a, c)
+		s.access(a, c)
 	}
-	sim.Flush()
-	return sim.Traffic()
+	s.flush()
+	return s.traffic
 }

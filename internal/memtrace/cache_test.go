@@ -9,7 +9,7 @@ func ev(addr uintptr, bytes int, write bool, class Class) Access {
 }
 
 func TestInfiniteCacheCompulsoryOnly(t *testing.T) {
-	g := Geometry{CapacityBytes: 0, LineBytes: 64}
+	var g Geometry
 	events := []Access{
 		ev(0, 4096, false, ClassCt),        // 64 lines read
 		ev(0, 4096, false, ClassCt),        // all hits
@@ -30,7 +30,7 @@ func TestInfiniteCacheCompulsoryOnly(t *testing.T) {
 }
 
 func TestWriteAllocateNoFetch(t *testing.T) {
-	g := Geometry{CapacityBytes: 1 << 20, LineBytes: 64, Ways: 8}
+	g := Geometry{CapacityBytes: 1 << 20}
 	tr := Measure([]Access{ev(0, 640, true, ClassCt)}, g, nil)
 	if tr.TotalRead() != 0 {
 		t.Errorf("write miss charged a fill read: %d bytes", tr.TotalRead())
@@ -41,8 +41,8 @@ func TestWriteAllocateNoFetch(t *testing.T) {
 }
 
 func TestEvictionWritebackChargesInstallClass(t *testing.T) {
-	// One set (64 B × 1 way): every distinct line evicts the previous one.
-	g := Geometry{CapacityBytes: 64, LineBytes: 64, Ways: 1}
+	// One line of capacity: every distinct line evicts the previous one.
+	g := Geometry{CapacityBytes: LineBytes}
 	events := []Access{
 		ev(0, 64, true, ClassScratch), // install dirty as scratch
 		ev(64, 64, false, ClassKey),   // evicts line 0 → scratch writeback, key fill
@@ -60,47 +60,71 @@ func TestEvictionWritebackChargesInstallClass(t *testing.T) {
 }
 
 func TestLRUWithinSet(t *testing.T) {
-	// One set, 2 ways. Touch A, B, then A again; C must evict B (LRU).
-	g := Geometry{CapacityBytes: 128, LineBytes: 64, Ways: 2}
-	s := NewSim(g)
-	s.Access(ev(0, 64, false, ClassCt), ClassCt)    // A miss
-	s.Access(ev(64, 64, false, ClassCt), ClassCt)   // B miss
-	s.Access(ev(0, 64, false, ClassCt), ClassCt)    // A hit
-	s.Access(ev(1024, 64, false, ClassCt), ClassCt) // C miss, evicts B
-	s.Access(ev(0, 64, false, ClassCt), ClassCt)    // A still resident
-	s.Access(ev(64, 64, false, ClassCt), ClassCt)   // B was evicted: miss
-	got := s.Traffic()
-	if got.Hits != 2 || got.Misses != 4 {
-		t.Errorf("hits=%d misses=%d, want 2/4", got.Hits, got.Misses)
+	// Two lines of capacity. Touch A, B, then A again; C must evict B, the
+	// least recently used, so A still hits and B misses again. FIFO would
+	// evict A instead and read five lines.
+	g := Geometry{CapacityBytes: 2 * LineBytes}
+	events := []Access{
+		ev(0, 64, false, ClassCt),    // A miss
+		ev(64, 64, false, ClassCt),   // B miss
+		ev(0, 64, false, ClassCt),    // A hit
+		ev(1024, 64, false, ClassCt), // C miss, evicts B
+		ev(0, 64, false, ClassCt),    // A still resident
+		ev(64, 64, false, ClassCt),   // B was evicted: miss
+	}
+	if tr := Measure(events, g, nil); tr.TotalRead() != 4*LineBytes || tr.TotalWrite() != 0 {
+		t.Errorf("read %d B, wrote %d B; want %d B read (A, B, C, B), nothing written",
+			tr.TotalRead(), tr.TotalWrite(), 4*LineBytes)
 	}
 }
 
-func TestSetIndexingSpreadsLines(t *testing.T) {
-	// 4 KiB, 64 B lines, 8 ways → 8 sets. A stride-8-lines stream maps to
-	// one set and thrashes; a dense stream fits.
-	g := Geometry{CapacityBytes: 4096, LineBytes: 64, Ways: 8}
-	dense := NewSim(g)
-	for rep := 0; rep < 2; rep++ {
-		for i := uintptr(0); i < 32; i++ {
-			dense.Access(ev(i*64, 64, false, ClassCt), ClassCt)
+// TestReplayPlacementInvariant: the replay depends on which lines an
+// access stream touches and in what order, never on where the lines sit.
+// One sequence of 16 lines (every fourth written first, then all read)
+// replays at two base addresses and two strides — dense lines, and one
+// line per 64 (one index page per line) — at a capacity that holds it
+// and at one that thrashes. A set-indexed cache maps the strided lines
+// to one set and misses on them where the dense ones fit.
+func TestReplayPlacementInvariant(t *testing.T) {
+	const lines = 16
+	replay := func(base, stride uintptr, g Geometry) Traffic {
+		var events []Access
+		for rep := 0; rep < 2; rep++ {
+			for i := uintptr(0); i < lines; i++ {
+				write := rep == 0 && i%4 == 0
+				events = append(events, ev(base+i*stride*LineBytes, LineBytes, write, ClassCt))
+			}
 		}
+		return Measure(events, g, nil)
 	}
-	if tr := dense.Traffic(); tr.Misses != 32 {
-		t.Errorf("dense working set should fit: misses=%d, want 32", tr.Misses)
-	}
-	strided := NewSim(g)
-	for rep := 0; rep < 2; rep++ {
-		for i := uintptr(0); i < 16; i++ {
-			strided.Access(ev(i*64*8, 64, false, ClassCt), ClassCt)
+	for _, tc := range []struct {
+		name          string
+		capacityLines uint64
+		read, write   uint64 // in lines
+	}{
+		// Twelve compulsory reads, the four written lines flushed.
+		{"fits", 2 * lines, 12, 4},
+		// LRU over a cycle twice its capacity misses on every access: the
+		// second pass reads all 16 back, and the four dirty lines are
+		// written back as they are evicted.
+		{"thrashes", lines / 2, 12 + lines, 4},
+	} {
+		g := Geometry{CapacityBytes: tc.capacityLines * LineBytes}
+		want := Traffic{}
+		want.ReadBytes[ClassCt] = tc.read * LineBytes
+		want.WriteBytes[ClassCt] = tc.write * LineBytes
+		for _, base := range []uintptr{0, 0x7f00_0000_1040} {
+			for _, stride := range []uintptr{1, pageLines} {
+				if got := replay(base, stride, g); got != want {
+					t.Errorf("%s: base %#x stride %d lines: %+v, want %+v", tc.name, base, stride, got, want)
+				}
+			}
 		}
-	}
-	if tr := strided.Traffic(); tr.Misses != 32 {
-		t.Errorf("16 lines in one 8-way set must thrash: misses=%d, want 32", tr.Misses)
 	}
 }
 
 func TestMeasureAppliesClassifier(t *testing.T) {
-	g := Geometry{LineBytes: 64}
+	var g Geometry
 	events := []Access{
 		ev(0, 64, false, ClassCt),     // classifier promotes to pt
 		ev(4096, 64, false, ClassKey), // explicit key is kept
@@ -119,28 +143,18 @@ func TestMeasureAppliesClassifier(t *testing.T) {
 
 func TestLineChopping(t *testing.T) {
 	// A 70-byte access at offset 60 spans bytes 60..129: lines 0, 1, 2.
-	g := Geometry{LineBytes: 64}
-	trf := Measure([]Access{ev(60, 70, false, ClassCt)}, g, nil)
-	if trf.LineRefs != 3 || trf.ReadBytes[ClassCt] != 3*64 {
-		t.Errorf("refs=%d read=%d, want 3 refs / 192 B", trf.LineRefs, trf.ReadBytes[ClassCt])
-	}
-	// Zero-byte accesses are counted but touch nothing.
-	trf = Measure([]Access{ev(0, 0, false, ClassCt)}, g, nil)
-	if trf.Accesses != 1 || trf.LineRefs != 0 {
-		t.Errorf("zero-byte access: %+v", trf)
-	}
-}
-
-func TestGeometryDefaults(t *testing.T) {
 	var g Geometry
-	if g.line() != 64 || g.ways() != 8 {
-		t.Errorf("defaults: line=%d ways=%d", g.line(), g.ways())
+	if tr := Measure([]Access{ev(60, 70, false, ClassCt)}, g, nil); tr.Total() != 3*LineBytes {
+		t.Errorf("moved %d B, want 3 lines / 192 B", tr.Total())
 	}
-	if s := (Geometry{CapacityBytes: 100}).sets(); s != 1 {
-		t.Errorf("tiny capacity must clamp to 1 set, got %d", s)
+	// A range across index pages charges each of its lines once.
+	span := ev(pageLines*LineBytes-LineBytes, (pageLines+2)*LineBytes, false, ClassCt)
+	if tr := Measure([]Access{span, span}, g, nil); tr.Total() != (pageLines+2)*LineBytes {
+		t.Errorf("cross-page range moved %d B, want %d", tr.Total(), (pageLines+2)*LineBytes)
 	}
-	if s := (Geometry{CapacityBytes: 1 << 15, LineBytes: 64, Ways: 8}).sets(); s != 64 {
-		t.Errorf("32 KiB / 64 B / 8 ways = 64 sets, got %d", s)
+	// Zero-byte accesses touch nothing.
+	if tr := Measure([]Access{ev(0, 0, false, ClassCt)}, g, nil); tr != (Traffic{}) {
+		t.Errorf("zero-byte access: %+v", tr)
 	}
 }
 
@@ -150,17 +164,17 @@ func TestDiscardDropsDirtyLines(t *testing.T) {
 		{Addr: 0, Bytes: 640, Discard: true, Class: ClassScratch},
 	}
 	// Finite cache: discarded dirty lines are invalidated, not written back.
-	g := Geometry{CapacityBytes: 1 << 20, LineBytes: 64, Ways: 8}
+	g := Geometry{CapacityBytes: 1 << 20}
 	if tr := Measure(dirty, g, nil); tr.TotalWrite() != 0 {
 		t.Errorf("finite: discarded dirty lines wrote back %d bytes", tr.TotalWrite())
 	}
 	// Infinite cache: same, the flush must find nothing dirty.
-	if tr := Measure(dirty, Geometry{LineBytes: 64}, nil); tr.TotalWrite() != 0 {
+	if tr := Measure(dirty, Geometry{}, nil); tr.TotalWrite() != 0 {
 		t.Errorf("infinite: discarded dirty lines wrote back %d bytes", tr.TotalWrite())
 	}
 	// A later read of a discarded range is a fresh compulsory miss.
 	reread := append(append([]Access{}, dirty...), ev(0, 64, false, ClassCt))
-	if tr := Measure(reread, Geometry{LineBytes: 64}, nil); tr.ReadBytes[ClassCt] != 64 {
+	if tr := Measure(reread, Geometry{}, nil); tr.ReadBytes[ClassCt] != 64 {
 		t.Errorf("read after discard = %d bytes, want 64 (compulsory)", tr.ReadBytes[ClassCt])
 	}
 	// A partial discard keeps the untouched lines dirty.
@@ -170,5 +184,18 @@ func TestDiscardDropsDirtyLines(t *testing.T) {
 	}
 	if tr := Measure(partial, g, nil); tr.WriteBytes[ClassScratch] != 320 {
 		t.Errorf("partial discard: writeback = %d bytes, want 320", tr.WriteBytes[ClassScratch])
+	}
+	// A discard across index pages, one of them never touched, drops the
+	// written lines on each and leaves the line past its end dirty.
+	const pageBytes = pageLines * LineBytes
+	crossing := []Access{
+		ev(pageBytes-320, 640, true, ClassScratch),
+		ev(3*pageBytes, 64, true, ClassScratch),
+		{Addr: 0, Bytes: 3 * pageBytes, Discard: true, Class: ClassScratch},
+	}
+	for _, g := range []Geometry{g, {}} {
+		if tr := Measure(crossing, g, nil); tr.WriteBytes[ClassScratch] != 64 {
+			t.Errorf("cross-page discard at %d B: writeback = %d bytes, want 64", g.CapacityBytes, tr.WriteBytes[ClassScratch])
+		}
 	}
 }

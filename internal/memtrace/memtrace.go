@@ -1,6 +1,6 @@
 // Package memtrace records the limb-granular memory access stream of the
-// functional library's hot kernels and replays it through a parametric
-// cache simulator, turning SimFHE's analytic DRAM-traffic predictions
+// functional library's hot kernels and replays it through the model's
+// one on-chip capacity, turning SimFHE's analytic DRAM-traffic predictions
 // (internal/simfhe Cost.Bytes) into something the repo can measure.
 //
 // The tracer follows the obs.Recorder attachment pattern: every method is
@@ -9,8 +9,8 @@
 // state (extend_alloc_test.go-style guards enforce it). When attached, the
 // hooks append one Access event per limb-sized slice touched, tagged with
 // an operand class (ciphertext / switching key / plaintext / scratch),
-// and the cache simulator in cache.go converts the stream into measured
-// read/write bytes per class.
+// and Measure (cache.go) converts the stream into measured read/write
+// bytes per class.
 //
 // Addresses are the virtual addresses of the slices' backing arrays. The
 // Go GC does not move heap objects, so addresses recorded during an op

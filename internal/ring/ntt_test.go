@@ -357,7 +357,7 @@ func checkBlockedReplay(t *testing.T, n int) {
 
 	// Line chopping can add at most one 64-byte line per recorded event
 	// (unaligned ends) and residual cache content stays under capacity.
-	slack := uint64(len(tr.Events()))*memtrace.DefaultLineBytes + geo.CapacityBytes
+	slack := uint64(len(tr.Events()))*memtrace.LineBytes + geo.CapacityBytes
 	diff := measured - counted
 	if measured < counted {
 		diff = counted - measured

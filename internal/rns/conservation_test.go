@@ -40,7 +40,7 @@ func TestRescaleTrafficConservation(t *testing.T) {
 	}()
 	conv.Rescale(levelQ, a, out, 1)
 
-	trf := memtrace.Measure(tr.Events(), memtrace.Geometry{CapacityBytes: 0, LineBytes: 64}, tr.Classify)
+	trf := memtrace.Measure(tr.Events(), memtrace.Geometry{}, tr.Classify)
 
 	row := uint64(ringQ.N) * 8
 	wantRead := uint64(levelQ+1) * row // all input limbs, once
