@@ -1,10 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"math"
 	"net/http"
 	"runtime"
@@ -77,11 +74,17 @@ func (s *Server) dataPlane(op string, h opHandler) http.HandlerFunc {
 			s.fail(w, r, err)
 			return
 		}
-		defer release()
-
+		// The slot bounds FHE work, not the write to the client: it is
+		// released before the reply goes out, so a client holding its
+		// reply never finds the slot still taken.
 		out, err := s.isolated(ctx, r, h)
+		release()
 		if err != nil {
 			s.fail(w, r, err)
+			return
+		}
+		if rep, ok := out.(*wireReply); ok {
+			rep.write(w)
 			return
 		}
 		writeJSON(w, out)
@@ -158,53 +161,6 @@ func (s *Server) requestDeadline(r *http.Request) (time.Duration, error) {
 	return d, nil
 }
 
-// --- wire types -----------------------------------------------------
-
-// ctJSON is a ciphertext on the wire: base64 of the binary
-// serialization plus the metadata a client wants without decoding.
-type ctJSON struct {
-	Ct    string  `json:"ct"`
-	Level int     `json:"level"`
-	Scale float64 `json:"scale"`
-	Bytes int     `json:"bytes"`
-}
-
-func encodeCt(ct *ckks.Ciphertext) (ctJSON, error) {
-	var buf bytes.Buffer
-	if _, err := ct.WriteTo(&buf); err != nil {
-		return ctJSON{}, err
-	}
-	return ctJSON{
-		Ct:    base64.StdEncoding.EncodeToString(buf.Bytes()),
-		Level: ct.Level,
-		Scale: ct.Scale,
-		Bytes: buf.Len(),
-	}, nil
-}
-
-func decodeCt(field, b64 string) (*ckks.Ciphertext, error) {
-	if b64 == "" {
-		return nil, badRequest("missing ciphertext field %q", field)
-	}
-	raw, err := base64.StdEncoding.DecodeString(b64)
-	if err != nil {
-		return nil, badRequest("field %q: bad base64: %v", field, err)
-	}
-	ct := &ckks.Ciphertext{}
-	if _, err := ct.ReadFrom(bytes.NewReader(raw)); err != nil {
-		return nil, badRequest("field %q: bad ciphertext: %v", field, err)
-	}
-	return ct, nil
-}
-
-func decodeBody(r *http.Request, into any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 64<<20))
-	if err := dec.Decode(into); err != nil {
-		return badRequest("bad request body: %v", err)
-	}
-	return nil
-}
-
 // --- control plane --------------------------------------------------
 
 func (s *Server) handleTenantCreate(_ context.Context, r *http.Request) (any, error) {
@@ -213,7 +169,7 @@ func (s *Server) handleTenantCreate(_ context.Context, r *http.Request) (any, er
 		return nil, badRequest("empty tenant id")
 	}
 	var cfg TenantConfig
-	if err := decodeBody(r, &cfg); err != nil {
+	if err := s.decode(r, &cfg); err != nil {
 		return nil, err
 	}
 	sess, err := s.reg.create(id, cfg)
@@ -274,7 +230,7 @@ func (s *Server) handleChaos(_ context.Context, r *http.Request) (any, error) {
 		return nil, err
 	}
 	var req chaosRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := s.decode(r, &req); err != nil {
 		return nil, err
 	}
 	if req.Site == "" || req.Kind == "" {
@@ -301,7 +257,7 @@ func (s *Server) handleEncrypt(ctx context.Context, r *http.Request) (any, error
 		return nil, err
 	}
 	var req encryptRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := s.decode(r, &req); err != nil {
 		return nil, err
 	}
 	if len(req.Values) == 0 {
@@ -322,16 +278,16 @@ func (s *Server) handleEncrypt(ctx context.Context, r *http.Request) (any, error
 		}
 		vals[i] = complex(v, 0)
 	}
-	var out ctJSON
+	var ct *ckks.Ciphertext
 	err = sess.run(func() error {
-		ct := sess.encSk.Encrypt(sess.enc.Encode(vals))
-		out, err = encodeCt(ct)
-		return err
+		ct = sess.encSk.Encrypt(sess.enc.Encode(vals))
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	var meta ctMeta
+	return s.encodeReply(ct, &meta, &meta)
 }
 
 type decryptRequest struct {
@@ -345,11 +301,8 @@ func (s *Server) handleDecrypt(ctx context.Context, r *http.Request) (any, error
 		return nil, err
 	}
 	var req decryptRequest
-	if err := decodeBody(r, &req); err != nil {
-		return nil, err
-	}
-	ct, err := decodeCt("ct", req.Ct)
-	if err != nil {
+	var ct *ckks.Ciphertext
+	if err := s.decode(r, &req, ctField{key: "ct", str: &req.Ct, dst: &ct}); err != nil {
 		return nil, err
 	}
 	n := req.N
@@ -387,23 +340,17 @@ type evalRequest struct {
 	Guard  bool   `json:"guard,omitempty"`
 }
 
-type evalResponse struct {
-	ctJSON
-	Op      string `json:"op"`
-	Repeat  int    `json:"repeat"`
-	Guarded bool   `json:"guarded,omitempty"`
-}
-
 func (s *Server) handleEval(ctx context.Context, r *http.Request) (any, error) {
 	sess, err := s.reg.get(r.PathValue("tenant"))
 	if err != nil {
 		return nil, err
 	}
 	var req evalRequest
-	if err := decodeBody(r, &req); err != nil {
+	a, b, err := s.decodeEval(r, &req)
+	if err != nil {
 		return nil, err
 	}
-	return s.evalOp(ctx, sess, req)
+	return s.evalOp(ctx, sess, req, a, b)
 }
 
 // handleRotate is sugar for eval{op:rotate}: the hot endpoint of the
@@ -414,27 +361,27 @@ func (s *Server) handleRotate(ctx context.Context, r *http.Request) (any, error)
 		return nil, err
 	}
 	var req evalRequest
-	if err := decodeBody(r, &req); err != nil {
+	a, b, err := s.decodeEval(r, &req)
+	if err != nil {
 		return nil, err
 	}
 	req.Op = "rotate"
-	return s.evalOp(ctx, sess, req)
+	return s.evalOp(ctx, sess, req, a, b)
+}
+
+// decodeEval decodes an eval body: the request and its operands a and,
+// when present, b.
+func (s *Server) decodeEval(r *http.Request, req *evalRequest) (a, b *ckks.Ciphertext, err error) {
+	err = s.decode(r, req,
+		ctField{key: "a", str: &req.A, dst: &a},
+		ctField{key: "b", str: &req.B, dst: &b, optional: true})
+	return a, b, err
 }
 
 // evalOp runs one eval request through the ckks op table. The op is
 // looked up before the session lock, so an unknown name is a 400 that
 // never waits on the tenant; each repeat step is one Apply.
-func (s *Server) evalOp(ctx context.Context, sess *session, req evalRequest) (any, error) {
-	a, err := decodeCt("a", req.A)
-	if err != nil {
-		return nil, err
-	}
-	var b *ckks.Ciphertext
-	if req.B != "" {
-		if b, err = decodeCt("b", req.B); err != nil {
-			return nil, err
-		}
-	}
+func (s *Server) evalOp(ctx context.Context, sess *session, req evalRequest, a, b *ckks.Ciphertext) (any, error) {
 	repeat := req.Repeat
 	if repeat <= 0 {
 		repeat = 1
@@ -450,9 +397,8 @@ func (s *Server) evalOp(ctx context.Context, sess *session, req evalRequest) (an
 		return nil, err
 	}
 
-	var out ctJSON
+	cur := a
 	err = sess.run(func() error {
-		cur := a
 		for i := 0; i < repeat; i++ {
 			// One boundary crossing per step: operands validated, result
 			// sealed and passed through the fault hooks every time.
@@ -467,15 +413,14 @@ func (s *Server) evalOp(ctx context.Context, sess *session, req evalRequest) (an
 				return err
 			}
 		}
-		var err error
-		out, err = encodeCt(cur)
-		return err
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	s.rec.Add("fhed.ops."+req.Op, uint64(repeat))
-	return evalResponse{ctJSON: out, Op: req.Op, Repeat: repeat, Guarded: req.Guard}, nil
+	meta := evalMeta{Op: req.Op, Repeat: repeat, Guarded: req.Guard}
+	return s.encodeReply(cur, &meta.ctMeta, &meta)
 }
 
 type bootstrapRequest struct {
@@ -491,27 +436,21 @@ func (s *Server) handleBootstrap(ctx context.Context, r *http.Request) (any, err
 		return nil, ErrBootstrapDisabled
 	}
 	var req bootstrapRequest
-	if err := decodeBody(r, &req); err != nil {
+	var ct *ckks.Ciphertext
+	if err := s.decode(r, &req, ctField{key: "ct", str: &req.Ct, dst: &ct}); err != nil {
 		return nil, err
 	}
-	ct, err := decodeCt("ct", req.Ct)
-	if err != nil {
-		return nil, err
-	}
-	var out ctJSON
-	err = sess.run(func() error {
-		res, err := sess.btp.BootstrapE(ctx, ct)
-		if err != nil {
-			return err
-		}
-		out, err = encodeCt(res)
+	var out *ckks.Ciphertext
+	err = sess.run(func() (err error) {
+		out, err = sess.btp.BootstrapE(ctx, ct)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	s.rec.Add("fhed.ops.bootstrap", 1)
-	return out, nil
+	var meta ctMeta
+	return s.encodeReply(out, &meta, &meta)
 }
 
 // --- observability plane --------------------------------------------

@@ -322,9 +322,10 @@ func TestEvalRoundTrip(t *testing.T) {
 
 // TestHealthzDuringLoad: the observability plane bypasses admission —
 // a fully saturated server still answers health checks promptly — and
-// once the rotate completes, /metrics exposes it in Prometheus text.
+// once the rotate completes, /metrics exposes it in Prometheus text and
+// the server's spans split it into codec, session-lock wait and eval.
 func TestHealthzDuringLoad(t *testing.T) {
-	_, base := startServer(t, Config{Slots: 1, Queue: 1})
+	srv, base := startServer(t, Config{Slots: 1, Queue: 1})
 	ct := makeTenant(t, base, "hz", TenantConfig{LogN: 11, Levels: 2})
 
 	// Occupy the only slot.
@@ -388,6 +389,12 @@ func TestHealthzDuringLoad(t *testing.T) {
 	} {
 		if !bytes.Contains(metrics, []byte(want)) {
 			t.Errorf("metrics after one rotate lack %s:\n%s", want, metrics)
+		}
+	}
+	snap := srv.Recorder().Snapshot()
+	for _, name := range []string{"fhed.codec.decode", "fhed.session.wait", "ckks.RotateE", "fhed.codec.encode"} {
+		if len(snap.SpansNamed(name)) == 0 {
+			t.Errorf("no %s span after a rotate", name)
 		}
 	}
 }

@@ -45,7 +45,9 @@ type TenantConfig struct {
 
 // session is one tenant's full FHE context. All evaluator state is
 // serialized by mu: the ckks.Evaluator is not goroutine-safe, so the lock
-// is held through the last op of a request. The request deadline is not
+// covers a request's evaluator calls, and only those — the codec decodes
+// a request's ciphertexts before the lock and encodes the reply, which
+// belongs to the request, after it. The request deadline is not
 // session state — each op binds it through ckks.Evaluator.Do. Concurrency
 // across tenants comes from distinct sessions; concurrency within a
 // tenant is serialized (matching the single logical key-state of a
@@ -61,6 +63,7 @@ type session struct {
 	ev     *ckks.Evaluator
 	btp    *bootstrap.Bootstrapper // nil unless cfg.Bootstrap
 	fi     *faultinject.Injector   // non-nil only on chaos-enabled servers
+	rec    *obs.Recorder
 
 	// canary is a known plaintext whose encryption rides along with the
 	// session. Guarded requests re-run their rotation on the canary and
@@ -158,6 +161,7 @@ func newSession(id string, cfg TenantConfig, chaos bool, rec *obs.Recorder) (*se
 		encSk:  ckks.NewSecretKeyEncryptor(params, sk, src),
 		dec:    ckks.NewDecryptor(params, sk),
 		ev:     ev,
+		rec:    rec,
 	}
 	if chaos {
 		s.fi = faultinject.New()
@@ -188,9 +192,12 @@ func newSession(id string, cfg TenantConfig, chaos bool, rec *obs.Recorder) (*se
 	return s, nil
 }
 
-// run executes f with the session locked.
+// run executes f with the session locked; the span fhed.session.wait
+// times the wait for the lock.
 func (s *session) run(f func() error) error {
+	sp := s.rec.StartLinked("fhed.session.wait")
 	s.mu.Lock()
+	sp.End()
 	defer s.mu.Unlock()
 	return f()
 }
