@@ -28,20 +28,11 @@
 //
 //	fhe -stats mul -dir keys -out prod.bin a.bin b.bin
 //
-// A leading -chaos runs the fault-injection smoke suite against an
-// in-memory pipeline and writes a machine-readable report (default
-// CHAOS.json, override with -chaos-out):
-//
-//	fhe -chaos -chaos-out report.json
-//
-// Whenever a fault is classified — a recovered panic at an API boundary
-// or a chaos-suite injection — the flight recorder dumps its bounded
-// window (the last spans, all counters, gauges and histograms) to
-// FLIGHT.json (override with a leading -flight-out FILE).
-//
-// fhe serves nothing over HTTP: its telemetry is the -stats table and
-// the files above, and fhed's GET /metrics and GET /healthz are the
-// repository's live endpoints.
+// fhe serves nothing over HTTP and writes no telemetry file: its
+// telemetry is the -stats table, and fhed's GET /metrics and GET
+// /healthz are the repository's live endpoints. The fault-injection
+// suite is the ckks chaos tests (internal/ckks/chaos_test.go), which
+// assert every fault class the library can inject.
 //
 // Exit codes: 0 success, 1 generic failure (I/O, missing files),
 // 2 usage errors, 3 ciphertext validation failures (level/scale/domain

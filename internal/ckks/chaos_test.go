@@ -23,7 +23,8 @@ func chaosEval(t *testing.T, integrity bool) (*testContext, *Evaluator, *faultin
 	rlk := tc.kg.GenRelinearizationKey(tc.sk, false)
 	gks := tc.kg.GenRotationKeys([]int{1, 2}, tc.sk, false)
 	fi := faultinject.New()
-	ev := NewEvaluator(tc.params, &EvaluationKeySet{Rlk: rlk, Galois: gks}, WithFaultInjector(fi))
+	ev := NewEvaluator(tc.params, &EvaluationKeySet{Rlk: rlk, Galois: gks})
+	ev.SetFaultInjector(fi)
 	ev.SetIntegrity(integrity)
 	return tc, ev, fi
 }
@@ -170,7 +171,8 @@ func TestChaosVaultDigitBitFlip(t *testing.T) {
 func chaosVaultDigitBitFlip(t *testing.T, tc *testContext, budget int64) {
 	gks := tc.kg.GenGaloisKeys([]int{1}, tc.sk)
 	fi := faultinject.New()
-	ev := NewEvaluator(tc.params, &EvaluationKeySet{Galois: gks}, WithFaultInjector(fi), WithKeyBudget(budget))
+	ev := NewEvaluator(tc.params, &EvaluationKeySet{Galois: gks}, WithKeyBudget(budget))
+	ev.SetFaultInjector(fi)
 
 	msg := randomValues(tc.params.Slots(), 1)
 	ct := tc.encSk.Encrypt(tc.enc.Encode(msg))
@@ -225,7 +227,8 @@ func TestChaosVaultTruncatedBufferNotReused(t *testing.T) {
 
 	fi := faultinject.New()
 	oneKey := int64(tc.params.Dnum()) * digitBytes(tc.params)
-	ev := NewEvaluator(tc.params, keys, WithFaultInjector(fi), WithKeyBudget(oneKey))
+	ev := NewEvaluator(tc.params, keys, WithKeyBudget(oneKey))
+	ev.SetFaultInjector(fi)
 	if _, err := doRotate(ev, ct, 1); err != nil {
 		t.Fatal(err)
 	}

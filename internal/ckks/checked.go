@@ -39,11 +39,6 @@ func WithIntegrity() EvaluatorOption {
 	return func(ev *Evaluator) { ev.integrity = true }
 }
 
-// WithFaultInjector is the construction-time form of SetFaultInjector.
-func WithFaultInjector(fi *faultinject.Injector) EvaluatorOption {
-	return func(ev *Evaluator) { ev.SetFaultInjector(fi) }
-}
-
 // finish runs the post-op hooks at a named site: seal the result when
 // integrity is on, then let an attached injector corrupt it. Injection
 // runs after sealing on purpose — a fault at an output site models

@@ -19,8 +19,8 @@ type Op struct {
 	run    func(ev *Evaluator, a, b *Ciphertext, by int) *Ciphertext
 }
 
-// ops is the one op table: fhed's eval handler, the fhe subcommands and
-// the fhe chaos smoke all dispatch through it.
+// ops is the one op table: fhed's eval handler and the fhe subcommands
+// both dispatch through it.
 var ops = []Op{
 	{"add", "ckks.Add", true, func(ev *Evaluator, a, b *Ciphertext, _ int) *Ciphertext { return ev.Add(a, b) }},
 	{"sub", "ckks.Sub", true, func(ev *Evaluator, a, b *Ciphertext, _ int) *Ciphertext { return ev.Sub(a, b) }},

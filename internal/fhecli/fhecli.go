@@ -24,16 +24,10 @@ import (
 	"repro/internal/prng"
 )
 
-// recorder, when non-nil (armed by a leading -stats or -chaos flag), is
-// attached to every evaluator the subcommands build, so the -stats
-// summary table and the FLIGHT.json fault dump both see the ckks.* spans
-// and counters of the operation in flight.
+// recorder, when non-nil (armed by a leading -stats flag), is attached
+// to every evaluator the subcommands build, so the -stats summary table
+// sees the ckks.* spans and counters of the operation in flight.
 var recorder *obs.Recorder
-
-// flightPath is where the dump-on-fault hook (and the chaos suite)
-// writes the flight-recorder window; set by the leading -flight-out
-// flag.
-var flightPath = "FLIGHT.json"
 
 // workerCount is the evaluator parallelism selected by the leading
 // -workers flag: 1 is serial, ≤ 0 selects GOMAXPROCS. Results are
@@ -43,52 +37,26 @@ var workerCount = 1
 // Run dispatches the subcommand. A leading -workers N parallelizes the
 // evaluator across N goroutines; a leading -stats prints an end-of-run
 // telemetry table (latency percentiles per op, counters, memory
-// gauges); a leading -flight-out FILE sets where the flight recorder
-// dumps its window when a fault is classified; a leading -chaos runs
-// the fault-injection smoke suite instead of a subcommand.
-// Every name in the ckks op table is a subcommand (see evalCmd).
-// Output goes to w; errors are returned, typed so the caller can map
-// them to exit codes with fherr.ExitCode.
+// gauges). Every name in the ckks op table is a subcommand (see
+// evalCmd). Output goes to w; errors are returned, typed so the caller
+// can map them to exit codes with fherr.ExitCode.
 func Run(args []string, w io.Writer) error {
 	usageErr := fherr.Errorf(fherr.ErrUsage,
-		"usage: fhe [-workers N] [-stats] [-flight-out FILE] [-chaos [-chaos-out FILE]] {keygen|encrypt|decrypt|info|%s|sum} [flags]",
+		"usage: fhe [-workers N] [-stats] {keygen|encrypt|decrypt|info|%s|sum} [flags]",
 		strings.Join(ckks.OpNames(), "|"))
-	if len(args) == 0 {
-		return usageErr
-	}
 	global := flag.NewFlagSet("fhe", flag.ContinueOnError)
 	workers := global.Int("workers", 1, "evaluator goroutines (0 = all cores); results are bit-identical at any setting")
 	stats := global.Bool("stats", false, "print an end-of-run telemetry summary (op latency percentiles, counters, memory gauges)")
-	flightOut := global.String("flight-out", "FLIGHT.json", "where the flight recorder dumps the last spans and counters when a fault is classified")
-	chaos := global.Bool("chaos", false, "run the fault-injection smoke suite and exit")
-	chaosOut := global.String("chaos-out", "CHAOS.json", "where -chaos writes its machine-readable report")
 	global.SetOutput(io.Discard)
-	if err := global.Parse(args); err != nil {
+	if err := global.Parse(args); err != nil || global.NArg() == 0 {
 		return usageErr
 	}
 	workerCount = *workers
-	flightPath = *flightOut
-	args = global.Args()
-	if !*chaos && len(args) == 0 {
-		return usageErr
-	}
 	recorder = nil
-	if *stats || *chaos {
+	if *stats {
 		recorder = obs.NewRecorder()
 	}
-	// Dump-on-fault: any panic classified at an API boundary flushes the
-	// flight-recorder window before the error propagates. Nil-recorder
-	// safe, so registration is unconditional for the command's duration.
-	fherr.SetPanicHook(func(err error) {
-		_ = recorder.DumpFlight(flightPath, "panic: "+err.Error())
-	})
-	defer fherr.SetPanicHook(nil)
-	err := func() error {
-		if *chaos {
-			return ChaosSmoke(w, *chaosOut)
-		}
-		return dispatch(args, w)
-	}()
+	err := dispatch(global.Args(), w)
 	if *stats {
 		printStats(w, recorder)
 	}

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/fherr"
 )
 
 // run executes a subcommand line against a scratch buffer.
@@ -108,22 +110,31 @@ func assertSlots(t *testing.T, out string, want []float64) {
 
 func TestErrors(t *testing.T) {
 	dir := setupKeys(t)
-	cases := [][]string{
-		{},
-		{"bogus"},
-		{"encrypt", "-dir", dir},                 // no values
-		{"encrypt", "-dir", dir, "notanumber"},   // bad value
-		{"encrypt", "-dir", "/nonexistent", "1"}, // missing keys
-		{"add", "-dir", dir, "only-one.bin"},     // wrong arity
-		{"decrypt", "-dir", dir, "/nonexistent/ct.bin"},       // missing ct
-		{"keygen", "-dir", dir, "-logn", "20"},                // bad logn
-		{"keygen", "-dir", dir, "-levels", "99"},              // bad levels
-		{"keygen", "-dir", dir, "-rots", "0"},                 // bad rotation
-		{"rotate", "-dir", dir, "-by", "7", "/nonexistent/x"}, // missing file
+	cases := []struct {
+		args []string
+		code int // fherr.ExitCode of the returned error
+	}{
+		{nil, fherr.ExitUsage},
+		{[]string{"bogus"}, fherr.ExitUsage},
+		{[]string{"-chaos"}, fherr.ExitUsage},                                              // no fault-injection suite in fhe
+		{[]string{"-chaos-out", "x", "info", "x"}, fherr.ExitUsage},                        // nor its report
+		{[]string{"-flight-out", "x", "info", "x"}, fherr.ExitUsage},                       // nor a dump-on-fault file
+		{[]string{"encrypt", "-dir", dir}, fherr.ExitUsage},                                // no values
+		{[]string{"encrypt", "-dir", dir, "notanumber"}, fherr.ExitFailure},                // bad value
+		{[]string{"encrypt", "-dir", "/nonexistent", "1"}, fherr.ExitFailure},              // missing keys
+		{[]string{"add", "-dir", dir, "only-one.bin"}, fherr.ExitUsage},                    // wrong arity
+		{[]string{"decrypt", "-dir", dir, "/nonexistent/ct.bin"}, fherr.ExitFailure},       // missing ct
+		{[]string{"keygen", "-dir", dir, "-logn", "20"}, fherr.ExitFailure},                // bad logn
+		{[]string{"keygen", "-dir", dir, "-levels", "99"}, fherr.ExitFailure},              // bad levels
+		{[]string{"keygen", "-dir", dir, "-rots", "0"}, fherr.ExitFailure},                 // bad rotation
+		{[]string{"rotate", "-dir", dir, "-by", "7", "/nonexistent/x"}, fherr.ExitFailure}, // missing file
 	}
-	for _, args := range cases {
-		if _, err := run(t, args...); err == nil {
-			t.Errorf("expected error for %v", args)
+	for _, tc := range cases {
+		_, err := run(t, tc.args...)
+		if err == nil {
+			t.Errorf("expected error for %v", tc.args)
+		} else if got := fherr.ExitCode(err); got != tc.code {
+			t.Errorf("%v: exit code %d, want %d (%v)", tc.args, got, tc.code, err)
 		}
 	}
 }

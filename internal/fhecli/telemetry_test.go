@@ -1,56 +1,10 @@
 package fhecli
 
 import (
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/obs"
 )
-
-// TestChaosWritesFlightDump runs the chaos suite with -flight-out and
-// asserts the FLIGHT.json artifact exists, parses, and holds the spans
-// leading up to the injected faults.
-func TestChaosWritesFlightDump(t *testing.T) {
-	tmp := t.TempDir()
-	chaosOut := filepath.Join(tmp, "CHAOS.json")
-	flightOut := filepath.Join(tmp, "FLIGHT.json")
-	out, err := run(t, "-chaos", "-chaos-out", chaosOut, "-flight-out", flightOut)
-	if err != nil {
-		t.Fatalf("chaos suite failed: %v\n%s", err, out)
-	}
-	raw, err := os.ReadFile(flightOut)
-	if err != nil {
-		t.Fatalf("chaos run left no flight dump: %v", err)
-	}
-	var d obs.FlightDump
-	if err := json.Unmarshal(raw, &d); err != nil {
-		t.Fatalf("FLIGHT.json does not parse: %v", err)
-	}
-	if !strings.HasPrefix(d.Reason, "chaos:") {
-		t.Errorf("flight reason = %q, want chaos summary", d.Reason)
-	}
-	if len(d.Spans) == 0 {
-		t.Fatal("flight dump holds no spans")
-	}
-	// The suite drives MulE/AddE/RotateE through the checked facade; the
-	// window must contain their spans.
-	var sawCkks bool
-	for _, sp := range d.Spans {
-		if strings.HasPrefix(sp.Name, "ckks.") {
-			sawCkks = true
-			break
-		}
-	}
-	if !sawCkks {
-		t.Errorf("no ckks.* spans in flight window (got %d spans)", len(d.Spans))
-	}
-	if len(d.Hists) == 0 {
-		t.Error("no latency histograms in flight dump")
-	}
-}
 
 // TestStatsFlagPrintsSummary checks the -stats end-of-run table: op
 // percentiles, counters and memory gauges all render.

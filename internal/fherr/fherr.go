@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 )
 
 // Sentinel errors: every failure the checked API surfaces wraps exactly
@@ -196,38 +195,10 @@ func FromPanic(r any) error {
 //	}
 //
 // A nil panic value (normal return) leaves *errp untouched.
-//
-// When a panic hook is registered (SetPanicHook), it fires with the
-// classified error before RecoverTo returns — the dump-on-fault path the
-// flight recorder hangs off.
 func RecoverTo(errp *error) {
 	if r := recover(); r != nil {
-		err := FromPanic(r)
-		*errp = err
-		if h := panicHook.Load(); h != nil {
-			(*h)(err)
-		}
+		*errp = FromPanic(r)
 	}
-}
-
-// panicHook is the process-wide fault observer. An atomic pointer keeps
-// registration safe against concurrent RecoverTo shims without putting a
-// lock on the recover path.
-var panicHook atomic.Pointer[func(error)]
-
-// SetPanicHook registers h to be called with the classified error every
-// time RecoverTo converts a panic — the hook point for dump-on-fault
-// telemetry (obs.Recorder.DumpFlight writes the flight window when a
-// fault is classified). Pass nil to deregister. The hook runs on the
-// recovering goroutine and must not panic; keep it short and reentrant,
-// since overlapping faults on concurrent goroutines invoke it
-// concurrently.
-func SetPanicHook(h func(error)) {
-	if h == nil {
-		panicHook.Store(nil)
-		return
-	}
-	panicHook.Store(&h)
 }
 
 // CLI exit codes: the shared policy of cmd/fhe and cmd/simfhe.

@@ -8,13 +8,12 @@ import (
 	"time"
 )
 
-// Flight-recorder dump: when a fault is detected (a classified panic, a
-// chaos-harness hit, an escaped invariant), the recorder's bounded state
-// — the last spans, every counter, gauge and histogram — is serialized
-// to a FLIGHT.json artifact for post-mortem analysis. Because span
-// retention is a fixed-capacity ring (see WithSpanCap), the dump is the
-// window that led up to the fault, at constant memory, no matter how
-// long the process ran.
+// Flight-recorder dump: the recorder's bounded state — the last spans,
+// every counter, gauge and histogram — serialized to a FLIGHT.json
+// artifact for post-mortem analysis; fhed writes one when it drains.
+// Because span retention is a fixed-capacity ring (see WithSpanCap), the
+// dump is the window that led up to that moment, at constant memory, no
+// matter how long the process ran.
 
 // FlightSpan is one retained span in wire form (offsets and durations in
 // microseconds, matching the Chrome trace unit).
@@ -102,10 +101,10 @@ func (s Snapshot) WriteFlight(w io.Writer, reason string) error {
 	return enc.Encode(s.Flight(reason))
 }
 
-// DumpFlight writes the recorder's current window to path. It is the
-// dump-on-fault hook: callers invoke it from panic-classification and
-// chaos-detection paths. A nil recorder writes nothing and returns nil,
-// so the hook can be registered unconditionally.
+// DumpFlight writes the recorder's current window to path; fhed calls it
+// when it drains (Server.Shutdown with a FlightPath). A nil recorder
+// writes nothing and returns nil, so a caller need not check whether
+// recording is on.
 func (r *Recorder) DumpFlight(path, reason string) error {
 	if r == nil {
 		return nil

@@ -219,8 +219,9 @@ func TestFlightDump(t *testing.T) {
 	}
 }
 
-// TestDumpFlightNilRecorder pins the unconditional-registration
-// contract: a nil recorder writes nothing and returns nil.
+// TestDumpFlightNilRecorder pins DumpFlight's nil-recorder contract (a
+// nil recorder writes nothing and returns nil). Its one caller is the
+// server's drain dump, Server.Shutdown with a FlightPath.
 func TestDumpFlightNilRecorder(t *testing.T) {
 	var r *Recorder
 	path := filepath.Join(t.TempDir(), "FLIGHT.json")

@@ -80,22 +80,40 @@ func (p *Poly) ReadFrom(r io.Reader) (int64, error) {
 	// Allocate each limb only after its bytes actually arrive: the header
 	// alone must not be able to commit us to limbs×n words (a hostile
 	// 12-byte header could otherwise demand a 32 GB up-front allocation).
-	p.Coeffs = make([][]uint64, 0, limbs)
-	buf := make([]byte, 8*n)
+	// The payload is staged through a chunk of at most readChunk bytes,
+	// and a limb is allocated once its first chunk has been read, so a
+	// header that is followed by nothing costs one chunk, not a limb.
+	p.Coeffs = make([][]uint64, 0, min(limbs, maxPresizedLimbs))
+	chunk := make([]byte, min(8*n, readChunk))
 	for i := 0; i < limbs; i++ {
-		read, err = io.ReadFull(r, buf)
-		total += int64(read)
-		if err != nil {
-			return total, err
-		}
-		limb := make([]uint64, n)
-		for j := range limb {
-			limb[j] = binary.LittleEndian.Uint64(buf[8*j:])
+		var limb []uint64
+		for j := 0; j < n; {
+			m := min(n-j, len(chunk)/8)
+			read, err = io.ReadFull(r, chunk[:8*m])
+			total += int64(read)
+			if err != nil {
+				return total, err
+			}
+			if limb == nil {
+				limb = make([]uint64, n)
+			}
+			for k := range m {
+				limb[j+k] = binary.LittleEndian.Uint64(chunk[8*k:])
+			}
+			j += m
 		}
 		p.Coeffs = append(p.Coeffs, limb)
 	}
 	return total, nil
 }
+
+// readChunk bounds ReadFrom's staging buffer. At 64 KiB it holds a whole
+// limb for N ≤ 2^13, so those reads stage each limb in one piece.
+const readChunk = 64 << 10
+
+// maxPresizedLimbs caps the limb-slice capacity ReadFrom takes from an
+// unverified header; a longer polynomial grows the slice as limbs arrive.
+const maxPresizedLimbs = 64
 
 // SerializedSize returns the exact byte size WriteTo will produce.
 func (p *Poly) SerializedSize() int {

@@ -2,6 +2,8 @@ package ring
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -91,5 +93,63 @@ func TestEmptyPolySerialization(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := p.WriteTo(&buf); err == nil {
 		t.Error("expected error serializing an empty polynomial")
+	}
+}
+
+// TestPolyReadFromHostileHeaderAllocation bounds what a header that
+// claims the largest shape costs when the payload then stops: at most
+// the staging chunk, never a limb of 8·n bytes.
+func TestPolyReadFromHostileHeaderAllocation(t *testing.T) {
+	const bound = 2 * readChunk
+	for _, tc := range []struct {
+		name    string
+		limbs   uint16
+		payload int
+	}{
+		{"header+EOF", 1, 0},
+		{"header+partial-chunk", 1, 1000},
+		{"max-limbs-header+EOF", 1 << 12, 0},
+	} {
+		in := append(fuzzHeader(polyFormatVersion, 0, tc.limbs, 1<<20), make([]byte, tc.payload)...)
+		var worst uint64 = math.MaxUint64
+		for range 3 { // the least of three runs drops background allocations
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			var p Poly
+			_, err := p.ReadFrom(bytes.NewReader(in))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%s: truncated input accepted", tc.name)
+			}
+			worst = min(worst, after.TotalAlloc-before.TotalAlloc)
+		}
+		if worst > bound {
+			t.Errorf("%s: ReadFrom allocated %d bytes before failing, want ≤ %d", tc.name, worst, bound)
+		}
+		t.Logf("%s: %d bytes allocated", tc.name, worst)
+	}
+}
+
+// TestPolySerializationRoundTripChunked round-trips limbs longer than
+// ReadFrom's staging chunk, so each limb is assembled from several reads.
+func TestPolySerializationRoundTripChunked(t *testing.T) {
+	n := 4 * readChunk / 8 // four chunks per limb (n must be a power of two)
+	p := &Poly{Coeffs: make([][]uint64, 2), IsNTT: true}
+	for i := range p.Coeffs {
+		p.Coeffs[i] = make([]uint64, n)
+		for j := range p.Coeffs[i] {
+			p.Coeffs[i][j] = uint64(i)<<40 ^ uint64(j)*0x9e3779b97f4a7c15
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := p.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var back Poly
+	if m, err := back.ReadFrom(&buf); err != nil || m != int64(p.SerializedSize()) {
+		t.Fatalf("ReadFrom = %d, %v; want %d bytes", m, err, p.SerializedSize())
+	}
+	if !back.Equal(p) {
+		t.Error("chunked limbs corrupted by the round trip")
 	}
 }

@@ -7,9 +7,10 @@ import (
 )
 
 // registry is the tenant table. Reads (every data-plane request) take
-// the RLock; create/delete take the write lock. Session-level work is
-// serialized by each session's own mutex, so registry lock hold times
-// stay in the nanoseconds.
+// the RLock; create/delete take the write lock. What a tenant must keep
+// ordered (its encryptor's PRNG, a guarded op with its canary probe,
+// chaos faults on its key digits) is its session's own mutex, so
+// registry lock hold times stay in the nanoseconds.
 type registry struct {
 	mu    sync.RWMutex
 	byID  map[string]*session

@@ -43,15 +43,17 @@ type TenantConfig struct {
 	Seed string `json:"seed,omitempty"`
 }
 
-// session is one tenant's full FHE context. All evaluator state is
-// serialized by mu: the ckks.Evaluator is not goroutine-safe, so the lock
+// session is one tenant's full FHE context. mu serializes what must stay
+// ordered within a tenant: the encryptor's PRNG stream, a guarded op
+// together with its canary probe (the two must see the same cached vault
+// digits), and chaos faults, which mutate shared key digits. The lock
 // covers a request's evaluator calls, and only those — the codec decodes
 // a request's ciphertexts before the lock and encodes the reply, which
-// belongs to the request, after it. The request deadline is not
-// session state — each op binds it through ckks.Evaluator.Do. Concurrency
-// across tenants comes from distinct sessions; concurrency within a
-// tenant is serialized (matching the single logical key-state of a
-// tenant).
+// belongs to the request, after it. It is not there for the evaluator:
+// concurrent ops on one ckks.Evaluator are race-tested in internal/ckks,
+// and the request deadline is not session state — ckks.Evaluator.Do binds
+// it on a shallow copy. Concurrency across tenants comes from distinct
+// sessions.
 type session struct {
 	mu     sync.Mutex
 	id     string
