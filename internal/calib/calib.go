@@ -392,7 +392,7 @@ func newFixture(cfg Config, c chain) (*fixture, error) {
 			{name: fmt.Sprintf("rotate_hoisted_x%d", cfg.Rotations), gated: true, call: func() { ev.RotateHoisted(a, steps) }},
 			{name: fmt.Sprintf("ptmatvec_d%d", cfg.Diags), call: func() { ev.EvalLinearTransform(a, lt) },
 				model: func(m simfhe.Ctx) simfhe.Cost { return m.PtMatVecMult(cfg.Limbs, cfg.Diags) },
-				note:  "informational, no ledger kind yet: the functional giant step is a full key switch (ModDown pair, ModUp, key product); the model's baseline ModDowns every baby step and its ModDownHoist price assumes a giant rotation with no ModUp/ModDown, which no RNS implementation can run — measured lands between the two"},
+				note:  "informational, no ledger kind yet: the functional giant step ModDowns one half, ModUps it and runs a key product (σ(u) stays raised); the model's baseline ModDowns every baby step and its ModDownHoist price assumes a giant rotation with no ModUp/ModDown, which no RNS implementation can run — measured lands between the two"},
 		}
 	}
 	f.ev.SetWorkers(1)

@@ -281,3 +281,22 @@ func BenchmarkHoistedTransformThrash(b *testing.B) {
 		ev.EvalLinearTransformHoistedModDown(ct, lt)
 	}
 }
+
+// BenchmarkLinearTransformWorkers times the matvec_hoisted transform (64
+// diagonals, a key budget of a quarter of its expanded keys, as the
+// benchmark workload sets it) at workers 1 and 2. The ratio of the two is
+// the transform's parallel speedup: its baby steps fan out, its giant
+// chain is serial with every kernel split over limbs.
+func BenchmarkLinearTransformWorkers(b *testing.B) {
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			p, keys, lt, ct := benchHoistedContext(b, 64)
+			quarter := int64(len(keys.Galois)) * int64(p.Dnum()) * digitBytes(p) / 4
+			ev := NewEvaluator(p, keys, WithWorkers(w), WithKeyBudget(quarter))
+			ev.EvalLinearTransform(ct, lt) // fill the budget
+			for b.Loop() {
+				ev.EvalLinearTransform(ct, lt)
+			}
+		})
+	}
+}

@@ -141,8 +141,9 @@ func TestEvaluatorSpanHierarchyWithLedger(t *testing.T) {
 // span — telemetry attributes, no pred.* (the ledger has no such kind; the
 // frozen bench adds its own prediction for the call) — that directly owns
 // a lite child per baby step, per giant group's sum and per keyed giant
-// step, next to the rns spans of its 1 + #non-zero-giants ModUps and
-// ModDown pairs; and recording changes no output bit.
+// step, next to the rns spans of its 1 + #giant-steps ModUps and
+// 2 + #giant-steps ModDowns (one per giant step, a pair to close); and
+// recording changes no output bit.
 func TestLinearTransformSpanTree(t *testing.T) {
 	params, err := ckks.NewParameters(ckks.ParametersLiteral{
 		LogN: 10, LogQ: []int{48, 40, 40, 40, 40, 40}, LogP: []int{50, 50}, LogScale: 40,
@@ -214,7 +215,7 @@ func TestLinearTransformSpanTree(t *testing.T) {
 	beta := params.Beta(ct.Level)
 	for name, want := range map[string]int{
 		"ckks.lt.baby": 4, "ckks.lt.accumulate": 3, "ckks.lt.giant": 2,
-		"rns.ModUpDigit": 3 * beta, "rns.ModDown": 2 * 3,
+		"rns.ModUpDigit": 3 * beta, "rns.ModDown": 2 + 2,
 	} {
 		if children[name] != want {
 			t.Errorf("%d %s children, want %d (all children: %v)", children[name], name, want, children)

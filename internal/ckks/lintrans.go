@@ -5,24 +5,27 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/mathutil"
 	"repro/internal/memtrace"
 	"repro/internal/ring"
 	"repro/internal/rns"
 )
 
 // giantStepWeight is the price of one keyed giant step in keyed baby steps,
-// the exchange rate chooseN1 minimises #babies + giantStepWeight·#giants
-// with. Both steps pay one gathered key product (and, under a key budget
-// that thrashes, the β seed expansions behind it); a giant step pays a
-// ModDown pair and a Decomp+ModUp on top. Span times put the ratio at 4 on
-// matvec_hoisted (N = 2^12, 6+2 limbs, β = 3, seed-only keys: 1.9 ms a
-// baby step, 7.8 ms a giant step) and the choice is flat around it: any
-// weight in (2, 8) splits a dense band of 64 diagonals at n1 = 16 (15 + 4
-// keyed steps and 19 keys instead of 64). With resident keys and β = 6
-// (bootstrap's top levels) the ratio is nearer 8, but there a weight of 8
-// only trades each two-sided band's one giant step for 7 more baby steps
-// and keys: the same latency within noise, 1.6× the live heap. Weights 3
-// and 4 pick the same splits for every transform in the repo.
+// the exchange rate chooseN1 minimises #babies + giantStepWeight·#Horner
+// steps with. Both steps pay one gathered key product. Under a key budget
+// that thrashes, a baby step also pays the β seed expansions behind its
+// key, while a giant step's key is its chain's and is expanded once per
+// op; a giant step pays one ModDown, a Decomp+ModUp and the σ(u) pass on
+// top. Span times on matvec_hoisted (N = 2^12, 6+2 limbs, β = 3, seed-only
+// keys under a quarter budget) put a baby step at 0.38 ms, most of it
+// expansions, and a giant step at 0.82 ms (ModDown 0.18, three ModUpDigit
+// 0.42, key product and σ(u) 0.22): a ratio of 2 there, and higher where
+// keys stay resident and a baby step sheds its expansions (bootstrap). The
+// choice is flat across that range: every weight from 3 to 8 splits a
+// dense band of 64 diagonals at n1 = 16 (15 + 4 keyed steps and 16 keys
+// instead of 64), and weights 3 and 4 pick the same splits for every
+// transform in the repo.
 const giantStepWeight = 4
 
 // LinearTransform is an encoded plaintext matrix for homomorphic
@@ -30,22 +33,52 @@ const giantStepWeight = 4
 // by its nonzero generalized diagonals, split for baby-step/giant-step
 // evaluation. Diagonal d = g + i, with giant step g = ⌊d/N1⌋·N1 and baby
 // step i = d mod N1, is encoded once, over Q∪P, rotated right by g, so the
-// giant rotation can be applied to a whole group's sum.
+// giant rotation can be applied to a whole group's sum. The groups of
+// non-zero giant steps form two Horner chains, one rotating by +N1 and one
+// by −N1, so every giant step of a side uses the same Galois key.
 type LinearTransform struct {
 	N1    int // baby-step count
 	Level int
 	Scale float64
 
 	diagonals int
-	babies    []int     // distinct baby steps, ascending
-	groups    []ltGroup // one per distinct giant step, ascending
+	babies    []int      // distinct baby steps, ascending
+	center    ltGroup    // the diagonals of giant step 0 (none: pt is empty)
+	chains    [2]ltChain // the groups of non-zero giant steps: rotated by +N1, by −N1
+}
+
+// ltChain is one side of a transform's giant groups, evaluated as a Horner
+// chain: acc ← σ_step(acc) + S_m for m from the farthest group's distance
+// down to 1, then one last σ_step, so the group at distance m is rotated m
+// times by step. Its keyed giant steps all use step's one Galois key.
+type ltChain struct {
+	step   int       // N1 or slots − N1: the rotation of one Horner step
+	groups []ltGroup // farthest first
+}
+
+// steps is the chain's number of keyed giant steps: its farthest group's
+// distance (0 for an empty chain).
+func (c *ltChain) steps() int {
+	if len(c.groups) == 0 {
+		return 0
+	}
+	return c.groups[0].m
+}
+
+// group returns the chain's group at distance m, appending it when the
+// last group is another one (diagonals arrive grouped by giant step).
+func (c *ltChain) group(m int) *ltGroup {
+	if len(c.groups) == 0 || c.groups[len(c.groups)-1].m != m {
+		c.groups = append(c.groups, ltGroup{m: m})
+	}
+	return &c.groups[len(c.groups)-1]
 }
 
 // ltGroup holds the diagonals that share one giant step.
 type ltGroup struct {
-	giant int          // the rotation applied to the group's sum
-	baby  []int        // per diagonal, ascending: index into LinearTransform.babies
-	pt    []rns.PolyQP // per diagonal: the pre-rotated raised plaintext, in Montgomery form
+	m    int          // distance from giant step 0 in Horner steps of the group's chain
+	baby []int        // per diagonal, ascending: index into LinearTransform.babies
+	pt   []rns.PolyQP // per diagonal: the pre-rotated raised plaintext, in Montgomery form
 }
 
 // rotateVec returns v rotated left by k (k may be negative).
@@ -91,15 +124,27 @@ func NewLinearTransform(enc *Encoder, diags map[int][]complex128, level int, sca
 	}
 	sort.Ints(lt.babies)
 	lt.babies = slices.Compact(lt.babies)
-	for _, d := range idx { // ascending, so groups and their diagonals are too
-		giant := d / n1 * n1
-		if len(lt.groups) == 0 || lt.groups[len(lt.groups)-1].giant != giant {
-			lt.groups = append(lt.groups, ltGroup{giant: giant})
-		}
-		g := &lt.groups[len(lt.groups)-1]
-		g.baby = append(g.baby, sort.SearchInts(lt.babies, d%n1))
-		g.pt = append(g.pt, mForm(enc.params, enc.EncodeQP(rotateVec(byIndex[d], -giant), scale, level)))
+	k := n / n1 // giant positions
+	up := n     // every giant group on the +N1 chain, unless
+	if n%n1 == 0 {
+		// −N1 steps land on multiples of N1 only when N1 divides the slots.
+		up, _, _ = hornerSplit(giantMultiples(idx, n1), k)
 	}
+	lt.chains = [2]ltChain{{step: n1}, {step: n - n1}}
+	for _, d := range idx { // ascending, so each group's diagonals are too
+		var g *ltGroup
+		switch m := d / n1; {
+		case m == 0:
+			g = &lt.center
+		case m <= up:
+			g = lt.chains[0].group(m)
+		default:
+			g = lt.chains[1].group(k - m)
+		}
+		g.baby = append(g.baby, sort.SearchInts(lt.babies, d%n1))
+		g.pt = append(g.pt, mForm(enc.params, enc.EncodeQP(rotateVec(byIndex[d], -(d/n1*n1)), scale, level)))
+	}
+	slices.Reverse(lt.chains[0].groups) // farthest first; the −N1 chain arrived that way
 	return lt
 }
 
@@ -119,30 +164,65 @@ func mForm(p *Parameters, pt rns.PolyQP) rns.PolyQP {
 
 // chooseN1 returns the power of two n1 in [1, slots] that minimises the
 // keyed steps of the baby-step/giant-step split of the sorted diagonal
-// indices idx: #distinct non-zero baby steps + giantStepWeight · #distinct
-// non-zero giant steps. The smallest minimiser wins (fewer raised
-// baby-step pairs alive at once). n1 = slots is the split with no giant
-// step at all: every diagonal a baby step, one ModDown pair in total.
+// indices idx: #distinct non-zero baby steps + giantStepWeight · #Horner
+// steps (hornerSplit: the farthest giant multiple on each side). The
+// smallest minimiser wins (fewer raised baby-step pairs alive at once).
+// n1 = slots is the split with no giant step at all: every diagonal a baby
+// step, the closing ModDown pair the only one.
 func chooseN1(idx []int, slots int) int {
 	best, bestCost := 1, -1
 	for n1 := 1; n1 <= slots; n1 <<= 1 {
-		babies, giants := make([]bool, n1), make([]bool, slots/n1)
+		babies := make([]bool, n1)
 		cost := 0
 		for _, d := range idx {
 			if i := d % n1; i != 0 && !babies[i] {
 				babies[i] = true
 				cost++
 			}
-			if j := d / n1; j != 0 && !giants[j] {
-				giants[j] = true
-				cost += giantStepWeight
-			}
 		}
+		_, _, steps := hornerSplit(giantMultiples(idx, n1), slots/n1)
+		cost += giantStepWeight * steps
 		if bestCost < 0 || cost < bestCost {
 			best, bestCost = n1, cost
 		}
 	}
 	return best
+}
+
+// giantMultiples returns, ascending, the distinct non-zero giant multiples
+// ⌊d/n1⌋ of the sorted diagonal indices idx.
+func giantMultiples(idx []int, n1 int) []int {
+	var ms []int
+	for _, d := range idx {
+		if m := d / n1; m != 0 && (len(ms) == 0 || ms[len(ms)-1] != m) {
+			ms = append(ms, m)
+		}
+	}
+	return ms
+}
+
+// hornerSplit divides the giant multiples ms (ascending, in [1, k), k the
+// number of giant positions) between the two Horner chains: multiples up
+// to up rotate by +n1, which takes up keyed steps, and the rest by −n1,
+// which takes down = k − (the smallest of them) steps. Of the len(ms)+1
+// cuts it returns the one with the fewest steps up + down, then the fewest
+// chains (one Galois key fewer), then the largest up.
+func hornerSplit(ms []int, k int) (up, down, steps int) {
+	bestChains := 0
+	for i := len(ms); i >= 0; i-- {
+		u, d := 0, 0
+		if i > 0 {
+			u = ms[i-1]
+		}
+		if i < len(ms) {
+			d = k - ms[i]
+		}
+		chains := min(u, 1) + min(d, 1)
+		if i == len(ms) || u+d < steps || u+d == steps && chains < bestChains {
+			up, down, steps, bestChains = u, d, u+d, chains
+		}
+	}
+	return up, down, steps
 }
 
 // DiagsFromMatrix extracts the nonzero generalized diagonals of an n×n
@@ -166,10 +246,11 @@ func DiagsFromMatrix(m [][]complex128) map[int][]complex128 {
 	return out
 }
 
-// RotationSteps returns, ascending, the rotation indices an evaluator
-// needs Galois keys for to evaluate this transform: its distinct non-zero
-// baby steps and giant steps. Step 0 is never returned — no op reads a key
-// for the identity.
+// RotationSteps returns, ascending and distinct, the rotation indices in
+// [1, slots) an evaluator needs Galois keys for to evaluate this
+// transform: its non-zero baby steps and the step of each Horner chain
+// that has a group (+N1, and slots − N1 for −N1). Step 0 is never
+// returned — no op reads a key for the identity.
 func (lt *LinearTransform) RotationSteps() []int {
 	var steps []int
 	for _, i := range lt.babies { // all < N1
@@ -177,22 +258,23 @@ func (lt *LinearTransform) RotationSteps() []int {
 			steps = append(steps, i)
 		}
 	}
-	for _, g := range lt.groups { // all multiples of N1
-		if g.giant != 0 {
-			steps = append(steps, g.giant)
+	for _, c := range lt.chains {
+		if c.steps() > 0 {
+			steps = append(steps, c.step)
 		}
 	}
-	return steps
+	sort.Ints(steps)
+	return slices.Compact(steps)
 }
 
-// ltPartial is one worker's share of a transform: the raised sum of its
-// giant groups' outputs. Zero until the first group lands.
+// ltPartial is a raised sum of a transform's pieces. Zero until the first
+// piece lands.
 type ltPartial struct {
 	u, v rns.PolyQP
 }
 
-// add folds a raised pair into the share and takes the buffers over: the
-// first becomes the share's accumulator, later ones return to the pool.
+// add folds a raised pair into the sum and takes the buffers over: the
+// first becomes the sum's accumulator, later ones return to the pool.
 func (s *ltPartial) add(rQ, rP *ring.Ring, conv *rns.Converter, u, v rns.PolyQP) {
 	if s.u.Q == nil {
 		s.u, s.v = u, v
@@ -208,31 +290,34 @@ func (s *ltPartial) add(rQ, rP *ring.Ring, conv *rns.Converter, u, v rns.PolyQP)
 
 // EvalLinearTransform applies the transform with the double-hoisted
 // baby-step/giant-step schedule (PtMatVecMult with the paper's §3.2 ModUp
-// and ModDown hoisting, Figure 5(c), inside each giant group):
+// and ModDown hoisting, Figure 5(c)):
 //
 //  1. one Decomp+ModUp of ct.C1 serves every baby step;
 //  2. each distinct baby step i becomes a raised pair (u_i, v_i) over Q∪P —
 //     the gathered key product plus P·σ_i(c0), no ModDown; step 0 is the
 //     free PModUp lift;
-//  3. each giant group's sum Σ_i pt[g+i] ⊙ (u_i, v_i) is one fused
+//  3. each giant group's sum S = Σ_i pt[g+i] ⊙ (u_i, v_i) is one fused
 //     multiply-accumulate per raised limb, exact in 128 bits;
 //  4. the group of giant step 0 is already a summand of the result and
-//     stays raised; every other group pays one ModDown pair, one
-//     Decomp+ModUp and one keyed step by its giant step — the gathered key
-//     product plus the lift of the rotated first half — whose raised
-//     output joins the same accumulator;
+//     stays raised; the other groups run as two Horner chains, acc ←
+//     σ(acc) + S walking toward giant step 0 with σ = σ_{+N1} on one side
+//     and σ_{−N1} on the other. A keyed giant step ModDowns only v of the
+//     raised acc, Decomp+ModUps ⌊v/P⌉ and returns Σ ksk⊙σ(d) + (σ(u), 0),
+//     σ(u) summed over every raised limb in one gathered pass: σ is an
+//     automorphism of R_PQ, so u never leaves the raised basis;
 //  5. one ModDown pair closes the op.
 //
-// ModUps = ModDown pairs = 1 + #non-zero giant steps; keyed products =
-// #non-zero baby steps + #non-zero giant steps, each holding its key only
-// for the product, so the transform runs inside any key budget. The result
-// carries scale ct.Scale·lt.Scale; the caller owes one Rescale
-// (EvalLinearTransformRescale pays it inside the closing division).
+// ModUps = 1 + #giant steps, ModDowns = 2 + #giant steps; keyed products =
+// #non-zero baby steps + #giant steps (the farthest multiple of N1 on each
+// side), each holding its key only for the product, so the transform runs
+// inside any key budget; Galois keys = #non-zero baby steps + one per
+// chain. The result carries scale ct.Scale·lt.Scale; the caller owes one
+// Rescale (EvalLinearTransformRescale pays it inside the closing division).
 //
-// Baby steps and giant groups fan out across workers, each worker summing
-// its groups into its own accumulators, merged in worker order afterwards.
-// Every sum is exact modular addition, so the result is bit-identical for
-// every worker count.
+// The baby steps fan out across workers; the giant groups and chains run
+// in order, each kernel split over limbs on every worker. Every sum is
+// exact modular addition in a fixed order, so the result is bit-identical
+// for every worker count.
 func (ev *Evaluator) EvalLinearTransform(ct *Ciphertext, lt *LinearTransform) *Ciphertext {
 	return ev.evalLinearTransform(ct, lt, (*Evaluator).lower)
 }
@@ -262,7 +347,7 @@ func (ev *Evaluator) evalLinearTransform(ct *Ciphertext, lt *LinearTransform, cl
 	sp := ev.startOp("LinearTransform", level, ct.Scale, lt.diagonals)
 	defer ev.endOp(sp)
 	sp.SetAttr("lt.n1", float64(lt.N1))
-	if len(lt.groups) == 0 { // no diagonals: the zero map
+	if lt.diagonals == 0 { // the zero map
 		zero := raisedCt{u: conv.GetPolyQP(level), v: conv.GetPolyQP(level), level: level, scale: ct.Scale * lt.Scale}
 		for _, p := range [2]rns.PolyQP{zero.u, zero.v} {
 			p.Q.Zero()
@@ -272,8 +357,9 @@ func (ev *Evaluator) evalLinearTransform(ct *Ciphertext, lt *LinearTransform, cl
 		return close(ev, zero, ev.workers)
 	}
 
-	// Resolve every Galois key here (nil for the unkeyed step 0): a missing
-	// key panics on this goroutine, before any work is spent or fanned out.
+	// Resolve every Galois key here (nil for the unkeyed step 0 and for an
+	// empty chain): a missing key panics on this goroutine, before any work
+	// is spent or fanned out.
 	keyed := 0
 	resolve := func(k int) *GaloisKey {
 		if k == 0 {
@@ -286,13 +372,18 @@ func (ev *Evaluator) evalLinearTransform(ct *Ciphertext, lt *LinearTransform, cl
 	for k, i := range lt.babies {
 		babies[k] = resolve(i)
 	}
-	giants := make([]*GaloisKey, len(lt.groups))
-	for k := range lt.groups {
-		giants[k] = resolve(lt.groups[k].giant)
+	var giants [2]*GaloisKey
+	groups := min(len(lt.center.pt), 1)
+	for s, c := range lt.chains {
+		if c.steps() > 0 {
+			giants[s] = ev.galoisKey(rQ.GaloisElement(c.step))
+			keyed += c.steps()
+			groups += len(c.groups)
+		}
 	}
 	ev.rec.Add("ckks.rotate", uint64(keyed))
 	sp.SetAttr("lt.babies", float64(len(babies)))
-	sp.SetAttr("lt.giants", float64(len(giants)))
+	sp.SetAttr("lt.giants", float64(groups))
 
 	// Steps 1–2: the raised baby steps, each a keyed step on the shared
 	// digits — or, for step 0, the free PModUp lift of both halves.
@@ -312,44 +403,101 @@ func (ev *Evaluator) evalLinearTransform(ct *Ciphertext, lt *LinearTransform, cl
 	})
 	ev.putDigits(digits)
 
-	// Steps 3–4: the giant groups, summed per worker.
-	outer, inner = splitWorkers(ev.workers, len(lt.groups))
-	parts := make([]ltPartial, outer)
-	ev.FanOutChunked(len(lt.groups), outer, func(w, start, end int) {
-		for k := start; k < end; k++ {
-			ev.checkInterrupt()
-			u, v := conv.GetPolyQP(level), conv.GetPolyQP(level)
-			child := ev.rec.StartLinked("ckks.lt.accumulate")
-			ev.ltGroupSum(level, &lt.groups[k], us, vs, u, v, inner)
-			child.End()
-			if gk := giants[k]; gk != nil {
-				// The ModDown pair and the ModUp carry their own rns spans;
-				// the giant span is the keyed step that overwrites (u, v).
-				q0, q1 := rQ.GetScratch(), rQ.GetScratch()
-				ev.modDownPair(level, u, v, q0, q1, inner)
-				digits := ev.decomposeModUp(level, q1, inner)
-				child = ev.rec.StartLinked("ckks.lt.giant")
-				ev.keyedStep(level, digits, rQ.AutomorphismNTTIndex(gk.GaloisEl), &gk.SwitchingKey, q0, u, v, inner)
-				child.End()
-				ev.putDigits(digits)
-				rQ.PutScratch(q0)
-				rQ.PutScratch(q1)
+	// Steps 3–4: the group of giant step 0, then each Horner chain.
+	groupSum := func(g *ltGroup) (u, v rns.PolyQP) {
+		ev.checkInterrupt()
+		u, v = conv.GetPolyQP(level), conv.GetPolyQP(level)
+		child := ev.rec.StartLinked("ckks.lt.accumulate")
+		ev.ltGroupSum(level, g, us, vs, u, v, ev.workers)
+		child.End()
+		return u, v
+	}
+	var sum ltPartial
+	if len(lt.center.pt) > 0 {
+		u, v := groupSum(&lt.center)
+		sum.add(rQ, rP, conv, u, v)
+	}
+	for s := range lt.chains {
+		c := &lt.chains[s]
+		var acc ltPartial
+		for m, next := c.steps(), 0; m >= 1; m-- {
+			if next < len(c.groups) && c.groups[next].m == m {
+				u, v := groupSum(&c.groups[next])
+				acc.add(rQ, rP, conv, u, v)
+				next++
 			}
-			parts[w].add(rQ, rP, conv, u, v)
+			acc.u, acc.v = ev.ltGiantStep(level, giants[s], acc.u, acc.v)
 		}
-	})
+		if acc.u.Q != nil {
+			sum.add(rQ, rP, conv, acc.u, acc.v)
+		}
+	}
 	for k := range us {
 		conv.PutPolyQP(us[k])
 		conv.PutPolyQP(vs[k])
 	}
 
-	// Merge the workers' shares in worker order (there are no more workers
-	// than groups, so every share holds at least one), then step 5: close.
-	sum := parts[0]
-	for _, part := range parts[1:] {
-		sum.add(rQ, rP, conv, part.u, part.v)
-	}
+	// Step 5: close.
 	return close(ev, raisedCt{u: sum.u, v: sum.v, level: level, scale: ct.Scale * lt.Scale}, ev.workers)
+}
+
+// ltGiantStep is one keyed giant step of a Horner chain on the raised pair
+// (u, v), which stands for (u/P, v/P): only v leaves the raised basis — one
+// ModDown into pooled Q scratch, one Decomp+ModUp of ⌊v/P⌉ — and the step
+// returns Σ ksk⊙σ(d) + (σ(u), 0), σ the automorphism of gk, with no lift of
+// a c0. It consumes (u, v): u returns to the pool and v's buffer holds the
+// result's second half. The ModDown and the ModUp carry their own rns
+// spans; the giant span is the key product and the σ(u) pass.
+func (ev *Evaluator) ltGiantStep(level int, gk *GaloisKey, u, v rns.PolyQP) (rns.PolyQP, rns.PolyQP) {
+	p := ev.params
+	rQ, conv := p.RingQ().AtLevel(level), p.Converter()
+	// One ModDown: kP iNTTs of the P limbs plus level+1 forward NTTs of the
+	// correction limbs. The step is a key switch whose closer is the
+	// transform's, so it counts as one here.
+	ev.rec.Add("ckks.ntt", uint64(ev.kP()+level+1))
+	ev.rec.Add("ckks.keyswitch", 1)
+	ev.rec.Add("ckks.limbs", uint64(level+1))
+	q1 := rQ.GetScratch()
+	conv.ModDown(level, v, q1, ev.workers)
+	digits := ev.decomposeModUp(level, q1, ev.workers)
+	rQ.PutScratch(q1)
+
+	perm := rQ.AutomorphismNTTIndex(gk.GaloisEl)
+	child := ev.rec.StartLinked("ckks.lt.giant")
+	out := conv.GetPolyQP(level)
+	ev.keyedStep(level, digits, perm, &gk.SwitchingKey, nil, out, v, ev.workers)
+	ev.addAutomorphedRaised(level, u, perm, out)
+	child.End()
+	ev.putDigits(digits)
+	conv.PutPolyQP(u)
+	return out, v
+}
+
+// addAutomorphedRaised adds σ(x) — x read through the slot permutation
+// perm — into dst over all ℓ+1+α raised limbs: one gathered multiply-add
+// by 1 per limb, split over the limbs.
+func (ev *Evaluator) addAutomorphedRaised(level int, x rns.PolyQP, perm []int, dst rns.PolyQP) {
+	nQ, nP := level+1, ev.params.Alpha()
+	if ring.EffectiveWorkers(nQ+nP, ev.workers) == 1 {
+		// Closure-free serial path, as in gatherMulAccumulate.
+		for i := 0; i < nQ+nP; i++ {
+			ev.addAutomorphedLimb(i, nQ, x, perm, dst)
+		}
+		return
+	}
+	ev.fanOut(nQ+nP, ev.workers, func(i int) { ev.addAutomorphedLimb(i, nQ, x, perm, dst) })
+}
+
+// addAutomorphedLimb is addAutomorphedRaised on raised limb i (Q limbs
+// first, then P).
+func (ev *Evaluator) addAutomorphedLimb(i, nQ int, x rns.PolyQP, perm []int, dst rns.PolyQP) {
+	var s *ring.SubRing
+	if i < nQ {
+		s = ev.params.RingQ().SubRings[i]
+	} else {
+		s = ev.params.RingP().SubRings[i-nQ]
+	}
+	ev.mulScalarThenAddLimb(s, raisedLimb(x, i, nQ, s.N), perm, 1, mathutil.ShoupPrecomp(1, s.Q), raisedLimb(dst, i, nQ, s.N))
 }
 
 // EvalLinearTransformHoistedModDown is EvalLinearTransform under the name

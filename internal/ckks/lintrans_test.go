@@ -3,6 +3,7 @@ package ckks
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -131,13 +132,80 @@ func TestLinearTransformBSGS(t *testing.T) {
 	}
 }
 
+// TestLinearTransformTwoSidedChains: a band of diagonals −20 … 20 splits at
+// n1 = 8 into seven baby steps, the group of giant step 0 and groups on
+// both sides of it — two Horner chains, 2 steps by σ_{+8} and 3 by σ_{−8},
+// keyed by one Galois key each. Under workers {1, 2} × key budgets
+// {unlimited, a quarter of the keys, 1 byte} it is decrypt-compared with
+// the plaintext product and the textbook reference, its counters are the
+// schedule's (12 keyed steps, 2 + 5 ModDowns), and every run writes the
+// same bytes. At n1 = 3, which does not divide the slots, a −3 step does
+// not land on a multiple of 3, so every giant group rides the +3 chain.
+func TestLinearTransformTwoSidedChains(t *testing.T) {
+	tc := newTestContext(t)
+	p := tc.params
+	n := p.Slots()
+	var idx []int
+	for d := -20; d <= 20; d++ {
+		idx = append(idx, (d+n)%n)
+	}
+	m := randomBandedMatrix(n, idx)
+	diags := DiagsFromMatrix(m)
+	x := randomValues(n, 1)
+	ct := tc.encSk.Encrypt(tc.enc.Encode(x))
+	want := applyMatrix(m, x)
+	decode := func(out *Ciphertext) []complex128 {
+		return tc.enc.Decode(tc.dec.DecryptToPlaintext(NewEvaluator(p, nil).Rescale(out)))
+	}
+	ref := Precision(want, decode(textbookTransform(tc, ct, diags))).MinPrecisionBits
+
+	lt := NewLinearTransform(tc.enc, diags, p.MaxLevel(), p.Scale(), 0, false)
+	steps := lt.RotationSteps()
+	if wantSteps := []int{1, 2, 3, 4, 5, 6, 7, 8, n - 8}; lt.N1 != 8 || !slices.Equal(steps, wantSteps) {
+		t.Fatalf("split %d, RotationSteps %v; want 8 and %v", lt.N1, steps, wantSteps)
+	}
+	keys := &EvaluationKeySet{Galois: tc.kg.GenGaloisKeys(steps, tc.sk)}
+	var first *Ciphertext
+	for _, budget := range []int64{0, int64(len(steps)*p.Dnum()) * digitBytes(p) / 4, 1} {
+		for _, w := range []int{1, 2} {
+			ev := NewEvaluator(p, cloneKeySet(t, keys), WithWorkers(w), WithKeyBudget(budget))
+			rec := obs.NewRecorder()
+			ev.SetRecorder(rec)
+			out := ev.EvalLinearTransform(ct, lt)
+			ev.SetRecorder(nil)
+			got := Precision(want, decode(out)).MinPrecisionBits
+			t.Logf("budget=%d workers=%d: %.1f bits, textbook reference %.1f", budget, w, got, ref)
+			if got < ref-0.5 || got < 20 {
+				t.Errorf("budget=%d workers=%d: %.1f bits, textbook reference %.1f", budget, w, got, ref)
+			}
+			if r, d := rec.Counter("ckks.rotate"), len(rec.Snapshot().SpansNamed("rns.ModDown")); r != 12 || d != 7 {
+				t.Errorf("budget=%d workers=%d: %d keyed steps and %d ModDowns, want 12 and 7", budget, w, r, d)
+			}
+			if first == nil {
+				first = out
+			} else if !ctEqual(out, first) {
+				t.Errorf("budget=%d workers=%d: output differs from the first run's", budget, w)
+			}
+		}
+	}
+
+	odd := NewLinearTransform(tc.enc, diags, p.MaxLevel(), p.Scale(), 3, false)
+	if steps := odd.RotationSteps(); !slices.Equal(steps, []int{1, 2, 3}) {
+		t.Errorf("n1=3: RotationSteps %v, want [1 2 3]", steps)
+	}
+	ev := NewEvaluator(p, &EvaluationKeySet{Galois: tc.kg.GenGaloisKeys(odd.RotationSteps(), tc.sk)})
+	if got := Precision(want, decode(ev.EvalLinearTransform(ct, odd))).MinPrecisionBits; got < ref-0.5 || got < 20 {
+		t.Errorf("n1=3: %.1f bits, textbook reference %.1f", got, ref)
+	}
+}
+
 // TestLinearTransformMissingKeyPanicsFirst: a transform whose key set lacks
-// one giant step's Galois key panics with the typed-message key error on
-// the calling goroutine before any kernel ran — not from a worker, and not
-// after the baby steps were paid for.
+// its giant chain's one Galois key (σ_{n1}) panics with the typed-message
+// key error on the calling goroutine before any kernel ran — not from a
+// worker, and not after the baby steps were paid for.
 func TestLinearTransformMissingKeyPanicsFirst(t *testing.T) {
 	tc, ev, lt, _ := setupLinTransTest(t, []int{0, 1, 2, 5, 9}, 4)
-	delete(ev.Keys().Galois, tc.params.RingQ().GaloisElement(8))
+	delete(ev.Keys().Galois, tc.params.RingQ().GaloisElement(4))
 	ev.SetWorkers(2)
 	rec := obs.NewRecorder()
 	ev.SetRecorder(rec)
@@ -179,6 +247,31 @@ func TestChooseN1(t *testing.T) {
 	} {
 		if got := chooseN1(c.idx, c.slots); got != c.want {
 			t.Errorf("%s: n1 = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestHornerSplit pins how the giant multiples divide between the two
+// chains: the fewest Horner steps, then one chain rather than two (one
+// Galois key fewer), then the longer +n1 chain.
+func TestHornerSplit(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		ms             []int
+		k              int
+		up, down, step int
+	}{
+		{"none", nil, 8, 0, 0, 0},
+		{"contiguous from +1", []int{1, 2, 3, 4}, 128, 4, 0, 4},
+		{"one giant just below 0", []int{31}, 32, 0, 1, 1},
+		{"{+8, -16, -8} at n1 = 8", []int{1, 30, 31}, 32, 1, 2, 3},
+		{"3 steps either way: one chain wins", []int{1, 2, 3}, 4, 3, 0, 3},
+		{"k/2 alone: the +n1 chain wins the tie", []int{2}, 4, 2, 0, 2},
+		{"a gap makes two chains cheaper", []int{1, 6, 7}, 8, 1, 2, 3},
+	} {
+		up, down, steps := hornerSplit(c.ms, c.k)
+		if up != c.up || down != c.down || steps != c.step {
+			t.Errorf("%s: hornerSplit(%v, %d) = (%d, %d, %d), want (%d, %d, %d)", c.name, c.ms, c.k, up, down, steps, c.up, c.down, c.step)
 		}
 	}
 }

@@ -75,13 +75,12 @@ func TestRotateHoistedBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestHoistedModDownBitIdenticalAcrossWorkers covers the transform's two
-// fan-outs — baby steps into their own raised pairs, giant groups into
-// per-worker accumulators merged in worker order: regrouping the
-// raised-basis sum must be exact (modular addition is associative), so the
-// chunked accumulation has to match the serial left-to-right one word for
-// word. n1 = 4 splits the diagonals into three giant groups, so two workers
-// do merge; the computed split keeps them all baby steps.
+// TestHoistedModDownBitIdenticalAcrossWorkers covers the transform's
+// baby-step fan-out (each step into its own raised pair) and its serial
+// giant chain, whose group sums, basis changes, key products and σ(u)
+// passes split over limbs: the output must match the serial run word for
+// word. n1 = 4 puts diagonals 9 and 20 in giant groups on a five-step
+// σ_4 chain; the computed split keeps them all baby steps.
 func TestHoistedModDownBitIdenticalAcrossWorkers(t *testing.T) {
 	diagIdx := []int{0, 1, 3, 9, 20}
 	for _, n1 := range []int{0, 4} {

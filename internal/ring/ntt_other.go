@@ -25,6 +25,9 @@ func tensorIFMA(_, _, _, _, _, _, _ []uint64, _, _, _, _ uint64) { panic(noVecto
 func tensorSquareIFMA(_, _, _, _, _ []uint64, _, _, _, _ uint64) { panic(noVectorKernel) }
 func mulScalarAddIFMA(_, _ []uint64, _ []int, _, _, _, _ uint64) { panic(noVectorKernel) }
 func subMulIFMA(_, _, _ []uint64, _, _, _ uint64)                { panic(noVectorKernel) }
+func mulScalarIFMA(_, _ []uint64, _, _, _ uint64)                { panic(noVectorKernel) }
+func addIFMA(_, _, _ []uint64, _ uint64)                         { panic(noVectorKernel) }
+func subIFMA(_, _, _ []uint64, _ uint64)                         { panic(noVectorKernel) }
 func reduceAddIFMA(_, _ []uint64, _, _, _ uint64)                { panic(noVectorKernel) }
 func scaleEstimateIFMA(_ [][]uint64, _ int, _ [][]uint64, _, _ []uint64) {
 	panic(noVectorKernel)

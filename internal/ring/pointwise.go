@@ -9,8 +9,10 @@ import (
 
 // The pointwise limb kernels: the per-word passes of the ciphertext
 // product (Tensor, TensorSquare), of the P·x lift and the scaled
-// multiply-adds (MulScalarThenAdd), and of the ModDown and Rescale
-// closers (SubThenMulScalar, ReduceThenAddConst). Each has a scalar Go
+// multiply-adds (MulScalarThenAdd), of the ModDown and Rescale closers
+// (SubThenMulScalar, ReduceThenAddConst), of the Montgomery form a ModUp
+// digit and a transform diagonal are kept in (MForm), and of ciphertext
+// addition and subtraction (Add, Sub). Each has a scalar Go
 // body and, on a sub-ring with the vector kernels (SubRing.vector), an
 // AVX-512 IFMA body (pointwise_amd64.s) that runs eight words per ZMM
 // vector and writes the same canonical words:
@@ -129,6 +131,51 @@ func (s *SubRing) ReduceThenAddConst(x []uint64, xBound, c uint64, out []uint64)
 	br, q := s.Barrett, s.Q
 	for j := range out {
 		out[j] = mathutil.AddMod(br.Reduce(x[j]), c, q)
+	}
+}
+
+// MForm sets out[j] = a[j]·R mod q with R = 2^64 mod q over a single limb:
+// the Montgomery form GatherMulAccumulate takes its d operand in. a must
+// be canonical; out may alias a.
+func (s *SubRing) MForm(a, out []uint64) {
+	a = a[:len(out)]
+	if s.vectorKernel() {
+		mulScalarIFMA(out, a, s.r, s.rShoup>>12, s.Q)
+		return
+	}
+	r, rs, q := s.r, s.rShoup, s.Q
+	for j := range out {
+		out[j] = mathutil.MulModShoup(a[j], r, rs, q)
+	}
+}
+
+// Add sets out[j] = a[j] + b[j] mod q over one limb. a and b words must be
+// below q; out may alias either.
+func (s *SubRing) Add(a, b, out []uint64) {
+	n := len(out)
+	a, b = a[:n], b[:n]
+	if s.vectorKernel() {
+		addIFMA(out, a, b, s.Q)
+		return
+	}
+	q := s.Q
+	for j := range out {
+		out[j] = mathutil.AddMod(a[j], b[j], q)
+	}
+}
+
+// Sub sets out[j] = a[j] − b[j] mod q over one limb. a and b words must be
+// below q; out may alias either.
+func (s *SubRing) Sub(a, b, out []uint64) {
+	n := len(out)
+	a, b = a[:n], b[:n]
+	if s.vectorKernel() {
+		subIFMA(out, a, b, s.Q)
+		return
+	}
+	q := s.Q
+	for j := range out {
+		out[j] = mathutil.SubMod(a[j], b[j], q)
 	}
 }
 

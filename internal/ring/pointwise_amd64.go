@@ -19,6 +19,17 @@ func mulScalarAddIFMA(acc, x []uint64, perm []int, idxMax, w, ws, q uint64)
 //go:noescape
 func subMulIFMA(out, a, b []uint64, w, ws, q uint64)
 
+// mulScalarIFMA writes x·w; ws is w's 52-bit companion.
+//
+//go:noescape
+func mulScalarIFMA(out, x []uint64, w, ws, q uint64)
+
+//go:noescape
+func addIFMA(out, a, b []uint64, q uint64)
+
+//go:noescape
+func subIFMA(out, a, b []uint64, q uint64)
+
 //go:noescape
 func reduceAddIFMA(out, x []uint64, c, oneShoup, q uint64)
 

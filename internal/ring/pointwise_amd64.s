@@ -183,6 +183,58 @@ TEXT ·subMulIFMA(SB), NOSPLIT, $0-96
 	PWCONSTS(q+88(FP))
 	PWLOOP(SUBMULBODY, subMulFull, subMulTail, subMulDone)
 
+// MULBODY: out = x·w (Z26 = w, Z25 = its companion), folded.
+#define MULBODY \
+	VMOVDQU64.Z (SI)(R11*1), K1, Z0; \
+	MULLAZY(Z0, Z26, Z25, Z1, Z2); \
+	FOLD(Z1, Z31, Z2); \
+	VMOVDQU64   Z1, K1, (DI)(R11*1)
+
+// func mulScalarIFMA(out, x []uint64, w, ws, q uint64)
+TEXT ·mulScalarIFMA(SB), NOSPLIT, $0-72
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), R12
+	MOVQ x_base+24(FP), SI
+	VPBROADCASTQ w+48(FP), Z26
+	VPBROADCASTQ ws+56(FP), Z25
+	PWCONSTS(q+64(FP))
+	PWLOOP(MULBODY, mulFull, mulTail, mulDone)
+
+// ADDBODY: out = a + b, in [0, 2q), folded.
+#define ADDBODY \
+	VMOVDQU64.Z (SI)(R11*1), K1, Z0; \
+	VMOVDQU64.Z (R9)(R11*1), K1, Z1; \
+	VPADDQ      Z1, Z0, Z0; \
+	FOLD(Z0, Z31, Z2); \
+	VMOVDQU64   Z0, K1, (DI)(R11*1)
+
+// func addIFMA(out, a, b []uint64, q uint64)
+TEXT ·addIFMA(SB), NOSPLIT, $0-80
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), R12
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), R9
+	PWCONSTS(q+72(FP))
+	PWLOOP(ADDBODY, addFull, addTail, addDone)
+
+// SUBBODY: out = a + q − b, in (0, 2q), folded.
+#define SUBBODY \
+	VMOVDQU64.Z (SI)(R11*1), K1, Z0; \
+	VMOVDQU64.Z (R9)(R11*1), K1, Z1; \
+	VPADDQ      Z31, Z0, Z0; \
+	VPSUBQ      Z1, Z0, Z0; \
+	FOLD(Z0, Z31, Z2); \
+	VMOVDQU64   Z0, K1, (DI)(R11*1)
+
+// func subIFMA(out, a, b []uint64, q uint64)
+TEXT ·subIFMA(SB), NOSPLIT, $0-80
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), R12
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), R9
+	PWCONSTS(q+72(FP))
+	PWLOOP(SUBBODY, subFull, subTail, subDone)
+
 // REDADDBODY: out = (x mod q + c) mod q, x mod q the lazy product by
 // Z26 = 1 (Z25 = ⌊2^52/q⌋) folded, c in Z24.
 #define REDADDBODY \

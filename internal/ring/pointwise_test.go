@@ -53,6 +53,9 @@ func TestPointwiseKernelsAllocs(t *testing.T) {
 		"MulScalarThenAdd":   func() { s.MulScalarThenAdd(o.a0, rot, o.w, o.wShoup, d0) },
 		"SubThenMulScalar":   func() { s.SubThenMulScalar(o.a0, o.a1, o.w, o.wShoup, d0) },
 		"ReduceThenAddConst": func() { s.ReduceThenAddConst(o.wide, 1<<52, o.c, d0) },
+		"MForm":              func() { s.MForm(o.a0, d0) },
+		"Add":                func() { s.Add(o.a0, o.a1, d0) },
+		"Sub":                func() { s.Sub(o.a0, o.a1, d0) },
 	}
 	if e, ok := NewVectorEstimate([]uint64{s.Q}, []uint64{o.w}, []uint64{o.wShoup}, []float64{1 / float64(s.Q)}); ok {
 		y, v := [][]uint64{d1}, d2
@@ -91,6 +94,9 @@ func BenchmarkPointwise(b *testing.B) {
 			{"MulScalarThenAdd/rot1", 3, func() { s.MulScalarThenAdd(o.a0, rot, o.w, o.wShoup, d0) }},
 			{"SubThenMulScalar", 3, func() { s.SubThenMulScalar(o.a0, o.a1, o.w, o.wShoup, d0) }},
 			{"ReduceThenAddConst", 2, func() { s.ReduceThenAddConst(o.wide, 1<<52, o.c, d0) }},
+			{"MForm", 2, func() { s.MForm(o.a0, d0) }},
+			{"Add", 3, func() { s.Add(o.a0, o.a1, d0) }},
+			{"Sub", 3, func() { s.Sub(o.a0, o.a1, d0) }},
 		}
 		for _, op := range ops {
 			for _, kernel := range []string{"scalar", "vector"} {
@@ -127,7 +133,8 @@ func FuzzPointwiseKernels(f *testing.F) {
 		if !vec {
 			t.Skip("no vector kernels on this host")
 		}
-		s := &SubRing{Q: q, Barrett: mathutil.NewBarrett(q), vmont: vm, vector: vec}
+		s := &SubRing{Q: q, Barrett: mathutil.NewBarrett(q), vmont: vm, vector: vec, r: mathutil.MontR(q)}
+		s.rShoup = mathutil.ShoupPrecomp(s.r, q)
 		n := 1 + int(lenSel)%1024
 		state := seed
 		var perm []int
@@ -167,7 +174,11 @@ func FuzzPointwiseKernels(f *testing.F) {
 			s.ReduceThenAddConst(a0, q, k, red)
 			s.ReduceThenAddConst(wide, 1<<52, k, redWide)
 			s.ReduceThenAddConst(inPlace, q, k, inPlace)
-			return [][]uint64{t0, t1, t2, sq0, sq1, sq2, acc, diff, red, redWide, inPlace}
+			mont, sum, dif := poisonedRow(n), poisonedRow(n), poisonedRow(n)
+			s.MForm(a0, mont)
+			s.Add(a0, a1, sum)
+			s.Sub(a0, a1, dif)
+			return [][]uint64{t0, t1, t2, sq0, sq1, sq2, acc, diff, red, redWide, inPlace, mont, sum, dif}
 		})
 	})
 }

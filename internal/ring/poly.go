@@ -93,13 +93,10 @@ func (r *Ring) checkCompat(ps ...*Poly) {
 func (r *Ring) Add(a, b, out *Poly) {
 	r.checkCompat(a, b, out)
 	for i, s := range r.SubRings {
-		q := s.Q
 		ai, bi, oi := a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]
 		s.tr.Read(ai[:r.N])
 		s.tr.Read(bi[:r.N])
-		for j := range oi[:r.N] {
-			oi[j] = mathutil.AddMod(ai[j], bi[j], q)
-		}
+		s.Add(ai, bi, oi[:r.N])
 		s.tr.Write(oi[:r.N])
 	}
 	out.IsNTT = a.IsNTT
@@ -109,13 +106,10 @@ func (r *Ring) Add(a, b, out *Poly) {
 func (r *Ring) Sub(a, b, out *Poly) {
 	r.checkCompat(a, b, out)
 	for i, s := range r.SubRings {
-		q := s.Q
 		ai, bi, oi := a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]
 		s.tr.Read(ai[:r.N])
 		s.tr.Read(bi[:r.N])
-		for j := range oi[:r.N] {
-			oi[j] = mathutil.SubMod(ai[j], bi[j], q)
-		}
+		s.Sub(ai, bi, oi[:r.N])
 		s.tr.Write(oi[:r.N])
 	}
 	out.IsNTT = a.IsNTT
@@ -173,17 +167,6 @@ func (s *SubRing) MulThenAddVec(a, b, acc []uint64) {
 	br, q := s.Barrett, s.Q
 	for j := range acc {
 		acc[j] = mathutil.AddMod(acc[j], br.MulMod(a[j], b[j]), q)
-	}
-}
-
-// MForm sets out[j] = a[j]·R mod q with R = 2^64 mod q over a single limb:
-// the Montgomery form GatherMulAccumulate takes its d operand in. a must
-// be canonical; out may alias a.
-func (s *SubRing) MForm(a, out []uint64) {
-	r, rs, q := s.r, s.rShoup, s.Q
-	a = a[:len(out)]
-	for j := range out {
-		out[j] = mathutil.MulModShoup(a[j], r, rs, q)
 	}
 }
 

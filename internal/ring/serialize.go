@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Serialization of polynomials: a small fixed header (limb count,
@@ -77,16 +78,20 @@ func (p *Poly) ReadFrom(r io.Reader) (int64, error) {
 		return total, fmt.Errorf("ring: implausible polynomial shape %d limbs × %d coeffs", limbs, n)
 	}
 	p.IsNTT = header[1]&1 == 1
-	// Allocate each limb only after its bytes actually arrive: the header
+	// Allocate limb words only as their bytes actually arrive: the header
 	// alone must not be able to commit us to limbs×n words (a hostile
 	// 12-byte header could otherwise demand a 32 GB up-front allocation).
-	// The payload is staged through a chunk of at most readChunk bytes,
-	// and a limb is allocated once its first chunk has been read, so a
-	// header that is followed by nothing costs one chunk, not a limb.
+	// The payload is staged through a chunk of at most readChunk bytes. A
+	// limb that fits one chunk is decoded straight into its own
+	// allocation; a longer one is decoded into one piece per chunk, of
+	// exactly the words read, and the pieces are joined once the limb is
+	// complete. Allocation therefore stays below twice the bytes consumed
+	// plus the staging chunk, however large the header claims n is.
 	p.Coeffs = make([][]uint64, 0, min(limbs, maxPresizedLimbs))
 	chunk := make([]byte, min(8*n, readChunk))
+	var pieces [][]uint64
 	for i := 0; i < limbs; i++ {
-		var limb []uint64
+		pieces = pieces[:0]
 		for j := 0; j < n; {
 			m := min(n-j, len(chunk)/8)
 			read, err = io.ReadFull(r, chunk[:8*m])
@@ -94,13 +99,16 @@ func (p *Poly) ReadFrom(r io.Reader) (int64, error) {
 			if err != nil {
 				return total, err
 			}
-			if limb == nil {
-				limb = make([]uint64, n)
+			piece := make([]uint64, m)
+			for k := range piece {
+				piece[k] = binary.LittleEndian.Uint64(chunk[8*k:])
 			}
-			for k := range m {
-				limb[j+k] = binary.LittleEndian.Uint64(chunk[8*k:])
-			}
+			pieces = append(pieces, piece)
 			j += m
+		}
+		limb := pieces[0]
+		if len(pieces) > 1 {
+			limb = slices.Concat(pieces...)
 		}
 		p.Coeffs = append(p.Coeffs, limb)
 	}

@@ -130,6 +130,35 @@ func TestPolyReadFromHostileHeaderAllocation(t *testing.T) {
 	}
 }
 
+// TestPolyReadFromAllocationTracksInput bounds ReadFrom's allocation by
+// what it has read, not by what the header claims: a header for
+// n = 2^20 followed by k whole chunks and a few bytes of the next costs at
+// most twice the bytes consumed plus the staging chunk. A limb allocated
+// whole on its first chunk (8 MiB for 64 KiB of input) fails it.
+func TestPolyReadFromAllocationTracksInput(t *testing.T) {
+	for _, chunks := range []int{1, 2, 5} {
+		payload := chunks*readChunk + 8
+		in := append(fuzzHeader(polyFormatVersion, 0, 1, 1<<20), make([]byte, payload)...)
+		bound := uint64(2*len(in) + readChunk)
+		var worst uint64 = math.MaxUint64
+		for range 3 { // the least of three runs drops background allocations
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			var p Poly
+			_, err := p.ReadFrom(bytes.NewReader(in))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%d chunks: truncated input accepted", chunks)
+			}
+			worst = min(worst, after.TotalAlloc-before.TotalAlloc)
+		}
+		if worst > bound {
+			t.Errorf("%d chunks + 8 bytes: ReadFrom allocated %d bytes for %d consumed, want ≤ %d", chunks, worst, len(in), bound)
+		}
+		t.Logf("%d chunks + 8 bytes: %d bytes allocated for %d consumed", chunks, worst, len(in))
+	}
+}
+
 // TestPolySerializationRoundTripChunked round-trips limbs longer than
 // ReadFrom's staging chunk, so each limb is assembled from several reads.
 func TestPolySerializationRoundTripChunked(t *testing.T) {

@@ -374,6 +374,22 @@ var kernelRows = []kernelRow{
 			return [][]uint64{out, outWide, inPlace}
 		}
 	})},
+	{name: "MForm", draw: pointwise(func(c *kernelCase, s *ring.SubRing, _ []int) func() [][]uint64 {
+		a := c.row(s.Q)
+		return func() [][]uint64 {
+			out, inPlace := c.poisoned(), slices.Clone(a)
+			s.MForm(a, out)
+			s.MForm(inPlace, inPlace)
+			return [][]uint64{out, inPlace}
+		}
+	})},
+	// Into a fresh limb and in place over either operand.
+	{name: "Add", draw: pointwise(func(c *kernelCase, s *ring.SubRing, _ []int) func() [][]uint64 {
+		return addSubCall(c, s, (*ring.SubRing).Add)
+	})},
+	{name: "Sub", draw: pointwise(func(c *kernelCase, s *ring.SubRing, _ []int) func() [][]uint64 {
+		return addSubCall(c, s, (*ring.SubRing).Sub)
+	})},
 	{name: "ScaleAndEstimate", shapes: []int{1, 2, 3, 4, 5}, draw: drawEstimate},
 	// ℓ_in·100 + ℓ_out: bases drawn from the class's primes, and the
 	// vector kernel's term limit, ℓ_in = 4095 and one more.
@@ -388,6 +404,19 @@ var kernelRows = []kernelRow{
 	// uniformModuli[i].
 	{name: "UniformSlice", shapes: []int{0, 1, 2, 3, 4, 5, 6, 7, 8}, avx512f: true, lengths: uniformLengths,
 		draw: drawUniformSlice, note: uniformNote},
+}
+
+// addSubCall is the call of the Add and Sub rows: kernel(a, b) into a
+// poisoned limb, into a copy of a and into a copy of b.
+func addSubCall(c *kernelCase, s *ring.SubRing, kernel func(s *ring.SubRing, a, b, out []uint64)) func() [][]uint64 {
+	a, b := c.row(s.Q), c.row(s.Q)
+	return func() [][]uint64 {
+		out, overA, overB := c.poisoned(), slices.Clone(a), slices.Clone(b)
+		kernel(s, a, b, out)
+		kernel(s, overA, b, overA)
+		kernel(s, a, overB, overB)
+		return [][]uint64{out, overA, overB}
+	}
 }
 
 // uniformLengths are the UniformSlice row's lengths: every tail of the
