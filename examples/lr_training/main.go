@@ -78,7 +78,7 @@ func functionalLR() {
 		// z = w ⊙ x — the HELR forward pass.
 		ctZ := eval.Mul(ctW, eval.DropLevel(ctX, ctW.Level))
 		// σ(z) via the HELR degree-7 polynomial (4 levels).
-		ctSig := eval.EvalPolynomial(ctZ, ckks.Monomial, ckks.SigmoidCoeffs())
+		ctSig := eval.EvalPolynomial(ckks.Monomial, ckks.SigmoidCoeffs(), ctZ)[0]
 		// grad_i = (σ(z) − y_i) ⊙ x_i, then the slot mean by the same
 		// rotate-and-sum ladder HELR uses for Xᵀ·e.
 		ctY := enc.EncodeAtLevel(ys, ctSig.Scale, ctSig.Level)

@@ -187,16 +187,19 @@ func (b *Bootstrapper) modRaise(ct *ckks.Ciphertext) *ckks.Ciphertext {
 	return out
 }
 
-// evalMod approximately reduces every slot value u = t/(K·q0) to
-// sin(2πK·u) ≈ (2π/q0)·(t mod q0): the Chebyshev cosine followed by
-// DoubleAngle applications of cos(2θ) = 2cos²θ − 1.
-func (b *Bootstrapper) evalMod(ct *ckks.Ciphertext) *ckks.Ciphertext {
+// evalMod approximately reduces every slot value u = t/(K·q0) of both
+// coefficient halves to sin(2πK·u) ≈ (2π/q0)·(t mod q0): the Chebyshev
+// cosine followed by DoubleAngle applications of cos(2θ) = 2cos²θ − 1.
+// The halves go through the one polynomial executor together and through
+// each double-angle step as one batched Mult, so every product of a level
+// shares its relinearization-key pass with the other half's.
+func (b *Bootstrapper) evalMod(ctReal, ctImag *ckks.Ciphertext) (*ckks.Ciphertext, *ckks.Ciphertext) {
 	ev := b.ev
-	out := ev.EvalPolynomial(ct, ckks.Chebyshev, b.sineCoeffs)
+	out := ev.EvalPolynomial(ckks.Chebyshev, b.sineCoeffs, ctReal, ctImag)
 	for i := 0; i < b.bparams.DoubleAngle; i++ {
-		out = ev.DoubleAngle(out)
+		out = ev.DoubleAngle(out...)
 	}
-	return out
+	return out[0], out[1]
 }
 
 // Bootstrap refreshes a level-0 (or low-level) ciphertext to a high level
@@ -243,11 +246,8 @@ func (b *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) *ckks.Ciphertext {
 	fi.Poly("bootstrap.CoeffToSlot.c0", ctReal.C0)
 	fi.Poly("bootstrap.CoeffToSlot.c1", ctReal.C1)
 
-	// Approximate modular reduction on each half.
-	phase("bootstrap.EvalMod", func() {
-		ctReal = b.evalMod(ctReal)
-		ctImag = b.evalMod(ctImag)
-	})
+	// Approximate modular reduction on both halves.
+	phase("bootstrap.EvalMod", func() { ctReal, ctImag = b.evalMod(ctReal, ctImag) })
 	fi.Poly("bootstrap.EvalMod.c0", ctReal.C0)
 	fi.Poly("bootstrap.EvalMod.c1", ctReal.C1)
 

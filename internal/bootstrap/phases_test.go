@@ -136,26 +136,34 @@ func TestCoeffToSlotMatchesPlainTransform(t *testing.T) {
 	}
 }
 
-// TestEvalModApproximatesSine: feed slot values u ∈ [-1, 1] directly and
-// check the EvalMod pipeline computes sin(2πK·u).
+// TestEvalModApproximatesSine: feed slot values u ∈ [-1, 1] directly,
+// different ones to each half, and check the EvalMod pipeline computes
+// sin(2πK·u) on both.
 func TestEvalModApproximatesSine(t *testing.T) {
 	fx := newPhaseFixture(t)
 	n := fx.params.Slots()
 	bp := DefaultParameters()
 
-	us := make([]complex128, n)
-	for i := range us {
-		us[i] = complex(rand.Float64()*2-1, 0)
+	var us [2][]complex128
+	var cts [2]*ckks.Ciphertext
+	for h := range us {
+		us[h] = make([]complex128, n)
+		for i := range us[h] {
+			us[h][i] = complex(rand.Float64()*2-1, 0)
+		}
+		cts[h] = fx.encryptor.Encrypt(fx.enc.Encode(us[h]))
 	}
-	ct := fx.encryptor.Encrypt(fx.enc.Encode(us))
-	out := fx.btp.evalMod(ct)
-	got := fx.enc.Decode(fx.dec.DecryptToPlaintext(out))
+	var outs [2]*ckks.Ciphertext
+	outs[0], outs[1] = fx.btp.evalMod(cts[0], cts[1])
 
 	worst := 0.0
-	for i := range us {
-		want := math.Sin(2 * math.Pi * float64(bp.K) * real(us[i]))
-		if d := math.Abs(real(got[i]) - want); d > worst {
-			worst = d
+	for h, out := range outs {
+		got := fx.enc.Decode(fx.dec.DecryptToPlaintext(out))
+		for i := range us[h] {
+			want := math.Sin(2 * math.Pi * float64(bp.K) * real(us[h][i]))
+			if d := math.Abs(real(got[i]) - want); d > worst {
+				worst = d
+			}
 		}
 	}
 	if worst > 1e-4 {

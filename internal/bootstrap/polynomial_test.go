@@ -110,7 +110,7 @@ func TestPolynomialGolden(t *testing.T) {
 				t.Fatalf("degree %d: coefficient %d = %g is close to the trim threshold", d, k, c)
 			}
 		}
-		checkGolden(t, fmt.Sprintf("chebyshev/%d", d), ev.EvalPolynomial(ct, ckks.Chebyshev, coeffs))
+		checkGolden(t, fmt.Sprintf("chebyshev/%d", d), ev.EvalPolynomial(ckks.Chebyshev, coeffs, ct)[0])
 	}
 	for name, coeffs := range map[string][]float64{
 		"monomial/0":         {0.75},
@@ -121,7 +121,7 @@ func TestPolynomialGolden(t *testing.T) {
 		"monomial/16":        alternating(16),
 		"monomial/31":        alternating(31),
 	} {
-		checkGolden(t, name, ev.EvalPolynomial(ct, ckks.Monomial, coeffs))
+		checkGolden(t, name, ev.EvalPolynomial(ckks.Monomial, coeffs, ct)[0])
 	}
 
 	if testing.Short() {
@@ -152,7 +152,7 @@ func TestPolynomialScheduleMatchesPlan(t *testing.T) {
 		for _, d := range []int{1, 2, 3, 7, 15, 31, 63} {
 			mults, depth := mathutil.NewPSPlan(d).Cost()
 			before := rec.Counter("ckks.mult")
-			out := ev.EvalPolynomial(ct, basis, alternating(d))
+			out := ev.EvalPolynomial(basis, alternating(d), ct)[0]
 			if got := int(rec.Counter("ckks.mult") - before); got != mults {
 				t.Errorf("basis %d degree %d: %d multiplications, plan says %d", basis, d, got, mults)
 			}

@@ -113,6 +113,7 @@ func (b Breakdown) plus(t memtrace.Traffic) Breakdown {
 type Row struct {
 	Name      string    `json:"name"`
 	Count     int       `json:"count"`     // top-level op spans in the row's windows
+	Products  int       `json:"products"`  // their op.fanout summed, a span without one counting 1: a batched Mult's products
 	Pred      uint64    `json:"pred"`      // ledger-predicted DRAM bytes
 	Meas      Breakdown `json:"meas"`      // replayed DRAM bytes by operand class
 	DeltaPct  float64   `json:"delta_pct"` // (measured − predicted) / predicted · 100
@@ -472,6 +473,7 @@ func (f *fixture) row(p probe, ws []window, m *ledger.Model, limbs int) Row {
 				continue
 			}
 			r.Count++
+			r.Products += max(int(sp.Attrs["op.fanout"]), 1)
 			c := obs.OpCost{Bytes: uint64(sp.Attrs["pred.bytes"]), NTT: uint64(sp.Attrs["pred.ntt"])}
 			if m != nil {
 				kind, _ := ledger.Kind(sp.Name)

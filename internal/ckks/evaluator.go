@@ -530,26 +530,30 @@ func (ev *Evaluator) putDigits(digits []rns.PolyQP) {
 	}
 }
 
-// kskOperands is the limb-major view of one inner product's operands:
-// for limb i, the rows of the β raised digits, of the key's b halves and
-// of its a halves — what ring.SubRing.GatherMulAccumulate consumes — plus
-// the digits whose a half was pinned in the vault for this product.
-// Pooled, so a steady-state product allocates nothing.
+// kskOperands is the limb-major view of one kernel pass's operands: for
+// limb i, the rows of the K lanes' β raised digits (digit j of lane k at
+// j·K + k), of the key's b halves, of its a halves and of the lanes'
+// output halves u and v — what ring.SubRing.GatherMulAccumulate consumes
+// — plus the digits whose a half was pinned in the vault for this pass.
+// Pooled, so a steady-state pass allocates nothing.
 type kskOperands struct {
-	rows   [][]uint64 // [(3·limb + {0: digit, 1: b, 2: a})·β + j]
-	beta   int
-	pinned []int
+	rows        [][]uint64 // limb i: K·β digit, β b, β a, K u and K v rows, from i·stride()
+	beta, lanes int
+	pinned      []int
 }
+
+// kskRows is one limb's rows of a kskOperands.
+type kskRows struct{ d, b, a, u, v [][]uint64 }
 
 var kskOperandsPool = sync.Pool{New: func() any { return new(kskOperands) }}
 
-// getKskOperands draws operand views for a sum of beta products over
-// limbs raised limbs. The rows are stale; the caller fills every one.
-// Return them with kskRelease.
-func getKskOperands(limbs, beta int) *kskOperands {
+// getKskOperands draws operand views for a pass of lanes sums of beta
+// products each over limbs raised limbs. The rows are stale; the caller
+// fills every one. Return them with kskRelease.
+func getKskOperands(limbs, lanes, beta int) *kskOperands {
 	ops := kskOperandsPool.Get().(*kskOperands)
-	ops.beta = beta
-	if need := 3 * limbs * beta; cap(ops.rows) < need {
+	ops.beta, ops.lanes = beta, lanes
+	if need := limbs * ops.stride(); cap(ops.rows) < need {
 		ops.rows = make([][]uint64, need)
 	} else {
 		ops.rows = ops.rows[:need]
@@ -566,27 +570,57 @@ func raisedLimb(p rns.PolyQP, i, nQ, n int) []uint64 {
 	return p.P.Coeffs[i-nQ][:n]
 }
 
-// limb returns limb i's digit, b and a rows.
-func (o *kskOperands) limb(i int) (d, b, a [][]uint64) {
-	r := o.rows[3*i*o.beta:]
-	return r[:o.beta], r[o.beta : 2*o.beta], r[2*o.beta : 3*o.beta]
+// stride is the number of rows per limb.
+func (o *kskOperands) stride() int { return (o.lanes+2)*o.beta + 2*o.lanes }
+
+// limb returns limb i's rows.
+func (o *kskOperands) limb(i int) kskRows {
+	r := o.rows[i*o.stride() : (i+1)*o.stride()]
+	kb, b := o.lanes*o.beta, o.beta
+	return kskRows{
+		d: r[:kb], b: r[kb : kb+b], a: r[kb+b : kb+2*b],
+		u: r[kb+2*b : kb+2*b+o.lanes], v: r[kb+2*b+o.lanes:],
+	}
+}
+
+// setOutputs points every limb's lane-k output rows at the raised pair
+// (u, v) and marks the pair as NTT-domain, which is what the pass writes.
+func (o *kskOperands) setOutputs(k, nQ, n int, u, v rns.PolyQP) {
+	for i := 0; i < len(o.rows)/o.stride(); i++ {
+		r := o.limb(i)
+		r.u[k], r.v[k] = raisedLimb(u, i, nQ, n), raisedLimb(v, i, nQ, n)
+	}
+	u.Q.IsNTT, u.P.IsNTT = true, true
+	v.Q.IsNTT, v.P.IsNTT = true, true
+}
+
+// kskLane is one product of a key pass: its β raised digits, the
+// Q-basis polynomial whose lift P·σ(c0) the keyed step adds to u (nil:
+// none) and the raised pair (u, v) it writes.
+type kskLane struct {
+	digits []rns.PolyQP
+	c0     *ring.Poly
+	u, v   rns.PolyQP
 }
 
 // kskInnerProduct writes Σ_j ksk_j ⊙ σ(digits_j) into the raised pair
-// (u, v) — Algorithm 3 line 3 — where σ is the slot permutation perm (nil
+// (u, v) of every lane — Algorithm 3 line 3 for up to ring.MaxLanes
+// products that share the key — where σ is the slot permutation perm (nil
 // for a plain key switch, the Galois index table for a hoisted rotation
-// step, so the rotated digits are never materialized). It is the one place
-// a switching key is used, and use is pin: seed-only a halves are pinned in
-// the vault for exactly this product — one lookup per digit, expanded on a
-// miss — and released before returning, on every path. u and v are
+// step, so the rotated digits are never materialized). It is the one
+// place a switching key is used, and use is pin: seed-only a halves are
+// pinned in the vault for exactly this pass — one lookup per digit,
+// expanded on a miss — and released before returning, on every path. The
+// kernel loads each key word once and multiplies it into every lane, so
+// the key streams once per pass whatever the lane count. u and v are
 // overwritten, so pooled scratch needs no zeroing. The parallel split is
 // over limbs and every output word is an exact sum, so the result is
-// bit-identical for any worker count.
-func (ev *Evaluator) kskInnerProduct(level int, digits []rns.PolyQP, perm []int, swk *SwitchingKey, u, v rns.PolyQP, workers int) {
+// bit-identical for any worker count and lane grouping.
+func (ev *Evaluator) kskInnerProduct(level int, lanes []kskLane, perm []int, swk *SwitchingKey, workers int) {
 	p := ev.params
 	n, nQ, nP := p.N(), level+1, p.Alpha()
-	beta := len(digits)
-	ops := getKskOperands(nQ+nP, beta)
+	beta, k := len(lanes[0].digits), len(lanes)
+	ops := getKskOperands(nQ+nP, k, beta)
 	defer ev.kskRelease(ops, swk)
 	for j := 0; j < beta; j++ {
 		key := swk.Digits[j]
@@ -604,69 +638,76 @@ func (ev *Evaluator) kskInnerProduct(level int, digits []rns.PolyQP, perm []int,
 			ev.fi.Poly("ckks.ksk.digitA", key.A.Q)
 		}
 		for i := 0; i < nQ+nP; i++ {
-			d, b, a := ops.limb(i)
-			d[j], b[j], a[j] = raisedLimb(digits[j], i, nQ, n), raisedLimb(key.B, i, nQ, n), raisedLimb(key.A, i, nQ, n)
+			r := ops.limb(i)
+			r.b[j], r.a[j] = raisedLimb(key.B, i, nQ, n), raisedLimb(key.A, i, nQ, n)
+			for l, lane := range lanes {
+				r.d[j*k+l] = raisedLimb(lane.digits[j], i, nQ, n)
+			}
 		}
 	}
-	// Key traffic: both key halves stream once over every raised limb —
-	// 2·β·(ℓ+1+kP) limbs of 8N bytes.
+	for l, lane := range lanes {
+		ops.setOutputs(l, nQ, n, lane.u, lane.v)
+	}
+	// Key traffic: both key halves stream once per pass over every raised
+	// limb — 2·β·(ℓ+1+kP) limbs of 8N bytes.
 	ev.rec.Add("ckks.key.bytes", 2*uint64(beta)*uint64(nQ+nP)*8*uint64(n))
-	ev.gatherMulAccumulate(nQ, nP, ops, perm, u, v, memtrace.ClassCt, memtrace.ClassKey, workers)
+	ev.gatherMulAccumulate(nQ, nP, ops, perm, memtrace.ClassCt, memtrace.ClassKey, workers)
 }
 
 // gatherMulAccumulate runs the fused kernel over every raised limb of one
-// operand view, writing the pair (u, v) = (Σ_j b_j ⊙ σ(d_j), Σ_j a_j ⊙
-// σ(d_j)). It serves the key-switch product (d the raised digits, b and a
-// the key halves) and the linear transform's diagonal sum (d the raised
-// plaintext diagonals, b and a the halves of the raised baby-step
-// ciphertexts); dClass and baClass are the memory-trace classes of the two
-// operand kinds. The split is over limbs and every output word is an exact
-// sum, so the pair is bit-identical for any worker count.
-func (ev *Evaluator) gatherMulAccumulate(nQ, nP int, ops *kskOperands, perm []int, u, v rns.PolyQP, dClass, baClass memtrace.Class, workers int) {
+// operand view, writing each lane's pair (u, v) = (Σ_j b_j ⊙ σ(d_j), Σ_j
+// a_j ⊙ σ(d_j)). It serves the key-switch product (d the raised digits,
+// b and a the key halves) and the linear transform's diagonal sum (d the
+// raised plaintext diagonals, b and a the halves of the raised baby-step
+// ciphertexts); dClass and baClass are the memory-trace classes of the
+// two operand kinds. The split is over limbs and every output word is an
+// exact sum, so the pairs are bit-identical for any worker count.
+func (ev *Evaluator) gatherMulAccumulate(nQ, nP int, ops *kskOperands, perm []int, dClass, baClass memtrace.Class, workers int) {
 	if ring.EffectiveWorkers(nQ+nP, workers) == 1 {
 		// Closure-free serial path (a closure handed to the pool is heap-
 		// allocated even when it runs inline); same cancellation points.
 		for i := 0; i < nQ+nP; i++ {
 			ev.checkInterrupt()
-			ev.kskLimb(i, nQ, ops, perm, u, v, dClass, baClass)
+			ev.kskLimb(i, nQ, ops, perm, dClass, baClass)
 		}
-	} else {
-		ev.fanOut(nQ+nP, workers, func(i int) { ev.kskLimb(i, nQ, ops, perm, u, v, dClass, baClass) })
+		return
 	}
-	u.Q.IsNTT, u.P.IsNTT = true, true
-	v.Q.IsNTT, v.P.IsNTT = true, true
+	ev.fanOut(nQ+nP, workers, func(i int) { ev.kskLimb(i, nQ, ops, perm, dClass, baClass) })
 }
 
 // kskLimb runs the fused kernel on raised limb i (Q limbs first, then P).
 // Memory hooks: per term the limb reads the b and a rows (class baClass:
-// key for a key switch) and the d row once (class dClass) — gathered
-// through perm on chip, feeding both products — and the two output rows
-// are written once at the end; their eventual writeback is the model's
-// 2·raised ciphertext writes.
-func (ev *Evaluator) kskLimb(i, nQ int, ops *kskOperands, perm []int, u, v rns.PolyQP, dClass, baClass memtrace.Class) {
+// key for a key switch) once and every lane's d row once (class dClass) —
+// gathered through perm on chip, feeding both products — and the output
+// rows are written once at the end; their eventual writeback is the
+// model's 2·raised ciphertext writes per lane.
+func (ev *Evaluator) kskLimb(i, nQ int, ops *kskOperands, perm []int, dClass, baClass memtrace.Class) {
 	var s *ring.SubRing
 	if i < nQ {
 		s = ev.params.RingQ().SubRings[i]
 	} else {
 		s = ev.params.RingP().SubRings[i-nQ]
 	}
-	ui, vi := raisedLimb(u, i, nQ, s.N), raisedLimb(v, i, nQ, s.N)
-	d, b, a := ops.limb(i)
+	r := ops.limb(i)
 	if ev.tr != nil {
-		for j := range d {
-			ev.tr.ReadClass(b[j], baClass)
-			ev.tr.ReadClass(d[j], dClass)
-			ev.tr.ReadClass(a[j], baClass)
+		for j := range r.b {
+			ev.tr.ReadClass(r.b[j], baClass)
+			for _, d := range r.d[j*ops.lanes : (j+1)*ops.lanes] {
+				ev.tr.ReadClass(d, dClass)
+			}
+			ev.tr.ReadClass(r.a[j], baClass)
 		}
 	}
-	s.GatherMulAccumulate(d, b, a, perm, ui, vi)
-	ev.tr.Write(ui)
-	ev.tr.Write(vi)
+	s.GatherMulAccumulate(r.d, r.b, r.a, perm, r.u, r.v)
+	for k := range r.u {
+		ev.tr.Write(r.u[k])
+		ev.tr.Write(r.v[k])
+	}
 }
 
-// kskRelease ends a product: it unpins the vault digits the product held,
-// drops the operand views (they would keep evicted key buffers reachable)
-// and returns the scratch to the pool.
+// kskRelease ends a pass: it unpins the vault digits the pass held, drops
+// the operand views (they would keep evicted key buffers reachable) and
+// returns the scratch to the pool.
 func (ev *Evaluator) kskRelease(ops *kskOperands, swk *SwitchingKey) {
 	for _, j := range ops.pinned {
 		ev.vault.release(swk, j)
@@ -676,18 +717,21 @@ func (ev *Evaluator) kskRelease(ops *kskOperands, swk *SwitchingKey) {
 	kskOperandsPool.Put(ops)
 }
 
-// keyedStep is the evaluator's one key switch up to its closer: it writes
-// the raised pair (u, v) = Σ_j ksk_j ⊙ σ(d_j) + (P·σ(c0), 0) — Algorithm 3's
-// intermediate value, which the MAD algorithmic optimizations operate on
-// directly — with σ the slot permutation perm (nil = identity), applied to
-// the digits inside the kernel and to c0 inside the lift. c0 may be nil.
-// Closing the pair returns ⌊u/P⌋ + σ(c0) exactly: P·σ(c0) is zero on the P
-// limbs the division extends from. Every rotation, key switch and
+// keyedStep is the evaluator's one key switch up to its closer: for each
+// lane it writes the raised pair (u, v) = Σ_j ksk_j ⊙ σ(d_j) + (P·σ(c0),
+// 0) — Algorithm 3's intermediate value, which the MAD algorithmic
+// optimizations operate on directly — with σ the slot permutation perm
+// (nil = identity), applied to the digits inside the kernel and to c0
+// inside the lift. The lanes share one key pass (kskInnerProduct). Closing
+// a pair returns ⌊u/P⌋ + σ(c0) exactly: P·σ(c0) is zero on the P limbs
+// the division extends from. Every rotation, key switch and
 // relinearization runs through here and ends in lower or lowerRescale.
-func (ev *Evaluator) keyedStep(level int, digits []rns.PolyQP, perm []int, swk *SwitchingKey, c0 *ring.Poly, u, v rns.PolyQP, workers int) {
-	ev.kskInnerProduct(level, digits, perm, swk, u, v, workers)
-	if c0 != nil {
-		ev.addLifted(level, c0, perm, u)
+func (ev *Evaluator) keyedStep(level int, lanes []kskLane, perm []int, swk *SwitchingKey, workers int) {
+	ev.kskInnerProduct(level, lanes, perm, swk, workers)
+	for _, lane := range lanes {
+		if lane.c0 != nil {
+			ev.addLifted(level, lane.c0, perm, lane.u)
+		}
 	}
 }
 
@@ -703,7 +747,7 @@ func (ev *Evaluator) keySwitch(level int, x, c0 *ring.Poly, swk *SwitchingKey, s
 	r := raisedCt{u: conv.GetPolyQP(level), v: conv.GetPolyQP(level), level: level, scale: scale}
 	digits := ev.decomposeModUp(level, x, ev.workers)
 	child := ev.rec.StartLinked("ckks.ks.product")
-	ev.keyedStep(level, digits, nil, swk, c0, r.u, r.v, ev.workers)
+	ev.keyedStep(level, []kskLane{{digits: digits, c0: c0, u: r.u, v: r.v}}, nil, swk, ev.workers)
 	child.End()
 	ev.putDigits(digits)
 	return r
@@ -823,7 +867,8 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) map[int]*Ciphert
 	ev.fanOut(len(jobs), outer, func(idx int) {
 		j := jobs[idx]
 		r := raisedCt{u: conv.GetPolyQP(level), v: conv.GetPolyQP(level), level: level, scale: ct.Scale}
-		ev.keyedStep(level, digits, rQ.AutomorphismNTTIndex(j.gk.GaloisEl), &j.gk.SwitchingKey, ct.C0, r.u, r.v, inner)
+		lane := []kskLane{{digits: digits, c0: ct.C0, u: r.u, v: r.v}}
+		ev.keyedStep(level, lane, rQ.AutomorphismNTTIndex(j.gk.GaloisEl), &j.gk.SwitchingKey, inner)
 		results[idx] = ev.lower(r, inner)
 	})
 	for idx, j := range jobs {

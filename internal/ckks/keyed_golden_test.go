@@ -103,7 +103,7 @@ func (f *keyedGoldenFixture) keyedOps(ev *Evaluator) map[string]*Ciphertext {
 		"MulRelin":    ev.MulRelin(a, b),
 		"Square":      ev.Square(a),
 		"Mul":         ev.Mul(a, b),
-		"DoubleAngle": ev.DoubleAngle(a),
+		"DoubleAngle": ev.DoubleAngle(a)[0],
 	}
 	p0, p1 := ev.KeySwitch(a.Level, a.C1, f.swk)
 	out["KeySwitch"] = &Ciphertext{C0: p0, C1: p1, Scale: a.Scale, Level: a.Level}

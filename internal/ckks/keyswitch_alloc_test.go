@@ -25,9 +25,9 @@ func TestKskInnerProductAllocFree(t *testing.T) {
 	digits := ev.decomposeModUp(level, ct.C1, 1)
 	u, v := p.Converter().GetPolyQP(level), p.Converter().GetPolyQP(level)
 
-	ev.kskInnerProduct(level, digits, nil, swk, u, v, 1) // warm the operand pool
+	ev.kskInnerProduct(level, []kskLane{{digits: digits, u: u, v: v}}, nil, swk, 1) // warm the operand pool
 	if avg := testing.AllocsPerRun(50, func() {
-		ev.kskInnerProduct(level, digits, nil, swk, u, v, 1)
+		ev.kskInnerProduct(level, []kskLane{{digits: digits, u: u, v: v}}, nil, swk, 1)
 	}); avg >= 1 {
 		t.Errorf("kskInnerProduct allocates %.2f times per call in steady state", avg)
 	}
@@ -84,8 +84,8 @@ func TestKskInnerProductThrashAllocFree(t *testing.T) {
 
 	g1, g2 := p.RingQ().GaloisElement(1), p.RingQ().GaloisElement(2)
 	sweep := func() {
-		ev.kskInnerProduct(level, digits, p.RingQ().AutomorphismNTTIndex(g1), &keys.Galois[g1].SwitchingKey, u, v, 1)
-		ev.kskInnerProduct(level, digits, p.RingQ().AutomorphismNTTIndex(g2), &keys.Galois[g2].SwitchingKey, u, v, 1)
+		ev.kskInnerProduct(level, []kskLane{{digits: digits, u: u, v: v}}, p.RingQ().AutomorphismNTTIndex(g1), &keys.Galois[g1].SwitchingKey, 1)
+		ev.kskInnerProduct(level, []kskLane{{digits: digits, u: u, v: v}}, p.RingQ().AutomorphismNTTIndex(g2), &keys.Galois[g2].SwitchingKey, 1)
 	}
 	sweep()
 	before := ev.KeyVaultStats()

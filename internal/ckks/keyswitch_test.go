@@ -96,7 +96,7 @@ func TestKskInnerProductMatchesStrict(t *testing.T) {
 					for _, w := range evalWorkerCounts() {
 						u, v := conv.GetPolyQP(level), conv.GetPolyQP(level)
 						u.Q.Coeffs[0][0], v.P.Coeffs[0][0] = ^uint64(0), ^uint64(0) // stale scratch
-						ev.kskInnerProduct(level, digits, perm, key, u, v, w)
+						ev.kskInnerProduct(level, []kskLane{{digits: digits, u: u, v: v}}, perm, key, w)
 						if !u.Q.Equal(wantU.Q) || !u.P.Equal(wantU.P) || !v.Q.Equal(wantV.Q) || !v.P.Equal(wantV.P) {
 							t.Errorf("level=%d galois=%d key=%s workers=%d %s kernel: fused inner product differs from the strict composition", level, g, name, w, kernel)
 						}
@@ -259,7 +259,7 @@ func BenchmarkKeySwitchInnerProduct(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ev.kskInnerProduct(level, digits, c.perm, &gk.SwitchingKey, u, v, 1)
+				ev.kskInnerProduct(level, []kskLane{{digits: digits, u: u, v: v}}, c.perm, &gk.SwitchingKey, 1)
 			}
 		})
 	}

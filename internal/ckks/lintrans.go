@@ -94,8 +94,9 @@ func rotateVec(v []complex128, k int) []complex128 {
 
 // NewLinearTransform encodes the given diagonals at the given level and
 // scale. diags[d][t] must equal M[t][(t+d) mod n] for the matrix M being
-// applied; indices are taken mod n. n1 > 0 fixes the baby-step count (any
-// value works: tests and the calibration pin one); n1 ≤ 0 computes it from
+// applied; indices are taken mod n. n1 > 0 fixes the baby-step count
+// (tests and the calibration pin one); it panics when its Horner chains
+// would take more steps than there are diagonals. n1 ≤ 0 computes it from
 // the diagonal index set (see chooseN1). The last argument once selected a
 // second, raised encoding; every transform is raised now and it is ignored
 // (kept while bench/, which passes it, is frozen).
@@ -115,8 +116,27 @@ func NewLinearTransform(enc *Encoder, diags map[int][]complex128, level int, sca
 		idx = append(idx, dd)
 	}
 	sort.Ints(idx)
-	if n1 <= 0 {
+	explicit := n1 > 0
+	if !explicit {
 		n1 = chooseN1(idx, n)
+	}
+	k := n / n1 // giant positions
+	ms := giantMultiples(idx, n1)
+	up, steps := n, 0 // every giant group on the +N1 chain, unless
+	if len(ms) > 0 {
+		steps = ms[len(ms)-1]
+	}
+	if n%n1 == 0 {
+		// −N1 steps land on multiples of N1 only when N1 divides the slots.
+		up, _, steps = hornerSplit(ms, k)
+	}
+	// The chains walk every multiple of N1 up to their farthest group,
+	// empty ones included. Past one Horner step per diagonal, a split costs
+	// more keyed steps than the schedule with no giant step at all (every
+	// diagonal a baby step): a computed split never goes there, and an
+	// explicit one is refused before anything is encoded.
+	if explicit && steps > len(idx) {
+		panic(fmt.Sprintf("ckks: NewLinearTransform n1=%d walks empty giant multiples (got=%d Horner steps, want<=%d, one per diagonal)", n1, steps, len(idx)))
 	}
 	lt := &LinearTransform{N1: n1, Level: level, Scale: scale, diagonals: len(idx)}
 	for _, d := range idx {
@@ -124,12 +144,6 @@ func NewLinearTransform(enc *Encoder, diags map[int][]complex128, level int, sca
 	}
 	sort.Ints(lt.babies)
 	lt.babies = slices.Compact(lt.babies)
-	k := n / n1 // giant positions
-	up := n     // every giant group on the +N1 chain, unless
-	if n%n1 == 0 {
-		// −N1 steps land on multiples of N1 only when N1 divides the slots.
-		up, _, _ = hornerSplit(giantMultiples(idx, n1), k)
-	}
 	lt.chains = [2]ltChain{{step: n1}, {step: n - n1}}
 	for _, d := range idx { // ascending, so each group's diagonals are too
 		var g *ltGroup
@@ -394,7 +408,8 @@ func (ev *Evaluator) evalLinearTransform(ct *Ciphertext, lt *LinearTransform, cl
 		child := ev.rec.StartLinked("ckks.lt.baby")
 		us[k], vs[k] = conv.GetPolyQP(level), conv.GetPolyQP(level)
 		if gk := babies[k]; gk != nil {
-			ev.keyedStep(level, digits, rQ.AutomorphismNTTIndex(gk.GaloisEl), &gk.SwitchingKey, ct.C0, us[k], vs[k], inner)
+			lane := []kskLane{{digits: digits, c0: ct.C0, u: us[k], v: vs[k]}}
+			ev.keyedStep(level, lane, rQ.AutomorphismNTTIndex(gk.GaloisEl), &gk.SwitchingKey, inner)
 		} else {
 			conv.PModUp(level, ct.C0, us[k], inner)
 			conv.PModUp(level, ct.C1, vs[k], inner)
@@ -465,7 +480,7 @@ func (ev *Evaluator) ltGiantStep(level int, gk *GaloisKey, u, v rns.PolyQP) (rns
 	perm := rQ.AutomorphismNTTIndex(gk.GaloisEl)
 	child := ev.rec.StartLinked("ckks.lt.giant")
 	out := conv.GetPolyQP(level)
-	ev.keyedStep(level, digits, perm, &gk.SwitchingKey, nil, out, v, ev.workers)
+	ev.keyedStep(level, []kskLane{{digits: digits, u: out, v: v}}, perm, &gk.SwitchingKey, ev.workers)
 	ev.addAutomorphedRaised(level, u, perm, out)
 	child.End()
 	ev.putDigits(digits)
@@ -515,14 +530,15 @@ func (ev *Evaluator) EvalLinearTransformHoistedModDown(ct *Ciphertext, lt *Linea
 func (ev *Evaluator) ltGroupSum(level int, g *ltGroup, us, vs []rns.PolyQP, u, v rns.PolyQP, workers int) {
 	p := ev.params
 	n, nQ, nP := p.N(), level+1, p.Alpha()
-	ops := getKskOperands(nQ+nP, len(g.pt))
+	ops := getKskOperands(nQ+nP, 1, len(g.pt))
 	defer ev.kskRelease(ops, nil) // no key, nothing pinned
 	for k, pt := range g.pt {
 		bu, bv := us[g.baby[k]], vs[g.baby[k]]
 		for i := 0; i < nQ+nP; i++ {
-			d, b, a := ops.limb(i)
-			d[k], b[k], a[k] = raisedLimb(pt, i, nQ, n), raisedLimb(bu, i, nQ, n), raisedLimb(bv, i, nQ, n)
+			r := ops.limb(i)
+			r.d[k], r.b[k], r.a[k] = raisedLimb(pt, i, nQ, n), raisedLimb(bu, i, nQ, n), raisedLimb(bv, i, nQ, n)
 		}
 	}
-	ev.gatherMulAccumulate(nQ, nP, ops, nil, u, v, memtrace.ClassPt, memtrace.ClassCt, workers)
+	ops.setOutputs(0, nQ, n, u, v)
+	ev.gatherMulAccumulate(nQ, nP, ops, nil, memtrace.ClassPt, memtrace.ClassCt, workers)
 }

@@ -70,13 +70,15 @@ func textbookTransform(tc *testContext, ct *Ciphertext, diags map[int][]complex1
 }
 
 // TestLinearTransformBSGS pins the one transform schedule: every split
-// (computed, none, a baby-step count that divides nothing, one that
-// divides every index of the strided set) × diagonal 0 present, absent
-// and a strided index set whose only baby step is 0 × both exported names
-// is decrypt-compared with the plaintext shadow and with the textbook
-// rotate-multiply-add reference. n1 = 3 under the second name is the
-// combination that returned garbage (0.9 bits) while two encodings and two
-// schedules existed.
+// (computed, a baby-step count that divides no slot count, one that does,
+// the strided set's stride and twice it) × diagonal 0 present, absent and
+// a strided index set whose only baby step at its stride is 0 × both
+// exported names is decrypt-compared with the plaintext shadow and with
+// the textbook rotate-multiply-add reference. n1 = 5 under the second
+// name stands where n1 = 3 stood, the combination that returned garbage
+// (0.9 bits) while two encodings and two schedules existed: n1 = 3 now
+// walks more Horner steps than these sets have diagonals and is refused
+// (TestLinearTransformRejectsGappedN1).
 func TestLinearTransformBSGS(t *testing.T) {
 	strided := make([]int, 8)
 	for i := range strided {
@@ -89,13 +91,17 @@ func TestLinearTransformBSGS(t *testing.T) {
 		{"EvalLinearTransform", (*Evaluator).EvalLinearTransform},
 		{"EvalLinearTransformHoistedModDown", (*Evaluator).EvalLinearTransformHoistedModDown},
 	}
+	// Per set, the computed split and explicit ones: n1 = 5 divides no
+	// slot count (one Horner chain), n1 = 8 does (two); the strided set at
+	// multiples of its stride, where its giant multiples have no gaps.
 	for _, set := range []struct {
 		name string
 		idx  []int
+		n1s  []int
 	}{
-		{"diag0", []int{0, 1, 3, 9, 20}},
-		{"no-diag0", []int{2, 6, 11, 17}},
-		{"strided", strided},
+		{"diag0", []int{0, 1, 3, 9, 20}, []int{0, 5, 8}},
+		{"no-diag0", []int{2, 6, 11, 17}, []int{0, 5, 8}},
+		{"strided", strided, []int{0, 32, 64}},
 	} {
 		tc := newTestContext(t)
 		n := tc.params.Slots()
@@ -109,7 +115,7 @@ func TestLinearTransformBSGS(t *testing.T) {
 		}
 		ref := Precision(want, decode(textbookTransform(tc, ct, diags))).MinPrecisionBits
 
-		for _, n1 := range []int{0, 1, 3, 8} {
+		for _, n1 := range set.n1s {
 			// The last argument is ignored; the rows pass both values.
 			lt := NewLinearTransform(tc.enc, diags, tc.params.MaxLevel(), tc.params.Scale(), n1, n1%2 == 1)
 			steps := lt.RotationSteps()
@@ -132,6 +138,34 @@ func TestLinearTransformBSGS(t *testing.T) {
 	}
 }
 
+// TestLinearTransformRejectsGappedN1: an explicit n1 whose Horner chains
+// walk more steps than the transform has diagonals — the strided set
+// {0, 32, …, 224} at n1 = 3 would take 74 for 8 diagonals, one per multiple
+// of 3 up to 74 — panics at construction with both counts, before any
+// diagonal is encoded; at its stride the same set takes 7.
+func TestLinearTransformRejectsGappedN1(t *testing.T) {
+	tc := newTestContext(t)
+	n := tc.params.Slots()
+	strided := make([]int, 8)
+	for i := range strided {
+		strided[i] = 32 * i
+	}
+	diags := DiagsFromMatrix(randomBandedMatrix(n, strided))
+	func() {
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, "got=74 Horner steps") || !strings.Contains(msg, "want<=8") {
+				t.Errorf("strided set at n1=3: recovered %q, want a panic naming 74 Horner steps against 8 diagonals", msg)
+			}
+		}()
+		NewLinearTransform(tc.enc, diags, tc.params.MaxLevel(), tc.params.Scale(), 3, false)
+	}()
+	lt := NewLinearTransform(tc.enc, diags, tc.params.MaxLevel(), tc.params.Scale(), 32, false)
+	if got := lt.chains[0].steps() + lt.chains[1].steps(); got != 7 {
+		t.Errorf("strided set at n1=32: %d Horner steps, want 7", got)
+	}
+}
+
 // TestLinearTransformTwoSidedChains: a band of diagonals −20 … 20 splits at
 // n1 = 8 into seven baby steps, the group of giant step 0 and groups on
 // both sides of it — two Horner chains, 2 steps by σ_{+8} and 3 by σ_{−8},
@@ -140,7 +174,9 @@ func TestLinearTransformBSGS(t *testing.T) {
 // the plaintext product and the textbook reference, its counters are the
 // schedule's (12 keyed steps, 2 + 5 ModDowns), and every run writes the
 // same bytes. At n1 = 3, which does not divide the slots, a −3 step does
-// not land on a multiple of 3, so every giant group rides the +3 chain.
+// not land on a multiple of 3, so every giant group would ride the +3
+// chain, diagonal −1 at its ⌊(slots−1)/3⌋-th step: far more steps than the
+// band has diagonals, so the split is refused.
 func TestLinearTransformTwoSidedChains(t *testing.T) {
 	tc := newTestContext(t)
 	p := tc.params
@@ -189,14 +225,14 @@ func TestLinearTransformTwoSidedChains(t *testing.T) {
 		}
 	}
 
-	odd := NewLinearTransform(tc.enc, diags, p.MaxLevel(), p.Scale(), 3, false)
-	if steps := odd.RotationSteps(); !slices.Equal(steps, []int{1, 2, 3}) {
-		t.Errorf("n1=3: RotationSteps %v, want [1 2 3]", steps)
-	}
-	ev := NewEvaluator(p, &EvaluationKeySet{Galois: tc.kg.GenGaloisKeys(odd.RotationSteps(), tc.sk)})
-	if got := Precision(want, decode(ev.EvalLinearTransform(ct, odd))).MinPrecisionBits; got < ref-0.5 || got < 20 {
-		t.Errorf("n1=3: %.1f bits, textbook reference %.1f", got, ref)
-	}
+	func() {
+		defer func() {
+			if msg, far := fmt.Sprint(recover()), (n-1)/3; !strings.Contains(msg, fmt.Sprintf("got=%d Horner steps", far)) {
+				t.Errorf("n1=3: recovered %q, want a refusal naming the %d steps of the +3 chain to diagonal −1", msg, far)
+			}
+		}()
+		NewLinearTransform(tc.enc, diags, p.MaxLevel(), p.Scale(), 3, false)
+	}()
 }
 
 // TestLinearTransformMissingKeyPanicsFirst: a transform whose key set lacks

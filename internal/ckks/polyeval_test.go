@@ -1,10 +1,18 @@
 package ckks
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"repro/internal/fherr"
+	"repro/internal/mathutil"
+	"repro/internal/obs"
+	"repro/internal/ring"
 )
 
 var basisName = map[Basis]string{Monomial: "monomial", Chebyshev: "chebyshev"}
@@ -76,7 +84,7 @@ func TestEvalPolynomialAgainstPlain(t *testing.T) {
 				for k := range coeffs {
 					coeffs[k] = (rng.Float64() - 0.4) / float64(k+1)
 				}
-				got := tc.enc.Decode(tc.dec.DecryptToPlaintext(ev.EvalPolynomial(ct, basis, coeffs)))
+				got := tc.enc.Decode(tc.dec.DecryptToPlaintext(ev.EvalPolynomial(basis, coeffs, ct)[0]))
 				worst := 0.0
 				for i := range xs {
 					worst = max(worst, math.Abs(real(got[i])-evalPlain(basis, coeffs, real(xs[i]))))
@@ -92,7 +100,7 @@ func TestEvalPolynomialAgainstPlain(t *testing.T) {
 func TestEvalPolynomialConstant(t *testing.T) {
 	tc, ev := polyTestContext(t)
 	ct := tc.encSk.Encrypt(tc.enc.Encode(randomValues(tc.params.Slots(), 1)))
-	out := ev.EvalPolynomial(ct, Monomial, []float64{0.75})
+	out := ev.EvalPolynomial(Monomial, []float64{0.75}, ct)[0]
 	got := tc.enc.Decode(tc.dec.DecryptToPlaintext(out))
 	for i := 0; i < 8; i++ {
 		if d := math.Abs(real(got[i]) - 0.75); d > 1e-6 {
@@ -106,8 +114,8 @@ func TestEvalPolynomialTrimsZeroTail(t *testing.T) {
 	ct := tc.encSk.Encrypt(tc.enc.Encode(randomValues(tc.params.Slots(), 1)))
 	// The zero tail must not consume extra levels: degree-1 poly padded
 	// with zeros should leave the same level as unpadded.
-	a := ev.EvalPolynomial(ct, Monomial, []float64{0.1, 0.9})
-	b := ev.EvalPolynomial(ct, Monomial, []float64{0.1, 0.9, 0, 0, 0, 0, 0, 0})
+	a := ev.EvalPolynomial(Monomial, []float64{0.1, 0.9}, ct)[0]
+	b := ev.EvalPolynomial(Monomial, []float64{0.1, 0.9, 0, 0, 0, 0, 0, 0}, ct)[0]
 	if a.Level != b.Level {
 		t.Errorf("zero tail consumed levels: %d vs %d", a.Level, b.Level)
 	}
@@ -129,7 +137,7 @@ func TestSigmoidDegree7(t *testing.T) {
 		xs[i] = complex(rand.Float64()*8-4, 0) // inputs in [-4, 4]
 	}
 	ct := tc.encSk.Encrypt(tc.enc.Encode(xs))
-	out := ev.EvalPolynomial(ct, Monomial, coeffs)
+	out := ev.EvalPolynomial(Monomial, coeffs, ct)[0]
 
 	got := tc.enc.Decode(tc.dec.DecryptToPlaintext(out))
 	worst := 0.0
@@ -154,5 +162,119 @@ func TestSigmoidDegree7(t *testing.T) {
 	}
 	if worst > approxErr+1e-3 {
 		t.Errorf("homomorphic error %.3g vs plain approximation error %.3g", worst, approxErr)
+	}
+}
+
+// TestEvalPolynomialBatchMatchesSingles: a batch of 1, 2 or 3 inputs
+// walks the schedule together, and each result is, bit for bit, what its
+// input gives alone, in both bases at degrees 7, 31 and 63. The batch
+// reads the relinearization key once per pass of up to ring.MaxLanes
+// products of one level: its ckks.key.bytes is Σ over the levels of
+// ⌈products/MaxLanes⌉ passes, the products per level counted here from
+// the plan.
+func TestEvalPolynomialBatchMatchesSingles(t *testing.T) {
+	tc, ev := polyTestContext(t)
+	p := tc.params
+	rng := rand.New(rand.NewPCG(22, 2))
+	cts := make([]*Ciphertext, 3)
+	for x := range cts {
+		xs := make([]complex128, p.Slots())
+		for i := range xs {
+			xs[i] = complex(rng.Float64()*2-1, 0)
+		}
+		cts[x] = tc.encSk.Encrypt(tc.enc.Encode(xs))
+	}
+	top := cts[0].Level
+	passBytes := func(level int) uint64 {
+		return 2 * uint64(p.Beta(level)) * uint64(level+1+p.Alpha()) * 8 * uint64(p.N())
+	}
+	for _, basis := range []Basis{Monomial, Chebyshev} {
+		for _, d := range []int{7, 31, 63} {
+			coeffs := make([]float64, d+1)
+			for k := range coeffs {
+				coeffs[k] = (rng.Float64() - 0.4) / float64(k+1)
+			}
+			singles := make([][]byte, len(cts))
+			for x, ct := range cts {
+				singles[x] = wire(t, ev.EvalPolynomial(basis, coeffs, ct)[0])
+			}
+			perLevel := planProductsPerLevel(mathutil.NewPSPlan(d), top)
+			for k := 1; k <= len(cts); k++ {
+				rec := obs.NewRecorder()
+				ev.SetRecorder(rec)
+				outs := ev.EvalPolynomial(basis, coeffs, cts[:k]...)
+				ev.SetRecorder(nil)
+				for x, out := range outs {
+					if !bytes.Equal(wire(t, out), singles[x]) {
+						t.Errorf("%s/%d, batch of %d: input %d differs from its single evaluation", basisName[basis], d, k, x)
+					}
+				}
+				var want uint64
+				for level, n := range perLevel {
+					want += uint64((k*n+ring.MaxLanes-1)/ring.MaxLanes) * passBytes(level)
+				}
+				if got := rec.Counter("ckks.key.bytes"); got != want {
+					t.Errorf("%s/%d, batch of %d: %d key bytes, want %d (one pass per %d products of a level)", basisName[basis], d, k, got, want, ring.MaxLanes)
+				}
+			}
+		}
+	}
+}
+
+// planProductsPerLevel counts one input's products of the plan by the
+// level they run at, from an input at level top: each ladder step at the
+// lower of its operands' levels, each split of the recursion one above
+// the level its result lands at.
+func planProductsPerLevel(plan mathutil.PSPlan, top int) map[int]int {
+	n := map[int]int{}
+	sits := map[int]int{1: top}
+	for _, s := range plan.Ladder {
+		l := min(sits[s.I], sits[s.J])
+		n[l]++
+		sits[s.K] = l - 1
+	}
+	_, depth := plan.Cost()
+	var walk func(degree, level int)
+	walk = func(degree, level int) {
+		if degree < plan.Baby {
+			return
+		}
+		g := plan.Giant(degree)
+		n[level+1]++
+		walk(degree-g, level+1)
+		walk(g-1, level)
+	}
+	walk(plan.Degree, top-depth)
+	return n
+}
+
+// TestEvalPolynomialRejectsMismatchedInputs: inputs at different levels or
+// scales are a typed error before any product is spent.
+func TestEvalPolynomialRejectsMismatchedInputs(t *testing.T) {
+	tc, ev := polyTestContext(t)
+	a := tc.encSk.Encrypt(tc.enc.Encode(randomValues(tc.params.Slots(), 1)))
+	scaled := a.CopyNew()
+	scaled.Scale *= 2
+	coeffs := SigmoidCoeffs()
+	for _, c := range []struct {
+		name string
+		b    *Ciphertext
+		want error
+	}{
+		{"level", ev.DropLevel(a, a.Level-1), fherr.ErrLevelMismatch},
+		{"scale", scaled, fherr.ErrScaleMismatch},
+	} {
+		rec := obs.NewRecorder()
+		ev.SetRecorder(rec)
+		out, err := ev.Do(context.Background(), "ckks.EvalPolynomial", func(ev *Evaluator) *Ciphertext {
+			return ev.EvalPolynomial(Monomial, coeffs, a, c.b)[0]
+		}, a, c.b)
+		ev.SetRecorder(nil)
+		if out != nil || !errors.Is(err, c.want) {
+			t.Errorf("%s mismatch: got (%v, %v), want %v", c.name, out, err, c.want)
+		}
+		if n := rec.Counter("ckks.mult"); n != 0 {
+			t.Errorf("%s mismatch: %d products ran before the panic", c.name, n)
+		}
 	}
 }

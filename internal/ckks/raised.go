@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/mathutil"
@@ -21,38 +22,62 @@ type raisedCt struct {
 	scale float64
 }
 
-// mulRaised is the one tensor core every ciphertext product shares:
+// mulPair is one product of a batched Mult: its operands and the exact
+// linear middle applied to its raised product before the closer (nil:
+// none).
+type mulPair struct {
+	ct0, ct1 *Ciphertext
+	middle   func(raisedCt)
+}
+
+// mulRaised is the one tensor core every ciphertext product shares, for
+// up to ring.MaxLanes products at one level, written into out: per product
 // d0 = a0·b0, d1 = a0·b1 + a1·b0, d2 = a1·b1 (the same operand twice
-// takes the symmetric d1 = 2·a0·a1), then the keyed step that relinearizes
-// d2 with d0 as its c0, then the lift of d1 into v. All temporaries are
-// pooled. The caller owns the op span; the linked children here split it
-// into tensor, key product (with the lift of d0) and the lift of d1 next
-// to the rns spans of the ModUp.
-func (ev *Evaluator) mulRaised(ct0, ct1 *Ciphertext) raisedCt {
+// takes the symmetric d1 = 2·a0·a1) and the Decomp+ModUp of d2; then one
+// keyed step relinearizes every d2 with its d0 as c0, the products sharing
+// one pass over the relinearization key; then the lift of each d1 into its
+// v. All temporaries are pooled. The caller owns the op span; the linked
+// children here split it into tensors, key pass (with the lifts of d0) and
+// lifts of d1 next to the rns spans of the ModUps.
+func (ev *Evaluator) mulRaised(level int, pairs []mulPair, out []raisedCt) {
 	if ev.keys.Rlk == nil {
 		panic("ckks: relinearization key missing (got=nil, want=key)")
 	}
-	level := minLevel(ct0, ct1)
-	ev.rec.Add("ckks.mult", 1)
-	rQ := ev.params.RingQ().AtLevel(level)
-
-	child := ev.rec.StartLinked("ckks.mult.tensor")
-	d0, d1, d2 := rQ.GetScratch(), rQ.GetScratch(), rQ.GetScratch()
-	for i, s := range rQ.SubRings {
-		ev.tensorLimb(s, ct0, ct1, i, d0.Coeffs[i], d1.Coeffs[i], d2.Coeffs[i])
+	rlk := &ev.keys.Rlk.SwitchingKey
+	if err := ev.params.checkKeyLevels(rlk); err != nil {
+		panic(err)
 	}
-	d0.IsNTT, d1.IsNTT, d2.IsNTT = true, true, true
-	child.End()
+	ev.rec.Add("ckks.mult", uint64(len(pairs)))
+	rQ, conv := ev.params.RingQ().AtLevel(level), ev.params.Converter()
 
-	r := ev.keySwitch(level, d2, d0, &ev.keys.Rlk.SwitchingKey, ct0.Scale*ct1.Scale)
+	var lanes [ring.MaxLanes]kskLane
+	var d1s [ring.MaxLanes]*ring.Poly
+	for k, pr := range pairs {
+		child := ev.rec.StartLinked("ckks.mult.tensor")
+		d0, d1, d2 := rQ.GetScratch(), rQ.GetScratch(), rQ.GetScratch()
+		for i, s := range rQ.SubRings {
+			ev.tensorLimb(s, pr.ct0, pr.ct1, i, d0.Coeffs[i], d1.Coeffs[i], d2.Coeffs[i])
+		}
+		d0.IsNTT, d1.IsNTT, d2.IsNTT = true, true, true
+		child.End()
+		out[k] = raisedCt{u: conv.GetPolyQP(level), v: conv.GetPolyQP(level), level: level, scale: pr.ct0.Scale * pr.ct1.Scale}
+		lanes[k] = kskLane{digits: ev.decomposeModUp(level, d2, ev.workers), c0: d0, u: out[k].u, v: out[k].v}
+		d1s[k] = d1
+		rQ.PutScratch(d2)
+	}
+
+	child := ev.rec.StartLinked("ckks.ks.product")
+	ev.keyedStep(level, lanes[:len(pairs)], nil, rlk, ev.workers)
+	child.End()
 
 	child = ev.rec.StartLinked("ckks.mult.lift")
-	ev.addLifted(level, d1, nil, r.v)
+	for k := range pairs {
+		ev.addLifted(level, d1s[k], nil, out[k].v)
+		ev.putDigits(lanes[k].digits)
+		rQ.PutScratch(lanes[k].c0)
+		rQ.PutScratch(d1s[k])
+	}
 	child.End()
-	rQ.PutScratch(d0)
-	rQ.PutScratch(d1)
-	rQ.PutScratch(d2)
-	return r
 }
 
 // tensorLimb writes limb i of the tensor product in one pass
@@ -184,9 +209,12 @@ func requireRescalable(level int) {
 // MulRelin followed by Rescale; keeping them separate lets callers batch
 // additions at the doubled scale first).
 func (ev *Evaluator) MulRelin(ct0, ct1 *Ciphertext) *Ciphertext {
-	sp := ev.startOp("MulRelin", minLevel(ct0, ct1), ct0.Scale, 0)
+	level := minLevel(ct0, ct1)
+	sp := ev.startOp("MulRelin", level, ct0.Scale, 0)
 	defer ev.endOp(sp)
-	return ev.lower(ev.mulRaised(ct0, ct1), ev.workers)
+	var r [1]raisedCt
+	ev.mulRaised(level, []mulPair{{ct0: ct0, ct1: ct1}}, r[:])
+	return ev.lower(r[0], ev.workers)
 }
 
 // Square returns ct² relinearized (no rescale): the tensor step exploits
@@ -194,35 +222,74 @@ func (ev *Evaluator) MulRelin(ct0, ct1 *Ciphertext) *Ciphertext {
 func (ev *Evaluator) Square(ct *Ciphertext) *Ciphertext {
 	sp := ev.startOp("Square", ct.Level, ct.Scale, 0)
 	defer ev.endOp(sp)
-	return ev.lower(ev.mulRaised(ct, ct), ev.workers)
+	var r [1]raisedCt
+	ev.mulRaised(ct.Level, []mulPair{{ct0: ct, ct1: ct}}, r[:])
+	return ev.lower(r[0], ev.workers)
 }
 
 // Mul is the full Table 2 Mult — tensor, relinearize, rescale — with the
 // ModDown merge: bit for bit Rescale(MulRelin(ct0, ct1)).
 func (ev *Evaluator) Mul(ct0, ct1 *Ciphertext) *Ciphertext {
-	return ev.mulRescale(ct0, ct1, nil)
+	return ev.mulRescale([]mulPair{{ct0: ct0, ct1: ct1}})[0]
 }
 
-// DoubleAngle returns 2·ct² − 1, rescaled: cos 2θ from cos θ, and
-// T_{2i} from T_i. Bit for bit Rescale(AddConstReal(2·MulRelin(ct, ct),
-// −1)), the doubling and the constant applied to the raised pair.
-func (ev *Evaluator) DoubleAngle(ct *Ciphertext) *Ciphertext {
-	return ev.mulRescale(ct, ct, func(r raisedCt) {
-		ev.doubleRaised(r)
-		ev.addConstRaised(r, -1)
-	})
-}
-
-// mulRescale is the merged Mult: the raised product, an optional exact
-// linear middle applied to it, then one division by P·q_ℓ per half.
-func (ev *Evaluator) mulRescale(ct0, ct1 *Ciphertext, middle func(raisedCt)) *Ciphertext {
-	level := minLevel(ct0, ct1)
-	requireRescalable(level)
-	sp := ev.startOp("Mult", level, ct0.Scale, 0)
-	defer ev.endOp(sp)
-	r := ev.mulRaised(ct0, ct1)
-	if middle != nil {
-		middle(r)
+// DoubleAngle returns 2·ct² − 1, rescaled, for every ciphertext given:
+// cos 2θ from cos θ, and T_{2i} from T_i. Each result is bit for bit
+// Rescale(AddConstReal(2·MulRelin(ct, ct), −1)), the doubling and the
+// constant applied to the raised pair. The ciphertexts must share a level
+// above 0; they run as one batched Mult, sharing its relinearization-key
+// passes (see mulRescale).
+func (ev *Evaluator) DoubleAngle(cts ...*Ciphertext) []*Ciphertext {
+	pairs := make([]mulPair, len(cts))
+	for k, ct := range cts {
+		pairs[k] = mulPair{ct0: ct, ct1: ct, middle: ev.doubleMinusOne}
 	}
-	return ev.lowerRescale(r, ev.workers)
+	return ev.mulRescale(pairs)
 }
+
+// doubleMinusOne is DoubleAngle's middle: r ← 2·r − 1.
+func (ev *Evaluator) doubleMinusOne(r raisedCt) {
+	ev.doubleRaised(r)
+	ev.addConstRaised(r, -1)
+}
+
+// mulRescale is the merged Mult over a batch of products at one level:
+// the raised products, each one's optional exact linear middle, then one
+// division by P·q_ℓ per half. It runs the batch ring.MaxLanes products at
+// a time, each group sharing one pass over the relinearization key and
+// holding only its own products' scratch. One op span covers the batch,
+// its op.fanout the product count. Every product's words and scale are
+// those it has alone: the scale is productScale's.
+func (ev *Evaluator) mulRescale(pairs []mulPair) []*Ciphertext {
+	if len(pairs) == 0 {
+		return nil
+	}
+	level := minLevel(pairs[0].ct0, pairs[0].ct1)
+	for _, pr := range pairs[1:] {
+		if l := minLevel(pr.ct0, pr.ct1); l != level {
+			panic(fmt.Sprintf("ckks: Mult batch level mismatch (got=%d, want=%d)", l, level))
+		}
+	}
+	requireRescalable(level)
+	sp := ev.startOp("Mult", level, pairs[0].ct0.Scale, len(pairs))
+	defer ev.endOp(sp)
+	out := make([]*Ciphertext, len(pairs))
+	var rs [ring.MaxLanes]raisedCt
+	for c0 := 0; c0 < len(pairs); c0 += ring.MaxLanes {
+		group := pairs[c0:min(c0+ring.MaxLanes, len(pairs))]
+		ev.mulRaised(level, group, rs[:len(group)])
+		for k, pr := range group {
+			if pr.middle != nil {
+				pr.middle(rs[k])
+			}
+			out[c0+k] = ev.lowerRescale(rs[k], ev.workers)
+		}
+	}
+	return out
+}
+
+// productScale is the scale of the merged product of operands at scales
+// s0 and s1 rescaled by q: mulRaised's raised pair carries s0·s1 and
+// lowerRescale divides it by q, in that order, so a caller can know a
+// product's scale, to the bit, before it runs.
+func productScale(s0, s1, q float64) float64 { return s0 * s1 / q }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/fherr"
+	"repro/internal/mathutil"
 	"repro/internal/obs"
 )
 
@@ -59,7 +60,7 @@ func TestMergedOpsAreTheUnfusedCompositions(t *testing.T) {
 					{"Mul", ev.Mul(a, b), ev.Rescale(ev.MulRelin(a, b))},
 					{"Mul at level 1", ev.Mul(low, b), ev.Rescale(ev.MulRelin(low, b))},
 					{"Square", ev.Square(a), ev.MulRelin(a, a.CopyNew())},
-					{"DoubleAngle", ev.DoubleAngle(a), func() *Ciphertext {
+					{"DoubleAngle", ev.DoubleAngle(a)[0], func() *Ciphertext {
 						sq := ev.MulRelin(a, a.CopyNew())
 						return ev.Rescale(ev.AddConstReal(ev.Add(sq, sq), -1))
 					}()},
@@ -86,17 +87,18 @@ func TestMergedOpsAreTheUnfusedCompositions(t *testing.T) {
 func TestChebyshevPowerIsTheUnfusedRecurrence(t *testing.T) {
 	tc, ev := polyTestContext(t)
 	x := tc.encSk.Encrypt(tc.enc.Encode(randomValues(tc.params.Slots(), 1)))
-	pe := &polyEval{ev: ev, basis: Chebyshev, b: make([]*Ciphertext, 4)}
-	pe.b[1] = x
-	pe.b[2] = pe.power(1, 1)
-	got := pe.power(2, 1)
+	pe := &polyEval{ev: ev, basis: Chebyshev, b: [][]*Ciphertext{make([]*Ciphertext, 4)}}
+	b := pe.b[0]
+	b[1] = x
+	b[2] = ev.mulRescale([]mulPair{pe.power(0, mathutil.PSStep{K: 2, I: 1, J: 1})})[0]
+	got := ev.mulRescale([]mulPair{pe.power(0, mathutil.PSStep{K: 3, I: 2, J: 1})})[0]
 
-	prod := ev.MulRelin(pe.b[2], pe.b[1])
+	prod := ev.MulRelin(b[2], b[1])
 	prod = ev.Add(prod, prod)
-	td := pe.b[1]
+	td := b[1]
 	prod = ev.Sub(prod, ev.MulByConstReal(td.atLevel(prod.Level), 1, prod.Scale/td.Scale))
 	if oracle := ev.Rescale(prod); !bytes.Equal(wire(t, got), wire(t, oracle)) {
-		t.Error("power(2, 1) differs from Rescale(2·MulRelin(T_2, T_1) − aligned T_1)")
+		t.Error("the power step b_3 = b_2·b_1 differs from Rescale(2·MulRelin(T_2, T_1) − aligned T_1)")
 	}
 }
 
@@ -137,7 +139,7 @@ func TestMulRejectsLevelZeroBeforeAnyWork(t *testing.T) {
 func TestMergedEntriesRejectLevelZeroBeforeAnyWork(t *testing.T) {
 	tc, ev := checkedTestEval(t)
 	a := ev.DropLevel(encryptRandom(tc), 0)
-	rejectedBeforeAnyWork(t, ev, "ckks.DoubleAngle", func(ev *Evaluator) *Ciphertext { return ev.DoubleAngle(a) }, a)
+	rejectedBeforeAnyWork(t, ev, "ckks.DoubleAngle", func(ev *Evaluator) *Ciphertext { return ev.DoubleAngle(a)[0] }, a)
 	_, ltEv, lt, _ := setupLinTransTest(t, []int{0, 1}, 0)
 	rejectedBeforeAnyWork(t, ltEv, "ckks.EvalLinearTransformRescale", func(ev *Evaluator) *Ciphertext { return ev.EvalLinearTransformRescale(a, lt) }, a)
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/ckks"
 	"repro/internal/obs"
+	"repro/internal/ring"
 	"repro/internal/simfhe"
 )
 
@@ -78,11 +79,19 @@ func ForParametersAt(p *ckks.Parameters, cacheLimbs int, opts simfhe.OptSet) (*M
 // keyed as the evaluator names its op span minus the "ckks." prefix.
 var pricers = map[string]func(c simfhe.Ctx, limbs, fanout int) simfhe.Cost{
 	// The evaluator's Mul closes with the merged ModDown (§3.2): price
-	// that tree. MulRelin, Rescale and KeySwitch stay the unfused ops they
-	// still are.
-	"Mult": func(c simfhe.Ctx, l, _ int) simfhe.Cost {
+	// that tree once per product of the span's batch (fanout, at least
+	// one). The batch's products share their passes over the
+	// relinearization key, ring.MaxLanes at a time, so of its K key
+	// streams only ⌈K/MaxLanes⌉ are read: the others are credited, each
+	// one key product's key traffic. MulRelin, Rescale and KeySwitch stay
+	// the unfused ops they still are.
+	"Mult": func(c simfhe.Ctx, l, fanout int) simfhe.Cost {
 		c.Opts.ModDownMerge = true
-		return c.Mult(l)
+		k := max(fanout, 1)
+		cost := c.Mult(l).Times(k)
+		shared := k - (k+ring.MaxLanes-1)/ring.MaxLanes
+		cost.KeyRead -= uint64(shared) * c.KSKInnerProd(l, false).KeyRead
+		return cost
 	},
 	"MulRelin":  func(c simfhe.Ctx, l, _ int) simfhe.Cost { return c.MulRelin(l) },
 	"Square":    func(c simfhe.Ctx, l, _ int) simfhe.Cost { return c.MulRelin(l) },
@@ -106,7 +115,8 @@ func Kind(span string) (kind string, ok bool) {
 }
 
 // PredictOp implements obs.CostModel. limbs is the op's input limb count
-// (level+1); fanout is the hoisted rotation count. Kinds outside the
+// (level+1); fanout is the hoisted rotation count of a RotateHoisted and
+// the product count of a batched Mult. Kinds outside the
 // model's vocabulary, and limb counts outside its domain, report ok=false
 // — the span then simply carries no prediction.
 func (m *Model) PredictOp(kind string, limbs, fanout int) (obs.OpCost, bool) {

@@ -118,9 +118,12 @@ func TestPredictOpKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := m.Ctx()
-	// Mult is priced as the evaluator runs it: with the ModDown merge.
+	// Mult is priced as the evaluator runs it: with the ModDown merge, once
+	// per product of its batch, the batch's products sharing their key
+	// passes four at a time.
 	merged := ctx
 	merged.Opts.ModDownMerge = true
+	pass := ctx.KSKInnerProd(12, false).KeyRead
 	cases := []struct {
 		kind   string
 		limbs  int
@@ -128,6 +131,10 @@ func TestPredictOpKinds(t *testing.T) {
 		want   uint64
 	}{
 		{"Mult", 12, 0, merged.Mult(12).Bytes()},
+		{"Mult", 12, 1, merged.Mult(12).Bytes()},
+		{"Mult", 12, 2, 2*merged.Mult(12).Bytes() - pass},
+		{"Mult", 12, 4, 4*merged.Mult(12).Bytes() - 3*pass},
+		{"Mult", 12, 8, 8*merged.Mult(12).Bytes() - 6*pass},
 		{"MulRelin", 12, 0, ctx.MulRelin(12).Bytes()},
 		{"Square", 12, 0, ctx.MulRelin(12).Bytes()},
 		{"Rescale", 12, 0, ctx.RescalePoly(12).Times(2).Bytes()},

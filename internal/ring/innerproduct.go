@@ -85,95 +85,118 @@ func (m *VectorMont) SeededSum(dst []uint64, y [][]uint64, w, seed, idx []uint64
 	seededSumIFMA(dst, y, w, seed, idx, uint64(len(seed)-1), m.q, m.qn, m.r40, m.r40Shoup)
 }
 
-// InnerProductTile is the coefficient-blocking width of the key-switch
-// inner-product kernel: the number of output words whose four 128-bit
-// accumulator halves (4 words per coefficient) stay in scratch while the
-// β digit rows stream past. At 256 words that is 8 KiB — L1-resident next
-// to the two key rows being read.
+// InnerProductTile is the coefficient-blocking width of the scalar key
+// product: the number of output words whose four 128-bit accumulator
+// halves (4 words per coefficient) stay in scratch while the β digit rows
+// stream past, split evenly between the lanes. At 256 words that is
+// 8 KiB — L1-resident next to the two key rows being read.
 const InnerProductTile = 256
 
+// MaxLanes is the most products one call of GatherMulAccumulate carries:
+// each b and a word it loads is multiplied into up to this many lanes'
+// accumulators, so a key pass shared by K products reads the key once.
+const MaxLanes = 4
+
 // GatherMulAccumulate is the fused key-switch inner product over one limb
-// (Algorithm 3 line 3): with x_j[c] = d[j][perm[c]] (perm nil = identity)
-// it writes
+// (Algorithm 3 line 3) for K = len(u) products that share the key rows b
+// and a, 1 ≤ K ≤ MaxLanes: with x_{j,k}[c] = d[j·K+k][perm[c]] (perm nil =
+// identity), lane k's digit j, it writes
 //
-//	u[c] = Σ_j b[j][c]·x_j[c]·R⁻¹ mod q    and    v[c] = Σ_j a[j][c]·x_j[c]·R⁻¹ mod q
+//	u[k][c] = Σ_j b[j][c]·x_{j,k}[c]·R⁻¹ mod q    and    v[k][c] = Σ_j a[j][c]·x_{j,k}[c]·R⁻¹ mod q
 //
-// for c in [0, len(u)), with R = 2^64 mod q. d, b and a hold this limb's
-// row of the β ≥ 1 raised digits and of the two switching-key halves. The
-// one rule: the d operand is in Montgomery form (R·x, see MForm), b and a
-// are canonical, so u and v are the canonical Σ b·x and Σ a·x. Per tile of
-// coefficients each digit word is gathered once, in the multiply loop, and
-// feeds both products,
-// the β products per output word are summed exactly in 128 bits and closed
-// by one Montgomery reduction (mathutil.MontReduce), and u and v are
-// written, never read: the destination needs no zeroing and a rotated
-// digit is never materialized. A sum longer than MontMaxTerms(q) products
-// (7 at 61 bits) is reduced in place every that many, which keeps it below
-// MontReduce's q·2^64 bound and its residue unchanged. All inputs must be
-// below q; the outputs are canonical and equal, bit for bit, to the strict
-// per-digit MulThenAddVec composition on the canonical digits in any digit
-// order. A sub-ring on the vector kernels (SubRing.vector) sums up to
-// MaxLaneTerms digits on them; d, b and a rows must then be at least
-// len(u) words, and a perm entry past that reads the row's last word.
-func (s *SubRing) GatherMulAccumulate(d, b, a [][]uint64, perm []int, u, v []uint64) {
-	if len(d) > 0 && len(d) <= MaxLaneTerms && s.vectorKernel() {
-		n := len(u)
-		_, _, _ = v[:n], b[:len(d)], a[:len(d)]
-		for j := range d {
-			_, _, _ = d[j][:n], b[j][:n], a[j][:n]
+// for c in [0, n), n = len(u[0]), with R = 2^64 mod q. b and a hold this
+// limb's row of the β ≥ 0 switching-key halves, d the K lanes' rows of
+// their β raised digits, digit-major. The one rule: the d operand is in
+// Montgomery form (R·x, see MForm), b and a are canonical, so u and v are
+// the canonical Σ b·x and Σ a·x. Per tile of coefficients each key word
+// is loaded once and feeds every lane, each digit word is gathered once,
+// in the multiply loop, and feeds both products, the β products per output
+// word are summed exactly in 128 bits and closed by one Montgomery
+// reduction (mathutil.MontReduce), and u and v are written, never read:
+// the destinations need no zeroing and a rotated digit is never
+// materialized. A sum longer than MontMaxTerms(q) products (7 at 61 bits)
+// is reduced in place every that many, which keeps it below MontReduce's
+// q·2^64 bound and its residue unchanged. All inputs must be below q; the
+// outputs are canonical and equal, bit for bit, to the strict per-digit
+// MulThenAddVec composition on the canonical digits in any digit order,
+// so lane k's words are those of a one-lane call on its own digits. A
+// sub-ring on the vector kernels (SubRing.vector) sums up to MaxLaneTerms
+// digits on them; every d, b, a, u and v row must then be at least n
+// words, and a perm entry past that reads the row's last word.
+func (s *SubRing) GatherMulAccumulate(d, b, a [][]uint64, perm []int, u, v [][]uint64) {
+	lanes, beta := len(u), len(b)
+	if lanes < 1 || lanes > MaxLanes || len(v) != lanes || len(a) != beta || len(d) != lanes*beta {
+		panic(fmt.Sprintf("ring: GatherMulAccumulate over %d lanes (%d v rows) of %d digit rows, %d b and %d a rows", lanes, len(v), len(d), beta, len(a)))
+	}
+	n := len(u[0])
+	if beta > 0 && beta <= MaxLaneTerms && s.vectorKernel() {
+		for k := range u {
+			_, _ = u[k][:n], v[k][:n]
+		}
+		for j := range b {
+			_, _ = b[j][:n], a[j][:n]
+		}
+		for _, row := range d {
+			_ = row[:n]
 		}
 		if perm != nil {
 			_ = perm[:n]
 		}
 		m := &s.vmont
-		gatherMulAccIFMA(d, b, a, perm, u, v, uint64(max(n, 1)-1), m.q, m.qn, m.r40, m.r40Shoup)
+		gatherMulAccIFMA(d, b, a, perm, u, v, uint64(n), uint64(max(n, 1)-1), m.q, m.qn, m.r40, m.r40Shoup)
 		return
 	}
 	var uhi, ulo, vhi, vlo [InnerProductTile]uint64
 	br, q, qNeg := s.Barrett, s.Q, s.qNeg
 	fold := mathutil.MontMaxTerms(q)
-	for c0 := 0; c0 < len(u); c0 += InnerProductTile {
-		n := min(InnerProductTile, len(u)-c0)
-		uh, ul, vh, vl := uhi[:n], ulo[:n], vhi[:n], vlo[:n]
-		for j := range d {
-			bj, aj := b[j][c0:c0+n], a[j][c0:c0+n]
-			if j > 0 && j%fold == 0 {
-				for c := range uh {
-					uh[c], ul[c] = 0, br.Reduce128(uh[c], ul[c])
-					vh[c], vl[c] = 0, br.Reduce128(vh[c], vl[c])
+	tile := InnerProductTile / lanes
+	for c0 := 0; c0 < n; c0 += tile {
+		m := min(tile, n-c0)
+		for j := range b {
+			bj, aj := b[j][c0:c0+m], a[j][c0:c0+m]
+			for k := 0; k < lanes; k++ {
+				t := k * tile
+				uh, ul, vh, vl := uhi[t:t+m], ulo[t:t+m], vhi[t:t+m], vlo[t:t+m]
+				dj := d[j*lanes+k]
+				if j > 0 && j%fold == 0 {
+					for c := range uh {
+						uh[c], ul[c] = 0, br.Reduce128(uh[c], ul[c])
+						vh[c], vl[c] = 0, br.Reduce128(vh[c], vl[c])
+					}
 				}
-			}
-			switch {
-			case perm == nil && j == 0:
-				for c, xc := range d[j][c0 : c0+n] {
-					uh[c], ul[c] = bits.Mul64(xc, bj[c])
-					vh[c], vl[c] = bits.Mul64(xc, aj[c])
-				}
-			case perm == nil:
-				for c, xc := range d[j][c0 : c0+n] {
-					uh[c], ul[c] = mathutil.MulAdd128(uh[c], ul[c], xc, bj[c])
-					vh[c], vl[c] = mathutil.MulAdd128(vh[c], vl[c], xc, aj[c])
-				}
-			case j == 0:
-				dj := d[j]
-				for c, src := range perm[c0 : c0+n] {
-					xc := dj[src]
-					uh[c], ul[c] = bits.Mul64(xc, bj[c])
-					vh[c], vl[c] = bits.Mul64(xc, aj[c])
-				}
-			default:
-				dj := d[j]
-				for c, src := range perm[c0 : c0+n] {
-					xc := dj[src]
-					uh[c], ul[c] = mathutil.MulAdd128(uh[c], ul[c], xc, bj[c])
-					vh[c], vl[c] = mathutil.MulAdd128(vh[c], vl[c], xc, aj[c])
+				switch {
+				case perm == nil && j == 0:
+					for c, xc := range dj[c0 : c0+m] {
+						uh[c], ul[c] = bits.Mul64(xc, bj[c])
+						vh[c], vl[c] = bits.Mul64(xc, aj[c])
+					}
+				case perm == nil:
+					for c, xc := range dj[c0 : c0+m] {
+						uh[c], ul[c] = mathutil.MulAdd128(uh[c], ul[c], xc, bj[c])
+						vh[c], vl[c] = mathutil.MulAdd128(vh[c], vl[c], xc, aj[c])
+					}
+				case j == 0:
+					for c, src := range perm[c0 : c0+m] {
+						xc := dj[src]
+						uh[c], ul[c] = bits.Mul64(xc, bj[c])
+						vh[c], vl[c] = bits.Mul64(xc, aj[c])
+					}
+				default:
+					for c, src := range perm[c0 : c0+m] {
+						xc := dj[src]
+						uh[c], ul[c] = mathutil.MulAdd128(uh[c], ul[c], xc, bj[c])
+						vh[c], vl[c] = mathutil.MulAdd128(vh[c], vl[c], xc, aj[c])
+					}
 				}
 			}
 		}
-		ut, vt := u[c0:c0+n], v[c0:c0+n]
-		for c := range ut {
-			ut[c] = mathutil.MontReduce(uh[c], ul[c], q, qNeg)
-			vt[c] = mathutil.MontReduce(vh[c], vl[c], q, qNeg)
+		for k := 0; k < lanes; k++ {
+			t := k * tile
+			uk, vk := u[k][c0:c0+m], v[k][c0:c0+m]
+			for c := range uk {
+				uk[c] = mathutil.MontReduce(uhi[t+c], ulo[t+c], q, qNeg)
+				vk[c] = mathutil.MontReduce(vhi[t+c], vlo[t+c], q, qNeg)
+			}
 		}
 	}
 }

@@ -2,7 +2,7 @@
 #include "ifma_amd64.h"
 
 // AVX-512 IFMA multiply-accumulate kernels: the key-switch inner product
-// (gatherMulAccIFMA) and the seeded sum of a basis extension's second
+// over up to MaxLanes lanes (gatherMulAccIFMA) and the seeded sum of a basis extension's second
 // stage (seededSumIFMA), eight output words per ZMM vector. The
 // arithmetic and its bounds are described in innerproduct.go. Both keep
 // these constants resident:
@@ -58,62 +58,116 @@
 	VPXORQ     X, X, X; \
 	VPGATHERQQ (P)(Z23*8), K2, X
 
-// GMALOOP is gatherMulAccIFMA's group loop with digit loads PREP/LOAD.
-// Per group: zero the four lane sums, add each digit's products with
-// both key rows, close both sums, store.
-#define GMALOOP(PREP, LOAD, LOOP, ROW, DONE) \
+// LANE adds one lane's products for the current digit: X ← its digit
+// row (the header at OFF(SI)), then X times the key words b (Z16) and a
+// (Z17) into the lane's four sums.
+#define LANE(LOAD, OFF, X, ULO, UHI, VLO, VHI) \
+	MOVQ        OFF(SI), R14; \
+	LOAD(R14, X); \
+	VPMADD52LUQ Z16, X, ULO; \
+	VPMADD52HUQ Z16, X, UHI; \
+	VPMADD52LUQ Z17, X, VLO; \
+	VPMADD52HUQ Z17, X, VHI
+
+// Lane k keeps its sums in Z(4k) … Z(4k+3) and loads its digit into
+// Z(18+k); its digit header sits k·24 bytes into the digit's K headers,
+// its output headers k·24 bytes into u's and v's.
+#define LANES1(LOAD) LANE(LOAD, 0, Z18, Z0, Z1, Z2, Z3)
+#define LANES2(LOAD) LANES1(LOAD); LANE(LOAD, 24, Z19, Z4, Z5, Z6, Z7)
+#define LANES3(LOAD) LANES2(LOAD); LANE(LOAD, 48, Z20, Z8, Z9, Z10, Z11)
+#define LANES4(LOAD) LANES3(LOAD); LANE(LOAD, 72, Z21, Z12, Z13, Z14, Z15)
+
+#define ZEROSUMS(A, B, C, D) \
+	VPXORQ A, A, A; \
+	VPXORQ B, B, B; \
+	VPXORQ C, C, C; \
+	VPXORQ D, D, D
+#define ZERO1 ZEROSUMS(Z0, Z1, Z2, Z3)
+#define ZERO2 ZERO1; ZEROSUMS(Z4, Z5, Z6, Z7)
+#define ZERO3 ZERO2; ZEROSUMS(Z8, Z9, Z10, Z11)
+#define ZERO4 ZERO3; ZEROSUMS(Z12, Z13, Z14, Z15)
+
+// CLOSESTORE closes one lane's two sums and stores them into its u and v
+// rows (headers at OFF(DI) and OFF(R10)).
+#define CLOSESTORE(OFF, ULO, UHI, VLO, VHI) \
+	MONTCLOSE(ULO, UHI, Z22); \
+	MONTCLOSE(VLO, VHI, Z30); \
+	MOVQ      OFF(DI), AX; \
+	VMOVDQU64 ULO, K1, (AX)(R11*1); \
+	MOVQ      OFF(R10), AX; \
+	VMOVDQU64 VLO, K1, (AX)(R11*1)
+#define STORE1 CLOSESTORE(0, Z0, Z1, Z2, Z3)
+#define STORE2 STORE1; CLOSESTORE(24, Z4, Z5, Z6, Z7)
+#define STORE3 STORE2; CLOSESTORE(48, Z8, Z9, Z10, Z11)
+#define STORE4 STORE3; CLOSESTORE(72, Z12, Z13, Z14, Z15)
+
+// GMALOOP is gatherMulAccIFMA's group loop for one lane count (ZERO,
+// LANES, STORE; STEP = lanes·24, the digit headers per row) with digit
+// loads PREP/LOAD. Per group: zero the lanes' sums; per digit load both
+// key rows once and add every lane's products with them; close every
+// lane's sums and store them.
+#define GMALOOP(PREP, LOAD, ZERO, LANES, STORE, STEP, LOOP, ROW, DONE) \
 LOOP: \
 	CMPQ R12, $0; \
 	JLE  DONE; \
 	LANEMASK(R12, K1); \
 	PREP; \
-	VPXORQ Z0, Z0, Z0; \
-	VPXORQ Z1, Z1, Z1; \
-	VPXORQ Z2, Z2, Z2; \
-	VPXORQ Z3, Z3, Z3; \
-	XORQ   R13, R13; \
+	ZERO; \
+	MOVQ d_base+0(FP), SI; \
+	XORQ R13, R13; \
 ROW: \
-	MOVQ        (SI)(R13*1), R14; \
-	LOAD(R14, Z4); \
 	MOVQ        (R8)(R13*1), AX; \
-	VMOVDQU64.Z (AX)(R11*1), K1, Z5; \
+	VMOVDQU64.Z (AX)(R11*1), K1, Z16; \
 	MOVQ        (R9)(R13*1), CX; \
-	VMOVDQU64.Z (CX)(R11*1), K1, Z6; \
-	VPMADD52LUQ Z5, Z4, Z0; \
-	VPMADD52HUQ Z5, Z4, Z1; \
-	VPMADD52LUQ Z6, Z4, Z2; \
-	VPMADD52HUQ Z6, Z4, Z3; \
+	VMOVDQU64.Z (CX)(R11*1), K1, Z17; \
+	LANES(LOAD); \
+	ADDQ        $STEP, SI; \
 	ADDQ        $24, R13; \
 	CMPQ        R13, BX; \
 	JNE         ROW; \
-	MONTCLOSE(Z0, Z1, Z7); \
-	MONTCLOSE(Z2, Z3, Z8); \
-	VMOVDQU64 Z0, K1, (DI)(R11*1); \
-	VMOVDQU64 Z2, K1, (R10)(R11*1); \
+	STORE; \
 	ADDQ      $64, R11; \
 	SUBQ      $8, R12; \
 	JMP       LOOP
 
-// func gatherMulAccIFMA(d, b, a [][]uint64, perm []int, u, v []uint64, idxMax, q, qn, r40, r40s uint64)
-TEXT ·gatherMulAccIFMA(SB), NOSPLIT, $0-184
-	MOVQ d_base+0(FP), SI
-	MOVQ d_len+8(FP), BX
+// func gatherMulAccIFMA(d, b, a [][]uint64, perm []int, u, v [][]uint64, n, idxMax, q, qn, r40, r40s uint64)
+//
+// One loop per lane count and digit load, picked once per call.
+TEXT ·gatherMulAccIFMA(SB), NOSPLIT, $0-192
 	MOVQ b_base+24(FP), R8
+	MOVQ b_len+32(FP), BX
 	MOVQ a_base+48(FP), R9
 	MOVQ perm_base+72(FP), DX
 	MOVQ u_base+96(FP), DI
-	MOVQ u_len+104(FP), R12
 	MOVQ v_base+120(FP), R10
-	VPBROADCASTQ idxMax+144(FP), Z24
-	CLOSECONSTS(q+152(FP), qn+160(FP), r40+168(FP), r40s+176(FP))
+	MOVQ n+144(FP), R12
+	VPBROADCASTQ idxMax+152(FP), Z24
+	CLOSECONSTS(q+160(FP), qn+168(FP), r40+176(FP), r40s+184(FP))
 	LEAQ (BX)(BX*2), BX
-	SHLQ $3, BX           // β·24: the end of the row-header walk
+	SHLQ $3, BX           // β·24: the end of the key-row header walk
 	XORQ R11, R11         // byte offset of the group
+	MOVQ u_len+104(FP), CX // lanes
 	TESTQ DX, DX
 	JNZ  gmaGather
-	GMALOOP(PLAINPREP, PLAINLOAD, gmaPlainLoop, gmaPlainRow, gmaDone)
+	CMPQ CX, $2
+	JLT  gmaPlain1
+	JEQ  gmaPlain2
+	CMPQ CX, $3
+	JEQ  gmaPlain3
+	GMALOOP(PLAINPREP, PLAINLOAD, ZERO4, LANES4, STORE4, 96, gmaPlain4, gmaPlainRow4, gmaDone)
+	GMALOOP(PLAINPREP, PLAINLOAD, ZERO3, LANES3, STORE3, 72, gmaPlain3, gmaPlainRow3, gmaDone)
+	GMALOOP(PLAINPREP, PLAINLOAD, ZERO2, LANES2, STORE2, 48, gmaPlain2, gmaPlainRow2, gmaDone)
+	GMALOOP(PLAINPREP, PLAINLOAD, ZERO1, LANES1, STORE1, 24, gmaPlain1, gmaPlainRow1, gmaDone)
 gmaGather:
-	GMALOOP(GATHERPREP, GATHERLOAD, gmaGatherLoop, gmaGatherRow, gmaDone)
+	CMPQ CX, $2
+	JLT  gmaGather1
+	JEQ  gmaGather2
+	CMPQ CX, $3
+	JEQ  gmaGather3
+	GMALOOP(GATHERPREP, GATHERLOAD, ZERO4, LANES4, STORE4, 96, gmaGather4, gmaGatherRow4, gmaDone)
+	GMALOOP(GATHERPREP, GATHERLOAD, ZERO3, LANES3, STORE3, 72, gmaGather3, gmaGatherRow3, gmaDone)
+	GMALOOP(GATHERPREP, GATHERLOAD, ZERO2, LANES2, STORE2, 48, gmaGather2, gmaGatherRow2, gmaDone)
+	GMALOOP(GATHERPREP, GATHERLOAD, ZERO1, LANES1, STORE1, 24, gmaGather1, gmaGatherRow1, gmaDone)
 gmaDone:
 	VZEROUPPER
 	RET

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/mathutil"
@@ -40,32 +41,42 @@ func TestMFormRoundTrip(t *testing.T) {
 }
 
 // BenchmarkGatherMulAccumulate times the kernel, scalar and vector, on
-// one limb at the matvec_hoisted shape (N = 2^12, β = 3) and at the
-// bootstrap shapes (N = 2^9, β = 3 and 6), with and without the gather,
-// on a 2^50 + k CKKS prime as the workloads build.
+// one limb at the matvec_hoisted shape (N = 2^12, β = 3, one lane) and at
+// the bootstrap shapes (N = 2^9, β = 3 … 6) with 1, 2 and 4 lanes, with
+// and without the gather, on a 2^50 + k CKKS prime as the workloads
+// build. ns/lane is the time per product: at most a one-lane call's when
+// sharing the key rows pays.
 func BenchmarkGatherMulAccumulate(b *testing.B) {
-	for _, sh := range []struct{ n, beta int }{{1 << 12, 3}, {1 << 9, 3}, {1 << 9, 6}} {
+	type shape struct{ n, beta, lanes int }
+	shapes := []shape{{1 << 12, 3, 1}}
+	for beta := 3; beta <= 6; beta++ {
+		for _, lanes := range []int{1, 2, 4} {
+			shapes = append(shapes, shape{1 << 9, beta, lanes})
+		}
+	}
+	for _, sh := range shapes {
 		r, err := NewRing(sh.n, []uint64{wideCKKSPrime(b, bits.Len(uint(sh.n))-1)})
 		if err != nil {
 			b.Fatal(err)
 		}
 		s := r.SubRings[0]
 		src := rand.New(rand.NewPCG(14, 2))
-		d := innerProductRows(src, sh.beta, sh.n, s.Q)
+		d := innerProductRows(src, sh.lanes*sh.beta, sh.n, s.Q)
 		kb := innerProductRows(src, sh.beta, sh.n, s.Q)
 		ka := innerProductRows(src, sh.beta, sh.n, s.Q)
-		u, v := make([]uint64, sh.n), make([]uint64, sh.n)
+		u, v := innerProductRows(src, sh.lanes, sh.n, s.Q), innerProductRows(src, sh.lanes, sh.n, s.Q)
 		for _, c := range []struct {
 			name string
 			perm []int
 		}{{"identity", nil}, {"rot1", r.AutomorphismNTTIndex(r.GaloisElement(1))}} {
 			for _, kernel := range []string{"scalar", "vector"} {
-				b.Run(fmt.Sprintf("N=%d/beta=%d/%s/kernel=%s", sh.n, sh.beta, c.name, kernel), func(b *testing.B) {
+				b.Run(fmt.Sprintf("N=%d/beta=%d/lanes=%d/%s/kernel=%s", sh.n, sh.beta, sh.lanes, c.name, kernel), func(b *testing.B) {
 					setKernel(b, s, kernel)
-					b.SetBytes(int64((3*sh.beta + 2) * sh.n * 8))
+					b.SetBytes(int64(((sh.lanes+2)*sh.beta + 2*sh.lanes) * sh.n * 8))
 					for b.Loop() {
 						s.GatherMulAccumulate(d, kb, ka, c.perm, u, v)
 					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.lanes), "ns/lane")
 				})
 			}
 		}
@@ -74,19 +85,22 @@ func BenchmarkGatherMulAccumulate(b *testing.B) {
 
 // FuzzGatherMulAccumulate pits the vector key product against the scalar
 // one, bit for bit, on every limb of fuzzRing that chooses the vector
-// kernels: 45-bit, either side of 2^50 and the largest below 2^51. The
-// strict per-digit oracle on every modulus class is internal/rns's
-// TestKernelsMatch. betaSel picks 1–256 digits; fill the words: uniform,
-// all q−1 (the largest products), or a per-word mix of 0, q−1 and
-// uniform; sel the length and the gather: identity, a rotation, the
-// conjugation or a random index table.
+// kernels: 45-bit, either side of 2^50 and the largest below 2^51, and
+// each lane of a multi-lane call against a one-lane call on its own
+// digits. The strict per-digit oracle on every modulus class is
+// internal/rns's TestKernelsMatch. betaSel picks 1–256 digits; lanes 1 to
+// MaxLanes lanes; fill the words: uniform, all q−1 (the largest
+// products), or a per-word mix of 0, q−1 and uniform; sel the length and
+// the gather: identity, a rotation, the conjugation or a random index
+// table.
 func FuzzGatherMulAccumulate(f *testing.F) {
-	f.Add(uint64(1), uint8(2), uint8(0), uint8(0))
-	f.Add(uint64(2), uint8(5), uint8(1), uint8(1))
-	f.Add(uint64(3), uint8(255), uint8(6), uint8(1))
-	f.Add(^uint64(0), uint8(0), uint8(3), uint8(2))
-	f.Add(uint64(0xdeadbeefcafe), uint8(63), uint8(7), uint8(2))
-	f.Fuzz(func(t *testing.T, seed uint64, betaSel, sel, fill uint8) {
+	f.Add(uint64(1), uint8(2), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(2), uint8(5), uint8(1), uint8(1), uint8(1))
+	f.Add(uint64(3), uint8(255), uint8(6), uint8(1), uint8(3))
+	f.Add(^uint64(0), uint8(0), uint8(3), uint8(2), uint8(2))
+	f.Add(uint64(0xdeadbeefcafe), uint8(63), uint8(7), uint8(2), uint8(0))
+	f.Add(uint64(4), uint8(3), uint8(4), uint8(2), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, betaSel, sel, fill, laneSel uint8) {
 		n := fuzzSizes[int(sel>>2)%2]
 		r := fuzzRing(t, n)
 		state := seed
@@ -99,7 +113,7 @@ func FuzzGatherMulAccumulate(f *testing.F) {
 		case 3:
 			perm = rand.New(rand.NewPCG(seed, 1)).Perm(n)
 		}
-		beta := 1 + int(betaSel)
+		beta, lanes := 1+int(betaSel), 1+int(laneSel)%MaxLanes
 		word := func(q uint64) uint64 {
 			x := splitmix64(&state)
 			switch fill % 3 {
@@ -116,8 +130,8 @@ func FuzzGatherMulAccumulate(f *testing.F) {
 				continue
 			}
 			vector = true
-			rows := func() [][]uint64 {
-				m := make([][]uint64, beta)
+			rows := func(k int) [][]uint64 {
+				m := make([][]uint64, k)
 				for j := range m {
 					m[j] = make([]uint64, n)
 					for c := range m[j] {
@@ -126,11 +140,27 @@ func FuzzGatherMulAccumulate(f *testing.F) {
 				}
 				return m
 			}
-			d, b, a := rows(), rows(), rows()
-			requireKernelsAgree(t, fmt.Sprintf("q = %d n=%d β=%d", s.Q, n, beta), func() [][]uint64 {
-				u, v := poisonedRow(n), poisonedRow(n)
+			d, b, a := rows(lanes*beta), rows(beta), rows(beta)
+			what := fmt.Sprintf("q = %d n=%d β=%d lanes=%d", s.Q, n, beta, lanes)
+			requireKernelsAgree(t, what, func() [][]uint64 {
+				u, v := make([][]uint64, lanes), make([][]uint64, lanes)
+				for k := range u {
+					u[k], v[k] = poisonedRow(n), poisonedRow(n)
+				}
 				s.GatherMulAccumulate(d, b, a, perm, u, v)
-				return [][]uint64{u, v}
+				// Each lane against a one-lane call on its own digits.
+				for k := range u {
+					dk := make([][]uint64, beta)
+					for j := range dk {
+						dk[j] = d[j*lanes+k]
+					}
+					one := [][]uint64{poisonedRow(n), poisonedRow(n)}
+					s.GatherMulAccumulate(dk, b, a, perm, one[:1], one[1:])
+					if !slices.Equal(one[0], u[k]) || !slices.Equal(one[1], v[k]) {
+						t.Fatalf("%s: lane %d differs from a one-lane call", what, k)
+					}
+				}
+				return append(u, v...)
 			})
 		}
 		if !vector {

@@ -13,7 +13,7 @@ func (s *SubRing) inttRowIFMA(_, _ []uint64, _ int, _ bool) { panic(noVectorKern
 func (s *SubRing) nttColumnsIFMA([]uint64, int, int, int)   { panic(noVectorKernel) }
 func (s *SubRing) inttColumnsIFMA([]uint64, int, int, int)  { panic(noVectorKernel) }
 
-func gatherMulAccIFMA(_, _, _ [][]uint64, _ []int, _, _ []uint64, _, _, _, _, _ uint64) {
+func gatherMulAccIFMA(_, _, _ [][]uint64, _ []int, _, _ [][]uint64, _, _, _, _, _, _ uint64) {
 	panic(noVectorKernel)
 }
 

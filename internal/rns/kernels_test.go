@@ -330,6 +330,10 @@ var kernelRows = []kernelRow{
 	// limit, past which it hands the sum to the scalar kernel.
 	{name: "GatherMulAccumulate", shapes: []int{1, 2, 3, 7, 8, 63, 64, 65, ring.MaxLaneTerms, ring.MaxLaneTerms + 1},
 		gathers: true, draw: drawKeyProduct},
+	// K = 1 … MaxLanes lanes of β digits sharing the key rows: the
+	// bootstrap's digit counts and the vector kernel's 4095-term limit.
+	{name: "GatherMulAccumulateLanes", shapes: laneShapes(1, 2, 3, 4, 5, 6, ring.MaxLaneTerms),
+		gathers: true, draw: drawKeyProductLanes},
 	{name: "Tensor", draw: pointwise(func(c *kernelCase, s *ring.SubRing, _ []int) func() [][]uint64 {
 		a0, a1, b0, b1 := c.row(s.Q), c.row(s.Q), c.row(s.Q), c.row(s.Q)
 		return func() [][]uint64 {
@@ -530,10 +534,64 @@ func drawKeyProduct(t testing.TB, c *kernelCase) (func() [][]uint64, [][]uint64)
 		wantU, wantV := make([]uint64, c.n), make([]uint64, c.n)
 		strictInnerProduct(s, d, b, a, perm, wantU, wantV)
 		return func() [][]uint64 {
-			u, v := c.poisoned(), c.poisoned()
+			u, v := [][]uint64{c.poisoned()}, [][]uint64{c.poisoned()}
 			s.GatherMulAccumulate(d, b, a, perm, u, v)
-			return [][]uint64{u, v}
+			return [][]uint64{u[0], v[0]}
 		}, [][]uint64{wantU, wantV}
+	})
+}
+
+// laneShape packs the lanes row's two axes into one shape: lanes·laneShape
+// + β.
+const laneShape = 1 << 16
+
+// laneShapes returns every lane count 1 … MaxLanes with every β given.
+func laneShapes(betas ...int) []int {
+	var shapes []int
+	for lanes := 1; lanes <= ring.MaxLanes; lanes++ {
+		for _, beta := range betas {
+			shapes = append(shapes, lanes*laneShape+beta)
+		}
+	}
+	return shapes
+}
+
+// drawKeyProductLanes draws one multi-lane key product: K lanes of β
+// digit rows sharing both key halves. The reference is K one-lane calls,
+// one per lane on its own digits (the GatherMulAccumulate row holds those
+// to the strict composition). It runs where drawKeyProduct does for small
+// β — short rows, the tile boundaries, four tiles and a tail, which cross
+// every lane count's share of the scalar tile — and the lane-limit sums
+// at one length on the largest words.
+func drawKeyProductLanes(t testing.TB, c *kernelCase) (func() [][]uint64, [][]uint64) {
+	lanes, beta := c.shape/laneShape, c.shape%laneShape
+	if beta > 8 && (c.n != 9 || c.fill != fillMax) || beta <= 8 && c.n > 17 && c.n != 255 && c.n != 256 && c.n != maxTileLength {
+		return nil, nil
+	}
+	return c.onLimbs(t, func(s *ring.SubRing, perm []int) (func() [][]uint64, [][]uint64) {
+		d, b, a := c.rows(lanes*beta, s.Q), c.rows(beta, s.Q), c.rows(beta, s.Q)
+		var want [][]uint64
+		for k := 0; k < lanes; k++ {
+			dk := make([][]uint64, beta)
+			for j := range dk {
+				dk[j] = d[j*lanes+k]
+			}
+			u, v := [][]uint64{make([]uint64, c.n)}, [][]uint64{make([]uint64, c.n)}
+			s.GatherMulAccumulate(dk, b, a, perm, u, v)
+			want = append(want, u[0], v[0])
+		}
+		return func() [][]uint64 {
+			u, v := make([][]uint64, lanes), make([][]uint64, lanes)
+			for k := range u {
+				u[k], v[k] = c.poisoned(), c.poisoned()
+			}
+			s.GatherMulAccumulate(d, b, a, perm, u, v)
+			var out [][]uint64
+			for k := range u {
+				out = append(out, u[k], v[k])
+			}
+			return out
+		}, want
 	})
 }
 
@@ -876,6 +934,10 @@ func FuzzKernels(f *testing.F) {
 	add(17, "UniformSlice", "2^51 − k", 125, "max", "identity", 2)
 	add(18, "UniformSlice", "61-bit", 124, "zero", "identity", 3)
 	add(19, "UniformSlice", "45-bit", 9, "uniform", "identity", 1)
+	// The multi-lane key product: four lanes through a rotation, three at
+	// the bootstrap's widest digit count over four tiles and a tail.
+	add(20, "GatherMulAccumulateLanes", "2^50 ± k", 256, "uniform", "rot1", 4*laneShape+3)
+	add(21, "GatherMulAccumulateLanes", "2^51 − k", 1057, "max", "random", 3*laneShape+6)
 	f.Fuzz(func(t *testing.T, seed uint64, row, class, length, fill, gather, shape uint8) {
 		r := kernelRows[int(row)%len(kernelRows)]
 		c := &kernelCase{
