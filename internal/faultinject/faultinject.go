@@ -46,15 +46,16 @@ const (
 
 // Fault describes one armed corruption. Zero-valued index fields pick
 // the first limb/coefficient/bit; out-of-range values are clamped so a
-// fault armed for a large ciphertext still fires on a small one.
+// fault armed for a large ciphertext still fires on a small one. The JSON
+// form is the body of fhed's chaos endpoint.
 type Fault struct {
-	Site  string // hook site name, e.g. "ckks.Mul.out.c0"
-	Kind  Kind
-	Limb  int  // target limb (BitFlip, ZeroLimb)
-	Coeff int  // target coefficient (BitFlip)
-	Bit   uint // target bit, 0-63 (BitFlip)
-	Keep  int  // limbs to keep, >=1 (TruncateLimbs)
-	Visit int  // fire on the Visit-th hook visit (1-based; 0 means 1)
+	Site  string `json:"site"` // hook site name, e.g. "ckks.Mul.out.c0"
+	Kind  Kind   `json:"kind"`
+	Limb  int    `json:"limb,omitempty"`  // target limb (BitFlip, ZeroLimb)
+	Coeff int    `json:"coeff,omitempty"` // target coefficient (BitFlip)
+	Bit   uint   `json:"bit,omitempty"`   // target bit, 0-63 (BitFlip)
+	Keep  int    `json:"keep,omitempty"`  // limbs to keep, >=1 (TruncateLimbs)
+	Visit int    `json:"visit,omitempty"` // fire on the Visit-th hook visit (1-based; 0 means 1)
 }
 
 // Event records one fired fault for the chaos report.

@@ -1,16 +1,17 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
-	"io"
-	"net/http"
+	"context"
+	"errors"
 	"os"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/ckks"
+	"repro/internal/fherr"
 )
 
 // bootTenant creates a bootstrap-enabled tenant (deep chain, sparse
@@ -18,33 +19,22 @@ import (
 // bootstrap input. Provisioning one takes a few seconds of keygen, so
 // the drain tests share a single server via this helper and run the
 // expensive scenarios behind -short guards.
-func bootTenant(t *testing.T, base, id string) string {
+func bootTenant(t *testing.T, base, id string) *ckks.Ciphertext {
 	t.Helper()
-	status, body := doJSON(t, "PUT", base+"/v1/tenants/"+id,
-		TenantConfig{Bootstrap: true, Seed: "drain test tenant " + id}, nil)
-	if status != 200 {
-		t.Fatalf("create bootstrap tenant: %d %s", status, body)
+	c, ctx := NewClient(base), t.Context()
+	if _, err := c.CreateTenant(ctx, id, TenantConfig{Bootstrap: true, Seed: "drain test tenant " + id}); err != nil {
+		t.Fatalf("create bootstrap tenant: %v", err)
 	}
-	status, body = doJSON(t, "POST", base+"/v1/tenants/"+id+"/encrypt",
-		encryptRequest{Values: []float64{0.5, -0.25, 0.125}}, nil)
-	if status != 200 {
-		t.Fatalf("encrypt: %d %s", status, body)
-	}
-	var ct ctJSON
-	if err := json.Unmarshal(body, &ct); err != nil {
-		t.Fatal(err)
+	ct, err := c.Encrypt(ctx, id, []float64{0.5, -0.25, 0.125})
+	if err != nil {
+		t.Fatalf("encrypt: %v", err)
 	}
 	// Drop the chain to level 0 so bootstrap has work to do.
-	status, body = doJSON(t, "POST", base+"/v1/tenants/"+id+"/eval",
-		evalRequest{Op: "droplevel", A: ct.Ct, By: 0}, nil)
-	if status != 200 {
-		t.Fatalf("drop level: %d %s", status, body)
+	low, err := c.Eval(ctx, id, ct, nil, EvalArgs{Op: "droplevel", By: 0})
+	if err != nil {
+		t.Fatalf("drop level: %v", err)
 	}
-	var low evalResponse
-	if err := json.Unmarshal(body, &low); err != nil {
-		t.Fatal(err)
-	}
-	return low.Ct
+	return low
 }
 
 // TestGracefulDrainSIGTERM is the headline drain scenario: a bootstrap
@@ -70,22 +60,12 @@ func TestGracefulDrainSIGTERM(t *testing.T) {
 	ct := bootTenant(t, base, "drain")
 
 	// Launch the in-flight bootstrap and wait until it is admitted.
-	type result struct {
-		status int
-		body   []byte
-		err    error
-	}
-	bootDone := make(chan result, 1)
+	ctx, cancel := context.WithTimeout(t.Context(), 2*time.Minute)
+	defer cancel()
+	bootDone := make(chan error, 1)
 	go func() {
-		raw, _ := json.Marshal(bootstrapRequest{Ct: ct})
-		resp, err := http.Post(base+"/v1/tenants/drain/bootstrap", "application/json", bytes.NewReader(raw))
-		if err != nil {
-			bootDone <- result{err: err}
-			return
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		bootDone <- result{status: resp.StatusCode, body: body}
+		_, err := NewClient(base).Bootstrap(ctx, "drain", ct)
+		bootDone <- err
 	}()
 	waitFor(t, 10*time.Second, func() bool { return srv.adm.inFlight() > 0 })
 
@@ -96,16 +76,12 @@ func TestGracefulDrainSIGTERM(t *testing.T) {
 	waitFor(t, 5*time.Second, srv.Draining)
 
 	// The listener must refuse new work while the bootstrap drains.
-	if _, err := http.Get(base + "/healthz"); err == nil {
+	if _, err := NewClient(base).Healthz(ctx); err == nil {
 		t.Error("listener still accepting connections during drain")
 	}
 
-	res := <-bootDone
-	if res.err != nil {
-		t.Fatalf("in-flight bootstrap during drain: %v", res.err)
-	}
-	if res.status != 200 {
-		t.Errorf("in-flight bootstrap: status = %d, want 200 (%s)", res.status, res.body)
+	if err := <-bootDone; err != nil {
+		t.Errorf("in-flight bootstrap during drain: %v, want a result", err)
 	}
 
 	select {
@@ -144,31 +120,19 @@ func TestDrainBudgetCancelsInFlight(t *testing.T) {
 	ct := bootTenant(t, base, "cancel")
 
 	// Reference: how long does this bootstrap take end to end?
+	c := NewClient(base)
+	ctx, cancel := context.WithTimeout(t.Context(), 2*time.Minute)
+	defer cancel()
 	t0 := time.Now()
-	status, body := doJSON(t, "POST", base+"/v1/tenants/cancel/bootstrap", bootstrapRequest{Ct: ct}, nil)
+	if _, err := c.Bootstrap(ctx, "cancel", ct); err != nil {
+		t.Fatalf("reference bootstrap: %v", err)
+	}
 	full := time.Since(t0)
-	if status != 200 {
-		t.Fatalf("reference bootstrap: %d %s", status, body)
-	}
 
-	type result struct {
-		status int
-		kind   string
-		err    error
-	}
-	bootDone := make(chan result, 1)
+	bootDone := make(chan error, 1)
 	go func() {
-		raw, _ := json.Marshal(bootstrapRequest{Ct: ct})
-		resp, err := http.Post(base+"/v1/tenants/cancel/bootstrap", "application/json", bytes.NewReader(raw))
-		if err != nil {
-			bootDone <- result{err: err}
-			return
-		}
-		defer resp.Body.Close()
-		rb, _ := io.ReadAll(resp.Body)
-		var eb errorBody
-		_ = json.Unmarshal(rb, &eb)
-		bootDone <- result{status: resp.StatusCode, kind: eb.Kind}
+		_, err := c.Bootstrap(ctx, "cancel", ct)
+		bootDone <- err
 	}()
 	waitFor(t, 10*time.Second, func() bool { return srv.adm.inFlight() > 0 })
 
@@ -176,13 +140,7 @@ func TestDrainBudgetCancelsInFlight(t *testing.T) {
 	_ = srv.Shutdown() // forced drains report via the fhed.drain.forced counter
 	drainTime := time.Since(t0)
 
-	res := <-bootDone
-	if res.err != nil {
-		t.Fatalf("cancelled bootstrap transport error: %v", res.err)
-	}
-	if res.status != 504 || res.kind != "ErrCanceled" {
-		t.Errorf("cancelled bootstrap: status %d kind %q, want 504/ErrCanceled", res.status, res.kind)
-	}
+	wantError(t, "cancelled bootstrap", <-bootDone, 504, fherr.ErrCanceled)
 	// Budget (5ms) + one cancellation latency (≤ one evaluator op) +
 	// shutdown bookkeeping must beat re-running the whole bootstrap.
 	if drainTime > full {
@@ -202,34 +160,24 @@ func TestDrainRefusesNewWork(t *testing.T) {
 
 	// Keep one connection alive from before the drain: requests on it
 	// bypass the closed listener and must hit the draining gate.
-	client := &http.Client{}
-	raw, _ := json.Marshal(evalRequest{Op: "rotate", A: ct, By: 1})
-	resp, err := client.Post(base+"/v1/tenants/refuse/rotate", "application/json", bytes.NewReader(raw))
-	if err != nil {
+	c := NewClient(base)
+	ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
+	defer cancel()
+	if _, err := c.Rotate(ctx, "refuse", ct, EvalArgs{By: 1}); err != nil {
 		t.Fatal(err)
 	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { defer wg.Done(); _ = srv.Shutdown() }()
 	waitFor(t, 5*time.Second, srv.Draining)
 
-	resp, err = client.Post(base+"/v1/tenants/refuse/rotate", "application/json", bytes.NewReader(raw))
-	if err == nil {
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != 503 {
-			t.Errorf("request during drain: status = %d, want 503 (%s)", resp.StatusCode, body)
-		} else {
-			if resp.Header.Get("Retry-After") == "" {
-				t.Error("503 during drain missing Retry-After")
-			}
-			var eb errorBody
-			if json.Unmarshal(body, &eb) != nil || eb.Kind != "draining" {
-				t.Errorf("503 body kind = %q, want draining (%s)", eb.Kind, body)
-			}
+	_, err := c.Rotate(ctx, "refuse", ct, EvalArgs{By: 1})
+	var e *Error
+	if errors.As(err, &e) {
+		wantError(t, "request during drain", err, 503, ErrDraining)
+		if e.RetryAfter == 0 {
+			t.Error("503 during drain missing Retry-After")
 		}
 	}
 	// err != nil is also acceptable: the kept-alive connection may have

@@ -55,56 +55,50 @@ var (
 	ErrBootstrapDisabled = errors.New("server: tenant has no bootstrapping keys")
 )
 
-// httpStatus maps any error the handlers can produce to an HTTP status.
-// Server sentinels are checked first; everything else — including every
-// typed fherr sentinel coming out of the evaluator — falls through to
-// the single fherr.HTTPStatus table, so the FHE failure taxonomy maps
-// to the wire in exactly one place.
-func httpStatus(err error) int {
-	switch {
-	case err == nil:
-		return http.StatusOK
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrTenantLimit):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrDraining):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrTenantUnknown):
-		return http.StatusNotFound
-	case errors.Is(err, ErrTenantExists):
-		return http.StatusConflict
-	case errors.Is(err, ErrChaosDisabled):
-		return http.StatusForbidden
-	case errors.Is(err, ErrBootstrapDisabled):
-		return http.StatusPreconditionFailed
-	}
-	return fherr.HTTPStatus(err)
+// serverErrors is the one table of server-level sentinels: the HTTP
+// status each maps to and the kind that names it on the wire. Errors it
+// does not list fall through to fherr: the status of fherr.HTTPStatus
+// and the kind of fherr.Sentinels, so the FHE failure taxonomy maps to
+// the wire in exactly one place.
+var serverErrors = []struct {
+	err    error
+	status int
+	kind   string
+}{
+	{ErrQueueFull, http.StatusTooManyRequests, "queue-full"},
+	{ErrDraining, http.StatusServiceUnavailable, "draining"},
+	{ErrTenantUnknown, http.StatusNotFound, "tenant-unknown"},
+	{ErrTenantExists, http.StatusConflict, "tenant-exists"},
+	{ErrTenantLimit, http.StatusTooManyRequests, "tenant-limit"},
+	{ErrChaosDisabled, http.StatusForbidden, "chaos-disabled"},
+	{ErrBootstrapDisabled, http.StatusPreconditionFailed, "bootstrap-disabled"},
 }
 
-// kindOf labels an error with a short stable string for the JSON error
-// body, so clients can switch on failure class without parsing prose.
-func kindOf(err error) string {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		return "queue-full"
-	case errors.Is(err, ErrDraining):
-		return "draining"
-	case errors.Is(err, ErrTenantUnknown):
-		return "tenant-unknown"
-	case errors.Is(err, ErrTenantExists):
-		return "tenant-exists"
-	case errors.Is(err, ErrTenantLimit):
-		return "tenant-limit"
-	case errors.Is(err, ErrChaosDisabled):
-		return "chaos-disabled"
-	case errors.Is(err, ErrBootstrapDisabled):
-		return "bootstrap-disabled"
+// wireError is the HTTP status of a handler error and the short stable
+// kind its JSON body carries, so clients switch on failure class without
+// parsing prose.
+func wireError(err error) (status int, kind string) {
+	for _, e := range serverErrors {
+		if errors.Is(err, e.err) {
+			return e.status, e.kind
+		}
 	}
 	for name, sentinel := range fherr.Sentinels() {
 		if errors.Is(err, sentinel) {
-			return name
+			return fherr.HTTPStatus(err), name
 		}
 	}
-	return "internal"
+	return fherr.HTTPStatus(err), "internal"
+}
+
+// sentinelOf is the sentinel a wire kind names, or nil.
+func sentinelOf(kind string) error {
+	for _, e := range serverErrors {
+		if e.kind == kind {
+			return e.err
+		}
+	}
+	return fherr.Sentinels()[kind]
 }
 
 // errorBody is the JSON shape of every non-2xx response.
@@ -120,12 +114,8 @@ type errorBody struct {
 // already went away gets nothing written; the status is recorded by the
 // caller's metrics either way.
 func writeError(w http.ResponseWriter, err error, retryAfter int) {
-	status := httpStatus(err)
-	body := errorBody{
-		Error:  err.Error(),
-		Kind:   kindOf(err),
-		Status: status,
-	}
+	status, kind := wireError(err)
+	body := errorBody{Error: err.Error(), Kind: kind, Status: status}
 	if retryAfter > 0 && (status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable) {
 		body.RetryAfter = retryAfter
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))

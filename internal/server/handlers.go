@@ -36,8 +36,8 @@ func (s *Server) routes() http.Handler {
 	// Data plane: admission-controlled, deadline-bound FHE work.
 	mux.HandleFunc("POST /v1/tenants/{tenant}/encrypt", s.dataPlane("encrypt", s.handleEncrypt))
 	mux.HandleFunc("POST /v1/tenants/{tenant}/decrypt", s.dataPlane("decrypt", s.handleDecrypt))
-	mux.HandleFunc("POST /v1/tenants/{tenant}/eval", s.dataPlane("eval", s.handleEval))
-	mux.HandleFunc("POST /v1/tenants/{tenant}/rotate", s.dataPlane("rotate", s.handleRotate))
+	mux.HandleFunc("POST /v1/tenants/{tenant}/eval", s.dataPlane("eval", s.handleEval("")))
+	mux.HandleFunc("POST /v1/tenants/{tenant}/rotate", s.dataPlane("rotate", s.handleEval("rotate")))
 	mux.HandleFunc("POST /v1/tenants/{tenant}/bootstrap", s.dataPlane("bootstrap", s.handleBootstrap))
 	return mux
 }
@@ -208,19 +208,9 @@ func (s *Server) handleVaultFlush(_ context.Context, r *http.Request) (any, erro
 	return map[string]any{"flushed": sess.id, "key_vault": sess.ev.KeyVaultStats()}, nil
 }
 
-// chaosRequest arms one fault against this tenant's injector (server
+// handleChaos arms one fault against this tenant's injector (the server
 // must run with Chaos enabled). Site names follow the evaluator's hook
 // sites, e.g. "ckks.Rotate.c0" or "ckks.keyvault.digitA".
-type chaosRequest struct {
-	Site  string `json:"site"`
-	Kind  string `json:"kind"`
-	Limb  int    `json:"limb,omitempty"`
-	Coeff int    `json:"coeff,omitempty"`
-	Bit   uint   `json:"bit,omitempty"`
-	Keep  int    `json:"keep,omitempty"`
-	Visit int    `json:"visit,omitempty"`
-}
-
 func (s *Server) handleChaos(_ context.Context, r *http.Request) (any, error) {
 	if !s.cfg.Chaos {
 		return nil, ErrChaosDisabled
@@ -229,20 +219,17 @@ func (s *Server) handleChaos(_ context.Context, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	var req chaosRequest
-	if err := s.decode(r, &req); err != nil {
+	var f faultinject.Fault
+	if err := s.decode(r, &f); err != nil {
 		return nil, err
 	}
-	if req.Site == "" || req.Kind == "" {
+	if f.Site == "" || f.Kind == "" {
 		return nil, badRequest("chaos: site and kind are required")
 	}
-	sess.fi.Arm(faultinject.Fault{
-		Site: req.Site, Kind: faultinject.Kind(req.Kind),
-		Limb: req.Limb, Coeff: req.Coeff, Bit: req.Bit, Keep: req.Keep, Visit: req.Visit,
-	})
+	sess.fi.Arm(f)
 	s.rec.Add("fhed.chaos.armed", 1)
-	s.cfg.Log.Printf("fhed: tenant %q: armed %s@%s", sess.id, req.Kind, req.Site)
-	return map[string]string{"armed": req.Kind + "@" + req.Site}, nil
+	s.cfg.Log.Printf("fhed: tenant %q: armed %s@%s", sess.id, f.Kind, f.Site)
+	return map[string]string{"armed": string(f.Kind) + "@" + f.Site}, nil
 }
 
 // --- data plane -----------------------------------------------------
@@ -286,13 +273,22 @@ func (s *Server) handleEncrypt(ctx context.Context, r *http.Request) (any, error
 	if err != nil {
 		return nil, err
 	}
-	var meta ctMeta
+	var meta ctReply
 	return s.encodeReply(ct, &meta, &meta)
 }
 
+// Request bodies that carry ciphertexts declare those fields first and
+// omitempty: the Client marshals the rest and appendBody writes them.
+
 type decryptRequest struct {
-	Ct string `json:"ct"`
+	Ct string `json:"ct,omitempty"`
 	N  int    `json:"n,omitempty"` // slots to return (default 8)
+}
+
+// decryptReply is the body of a decrypt reply.
+type decryptReply struct {
+	Level  int       `json:"level"`
+	Values []float64 `json:"values"`
 }
 
 func (s *Server) handleDecrypt(ctx context.Context, r *http.Request) (any, error) {
@@ -324,49 +320,51 @@ func (s *Server) handleDecrypt(ctx context.Context, r *http.Request) (any, error
 	if err != nil {
 		return nil, err
 	}
-	return map[string]any{"values": vals, "level": ct.Level}, nil
+	return decryptReply{Level: ct.Level, Values: vals}, nil
 }
 
-// evalRequest is one FHE op. Repeat chains the op on its own output
-// (load shaping and depth tests); Guard runs the canary decrypt-compare
-// probe after the op, turning silent key-material corruption into a
-// typed 422.
+// evalRequest is one FHE op on operand a and, for a binary op, b. Repeat
+// chains the op on its own output (load shaping and depth tests); Guard
+// runs the canary decrypt-compare probe after the op, turning silent
+// key-material corruption into a typed 422. It does not embed EvalArgs:
+// encoding/json spends an allocation per request on a promoted field.
 type evalRequest struct {
-	Op     string `json:"op"`
-	A      string `json:"a"`
+	A      string `json:"a,omitempty"`
 	B      string `json:"b,omitempty"`
+	Op     string `json:"op,omitempty"` // the rotate endpoint ignores it
 	By     int    `json:"by,omitempty"` // rotation step / innersum width
 	Repeat int    `json:"repeat,omitempty"`
 	Guard  bool   `json:"guard,omitempty"`
 }
 
-func (s *Server) handleEval(ctx context.Context, r *http.Request) (any, error) {
-	sess, err := s.reg.get(r.PathValue("tenant"))
-	if err != nil {
-		return nil, err
-	}
-	var req evalRequest
-	a, b, err := s.decodeEval(r, &req)
-	if err != nil {
-		return nil, err
-	}
-	return s.evalOp(ctx, sess, req, a, b)
+// EvalArgs are the fields of an eval or rotate request besides its
+// operands, as the Client takes them.
+type EvalArgs struct {
+	Op     string
+	By     int
+	Repeat int
+	Guard  bool
 }
 
-// handleRotate is sugar for eval{op:rotate}: the hot endpoint of the
-// load generator gets its own histogram.
-func (s *Server) handleRotate(ctx context.Context, r *http.Request) (any, error) {
-	sess, err := s.reg.get(r.PathValue("tenant"))
-	if err != nil {
-		return nil, err
+// handleEval runs one eval request. With op set it serves an endpoint
+// that is sugar for eval{op} — rotate, the load generator's hot path,
+// which gets its own histogram.
+func (s *Server) handleEval(op string) opHandler {
+	return func(ctx context.Context, r *http.Request) (any, error) {
+		sess, err := s.reg.get(r.PathValue("tenant"))
+		if err != nil {
+			return nil, err
+		}
+		var req evalRequest
+		a, b, err := s.decodeEval(r, &req)
+		if err != nil {
+			return nil, err
+		}
+		if op != "" {
+			req.Op = op
+		}
+		return s.evalOp(ctx, sess, req, a, b)
 	}
-	var req evalRequest
-	a, b, err := s.decodeEval(r, &req)
-	if err != nil {
-		return nil, err
-	}
-	req.Op = "rotate"
-	return s.evalOp(ctx, sess, req, a, b)
 }
 
 // decodeEval decodes an eval body: the request and its operands a and,
@@ -419,12 +417,12 @@ func (s *Server) evalOp(ctx context.Context, sess *session, req evalRequest, a, 
 		return nil, err
 	}
 	s.rec.Add("fhed.ops."+req.Op, uint64(repeat))
-	meta := evalMeta{Op: req.Op, Repeat: repeat, Guarded: req.Guard}
-	return s.encodeReply(cur, &meta.ctMeta, &meta)
+	meta := evalReply{Op: req.Op, Repeat: repeat, Guarded: req.Guard}
+	return s.encodeReply(cur, &meta.ctReply, &meta)
 }
 
 type bootstrapRequest struct {
-	Ct string `json:"ct"`
+	Ct string `json:"ct,omitempty"`
 }
 
 func (s *Server) handleBootstrap(ctx context.Context, r *http.Request) (any, error) {
@@ -449,20 +447,30 @@ func (s *Server) handleBootstrap(ctx context.Context, r *http.Request) (any, err
 		return nil, err
 	}
 	s.rec.Add("fhed.ops.bootstrap", 1)
-	var meta ctMeta
+	var meta ctReply
 	return s.encodeReply(out, &meta, &meta)
 }
 
 // --- observability plane --------------------------------------------
 
+// Health is the body of GET /healthz.
+type Health struct {
+	Goroutines int     `json:"goroutines"`
+	InFlight   int     `json:"in_flight"`
+	QueueDepth int     `json:"queue_depth"`
+	Status     string  `json:"status"` // "ok" or "draining"
+	Tenants    int     `json:"tenants"`
+	UptimeSec  float64 `json:"uptime_sec"`
+}
+
 func (s *Server) serveHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, map[string]any{
-		"status":      map[bool]string{false: "ok", true: "draining"}[s.draining.Load()],
-		"uptime_sec":  time.Since(s.started).Seconds(),
-		"tenants":     s.reg.count(),
-		"queue_depth": s.adm.depth(),
-		"in_flight":   s.adm.inFlight(),
-		"goroutines":  runtime.NumGoroutine(),
+	writeJSON(w, Health{
+		Goroutines: runtime.NumGoroutine(),
+		InFlight:   s.adm.inFlight(),
+		QueueDepth: s.adm.depth(),
+		Status:     map[bool]string{false: "ok", true: "draining"}[s.draining.Load()],
+		Tenants:    s.reg.count(),
+		UptimeSec:  time.Since(s.started).Seconds(),
 	})
 }
 

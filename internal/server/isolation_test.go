@@ -1,8 +1,13 @@
 package server
 
 import (
-	"encoding/json"
+	"bytes"
+	"errors"
 	"testing"
+
+	"repro/internal/ckks"
+	"repro/internal/faultinject"
+	"repro/internal/fherr"
 )
 
 // TestTenantIsolationUnderChaos is the multi-tenant fault-containment
@@ -14,90 +19,67 @@ func TestTenantIsolationUnderChaos(t *testing.T) {
 	_, base := startServer(t, Config{Slots: 2, Queue: 4, Chaos: true})
 	ctA := makeTenant(t, base, "victim", TenantConfig{LogN: 10, Levels: 2})
 	ctB := makeTenant(t, base, "bystander", TenantConfig{LogN: 10, Levels: 2})
+	c, ctx := NewClient(base), t.Context()
 
-	rotate := func(tenant, ct string, guard bool) (int, string, string) {
-		status, body := doJSON(t, "POST", base+"/v1/tenants/"+tenant+"/rotate",
-			evalRequest{Op: "rotate", A: ct, By: 1, Guard: guard}, nil)
-		if status != 200 {
-			var eb errorBody
-			_ = json.Unmarshal(body, &eb)
-			return status, "", eb.Kind
+	rotate := func(tenant string, ct *ckks.Ciphertext, guard bool) ([]byte, error) {
+		out, err := c.Rotate(ctx, tenant, ct, EvalArgs{By: 1, Guard: guard})
+		if err != nil {
+			return nil, err
 		}
-		var out evalResponse
-		if err := json.Unmarshal(body, &out); err != nil {
-			t.Fatal(err)
-		}
-		return status, out.Ct, ""
+		return ctBytes(t, out), nil
 	}
 
 	// Baseline: B's rotation is deterministic — two runs, identical bytes.
-	status, refB, _ := rotate("bystander", ctB, false)
-	if status != 200 {
-		t.Fatalf("bystander baseline rotate: status %d", status)
+	refB, err := rotate("bystander", ctB, false)
+	if err != nil {
+		t.Fatalf("bystander baseline rotate: %v", err)
 	}
-	if status, again, _ := rotate("bystander", ctB, false); status != 200 || again != refB {
-		t.Fatalf("bystander rotation not deterministic; cannot assert bit-identity")
+	if again, err := rotate("bystander", ctB, false); err != nil || !bytes.Equal(again, refB) {
+		t.Fatalf("bystander rotation not deterministic (%v); cannot assert bit-identity", err)
 	}
 	// A works before the fault.
-	if status, _, kind := rotate("victim", ctA, true); status != 200 {
-		t.Fatalf("victim pre-fault guarded rotate: status %d kind %s", status, kind)
+	if _, err := rotate("victim", ctA, true); err != nil {
+		t.Fatalf("victim pre-fault guarded rotate: %v", err)
 	}
 
 	// Inject: bit flip in the next switching-key digit A materializes.
-	status, body := doJSON(t, "POST", base+"/v1/tenants/victim/chaos",
-		chaosRequest{Site: "ckks.keyvault.digitA", Kind: "bitflip", Coeff: 7, Bit: 33}, nil)
-	if status != 200 {
-		t.Fatalf("arm fault: %d %s", status, body)
+	fault := faultinject.Fault{Site: "ckks.keyvault.digitA", Kind: faultinject.KindBitFlip, Coeff: 7, Bit: 33}
+	if err := c.Chaos(ctx, "victim", fault); err != nil {
+		t.Fatalf("arm fault: %v", err)
 	}
 	// Flush so the guarded rotate must rematerialize — that expansion is
 	// where the armed fault lands, corrupting the cached digit.
-	if status, body = doJSON(t, "POST", base+"/v1/tenants/victim/vault/flush", struct{}{}, nil); status != 200 {
-		t.Fatalf("pre-fault flush: %d %s", status, body)
+	if err := c.FlushVault(ctx, "victim"); err != nil {
+		t.Fatalf("pre-fault flush: %v", err)
 	}
 
 	// A's guarded request reports the corruption as a typed 422.
-	status, _, kind := rotate("victim", ctA, true)
-	if status != 422 || kind != "ErrPrecisionLoss" {
-		t.Fatalf("victim under fault: status %d kind %q, want 422/ErrPrecisionLoss", status, kind)
+	var e *Error
+	if _, err := rotate("victim", ctA, true); !errors.As(err, &e) || e.Status != 422 || !errors.Is(err, fherr.ErrPrecisionLoss) {
+		t.Fatalf("victim under fault: %v, want 422/ErrPrecisionLoss", err)
 	}
 
 	// B is untouched: same bytes as the pre-fault baseline.
-	if status, got, _ := rotate("bystander", ctB, false); status != 200 {
-		t.Errorf("bystander rotate during A's fault: status %d", status)
-	} else if got != refB {
+	if got, err := rotate("bystander", ctB, false); err != nil {
+		t.Errorf("bystander rotate during A's fault: %v", err)
+	} else if !bytes.Equal(got, refB) {
 		t.Error("bystander result changed while tenant A was corrupted — isolation broken")
 	}
 
 	// Recovery through the API: flush A's vault, fault is armed-once and
 	// spent, so the rematerialized digit is clean.
-	if status, body = doJSON(t, "POST", base+"/v1/tenants/victim/vault/flush", struct{}{}, nil); status != 200 {
-		t.Fatalf("recovery flush: %d %s", status, body)
+	if err := c.FlushVault(ctx, "victim"); err != nil {
+		t.Fatalf("recovery flush: %v", err)
 	}
-	if status, _, kind := rotate("victim", ctA, true); status != 200 {
-		t.Errorf("victim after recovery flush: status %d kind %q, want 200", status, kind)
+	if _, err := rotate("victim", ctA, true); err != nil {
+		t.Errorf("victim after recovery flush: %v, want 200", err)
 	}
 
 	// The fired fault is visible in A's stats, and absent from B's.
-	status, body = doJSON(t, "GET", base+"/v1/tenants/victim/stats", nil, nil)
-	if status != 200 {
-		t.Fatalf("victim stats: %d", status)
+	if st, err := c.Stats(ctx, "victim"); err != nil || len(st.Faults) == 0 {
+		t.Errorf("victim stats (%v) show no fired faults", err)
 	}
-	var stA tenantStats
-	if err := json.Unmarshal(body, &stA); err != nil {
-		t.Fatal(err)
-	}
-	if len(stA.Faults) == 0 {
-		t.Error("victim stats show no fired faults")
-	}
-	status, body = doJSON(t, "GET", base+"/v1/tenants/bystander/stats", nil, nil)
-	if status != 200 {
-		t.Fatalf("bystander stats: %d", status)
-	}
-	var stB tenantStats
-	if err := json.Unmarshal(body, &stB); err != nil {
-		t.Fatal(err)
-	}
-	if len(stB.Faults) != 0 {
-		t.Errorf("bystander stats show %d fired faults, want 0", len(stB.Faults))
+	if st, err := c.Stats(ctx, "bystander"); err != nil || len(st.Faults) != 0 {
+		t.Errorf("bystander stats (%v) show %d fired faults, want 0", err, len(st.Faults))
 	}
 }

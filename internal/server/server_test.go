@@ -2,14 +2,17 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
+	"errors"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/ckks"
+	"repro/internal/faultinject"
+	"repro/internal/fherr"
 	"repro/internal/obs"
 )
 
@@ -33,102 +36,64 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 	return srv, "http://" + srv.Addr()
 }
 
-// doJSON issues one request and returns status + decoded body bytes.
-func doJSON(t *testing.T, method, url string, body any, hdr map[string]string) (int, []byte) {
-	t.Helper()
-	raw, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(method, url, bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range hdr {
-		req.Header.Set(k, v)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("%s %s: %v", method, url, err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, out
-}
-
 // makeTenant creates a deterministic tenant and returns a base
 // ciphertext to operate on.
-func makeTenant(t *testing.T, base, id string, cfg TenantConfig) string {
+func makeTenant(t *testing.T, base, id string, cfg TenantConfig) *ckks.Ciphertext {
 	t.Helper()
 	if cfg.Seed == "" {
 		cfg.Seed = "server test tenant " + id
 	}
-	status, body := doJSON(t, "PUT", base+"/v1/tenants/"+id, cfg, nil)
-	if status != 200 {
-		t.Fatalf("create tenant %s: status %d: %s", id, status, body)
+	c := NewClient(base)
+	if _, err := c.CreateTenant(t.Context(), id, cfg); err != nil {
+		t.Fatalf("create tenant %s: %v", id, err)
 	}
-	status, body = doJSON(t, "POST", base+"/v1/tenants/"+id+"/encrypt",
-		encryptRequest{Values: []float64{1, 2, 3, 4}}, nil)
-	if status != 200 {
-		t.Fatalf("encrypt: status %d: %s", status, body)
+	ct, err := c.Encrypt(t.Context(), id, []float64{1, 2, 3, 4})
+	if err != nil {
+		t.Fatalf("encrypt: %v", err)
 	}
-	var ct ctJSON
-	if err := json.Unmarshal(body, &ct); err != nil {
-		t.Fatal(err)
-	}
-	return ct.Ct
+	return ct
 }
 
-func errKind(t *testing.T, body []byte) string {
+// wantError fails unless err is a reply with the given status that
+// satisfies errors.Is(err, sentinel).
+func wantError(t *testing.T, name string, err error, status int, sentinel error) {
 	t.Helper()
-	var eb errorBody
-	if err := json.Unmarshal(body, &eb); err != nil {
-		t.Fatalf("non-JSON error body %q: %v", body, err)
+	if e := (*Error)(nil); !errors.As(err, &e) || e.Status != status || !errors.Is(err, sentinel) {
+		t.Errorf("%s: %v; want status %d and %v", name, err, status, sentinel)
 	}
-	return eb.Kind
 }
 
 // TestStatusMapping drives the error taxonomy end to end: each failure
-// class must reach the wire with its contracted status and kind.
+// class must reach the client with its contracted status and sentinel.
 func TestStatusMapping(t *testing.T) {
 	srv, base := startServer(t, Config{Slots: 2, Queue: 2})
 	ct := makeTenant(t, base, "map", TenantConfig{LogN: 10, Levels: 2})
+	c, ctx := NewClient(base), t.Context()
+	eval := func(args EvalArgs) error { return errOf(c.Eval(ctx, "map", ct, nil, args)) }
 
-	cases := []struct {
-		name       string
-		method     string
-		path       string
-		body       any
-		wantStatus int
-		wantKind   string
+	for _, tc := range []struct {
+		name     string
+		err      error
+		status   int
+		sentinel error
 	}{
-		{"unknown tenant", "POST", "/v1/tenants/nope/rotate", evalRequest{Op: "rotate", A: ct, By: 1}, 404, "tenant-unknown"},
-		{"duplicate tenant", "PUT", "/v1/tenants/map", TenantConfig{}, 409, "tenant-exists"},
-		{"bad body", "POST", "/v1/tenants/map/eval", "not an object", 400, "ErrUsage"},
-		{"unknown op", "POST", "/v1/tenants/map/eval", evalRequest{Op: "frobnicate", A: ct}, 400, "ErrUsage"},
+		{"unknown tenant", errOf(c.Rotate(ctx, "nope", ct, EvalArgs{By: 1})), 404, ErrTenantUnknown},
+		{"duplicate tenant", errOf(c.CreateTenant(ctx, "map", TenantConfig{})), 409, ErrTenantExists},
+		// The one raw body: a JSON string where an object belongs.
+		{"bad body", c.call(ctx, "POST", "/v1/tenants/map/eval", "not an object", nil, nil), 400, fherr.ErrUsage},
+		{"unknown op", eval(EvalArgs{Op: "frobnicate"}), 400, fherr.ErrUsage},
 		// Q ≈ 2^130 and Δ = 2^40: |v| must stay below about 2^89.
-		{"value past Q/2", "POST", "/v1/tenants/map/encrypt", encryptRequest{Values: []float64{1, 1e27}}, 400, "ErrUsage"},
-		{"missing galois key", "POST", "/v1/tenants/map/eval", evalRequest{Op: "rotate", A: ct, By: 3}, 412, "ErrKeyMissing"},
-		{"chaos disabled", "POST", "/v1/tenants/map/chaos", chaosRequest{Site: "x", Kind: "bitflip"}, 403, "chaos-disabled"},
-		{"guard without chaos", "POST", "/v1/tenants/map/eval", evalRequest{Op: "rotate", A: ct, By: 1, Guard: true}, 403, "chaos-disabled"},
-		{"bootstrap disabled", "POST", "/v1/tenants/map/bootstrap", bootstrapRequest{Ct: ct}, 412, "bootstrap-disabled"},
-		{"level exhaustion", "POST", "/v1/tenants/map/eval", evalRequest{Op: "rescale", A: ct, Repeat: 8}, 422, "ErrLevelMismatch"},
+		{"value past Q/2", errOf(c.Encrypt(ctx, "map", []float64{1, 1e27})), 400, fherr.ErrUsage},
+		{"missing galois key", eval(EvalArgs{Op: "rotate", By: 3}), 412, fherr.ErrKeyMissing},
+		{"chaos disabled", c.Chaos(ctx, "map", faultinject.Fault{Site: "x", Kind: faultinject.KindBitFlip}), 403, ErrChaosDisabled},
+		{"guard without chaos", eval(EvalArgs{Op: "rotate", By: 1, Guard: true}), 403, ErrChaosDisabled},
+		{"bootstrap disabled", errOf(c.Bootstrap(ctx, "map", ct)), 412, ErrBootstrapDisabled},
+		{"level exhaustion", eval(EvalArgs{Op: "rescale", Repeat: 8}), 422, fherr.ErrLevelMismatch},
 		// A client-chosen negative level is bad input, never a 5xx.
-		{"droplevel to -1", "POST", "/v1/tenants/map/eval", evalRequest{Op: "droplevel", A: ct, By: -1}, 422, "ErrLevelMismatch"},
-		{"droplevel to -2", "POST", "/v1/tenants/map/eval", evalRequest{Op: "droplevel", A: ct, By: -2}, 422, "ErrLevelMismatch"},
-	}
-	for _, tc := range cases {
-		status, body := doJSON(t, tc.method, base+tc.path, tc.body, nil)
-		if status != tc.wantStatus {
-			t.Errorf("%s: status = %d, want %d (%s)", tc.name, status, tc.wantStatus, body)
-			continue
-		}
-		if kind := errKind(t, body); kind != tc.wantKind {
-			t.Errorf("%s: kind = %q, want %q", tc.name, kind, tc.wantKind)
-		}
+		{"droplevel to -1", eval(EvalArgs{Op: "droplevel", By: -1}), 422, fherr.ErrLevelMismatch},
+		{"droplevel to -2", eval(EvalArgs{Op: "droplevel", By: -2}), 422, fherr.ErrLevelMismatch},
+	} {
+		wantError(t, tc.name, tc.err, tc.status, tc.sentinel)
 	}
 	if srv.Recorder().Counter("fhed.errors") == 0 {
 		t.Error("fhed.errors counter never incremented")
@@ -141,19 +106,14 @@ func TestStatusMapping(t *testing.T) {
 func TestMulAtLevelZeroIsRejectedBeforeTheKeySwitch(t *testing.T) {
 	srv, base := startServer(t, Config{Slots: 2, Queue: 2})
 	ct := makeTenant(t, base, "low", TenantConfig{LogN: 10, Levels: 2})
-	status, body := doJSON(t, "POST", base+"/v1/tenants/low/eval", evalRequest{Op: "droplevel", A: ct, By: 0}, nil)
-	if status != 200 {
-		t.Fatalf("droplevel: %d %s", status, body)
-	}
-	var bottom evalResponse
-	if err := json.Unmarshal(body, &bottom); err != nil {
-		t.Fatal(err)
+	c := NewClient(base)
+	bottom, err := c.Eval(t.Context(), "low", ct, nil, EvalArgs{Op: "droplevel", By: 0})
+	if err != nil {
+		t.Fatalf("droplevel: %v", err)
 	}
 
-	status, body = doJSON(t, "POST", base+"/v1/tenants/low/eval", evalRequest{Op: "mul", A: bottom.Ct, B: bottom.Ct}, nil)
-	if status != 422 || errKind(t, body) != "ErrLevelMismatch" {
-		t.Errorf("mul at level 0: status %d, body %s; want 422 ErrLevelMismatch", status, body)
-	}
+	_, err = c.Eval(t.Context(), "low", bottom, bottom, EvalArgs{Op: "mul"})
+	wantError(t, "mul at level 0", err, 422, fherr.ErrLevelMismatch)
 	rec := srv.Recorder()
 	if n := len(rec.Snapshot().SpansNamed("rns.ModUpDigit")); n != 0 {
 		t.Errorf("mul at level 0 entered rns.ModUpDigit %d times before its 422", n)
@@ -169,6 +129,9 @@ func TestMulAtLevelZeroIsRejectedBeforeTheKeySwitch(t *testing.T) {
 func TestBackpressure429(t *testing.T) {
 	srv, base := startServer(t, Config{Slots: 1, Queue: 1})
 	ct := makeTenant(t, base, "bp", TenantConfig{LogN: 11, Levels: 2})
+	c := NewClient(base)
+	ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
+	defer cancel()
 
 	const clients = 8
 	var (
@@ -181,17 +144,15 @@ func TestBackpressure429(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			raw, _ := json.Marshal(evalRequest{Op: "rotate", A: ct, By: 1, Repeat: 16})
-			resp, err := http.Post(base+"/v1/tenants/bp/rotate", "application/json", bytes.NewReader(raw))
-			if err != nil {
+			_, err := c.Rotate(ctx, "bp", ct, EvalArgs{By: 1, Repeat: 16})
+			e := &Error{Status: 200}
+			if err != nil && !errors.As(err, &e) {
 				t.Errorf("rotate: %v", err)
 				return
 			}
-			defer resp.Body.Close()
-			_, _ = io.Copy(io.Discard, resp.Body)
 			mu.Lock()
-			statuses[resp.StatusCode]++
-			if resp.StatusCode == 429 && resp.Header.Get("Retry-After") != "" {
+			statuses[e.Status]++
+			if e.Status == 429 && e.RetryAfter > 0 && errors.Is(err, ErrQueueFull) {
 				retryHdr++
 			}
 			mu.Unlock()
@@ -206,7 +167,7 @@ func TestBackpressure429(t *testing.T) {
 		t.Errorf("server never pushed back with 429: %v", statuses)
 	}
 	if retryHdr != statuses[429] {
-		t.Errorf("%d of %d 429s carried Retry-After", retryHdr, statuses[429])
+		t.Errorf("%d of %d 429s carried Retry-After and ErrQueueFull", retryHdr, statuses[429])
 	}
 	for code := range statuses {
 		if code != 200 && code != 429 {
@@ -229,95 +190,67 @@ func TestBackpressure429(t *testing.T) {
 func TestDeadline504(t *testing.T) {
 	_, base := startServer(t, Config{Slots: 1, Queue: 4})
 	ct := makeTenant(t, base, "dl", TenantConfig{LogN: 12, Levels: 2})
+	c := NewClient(base)
 
 	const repeat = 64
 	// Reference: full runtime of the repeated rotation.
 	t0 := time.Now()
-	status, body := doJSON(t, "POST", base+"/v1/tenants/dl/rotate",
-		evalRequest{Op: "rotate", A: ct, By: 1, Repeat: repeat}, nil)
-	full := time.Since(t0)
-	if status != 200 {
-		t.Fatalf("reference rotate: status %d: %s", status, body)
+	if _, err := c.Rotate(t.Context(), "dl", ct, EvalArgs{By: 1, Repeat: repeat}); err != nil {
+		t.Fatalf("reference rotate: %v", err)
 	}
+	full := time.Since(t0)
 
 	deadline := full / 8
 	if deadline < 5*time.Millisecond {
 		deadline = 5 * time.Millisecond
 	}
+	ctx, cancel := context.WithTimeout(t.Context(), deadline)
+	defer cancel()
 	t0 = time.Now()
-	status, body = doJSON(t, "POST", base+"/v1/tenants/dl/rotate",
-		evalRequest{Op: "rotate", A: ct, By: 1, Repeat: repeat},
-		map[string]string{DeadlineHeader: strconv.Itoa(int(deadline.Milliseconds()))})
+	_, err := c.Rotate(ctx, "dl", ct, EvalArgs{By: 1, Repeat: repeat})
 	elapsed := time.Since(t0)
-	if status != 504 {
-		t.Fatalf("deadline rotate: status = %d, want 504 (%s)", status, body)
-	}
-	if kind := errKind(t, body); kind != "ErrCanceled" {
-		t.Errorf("deadline rotate: kind = %q, want ErrCanceled", kind)
-	}
+	wantError(t, "deadline rotate", err, 504, fherr.ErrCanceled)
 	if elapsed > full {
 		t.Errorf("deadline response took %v, full op only %v — deadline did not stop work", elapsed, full)
 	}
 
 	// The session must be fully usable afterwards.
-	if status, body = doJSON(t, "POST", base+"/v1/tenants/dl/rotate",
-		evalRequest{Op: "rotate", A: ct, By: 1}, nil); status != 200 {
-		t.Fatalf("rotate after deadline: status %d: %s", status, body)
+	if _, err := c.Rotate(t.Context(), "dl", ct, EvalArgs{By: 1}); err != nil {
+		t.Fatalf("rotate after deadline: %v", err)
 	}
 }
 
 // TestEvalRoundTrip checks the data plane end to end: encrypt → eval →
-// decrypt recovers the expected plaintext arithmetic.
+// decrypt recovers the expected plaintext arithmetic, and a deleted
+// tenant is gone.
 func TestEvalRoundTrip(t *testing.T) {
 	_, base := startServer(t, Config{Slots: 2, Queue: 2})
-	makeTenant(t, base, "rt", TenantConfig{LogN: 10, Levels: 2})
-
-	status, body := doJSON(t, "POST", base+"/v1/tenants/rt/encrypt",
-		encryptRequest{Values: []float64{1, 2, 3, 4}}, nil)
-	if status != 200 {
-		t.Fatalf("encrypt: %d %s", status, body)
-	}
-	var ct ctJSON
-	if err := json.Unmarshal(body, &ct); err != nil {
-		t.Fatal(err)
-	}
+	ct := makeTenant(t, base, "rt", TenantConfig{LogN: 10, Levels: 2})
+	c, ctx := NewClient(base), t.Context()
 
 	// (v + v) rotated by 1: slot i holds 2*v[i+1].
-	status, body = doJSON(t, "POST", base+"/v1/tenants/rt/eval",
-		evalRequest{Op: "add", A: ct.Ct, B: ct.Ct}, nil)
-	if status != 200 {
-		t.Fatalf("add: %d %s", status, body)
+	sum, err := c.Eval(ctx, "rt", ct, ct, EvalArgs{Op: "add"})
+	if err != nil {
+		t.Fatalf("add: %v", err)
 	}
-	var sum evalResponse
-	if err := json.Unmarshal(body, &sum); err != nil {
-		t.Fatal(err)
+	rot, err := c.Rotate(ctx, "rt", sum, EvalArgs{By: 1})
+	if err != nil {
+		t.Fatalf("rotate: %v", err)
 	}
-	status, body = doJSON(t, "POST", base+"/v1/tenants/rt/rotate",
-		evalRequest{Op: "rotate", A: sum.Ct, By: 1}, nil)
-	if status != 200 {
-		t.Fatalf("rotate: %d %s", status, body)
-	}
-	var rot evalResponse
-	if err := json.Unmarshal(body, &rot); err != nil {
-		t.Fatal(err)
-	}
-	status, body = doJSON(t, "POST", base+"/v1/tenants/rt/decrypt",
-		decryptRequest{Ct: rot.Ct, N: 3}, nil)
-	if status != 200 {
-		t.Fatalf("decrypt: %d %s", status, body)
-	}
-	var dec struct {
-		Values []float64 `json:"values"`
-	}
-	if err := json.Unmarshal(body, &dec); err != nil {
-		t.Fatal(err)
+	got, err := c.Decrypt(ctx, "rt", rot, 3)
+	if err != nil {
+		t.Fatalf("decrypt: %v", err)
 	}
 	want := []float64{4, 6, 8}
 	for i, w := range want {
-		if d := dec.Values[i] - w; d > 1e-3 || d < -1e-3 {
-			t.Errorf("slot %d = %v, want %v", i, dec.Values[i], w)
+		if d := got[i] - w; d > 1e-3 || d < -1e-3 {
+			t.Errorf("slot %d = %v, want %v", i, got[i], w)
 		}
 	}
+	if err := c.DeleteTenant(ctx, "rt"); err != nil {
+		t.Fatalf("delete: %v", err)
+	}
+	wantError(t, "stats after delete", errOf(c.Stats(ctx, "rt")), 404, ErrTenantUnknown)
 }
 
 // TestHealthzDuringLoad: the observability plane bypasses admission —
@@ -327,55 +260,37 @@ func TestEvalRoundTrip(t *testing.T) {
 func TestHealthzDuringLoad(t *testing.T) {
 	srv, base := startServer(t, Config{Slots: 1, Queue: 1})
 	ct := makeTenant(t, base, "hz", TenantConfig{LogN: 11, Levels: 2})
+	c := NewClient(base)
+	ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
+	defer cancel()
 
 	// Occupy the only slot.
-	rotated := make(chan int, 1)
+	rotated := make(chan error, 1)
 	go func() {
-		raw, _ := json.Marshal(evalRequest{Op: "rotate", A: ct, By: 1, Repeat: 64})
-		resp, err := http.Post(base+"/v1/tenants/hz/rotate", "application/json", bytes.NewReader(raw))
-		if err != nil {
-			rotated <- 0
-			return
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		rotated <- resp.StatusCode
+		_, err := c.Rotate(ctx, "hz", ct, EvalArgs{By: 1, Repeat: 64})
+		rotated <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
 
 	t0 := time.Now()
-	status, body := doJSON(t, "GET", base+"/healthz", nil, nil)
-	if status != 200 {
-		t.Fatalf("healthz: %d %s", status, body)
+	hz, err := c.Healthz(ctx)
+	if err != nil {
+		t.Fatalf("healthz: %v", err)
 	}
 	if el := time.Since(t0); el > 2*time.Second {
 		t.Errorf("healthz took %v under load", el)
 	}
-	var hz struct {
-		Status string `json:"status"`
-	}
-	if err := json.Unmarshal(body, &hz); err != nil {
-		t.Fatal(err)
-	}
 	if hz.Status != "ok" {
 		t.Errorf("healthz status = %q, want ok", hz.Status)
 	}
-	if status, _ := doJSON(t, "GET", base+"/metrics", nil, nil); status != 200 {
-		t.Errorf("metrics: status %d", status)
+	if resp, _ := getMetrics(t, base); resp.StatusCode != 200 {
+		t.Errorf("metrics under load: status %d", resp.StatusCode)
 	}
 
-	if status := <-rotated; status != 200 {
-		t.Fatalf("rotate: status %d", status)
+	if err := <-rotated; err != nil {
+		t.Fatalf("rotate: %v", err)
 	}
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	metrics, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp, metrics := getMetrics(t, base)
 	if resp.StatusCode != 200 {
 		t.Fatalf("metrics after rotate: status %d", resp.StatusCode)
 	}
@@ -397,6 +312,22 @@ func TestHealthzDuringLoad(t *testing.T) {
 			t.Errorf("no %s span after a rotate", name)
 		}
 	}
+}
+
+// getMetrics reads /metrics, the one route the Client has no method for:
+// its body is Prometheus text, not the API's JSON.
+func getMetrics(t *testing.T, base string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
 }
 
 // TestRetryAfterEstimate pins the backoff hint's shape: bounded and

@@ -246,8 +246,9 @@ func (s *session) vaultFlush() {
 	}
 }
 
-// tenantStats is the body of GET /v1/tenants/{id}/stats.
-type tenantStats struct {
+// TenantStats is the body of a tenant create or GET /v1/tenants/{id}/stats
+// reply.
+type TenantStats struct {
 	ID        string              `json:"id"`
 	LogN      int                 `json:"log_n"`
 	Levels    int                 `json:"levels"`
@@ -257,10 +258,10 @@ type tenantStats struct {
 	Faults    []faultinject.Event `json:"faults,omitempty"`
 }
 
-func (s *session) stats() tenantStats {
+func (s *session) stats() TenantStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := tenantStats{
+	st := TenantStats{
 		ID:        s.id,
 		LogN:      s.params.LogN(),
 		Levels:    s.params.MaxLevel(),

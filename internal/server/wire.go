@@ -31,7 +31,8 @@ import (
 //   - Out: the reply is `{"ct":"` + base64 of WriteTo + `",` + the
 //     json.Marshal'd metadata without its `{`, plus the newline
 //     json.Encoder adds: byte for byte what json.Encoder wrote, sent with
-//     one Write and a Content-Length.
+//     one Write and a Content-Length. The Client builds requests the same
+//     way (appendBody) and decodes replies with decodeWire.
 
 // maxBody bounds a request body.
 const maxBody = 64 << 20
@@ -207,6 +208,10 @@ func walkObject(body []byte, cts []ctField, last []member) (shadow []byte, ok bo
 				last[field] = member{plain: plain}
 				if plain {
 					last[field].raw = value
+					if shadow == nil {
+						// one allocation holds a request's usual metadata
+						shadow = make([]byte, 0, 64)
+					}
 					shadow = append(shadow, body[keep:i+1]...)
 					keep = end - 1
 				}
@@ -316,30 +321,55 @@ func hasControl(b []byte) bool {
 	return false
 }
 
-// --- replies -------------------------------------------------------
+// --- bodies --------------------------------------------------------
 
-// ctJSON is a ciphertext reply as a client decodes it: base64 of the
-// binary serialization plus the metadata a client wants without decoding.
-type ctJSON struct {
-	Ct    string  `json:"ct"`
+// ctReply is every ciphertext reply: the ciphertext, then the metadata a
+// client wants without decoding it. Ct is empty, and so omitted, when the
+// server marshals the metadata; the codec writes the member itself.
+type ctReply struct {
+	Ct    string  `json:"ct,omitempty"`
 	Level int     `json:"level"`
 	Scale float64 `json:"scale"`
 	Bytes int     `json:"bytes"`
 }
 
-// ctMeta is the metadata that follows "ct" in every ciphertext reply.
-type ctMeta struct {
-	Level int     `json:"level"`
-	Scale float64 `json:"scale"`
-	Bytes int     `json:"bytes"`
-}
-
-// evalMeta is the metadata of an eval or rotate reply.
-type evalMeta struct {
-	ctMeta
+// evalReply is an eval or rotate reply.
+type evalReply struct {
+	ctReply
 	Op      string `json:"op"`
 	Repeat  int    `json:"repeat"`
 	Guarded bool   `json:"guarded,omitempty"`
+}
+
+// wireCt is one ciphertext member of an encoded body: its key and the
+// ciphertext's binary serialization.
+type wireCt struct {
+	key string
+	raw []byte
+}
+
+// appendBody appends the body `{"key":"` + base64 of raw + `",` … for
+// each of cts, then the members of meta, a json.Marshal'd object whose
+// ciphertext fields are empty and omitted. When the body type declares
+// its ciphertext fields first, in the order of cts, that is byte for
+// byte json.Marshal of the body with those fields filled in.
+func appendBody(b []byte, cts []wireCt, meta []byte) []byte {
+	n := len(meta) + len("\n") // room for the newline a reply ends with
+	for _, c := range cts {
+		n += len(c.key) + len(`"":"",`) + base64.StdEncoding.EncodedLen(len(c.raw))
+	}
+	b = append(slices.Grow(b, n), '{')
+	for i, c := range cts {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(append(append(b, '"'), c.key...), `":"`...)
+		b = append(base64.StdEncoding.AppendEncode(b, c.raw), '"')
+	}
+	if len(cts) > 0 && len(meta) > len("{}") {
+		b = append(b, ',')
+	}
+	return append(b, meta[1:]...)
 }
 
 // wireReply is an encoded 200 body in a pooled buffer; dataPlane writes
@@ -347,8 +377,9 @@ type evalMeta struct {
 type wireReply struct{ body *[]byte }
 
 // encodeReply encodes ct and its metadata: it fills *meta, which full
-// (meta itself or the struct that embeds it) carries to json.Marshal.
-func (s *Server) encodeReply(ct *ckks.Ciphertext, meta *ctMeta, full any) (*wireReply, error) {
+// (meta itself or the struct that embeds it) carries to json.Marshal,
+// and ends the body with the newline json.Encoder writes.
+func (s *Server) encodeReply(ct *ckks.Ciphertext, meta *ctReply, full any) (*wireReply, error) {
 	sp := s.rec.StartLinked("fhed.codec.encode")
 	defer sp.End()
 	raw := getBuf()
@@ -356,19 +387,13 @@ func (s *Server) encodeReply(ct *ckks.Ciphertext, meta *ctMeta, full any) (*wire
 	if _, err := ct.WriteTo((*sliceWriter)(raw)); err != nil {
 		return nil, err
 	}
-	*meta = ctMeta{Level: ct.Level, Scale: ct.Scale, Bytes: len(*raw)}
+	*meta = ctReply{Level: ct.Level, Scale: ct.Scale, Bytes: len(*raw)}
 	m, err := json.Marshal(full)
 	if err != nil {
 		return nil, err
 	}
-	const open, mid = `{"ct":"`, `",`
 	out := getBuf()
-	b := slices.Grow(*out, len(open)+base64.StdEncoding.EncodedLen(len(*raw))+len(mid)+len(m))
-	b = append(b, open...)
-	b = base64.StdEncoding.AppendEncode(b, *raw)
-	b = append(b, mid...)
-	b = append(append(b, m[1:]...), '\n')
-	*out = b
+	*out = append(appendBody(*out, []wireCt{{"ct", *raw}}, m), '\n')
 	return &wireReply{body: out}, nil
 }
 

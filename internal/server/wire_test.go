@@ -5,8 +5,10 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -14,7 +16,15 @@ import (
 	"repro/internal/prng"
 )
 
-// evalResponse is an eval or rotate reply as a client decodes it.
+// ctJSON and evalResponse are the former reply types: json.Encoder of
+// them is the byte reference for the codec's replies.
+type ctJSON struct {
+	Ct    string  `json:"ct"`
+	Level int     `json:"level"`
+	Scale float64 `json:"scale"`
+	Bytes int     `json:"bytes"`
+}
+
 type evalResponse struct {
 	ctJSON
 	Op      string `json:"op"`
@@ -79,14 +89,14 @@ func refDecodeEval(body []byte) (req evalRequest, a, b *ckks.Ciphertext, err err
 	return req, a, b, nil
 }
 
-// refDecodeDecrypt is the former decrypt (and, with its one field,
-// bootstrap) request path.
-func refDecodeDecrypt(body []byte) (req decryptRequest, ct *ckks.Ciphertext, err error) {
-	if err = refDecodeBody(body, &req); err != nil {
-		return req, nil, err
+// refDecodeCt is the former decrypt (and, with its one field, bootstrap)
+// request path, and the reply path: the body into v, then the ciphertext
+// in its field ct.
+func refDecodeCt(body []byte, v any, ct *string) (*ckks.Ciphertext, error) {
+	if err := refDecodeBody(body, v); err != nil {
+		return nil, err
 	}
-	ct, err = decodeCt("ct", req.Ct)
-	return req, ct, err
+	return decodeCt("ct", *ct)
 }
 
 // wireTestCt encrypts zeros under a fixed key at the given shape (the
@@ -120,9 +130,9 @@ func bodyRequest(body []byte) *http.Request {
 }
 
 // FuzzWireDecode holds the wire codec to the former one: for every body,
-// as an eval request (decrypt false) or a decrypt request, both accept or
-// both answer 400, and on acceptance they agree on every field and on
-// every ciphertext word.
+// as an eval request (decrypt false), or as a decrypt request and as the
+// ciphertext reply a Client decodes, both accept or both answer 400, and
+// on acceptance they agree on every field and on every ciphertext word.
 func FuzzWireDecode(f *testing.F) {
 	raw := ctBytes(f, wireTestCt(f, 5, 1))
 	b64 := base64.StdEncoding.EncodeToString(raw)
@@ -180,6 +190,8 @@ func FuzzWireDecode(f *testing.F) {
 		`{"$K":tru,"$O":"$CT"}`,
 		`{"x\"":"\",\"$K\":\"","$K":"$CT","y":"\\"}`,
 		`{"$K":"$CT","$O":[1,2}`,
+		`{"$K":"$CT","level":1,"scale":1099511627776,"bytes":48,"op":"rotate","repeat":2,"guarded":true}`,
+		`{"level":0,"scale":1.5e-3,"$K":"$SLASHESC","bytes":-1,"op":null}`,
 	}
 	for _, decrypt := range []bool{false, true} {
 		k, u, o := "a", "A", "b"
@@ -201,10 +213,23 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		s := &Server{}
 		if decrypt {
+			var rep, wantRep ctReply
+			var rct *ckks.Ciphertext
+			repErr := decodeWire(body, &rep, []ctField{{key: "ct", str: &rep.Ct, dst: &rct}})
+			wantRct, wantRepErr := refDecodeCt(body, &wantRep, &wantRep.Ct)
+			if sameVerdict(t, body, repErr, wantRepErr) {
+				rep.Ct, wantRep.Ct = "", ""
+				if rep != wantRep {
+					t.Fatalf("reply %+v, want %+v", rep, wantRep)
+				}
+				sameCt(t, "reply ct", rct, wantRct)
+			}
+
 			var req decryptRequest
 			var ct *ckks.Ciphertext
 			err := s.decode(bodyRequest(body), &req, ctField{key: "ct", str: &req.Ct, dst: &ct})
-			want, wantCt, wantErr := refDecodeDecrypt(body)
+			var want decryptRequest
+			wantCt, wantErr := refDecodeCt(body, &want, &want.Ct)
 			if !sameVerdict(t, body, err, wantErr) {
 				return
 			}
@@ -252,8 +277,10 @@ func sameVerdict(t *testing.T, body []byte, got, want error) bool {
 	if (got == nil) != (want == nil) {
 		t.Fatalf("body %.120q: codec error %v, reference error %v", body, got, want)
 	}
-	if got != nil && (httpStatus(got) != http.StatusBadRequest || httpStatus(want) != http.StatusBadRequest) {
-		t.Fatalf("body %.120q: statuses %d and %d, want 400 (%v; %v)", body, httpStatus(got), httpStatus(want), got, want)
+	gs, _ := wireError(got)
+	ws, _ := wireError(want)
+	if got != nil && (gs != http.StatusBadRequest || ws != http.StatusBadRequest) {
+		t.Fatalf("body %.120q: statuses %d and %d, want 400 (%v; %v)", body, gs, ws, got, want)
 	}
 	return got == nil
 }
@@ -334,8 +361,52 @@ func TestWireReplyBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bootstrap keygen is expensive; the bootstrap reply is skipped in -short mode")
 	}
-	low := bootTenant(t, base, "wireboot")
-	check("bootstrap", post("/v1/tenants/wireboot/bootstrap", bootstrapRequest{Ct: low}), asCt)
+	low, err := encodeCt(bootTenant(t, base, "wireboot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("bootstrap", post("/v1/tenants/wireboot/bootstrap", bootstrapRequest{Ct: low.Ct}), asCt)
+}
+
+// TestWireRequestBytes: every request body the Client builds with a
+// ciphertext — encrypt, eval with and without b, rotate, decrypt and
+// bootstrap, with and without metadata — is byte for byte json.Marshal
+// of its request type with the base64 strings filled in.
+func TestWireRequestBytes(t *testing.T) {
+	bodies := make(chan []byte, 8) // one per case
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		bodies <- body
+		writeError(w, ErrDraining, 0)
+	}))
+	defer stub.Close()
+	c, ctx := NewClient(stub.URL), t.Context()
+	ct := wireTestCt(t, 5, 1)
+	b64 := base64.StdEncoding.EncodeToString(ctBytes(t, ct))
+	vals := []float64{1, -2.5}
+
+	for _, tc := range []struct {
+		name string
+		err  error
+		want any
+	}{
+		{"encrypt", errOf(c.Encrypt(ctx, "w", vals)), encryptRequest{Values: vals}},
+		{"eval a b", errOf(c.Eval(ctx, "w", ct, ct, EvalArgs{Op: "mul", Repeat: 2})), evalRequest{A: b64, B: b64, Op: "mul", Repeat: 2}},
+		{"eval a", errOf(c.Eval(ctx, "w", ct, nil, EvalArgs{Op: "rotate", By: -3, Guard: true})), evalRequest{A: b64, Op: "rotate", By: -3, Guard: true}},
+		{"rotate", errOf(c.Rotate(ctx, "w", ct, EvalArgs{By: 5})), evalRequest{A: b64, By: 5}},
+		{"rotate, no metadata", errOf(c.Rotate(ctx, "w", ct, EvalArgs{})), evalRequest{A: b64}},
+		{"decrypt", errOf(c.Decrypt(ctx, "w", ct, 3)), decryptRequest{Ct: b64, N: 3}},
+		{"decrypt, no metadata", errOf(c.Decrypt(ctx, "w", ct, 0)), decryptRequest{Ct: b64}},
+		{"bootstrap", errOf(c.Bootstrap(ctx, "w", ct)), bootstrapRequest{Ct: b64}},
+	} {
+		want, err := json.Marshal(tc.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := <-bodies; !errors.Is(tc.err, ErrDraining) || !bytes.Equal(got, want) {
+			t.Errorf("%s (%v): body differs from json.Marshal's:\n got %.200s…\nwant %.200s…", tc.name, tc.err, got, want)
+		}
+	}
 }
 
 // BenchmarkWireCodec times the request and reply codec on the fhed_mixed
@@ -391,8 +462,8 @@ func BenchmarkWireCodec(b *testing.B) {
 		b.ReportAllocs()
 		s := &Server{}
 		for b.Loop() {
-			meta := evalMeta{Op: "rotate", Repeat: 4}
-			rep, err := s.encodeReply(ct, &meta.ctMeta, &meta)
+			meta := evalReply{Op: "rotate", Repeat: 4}
+			rep, err := s.encodeReply(ct, &meta.ctReply, &meta)
 			if err != nil {
 				b.Fatal(err)
 			}
