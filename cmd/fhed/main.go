@@ -19,7 +19,8 @@
 // when -url is empty), retries backpressure with jittered exponential
 // backoff honoring Retry-After, optionally drives fault-inject/detect/
 // recover cycles, logs one line per window, and exits nonzero on any
-// transport error, timeout or missed chaos cycle.
+// transport error, timeout, missed chaos cycle or a first window with no
+// completed request.
 package main
 
 import (

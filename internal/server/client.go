@@ -18,7 +18,10 @@ import (
 // per endpoint, ciphertexts as *ckks.Ciphertext in both directions, on
 // the server's own codec (appendBody and decodeWire). A deadline on a
 // method's ctx travels as the DeadlineHeader. A non-2xx reply is an *Error.
-type Client struct{ base string }
+type Client struct {
+	base    string
+	timeout time.Duration // bounds every call when nonzero (the load run's)
+}
 
 // NewClient returns a client of the fhed at baseURL, e.g.
 // "http://127.0.0.1:8377".
@@ -83,22 +86,18 @@ func (c *Client) Encrypt(ctx context.Context, id string, values []float64) (*ckk
 // slots (n ≤ 0: the server's default of 8).
 func (c *Client) Decrypt(ctx context.Context, id string, ct *ckks.Ciphertext, n int) ([]float64, error) {
 	var rep decryptReply
-	err := c.call(ctx, http.MethodPost, "/v1/tenants/"+id+"/decrypt", decryptRequest{N: n}, []wireOperand{{"ct", ct}}, &rep)
+	err := c.call(ctx, http.MethodPost, "/v1/tenants/"+id+"/decrypt", decryptRequest{N: n}, []ctField{{key: "ct", dst: &ct}}, &rep)
 	return rep.Values, err
 }
 
 // Eval runs op args.Op on a and, when non-nil, b.
 func (c *Client) Eval(ctx context.Context, id string, a, b *ckks.Ciphertext, args EvalArgs) (*ckks.Ciphertext, error) {
-	in := []wireOperand{{"a", a}}
-	if b != nil {
-		in = append(in, wireOperand{"b", b})
-	}
-	return c.ctCall(ctx, "/v1/tenants/"+id+"/eval", args.request(), in)
+	return c.ctCall(ctx, "/v1/tenants/"+id+"/eval", args.request(), []ctField{{key: "a", dst: &a}, {key: "b", dst: &b}})
 }
 
 // Rotate rotates a by args.By (args.Op is ignored).
 func (c *Client) Rotate(ctx context.Context, id string, a *ckks.Ciphertext, args EvalArgs) (*ckks.Ciphertext, error) {
-	return c.ctCall(ctx, "/v1/tenants/"+id+"/rotate", args.request(), []wireOperand{{"a", a}})
+	return c.ctCall(ctx, "/v1/tenants/"+id+"/rotate", args.request(), []ctField{{key: "a", dst: &a}})
 }
 
 func (a EvalArgs) request() evalRequest {
@@ -107,7 +106,7 @@ func (a EvalArgs) request() evalRequest {
 
 // Bootstrap refreshes ct on a tenant created with Bootstrap.
 func (c *Client) Bootstrap(ctx context.Context, id string, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	return c.ctCall(ctx, "/v1/tenants/"+id+"/bootstrap", bootstrapRequest{}, []wireOperand{{"ct", ct}})
+	return c.ctCall(ctx, "/v1/tenants/"+id+"/bootstrap", bootstrapRequest{}, []ctField{{key: "ct", dst: &ct}})
 }
 
 // Healthz returns the server's liveness report.
@@ -117,45 +116,47 @@ func (c *Client) Healthz(ctx context.Context) (Health, error) {
 	return h, err
 }
 
-// wireOperand is one ciphertext member of a request body.
-type wireOperand struct {
-	key string
-	ct  *ckks.Ciphertext
-}
-
 // ctCall posts a data-plane request whose reply is a ciphertext.
-func (c *Client) ctCall(ctx context.Context, path string, req any, in []wireOperand) (*ckks.Ciphertext, error) {
+func (c *Client) ctCall(ctx context.Context, path string, req any, in []ctField) (*ckks.Ciphertext, error) {
 	var rep ctReply
 	var ct *ckks.Ciphertext
 	err := c.call(ctx, http.MethodPost, path, req, in, &rep, ctField{key: "ct", str: &rep.Ct, dst: &ct})
 	return ct, err
 }
 
-// call sends req (nil: no body) with the ciphertext members in, built as
-// the server builds a reply, and decodes a 2xx reply into reply (nil:
-// discarded) and its ciphertext members out.
-func (c *Client) call(ctx context.Context, method, path string, req any, in []wireOperand, reply any, out ...ctField) error {
+// call sends req (nil: no body) with the non-nil ciphertext members in,
+// built as the server builds a reply (without any, json.Marshal(req) as
+// it stands), and decodes a 2xx reply into reply (nil: discarded) and its
+// ciphertext members out.
+func (c *Client) call(ctx context.Context, method, path string, req any, in []ctField, reply any, out ...ctField) error {
 	var body []byte
 	if req != nil {
 		meta, err := json.Marshal(req)
 		if err != nil {
 			return err
 		}
-		cts := make([]wireCt, len(in))
-		for i, o := range in {
-			cts[i].key = o.key
-			if _, err := o.ct.WriteTo((*sliceWriter)(&cts[i].raw)); err != nil {
+		cts := make([]wireCt, 0, len(in))
+		for _, f := range in {
+			if *f.dst == nil { // the server answers a missing operand
+				continue
+			}
+			w := wireCt{key: f.key}
+			if _, err := (*f.dst).WriteTo((*sliceWriter)(&w.raw)); err != nil {
 				return err
 			}
+			cts = append(cts, w)
 		}
-		body = appendBody(nil, cts, meta)
+		body = meta
+		if len(cts) > 0 {
+			body = appendBody(nil, cts, meta)
+		}
 	}
 	hreq, err := http.NewRequest(method, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	hctx, cancel := withDeadline(ctx, hreq.Header)
+	hctx, cancel := c.withDeadline(ctx, hreq.Header)
 	defer cancel()
 	resp, err := http.DefaultClient.Do(hreq.WithContext(hctx))
 	if err != nil {
@@ -184,16 +185,19 @@ func (c *Client) call(ctx context.Context, method, path string, req any, in []wi
 	return nil
 }
 
-// withDeadline moves ctx's deadline, if it has one, into the
-// DeadlineHeader of h and returns the context the exchange runs under:
-// it ends replyGrace after that deadline, or as soon as ctx is cancelled.
-func withDeadline(ctx context.Context, h http.Header) (context.Context, context.CancelFunc) {
+// withDeadline moves the call's deadline, the earlier of ctx's and
+// c.timeout's if either is set, into the DeadlineHeader of h and returns
+// the context the exchange runs under: it ends replyGrace after that
+// deadline, or as soon as ctx is cancelled.
+func (c *Client) withDeadline(ctx context.Context, h http.Header) (context.Context, context.CancelFunc) {
 	dl, ok := ctx.Deadline()
+	if t := time.Now().Add(c.timeout); c.timeout > 0 && (!ok || t.Before(dl)) {
+		dl, ok = t, true
+	}
 	if !ok {
 		return context.WithCancel(ctx)
 	}
-	ms := time.Until(dl).Milliseconds()
-	h.Set(DeadlineHeader, strconv.FormatInt(max(ms, 1), 10))
+	h.Set(DeadlineHeader, strconv.FormatInt(max(time.Until(dl).Milliseconds(), 1), 10))
 	hctx, cancel := context.WithDeadline(context.WithoutCancel(ctx), dl.Add(replyGrace))
 	stop := context.AfterFunc(ctx, func() {
 		if !errors.Is(ctx.Err(), context.DeadlineExceeded) {

@@ -174,14 +174,17 @@ func TestDrainRefusesNewWork(t *testing.T) {
 
 	_, err := c.Rotate(ctx, "refuse", ct, EvalArgs{By: 1})
 	var e *Error
-	if errors.As(err, &e) {
+	switch {
+	case err == nil:
+		t.Error("request during drain succeeded, want 503")
+	case errors.As(err, &e):
 		wantError(t, "request during drain", err, 503, ErrDraining)
 		if e.RetryAfter == 0 {
 			t.Error("503 during drain missing Retry-After")
 		}
 	}
-	// err != nil is also acceptable: the kept-alive connection may have
-	// been closed as idle before the request landed.
+	// A transport error is also acceptable: the kept-alive connection may
+	// have been closed as idle before the request landed.
 	wg.Wait()
 }
 

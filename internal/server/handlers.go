@@ -327,7 +327,8 @@ func (s *Server) handleDecrypt(ctx context.Context, r *http.Request) (any, error
 // chains the op on its own output (load shaping and depth tests); Guard
 // runs the canary decrypt-compare probe after the op, turning silent
 // key-material corruption into a typed 422. It does not embed EvalArgs:
-// encoding/json spends an allocation per request on a promoted field.
+// encoding/json spends an allocation per decode on a promoted field
+// (BenchmarkWireCodec allocs/op, in/1ct 37 → 38 and in/2ct 61 → 62).
 type evalRequest struct {
 	A      string `json:"a,omitempty"`
 	B      string `json:"b,omitempty"`

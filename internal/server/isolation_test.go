@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"repro/internal/ckks"
@@ -54,10 +53,7 @@ func TestTenantIsolationUnderChaos(t *testing.T) {
 	}
 
 	// A's guarded request reports the corruption as a typed 422.
-	var e *Error
-	if _, err := rotate("victim", ctA, true); !errors.As(err, &e) || e.Status != 422 || !errors.Is(err, fherr.ErrPrecisionLoss) {
-		t.Fatalf("victim under fault: %v, want 422/ErrPrecisionLoss", err)
-	}
+	wantError(t, "victim under fault", errOf(rotate("victim", ctA, true)), 422, fherr.ErrPrecisionLoss)
 
 	// B is untouched: same bytes as the pre-fault baseline.
 	if got, err := rotate("bystander", ctB, false); err != nil {

@@ -8,7 +8,6 @@ import (
 	"log"
 	"math/rand/v2"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ckks"
@@ -41,7 +40,8 @@ type LoadConfig struct {
 const (
 	// loadTenant is the tenant the run creates (or reuses) and hammers.
 	loadTenant = "loadgen"
-	// loadDeadline is each request's deadline.
+	// loadDeadline is each call's deadline: a stalled server fails the
+	// run with a timeout instead of hanging it.
 	loadDeadline = 10 * time.Second
 	// loadRetries bounds the backoff loop of one logical request.
 	loadRetries = 4
@@ -67,9 +67,9 @@ func (c *LoadConfig) fillDefaults() {
 // WindowStats is one rung of the concurrency ramp.
 type WindowStats struct {
 	Concurrency int
-	Requests    uint64 // logical requests, each up to loadRetries+1 attempts
-	OK          uint64
+	OK          uint64 // logical requests answered, after up to loadRetries retries
 	Rejected    uint64 // attempts answered 429/503
+	Retries     uint64 // re-sent attempts
 	Errors      uint64 // non-backpressure failures
 	Timeouts    uint64 // 504s / client-side deadline
 }
@@ -87,41 +87,37 @@ type ChaosStats struct {
 type LoadReport struct {
 	Windows []WindowStats
 	Chaos   *ChaosStats // nil unless LoadConfig.Chaos
-	Retries uint64      // re-sent attempts across the run
 }
 
 // loadGen is one run's client state.
 type loadGen struct {
-	cfg     LoadConfig
-	c       *Client
-	retries atomic.Uint64
+	cfg LoadConfig
+	c   *Client
 }
 
 func newLoadGen(cfg LoadConfig) *loadGen {
 	cfg.fillDefaults()
-	return &loadGen{cfg: cfg, c: NewClient(cfg.BaseURL)}
+	return &loadGen{cfg: cfg, c: &Client{base: cfg.BaseURL, timeout: loadDeadline}}
 }
 
 // RunLoad executes the full ramp and returns the report with the run's
 // verdict: a resilience gate that fails on any non-backpressure error,
-// any timeout (overload must degrade to fast rejections, never hangs),
-// or any chaos cycle that was not both detected and recovered. The
-// tenant is created (or reused if it exists) before the first window.
+// any timeout (overload must degrade to fast rejections, never hangs), a
+// first rung (the lightest load) that completed no request, or any chaos
+// cycle not both detected and recovered. The tenant is created (or
+// reused if it exists) before the first window.
 func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	lg := newLoadGen(cfg)
 
 	// Provision: tenant + one base ciphertext all workers share.
-	tcfg := TenantConfig{Seed: "loadgen deterministic tenant"}
-	if _, err := lg.c.CreateTenant(ctx, loadTenant, tcfg); err != nil && !errors.Is(err, ErrTenantExists) {
+	if _, err := lg.c.CreateTenant(ctx, loadTenant, TenantConfig{Seed: "loadgen deterministic tenant"}); err != nil && !errors.Is(err, ErrTenantExists) {
 		return nil, fmt.Errorf("loadgen: create tenant: %w", err)
 	}
 	vals := make([]float64, 64)
 	for i := range vals {
 		vals[i] = float64(i) * 0.01
 	}
-	dctx, cancel := context.WithTimeout(ctx, loadDeadline)
-	base, err := lg.c.Encrypt(dctx, loadTenant, vals)
-	cancel()
+	base, err := lg.c.Encrypt(ctx, loadTenant, vals)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: encrypt seed ct: %w", err)
 	}
@@ -136,6 +132,9 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 			err = fmt.Errorf("loadgen: %d errors and %d timeouts at concurrency %d — saturation must shed load as 429s", w.Errors, w.Timeouts, conc)
 		}
 	}
+	if err == nil && rep.Windows[0].OK == 0 {
+		err = errors.New("loadgen: the first rung completed no request — a server that sheds everything shows nothing")
+	}
 	if cfg.Chaos {
 		rep.Chaos = lg.chaosCycles(ctx, base)
 		ch := rep.Chaos
@@ -144,7 +143,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 			err = fmt.Errorf("loadgen: chaos cycles failed: %d/%d detected, %d/%d recovered", ch.Detected, ch.Cycles, ch.Recovered, ch.Cycles)
 		}
 	}
-	rep.Retries = lg.retries.Load()
 	return rep, err
 }
 
@@ -163,10 +161,9 @@ func (lg *loadGen) window(ctx context.Context, conc int, base *ckks.Ciphertext) 
 			defer wg.Done()
 			for time.Now().Before(deadline) {
 				attempts, rejected, err := lg.rotate(ctx, base, 1<<(worker%3))
-				lg.retries.Add(attempts - 1)
 				mu.Lock()
-				w.Requests++
 				w.Rejected += rejected
+				w.Retries += attempts - 1
 				switch {
 				case err == nil:
 					w.OK++
@@ -192,9 +189,7 @@ func (lg *loadGen) rotate(ctx context.Context, ct *ckks.Ciphertext, by int) (att
 	backoff := 50 * time.Millisecond
 	for {
 		attempts++
-		actx, cancel := context.WithTimeout(ctx, loadDeadline)
-		_, err = lg.c.Rotate(actx, loadTenant, ct, EvalArgs{By: by, Repeat: lg.cfg.Repeat})
-		cancel()
+		_, err = lg.c.Rotate(ctx, loadTenant, ct, EvalArgs{By: by, Repeat: lg.cfg.Repeat})
 		if !backpressure(err) {
 			return attempts, rejected, err
 		}
@@ -227,9 +222,7 @@ func backpressure(err error) bool {
 func (lg *loadGen) chaosCycles(ctx context.Context, base *ckks.Ciphertext) *ChaosStats {
 	st := &ChaosStats{}
 	guarded := func() error {
-		gctx, cancel := context.WithTimeout(ctx, loadDeadline)
-		defer cancel()
-		_, err := lg.c.Rotate(gctx, loadTenant, base, EvalArgs{By: 1, Guard: true})
+		_, err := lg.c.Rotate(ctx, loadTenant, base, EvalArgs{By: 1, Guard: true})
 		return err
 	}
 	for i := 0; i < chaosCycles; i++ {

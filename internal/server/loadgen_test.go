@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -10,8 +11,8 @@ import (
 // TestLoadGeneratorSmoke runs the real load generator against an
 // in-process server: the ramp's top rung deliberately exceeds
 // slots+queue, so the run must show backpressure, and RunLoad's verdict
-// — no transport error, no timeout, every chaos cycle detected and
-// recovered — must pass.
+// — no transport error, no timeout, requests completed on the first rung,
+// every chaos cycle detected and recovered — must pass.
 func TestLoadGeneratorSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load run takes a few seconds; skipping in -short mode")
@@ -32,8 +33,8 @@ func TestLoadGeneratorSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if top := rep.Windows[len(rep.Windows)-1]; top.Rejected == 0 || rep.Retries == 0 {
-		t.Errorf("top rung %+v, %d retries: the ramp did not exceed capacity", top, rep.Retries)
+	if top := rep.Windows[len(rep.Windows)-1]; top.Rejected == 0 || top.Retries == 0 {
+		t.Errorf("top rung %+v: the ramp did not exceed capacity", top)
 	}
 	if rep.Chaos == nil || rep.Chaos.Cycles != chaosCycles {
 		t.Errorf("chaos = %+v, want %d cycles", rep.Chaos, chaosCycles)
@@ -45,20 +46,25 @@ func TestLoadGeneratorSmoke(t *testing.T) {
 	}
 }
 
-// TestLoadRejectionsCountedOnce: against a server that sheds every
-// attempt, one logical request makes loadRetries+1 attempts; each is one
-// rejection, and all but the first are retries.
+// TestLoadRejectionsCountedOnce: against a server that provisions the
+// tenant and then sheds every rotate, one logical request makes
+// loadRetries+1 attempts; each is one rejection, all but the first are
+// retries, and RunLoad fails the run because no request completed.
 func TestLoadRejectionsCountedOnce(t *testing.T) {
-	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		writeError(w, ErrQueueFull, 0)
+	reply := appendBody(nil, []wireCt{{"ct", ctBytes(t, wireTestCt(t, 5, 1))}}, []byte("{}"))
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/rotate") {
+			writeError(w, ErrQueueFull, 0)
+			return
+		}
+		_, _ = w.Write(reply) // tenant create and encrypt
 	}))
 	defer stub.Close()
-	// The window closes long before the first request's backoff ends.
-	lg := newLoadGen(LoadConfig{BaseURL: stub.URL, Window: 100 * time.Millisecond, Repeat: 1})
 
-	w := lg.window(t.Context(), 1, wireTestCt(t, 5, 1))
-	want := WindowStats{Concurrency: 1, Requests: 1, Rejected: loadRetries + 1}
-	if w != want || lg.retries.Load() != loadRetries {
-		t.Errorf("window %+v with %d retries, want %+v with %d", w, lg.retries.Load(), want, loadRetries)
+	// The window closes long before the first request's backoff ends.
+	rep, err := RunLoad(t.Context(), LoadConfig{BaseURL: stub.URL, Window: 100 * time.Millisecond, Ramp: []int{1}, Repeat: 1})
+	want := WindowStats{Concurrency: 1, Rejected: loadRetries + 1, Retries: loadRetries}
+	if err == nil || rep == nil || len(rep.Windows) != 1 || rep.Windows[0] != want {
+		t.Errorf("RunLoad = %+v, %v; want one window %+v and a failed verdict", rep, err, want)
 	}
 }

@@ -51,11 +51,12 @@ func getBuf() *[]byte {
 
 func putBuf(p *[]byte) { wireBufs.Put(p) }
 
-// ctField is one ciphertext member of a request body. Its key must not
-// fold-equal the JSON name of any other field of the request.
+// ctField is one ciphertext member of a body: decoded into *dst, or, in
+// a Client request, encoded from it. Its key must not fold-equal the JSON
+// name of any other field of the body.
 type ctField struct {
 	key string
-	// str is the request's string field for key: it holds the member's
+	// str is the body's string field for key: it holds the member's
 	// value whenever encoding/json, not the walk, decoded it.
 	str      *string
 	dst      **ckks.Ciphertext

@@ -373,7 +373,7 @@ func TestWireReplyBytes(t *testing.T) {
 // bootstrap, with and without metadata — is byte for byte json.Marshal
 // of its request type with the base64 strings filled in.
 func TestWireRequestBytes(t *testing.T) {
-	bodies := make(chan []byte, 8) // one per case
+	bodies := make(chan []byte, 16) // one per case
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
 		bodies <- body
@@ -398,6 +398,7 @@ func TestWireRequestBytes(t *testing.T) {
 		{"decrypt", errOf(c.Decrypt(ctx, "w", ct, 3)), decryptRequest{Ct: b64, N: 3}},
 		{"decrypt, no metadata", errOf(c.Decrypt(ctx, "w", ct, 0)), decryptRequest{Ct: b64}},
 		{"bootstrap", errOf(c.Bootstrap(ctx, "w", ct)), bootstrapRequest{Ct: b64}},
+		{"not an object, no ciphertext", c.call(ctx, http.MethodPost, "/v1/tenants/w/eval", "not an object", nil, nil), "not an object"},
 	} {
 		want, err := json.Marshal(tc.want)
 		if err != nil {
