@@ -401,36 +401,6 @@ func costTradeoff(_ []string, w io.Writer) error {
 	return nil
 }
 
-func sweep(args []string, w io.Writer) error {
-	fs := newFlagSet("sweep")
-	axisName := fs.String("axis", "fftiter", "logq | L | dnum | fftiter | cache")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	axis := search.Axis(*axisName)
-	values := map[search.Axis][]int{
-		search.AxisLogQ:    {30, 35, 40, 45, 50, 54, 58},
-		search.AxisL:       {25, 30, 35, 40, 45, 50},
-		search.AxisDnum:    {1, 2, 3, 4, 5, 6},
-		search.AxisFFTIter: {1, 2, 3, 4, 5, 6, 7, 8},
-		search.AxisCacheMB: {1, 2, 6, 16, 27, 32, 64, 128, 256},
-	}[axis]
-	if values == nil {
-		return fherr.Errorf(fherr.ErrUsage, "unknown axis: %s", *axisName)
-	}
-	fmt.Fprintf(w, "== Sensitivity: %s around the optimal point (all MAD opts, 32 MB reference) ==\n", axis)
-	fmt.Fprintf(w, "%8s %10s %10s %8s %10s\n", string(axis), "runtime", "throughput", "logQ1", "feasible")
-	for _, pt := range search.Sweep(axis, values, simfhe.Optimal(), search.ReferenceDesign(), simfhe.AllOpts()) {
-		if !pt.Feasible {
-			fmt.Fprintf(w, "%8d %10s %10s %8s %10s\n", pt.Value, "-", "-", "-", "no")
-			continue
-		}
-		fmt.Fprintf(w, "%8d %8.1fms %10.0f %8d %10s\n", pt.Value, pt.RuntimeMs, pt.Throughput, pt.LogQ1, "yes")
-	}
-	fmt.Fprintln(w)
-	return nil
-}
-
 func aiRoofline(_ []string, w io.Writer) error {
 	fmt.Fprintln(w, "== Arithmetic intensity on a roofline (8192 multipliers @1 GHz, 1 TB/s) ==")
 	fmt.Fprintf(w, "ridge point: %.1f ops/byte\n", refMachine.RidgeAI())

@@ -71,7 +71,6 @@ func init() {
 		{"cost", "§4.4 performance vs area/cost trade-off", costTradeoff, once},
 		{"run", "[-opts=…] [-mb=32] [FILE] price a schedule (mult x5 / rotate x16 / …) from FILE, stdin or a built-in demo", runSchedule, nil},
 		{"trace", "[-op=mult|rotate|keyswitch|ptmult|bootstrap|all] per-sub-op cost attribution trees", traceCmd, nil},
-		{"sweep", "[-axis=logq|L|dnum|fftiter|cache] sensitivity sweep around the optimal point", sweep, nil},
 		{"validate", "[-strict] [-logn=10] [-out FILE] measured vs ledger-predicted DRAM traffic of calibration probes and one bootstrap", validateCmd, nil},
 		{"ai", "Table 4 on a roofline (ridge points, utilization)", aiRoofline, nil},
 		{"json", "every experiment as a machine-readable report", writeJSON, nil},

@@ -53,11 +53,6 @@ var goldenCases = []struct {
 	{"fig6_resnet", []string{"fig6", "-app=resnet"}, false},
 	{"cost", []string{"cost"}, false},
 	{"ai", []string{"ai"}, false},
-	{"sweep_logq", []string{"sweep", "-axis=logq"}, false},
-	{"sweep_L", []string{"sweep", "-axis=L"}, false},
-	{"sweep_dnum", []string{"sweep", "-axis=dnum"}, false},
-	{"sweep_fftiter", []string{"sweep", "-axis=fftiter"}, false},
-	{"sweep_cache", []string{"sweep", "-axis=cache"}, false},
 	{"boot", []string{"boot"}, true},
 	{"boot_none_2mb_baseline", []string{"boot", "-opts=none", "-mb=2", "-params=baseline"}, false},
 	{"boot_slots12", []string{"boot", "-slots=12"}, false},
@@ -177,7 +172,6 @@ func TestExitCodes(t *testing.T) {
 		{"bad -opts on run", []string{"run", "-opts=bogus", "testdata/deep.sched"}, fherr.ExitUsage},
 		{"bad -params", []string{"trace", "-params=bogus"}, fherr.ExitUsage},
 		{"bad -app", []string{"fig6", "-app=bogus"}, fherr.ExitUsage},
-		{"bad -axis", []string{"sweep", "-axis=bogus"}, fherr.ExitUsage},
 		{"bad -op", []string{"trace", "-op=bogus"}, fherr.ExitUsage},
 		{"bad -slots", []string{"boot", "-slots=40"}, fherr.ExitUsage},
 		{"missing schedule file", []string{"run", "testdata/missing.sched"}, fherr.ExitFailure},

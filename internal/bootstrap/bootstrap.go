@@ -9,44 +9,31 @@ import (
 	"repro/internal/prng"
 )
 
-// Parameters configures the bootstrapping pipeline (Algorithm 4).
+// Parameters configures the bootstrapping pipeline (Algorithm 4): its
+// plan's shape and the range bound K.
 type Parameters struct {
+	mathutil.BootShape
 	// K bounds the modular-reduction range: the integer overflow k in the
 	// raised plaintext Δ·m + q_0·k must satisfy |k| < K. Sparse secrets
 	// keep K small; K must exceed (1 + HammingWeight)/2 to be safe.
 	K int
-	// SineDegree is the Chebyshev degree approximating the scaled cosine.
-	SineDegree int
-	// DoubleAngle is the number r of double-angle refinements; the
-	// Chebyshev polynomial approximates cos(2π(Kx − ¼)/2^r).
-	DoubleAngle int
-	// CtSIter and StCIter are the paper's fftIter: the number of
-	// PtMatVecMult stages in CoeffToSlot and SlotToCoeff.
-	CtSIter int
-	StCIter int
 }
 
 // DefaultParameters returns a configuration suitable for the test-scale
 // rings used in this repository (N = 2^10 … 2^12, sparse secrets h ≤ 16).
 func DefaultParameters() Parameters {
-	return Parameters{
-		K:           12,
-		SineDegree:  31,
-		DoubleAngle: 3,
-		CtSIter:     3,
-		StCIter:     2,
-	}
+	return Parameters{K: 12, BootShape: mathutil.BootShape{CtSIter: 3, StCIter: 2, SineDegree: 31, DoubleAngle: 3}}
 }
 
 // Bootstrapper refreshes exhausted ciphertexts back to a computable level.
 type Bootstrapper struct {
 	params  *ckks.Parameters
 	bparams Parameters
+	plan    mathutil.BootPlan
 	enc     *ckks.Encoder
 	ev      *ckks.Evaluator
 
-	cts *homomorphicDFT
-	stc *homomorphicDFT
+	cts, stc homomorphicDFT
 
 	sineCoeffs []float64
 
@@ -60,16 +47,12 @@ type Bootstrapper struct {
 // secret. The secret should be sparse (see KeyGenerator.GenSecretKeySparse)
 // so the Parameters.K range bound holds.
 func NewBootstrapper(params *ckks.Parameters, bparams Parameters, sk *ckks.SecretKey, src *prng.Source, compressKeys bool) (*Bootstrapper, error) {
+	// Level budget, from the plan: the last SlotToCoeff group must still
+	// rescale into a level. Checked before anything is encoded or keyed.
 	L := params.MaxLevel()
-
-	// Level budget, from the schedule EvalMod executes: CoeffToSlot starts
-	// at L, the sine polynomial takes its plan's depth and each double-angle
-	// step one more, and the last SlotToCoeff group must still have a level
-	// to rescale into. Checked before anything is encoded or keyed.
-	_, sineDepth := mathutil.NewPSPlan(bparams.SineDegree).Cost()
-	stcLevel := L - bparams.CtSIter - sineDepth - bparams.DoubleAngle
-	if end := stcLevel - bparams.StCIter; end < 0 {
-		return nil, fmt.Errorf("bootstrap: parameter chain too short (%d Q-limbs; SlotToCoeff would end at level %d)", L+1, end)
+	plan := mathutil.NewBootPlan(params.LogN()-1, L, bparams.BootShape)
+	if plan.LevelAfter < 0 {
+		return nil, fmt.Errorf("bootstrap: parameter chain too short (%d Q-limbs; SlotToCoeff would end at level %d)", L+1, plan.LevelAfter)
 	}
 
 	enc := ckks.NewEncoder(params)
@@ -81,11 +64,11 @@ func NewBootstrapper(params *ckks.Parameters, bparams Parameters, sk *ckks.Secre
 	// CoeffToSlot: fold 1/(2n) (iFFT normalization + conjugate split) and
 	// Δ/(K·q0) (EvalMod input normalization) into the matrices.
 	ctsFold := (1 / (2 * n)) * (delta / kq0)
-	cts := buildDFT(enc, params, bparams.CtSIter, L, true, ctsFold)
+	cts := buildDFT(enc, params, plan.CoeffToSlot, true, ctsFold)
 
 	// SlotToCoeff: fold q0/(2π·Δ) (EvalMod output denormalization).
 	stcFold := q0 / (2 * math.Pi * delta)
-	stc := buildDFT(enc, params, bparams.StCIter, stcLevel, false, stcFold)
+	stc := buildDFT(enc, params, plan.SlotToCoeff, false, stcFold)
 
 	// Keys: relinearization + conjugation + all DFT rotations. With
 	// compressKeys the whole set is dropped to seed-only form — dozens of
@@ -119,6 +102,7 @@ func NewBootstrapper(params *ckks.Parameters, bparams Parameters, sk *ckks.Secre
 	return &Bootstrapper{
 		params:  params,
 		bparams: bparams,
+		plan:    plan,
 		enc:     enc,
 		ev:      ev,
 		cts:     cts,
@@ -140,6 +124,9 @@ func NewBootstrapper(params *ckks.Parameters, bparams Parameters, sk *ckks.Secre
 // SetFaultInjector the phase sites (the four phase names suffixed
 // .c0/.c1) become active next to the ckks hook sites.
 func (b *Bootstrapper) Evaluator() *ckks.Evaluator { return b.ev }
+
+// Plan returns the schedule the bootstrapper was built from and runs.
+func (b *Bootstrapper) Plan() mathutil.BootPlan { return b.plan }
 
 // modRaise reinterprets a level-0 ciphertext in the full modulus chain:
 // each coefficient v ∈ [0, q_0) is lifted centered to every limb. The
@@ -181,6 +168,11 @@ func (b *Bootstrapper) modRaise(ct *ckks.Ciphertext) *ckks.Ciphertext {
 				}
 			}
 		})
+		// The lift is no ring kernel: record its limb traffic here.
+		b.ev.Tracer().Read(lo)
+		for _, c := range outP.Coeffs[1:] {
+			b.ev.Tracer().Write(c)
+		}
 		outP.IsNTT = false
 		rQL.NTTPolyParallel(outP, workers)
 	}

@@ -142,7 +142,7 @@ func TestPolynomialGolden(t *testing.T) {
 // levels from and the simulator prices. For each (basis, degree) the
 // multiplications counted and the levels consumed are the plan's; a
 // recorded bootstrap's EvalMod phase carries the plan's count for both
-// halves; and simfhe's EvalMod depth is the plan's.
+// halves; and simfhe's bootstrap depth is the plan's.
 func TestPolynomialScheduleMatchesPlan(t *testing.T) {
 	ev, ct := polyFixture(t)
 	rec := obs.NewRecorder()
@@ -167,9 +167,9 @@ func TestPolynomialScheduleMatchesPlan(t *testing.T) {
 
 	bp := DefaultParameters()
 	sineMults, sineDepth := mathutil.NewPSPlan(bp.SineDegree).Cost()
-	sim := simfhe.Params{SineDegree: bp.SineDegree, DoubleAngle: bp.DoubleAngle}
-	if got, want := sim.EvalModDepth(), sineDepth+bp.DoubleAngle; got != want {
-		t.Errorf("simfhe prices EvalMod at %d levels, the plan and the double-angle steps take %d", got, want)
+	sim := simfhe.Params{L: 30, FFTIter: 3, LogN: 10, SineDegree: bp.SineDegree, DoubleAngle: bp.DoubleAngle}
+	if got, want := sim.L-1-sim.BootPlan().LevelAfter, 2*sim.FFTIter+sineDepth+bp.DoubleAngle; got != want {
+		t.Errorf("simfhe prices a bootstrap at %d levels, the DFTs, the plan and the double-angle steps take %d", got, want)
 	}
 
 	if testing.Short() {

@@ -34,6 +34,7 @@ import (
 	"repro/internal/bootstrap"
 	"repro/internal/ckks"
 	"repro/internal/fherr"
+	"repro/internal/mathutil"
 	"repro/internal/memtrace"
 	"repro/internal/obs"
 	"repro/internal/obs/ledger"
@@ -65,6 +66,10 @@ const (
 	cacheLimbs        = ledger.DefaultCacheLimbs
 	tolerance         = 0.20
 	diags, rotations  = 8, 8
+	// ptN1 is the PtMatVecMult probe's pinned baby-step count, which the
+	// transform and its model price share: 3 baby steps (two keyed) and
+	// two giant steps over the dense band of 8 diagonals.
+	ptN1 = 3
 )
 
 // The ring degrees Run accepts: where the model's domain (simfhe.Params,
@@ -278,6 +283,7 @@ type fixture struct {
 	rec    *obs.Recorder
 	tr     *memtrace.Tracer
 	a, b   *ckks.Ciphertext
+	plan   mathutil.BootPlan // the bootstrap chain's: the schedule its bootstrap runs
 	probes []probe
 	top    []obs.SpanRecord // top-level op spans, once traced
 }
@@ -335,7 +341,7 @@ func newFixture(cfg Config, c chain) (*fixture, error) {
 			return nil, fmt.Errorf("calib: %w", err)
 		}
 		ev := btp.Evaluator()
-		f.ev = ev
+		f.ev, f.plan = ev, btp.Plan()
 		// Fan out over the first steps the bootstrapper holds keys for.
 		for k := 1; k < n && len(steps) < cfg.Rotations; k++ {
 			if _, ok := ev.Keys().Galois[params.RingQ().GaloisElement(k)]; ok {
@@ -351,18 +357,16 @@ func newFixture(cfg Config, c chain) (*fixture, error) {
 		f.probes = append(f.probes, probe{call: func() { btp.Bootstrap(low) }})
 	} else {
 		mat := make(map[int][]complex128, cfg.Diags)
-		for d := 0; d < cfg.Diags; d++ {
+		idx := make([]int, cfg.Diags)
+		for d := range idx {
 			vec := make([]complex128, n)
 			for t := range vec {
 				vec[t] = complex(float64((d+t)%7)/8+0.1, 0)
 			}
-			mat[d] = vec
+			mat[d], idx[d] = vec, d
 		}
-		// An explicit split (the model's own is √diags too): the computed
-		// one would follow the evaluator's key-product economics, not the
-		// model's.
-		n1 := int(math.Round(math.Sqrt(float64(cfg.Diags))))
-		lt := ckks.NewLinearTransform(enc, mat, params.MaxLevel(), params.Scale(), n1, false)
+		split := mathutil.NewMatVec(params.MaxLevel(), idx, n, ptN1)
+		lt := ckks.NewLinearTransform(enc, mat, params.MaxLevel(), params.Scale(), ptN1, false)
 		for k := 1; k <= cfg.Rotations; k++ {
 			steps = append(steps, k)
 		}
@@ -392,7 +396,7 @@ func newFixture(cfg Config, c chain) (*fixture, error) {
 			{name: "rotate", gated: true, call: func() { ev.Rotate(a, 1) }},
 			{name: fmt.Sprintf("rotate_hoisted_x%d", cfg.Rotations), gated: true, call: func() { ev.RotateHoisted(a, steps) }},
 			{name: fmt.Sprintf("ptmatvec_d%d", cfg.Diags), call: func() { ev.EvalLinearTransform(a, lt) },
-				model: func(m simfhe.Ctx) simfhe.Cost { return m.PtMatVecMult(cfg.Limbs, cfg.Diags) },
+				model: func(m simfhe.Ctx) simfhe.Cost { return m.PtMatVecMult(cfg.Limbs, split) },
 				note:  "informational, no ledger kind yet: the functional giant step ModDowns one half, ModUps it and runs a key product (σ(u) stays raised); the model's baseline ModDowns every baby step and its ModDownHoist price assumes a giant rotation with no ModUp/ModDown, which no RNS implementation can run — measured lands between the two"},
 		}
 	}
@@ -613,16 +617,21 @@ func (rep *Report) bootstrap() error {
 		rep.Rows = append(rep.Rows, f.row(probe{name: kind, gated: true}, byKind[kind], nil, rep.Config.CacheLimbs))
 	}
 
-	// The phases have no ledger kind: the functional EvalMod shape and DFT
-	// split differ from the model's closed forms in more ways than the
-	// tolerance covers (docs/OBSERVABILITY.md, "Known deviations").
-	const note = "informational, no ledger kind: model EvalMod/DFT shapes differ"
+	// The phases have no ledger kind: each is priced as the model prices
+	// the bootstrapper's own plan, node for node at its levels.
+	// CoeffToSlot and SlotToCoeff stay informational until the model
+	// prices the transform the evaluator runs (docs/OBSERVABILITY.md,
+	// "Known deviations").
+	const dftNote = "informational: the model's PtMatVecMult is not the evaluator's transform (its baseline ModDowns every baby step, its ModDownHoist price is unrealizable)"
+	phase := func(i int) func(simfhe.Ctx) simfhe.Cost {
+		return func(m simfhe.Ctx) simfhe.Cost { return m.PlanTree(f.plan).Children[i].Total() }
+	}
 	spans := f.rec.Snapshot()
 	for _, p := range []probe{
-		{name: "bootstrap.ModRaise", note: note, model: func(m simfhe.Ctx) simfhe.Cost { return m.Bootstrap().ModRaise }},
-		{name: "bootstrap.CoeffToSlot", note: note, model: func(m simfhe.Ctx) simfhe.Cost { return m.Bootstrap().CoeffToSlot }},
-		{name: "bootstrap.EvalMod", note: note, model: func(m simfhe.Ctx) simfhe.Cost { return m.Bootstrap().EvalMod }},
-		{name: "bootstrap.SlotToCoeff", note: note, model: func(m simfhe.Ctx) simfhe.Cost { return m.Bootstrap().SlotToCoeff }},
+		{name: "bootstrap.ModRaise", gated: true, model: phase(0)},
+		{name: "bootstrap.CoeffToSlot", note: dftNote, model: phase(1)},
+		{name: "bootstrap.EvalMod", gated: true, model: phase(2)},
+		{name: "bootstrap.SlotToCoeff", note: dftNote, model: phase(3)},
 	} {
 		var ws []window
 		for _, sp := range spans.SpansNamed(p.name) {

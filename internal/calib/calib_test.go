@@ -194,10 +194,10 @@ var modeledGolden = map[int]map[string]uint64{
 		"ckks.Mult":             135012352,
 		"ckks.Rescale":          2228224,
 		"ckks.RotateHoisted":    128630784,
-		"bootstrap.ModRaise":    868352,
-		"bootstrap.CoeffToSlot": 156712960,
-		"bootstrap.EvalMod":     136888320,
-		"bootstrap.SlotToCoeff": 21946368,
+		"bootstrap.ModRaise":    851968,
+		"bootstrap.CoeffToSlot": 135929856,
+		"bootstrap.EvalMod":     142213120,
+		"bootstrap.SlotToCoeff": 26165248,
 		"cache_beta/base":       23134208,
 		"cache_beta/opt":        20381696,
 		"cache_alpha/base":      5455872,
@@ -218,10 +218,10 @@ var modeledGolden = map[int]map[string]uint64{
 		"ckks.Mult":             540049408,
 		"ckks.Rescale":          8912896,
 		"ckks.RotateHoisted":    514523136,
-		"bootstrap.ModRaise":    3473408,
-		"bootstrap.CoeffToSlot": 879427584,
-		"bootstrap.EvalMod":     547553280,
-		"bootstrap.SlotToCoeff": 120881152,
+		"bootstrap.ModRaise":    3407872,
+		"bootstrap.CoeffToSlot": 726630400,
+		"bootstrap.EvalMod":     568852480,
+		"bootstrap.SlotToCoeff": 178847744,
 		"cache_beta/base":       92536832,
 		"cache_beta/opt":        81526784,
 		"cache_alpha/base":      21823488,

@@ -236,9 +236,10 @@ func (e *Encoder) ApplyFFTStages(vals []complex128, from, to int, inverse bool) 
 			length := n >> s
 			lenh := length >> 1
 			lenq := length << 2
+			mask, step := lenq-1, e.m/lenq // lenq is a power of two
 			for i := 0; i < n; i += length {
 				for j := 0; j < lenh; j++ {
-					idx := (lenq - e.rotGroup[j]%lenq) * (e.m / lenq)
+					idx := (lenq - e.rotGroup[j]&mask) * step
 					u := vals[i+j] + vals[i+j+lenh]
 					v := (vals[i+j] - vals[i+j+lenh]) * e.ksiPows[idx]
 					vals[i+j] = u
@@ -253,9 +254,10 @@ func (e *Encoder) ApplyFFTStages(vals []complex128, from, to int, inverse bool) 
 		length := 2 << s
 		lenh := length >> 1
 		lenq := length << 2
+		mask, step := lenq-1, e.m/lenq
 		for i := 0; i < n; i += length {
 			for j := 0; j < lenh; j++ {
-				idx := (e.rotGroup[j] % lenq) * (e.m / lenq)
+				idx := (e.rotGroup[j] & mask) * step
 				u := vals[i+j]
 				v := vals[i+j+lenh] * e.ksiPows[idx]
 				vals[i+j] = u + v

@@ -11,23 +11,6 @@ import (
 	"repro/internal/rns"
 )
 
-// giantStepWeight is the price of one keyed giant step in keyed baby steps,
-// the exchange rate chooseN1 minimises #babies + giantStepWeight·#Horner
-// steps with. Both steps pay one gathered key product. Under a key budget
-// that thrashes, a baby step also pays the β seed expansions behind its
-// key, while a giant step's key is its chain's and is expanded once per
-// op; a giant step pays one ModDown, a Decomp+ModUp and the σ(u) pass on
-// top. Span times on matvec_hoisted (N = 2^12, 6+2 limbs, β = 3, seed-only
-// keys under a quarter budget) put a baby step at 0.38 ms, most of it
-// expansions, and a giant step at 0.82 ms (ModDown 0.18, three ModUpDigit
-// 0.42, key product and σ(u) 0.22): a ratio of 2 there, and higher where
-// keys stay resident and a baby step sheds its expansions (bootstrap). The
-// choice is flat across that range: every weight from 3 to 8 splits a
-// dense band of 64 diagonals at n1 = 16 (15 + 4 keyed steps and 16 keys
-// instead of 64), and weights 3 and 4 pick the same splits for every
-// transform in the repo.
-const giantStepWeight = 4
-
 // LinearTransform is an encoded plaintext matrix for homomorphic
 // matrix–vector products (the paper's PtMatVecMult): the matrix is stored
 // by its nonzero generalized diagonals, split for baby-step/giant-step
@@ -97,9 +80,9 @@ func rotateVec(v []complex128, k int) []complex128 {
 // applied; indices are taken mod n. n1 > 0 fixes the baby-step count
 // (tests and the calibration pin one); it panics when its Horner chains
 // would take more steps than there are diagonals. n1 ≤ 0 computes it from
-// the diagonal index set (see chooseN1). The last argument once selected a
-// second, raised encoding; every transform is raised now and it is ignored
-// (kept while bench/, which passes it, is frozen).
+// the diagonal index set (mathutil.ChooseN1). The last argument once
+// selected a second, raised encoding; every transform is raised now and it
+// is ignored (kept while bench/, which passes it, is frozen).
 func NewLinearTransform(enc *Encoder, diags map[int][]complex128, level int, scale float64, n1 int, _ bool) *LinearTransform {
 	n := enc.params.Slots()
 	byIndex := make(map[int][]complex128, len(diags))
@@ -116,28 +99,14 @@ func NewLinearTransform(enc *Encoder, diags map[int][]complex128, level int, sca
 		idx = append(idx, dd)
 	}
 	sort.Ints(idx)
-	explicit := n1 > 0
-	if !explicit {
-		n1 = chooseN1(idx, n)
+	split := mathutil.NewMatVec(level, idx, n, n1)
+	// Past one Horner step per diagonal a split costs more keyed steps
+	// than every diagonal a baby step: a computed split never goes there,
+	// and an explicit one is refused before anything is encoded.
+	if n1 > 0 && split.Giants > len(idx) {
+		panic(fmt.Sprintf("ckks: NewLinearTransform n1=%d walks empty giant multiples (got=%d Horner steps, want<=%d, one per diagonal)", n1, split.Giants, len(idx)))
 	}
-	k := n / n1 // giant positions
-	ms := giantMultiples(idx, n1)
-	up, steps := n, 0 // every giant group on the +N1 chain, unless
-	if len(ms) > 0 {
-		steps = ms[len(ms)-1]
-	}
-	if n%n1 == 0 {
-		// −N1 steps land on multiples of N1 only when N1 divides the slots.
-		up, _, steps = hornerSplit(ms, k)
-	}
-	// The chains walk every multiple of N1 up to their farthest group,
-	// empty ones included. Past one Horner step per diagonal, a split costs
-	// more keyed steps than the schedule with no giant step at all (every
-	// diagonal a baby step): a computed split never goes there, and an
-	// explicit one is refused before anything is encoded.
-	if explicit && steps > len(idx) {
-		panic(fmt.Sprintf("ckks: NewLinearTransform n1=%d walks empty giant multiples (got=%d Horner steps, want<=%d, one per diagonal)", n1, steps, len(idx)))
-	}
+	n1, up, k := split.N1, split.Up, n/split.N1 // k: giant positions
 	lt := &LinearTransform{N1: n1, Level: level, Scale: scale, diagonals: len(idx)}
 	for _, d := range idx {
 		lt.babies = append(lt.babies, d%n1)
@@ -174,69 +143,6 @@ func mForm(p *Parameters, pt rns.PolyQP) rns.PolyQP {
 		s.MForm(pt.P.Coeffs[j], pt.P.Coeffs[j])
 	}
 	return pt
-}
-
-// chooseN1 returns the power of two n1 in [1, slots] that minimises the
-// keyed steps of the baby-step/giant-step split of the sorted diagonal
-// indices idx: #distinct non-zero baby steps + giantStepWeight · #Horner
-// steps (hornerSplit: the farthest giant multiple on each side). The
-// smallest minimiser wins (fewer raised baby-step pairs alive at once).
-// n1 = slots is the split with no giant step at all: every diagonal a baby
-// step, the closing ModDown pair the only one.
-func chooseN1(idx []int, slots int) int {
-	best, bestCost := 1, -1
-	for n1 := 1; n1 <= slots; n1 <<= 1 {
-		babies := make([]bool, n1)
-		cost := 0
-		for _, d := range idx {
-			if i := d % n1; i != 0 && !babies[i] {
-				babies[i] = true
-				cost++
-			}
-		}
-		_, _, steps := hornerSplit(giantMultiples(idx, n1), slots/n1)
-		cost += giantStepWeight * steps
-		if bestCost < 0 || cost < bestCost {
-			best, bestCost = n1, cost
-		}
-	}
-	return best
-}
-
-// giantMultiples returns, ascending, the distinct non-zero giant multiples
-// ⌊d/n1⌋ of the sorted diagonal indices idx.
-func giantMultiples(idx []int, n1 int) []int {
-	var ms []int
-	for _, d := range idx {
-		if m := d / n1; m != 0 && (len(ms) == 0 || ms[len(ms)-1] != m) {
-			ms = append(ms, m)
-		}
-	}
-	return ms
-}
-
-// hornerSplit divides the giant multiples ms (ascending, in [1, k), k the
-// number of giant positions) between the two Horner chains: multiples up
-// to up rotate by +n1, which takes up keyed steps, and the rest by −n1,
-// which takes down = k − (the smallest of them) steps. Of the len(ms)+1
-// cuts it returns the one with the fewest steps up + down, then the fewest
-// chains (one Galois key fewer), then the largest up.
-func hornerSplit(ms []int, k int) (up, down, steps int) {
-	bestChains := 0
-	for i := len(ms); i >= 0; i-- {
-		u, d := 0, 0
-		if i > 0 {
-			u = ms[i-1]
-		}
-		if i < len(ms) {
-			d = k - ms[i]
-		}
-		chains := min(u, 1) + min(d, 1)
-		if i == len(ms) || u+d < steps || u+d == steps && chains < bestChains {
-			up, down, steps, bestChains = u, d, u+d, chains
-		}
-	}
-	return up, down, steps
 }
 
 // DiagsFromMatrix extracts the nonzero generalized diagonals of an n×n

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mathutil"
 	"repro/internal/obs"
 )
 
@@ -281,7 +282,7 @@ func TestChooseN1(t *testing.T) {
 		{"diagonal 0 alone", []int{0}, 256, 1},
 		{"empty", nil, 256, 1},
 	} {
-		if got := chooseN1(c.idx, c.slots); got != c.want {
+		if got := mathutil.ChooseN1(c.idx, c.slots); got != c.want {
 			t.Errorf("%s: n1 = %d, want %d", c.name, got, c.want)
 		}
 	}
@@ -289,7 +290,8 @@ func TestChooseN1(t *testing.T) {
 
 // TestHornerSplit pins how the giant multiples divide between the two
 // chains: the fewest Horner steps, then one chain rather than two (one
-// Galois key fewer), then the longer +n1 chain.
+// Galois key fewer), then the longer +n1 chain. At n1 = 1 over k slots
+// the giant multiples are the diagonal indices themselves.
 func TestHornerSplit(t *testing.T) {
 	for _, c := range []struct {
 		name           string
@@ -305,9 +307,9 @@ func TestHornerSplit(t *testing.T) {
 		{"k/2 alone: the +n1 chain wins the tie", []int{2}, 4, 2, 0, 2},
 		{"a gap makes two chains cheaper", []int{1, 6, 7}, 8, 1, 2, 3},
 	} {
-		up, down, steps := hornerSplit(c.ms, c.k)
-		if up != c.up || down != c.down || steps != c.step {
-			t.Errorf("%s: hornerSplit(%v, %d) = (%d, %d, %d), want (%d, %d, %d)", c.name, c.ms, c.k, up, down, steps, c.up, c.down, c.step)
+		m := mathutil.NewMatVec(0, c.ms, c.k, 1)
+		if up, down, steps := m.Up, m.Giants-m.Up, m.Giants; up != c.up || down != c.down || steps != c.step {
+			t.Errorf("%s: split of %v over %d = (%d, %d, %d), want (%d, %d, %d)", c.name, c.ms, c.k, up, down, steps, c.up, c.down, c.step)
 		}
 	}
 }

@@ -1,14 +1,14 @@
 package mathutil
 
+import "slices"
+
 // PSPlan is the Paterson–Stockmeyer baby-step/giant-step schedule for a
 // polynomial of degree d written in a basis b_0 = 1, b_1 = x, b_2, … with
 // a product rule (monomials: b_{i+j} = b_i·b_j; Chebyshev: T_{i+j} =
 // 2·T_i·T_j − T_{i−j}): log depth, ~2√d ciphertext multiplications. It is
 // a pure description with one home. The evaluator executes it
-// (ckks.EvalPolynomial), the bootstrapper budgets EvalMod's levels from
-// its depth and the simulator prices its multiplications
-// (simfhe.Params.EvalModDepth, Ctx.BootstrapTree), so the three cannot
-// disagree about the schedule.
+// (ckks.EvalPolynomial), and BootPlan files its Products as EvalMod's
+// batches for the bootstrapper and the simulator alike.
 type PSPlan struct {
 	Degree int
 	// Baby is the baby-step bound M = 2^⌈log₂√(d+1)⌉: a polynomial of
@@ -52,32 +52,49 @@ func (p PSPlan) Giant(degree int) int {
 	return g
 }
 
-// Cost walks the schedule and returns the ciphertext–ciphertext
-// multiplications it performs and the levels it consumes: the ladder (one
-// multiplication per step, its deepest element) plus the recursion below
-// it (one multiplication per split).
+// Cost returns the ciphertext–ciphertext multiplications the schedule
+// performs and the levels it consumes.
 func (p PSPlan) Cost() (mults, depth int) {
+	n := p.Products()
+	for _, k := range n {
+		mults += k
+	}
+	return mults, len(n)
+}
+
+// Products returns the multiplications by level: n[i] run i levels below
+// the input, len(n) is the depth. A ladder step runs at its deeper
+// operand's level; the recursion (split) runs below the ladder.
+func (p PSPlan) Products() []int {
 	if p.Degree <= 0 {
-		return 0, 0
+		return nil
 	}
 	below := make([]int, p.Degree+1) // levels below the input at which b_k lands
 	for _, s := range p.Ladder {
 		below[s.K] = max(below[s.I], below[s.J]) + 1
-		depth = max(depth, below[s.K])
 	}
-	splits, levels := p.recursion(p.Degree)
-	return len(p.Ladder) + splits, depth + levels
+	up := make([]int, p.Degree+2)
+	n := make([]int, slices.Max(below)+p.split(p.Degree, 0, up))
+	for _, s := range p.Ladder {
+		n[below[s.K]-1]++
+	}
+	for b, k := range up {
+		if k > 0 {
+			n[len(n)-b] += k
+		}
+	}
+	return n
 }
 
-// recursion counts the splits p = b_g·q + r under a polynomial of the
-// given degree and the levels they span: a leaf rescales once; q is
-// evaluated one level above its product with b_g, r at the product's level.
-func (p PSPlan) recursion(degree int) (splits, levels int) {
+// split walks a polynomial landing b levels above the result, counts each
+// split p = b_g·q + r into up[level of its product above the result] and
+// returns the levels the walk spans: a leaf rescales once, q lands one
+// level above its product with b_g, r at the product's level.
+func (p PSPlan) split(degree, b int, up []int) int {
 	if degree < p.Baby {
-		return 0, 1
+		return b + 1
 	}
 	g := p.Giant(degree)
-	qs, ql := p.recursion(degree - g)
-	rs, rl := p.recursion(g - 1)
-	return 1 + qs + rs, max(1+ql, rl)
+	up[b+1]++
+	return max(p.split(degree-g, b+1, up), p.split(g-1, b, up))
 }

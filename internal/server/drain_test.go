@@ -1,8 +1,13 @@
 package server
 
 import (
+	"bufio"
 	"context"
-	"errors"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"strings"
 	"sync"
@@ -151,41 +156,81 @@ func TestDrainBudgetCancelsInFlight(t *testing.T) {
 	}
 }
 
-// TestDrainRefusesNewWork: requests racing the drain flag (accepted
-// connection, draining server) get a clean 503 + Retry-After, not a
-// hang.
+// TestDrainRefusesNewWork: a request on a connection the server accepted
+// before the drain began gets a clean 503 with ErrDraining and
+// Retry-After, not a hang and not a result. The connection has sent its
+// request line but not the end of its headers when Shutdown starts: it
+// is neither idle (Shutdown would close it) nor refused (the listener is
+// closed only for new connections), so Shutdown waits for it and the
+// request meets the draining gate.
 func TestDrainRefusesNewWork(t *testing.T) {
-	srv, base := startServer(t, Config{Slots: 1, Queue: 1})
-	ct := makeTenant(t, base, "refuse", TenantConfig{LogN: 10, Levels: 2})
-
-	// Keep one connection alive from before the drain: requests on it
-	// bypass the closed listener and must hit the draining gate.
-	c := NewClient(base)
-	ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
-	defer cancel()
-	if _, err := c.Rotate(ctx, "refuse", ct, EvalArgs{By: 1}); err != nil {
+	srv, err := New(Config{Addr: "127.0.0.1:0", Slots: 1, Queue: 1}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var mu sync.Mutex
+	accepted := map[string]bool{} // client addresses of accepted connections
+	srv.http.ConnState = func(c net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			mu.Lock()
+			accepted[c.RemoteAddr().String()] = true
+			mu.Unlock()
+		}
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve() }()
+	ct := makeTenant(t, "http://"+srv.Addr(), "refuse", TenantConfig{LogN: 10, Levels: 2})
+
+	a := wireCt{key: "a"}
+	if _, err := ct.WriteTo((*sliceWriter)(&a.raw)); err != nil {
+		t.Fatal(err)
+	}
+	meta, _ := json.Marshal(evalRequest{By: 1})
+	body := appendBody(nil, []wireCt{a}, meta)
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "POST /v1/tenants/refuse/rotate HTTP/1.1\r\nHost: %s\r\n", srv.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return accepted[conn.LocalAddr().String()]
+	})
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { defer wg.Done(); _ = srv.Shutdown() }()
 	waitFor(t, 5*time.Second, srv.Draining)
 
-	_, err := c.Rotate(ctx, "refuse", ct, EvalArgs{By: 1})
-	var e *Error
-	switch {
-	case err == nil:
-		t.Error("request during drain succeeded, want 503")
-	case errors.As(err, &e):
-		wantError(t, "request during drain", err, 503, ErrDraining)
-		if e.RetryAfter == 0 {
-			t.Error("503 during drain missing Retry-After")
-		}
+	if _, err := fmt.Fprintf(conn, "Content-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body); err != nil {
+		t.Fatal(err)
 	}
-	// A transport error is also acceptable: the kept-alive connection may
-	// have been closed as idle before the request landed.
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("reading the reply to a request during drain: %v", err)
+	}
+	reply, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("request during drain: status %d, want 503", resp.StatusCode)
+	}
+	e := replyError(resp, reply)
+	wantError(t, "request during drain", e, 503, ErrDraining)
+	if e.RetryAfter == 0 {
+		t.Error("503 during drain missing Retry-After")
+	}
 	wg.Wait()
+	if err := <-serveDone; err != nil {
+		t.Errorf("Serve returned %v after drain", err)
+	}
 }
 
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {

@@ -6,10 +6,10 @@ import (
 	"repro/internal/mathutil"
 )
 
-// Bootstrap cost model: Algorithm 4 composed from the primitive models,
-// with the level schedule tracked explicitly so each operation is charged
-// at the limb count it actually sees, and so the post-bootstrap modulus
-// log Q₁ (the Table 6 throughput numerator) falls out of the schedule.
+// Bootstrap cost model: the bootstrap plan (mathutil.BootPlan) priced
+// with the primitive models, each operation at the limb count its planned
+// level gives it; the post-bootstrap modulus log Q₁ (the Table 6
+// throughput numerator) falls out of the plan.
 
 // BootstrapBreakdown reports the per-phase costs and the level schedule.
 type BootstrapBreakdown struct {
@@ -28,25 +28,19 @@ func (b BootstrapBreakdown) Total() Cost {
 	return b.ModRaise.Plus(b.CoeffToSlot).Plus(b.EvalMod).Plus(b.SlotToCoeff)
 }
 
-// EvalModDepth returns the levels consumed by the approximate modular
-// reduction: the depth of the Paterson–Stockmeyer schedule the functional
-// evaluator runs for the sine polynomial, plus the double-angle steps.
-func (p Params) EvalModDepth() int {
-	_, d := mathutil.NewPSPlan(p.SineDegree).Cost()
-	return d + p.DoubleAngle
+// BootPlan returns the parameter set's bootstrap plan: fftIter groups per
+// DFT over the bootstrapped slots, raised to the full chain of L limbs.
+func (p Params) BootPlan() mathutil.BootPlan {
+	return mathutil.NewBootPlan(p.logSlots(), p.L-1, mathutil.BootShape{
+		CtSIter: p.FFTIter, StCIter: p.FFTIter, SineDegree: p.SineDegree, DoubleAngle: p.DoubleAngle})
 }
 
-// BootstrapDepth returns the total levels a bootstrap consumes after the
-// raise: fftIter per homomorphic DFT plus the EvalMod depth.
-func (p Params) BootstrapDepth() int {
-	return 2*p.FFTIter + p.EvalModDepth()
-}
-
-// Bootstrap composes the full Algorithm 4 at the context's parameters and
-// returns the per-phase breakdown: the four phase subtrees of
-// BootstrapTree, totalled, with the level schedule of the same walk.
+// Bootstrap returns the per-phase breakdown of BootstrapTree, with the
+// level schedule of its plan.
 func (c Ctx) Bootstrap() BootstrapBreakdown {
-	t, limbsAfter := c.bootstrapTree()
+	plan := c.P.BootPlan()
+	t := c.PlanTree(plan)
+	limbsAfter := plan.LevelAfter + 1
 	return BootstrapBreakdown{
 		ModRaise:       t.Children[0].Total(),
 		CoeffToSlot:    t.Children[1].Total(),
@@ -60,25 +54,20 @@ func (c Ctx) Bootstrap() BootstrapBreakdown {
 
 // BootstrapTree attributes the full Algorithm 4 pipeline; its four
 // top-level children are BootstrapBreakdown's phases.
-func (c Ctx) BootstrapTree() *CostTree {
-	t, _ := c.bootstrapTree()
-	return t
-}
+func (c Ctx) BootstrapTree() *CostTree { return c.PlanTree(c.P.BootPlan()) }
 
-// bootstrapTree walks the pipeline once, charging each operation at the
-// limb count it actually sees, and returns the tree together with the
-// limbs left after the last level is consumed. On a chain too short for
-// the pipeline the schedule level runs to zero and below (LimbsAfter ≤ 0
-// is how the search and the apps reject the configuration); operations
-// are then charged at a one-limb floor, max(l, 1), so the cost stays
-// finite and the checked sums of Total() hold.
-func (c Ctx) bootstrapTree() (root *CostTree, limbsAfter int) {
+// PlanTree prices a bootstrap plan node for node. On a chain too short
+// for it the planned levels run to zero and below (LimbsAfter ≤ 0 is how
+// the search and the apps reject the configuration); operations are then
+// charged at a one-limb floor, so the checked sums of Total() hold.
+func (c Ctx) PlanTree(plan mathutil.BootPlan) *CostTree {
 	p := c.P
-	l := p.L
+	limbs := func(level int) int { return max(level+1, 1) }
+	l := limbs(plan.MaxLevel)
 
-	// ModRaise: extend both halves from the exhausted 2-limb basis to the
-	// full chain (one basis extension per half).
-	in := 2
+	// ModRaise: one basis extension per half, from the plan's raise basis
+	// to the full chain.
+	in := plan.RaiseFrom + 1
 	kOut := l - in
 	raise := p.nttLimb().Times(in).
 		Plus(p.newLimbCost(in, kOut)).
@@ -97,49 +86,36 @@ func (c Ctx) bootstrapTree() (root *CostTree, limbsAfter int) {
 		mr.Children = append(mr.Children, leaf("SubSum", c.Rotate(l).Plus(c.Add(l)).Times(r)))
 	}
 
-	diags := p.DFTDiagonals()
-
-	// CoeffToSlot: fftIter matrix products, one level each, then the
-	// conjugate split (one Conjugate, two adds, one free multiply by the
-	// X^{N/2} monomial).
-	cts := &CostTree{Name: "CoeffToSlot"}
-	for i, d := range diags {
-		cts.Children = append(cts.Children,
-			leaf(fmt.Sprintf("PtMatVecMult[%d]", i), c.PtMatVecMult(max(l, 1), d)))
-		l--
+	dft := func(name string, groups []mathutil.DFTGroup) *CostTree {
+		t := &CostTree{Name: name}
+		for i, g := range groups {
+			t.Children = append(t.Children,
+				leaf(fmt.Sprintf("PtMatVecMult[%d]", i), c.PtMatVecMult(limbs(g.Level), g.MatVec)))
+		}
+		return t
 	}
-	cts.Children = append(cts.Children, leaf("ConjSplit",
-		c.Conjugate(max(l, 1)).
-			Plus(c.Add(max(l, 1)).Times(2)).
-			Plus(p.pointwise(2*max(l, 1), 1, 0))))
 
-	// EvalMod on the two coefficient halves: the multiplications are
-	// charged across the descending level span (roughly uniformly), the
-	// leaf scalar multiplications and constant adds at ≈ one per
-	// polynomial coefficient, then one free multiply-by-i plus one add
-	// recombine the halves.
-	mults, depth := mathutil.NewPSPlan(p.SineDegree).Cost()
-	mults += p.DoubleAngle
-	depth += p.DoubleAngle
-	var multCost Cost
-	for i := 0; i < mults; i++ {
-		multCost = multCost.Plus(c.Mult(max(l-(i*depth)/mults, 1)))
+	// CoeffToSlot, then the conjugate split (one Conjugate, two adds, one
+	// free multiply by the X^{N/2} monomial).
+	cts := dft("CoeffToSlot", plan.CoeffToSlot)
+	l = limbs(plan.CoeffToSlot[len(plan.CoeffToSlot)-1].Level - 1)
+	cts.Children = append(cts.Children, leaf("ConjSplit",
+		c.Conjugate(l).Plus(c.Add(l).Times(2)).Plus(p.pointwise(2*l, 1, 0))))
+
+	// EvalMod on both coefficient halves: the planned Mult batches, leaf
+	// scalar multiply-adds at ≈ one per coefficient, then one free
+	// multiply-by-i plus one add recombine the halves.
+	var mults Cost
+	for _, b := range plan.EvalMod {
+		mults = mults.Plus(c.Mult(limbs(b.Level)).Times(b.Fanout))
 	}
 	em := &CostTree{Name: "EvalMod", Children: []*CostTree{
-		leaf("ChebyshevMults", multCost.Times(2)),
-		leaf("LeafOps", p.pointwise(2*max(l, 1), 1, 1).Times(p.SineDegree).Times(2)),
+		leaf("ChebyshevMults", mults),
+		leaf("LeafOps", p.pointwise(2*l, 1, 1).Times(plan.SineDegree).Times(2)),
 	}}
-	l -= depth
+	l = limbs(plan.SlotToCoeff[0].Level)
 	em.Children = append(em.Children,
-		leaf("Recombine", p.pointwise(2*max(l, 1), 1, 0).Plus(c.Add(max(l, 1)))))
+		leaf("Recombine", p.pointwise(2*l, 1, 0).Plus(c.Add(l))))
 
-	// SlotToCoeff: fftIter more matrix products.
-	stc := &CostTree{Name: "SlotToCoeff"}
-	for i, d := range diags {
-		stc.Children = append(stc.Children,
-			leaf(fmt.Sprintf("PtMatVecMult[%d]", i), c.PtMatVecMult(max(l, 1), d)))
-		l--
-	}
-
-	return &CostTree{Name: "Bootstrap", Children: []*CostTree{mr, cts, em, stc}}, l
+	return &CostTree{Name: "Bootstrap", Children: []*CostTree{mr, cts, em, dft("SlotToCoeff", plan.SlotToCoeff)}}
 }

@@ -1,13 +1,14 @@
 package simfhe
 
-import "math"
+import "repro/internal/mathutil"
 
-// PtMatVecMult models one homomorphic plaintext matrix–vector product with
-// numDiags nonzero generalized diagonals at limb count ℓ, evaluated with
-// the baby-step/giant-step schedule: n1 hoisted baby rotations, n2 giant
-// steps, one plaintext multiplication per diagonal, and a trailing
-// Rescale. This is the workhorse of CoeffToSlot and SlotToCoeff, and the
-// operation the O(β) caching and ModDown-hoisting optimizations target.
+// PtMatVecMult models one homomorphic plaintext matrix–vector product at
+// limb count ℓ with the caller's baby-step/giant-step split m (a bootstrap
+// plan's DFT group, or a probe's pinned n1): n1 − 1 = m.Babies keyed baby
+// rotations, n2 − 1 = m.Giants giant steps, one plaintext multiplication
+// per diagonal, and a trailing Rescale. This is the workhorse of
+// CoeffToSlot and SlotToCoeff, and what the O(β) caching and
+// ModDown-hoisting optimizations target.
 //
 // Two schedules are modeled:
 //
@@ -18,37 +19,16 @@ import "math"
 //     raised basis R_PQ. One Decomp+ModUp on the input, key-switch
 //     products and diagonal multiplications accumulate raised, and a
 //     single pair of ModDowns closes the operation — three RNS basis
-//     changes regardless of the matrix dimension. The price is the larger
-//     baby step the paper selects in this regime, which reads more
-//     switching-key data (+~25%).
-func (c Ctx) PtMatVecMult(l, numDiags int) Cost {
+//     changes regardless of the matrix dimension.
+func (c Ctx) PtMatVecMult(l int, m mathutil.MatVec) Cost {
+	numDiags := len(m.Diags)
 	if numDiags < 1 {
 		return Cost{}
 	}
-	n1, n2 := c.bsgsSplit(numDiags)
 	if c.Opts.ModDownHoist {
-		return c.matVecHoisted(l, numDiags, n1, n2)
+		return c.matVecHoisted(l, numDiags, m.Babies+1, m.Giants+1)
 	}
-	return c.matVecBaseline(l, numDiags, n1, n2)
-}
-
-// bsgsSplit chooses the baby-step count n1. With ModDown hoisting the
-// paper deliberately skews toward "a larger baby step and a smaller giant
-// step … more DRAM reads for the switching keys" (§3.2).
-func (c Ctx) bsgsSplit(numDiags int) (n1, n2 int) {
-	base := math.Sqrt(float64(numDiags))
-	if c.Opts.ModDownHoist {
-		base *= 2
-	}
-	n1 = int(math.Round(base))
-	if n1 < 1 {
-		n1 = 1
-	}
-	if n1 > numDiags {
-		n1 = numDiags
-	}
-	n2 = (numDiags + n1 - 1) / n1
-	return n1, n2
+	return c.matVecBaseline(l, numDiags, m.Babies+1, m.Giants+1)
 }
 
 // kskKeyLimbs returns the DRAM limb count of one rotation key's worth of
@@ -187,19 +167,4 @@ func (c Ctx) matVecHoisted(l, numDiags, n1, n2 int) Cost {
 		cost = cost.Plus(c.RescalePoly(l).Times(2))
 	}
 	return cost
-}
-
-// DFTDiagonals returns the per-stage diagonal count of the fftIter-way
-// factorized homomorphic DFT over n slots: grouping logn butterfly levels
-// into fftIter radix-2^k stages gives ≈ 2·2^k − 1 nonzero generalized
-// diagonals per stage.
-func (p Params) DFTDiagonals() []int {
-	logn := p.logSlots()
-	out := make([]int, p.FFTIter)
-	for g := 0; g < p.FFTIter; g++ {
-		from := g * logn / p.FFTIter
-		to := (g + 1) * logn / p.FFTIter
-		out[g] = 2*(1<<(to-from)) - 1
-	}
-	return out
 }

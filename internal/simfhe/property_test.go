@@ -116,7 +116,7 @@ func TestPropertyBootstrapLevelBudgetConsistent(t *testing.T) {
 			return true
 		}
 		bd := NewCtx(p, MB(32), AllOpts()).Bootstrap()
-		return bd.LevelsConsumed == p.BootstrapDepth() &&
+		return bd.LevelsConsumed == p.L-1-p.BootPlan().LevelAfter &&
 			bd.LimbsAfter == p.L-bd.LevelsConsumed &&
 			bd.LogQ1 == p.LogQ*bd.LimbsAfter
 	}

@@ -95,7 +95,8 @@ type ScheduleResult struct {
 // exactly as the application models do. The run starts at the fresh
 // post-bootstrap level.
 func (c Ctx) RunSchedule(s Schedule) (ScheduleResult, error) {
-	bootTree, fresh := c.bootstrapTree()
+	plan := c.P.BootPlan()
+	bootTree, fresh := c.PlanTree(plan), plan.LevelAfter+1
 	bootCost := bootTree.Total()
 	if fresh < 2 {
 		return ScheduleResult{}, fmt.Errorf("simfhe: parameters leave only %d limbs after bootstrapping", fresh)

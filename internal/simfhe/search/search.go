@@ -77,7 +77,7 @@ func Run(space Space, d design.Design, opts simfhe.OptSet) []Candidate {
 					if p.Validate() != nil || !p.IsSecure() {
 						continue
 					}
-					if L-p.BootstrapDepth() < space.MinLimbsAfter {
+					if p.BootPlan().LevelAfter+1 < space.MinLimbsAfter {
 						continue
 					}
 					res := design.RunBootstrap(d, p, opts)

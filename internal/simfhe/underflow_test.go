@@ -15,7 +15,7 @@ func TestNoTrafficUnderflowAtTinyLevels(t *testing.T) {
 					"Rotate": ctx.Rotate(l),
 					"PtMult": ctx.PtMult(l),
 					"Hoist4": ctx.HoistedRotations(l, 4),
-					"MatVec": ctx.PtMatVecMult(l, 7),
+					"MatVec": ctx.PtMatVecMult(l, band(7, ctx.P.Slots(), 0)),
 				} {
 					const insane = uint64(1) << 60
 					if c.CtRead > insane || c.CtWrite > insane {
