@@ -7,6 +7,7 @@ import (
 	"repro/internal/ckks"
 	"repro/internal/mathutil"
 	"repro/internal/prng"
+	"repro/internal/ring"
 )
 
 // Parameters configures the bootstrapping pipeline (Algorithm 4): its
@@ -131,7 +132,8 @@ func (b *Bootstrapper) Plan() mathutil.BootPlan { return b.plan }
 // modRaise reinterprets a level-0 ciphertext in the full modulus chain:
 // each coefficient v ∈ [0, q_0) is lifted centered to every limb. The
 // underlying plaintext becomes Δ·m + q_0·k for a small integer polynomial
-// k — the quantity EvalMod later removes.
+// k — the quantity EvalMod later removes. The output is drawn from the
+// evaluator's pools; the caller releases it.
 func (b *Bootstrapper) modRaise(ct *ckks.Ciphertext) *ckks.Ciphertext {
 	p := b.params
 	rQL := p.RingQ()
@@ -140,17 +142,23 @@ func (b *Bootstrapper) modRaise(ct *ckks.Ciphertext) *ckks.Ciphertext {
 	q0 := p.Q()[0]
 	half := q0 >> 1
 
-	out := &ckks.Ciphertext{C0: rQL.NewPoly(), C1: rQL.NewPoly(), Scale: ct.Scale, Level: L}
+	out := &ckks.Ciphertext{C0: rQL.GetPoly(), C1: rQL.GetPoly(), Scale: ct.Scale, Level: L}
+	scratch := rQL.AtLevel(0).GetScratch()
+	defer rQL.AtLevel(0).PutScratch(scratch)
+	lo := scratch.Coeffs[0]
 	// Lift both halves. Every v ∈ [0, q_0) lifts to itself mod q_0, so
-	// limb 0 of the output is the input limb in coefficient form: the
-	// iNTT writes it there, and the lift reads it back for the other limbs.
+	// limb 0 of the output is the input limb, already in NTT form: it is
+	// copied, and only its coefficient form — an iNTT into a scratch row —
+	// is lifted to the other limbs, which alone are transformed forward.
 	for h := 0; h < 2; h++ {
 		inP, outP := ct.C0, out.C0
 		if h == 1 {
 			inP, outP = ct.C1, out.C1
 		}
-		s0.INTTTo(outP.Coeffs[0], inP.Coeffs[0])
-		lo := outP.Coeffs[0]
+		s0.INTTTo(lo, inP.Coeffs[0])
+		b.ev.Tracer().Read(inP.Coeffs[0])
+		copy(outP.Coeffs[0], inP.Coeffs[0])
+		b.ev.Tracer().Write(outP.Coeffs[0])
 		workers := b.ev.Workers()
 		// Under BootstrapE the evaluator is bound to the request context,
 		// so a deadline stops the coefficient lift mid-raise.
@@ -173,8 +181,8 @@ func (b *Bootstrapper) modRaise(ct *ckks.Ciphertext) *ckks.Ciphertext {
 		for _, c := range outP.Coeffs[1:] {
 			b.ev.Tracer().Write(c)
 		}
-		outP.IsNTT = false
-		rQL.NTTPolyParallel(outP, workers)
+		ring.Parallel(L, workers, func(i int) { rQL.SubRings[i+1].NTT(outP.Coeffs[i+1]) })
+		outP.IsNTT = true
 	}
 	return out
 }
@@ -189,21 +197,28 @@ func (b *Bootstrapper) evalMod(ctReal, ctImag *ckks.Ciphertext) (*ckks.Ciphertex
 	ev := b.ev
 	out := ev.EvalPolynomial(ckks.Chebyshev, b.sineCoeffs, ctReal, ctImag)
 	for i := 0; i < b.bparams.DoubleAngle; i++ {
-		out = ev.DoubleAngle(out...)
+		in := out
+		out = ev.DoubleAngle(in...)
+		ev.Release(in...)
 	}
 	return out[0], out[1]
 }
 
 // Bootstrap refreshes a level-0 (or low-level) ciphertext to a high level
 // encrypting the same message: ModRaise, CoeffToSlot, EvalMod on the real
-// and imaginary coefficient halves, SlotToCoeff (Algorithm 4).
+// and imaginary coefficient halves, SlotToCoeff (Algorithm 4). ct is only
+// read. Every intermediate goes back to the evaluator's pools once its
+// last reader has run, so a steady-state bootstrap allocates only the
+// ciphertext it returns.
 func (b *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) *ckks.Ciphertext {
 	ev := b.ev
 	rec := ev.Recorder()
 	root := rec.StartOp("bootstrap.Bootstrap")
 	defer root.End()
+	var dropped *ckks.Ciphertext
 	if ct.Level > 0 {
-		ct = ev.DropLevel(ct, 0)
+		dropped = ev.DropLevel(ct, 0)
+		ct = dropped
 	}
 
 	// Each phase is an op span stamped, as the evaluator's op spans are,
@@ -222,7 +237,10 @@ func (b *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) *ckks.Ciphertext {
 	}
 	fi := ev.FaultInjector()
 	var raised, ctReal, ctImag, out *ckks.Ciphertext
-	phase("bootstrap.ModRaise", func() { raised = b.modRaise(ct) })
+	phase("bootstrap.ModRaise", func() {
+		raised = b.modRaise(ct)
+		ev.Release(dropped)
+	})
 	fi.Poly("bootstrap.ModRaise.c0", raised.C0)
 	fi.Poly("bootstrap.ModRaise.c1", raised.C1)
 
@@ -230,22 +248,33 @@ func (b *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) *ckks.Ciphertext {
 	// order, with the EvalMod normalization folded in.
 	phase("bootstrap.CoeffToSlot", func() {
 		w := b.cts.apply(ev, raised)
+		ev.Release(raised)
 		// Conjugate split into the two real coefficient halves.
 		wc := ev.Conjugate(w)
 		ctReal = ev.Add(w, wc)
-		ctImag = ev.MulByMinusI(ev.Sub(w, wc))
+		diff := ev.Sub(w, wc)
+		ctImag = ev.MulByMinusI(diff)
+		ev.Release(w, wc, diff)
 	})
 	fi.Poly("bootstrap.CoeffToSlot.c0", ctReal.C0)
 	fi.Poly("bootstrap.CoeffToSlot.c1", ctReal.C1)
 
 	// Approximate modular reduction on both halves.
-	phase("bootstrap.EvalMod", func() { ctReal, ctImag = b.evalMod(ctReal, ctImag) })
+	phase("bootstrap.EvalMod", func() {
+		in := [2]*ckks.Ciphertext{ctReal, ctImag}
+		ctReal, ctImag = b.evalMod(ctReal, ctImag)
+		ev.Release(in[:]...)
+	})
 	fi.Poly("bootstrap.EvalMod.c0", ctReal.C0)
 	fi.Poly("bootstrap.EvalMod.c1", ctReal.C1)
 
 	// Recombine and return to the coefficient domain.
 	phase("bootstrap.SlotToCoeff", func() {
-		out = b.stc.apply(ev, ev.Add(ctReal, ev.MulByI(ctImag)))
+		imag := ev.MulByI(ctImag)
+		sum := ev.Add(ctReal, imag)
+		ev.Release(ctReal, ctImag, imag)
+		out = b.stc.apply(ev, sum)
+		ev.Release(sum)
 	})
 	fi.Poly("bootstrap.SlotToCoeff.c0", out.C0)
 	fi.Poly("bootstrap.SlotToCoeff.c1", out.C1)

@@ -125,6 +125,32 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	t.Logf("bootstrap: output level %d, max slot error %.3g", out.Level, maxErrC(msg, got))
 }
 
+// TestBootstrapLeavesInputUnchanged: Bootstrap only reads its input, at
+// level 0 and above it (where it drops a copy first), although it hands
+// every intermediate back to the evaluator's pools: after two bootstraps
+// — the second drawing on what the first released — the input is word for
+// word what it was, and the two outputs are equal.
+func TestBootstrapLeavesInputUnchanged(t *testing.T) {
+	fx := newPhaseFixture(t)
+	vals := make([]complex128, fx.params.Slots())
+	for i := range vals {
+		vals[i] = complex(float64(i%9)/9-0.5, 0.25)
+	}
+	top := fx.encryptor.Encrypt(fx.enc.Encode(vals))
+	for _, level := range []int{0, 3} {
+		ct := fx.btp.Evaluator().DropLevel(top, level)
+		want := ct.CopyNew()
+		first := fx.btp.Bootstrap(ct)
+		second := fx.btp.Bootstrap(ct)
+		if !ct.C0.Equal(want.C0) || !ct.C1.Equal(want.C1) || ct.Level != want.Level || ct.Scale != want.Scale {
+			t.Errorf("level %d: Bootstrap changed its input", level)
+		}
+		if !first.C0.Equal(second.C0) || !first.C1.Equal(second.C1) {
+			t.Errorf("level %d: a second Bootstrap of the same input differs from the first", level)
+		}
+	}
+}
+
 func TestRequiredKMonotone(t *testing.T) {
 	// K grows with the secret weight and (slowly) with the ring degree
 	// and the failure exponent.

@@ -56,6 +56,7 @@ func (b *Bootstrapper) BootstrapE(ctx context.Context, ct *ckks.Ciphertext) (*ck
 		in := ct
 		if in.Level > 0 {
 			in = ev.DropLevel(in, 0)
+			defer ev.Release(in)
 		}
 		ref := b.enc.Decode(b.guard.dec.DecryptToPlaintext(in))
 		out := bound.Bootstrap(ct)
@@ -64,6 +65,7 @@ func (b *Bootstrapper) BootstrapE(ctx context.Context, ct *ckks.Ciphertext) (*ck
 			guardErr = fherr.Errorf(fherr.ErrPrecisionLoss,
 				"bootstrap: precision floor (got=%.2f bits worst slot, want>=%.2f)",
 				stats.MinPrecisionBits, b.guard.minBits)
+			ev.Release(out)
 			return nil
 		}
 		return out

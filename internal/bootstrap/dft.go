@@ -69,13 +69,23 @@ func (d homomorphicDFT) rotationSteps() []int {
 	return slices.Compact(steps)
 }
 
-// apply evaluates the groups in order, rescaling after each.
+// apply evaluates the groups in order, rescaling after each. ct is only
+// read; each group's input that apply made — the previous group's output
+// or a DropLevel copy — is released once the next group has read it.
 func (d homomorphicDFT) apply(ev *ckks.Evaluator, ct *ckks.Ciphertext) *ckks.Ciphertext {
+	in := ct
 	for _, lt := range d {
+		x := ct
 		if ct.Level > lt.Level {
-			ct = ev.DropLevel(ct, lt.Level)
+			x = ev.DropLevel(ct, lt.Level)
+			if ct != in {
+				ev.Release(ct)
+			}
 		}
-		ct = ev.EvalLinearTransformRescale(ct, lt)
+		ct = ev.EvalLinearTransformRescale(x, lt)
+		if x != in {
+			ev.Release(x)
+		}
 	}
 	return ct
 }

@@ -267,6 +267,44 @@ func (ev *Evaluator) tagPlaintext(pt *Plaintext) {
 // polynomial carries and the analytic NTT accounting needs.
 func (ev *Evaluator) kP() int { return len(ev.params.RingP().Moduli) }
 
+// newCiphertext draws an op's output at level from the ring's exact-size
+// pools (ring.GetPoly): its words are stale, and the op writes every one.
+func (ev *Evaluator) newCiphertext(level int, scale float64) *Ciphertext {
+	rQ := ev.params.RingQ().AtLevel(level)
+	return &Ciphertext{C0: rQ.GetPoly(), C1: rQ.GetPoly(), Scale: scale, Level: level}
+}
+
+// copyAt is a pooled copy of ct's first level+1 limbs.
+func (ev *Evaluator) copyAt(ct *Ciphertext, level int) *Ciphertext {
+	out := ev.newCiphertext(level, ct.Scale)
+	src := ct.atLevel(level)
+	src.C0.Copy(out.C0)
+	src.C1.Copy(out.C1)
+	return out
+}
+
+// Release hands ciphertexts the caller is done with back to the pools
+// every op draws its outputs from, so a later op reuses their memory
+// instead of allocating and zeroing fresh polynomials. It sets each one's
+// halves to nil. As with a switching key the vault evicted, holding a
+// released ciphertext is a bug: its polynomials and limbs belong to the
+// next op's output, and releasing one that is still read elsewhere (a
+// copy of the pointer, an input of an op in flight) corrupts that reader.
+// Any ciphertext of this parameter set may be released, whoever made it;
+// nil entries and ciphertexts already released are skipped. A caller that
+// never releases allocates what it would without the pools.
+func (ev *Evaluator) Release(cts ...*Ciphertext) {
+	rQ := ev.params.RingQ()
+	for _, ct := range cts {
+		if ct == nil || ct.C0 == nil {
+			continue
+		}
+		rQ.PutPoly(ct.C0)
+		rQ.PutPoly(ct.C1)
+		ct.C0, ct.C1 = nil, nil
+	}
+}
+
 func minLevel(ct0, ct1 *Ciphertext) int {
 	if ct0.Level < ct1.Level {
 		return ct0.Level
@@ -285,7 +323,7 @@ func (ev *Evaluator) Add(ct0, ct1 *Ciphertext) *Ciphertext {
 	}
 	level := minLevel(ct0, ct1)
 	rQ := ev.params.RingQ().AtLevel(level)
-	out := &Ciphertext{C0: rQ.NewPoly(), C1: rQ.NewPoly(), Scale: ct0.Scale, Level: level}
+	out := ev.newCiphertext(level, ct0.Scale)
 	rQ.Add(ct0.C0, ct1.C0, out.C0)
 	rQ.Add(ct0.C1, ct1.C1, out.C1)
 	return out
@@ -298,7 +336,7 @@ func (ev *Evaluator) Sub(ct0, ct1 *Ciphertext) *Ciphertext {
 	}
 	level := minLevel(ct0, ct1)
 	rQ := ev.params.RingQ().AtLevel(level)
-	out := &Ciphertext{C0: rQ.NewPoly(), C1: rQ.NewPoly(), Scale: ct0.Scale, Level: level}
+	out := ev.newCiphertext(level, ct0.Scale)
 	rQ.Sub(ct0.C0, ct1.C0, out.C0)
 	rQ.Sub(ct0.C1, ct1.C1, out.C1)
 	return out
@@ -307,7 +345,7 @@ func (ev *Evaluator) Sub(ct0, ct1 *Ciphertext) *Ciphertext {
 // Neg returns -ct.
 func (ev *Evaluator) Neg(ct *Ciphertext) *Ciphertext {
 	rQ := ev.params.RingQ().AtLevel(ct.Level)
-	out := &Ciphertext{C0: rQ.NewPoly(), C1: rQ.NewPoly(), Scale: ct.Scale, Level: ct.Level}
+	out := ev.newCiphertext(ct.Level, ct.Scale)
 	rQ.Neg(ct.C0, out.C0)
 	rQ.Neg(ct.C1, out.C1)
 	return out
@@ -321,8 +359,9 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 		panic(fmt.Sprintf("ckks: AddPlain scale mismatch (got=2^%.2f, want=2^%.2f)", log2(pt.Scale), log2(ct.Scale)))
 	}
 	rQ := ev.params.RingQ().AtLevel(ct.Level)
-	out := ct.CopyNew()
+	out := ev.newCiphertext(ct.Level, ct.Scale)
 	rQ.Add(ct.C0, pt.Value, out.C0)
+	ct.atLevel(ct.Level).C1.Copy(out.C1)
 	return out
 }
 
@@ -333,8 +372,9 @@ func (ev *Evaluator) SubPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 		panic(fmt.Sprintf("ckks: SubPlain scale mismatch (got=2^%.2f, want=2^%.2f)", log2(pt.Scale), log2(ct.Scale)))
 	}
 	rQ := ev.params.RingQ().AtLevel(ct.Level)
-	out := ct.CopyNew()
+	out := ev.newCiphertext(ct.Level, ct.Scale)
 	rQ.Sub(ct.C0, pt.Value, out.C0)
+	ct.atLevel(ct.Level).C1.Copy(out.C1)
 	return out
 }
 
@@ -343,7 +383,7 @@ func (ev *Evaluator) SubPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	ev.tagPlaintext(pt)
 	rQ := ev.params.RingQ().AtLevel(ct.Level)
-	out := &Ciphertext{C0: rQ.NewPoly(), C1: rQ.NewPoly(), Scale: ct.Scale * pt.Scale, Level: ct.Level}
+	out := ev.newCiphertext(ct.Level, ct.Scale*pt.Scale)
 	rQ.MulCoeffs(ct.C0, pt.Value, out.C0)
 	rQ.MulCoeffs(ct.C1, pt.Value, out.C1)
 	return out
@@ -351,7 +391,9 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 
 // MulPlainRescale is the full PtMult of Table 2: multiply then Rescale.
 func (ev *Evaluator) MulPlainRescale(ct *Ciphertext, pt *Plaintext) *Ciphertext {
-	return ev.Rescale(ev.MulPlain(ct, pt))
+	prod := ev.MulPlain(ct, pt)
+	defer ev.Release(prod)
+	return ev.Rescale(prod)
 }
 
 // MulByConstReal multiplies every slot by the real constant c, carrying it
@@ -365,7 +407,7 @@ func (ev *Evaluator) MulByConstReal(ct *Ciphertext, c float64, constScale float6
 	scaled := math.Round(c * constScale)
 	outScale := ct.Scale * constScale
 	neg := scaled < 0
-	out := &Ciphertext{C0: rQ.NewPoly(), C1: rQ.NewPoly(), Scale: outScale, Level: ct.Level}
+	out := ev.newCiphertext(ct.Level, outScale)
 	abs := math.Abs(scaled)
 	if abs >= 1<<62 {
 		// Gigantic constants (e.g. aligning to Δ² scales) exceed uint64:
@@ -393,7 +435,7 @@ func (ev *Evaluator) MulByConstReal(ct *Ciphertext, c float64, constScale float6
 // AddConstReal adds the real constant c to every slot, encoding it at the
 // ciphertext's own scale (no level or scale change).
 func (ev *Evaluator) AddConstReal(ct *Ciphertext, c float64) *Ciphertext {
-	out := ct.CopyNew()
+	out := ev.copyAt(ct, ct.Level)
 	ev.addConst(out, c)
 	return out
 }
@@ -455,16 +497,7 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 	ev.rec.Add("ckks.rescale", 1)
 	ev.rec.Add("ckks.limbs", uint64(level+1))
 	conv := ev.params.Converter()
-	rQ := ev.params.RingQ().AtLevel(level - 1)
-	out := &Ciphertext{
-		C0:    rQ.NewPoly(),
-		C1:    rQ.NewPoly(),
-		Scale: ct.Scale / float64(ev.params.Q()[level]),
-		Level: level - 1,
-	}
-	// Rescale truncates the output slice itself; hand it full-size polys.
-	out.C0.Coeffs = out.C0.Coeffs[:level]
-	out.C1.Coeffs = out.C1.Coeffs[:level]
+	out := ev.newCiphertext(level-1, ct.Scale/float64(ev.params.Q()[level]))
 	conv.Rescale(level, ct.C0, out.C0, ev.workers)
 	conv.Rescale(level, ct.C1, out.C1, ev.workers)
 	return out
@@ -476,7 +509,7 @@ func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) *Ciphertext {
 	if level < 0 || level > ct.Level {
 		panic(fmt.Sprintf("ckks: DropLevel level (got=%d, want within [0,%d])", level, ct.Level))
 	}
-	return ct.atLevel(level).CopyNew()
+	return ev.copyAt(ct, level)
 }
 
 // atLevel is DropLevel without the copy: a view of ct's first level+1
@@ -790,7 +823,7 @@ func (ev *Evaluator) galoisKey(g uint64) *GaloisKey {
 func (ev *Evaluator) Rotate(ct *Ciphertext, k int) *Ciphertext {
 	g := ev.params.RingQ().GaloisElement(k)
 	if g == 1 {
-		return ct.CopyNew()
+		return ev.copyAt(ct, ct.Level)
 	}
 	sp := ev.startOp("Rotate", ct.Level, ct.Scale, 0)
 	defer ev.endOp(sp)
@@ -851,7 +884,7 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) map[int]*Ciphert
 	for _, k := range steps {
 		g := ev.params.RingQ().GaloisElement(k)
 		if g == 1 {
-			out[k] = ct.CopyNew()
+			out[k] = ev.copyAt(ct, ct.Level)
 			continue
 		}
 		ev.rec.Add("ckks.rotate", 1)
@@ -891,7 +924,9 @@ func (ev *Evaluator) MatchScaleLevel(ct *Ciphertext, level int, targetScale floa
 	if ratio < 1 {
 		panic(fmt.Sprintf("ckks: MatchScaleLevel scale mismatch (got=ratio %.3g, want>=1)", ratio))
 	}
-	return ev.Rescale(ev.MulByConstReal(adj, 1, ratio))
+	prod := ev.MulByConstReal(adj, 1, ratio)
+	defer ev.Release(prod)
+	return ev.Rescale(prod)
 }
 
 // SwitchKeys re-encrypts ct to the key the switching key targets: the

@@ -25,12 +25,13 @@ func (ev *Evaluator) InnerSum(ct *Ciphertext, n int) *Ciphertext {
 	for step := 1; step < n; step <<= 1 {
 		ev.galoisKey(ev.params.RingQ().GaloisElement(step))
 	}
-	out := ct.CopyNew()
+	out := ev.copyAt(ct, ct.Level)
 	rQ := ev.params.RingQ().AtLevel(ct.Level)
 	for step := 1; step < n; step <<= 1 {
 		rot := ev.Rotate(out, step)
 		rQ.Add(out.C0, rot.C0, out.C0)
 		rQ.Add(out.C1, rot.C1, out.C1)
+		ev.Release(rot)
 	}
 	return out
 }
@@ -49,5 +50,8 @@ func InnerSumRotations(n int) []int {
 // the mean of the first n inputs. Costs one level (for the 1/n constant).
 func (ev *Evaluator) Average(ct *Ciphertext, n int) *Ciphertext {
 	sum := ev.InnerSum(ct, n)
-	return ev.Rescale(ev.MulByConstReal(sum, 1/float64(n), ev.params.Scale()))
+	prod := ev.MulByConstReal(sum, 1/float64(n), ev.params.Scale())
+	ev.Release(sum)
+	defer ev.Release(prod)
+	return ev.Rescale(prod)
 }

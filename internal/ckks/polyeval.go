@@ -84,7 +84,8 @@ func (ev *Evaluator) EvalPolynomial(basis Basis, coeffs []float64, cts ...*Ciphe
 	out := make([]*Ciphertext, len(cts))
 	if d == 0 {
 		for x, ct := range cts {
-			out[x] = ev.AddConstReal(ev.MulByConstReal(ct, 0, 1), coeffs[0])
+			out[x] = ev.MulByConstReal(ct, 0, 1)
+			ev.addConst(out[x], coeffs[0])
 		}
 		return out
 	}
@@ -119,6 +120,7 @@ func (ev *Evaluator) EvalPolynomial(basis Basis, coeffs []float64, cts ...*Ciphe
 	for l := top; l > root.level; l-- {
 		var pairs []mulPair
 		var dst []**Ciphertext
+		var consumed []*Ciphertext
 		for _, s := range ladder[l] {
 			for x := range cts {
 				pairs = append(pairs, pe.power(x, s))
@@ -127,16 +129,21 @@ func (ev *Evaluator) EvalPolynomial(basis Basis, coeffs []float64, cts ...*Ciphe
 		}
 		for _, n := range splits[l] {
 			for x := range cts {
-				pairs = append(pairs, mulPair{ct0: pe.result(n.q, x), ct1: pe.b[x][n.g]})
+				q := pe.result(n.q, x)
+				pairs = append(pairs, mulPair{ct0: q, ct1: pe.b[x][n.g]})
 				dst = append(dst, &n.prod[x])
+				consumed = append(consumed, q)
 			}
 		}
 		for k, ct := range ev.mulRescale(pairs) {
 			*dst[k] = ct
 		}
+		ev.Release(consumed...)
 	}
 	for x := range cts {
 		out[x] = pe.result(root, x)
+		// The basis elements the walk built; b_1 is the caller's input.
+		ev.Release(pe.b[x][2:]...)
 	}
 	return out
 }
@@ -205,13 +212,17 @@ func (pe *polyEval) resultScale(n *psNode, x int) float64 {
 
 // result returns n's result for input x: a leaf is evaluated on first
 // use; a split's is its product plus r's result, once the walk has run
-// the product.
+// the product, and the join releases both. Every result but the root's
+// is read once, by its parent's product or join, which releases it; its
+// scale stays readable.
 func (pe *polyEval) result(n *psNode, x int) *Ciphertext {
 	if n.out[x] == nil {
 		if n.g == 0 {
 			n.out[x] = pe.evalLeaf(x, n.coeffs, n.level, pe.scale(n, x))
 		} else {
-			n.out[x] = pe.ev.Add(n.prod[x], pe.result(n.r, x))
+			r := pe.result(n.r, x)
+			n.out[x] = pe.ev.Add(n.prod[x], r)
+			pe.ev.Release(n.prod[x], r)
 		}
 	}
 	return n.out[x]
@@ -236,8 +247,9 @@ func (pe *polyEval) split(coeffs []float64, g int) (q, r []float64) {
 
 // evalLeaf combines input x's baby elements with plaintext constants,
 // landing at exactly (level, ≈scale) after one Rescale. Each b_k is read
-// through a limb view at level+1, never copied: the first term allocates
-// the accumulator and every later one is a fused acc += c_k·b_k pass.
+// through a limb view at level+1, never copied: the first term draws the
+// accumulator, every later one is a fused acc += c_k·b_k pass, and the
+// accumulator is released once rescaled.
 func (pe *polyEval) evalLeaf(x int, coeffs []float64, level int, scale float64) *Ciphertext {
 	ev, b := pe.ev, pe.b[x]
 	target := scale * float64(ev.params.Q()[level+1])
@@ -259,6 +271,7 @@ func (pe *polyEval) evalLeaf(x int, coeffs []float64, level int, scale float64) 
 		acc.Scale = target
 	}
 	ev.addConst(acc, coeffs[0])
+	defer ev.Release(acc)
 	return ev.Rescale(acc)
 }
 

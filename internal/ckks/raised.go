@@ -153,10 +153,10 @@ func (ev *Evaluator) subScaledRaised(r raisedCt, ct *Ciphertext, k float64) {
 }
 
 // lower closes r with the ModDown pair of Algorithm 3 line 4: the
-// ciphertext (⌊u/P⌋, ⌊v/P⌋) at r's level and scale, in fresh polynomials.
+// ciphertext (⌊u/P⌋, ⌊v/P⌋) at r's level and scale, in pooled output
+// polynomials.
 func (ev *Evaluator) lower(r raisedCt, workers int) *Ciphertext {
-	rQ := ev.params.RingQ().AtLevel(r.level)
-	out := &Ciphertext{C0: rQ.NewPoly(), C1: rQ.NewPoly(), Scale: r.scale, Level: r.level}
+	out := ev.newCiphertext(r.level, r.scale)
 	ev.modDownPair(r.level, r.u, r.v, out.C0, out.C1, workers)
 	ev.release(r)
 	return out
@@ -176,13 +176,7 @@ func (ev *Evaluator) lowerRescale(r raisedCt, workers int) *Ciphertext {
 	ev.rec.Add("ckks.rescale", 1)
 	ev.rec.Add("ckks.limbs", uint64(level+1))
 	conv := ev.params.Converter()
-	rQ := ev.params.RingQ().AtLevel(level - 1)
-	out := &Ciphertext{
-		C0:    rQ.NewPoly(),
-		C1:    rQ.NewPoly(),
-		Scale: r.scale / float64(ev.params.Q()[level]),
-		Level: level - 1,
-	}
+	out := ev.newCiphertext(level-1, r.scale/float64(ev.params.Q()[level]))
 	conv.ModDownRescale(level, r.u, out.C0, workers)
 	conv.ModDownRescale(level, r.v, out.C1, workers)
 	ev.release(r)

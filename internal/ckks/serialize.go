@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/prng"
 	"repro/internal/ring"
@@ -20,30 +21,38 @@ import (
 
 const ctFormatVersion = 1
 
-// WriteTo serializes the ciphertext (header, scale, both polynomials).
-func (ct *Ciphertext) WriteTo(w io.Writer) (int64, error) {
-	header := make([]byte, 16)
-	header[0] = ctFormatVersion
-	binary.LittleEndian.PutUint16(header[2:], uint16(ct.Level))
-	binary.LittleEndian.PutUint64(header[8:], math.Float64bits(ct.Scale))
-	n, err := w.Write(header)
-	total := int64(n)
+// ctHeaderSize is the length of a serialized ciphertext's header.
+const ctHeaderSize = 16
+
+// binarySize returns the number of bytes WriteTo writes for ct.
+func (ct *Ciphertext) binarySize() int {
+	return ctHeaderSize + ct.C0.BinarySize() + ct.C1.BinarySize()
+}
+
+// appendBinary appends ct's serialized form to b: the header (level,
+// scale), then both polynomials.
+func (ct *Ciphertext) appendBinary(b []byte) ([]byte, error) {
+	b = slices.Grow(b, ct.binarySize())
+	b = append(b, ctFormatVersion, 0)
+	b = binary.LittleEndian.AppendUint16(b, uint16(ct.Level))
+	b = append(b, 0, 0, 0, 0)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ct.Scale))
+	b, err := ct.C0.AppendBinary(b)
 	if err != nil {
-		return total, err
+		return b, err
 	}
-	for _, p := range []*ring.Poly{ct.C0, ct.C1} {
-		m, err := p.WriteTo(w)
-		total += m
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
+	return ct.C1.AppendBinary(b)
+}
+
+// WriteTo serializes the ciphertext (header, scale, both polynomials),
+// sized once and written with one Write (ring.WriteAppended).
+func (ct *Ciphertext) WriteTo(w io.Writer) (int64, error) {
+	return ring.WriteAppended(w, ct.binarySize(), ct.appendBinary)
 }
 
 // ReadFrom deserializes a ciphertext written by WriteTo.
 func (ct *Ciphertext) ReadFrom(r io.Reader) (int64, error) {
-	header := make([]byte, 16)
+	header := make([]byte, ctHeaderSize)
 	n, err := io.ReadFull(r, header)
 	total := int64(n)
 	if err != nil {

@@ -27,15 +27,20 @@ func iMonomial(rQ *ring.Ring) *ring.Poly {
 func (ev *Evaluator) MulByI(ct *Ciphertext) *Ciphertext {
 	rQ := ev.params.RingQ().AtLevel(ct.Level)
 	mono := &ring.Poly{Coeffs: ev.params.iMono().Coeffs[:ct.Level+1], IsNTT: true}
-	out := &Ciphertext{C0: rQ.NewPoly(), C1: rQ.NewPoly(), Scale: ct.Scale, Level: ct.Level}
+	out := ev.newCiphertext(ct.Level, ct.Scale)
 	rQ.MulCoeffs(ct.C0, mono, out.C0)
 	rQ.MulCoeffs(ct.C1, mono, out.C1)
 	return out
 }
 
-// MulByMinusI multiplies every slot by -i.
+// MulByMinusI multiplies every slot by -i: Neg(MulByI(ct)), the negation
+// done in place on MulByI's output.
 func (ev *Evaluator) MulByMinusI(ct *Ciphertext) *Ciphertext {
-	return ev.Neg(ev.MulByI(ct))
+	out := ev.MulByI(ct)
+	rQ := ev.params.RingQ().AtLevel(ct.Level)
+	rQ.Neg(out.C0, out.C0)
+	rQ.Neg(out.C1, out.C1)
+	return out
 }
 
 // GenSecretKeySparse samples a ternary secret with exactly h nonzero

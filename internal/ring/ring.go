@@ -130,6 +130,7 @@ type Ring struct {
 
 	auto    *autoCache // Galois element -> NTT-domain permutation
 	scratch *polyPool  // reusable full-limb scratch polynomials
+	views   []*Ring    // AtLevel's views by level; the last is the full ring
 }
 
 // NewRing constructs a Ring of degree n (a power of two ≥ 16) over the given
@@ -161,6 +162,19 @@ func NewRing(n int, moduli []uint64) (*Ring, error) {
 		}
 		r.SubRings[i] = s
 	}
+	r.views = make([]*Ring, len(moduli))
+	for l := range r.views[:len(moduli)-1] {
+		r.views[l] = &Ring{
+			N:        r.N,
+			LogN:     r.LogN,
+			Moduli:   r.Moduli[:l+1],
+			SubRings: r.SubRings[:l+1],
+			auto:     r.auto,
+			scratch:  r.scratch,
+			views:    r.views,
+		}
+	}
+	r.views[len(moduli)-1] = r
 	return r, nil
 }
 
@@ -209,19 +223,14 @@ func (r *Ring) Tracer() *memtrace.Tracer {
 }
 
 // AtLevel returns a shallow view of the ring restricted to moduli [0, level].
-// The returned Ring shares all precomputed tables with r.
+// The returned Ring shares all precomputed tables with r. NewRing builds
+// every view once, so AtLevel allocates nothing; AtLevel(MaxLevel) of the
+// full ring is the ring itself.
 func (r *Ring) AtLevel(level int) *Ring {
 	if level < 0 || level > r.MaxLevel() {
 		panic(fmt.Sprintf("ring: level %d out of range [0,%d]", level, r.MaxLevel()))
 	}
-	return &Ring{
-		N:        r.N,
-		LogN:     r.LogN,
-		Moduli:   r.Moduli[:level+1],
-		SubRings: r.SubRings[:level+1],
-		auto:     r.auto,
-		scratch:  r.scratch,
-	}
+	return r.views[level]
 }
 
 // NewPoly allocates a zero polynomial with one limb per ring modulus.

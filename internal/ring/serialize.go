@@ -14,48 +14,85 @@ import (
 
 const polyFormatVersion = 1
 
-// WriteTo serializes the polynomial. It implements io.WriterTo.
-func (p *Poly) WriteTo(w io.Writer) (int64, error) {
+// polyHeaderSize is the length of a serialized polynomial's header.
+const polyHeaderSize = 12
+
+// BinarySize returns the number of bytes WriteTo writes for p.
+func (p *Poly) BinarySize() int {
 	if len(p.Coeffs) == 0 {
-		return 0, fmt.Errorf("ring: cannot serialize an empty polynomial")
+		return 0
+	}
+	return polyHeaderSize + 8*len(p.Coeffs)*len(p.Coeffs[0])
+}
+
+// AppendBinary appends p's serialized form to b: the header, then every
+// limb as little-endian 64-bit words. It implements
+// encoding.BinaryAppender.
+func (p *Poly) AppendBinary(b []byte) ([]byte, error) {
+	if len(p.Coeffs) == 0 {
+		return b, fmt.Errorf("ring: cannot serialize an empty polynomial")
 	}
 	n := len(p.Coeffs[0])
-	var flags uint8
-	if p.IsNTT {
-		flags = 1
-	}
-	header := make([]byte, 12)
-	header[0] = polyFormatVersion
-	header[1] = flags
-	binary.LittleEndian.PutUint16(header[2:], uint16(len(p.Coeffs)))
-	binary.LittleEndian.PutUint32(header[4:], uint32(n))
-	// header[8:12] reserved.
-	written, err := w.Write(header)
-	total := int64(written)
-	if err != nil {
-		return total, err
-	}
-	buf := make([]byte, 8*n)
 	for _, limb := range p.Coeffs {
 		if len(limb) != n {
-			return total, fmt.Errorf("ring: ragged limb lengths")
-		}
-		for j, v := range limb {
-			binary.LittleEndian.PutUint64(buf[8*j:], v)
-		}
-		written, err = w.Write(buf)
-		total += int64(written)
-		if err != nil {
-			return total, err
+			return b, fmt.Errorf("ring: ragged limb lengths")
 		}
 	}
-	return total, nil
+	size := p.BinarySize()
+	b = slices.Grow(b, size)
+	out := b[len(b) : len(b)+size]
+	out[0] = polyFormatVersion
+	out[1] = 0
+	if p.IsNTT {
+		out[1] = 1
+	}
+	binary.LittleEndian.PutUint16(out[2:], uint16(len(p.Coeffs)))
+	binary.LittleEndian.PutUint32(out[4:], uint32(n))
+	clear(out[8:polyHeaderSize]) // reserved
+	words := out[polyHeaderSize:]
+	for _, limb := range p.Coeffs {
+		for j, v := range limb {
+			binary.LittleEndian.PutUint64(words[8*j:], v)
+		}
+		words = words[8*n:]
+	}
+	return b[:len(b)+size], nil
+}
+
+// WriteTo serializes the polynomial with one Write (see WriteAppended).
+// It implements io.WriterTo.
+func (p *Poly) WriteTo(w io.Writer) (int64, error) {
+	return WriteAppended(w, p.BinarySize(), p.AppendBinary)
+}
+
+// WriteAppended writes the size bytes appendTo appends, with one Write. A
+// writer that can hand out space — Grow and AvailableBuffer, as
+// bytes.Buffer has — gets them encoded straight into its own buffer; any
+// other gets one staging buffer of size bytes. An encoding error is
+// returned before anything is written.
+func WriteAppended(w io.Writer, size int, appendTo func([]byte) ([]byte, error)) (int64, error) {
+	var b []byte
+	if g, ok := w.(interface {
+		Grow(n int)
+		AvailableBuffer() []byte
+	}); ok {
+		g.Grow(size)
+		b = g.AvailableBuffer()
+	} else {
+		b = make([]byte, 0, size)
+	}
+	b, err := appendTo(b)
+	if err != nil {
+		return 0, err
+	}
+	n, err := w.Write(b)
+	return int64(n), err
 }
 
 // ReadFrom deserializes into p, replacing its contents. It implements
 // io.ReaderFrom.
 func (p *Poly) ReadFrom(r io.Reader) (int64, error) {
-	header := make([]byte, 12)
+	header := make([]byte, polyHeaderSize)
 	read, err := io.ReadFull(r, header)
 	total := int64(read)
 	if err != nil {

@@ -407,10 +407,15 @@ func (rep *wireReply) write(w http.ResponseWriter) {
 	putBuf(rep.body)
 }
 
-// sliceWriter is the io.Writer Ciphertext.WriteTo appends to.
+// sliceWriter is the io.Writer Ciphertext.WriteTo appends to. Grow and
+// AvailableBuffer let WriteTo encode straight into the slice.
 type sliceWriter []byte
 
 func (w *sliceWriter) Write(p []byte) (int, error) {
 	*w = append(*w, p...)
 	return len(p), nil
 }
+
+func (w *sliceWriter) Grow(n int) { *w = slices.Grow(*w, n) }
+
+func (w *sliceWriter) AvailableBuffer() []byte { return (*w)[len(*w):] }
