@@ -8,6 +8,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -281,54 +283,25 @@ func table6(_ []string, w io.Writer) error {
 	return nil
 }
 
-// fig6Point is one application bar of Figure 6.
-type fig6Point struct {
-	Label     string  `json:"label"`
-	RuntimeS  float64 `json:"runtime_s"`
-	Published bool    `json:"published"`
-}
-
-// figure6Rows returns one application's bars per design: "lr" for the
-// LR-training sub-figures (a)–(e), "resnet" for ResNet-20 (f)–(h).
-func figure6Rows(app string) (map[string][]fig6Point, error) {
-	var data map[string][]apps.Figure6Point
-	switch app {
-	case "lr":
-		data = apps.Figure6LR()
-	case "resnet":
-		data = apps.Figure6ResNet()
-	default:
-		return nil, fherr.Errorf(fherr.ErrUsage, "unknown -app: %s", app)
-	}
-	rows := make(map[string][]fig6Point, len(data))
-	for name, pts := range data {
-		for _, pt := range pts {
-			rows[name] = append(rows[name], fig6Point{pt.Label, pt.RuntimeS, pt.Published})
-		}
-	}
-	return rows, nil
-}
-
 func fig6(args []string, w io.Writer) error {
 	fs := newFlagSet("fig6")
 	app := fs.String("app", "lr", "lr or resnet")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	rows, err := figure6Rows(*app)
+	// "lr": the LR-training sub-figures (a)–(e); "resnet": ResNet-20 (f)–(h).
+	build, title := apps.Figure6LR, "== Figure 6 (a-e): logistic-regression training time =="
+	if *app == "resnet" {
+		build, title = apps.Figure6ResNet, "== Figure 6 (f-h): ResNet-20 inference time =="
+	} else if *app != "lr" {
+		return fherr.Errorf(fherr.ErrUsage, "unknown -app: %s", *app)
+	}
+	rows, err := build()
 	if err != nil {
 		return err
 	}
-	if *app == "lr" {
-		fmt.Fprintln(w, "== Figure 6 (a-e): logistic-regression training time ==")
-	} else {
-		fmt.Fprintln(w, "== Figure 6 (f-h): ResNet-20 inference time ==")
-	}
-	names := make([]string, 0, len(rows))
-	for name := range rows {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	fmt.Fprintln(w, title)
+	names := slices.Sorted(maps.Keys(rows))
 	for _, name := range names {
 		fmt.Fprintf(w, "%s:\n", name)
 		var modeled float64
@@ -352,20 +325,20 @@ func fig6(args []string, w io.Writer) error {
 // trees of the headline operations under the fully-optimized
 // configuration.
 type report struct {
-	Table4        []table4Row            `json:"table4"`
-	Figure2       []figure2Row           `json:"figure2"`
-	Figure3       []figure3Row           `json:"figure3"`
-	Table5        table5Result           `json:"table5"`
-	Table6        []table6Row            `json:"table6"`
-	Figure6LR     map[string][]fig6Point `json:"figure6_lr"`
-	Figure6ResNet map[string][]fig6Point `json:"figure6_resnet"`
+	Table4        []table4Row                    `json:"table4"`
+	Figure2       []figure2Row                   `json:"figure2"`
+	Figure3       []figure3Row                   `json:"figure3"`
+	Table5        table5Result                   `json:"table5"`
+	Table6        []table6Row                    `json:"table6"`
+	Figure6LR     map[string][]apps.Figure6Point `json:"figure6_lr"`
+	Figure6ResNet map[string][]apps.Figure6Point `json:"figure6_resnet"`
 	Attribution   struct {
 		Mult      jsonTree `json:"mult"`
 		Bootstrap jsonTree `json:"bootstrap"`
 	} `json:"attribution"`
 }
 
-func buildReport() report {
+func buildReport() (report, error) {
 	r := report{
 		Table4:  table4Rows(),
 		Figure2: figure2Rows(),
@@ -373,18 +346,27 @@ func buildReport() report {
 		Table5:  table5Rows(),
 		Table6:  table6Rows(),
 	}
-	r.Figure6LR, _ = figure6Rows("lr")
-	r.Figure6ResNet, _ = figure6Rows("resnet")
+	var err error
+	if r.Figure6LR, err = apps.Figure6LR(); err != nil {
+		return r, err
+	}
+	if r.Figure6ResNet, err = apps.Figure6ResNet(); err != nil {
+		return r, err
+	}
 	ctx := simfhe.NewCtx(simfhe.Optimal(), simfhe.MB(32), simfhe.AllOpts())
 	r.Attribution.Mult = jsonTree{ctx.MultTree(ctx.P.L)}
 	r.Attribution.Bootstrap = jsonTree{ctx.BootstrapTree()}
-	return r
+	return r, nil
 }
 
 func writeJSON(_ []string, w io.Writer) error {
+	r, err := buildReport()
+	if err != nil {
+		return err
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(buildReport())
+	return enc.Encode(r)
 }
 
 func costTradeoff(_ []string, w io.Writer) error {

@@ -79,21 +79,44 @@ func withExports(args []string, dir string) (_ []string, traceOut, metricsOut st
 func TestCommandGolden(t *testing.T) {
 	withStdio(t, io.Discard)
 	for _, c := range goldenCases {
-		t.Run(c.name, func(t *testing.T) {
-			args, traceOut, metricsOut := c.args, "", ""
-			if c.exports {
-				args, traceOut, metricsOut = withExports(args, t.TempDir())
-			}
-			var out bytes.Buffer
-			if err := Run(args, &out); err != nil {
-				t.Fatalf("simfhe %s: %v", strings.Join(args, " "), err)
-			}
-			compareGolden(t, out.Bytes(), c.name+".golden")
-			if c.exports {
-				compareGolden(t, readFile(t, traceOut), c.name+".trace.json")
-				compareGolden(t, readFile(t, metricsOut), c.name+".metrics.prom")
-			}
-		})
+		t.Run(c.name, func(t *testing.T) { runGolden(t, c.args, c.exports, c.name) })
+	}
+	// A schedule piped to stdin (`… | simfhe run`) prints and exports
+	// exactly what the same schedule as a file argument does.
+	t.Run("run_deep_piped", func(t *testing.T) {
+		sched := readFile(t, "testdata/deep.sched")
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			w.Write(sched)
+			w.Close()
+		}()
+		oldIn := stdin
+		stdin = r
+		t.Cleanup(func() { stdin = oldIn; r.Close() })
+		runGolden(t, []string{"run"}, true, "run_deep")
+	})
+}
+
+// runGolden runs one command line and compares its stdout, and with
+// exports its -trace-out and -metrics-out files, with the golden files
+// named golden.
+func runGolden(t *testing.T, args []string, exports bool, golden string) {
+	t.Helper()
+	traceOut, metricsOut := "", ""
+	if exports {
+		args, traceOut, metricsOut = withExports(args, t.TempDir())
+	}
+	var out bytes.Buffer
+	if err := Run(args, &out); err != nil {
+		t.Fatalf("simfhe %s: %v", strings.Join(args, " "), err)
+	}
+	compareGolden(t, out.Bytes(), golden+".golden")
+	if exports {
+		compareGolden(t, readFile(t, traceOut), golden+".trace.json")
+		compareGolden(t, readFile(t, metricsOut), golden+".metrics.prom")
 	}
 }
 

@@ -216,7 +216,7 @@ func runSchedule(args []string, w io.Writer) error {
 
 // scheduleTrace lays the attribution tree RunSchedule recorded for each
 // executed op (and one bootstrap tree per auto-inserted bootstrap) out on
-// a synthetic roofline timeline.
+// a synthetic roofline timeline, a batch's ops one after another.
 func scheduleTrace(ctx simfhe.Ctx, res simfhe.ScheduleResult) ([]obs.SpanRecord, map[string]uint64) {
 	tb := &traceBuilder{m: refMachine}
 	metrics := map[string]uint64{}
@@ -225,8 +225,10 @@ func scheduleTrace(ctx simfhe.Ctx, res simfhe.ScheduleResult) ([]obs.SpanRecord,
 			tb.add(ctx.BootstrapTree())
 			metrics["simfhe_ops_bootstrap"]++
 		}
-		tb.add(sc.Tree)
-		metrics["simfhe_ops_"+sc.Step.Kind.String()]++
+		for range sc.Step.Count {
+			tb.add(sc.Tree)
+		}
+		metrics["simfhe_ops_"+sc.Step.Kind.String()] += uint64(sc.Step.Count)
 	}
 	return tb.spans, metrics
 }

@@ -104,14 +104,22 @@ func constVec(n int, v float64) []complex128 {
 	return out
 }
 
-// simulatedLR runs the full HELR schedule through SimFHE on each design.
+// simulatedLR prices the HELR plan with SimFHE on each design: the
+// original at its own memory and baseline parameters, and +MAD at 32 MB.
 func simulatedLR() {
-	w := apps.HELR()
-	fmt.Printf("workload: %s (%d iterations, %d levels each)\n", w.Name, w.Units, w.LevelsUsed)
+	plan := apps.HELR()
+	fmt.Printf("workload: %s (%d iterations, %d levels each)\n", plan.Name, len(plan.Units), plan.Units[0].Depth())
+	price := func(d design.Design, p simfhe.Params, opts simfhe.OptSet) (float64, int) {
+		res, err := simfhe.NewCtx(p, simfhe.MB(d.OnChipMB), opts).RunSchedule(plan)
+		if err != nil {
+			panic(err)
+		}
+		return d.RuntimeSeconds(res.Total), res.Bootstraps
+	}
 	for _, d := range design.All() {
-		orig := apps.Run(w, d, simfhe.Baseline(), simfhe.CachingOpts())
-		mad := apps.Run(w, d.WithMemory(32), simfhe.Optimal(), simfhe.AllOpts())
+		orig, origBoots := price(d, simfhe.Baseline(), simfhe.CachingOpts())
+		mad, madBoots := price(d.WithMemory(32), simfhe.Optimal(), simfhe.AllOpts())
 		fmt.Printf("  %-18s original %8.3f s (%2d bootstraps)  +MAD@32MB %8.3f s (%2d bootstraps)  -> %.1fx\n",
-			d.Name, orig.RuntimeS, orig.Bootstraps, mad.RuntimeS, mad.Bootstraps, orig.RuntimeS/mad.RuntimeS)
+			d.Name, orig, origBoots, mad, madBoots, orig/mad)
 	}
 }

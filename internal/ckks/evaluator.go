@@ -532,17 +532,18 @@ func (ct *Ciphertext) atLevel(level int) *Ciphertext {
 // see rns.Converter.ModUpDigit), the form kskInnerProduct's kernel takes
 // and divides back out, so they feed nothing else. The result can be
 // reused across many automorphisms — this is exactly the standard "ModUp
-// hoisting" for rotations. The digits are drawn from the converter's pool;
-// release them with putDigits.
-func (ev *Evaluator) decomposeModUp(level int, x *ring.Poly, workers int) []rns.PolyQP {
+// hoisting" for rotations. The digits and the slice holding them are
+// pooled; release them with putDigits.
+func (ev *Evaluator) decomposeModUp(level int, x *ring.Poly, workers int) *[]rns.PolyQP {
 	p := ev.params
 	conv := p.Converter()
 	alpha := p.Alpha()
 	beta := p.Beta(level)
-	digits := make([]rns.PolyQP, beta)
+	set := digitSets.Get().(*[]rns.PolyQP)
 	for j := 0; j < beta; j++ {
-		digits[j] = conv.GetPolyQP(level)
+		*set = append(*set, conv.GetPolyQP(level))
 	}
+	digits := *set
 	outer, inner := splitWorkers(workers, beta)
 	ev.fanOut(beta, outer, func(j int) {
 		start := j * alpha
@@ -552,15 +553,23 @@ func (ev *Evaluator) decomposeModUp(level int, x *ring.Poly, workers int) []rns.
 	// Per digit: iNTT of the digit limbs plus a forward NTT of every
 	// generated limb — together exactly level+1+kP transforms.
 	ev.rec.Add("ckks.ntt", uint64(beta*(level+1+ev.kP())))
-	return digits
+	return set
 }
 
-// putDigits returns a digit slice from decomposeModUp to the pool.
-func (ev *Evaluator) putDigits(digits []rns.PolyQP) {
+// digitSets recycles decomposeModUp's digit slices, held by pointer so
+// that handing one back stores the pointer it came as and boxes nothing.
+var digitSets = sync.Pool{New: func() any { return new([]rns.PolyQP) }}
+
+// putDigits returns the digits from decomposeModUp, and their slice, to
+// the pools.
+func (ev *Evaluator) putDigits(set *[]rns.PolyQP) {
 	conv := ev.params.Converter()
-	for j := range digits {
-		conv.PutPolyQP(digits[j])
+	for _, d := range *set {
+		conv.PutPolyQP(d)
 	}
+	clear(*set)
+	*set = (*set)[:0]
+	digitSets.Put(set)
 }
 
 // kskOperands is the limb-major view of one kernel pass's operands: for
@@ -780,7 +789,7 @@ func (ev *Evaluator) keySwitch(level int, x, c0 *ring.Poly, swk *SwitchingKey, s
 	r := raisedCt{u: conv.GetPolyQP(level), v: conv.GetPolyQP(level), level: level, scale: scale}
 	digits := ev.decomposeModUp(level, x, ev.workers)
 	child := ev.rec.StartLinked("ckks.ks.product")
-	ev.keyedStep(level, []kskLane{{digits: digits, c0: c0, u: r.u, v: r.v}}, nil, swk, ev.workers)
+	ev.keyedStep(level, []kskLane{{digits: *digits, c0: c0, u: r.u, v: r.v}}, nil, swk, ev.workers)
 	child.End()
 	ev.putDigits(digits)
 	return r
@@ -900,7 +909,7 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) map[int]*Ciphert
 	ev.fanOut(len(jobs), outer, func(idx int) {
 		j := jobs[idx]
 		r := raisedCt{u: conv.GetPolyQP(level), v: conv.GetPolyQP(level), level: level, scale: ct.Scale}
-		lane := []kskLane{{digits: digits, c0: ct.C0, u: r.u, v: r.v}}
+		lane := []kskLane{{digits: *digits, c0: ct.C0, u: r.u, v: r.v}}
 		ev.keyedStep(level, lane, rQ.AutomorphismNTTIndex(j.gk.GaloisEl), &j.gk.SwitchingKey, inner)
 		results[idx] = ev.lower(r, inner)
 	})

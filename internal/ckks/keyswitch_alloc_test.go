@@ -22,7 +22,7 @@ func TestKskInnerProductAllocFree(t *testing.T) {
 	ct := tc.encSk.Encrypt(tc.enc.Encode(randomValues(p.Slots(), 1)))
 	ev := NewEvaluator(p, nil)
 	level := ct.Level
-	digits := ev.decomposeModUp(level, ct.C1, 1)
+	digits := *ev.decomposeModUp(level, ct.C1, 1)
 	u, v := p.Converter().GetPolyQP(level), p.Converter().GetPolyQP(level)
 
 	ev.kskInnerProduct(level, []kskLane{{digits: digits, u: u, v: v}}, nil, swk, 1) // warm the operand pool
@@ -79,7 +79,7 @@ func TestKskInnerProductThrashAllocFree(t *testing.T) {
 	level := ct.Level
 	beta := p.Beta(level)
 	ev := NewEvaluator(p, keys, WithKeyBudget(int64(beta)*digitBytes(p)))
-	digits := ev.decomposeModUp(level, ct.C1, 1)
+	digits := *ev.decomposeModUp(level, ct.C1, 1)
 	u, v := p.Converter().GetPolyQP(level), p.Converter().GetPolyQP(level)
 
 	g1, g2 := p.RingQ().GaloisElement(1), p.RingQ().GaloisElement(2)

@@ -84,7 +84,8 @@ func TestKskInnerProductMatchesStrict(t *testing.T) {
 	galois := []uint64{1, p.RingQ().GaloisElement(1), p.RingQ().GaloisElement(-3), p.RingQ().GaloisElementConjugate()}
 	for _, level := range []int{p.MaxLevel(), p.MaxLevel() - 2} {
 		ev := NewEvaluator(p, nil)
-		digits := ev.decomposeModUp(level, ev.DropLevel(ct, level).C1, 1)
+		set := ev.decomposeModUp(level, ev.DropLevel(ct, level).C1, 1)
+		digits := *set
 		for _, g := range galois {
 			wantU, wantV := strictKskInnerProduct(p, level, digits, g, swk)
 			var perm []int
@@ -106,7 +107,7 @@ func TestKskInnerProductMatchesStrict(t *testing.T) {
 				}
 			})
 		}
-		ev.putDigits(digits)
+		ev.putDigits(set)
 	}
 }
 
@@ -250,7 +251,7 @@ func BenchmarkKeySwitchInnerProduct(b *testing.B) {
 	gk.ExpandAll(p)
 	ev := NewEvaluator(p, keys)
 	level := ct.Level
-	digits := ev.decomposeModUp(level, ct.C1, 1)
+	digits := *ev.decomposeModUp(level, ct.C1, 1)
 	u, v := p.Converter().GetPolyQP(level), p.Converter().GetPolyQP(level)
 	for _, c := range []struct {
 		name string

@@ -314,7 +314,7 @@ func (ev *Evaluator) evalLinearTransform(ct *Ciphertext, lt *LinearTransform, cl
 		child := ev.rec.StartLinked("ckks.lt.baby")
 		us[k], vs[k] = conv.GetPolyQP(level), conv.GetPolyQP(level)
 		if gk := babies[k]; gk != nil {
-			lane := []kskLane{{digits: digits, c0: ct.C0, u: us[k], v: vs[k]}}
+			lane := []kskLane{{digits: *digits, c0: ct.C0, u: us[k], v: vs[k]}}
 			ev.keyedStep(level, lane, rQ.AutomorphismNTTIndex(gk.GaloisEl), &gk.SwitchingKey, inner)
 		} else {
 			conv.PModUp(level, ct.C0, us[k], inner)
@@ -386,7 +386,7 @@ func (ev *Evaluator) ltGiantStep(level int, gk *GaloisKey, u, v rns.PolyQP) (rns
 	perm := rQ.AutomorphismNTTIndex(gk.GaloisEl)
 	child := ev.rec.StartLinked("ckks.lt.giant")
 	out := conv.GetPolyQP(level)
-	ev.keyedStep(level, []kskLane{{digits: digits, u: out, v: v}}, perm, &gk.SwitchingKey, ev.workers)
+	ev.keyedStep(level, []kskLane{{digits: *digits, u: out, v: v}}, perm, &gk.SwitchingKey, ev.workers)
 	ev.addAutomorphedRaised(level, u, perm, out)
 	child.End()
 	ev.putDigits(digits)

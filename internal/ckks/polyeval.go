@@ -75,12 +75,9 @@ func (ev *Evaluator) EvalPolynomial(basis Basis, coeffs []float64, cts ...*Ciphe
 			panic(fmt.Sprintf("ckks: EvalPolynomial input scale mismatch (got=2^%.2f, want=2^%.2f)", log2(ct.Scale), log2(cts[0].Scale)))
 		}
 	}
-	// Trim negligible high-order terms.
+	// The declared degree sets the plan, however small its top terms: the
+	// schedule is the one mathutil.PSPlan, and so BootPlan, prices.
 	d := len(coeffs) - 1
-	for d > 0 && math.Abs(coeffs[d]) < 1e-14 {
-		d--
-	}
-	coeffs = coeffs[:d+1]
 	out := make([]*Ciphertext, len(cts))
 	if d == 0 {
 		for x, ct := range cts {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/fherr"
@@ -109,19 +110,35 @@ func TestEvalPolynomialConstant(t *testing.T) {
 	}
 }
 
-func TestEvalPolynomialTrimsZeroTail(t *testing.T) {
+// TestEvalPolynomialRunsDeclaredDegree: the executor runs the plan of
+// the degree it is given, however small the top coefficient — the plan
+// BootPlan prices. A degree-8 polynomial whose c_8 is 1e-15 runs the
+// ckks.Mult batches of NewPSPlan(8) (trimmed to degree 7 it would skip the
+// giant b_8 and its split), and degree 1 is one leaf: a single Rescale.
+func TestEvalPolynomialRunsDeclaredDegree(t *testing.T) {
 	tc, ev := polyTestContext(t)
 	ct := tc.encSk.Encrypt(tc.enc.Encode(randomValues(tc.params.Slots(), 1)))
-	// The zero tail must not consume extra levels: degree-1 poly padded
-	// with zeros should leave the same level as unpadded.
-	a := ev.EvalPolynomial(Monomial, []float64{0.1, 0.9}, ct)[0]
-	b := ev.EvalPolynomial(Monomial, []float64{0.1, 0.9, 0, 0, 0, 0, 0, 0}, ct)[0]
-	if a.Level != b.Level {
-		t.Errorf("zero tail consumed levels: %d vs %d", a.Level, b.Level)
-	}
-	// Degree 1 is one leaf: a single Rescale, no square nothing reads.
-	if a.Level != ct.Level-1 {
+	if a := ev.EvalPolynomial(Monomial, []float64{0.1, 0.9}, ct)[0]; a.Level != ct.Level-1 {
 		t.Errorf("degree-1 polynomial went from level %d to %d, want one level", ct.Level, a.Level)
+	}
+
+	coeffs := []float64{0.1, 0.9, -0.2, 0.05, 0.3, -0.1, 0.02, 0.04, 1e-15}
+	rec := obs.NewRecorder()
+	ev.SetRecorder(rec)
+	ev.EvalPolynomial(Monomial, coeffs, ct)
+	ev.SetRecorder(nil)
+	var got, want []mathutil.MultBatch
+	for _, sp := range rec.Snapshot().SpansNamed("ckks.Mult") {
+		// A single product's span carries no op.fanout.
+		got = append(got, mathutil.MultBatch{Level: int(sp.Attrs["ct.level"]), Fanout: max(1, int(sp.Attrs["op.fanout"]))})
+	}
+	for i, k := range mathutil.NewPSPlan(len(coeffs) - 1).Products() {
+		if k > 0 {
+			want = append(want, mathutil.MultBatch{Level: ct.Level - i, Fanout: k})
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("degree-8 polynomial with c_8 = 1e-15 ran Mult batches (level, fanout) %v, its plan says %v", got, want)
 	}
 }
 

@@ -51,6 +51,7 @@ func (ev *Evaluator) mulRaised(level int, pairs []mulPair, out []raisedCt) {
 	rQ, conv := ev.params.RingQ().AtLevel(level), ev.params.Converter()
 
 	var lanes [ring.MaxLanes]kskLane
+	var sets [ring.MaxLanes]*[]rns.PolyQP
 	var d1s [ring.MaxLanes]*ring.Poly
 	for k, pr := range pairs {
 		child := ev.rec.StartLinked("ckks.mult.tensor")
@@ -61,7 +62,8 @@ func (ev *Evaluator) mulRaised(level int, pairs []mulPair, out []raisedCt) {
 		d0.IsNTT, d1.IsNTT, d2.IsNTT = true, true, true
 		child.End()
 		out[k] = raisedCt{u: conv.GetPolyQP(level), v: conv.GetPolyQP(level), level: level, scale: pr.ct0.Scale * pr.ct1.Scale}
-		lanes[k] = kskLane{digits: ev.decomposeModUp(level, d2, ev.workers), c0: d0, u: out[k].u, v: out[k].v}
+		sets[k] = ev.decomposeModUp(level, d2, ev.workers)
+		lanes[k] = kskLane{digits: *sets[k], c0: d0, u: out[k].u, v: out[k].v}
 		d1s[k] = d1
 		rQ.PutScratch(d2)
 	}
@@ -73,7 +75,7 @@ func (ev *Evaluator) mulRaised(level int, pairs []mulPair, out []raisedCt) {
 	child = ev.rec.StartLinked("ckks.mult.lift")
 	for k := range pairs {
 		ev.addLifted(level, d1s[k], nil, out[k].v)
-		ev.putDigits(lanes[k].digits)
+		ev.putDigits(sets[k])
 		rQ.PutScratch(lanes[k].c0)
 		rQ.PutScratch(d1s[k])
 	}

@@ -41,7 +41,6 @@ type Converter struct {
 	mu     sync.RWMutex
 	tables map[tableKey]*ExtTable
 
-	qpPool sync.Pool // scratch PolyQP at the full chain size
 	upPool sync.Pool // *modUpScratch: ModUpDigit output-view headers
 
 	// Per-limb constants of the P and q_ℓ divisions, each with its Shoup
@@ -58,8 +57,7 @@ type Converter struct {
 
 	// rec, when non-nil, receives the counters "rns.extend" (basis
 	// extensions performed), "rns.extend.coeffs" (coefficients
-	// converted), "rns.extend.bytes" (kernel read+write traffic),
-	// and "rns.pool.get" / "rns.pool.miss" (raised-scratch occupancy).
+	// converted) and "rns.extend.bytes" (kernel read+write traffic).
 	// A nil recorder costs one nil check per conversion.
 	rec *obs.Recorder
 
@@ -108,11 +106,6 @@ func NewConverter(ringQ, ringP *ring.Ring) *Converter {
 			c.pHalfQModQ[l][i] = mathutil.MulMod(c.pModQ[i].w, (ql>>1)%qi, qi)
 		}
 	}
-	c.qpPool.New = func() any {
-		c.rec.Add("rns.pool.miss", 1)
-		p := c.NewPolyQP(ringQ.MaxLevel())
-		return &p
-	}
 	c.upPool.New = func() any { return &modUpScratch{} }
 	return c
 }
@@ -133,20 +126,18 @@ func (c *Converter) NewPolyQP(levelQ int) PolyQP {
 	}
 }
 
-// GetPolyQP returns a pooled raised polynomial resized to the given Q
-// level. Contents are stale; overwrite before reading. Pair with
-// PutPolyQP.
+// GetPolyQP returns a raised polynomial at the given Q level whose halves
+// come from the Q and P rings' scratch pools. Contents are stale;
+// overwrite before reading. Pair with PutPolyQP.
 func (c *Converter) GetPolyQP(levelQ int) PolyQP {
-	c.rec.Add("rns.pool.get", 1)
-	p := c.qpPool.Get().(*PolyQP)
-	p.Q.Resize(levelQ + 1)
-	return *p
+	return PolyQP{Q: c.RingQ.AtLevel(levelQ).GetScratch(), P: c.RingP.GetScratch()}
 }
 
-// PutPolyQP returns a polynomial obtained from GetPolyQP to the pool.
+// PutPolyQP returns both halves of a polynomial from GetPolyQP to their
+// scratch pools.
 func (c *Converter) PutPolyQP(p PolyQP) {
-	p.Q.Resize(c.RingQ.MaxLevel() + 1)
-	c.qpPool.Put(&p)
+	c.RingQ.PutScratch(p.Q)
+	c.RingP.PutScratch(p.P)
 }
 
 // tableKey is the structural cache key for extension tables. The old key

@@ -379,7 +379,9 @@ func (s *Server) decodeEval(r *http.Request, req *evalRequest) (a, b *ckks.Ciphe
 
 // evalOp runs one eval request through the ckks op table. The op is
 // looked up before the session lock, so an unknown name is a 400 that
-// never waits on the tenant; each repeat step is one Apply.
+// never waits on the tenant; each repeat step is one Apply. Every
+// intermediate, and the reply once encoded, goes back to the evaluator's
+// pools.
 func (s *Server) evalOp(ctx context.Context, sess *session, req evalRequest, a, b *ckks.Ciphertext) (any, error) {
 	repeat := req.Repeat
 	if repeat <= 0 {
@@ -405,6 +407,9 @@ func (s *Server) evalOp(ctx context.Context, sess *session, req evalRequest, a, 
 			if err != nil {
 				return err
 			}
+			if cur != a && cur != b {
+				sess.ev.Release(cur)
+			}
 			cur = next
 		}
 		if req.Guard && op.Name == "rotate" {
@@ -414,12 +419,19 @@ func (s *Server) evalOp(ctx context.Context, sess *session, req evalRequest, a, 
 		}
 		return nil
 	})
+	var rep *wireReply
+	if err == nil {
+		s.rec.Add("fhed.ops."+req.Op, uint64(repeat))
+		meta := evalReply{Op: req.Op, Repeat: repeat, Guarded: req.Guard}
+		rep, err = s.encodeReply(cur, &meta.ctReply, &meta)
+	}
+	if cur != a && cur != b {
+		sess.ev.Release(cur)
+	}
 	if err != nil {
 		return nil, err
 	}
-	s.rec.Add("fhed.ops."+req.Op, uint64(repeat))
-	meta := evalReply{Op: req.Op, Repeat: repeat, Guarded: req.Guard}
-	return s.encodeReply(cur, &meta.ctReply, &meta)
+	return rep, nil
 }
 
 type bootstrapRequest struct {

@@ -1,27 +1,69 @@
 package apps
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/simfhe"
-	"repro/internal/simfhe/design"
 )
+
+// wantBootstraps is the cadence a plan's unit depth and the parameters'
+// bootstrap plan give: the fresh budget of LevelAfter+1 limbs runs
+// ⌊LevelAfter/depth⌋ units (one limb must stay), the first budget is
+// granted up front, and each later budget costs one bootstrap.
+func wantBootstraps(s simfhe.Schedule, p simfhe.Params) (perBoot, boots int) {
+	perBoot = p.BootPlan().LevelAfter / s.Units[0].Depth()
+	return perBoot, (len(s.Units)+perBoot-1)/perBoot - 1
+}
+
+// figure6Configs are Figure 6's two configurations: +MAD and the modeled
+// original.
+var figure6Configs = []struct {
+	p    simfhe.Params
+	opts simfhe.OptSet
+}{{simfhe.Optimal(), simfhe.AllOpts()}, {simfhe.Baseline(), simfhe.CachingOpts()}}
+
+// runPlan prices s at one of Figure 6's two configurations.
+func runPlan(t *testing.T, s simfhe.Schedule, p simfhe.Params, opts simfhe.OptSet) simfhe.ScheduleResult {
+	t.Helper()
+	res, err := simfhe.NewCtx(p, simfhe.MB(32), opts).RunSchedule(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // TestHELRBootstrapCadence verifies the paper's statement (§4.3): with
 // the optimal parameter set, HELR bootstraps after every three training
-// iterations.
+// iterations — 9 bootstraps over 30 iterations, at the modeled original's
+// baseline parameters too. The cadence follows from the plan's derived
+// unit depth and the bootstrap plan's output level.
 func TestHELRBootstrapCadence(t *testing.T) {
-	w := HELR()
-	r := Run(w, design.GPU.WithMemory(32), simfhe.Optimal(), simfhe.AllOpts())
-	// 30 iterations at 3 per bootstrap, first budget granted up front:
-	// bootstraps at iterations 3,6,…,27 → 9 explicit bootstraps.
-	perBoot := 19 / w.LevelsUsed // = 3 with 19 post-bootstrap levels
-	if perBoot != 3 {
+	s := HELR()
+	if perBoot, _ := wantBootstraps(s, simfhe.Optimal()); perBoot != 3 {
 		t.Fatalf("iterations per bootstrap = %d, paper says 3", perBoot)
 	}
-	wantBoots := (w.Units - perBoot + perBoot - 1) / perBoot
-	if r.Bootstraps != wantBoots {
-		t.Errorf("bootstraps = %d, want %d", r.Bootstraps, wantBoots)
+	for _, cfg := range figure6Configs {
+		_, want := wantBootstraps(s, cfg.p)
+		if got := runPlan(t, s, cfg.p, cfg.opts).Bootstraps; got != want || got != 9 {
+			t.Errorf("%v: bootstraps = %d, the plan's cadence gives %d (Figure 6: 9)", cfg.p, got, want)
+		}
+	}
+}
+
+// TestResNet20BootstrapCadence: a layer is deeper than half a fresh
+// budget, so every layer after the first bootstraps — 19 over 20 layers
+// at both Figure 6 configurations.
+func TestResNet20BootstrapCadence(t *testing.T) {
+	s := ResNet20()
+	for _, cfg := range figure6Configs {
+		perBoot, want := wantBootstraps(s, cfg.p)
+		if perBoot != 1 {
+			t.Errorf("%v: %d layers per bootstrap, want 1", cfg.p, perBoot)
+		}
+		if got := runPlan(t, s, cfg.p, cfg.opts).Bootstraps; got != want || got != len(s.Units)-1 {
+			t.Errorf("%v: bootstraps = %d, the plan's cadence gives %d", cfg.p, got, want)
+		}
 	}
 }
 
@@ -31,7 +73,11 @@ func TestHELRBootstrapCadence(t *testing.T) {
 // modeled original the model reads 1.9×: it prices the bootstrap plan,
 // whose DFTs cost the unhoisted original less than the paper's schedule.
 func TestFigure6GPUShape(t *testing.T) {
-	pts := Figure6LR()["GPU [20]"]
+	lr, err := Figure6LR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := lr["GPU [20]"]
 	if len(pts) != 4 { // published, modeled, +MAD-6, +MAD-32
 		t.Fatalf("got %d points, want 4", len(pts))
 	}
@@ -52,7 +98,11 @@ func TestFigure6GPUShape(t *testing.T) {
 // to ARK makes LR training slower than the original, because ARK was
 // already balanced with its 512 MB memory.
 func TestFigure6ARKShape(t *testing.T) {
-	pts := Figure6LR()["ARK [24]"]
+	lr, err := Figure6LR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := lr["ARK [24]"]
 	published := pts[0]
 	var mad32 Figure6Point
 	for _, p := range pts {
@@ -68,39 +118,44 @@ func TestFigure6ARKShape(t *testing.T) {
 	}
 }
 
-func TestRunChargesBootstraps(t *testing.T) {
-	w := Workload{Name: "toy", Mults: 1, LevelsUsed: 5, Units: 10}
-	r := Run(w, design.BTS.WithMemory(32), simfhe.Optimal(), simfhe.AllOpts())
-	if r.Bootstraps == 0 {
-		t.Error("a 50-level workload on a 19-level budget must bootstrap")
-	}
-	if r.Cost.Ops() == 0 || r.RuntimeS <= 0 {
-		t.Error("degenerate run result")
-	}
-}
-
+// TestWorkloadDefinitions pins each plan's op mix per unit: the counts
+// the published algorithms give, now placed at their levels.
 func TestWorkloadDefinitions(t *testing.T) {
-	h := HELR()
-	if h.Units != 30 || h.LevelsUsed != 6 {
-		t.Errorf("HELR schedule changed: %+v", h)
-	}
-	rn := ResNet20()
-	if rn.Units != 20 {
-		t.Errorf("ResNet-20 should have 20 layers: %+v", rn)
-	}
-	if rn.Rotates < h.Rotates {
-		t.Error("a conv layer should rotate more than an LR iteration")
+	for _, c := range []struct {
+		s     simfhe.Schedule
+		units int
+		want  map[simfhe.OpKind]int
+	}{
+		{HELR(), 30, map[simfhe.OpKind]int{simfhe.OpMult: 5, simfhe.OpRotate: 16, simfhe.OpPtMult: 4, simfhe.OpAdd: 6}},
+		{ResNet20(), 20, map[simfhe.OpKind]int{simfhe.OpMult: 10, simfhe.OpRotate: 34, simfhe.OpPtMult: 34, simfhe.OpAdd: 40}},
+	} {
+		if len(c.s.Units) != c.units {
+			t.Errorf("%s: %d units, want %d", c.s.Name, len(c.s.Units), c.units)
+		}
+		got := map[simfhe.OpKind]int{}
+		for _, st := range c.s.Units[0] {
+			got[st.Kind] += st.Count
+		}
+		if !maps.Equal(got, c.want) {
+			t.Errorf("%s: ops per unit %v, want %v", c.s.Name, got, c.want)
+		}
 	}
 }
 
 func TestFigure6Completeness(t *testing.T) {
-	lr := Figure6LR()
+	lr, err := Figure6LR()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{"GPU [20]", "F1 [30]", "CraterLake [31]", "BTS [25]", "ARK [24]"} {
 		if len(lr[name]) < 3 {
 			t.Errorf("LR sub-figure %s has %d points", name, len(lr[name]))
 		}
 	}
-	rn := Figure6ResNet()
+	rn, err := Figure6ResNet()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{"CraterLake [31]", "BTS [25]", "ARK [24]"} {
 		if len(rn[name]) < 3 {
 			t.Errorf("ResNet sub-figure %s has %d points", name, len(rn[name]))

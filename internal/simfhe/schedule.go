@@ -11,10 +11,10 @@ import (
 // This file gives SimFHE the same front door the paper's tool has:
 // "benchmark the compute and memory requirements of CKKS at different
 // scales: from primitive operations to end-to-end applications". A
-// Schedule is a straight-line CKKS program over the Table 2 primitives;
-// the interpreter tracks the level (rescaling operations descend the
-// modulus chain, bootstrapping restores it) and charges each step's cost
-// at the limb count it actually executes with.
+// Schedule is a leveled CKKS program over the Table 2 primitives; its one
+// interpreter, RunSchedule, tracks the level (rescaling operations
+// descend the modulus chain, bootstrapping restores it) and charges each
+// operation at the limb count it actually executes with.
 
 // OpKind enumerates the schedulable operations.
 type OpKind int
@@ -47,37 +47,53 @@ var opByName = func() map[string]OpKind {
 // levelCost returns how many levels one instance of the operation
 // consumes (Mult and PtMult include their Rescale per Table 2).
 func (k OpKind) levelCost() int {
-	switch k {
-	case OpMult, OpPtMult, OpRescale:
+	if k == OpMult || k == OpPtMult || k == OpRescale {
 		return 1
-	default:
-		return 0
 	}
+	return 0
 }
 
 func (k OpKind) String() string { return opNames[k] }
 
-// Step is one schedule entry: Count repetitions of one operation.
+// Step is one batch of a unit: Count instances of one operation, run
+// Depth levels below the level the unit enters at.
 type Step struct {
 	Kind  OpKind
 	Count int
+	Depth int
 }
 
-// Schedule is a straight-line CKKS program.
+// Unit is a block of batches that enters at one level, such as one
+// training iteration or one network layer. A bootstrap is a unit of its
+// own: one OpBootstrap batch at depth 0.
+type Unit []Step
+
+// Depth returns the levels the unit consumes: the deepest batch's Depth
+// plus that batch's own level cost.
+func (u Unit) Depth() int {
+	d := 0
+	for _, st := range u {
+		d = max(d, st.Depth+st.Kind.levelCost())
+	}
+	return d
+}
+
+// Schedule is a leveled CKKS program: its units run in sequence.
 type Schedule struct {
 	Name  string
-	Steps []Step
+	Units []Unit
 }
 
-// StepCost pairs one executed operation with its attribution tree, the
-// cost charged for it (the tree's total) and the limb count it left.
+// StepCost pairs one executed batch with the attribution tree of one of
+// its operations and the cost charged for the whole batch (the tree's
+// total times Count).
 type StepCost struct {
-	Step  Step
-	Limbs int
-	Cost  Cost
-	Tree  *CostTree
-	// AutoBootstrap marks a step the interpreter had to bootstrap before;
-	// that bootstrap is counted in Bootstraps and Total, not in Cost.
+	Step Step
+	Cost Cost
+	Tree *CostTree
+	// AutoBootstrap marks the first batch of a unit the interpreter had
+	// to bootstrap before; that bootstrap is counted in Bootstraps and
+	// Total, not in Cost.
 	AutoBootstrap bool
 }
 
@@ -89,11 +105,11 @@ type ScheduleResult struct {
 	FinalLimbs int
 }
 
-// RunSchedule executes the schedule: operations are charged at the
-// current limb count; whenever the level budget cannot cover a step's
-// consumption, a bootstrap is inserted automatically (and charged),
-// exactly as the application models do. The run starts at the fresh
-// post-bootstrap level.
+// RunSchedule executes the schedule from the fresh post-bootstrap level.
+// Before a unit that would leave fewer than one limb it inserts (and
+// charges) a bootstrap; a unit deeper than a fresh budget is an error.
+// Each batch is charged at the unit's entry level minus its Depth, and
+// the unit then drops the level by its Depth.
 func (c Ctx) RunSchedule(s Schedule) (ScheduleResult, error) {
 	plan := c.P.BootPlan()
 	bootTree, fresh := c.PlanTree(plan), plan.LevelAfter+1
@@ -104,34 +120,39 @@ func (c Ctx) RunSchedule(s Schedule) (ScheduleResult, error) {
 
 	var res ScheduleResult
 	level := fresh
-	for _, st := range s.Steps {
-		if _, ok := opNames[st.Kind]; !ok {
-			return ScheduleResult{}, fmt.Errorf("simfhe: unknown op kind %d", st.Kind)
-		}
-		if st.Count < 1 {
-			return ScheduleResult{}, fmt.Errorf("simfhe: step %v has count %d", st.Kind, st.Count)
-		}
-		for i := 0; i < st.Count; i++ {
-			sc := StepCost{Step: Step{Kind: st.Kind, Count: 1}}
-			if level-st.Kind.levelCost() < 1 {
-				sc.AutoBootstrap = true
-				res.Total = res.Total.Plus(bootCost)
-				res.Bootstraps++
-				level = fresh
+	for _, u := range s.Units {
+		for _, st := range u {
+			if _, ok := opNames[st.Kind]; !ok || st.Count < 1 || st.Depth < 0 {
+				return ScheduleResult{}, fmt.Errorf("simfhe: bad step %+v", st)
 			}
+			if st.Kind == OpBootstrap && (len(u) > 1 || st.Depth > 0) {
+				return ScheduleResult{}, fmt.Errorf("simfhe: a bootstrap must be its unit's only batch, at depth 0")
+			}
+		}
+		depth := u.Depth()
+		if depth >= fresh {
+			return ScheduleResult{}, fmt.Errorf("simfhe: a unit %d levels deep does not fit the %d limbs a bootstrap leaves", depth, fresh)
+		}
+		auto := level-depth < 1
+		if auto {
+			res.Total = res.Total.Plus(bootCost)
+			res.Bootstraps++
+			level = fresh
+		}
+		for i, st := range u {
+			sc := StepCost{Step: st, AutoBootstrap: auto && i == 0}
 			if st.Kind == OpBootstrap {
-				sc.Tree, sc.Cost = bootTree, bootCost
-				res.Bootstraps++
+				sc.Tree = bootTree
+				res.Bootstraps += st.Count
 				level = fresh
 			} else {
-				sc.Tree = c.OpTree(st.Kind, level)
-				sc.Cost = sc.Tree.Total()
-				level -= st.Kind.levelCost()
+				sc.Tree = c.OpTree(st.Kind, level-st.Depth)
 			}
-			sc.Limbs = level
+			sc.Cost = sc.Tree.Total().Times(st.Count)
 			res.Total = res.Total.Plus(sc.Cost)
 			res.PerStep = append(res.PerStep, sc)
 		}
+		level -= depth
 	}
 	res.FinalLimbs = level
 	return res, nil
@@ -139,7 +160,8 @@ func (c Ctx) RunSchedule(s Schedule) (ScheduleResult, error) {
 
 // ParseSchedule reads the schedule DSL: one operation per line, an
 // optional "xN" repetition suffix, '#' comments, and a leading optional
-// "name:" directive. Example:
+// "name:" directive. Every operation instance becomes a single-op unit,
+// so the program runs strictly in sequence. Example:
 //
 //	name: helr-iteration
 //	mult x5
@@ -181,12 +203,14 @@ func ParseSchedule(r io.Reader) (Schedule, error) {
 		if len(fields) > 2 {
 			return s, fmt.Errorf("line %d: trailing tokens after %q", lineNo, fields[1])
 		}
-		s.Steps = append(s.Steps, Step{Kind: kind, Count: count})
+		for range count {
+			s.Units = append(s.Units, Unit{{Kind: kind, Count: 1}})
+		}
 	}
 	if err := scanner.Err(); err != nil {
 		return s, err
 	}
-	if len(s.Steps) == 0 {
+	if len(s.Units) == 0 {
 		return s, fmt.Errorf("simfhe: empty schedule")
 	}
 	return s, nil

@@ -1,11 +1,23 @@
 package simfhe
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
 
 func schedCtx() Ctx { return NewCtx(Optimal(), MB(32), AllOpts()) }
+
+// seq is the sequential program ParseSchedule makes of "kind xN" lines.
+func seq(steps ...Step) Schedule {
+	var s Schedule
+	for _, st := range steps {
+		for range st.Count {
+			s.Units = append(s.Units, Unit{{Kind: st.Kind, Count: 1}})
+		}
+	}
+	return s
+}
 
 func TestParseSchedule(t *testing.T) {
 	src := `
@@ -25,16 +37,10 @@ bootstrap
 	if s.Name != "helr-iteration" {
 		t.Errorf("name = %q", s.Name)
 	}
-	want := []Step{
-		{OpMult, 5}, {OpRotate, 16}, {OpPtMult, 4}, {OpAdd, 6}, {OpConjugate, 1}, {OpBootstrap, 1},
-	}
-	if len(s.Steps) != len(want) {
-		t.Fatalf("steps = %v", s.Steps)
-	}
-	for i, st := range want {
-		if s.Steps[i] != st {
-			t.Errorf("step %d = %v, want %v", i, s.Steps[i], st)
-		}
+	want := seq(Step{Kind: OpMult, Count: 5}, Step{Kind: OpRotate, Count: 16}, Step{Kind: OpPtMult, Count: 4},
+		Step{Kind: OpAdd, Count: 6}, Step{Kind: OpConjugate, Count: 1}, Step{Kind: OpBootstrap, Count: 1})
+	if !reflect.DeepEqual(s.Units, want.Units) {
+		t.Errorf("units = %v, want one single-op unit per instance: %v", s.Units, want.Units)
 	}
 }
 
@@ -58,8 +64,7 @@ func TestRunScheduleLevels(t *testing.T) {
 	fresh := bd.LimbsAfter
 
 	// Multiplications descend one level each.
-	s := Schedule{Steps: []Step{{OpMult, 3}}}
-	res, err := ctx.RunSchedule(s)
+	res, err := ctx.RunSchedule(seq(Step{Kind: OpMult, Count: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +75,7 @@ func TestRunScheduleLevels(t *testing.T) {
 		t.Errorf("unexpected bootstraps: %d", res.Bootstraps)
 	}
 	// Rotations are level-neutral.
-	res, _ = ctx.RunSchedule(Schedule{Steps: []Step{{OpRotate, 10}}})
+	res, _ = ctx.RunSchedule(seq(Step{Kind: OpRotate, Count: 10}))
 	if res.FinalLimbs != fresh {
 		t.Errorf("rotations changed the level: %d", res.FinalLimbs)
 	}
@@ -82,8 +87,7 @@ func TestRunScheduleAutoBootstrap(t *testing.T) {
 	fresh := bd.LimbsAfter
 
 	// More multiplications than one budget: a bootstrap must appear.
-	s := Schedule{Steps: []Step{{OpMult, fresh + 3}}}
-	res, err := ctx.RunSchedule(s)
+	res, err := ctx.RunSchedule(seq(Step{Kind: OpMult, Count: fresh + 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +95,7 @@ func TestRunScheduleAutoBootstrap(t *testing.T) {
 		t.Errorf("bootstraps = %d, want 1", res.Bootstraps)
 	}
 	// The bootstrap's cost is included.
-	noBootRes, _ := ctx.RunSchedule(Schedule{Steps: []Step{{OpMult, fresh - 1}}})
+	noBootRes, _ := ctx.RunSchedule(seq(Step{Kind: OpMult, Count: fresh - 1}))
 	if res.Total.Bytes() <= noBootRes.Total.Bytes()+ctx.Bootstrap().Total().Bytes()/2 {
 		t.Error("auto-bootstrap cost not charged")
 	}
@@ -103,7 +107,7 @@ func TestRunScheduleAutoBootstrap(t *testing.T) {
 		if want := i == fresh-1; sc.AutoBootstrap != want {
 			t.Errorf("step %d: AutoBootstrap = %v, want %v", i, sc.AutoBootstrap, want)
 		}
-		if sc.Tree.Total() != sc.Cost {
+		if sc.Tree.Total().Times(sc.Step.Count) != sc.Cost {
 			t.Errorf("step %d: tree total %v != charged cost %v", i, sc.Tree.Total(), sc.Cost)
 		}
 		sum = sum.PlusChecked(sc.Cost)
@@ -115,8 +119,7 @@ func TestRunScheduleAutoBootstrap(t *testing.T) {
 
 func TestRunScheduleExplicitBootstrap(t *testing.T) {
 	ctx := schedCtx()
-	s := Schedule{Steps: []Step{{OpMult, 2}, {OpBootstrap, 1}, {OpMult, 1}}}
-	res, err := ctx.RunSchedule(s)
+	res, err := ctx.RunSchedule(seq(Step{Kind: OpMult, Count: 2}, Step{Kind: OpBootstrap, Count: 1}, Step{Kind: OpMult, Count: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +135,7 @@ func TestRunScheduleMatchesDirectComposition(t *testing.T) {
 	ctx := schedCtx()
 	bd := ctx.Bootstrap()
 	l := bd.LimbsAfter
-	s := Schedule{Steps: []Step{{OpRotate, 2}, {OpMult, 1}, {OpAdd, 1}}}
-	res, err := ctx.RunSchedule(s)
+	res, err := ctx.RunSchedule(seq(Step{Kind: OpRotate, Count: 2}, Step{Kind: OpMult, Count: 1}, Step{Kind: OpAdd, Count: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +150,70 @@ func TestRunScheduleMatchesDirectComposition(t *testing.T) {
 
 func TestRunScheduleRejectsBadSteps(t *testing.T) {
 	ctx := schedCtx()
-	if _, err := ctx.RunSchedule(Schedule{Steps: []Step{{OpMult, 0}}}); err == nil {
-		t.Error("expected error for zero count")
+	fresh := ctx.Bootstrap().LimbsAfter
+	for name, u := range map[string]Unit{
+		"zero count":        {{Kind: OpMult}},
+		"negative depth":    {{Kind: OpRotate, Count: 1, Depth: -1}},
+		"bootstrap in unit": {{Kind: OpBootstrap, Count: 1}, {Kind: OpAdd, Count: 1}},
+		"deeper than fresh": {{Kind: OpMult, Count: 1, Depth: fresh - 1}},
+	} {
+		if _, err := ctx.RunSchedule(Schedule{Units: []Unit{u}}); err == nil {
+			t.Errorf("%s: expected an error", name)
+		}
+	}
+	// The deepest unit a fresh budget holds leaves one limb.
+	res, err := ctx.RunSchedule(Schedule{Units: []Unit{{{Kind: OpMult, Count: 1, Depth: fresh - 2}}}})
+	if err != nil || res.FinalLimbs != 1 || res.Bootstraps != 0 {
+		t.Errorf("a %d-deep unit: %+v, %v; want one limb left and no bootstrap", fresh-1, res, err)
+	}
+}
+
+// TestRunScheduleUnitLevels: every batch of a unit is charged at the
+// unit's entry level minus its Depth, the unit then drops its depth, and
+// a unit that would leave no limb is preceded by one bootstrap, never
+// split by it.
+func TestRunScheduleUnitLevels(t *testing.T) {
+	ctx := schedCtx()
+	bd := ctx.Bootstrap()
+	fresh := bd.LimbsAfter
+	u := Unit{
+		{Kind: OpMult, Count: 1},
+		{Kind: OpRotate, Count: 8, Depth: 1},
+		{Kind: OpPtMult, Count: 2, Depth: 1},
+		{Kind: OpAdd, Count: 3, Depth: 2},
+	}
+	if u.Depth() != 2 {
+		t.Fatalf("unit depth %d, want 2", u.Depth())
+	}
+	units := (fresh-1)/2 + 1 // one more than a fresh budget holds
+	s := Schedule{}
+	for range units {
+		s.Units = append(s.Units, u)
+	}
+	res, err := ctx.RunSchedule(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Bootstraps != 1 {
+		t.Errorf("bootstraps = %d, want 1", res.Bootstraps)
+	}
+	if want := fresh - 2; res.FinalLimbs != want {
+		t.Errorf("final limbs %d, want %d", res.FinalLimbs, want)
+	}
+	unitCost := func(l int) Cost {
+		return ctx.Mult(l).Plus(ctx.Rotate(l - 1).Times(8)).Plus(ctx.PtMult(l - 1).Times(2)).Plus(ctx.Add(l - 2).Times(3))
+	}
+	var want Cost
+	for i := range units - 1 {
+		want = want.Plus(unitCost(fresh - 2*i))
+	}
+	want = want.Plus(bd.Total()).Plus(unitCost(fresh))
+	if res.Total != want {
+		t.Errorf("interpreter cost %v != per-batch composition %v", res.Total, want)
+	}
+	for i, sc := range res.PerStep {
+		if want := i == 4*(units-1); sc.AutoBootstrap != want {
+			t.Errorf("batch %d: AutoBootstrap = %v, want %v", i, sc.AutoBootstrap, want)
+		}
 	}
 }
