@@ -6,8 +6,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -219,6 +221,53 @@ func TestExitCodes(t *testing.T) {
 			t.Errorf("exit %d (%v), want %d", got, err, fherr.ExitInternal)
 		}
 	})
+}
+
+// TestDocsNameOnlyDispatchedCommands reads the repository's Markdown and
+// fails on any `simfhe X` or cmd/simfhe X whose X the commands table does
+// not dispatch. The change logs and the benchmark module's docs are
+// history or belong to bench/, so they are not read.
+func TestDocsNameOnlyDispatchedCommands(t *testing.T) {
+	root := filepath.Join("..", "..")
+	named := regexp.MustCompile("(?:cmd/simfhe|`simfhe) ([a-z][a-z0-9]*)")
+	skip := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true, "bench": true, ".git": true, ".bench_build": true}
+	var docs, mentions int
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, p)
+		if err != nil {
+			return err
+		}
+		if skip[filepath.ToSlash(rel)] || d.Name() == ".git" {
+			if d.IsDir() {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if d.IsDir() || !strings.HasSuffix(p, ".md") {
+			return nil
+		}
+		text, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		docs++
+		for _, m := range named.FindAllStringSubmatch(string(text), -1) {
+			mentions++
+			if _, ok := lookup(m[1]); !ok {
+				t.Errorf("%s names %q, which cmd/simfhe does not dispatch", filepath.ToSlash(rel), "simfhe "+m[1])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if docs == 0 || mentions == 0 {
+		t.Fatalf("read %d Markdown files naming %d simfhe commands; want both > 0", docs, mentions)
+	}
 }
 
 // TestExportsSurviveClosedStdout checks that -trace-out and -metrics-out

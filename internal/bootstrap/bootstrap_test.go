@@ -170,7 +170,7 @@ func TestDefaultParametersKIsSafe(t *testing.T) {
 	// K = 12 must cover that regime at a 2^-32 failure level, and the
 	// worst case must exceed the probabilistic bound.
 	bp := DefaultParameters()
-	if !bp.ValidateK(16, 10, 32) {
+	if bp.K < RequiredK(16, 10, 32) {
 		t.Errorf("default K = %d below RequiredK(16,10,32) = %d", bp.K, RequiredK(16, 10, 32))
 	}
 	if WorstCaseK(16) < RequiredK(16, 10, 32) {

@@ -32,9 +32,3 @@ func RequiredK(h, logN, kappa int) int {
 // with this K can never range-fail, at the cost of a wider (higher degree
 // or more double-angle steps) sine approximation.
 func WorstCaseK(h int) int { return (h + 3) / 2 }
-
-// ValidateK reports whether bootstrap parameters bp are safe for a
-// weight-h secret in a degree-2^logN ring at the 2^-kappa failure level.
-func (p Parameters) ValidateK(h, logN, kappa int) bool {
-	return p.K >= RequiredK(h, logN, kappa)
-}

@@ -114,8 +114,8 @@ func requireEqualPoly(t *testing.T, got, want *Poly, what string) {
 
 // TestNTTMatchesReference is the golden-oracle gate of the ring-level
 // transforms: the fused/blocked NTT and INTT, scalar and vector, must be
-// bit-identical to the retained reference kernels on every modulus,
-// every size class and every worker count — not just equal mod q, equal
+// bit-identical to the retained reference kernels on every modulus and
+// every size class — not just equal mod q, equal
 // as uint64 outputs, since downstream lazy arithmetic depends on the
 // exact representatives. Inputs are uniform residues and the all-(q−1)
 // limb, the largest canonical input. INTTTo is checked into a separate,
@@ -123,7 +123,6 @@ func requireEqualPoly(t *testing.T, got, want *Poly, what string) {
 // keeps its words, and in place. The per-limb kernels on every modulus
 // class are rows of internal/rns's TestKernelsMatch.
 func TestNTTMatchesReference(t *testing.T) {
-	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for _, n := range nttTestSizes {
 		r := kernelTestRing(t, n)
 		uniform := r.NewPoly()
@@ -144,21 +143,16 @@ func TestNTTMatchesReference(t *testing.T) {
 				s.INTTReference(backWant.Coeffs[i])
 			}
 			withKernels(t, func(kernel string) {
-				// Every worker count: the parallel path shares
-				// SubRing.NTT, so this also pins schedule-independence.
-				for _, w := range workerCounts {
-					what := fmt.Sprintf("n=%d %s kernel, %s input, workers=%d", n, kernel, in.name, w)
-					got := in.p.CopyNew()
-					r.NTTPolyParallel(got, w)
-					requireEqualPoly(t, got, want, "NTT "+what)
-
-					got = in.p.CopyNew()
-					got.IsNTT = true
-					r.INTTPolyParallel(got, w)
-					requireEqualPoly(t, got, backWant, "INTT "+what)
-				}
-
 				what := fmt.Sprintf("n=%d %s kernel, %s input", n, kernel, in.name)
+				got := in.p.CopyNew()
+				r.NTTPoly(got)
+				requireEqualPoly(t, got, want, "NTT "+what)
+
+				got = in.p.CopyNew()
+				got.IsNTT = true
+				r.INTTPoly(got)
+				requireEqualPoly(t, got, backWant, "INTT "+what)
+
 				src, dst := in.p.CopyNew(), r.NewPoly()
 				for i := range dst.Coeffs {
 					dst.Coeffs[i] = poisonedRow(n)

@@ -271,28 +271,3 @@ func ParallelChunkedCtx(ctx context.Context, n, workers int, fn func(worker, sta
 	}
 	return nil
 }
-
-// forEachLimb runs fn(i) for every limb index concurrently.
-func (r *Ring) forEachLimb(workers int, fn func(i int)) {
-	Parallel(len(r.SubRings), workers, fn)
-}
-
-// NTTPolyParallel transforms every limb of p into evaluation form using
-// up to `workers` goroutines (0 means GOMAXPROCS). The result is
-// bit-identical to NTTPoly.
-func (r *Ring) NTTPolyParallel(p *Poly, workers int) {
-	r.checkCompat(p)
-	r.forEachLimb(workers, func(i int) {
-		r.SubRings[i].NTT(p.Coeffs[i])
-	})
-	p.IsNTT = true
-}
-
-// INTTPolyParallel is the inverse counterpart of NTTPolyParallel.
-func (r *Ring) INTTPolyParallel(p *Poly, workers int) {
-	r.checkCompat(p)
-	r.forEachLimb(workers, func(i int) {
-		r.SubRings[i].INTT(p.Coeffs[i])
-	})
-	p.IsNTT = false
-}

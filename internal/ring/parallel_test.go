@@ -2,28 +2,6 @@ package ring
 
 import "testing"
 
-func TestParallelNTTMatchesSerial(t *testing.T) {
-	r := testRing(t, 512, 8)
-	src := fixedSource()
-	p := r.NewPoly()
-	r.SampleUniform(src, p)
-
-	serial := p.CopyNew()
-	r.NTTPoly(serial)
-
-	for _, workers := range []int{0, 1, 2, 3, 16} {
-		par := p.CopyNew()
-		r.NTTPolyParallel(par, workers)
-		if !par.Equal(serial) {
-			t.Fatalf("workers=%d: parallel NTT diverges from serial", workers)
-		}
-		r.INTTPolyParallel(par, workers)
-		if !par.Equal(p) {
-			t.Fatalf("workers=%d: parallel iNTT round trip broken", workers)
-		}
-	}
-}
-
 func TestMaxWorkers(t *testing.T) {
 	if got := maxWorkers(10, 4); got != 4 {
 		t.Errorf("maxWorkers(10,4) = %d", got)
@@ -37,21 +15,4 @@ func TestMaxWorkers(t *testing.T) {
 	if got := maxWorkers(0, 0); got != 1 {
 		t.Errorf("maxWorkers(0,0) = %d, want 1", got)
 	}
-}
-
-func BenchmarkNTTPolySerialVsParallel(b *testing.B) {
-	r := testRing(b, 4096, 16)
-	src := fixedSource()
-	p := r.NewPoly()
-	r.SampleUniform(src, p)
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r.NTTPoly(p)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r.NTTPolyParallel(p, 0)
-		}
-	})
 }

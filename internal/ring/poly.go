@@ -185,37 +185,3 @@ func (r *Ring) MulScalar(a *Poly, c uint64, out *Poly) {
 	}
 	out.IsNTT = a.IsNTT
 }
-
-// AddScalar sets out = a + c (c added to the constant coefficient in
-// coefficient form, or to every slot in NTT form — the caller chooses the
-// representation that matches the intent).
-func (r *Ring) AddScalar(a *Poly, c uint64, out *Poly) {
-	r.checkCompat(a, out)
-	for i, s := range r.SubRings {
-		ci := s.Barrett.Reduce(c)
-		ai, oi := a.Coeffs[i], out.Coeffs[i]
-		s.tr.Read(ai[:r.N])
-		if a.IsNTT {
-			for j := range oi[:r.N] {
-				oi[j] = mathutil.AddMod(ai[j], ci, s.Q)
-			}
-		} else {
-			copy(oi[:r.N], ai[:r.N])
-			oi[0] = mathutil.AddMod(ai[0], ci, s.Q)
-		}
-		s.tr.Write(oi[:r.N])
-	}
-	out.IsNTT = a.IsNTT
-}
-
-// MulRingElement multiplies two polynomials given in coefficient form via
-// NTT → pointwise → iNTT, writing the coefficient-form product to out.
-// It is a convenience for tests; the evaluator keeps operands in NTT form.
-func (r *Ring) MulRingElement(a, b, out *Poly) {
-	an := a.CopyNew()
-	bn := b.CopyNew()
-	r.NTTPoly(an)
-	r.NTTPoly(bn)
-	r.MulCoeffs(an, bn, out)
-	r.INTTPoly(out)
-}

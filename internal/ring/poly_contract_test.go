@@ -1,9 +1,6 @@
 package ring
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // TestOpsPreserveNTTFlag round-trips the representation flag through every
 // limb-wise op: each must stamp the output with the input's representation,
@@ -26,7 +23,6 @@ func TestOpsPreserveNTTFlag(t *testing.T) {
 		{"MulCoeffs", func(a, b, out *Poly) { r.MulCoeffs(a, b, out) }},
 		{"MulCoeffsThenAdd", func(a, b, out *Poly) { r.MulCoeffsThenAdd(a, b, out) }},
 		{"MulScalar", func(a, _, out *Poly) { r.MulScalar(a, 7, out) }},
-		{"AddScalar", func(a, _, out *Poly) { r.AddScalar(a, 7, out) }},
 		{"Copy", func(a, _, out *Poly) { a.Copy(out) }},
 	}
 	for _, op := range ops {
@@ -45,10 +41,9 @@ func TestOpsPreserveNTTFlag(t *testing.T) {
 // TestAutomorphismAndNTTPathsStampFlag extends the flag contract to the
 // ops the generic both-forms table above cannot express: the
 // automorphisms each *require* one input form and must stamp that form
-// on the output over any stale destination flag, and the (parallel)
-// NTT/INTT drivers must flip the flag at every worker count — the
-// parallel path stamps once in the driver, not per limb-worker, and a
-// missing stamp there would poison every downstream form check.
+// on the output over any stale destination flag, and the NTT/INTT
+// drivers must flip the flag — a missing stamp there would poison every
+// downstream form check.
 func TestAutomorphismAndNTTPathsStampFlag(t *testing.T) {
 	r := testRing(t, 16, 3)
 	src := fixedSource()
@@ -72,18 +67,6 @@ func TestAutomorphismAndNTTPathsStampFlag(t *testing.T) {
 		t.Error("AutomorphismNTT output not flagged NTT")
 	}
 
-	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		p := a.CopyNew()
-		p.IsNTT = false
-		r.NTTPolyParallel(p, w)
-		if !p.IsNTT {
-			t.Errorf("NTTPolyParallel(workers=%d) left IsNTT=false", w)
-		}
-		r.INTTPolyParallel(p, w)
-		if p.IsNTT {
-			t.Errorf("INTTPolyParallel(workers=%d) left IsNTT=true", w)
-		}
-	}
 	p := a.CopyNew()
 	p.IsNTT = false
 	r.NTTPoly(p)

@@ -22,23 +22,3 @@ func BalanceFactor(d Design, c simfhe.Cost) float64 {
 	}
 	return d.ComputeSeconds(c) / mem
 }
-
-// BalancedMultipliers returns the modular-multiplier count that balances
-// the design for the given cost at its current bandwidth.
-func BalancedMultipliers(d Design, c simfhe.Cost) int {
-	f := BalanceFactor(d, c)
-	if f == 0 {
-		return d.Multipliers
-	}
-	return int(float64(d.Multipliers) * f)
-}
-
-// BalancedBandwidthGBps returns the memory bandwidth that balances the
-// design for the given cost at its current multiplier count.
-func BalancedBandwidthGBps(d Design, c simfhe.Cost) float64 {
-	comp := d.ComputeSeconds(c)
-	if comp == 0 {
-		return d.BandwidthGBps
-	}
-	return float64(c.Bytes()) / comp / 1e9
-}

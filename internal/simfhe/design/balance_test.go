@@ -22,45 +22,9 @@ func TestBalanceFactorDirections(t *testing.T) {
 	}
 }
 
-func TestBalancedMultipliersBalance(t *testing.T) {
-	c := NewOptimizedBootstrapCost()
-	for _, d := range All() {
-		dd := d.WithMemory(32)
-		bal := dd
-		bal.Multipliers = BalancedMultipliers(dd, c)
-		f := BalanceFactor(bal, c)
-		if f < 0.9 || f > 1.1 {
-			t.Errorf("%s: rebalanced factor %.2f, want ≈ 1", d.Name, f)
-		}
-	}
-}
-
-func TestBalancedBandwidth(t *testing.T) {
-	c := NewOptimizedBootstrapCost()
-	d := BTS.WithMemory(32)
-	bw := BalancedBandwidthGBps(d, c)
-	bal := d
-	bal.BandwidthGBps = bw
-	if f := BalanceFactor(bal, c); f < 0.95 || f > 1.05 {
-		t.Errorf("bandwidth-rebalanced factor %.3f, want ≈ 1", f)
-	}
-}
-
-// NewOptimizedBootstrapCost returns the fully-MAD-optimized bootstrap cost
-// at 32 MB — the §4.2 balance discussion's workload.
-func NewOptimizedBootstrapCost() simfhe.Cost {
-	return simfhe.NewCtx(simfhe.Optimal(), simfhe.MB(32), simfhe.AllOpts()).Bootstrap().Total()
-}
-
 func TestZeroCostEdgeCases(t *testing.T) {
 	d := BTS
 	if BalanceFactor(d, simfhe.Cost{}) != 0 {
 		t.Error("zero cost should report factor 0")
-	}
-	if BalancedMultipliers(d, simfhe.Cost{}) != d.Multipliers {
-		t.Error("zero cost should keep the multiplier count")
-	}
-	if BalancedBandwidthGBps(d, simfhe.Cost{MulMod: 0}) != d.BandwidthGBps {
-		t.Error("zero compute should keep the bandwidth")
 	}
 }
