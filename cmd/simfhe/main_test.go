@@ -230,7 +230,7 @@ func TestExitCodes(t *testing.T) {
 func TestDocsNameOnlyDispatchedCommands(t *testing.T) {
 	root := filepath.Join("..", "..")
 	named := regexp.MustCompile("(?:cmd/simfhe|`simfhe) ([a-z][a-z0-9]*)")
-	skip := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true, "bench": true, ".git": true, ".bench_build": true}
+	skip := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "bench": true, ".git": true, ".bench_build": true}
 	var docs, mentions int
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
