@@ -13,17 +13,15 @@ import (
 	"repro/internal/bootstrap"
 	"repro/internal/ckks"
 	"repro/internal/prng"
-	"repro/internal/simfhe"
 	"repro/internal/simfhe/search"
 )
 
 // --- Table 5: the brute-force parameter search itself ---
 
 func BenchmarkTable5Search(b *testing.B) {
-	space := search.Space{LogQMin: 45, LogQMax: 58, DnumMax: 4, FFTIters: []int{3, 4, 5, 6}}
 	var best search.Candidate
 	for i := 0; i < b.N; i++ {
-		best, _ = search.Best(space, search.ReferenceDesign(), simfhe.AllOpts())
+		best = search.Best()
 	}
 	b.ReportMetric(best.Throughput, "throughput")
 	b.ReportMetric(float64(best.Params.LogQ), "q")

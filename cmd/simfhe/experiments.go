@@ -10,7 +10,6 @@ import (
 	"io"
 	"maps"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/fherr"
@@ -19,11 +18,6 @@ import (
 	"repro/internal/simfhe/design"
 	"repro/internal/simfhe/search"
 )
-
-// refMachine is the paper's 32 MB reference system (8192 modular
-// multipliers at 1 GHz, 1 TB/s of DRAM bandwidth): the roofline of `ai`,
-// and the one used to lay modeled costs out on a synthetic timeline.
-var refMachine = simfhe.Machine{PeakOpsPerSec: 8192e9, PeakBytesPerSec: 1e12}
 
 // jsonCost is a simulator cost that serializes with its derived totals;
 // the text tables use the embedded simfhe.Cost.
@@ -225,7 +219,7 @@ type table5Result struct {
 // result is fixed, and `table5`, `json` and the tests all render it.
 var table5Rows = sync.OnceValue(func() table5Result {
 	r := table5Result{Baseline: simfhe.Baseline(), PaperOptimal: simfhe.Optimal()}
-	best, _ := search.Best(search.Space{}, search.ReferenceDesign(), simfhe.AllOpts())
+	best := search.Best()
 	r.SearchBest.Params, r.SearchBest.Throughput = best.Params, best.Throughput
 	r.SearchBest.RuntimeMs, r.SearchBest.LogQ1 = best.RuntimeMs, best.LogQ1
 	return r
@@ -379,36 +373,6 @@ func costTradeoff(_ []string, w io.Writer) error {
 			pt.TputPerMm2, 100*pt.MemoryFrac, pt.CostVsDefault)
 	}
 	fmt.Fprintln(w, "   paper: a 16x memory reduction (512 -> 32 MB) proportionally reduces the cost of the solution")
-	fmt.Fprintln(w)
-	return nil
-}
-
-func aiRoofline(_ []string, w io.Writer) error {
-	fmt.Fprintln(w, "== Arithmetic intensity on a roofline (8192 multipliers @1 GHz, 1 TB/s) ==")
-	fmt.Fprintf(w, "ridge point: %.1f ops/byte\n", refMachine.RidgeAI())
-	ctx := simfhe.NewCtx(simfhe.Baseline(), simfhe.MB(2), simfhe.NoOpts())
-	l := ctx.P.L
-	named := map[string]simfhe.Cost{
-		"Add":       ctx.Add(l),
-		"PtMult":    ctx.PtMult(l),
-		"Mult":      ctx.Mult(l),
-		"Rotate":    ctx.Rotate(l),
-		"Bootstrap": ctx.Bootstrap().Total(),
-	}
-	optimized := simfhe.NewCtx(simfhe.Optimal(), simfhe.MB(64), simfhe.AllOpts())
-	named["Bootstrap+MAD"] = optimized.Bootstrap().Total()
-	pts := simfhe.Roofline(refMachine, named)
-	sort.Slice(pts, func(i, j int) bool { return pts[i].AI < pts[j].AI })
-	fmt.Fprintf(w, "%-14s %10s %14s %12s %12s\n", "workload", "AI", "attainable", "utilization", "bound")
-	for _, pt := range pts {
-		bound := "memory"
-		if !pt.MemoryBound {
-			bound = "compute"
-		}
-		fmt.Fprintf(w, "%-14s %10.2f %11.2f Gop/s %11.1f%% %12s\n",
-			pt.Name, pt.AI, pt.Attainable/1e9, 100*pt.Utilization, bound)
-	}
-	fmt.Fprintln(w, "   paper §2.3: all primitives < 1 op/byte -> memory-bound on any realistic platform")
 	fmt.Fprintln(w)
 	return nil
 }

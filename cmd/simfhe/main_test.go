@@ -54,7 +54,6 @@ var goldenCases = []struct {
 	{"fig6_lr", []string{"fig6", "-app=lr"}, false},
 	{"fig6_resnet", []string{"fig6", "-app=resnet"}, false},
 	{"cost", []string{"cost"}, false},
-	{"ai", []string{"ai"}, false},
 	{"boot", []string{"boot"}, true},
 	{"boot_none_2mb_baseline", []string{"boot", "-opts=none", "-mb=2", "-params=baseline"}, false},
 	{"boot_slots12", []string{"boot", "-slots=12"}, false},

@@ -18,28 +18,46 @@ import (
 	"repro/internal/simfhe/design"
 )
 
-// traceBuilder lays several attribution trees out sequentially on one
-// synthetic timeline, keeping span IDs globally unique.
+// traceBuilder lays attribution trees out one after another on one
+// synthetic timeline. Each node becomes a span that runs its own work
+// (Self) for its runtime on timelineDesign, then its children in order;
+// a fusion credit shortens only the node that owns it, so the intervals
+// stay nested although credited children overlap the saving. Span IDs
+// run in one sequence across trees, and each span's counters are its
+// node's inclusive cost.
 type traceBuilder struct {
-	m      simfhe.Machine
 	spans  []obs.SpanRecord
 	cursor time.Duration
-	idOff  uint64
 }
 
-func (b *traceBuilder) add(t *simfhe.CostTree) {
-	sp := t.SpanRecords(b.m, b.cursor)
-	for i := range sp {
-		sp[i].ID += b.idOff
-		if sp[i].Parent != 0 {
-			sp[i].Parent += b.idOff
-		}
+// timelineDesign prices the timeline: BTS's 8192 multipliers at 1 GHz
+// and 1 TB/s, with MAD's 32 MB of on-chip memory.
+var timelineDesign = design.BTS.WithMemory(32)
+
+func (b *traceBuilder) add(t *simfhe.CostTree) { b.cursor = b.emit(t, 0, b.cursor) }
+
+// emit appends n's span and its subtree's, starting at at, and returns
+// where n's span ends.
+func (b *traceBuilder) emit(n *simfhe.CostTree, parent uint64, at time.Duration) time.Duration {
+	idx := len(b.spans)
+	id := uint64(idx) + 1
+	b.spans = append(b.spans, obs.SpanRecord{ID: id, Parent: parent, Name: n.Name, Start: at})
+	end := at + time.Duration(timelineDesign.RuntimeSeconds(n.Self)*float64(time.Second))
+	for _, ch := range n.Children {
+		end = b.emit(ch, id, end)
 	}
-	b.idOff += uint64(len(sp))
-	if len(sp) > 0 {
-		b.cursor = sp[0].Start + sp[0].Dur
+	total := n.Total()
+	b.spans[idx].Dur = end - at
+	b.spans[idx].Counters = map[string]uint64{
+		"mulmod":         total.MulMod,
+		"addmod":         total.AddMod,
+		"ntt":            total.NTT,
+		"ct_read_bytes":  total.CtRead,
+		"ct_write_bytes": total.CtWrite,
+		"key_read_bytes": total.KeyRead,
+		"pt_read_bytes":  total.PtRead,
 	}
-	b.spans = append(b.spans, sp...)
+	return end
 }
 
 // exporting reports whether a command's spans and counters have anywhere
@@ -113,7 +131,7 @@ func boot(args []string, w io.Writer) error {
 	ctx := simfhe.NewCtx(p, cache, opts)
 	bd := ctx.Bootstrap()
 	if exporting(*traceOut, *metricsOut) {
-		tb := &traceBuilder{m: refMachine}
+		tb := &traceBuilder{}
 		tb.add(ctx.BootstrapTree())
 		metrics := map[string]uint64{}
 		mergeMetrics(metrics, "simfhe_bootstrap", bd.Total())
@@ -216,9 +234,9 @@ func runSchedule(args []string, w io.Writer) error {
 
 // scheduleTrace lays the attribution tree RunSchedule recorded for each
 // executed op (and one bootstrap tree per auto-inserted bootstrap) out on
-// a synthetic roofline timeline, a batch's ops one after another.
+// the synthetic timeline, a batch's ops one after another.
 func scheduleTrace(ctx simfhe.Ctx, res simfhe.ScheduleResult) ([]obs.SpanRecord, map[string]uint64) {
-	tb := &traceBuilder{m: refMachine}
+	tb := &traceBuilder{}
 	metrics := map[string]uint64{}
 	for _, sc := range res.PerStep {
 		if sc.AutoBootstrap {
@@ -274,7 +292,7 @@ func traceCmd(args []string, w io.Writer) error {
 		return fherr.Errorf(fherr.ErrUsage, "unknown -op: %s", *opName)
 	}
 
-	tb := &traceBuilder{m: refMachine}
+	tb := &traceBuilder{}
 	metrics := map[string]uint64{}
 	trees := make([]*simfhe.CostTree, len(names))
 	for i, name := range names {

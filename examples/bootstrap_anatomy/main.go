@@ -61,7 +61,8 @@ func functional() {
 	fmt.Printf("input: level %d (exhausted)\n", ct.Level)
 
 	// Record the bootstrap: the recorder captures one span per phase,
-	// each carrying the deltas of the evaluator's ckks.* counters.
+	// each carrying the deltas of the evaluator's ckks.* counters and of
+	// the ring kernels' transform counts (ring.ntt + ring.intt).
 	rec := obs.NewRecorder()
 	btp.Evaluator().SetRecorder(rec)
 	start = time.Now()
@@ -77,11 +78,11 @@ func functional() {
 		sp := snap.SpansNamed(name)[0]
 		fmt.Printf("%-24s %12v %7.1f%% %8d %10d %8d\n",
 			name, sp.Dur.Round(time.Millisecond), 100*float64(sp.Dur)/float64(total.Dur),
-			sp.Counters["ckks.ntt"], sp.Counters["ckks.keyswitch"], sp.Counters["ckks.rotate"])
+			sp.Counters["ring.ntt"]+sp.Counters["ring.intt"], sp.Counters["ckks.keyswitch"], sp.Counters["ckks.rotate"])
 	}
 	fmt.Printf("%-24s %12v %7.1f%% %8d %10d %8d\n",
 		"total", total.Dur.Round(time.Millisecond), 100.0,
-		total.Counters["ckks.ntt"], total.Counters["ckks.keyswitch"], total.Counters["ckks.rotate"])
+		total.Counters["ring.ntt"]+total.Counters["ring.intt"], total.Counters["ckks.keyswitch"], total.Counters["ckks.rotate"])
 
 	got := enc.Decode(dec.DecryptToPlaintext(out))
 	worst := 0.0

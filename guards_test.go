@@ -606,6 +606,17 @@ func TestOnePathGuards(t *testing.T) {
 			t.Errorf("internal/obs imports net/http: %v", got)
 		}
 	})
+
+	// The simulator counts costs and design.Design prices them; only its
+	// command lays them out as spans on a timeline.
+	t.Run("SimfheImportsNoObs", func(t *testing.T) {
+		if got := imports(m.pick(anyUnder("internal/simfhe")), "repro/internal/obs"); len(got) > 0 {
+			t.Errorf("internal/simfhe imports internal/obs: %v", got)
+		}
+		if len(imports(m.pick(nonTestUnder("cmd/simfhe")), "repro/internal/obs")) == 0 {
+			t.Error("cmd/simfhe does not import internal/obs: the matcher is blind")
+		}
+	})
 }
 
 // removedNames are deleted second paths whose return no behavioural test
@@ -627,6 +638,11 @@ var removedNames = []struct {
 	{"FaultClassSuite", []string{"ChaosSmoke", "chaos-out", "SetPanicHook", "WithFaultInjector"}, allFiles},
 	{"ExperimentHome", []string{"repro/internal/core", "BenchmarkTable4", "BenchmarkFig2", "BenchmarkFig3", "BenchmarkTable6", "BenchmarkFig6LR", "BenchmarkFig6ResNet", "BenchmarkAblationSingleOpt"}, allFiles},
 	{"LiveEndpoint", []string{"debug-addr", "DebugServer", "StartSpan", "StartChild", "CurrentSpan"}, allFiles},
+	{"OneMachineModel", []string{"Machine", "RidgeAI", "AttainableOpsPerSec", "MemoryBound", "RooflinePoint", "Roofline", "refMachine", "aiRoofline", "BalanceFactor", "SpanRecords"}, allFiles},
+	{"MachineSeconds", []string{"Seconds"}, anyUnder("internal/simfhe")},
+	{"ConstructionOptions", []string{"SetKeyBudget", "SetIntegrity", "setBudget"}, allFiles},
+	{"OneNTTCounter", []string{"ckks.ntt"}, nonTest},
+	{"SearchConstants", []string{"Space", "ReferenceDesign"}, allFiles},
 }
 
 // named returns every identifier or string literal in files equal to one

@@ -46,8 +46,11 @@ type Bootstrapper struct {
 // NewBootstrapper builds the DFT matrices and the evaluation keys
 // (relinearization, conjugation, and every DFT rotation) for the given
 // secret. The secret should be sparse (see KeyGenerator.GenSecretKeySparse)
-// so the Parameters.K range bound holds.
-func NewBootstrapper(params *ckks.Parameters, bparams Parameters, sk *ckks.SecretKey, src *prng.Source, compressKeys bool) (*Bootstrapper, error) {
+// so the Parameters.K range bound holds. opts configure the
+// bootstrapper's evaluator: workers, a key budget (meaningful only with
+// compressKeys) or integrity sealing; refreshed ciphertexts are
+// bit-identical under every worker count and budget.
+func NewBootstrapper(params *ckks.Parameters, bparams Parameters, sk *ckks.SecretKey, src *prng.Source, compressKeys bool, opts ...ckks.EvaluatorOption) (*Bootstrapper, error) {
 	// Level budget, from the plan: the last SlotToCoeff group must still
 	// rescale into a level. Checked before anything is encoded or keyed.
 	L := params.MaxLevel()
@@ -75,7 +78,7 @@ func NewBootstrapper(params *ckks.Parameters, bparams Parameters, sk *ckks.Secre
 	// compressKeys the whole set is dropped to seed-only form — dozens of
 	// Galois keys keep only their b halves plus 32-byte seeds, and the
 	// evaluator's key vault rematerializes the uniform halves on demand
-	// within the SetKeyBudget bound, so bootstrap's key working set is a
+	// within the WithKeyBudget bound, so bootstrap's key working set is a
 	// knob instead of a fixed resident-everything cost.
 	kg := ckks.NewKeyGenerator(params, src)
 	rlk := kg.GenRelinearizationKey(sk, compressKeys)
@@ -90,7 +93,7 @@ func NewBootstrapper(params *ckks.Parameters, bparams Parameters, sk *ckks.Secre
 		}
 	}
 
-	ev := ckks.NewEvaluator(params, &ckks.EvaluationKeySet{Rlk: rlk, Galois: gks})
+	ev := ckks.NewEvaluator(params, &ckks.EvaluationKeySet{Rlk: rlk, Galois: gks}, opts...)
 
 	// Chebyshev approximation of cos(2π(K·u − ¼)/2^r) on [-1, 1]; after r
 	// double-angle steps this becomes sin(2πK·u) = sin(2π·t/q0).
@@ -114,9 +117,9 @@ func NewBootstrapper(params *ckks.Parameters, bparams Parameters, sk *ckks.Secre
 }
 
 // Evaluator exposes the bootstrapper's evaluator. It holds every rotation
-// key, and it is where the bootstrapper is configured: SetWorkers and
-// SetKeyBudget (only meaningful with compressKeys=true) leave the
-// refreshed ciphertexts bit-identical; with SetRecorder, Bootstrap emits
+// key, and it is where the bootstrapper is instrumented and retuned:
+// SetWorkers leaves the refreshed ciphertexts bit-identical; with
+// SetRecorder, Bootstrap emits
 // one span per phase (bootstrap.ModRaise, bootstrap.CoeffToSlot,
 // bootstrap.EvalMod, bootstrap.SlotToCoeff), each carrying the ckks.*
 // counter deltas accumulated inside the phase; with SetTracer it drops a

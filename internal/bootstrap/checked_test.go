@@ -21,13 +21,13 @@ type checkedBootFixture struct {
 	encSk  *ckks.Encryptor
 }
 
-func newCheckedBootFixture(t *testing.T) *checkedBootFixture {
+func newCheckedBootFixture(t *testing.T, opts ...ckks.EvaluatorOption) *checkedBootFixture {
 	t.Helper()
 	params := bootParams(t)
 	src := bootSource()
 	kg := ckks.NewKeyGenerator(params, src)
 	sk := kg.GenSecretKeySparse(16)
-	btp, err := NewBootstrapper(params, DefaultParameters(), sk, src, false)
+	btp, err := NewBootstrapper(params, DefaultParameters(), sk, src, false, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,10 @@ func TestBootstrapEWithPrecisionGuardPasses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bootstrap is expensive; skipping in -short mode")
 	}
-	f := newCheckedBootFixture(t)
+	f := newCheckedBootFixture(t, ckks.WithIntegrity())
 	// The seeded end-to-end error is ~5e-4, i.e. ≳11 bits on the worst
 	// slot; an 8-bit floor passes with margin.
 	f.btp.ArmPrecisionGuard(f.sk, 8)
-	f.btp.Evaluator().SetIntegrity(true)
 
 	out, err := f.btp.BootstrapE(context.Background(), f.exhaustedCiphertext())
 	if err != nil {

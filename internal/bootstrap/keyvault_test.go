@@ -13,15 +13,16 @@ import (
 )
 
 // vaultBootstrapper builds a compressed-key bootstrapper from the shared
-// deterministic seed. Each call re-derives the identical secret and key
-// set, so two bootstrappers can be compared digit-for-digit.
-func vaultBootstrapper(t *testing.T) (*Bootstrapper, *ckks.Parameters, *ckks.SecretKey) {
+// deterministic seed, its evaluator configured by opts. Each call
+// re-derives the identical secret and key set, so two bootstrappers can
+// be compared digit-for-digit.
+func vaultBootstrapper(t *testing.T, opts ...ckks.EvaluatorOption) (*Bootstrapper, *ckks.Parameters, *ckks.SecretKey) {
 	t.Helper()
 	params := bootParams(t)
 	src := bootSource()
 	kg := ckks.NewKeyGenerator(params, src)
 	sk := kg.GenSecretKeySparse(16)
-	btp, err := NewBootstrapper(params, DefaultParameters(), sk, src, true)
+	btp, err := NewBootstrapper(params, DefaultParameters(), sk, src, true, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,18 +58,19 @@ func keyStructBytes(params *ckks.Parameters, keys *ckks.EvaluationKeySet) int64 
 // constrained budget must actually buy memory: fully-expanded key bytes
 // over (seed-only key bytes + the vault's peak resident bytes) >= 1.5x.
 //
-// Both runs use the SAME bootstrapper, because the contract under test is
-// vault-vs-materialized for one fixed key set. (Two bootstrappers built
-// from one seed would hold the same keys too — keygen walks the sorted
-// rotation-step set; TestBootstrapperDeterministic pins that.)
+// The contract under test is vault-vs-materialized for one fixed key set:
+// the budget is fixed when the evaluator is built, so the two runs use two
+// bootstrappers built from one seed, which hold the same keys — keygen
+// walks the sorted rotation-step set; TestBootstrapperDeterministic pins
+// that.
 func TestBootstrapKeyBudgetBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bootstrap is expensive; skipping in -short mode")
 	}
-	btp, params, sk := vaultBootstrapper(t)
+	full, params, sk := vaultBootstrapper(t)
 	// Baseline: every key expanded up front; digit resolution never
 	// touches the vault.
-	fullResident := expandAllKeys(params, btp.Evaluator())
+	fullResident := expandAllKeys(params, full.Evaluator())
 
 	enc := ckks.NewEncoder(params)
 	encryptor := ckks.NewSecretKeyEncryptor(params, sk, bootSource())
@@ -77,20 +79,15 @@ func TestBootstrapKeyBudgetBitIdentical(t *testing.T) {
 		msg[i] = complex(rand.Float64()*2-1, 0)
 	}
 	ct := encryptor.Encrypt(enc.Encode(msg))
-	ct = btp.Evaluator().DropLevel(ct, 0)
+	ct = full.Evaluator().DropLevel(ct, 0)
 
-	ref := btp.Bootstrap(ct)
+	ref := full.Bootstrap(ct)
 
-	// Vault run: the same keys dropped back to seed-only form, budget at
-	// 1/8 of the fully-resident bytes — far below the 50% acceptance
-	// bound.
-	keys := btp.Evaluator().Keys()
-	keys.Rlk.DropExpanded()
-	for _, gk := range keys.Galois {
-		gk.DropExpanded()
-	}
+	// Vault run: the same keys in seed-only form, budget at 1/8 of the
+	// fully-resident bytes — far below the 50% acceptance bound.
 	budget := fullResident / 8
-	btp.Evaluator().SetKeyBudget(budget)
+	btp, _, _ := vaultBootstrapper(t, ckks.WithKeyBudget(budget))
+	keys := btp.Evaluator().Keys()
 	out := btp.Bootstrap(ct)
 
 	if !out.C0.Equal(ref.C0) || !out.C1.Equal(ref.C1) {

@@ -23,9 +23,12 @@ func chaosEval(t *testing.T, integrity bool) (*testContext, *Evaluator, *faultin
 	rlk := tc.kg.GenRelinearizationKey(tc.sk, false)
 	gks := tc.kg.GenRotationKeys([]int{1, 2}, tc.sk, false)
 	fi := faultinject.New()
-	ev := NewEvaluator(tc.params, &EvaluationKeySet{Rlk: rlk, Galois: gks})
+	var opts []EvaluatorOption
+	if integrity {
+		opts = append(opts, WithIntegrity())
+	}
+	ev := NewEvaluator(tc.params, &EvaluationKeySet{Rlk: rlk, Galois: gks}, opts...)
 	ev.SetFaultInjector(fi)
-	ev.SetIntegrity(integrity)
 	return tc, ev, fi
 }
 

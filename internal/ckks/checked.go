@@ -29,12 +29,9 @@ func (ev *Evaluator) SetFaultInjector(fi *faultinject.Injector) {
 // FaultInjector returns the attached injector, which may be nil.
 func (ev *Evaluator) FaultInjector() *faultinject.Injector { return ev.fi }
 
-// SetIntegrity toggles checksum sealing: when on, every ciphertext Do
-// returns is Sealed, so later Validate calls detect any out-of-band
-// mutation of its payload (see Ciphertext.Seal).
-func (ev *Evaluator) SetIntegrity(on bool) { ev.integrity = on }
-
-// WithIntegrity is the construction-time form of SetIntegrity(true).
+// WithIntegrity turns on checksum sealing: every ciphertext Do returns
+// is Sealed, so later Validate calls detect any out-of-band mutation of
+// its payload (see Ciphertext.Seal).
 func WithIntegrity() EvaluatorOption {
 	return func(ev *Evaluator) { ev.integrity = true }
 }

@@ -32,11 +32,11 @@ type Evaluator struct {
 	// rec, when non-nil, receives a hierarchical span per primitive (an op
 	// span — "ckks.Rotate", "ckks.Mult", … — directly owns its rns sub-op,
 	// stage and ring worker spans; no op nests another) and the counters
-	// "ckks.ntt" (limb-sized (i)NTT invocations, counted analytically at
-	// the converter call sites), "ckks.keyswitch", "ckks.mult",
-	// "ckks.rotate", "ckks.rescale", "ckks.limbs" and "ckks.key.bytes"
-	// (switching-key limb bytes read by inner products). A nil recorder
-	// costs one nil check per call.
+	// "ckks.keyswitch", "ckks.mult", "ckks.rotate", "ckks.rescale",
+	// "ckks.limbs" and "ckks.key.bytes" (switching-key limb bytes read by
+	// inner products); the rings' kernels count the transforms
+	// ("ring.ntt", "ring.intt"). A nil recorder costs one nil check per
+	// call.
 	rec *obs.Recorder
 
 	// model, when non-nil, annotates every op span with the analytic
@@ -64,7 +64,7 @@ type Evaluator struct {
 
 	// vault is the bounded cache of demand-materialized uniform key
 	// halves for seed-compressed switching keys (see keyvault.go). Always
-	// non-nil; unlimited budget by default (WithKeyBudget/SetKeyBudget).
+	// non-nil; unlimited budget by default (WithKeyBudget).
 	vault *keyVault
 
 	// opCtx is nil on every evaluator a caller holds. Do sets it on the
@@ -82,10 +82,15 @@ func WithWorkers(n int) EvaluatorOption {
 	return func(ev *Evaluator) { ev.SetWorkers(n) }
 }
 
-// WithKeyBudget bounds the bytes of demand-materialized switching-key
-// material the evaluator keeps resident (see SetKeyBudget).
+// WithKeyBudget bounds the bytes of expanded uniform key halves the
+// evaluator's key vault keeps resident for seed-compressed switching
+// keys; least-recently-used digits are evicted (and later rematerialized
+// from their seeds on demand) once the bound is exceeded. bytes <= 0
+// leaves the vault unbounded, the default. Any budget — even one smaller
+// than a single digit — preserves correctness and progress; it trades
+// expansion compute for resident key memory.
 func WithKeyBudget(bytes int64) EvaluatorOption {
-	return func(ev *Evaluator) { ev.SetKeyBudget(bytes) }
+	return func(ev *Evaluator) { ev.vault.budget = bytes }
 }
 
 // NewEvaluator returns an evaluator with the given keys. The key set (or
@@ -108,16 +113,6 @@ func (ev *Evaluator) Params() *Parameters { return ev.params }
 
 // Keys returns the evaluator's key set.
 func (ev *Evaluator) Keys() *EvaluationKeySet { return ev.keys }
-
-// SetKeyBudget bounds the bytes of expanded uniform key halves the
-// evaluator's key vault keeps resident for seed-compressed switching
-// keys; least-recently-used digits are evicted (and later rematerialized
-// from their seeds on demand) once the bound is exceeded. bytes <= 0
-// removes the bound. Any budget — even one smaller than a single digit —
-// preserves correctness and progress; it trades expansion compute for
-// resident key memory. Takes effect immediately: over-budget digits that
-// no product in flight holds are evicted before this returns.
-func (ev *Evaluator) SetKeyBudget(bytes int64) { ev.vault.setBudget(bytes) }
 
 // KeyVaultStats snapshots the key vault's hit/miss/eviction counters and
 // resident-byte occupancy.
@@ -175,7 +170,7 @@ func (ev *Evaluator) SetRecorder(r *obs.Recorder) {
 	ring.SetTaskRecorder(r)
 	ev.vault.rec = r
 	r.SetGauge("ckks.workers", float64(ev.workers))
-	r.SetGauge("ckks.keyvault.budget_bytes", float64(ev.vault.budgetBytes()))
+	r.SetGauge("ckks.keyvault.budget_bytes", float64(ev.vault.budget))
 }
 
 // Recorder returns the attached recorder, which may be nil.
@@ -491,9 +486,6 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 	}
 	sp := ev.startOp("Rescale", level, ct.Scale, 0)
 	defer ev.endOp(sp)
-	// Per poly: one iNTT of the dropped limb, one forward NTT per
-	// remaining limb (rns.Converter.Rescale).
-	ev.rec.Add("ckks.ntt", uint64(2*(1+level)))
 	ev.rec.Add("ckks.rescale", 1)
 	ev.rec.Add("ckks.limbs", uint64(level+1))
 	conv := ev.params.Converter()
@@ -550,9 +542,6 @@ func (ev *Evaluator) decomposeModUp(level int, x *ring.Poly, workers int) *[]rns
 		end := min(start+alpha, level+1)
 		conv.ModUpDigit(level, start, end, x, digits[j], inner)
 	})
-	// Per digit: iNTT of the digit limbs plus a forward NTT of every
-	// generated limb — together exactly level+1+kP transforms.
-	ev.rec.Add("ckks.ntt", uint64(beta*(level+1+ev.kP())))
 	return set
 }
 
@@ -798,10 +787,8 @@ func (ev *Evaluator) keySwitch(level int, x, c0 *ring.Poly, swk *SwitchingKey, s
 // modDownPair is the ModDown pair of Algorithm 3 line 4 into caller-owned
 // polynomials (pooled scratch where the pair is an intermediate).
 func (ev *Evaluator) modDownPair(level int, u, v rns.PolyQP, p0, p1 *ring.Poly, workers int) {
-	// Per ModDown: kP iNTTs of the P limbs plus level+1 forward NTTs of
-	// the correction limbs. Every key switch funnels through here, so the
-	// keyswitch counter lives here too.
-	ev.rec.Add("ckks.ntt", uint64(2*(ev.kP()+level+1)))
+	// Every key switch funnels through here, so the keyswitch counter
+	// lives here.
 	ev.rec.Add("ckks.keyswitch", 1)
 	ev.rec.Add("ckks.limbs", uint64(level+1))
 	conv := ev.params.Converter()

@@ -90,7 +90,7 @@ type keyVault struct {
 	expanded sync.Cond // signalled when an in-flight digit becomes done
 	entries  map[vaultKey]*vaultEntry
 	lru      *list.List // front = most recently used
-	budget   int64      // bytes; <= 0 means unlimited
+	budget   int64      // bytes, set once by WithKeyBudget; <= 0 means unlimited
 	resident int64      // digitBytes × entries, in-flight ones included
 	peak     int64
 
@@ -126,25 +126,6 @@ func polyQPBytes(p rns.PolyQP) int64 {
 		n += int64(len(p.P.Coeffs[i])) * 8
 	}
 	return n
-}
-
-// setBudget changes the byte budget (<= 0 unlimited) and immediately
-// evicts down to it. Held entries are never evicted, so a budget below
-// the currently held set takes full effect only as products release.
-func (kv *keyVault) setBudget(bytes int64) {
-	kv.mu.Lock()
-	kv.budget = bytes
-	kv.shrinkLocked()
-	resident := kv.resident
-	kv.mu.Unlock()
-	kv.rec.SetGauge("ckks.keyvault.budget_bytes", float64(bytes))
-	kv.rec.SetGauge("ckks.keyvault.resident_bytes", float64(resident))
-}
-
-func (kv *keyVault) budgetBytes() int64 {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	return kv.budget
 }
 
 // stats snapshots the counters.

@@ -372,10 +372,8 @@ func (ev *Evaluator) evalLinearTransform(ct *Ciphertext, lt *LinearTransform, cl
 func (ev *Evaluator) ltGiantStep(level int, gk *GaloisKey, u, v rns.PolyQP) (rns.PolyQP, rns.PolyQP) {
 	p := ev.params
 	rQ, conv := p.RingQ().AtLevel(level), p.Converter()
-	// One ModDown: kP iNTTs of the P limbs plus level+1 forward NTTs of the
-	// correction limbs. The step is a key switch whose closer is the
-	// transform's, so it counts as one here.
-	ev.rec.Add("ckks.ntt", uint64(ev.kP()+level+1))
+	// The step is a key switch whose closer is the transform's, so it
+	// counts as one here.
 	ev.rec.Add("ckks.keyswitch", 1)
 	ev.rec.Add("ckks.limbs", uint64(level+1))
 	q1 := rQ.GetScratch()

@@ -171,9 +171,7 @@ func (ev *Evaluator) lower(r raisedCt, workers int) *Ciphertext {
 // before any work (requireRescalable).
 func (ev *Evaluator) lowerRescale(r raisedCt, workers int) *Ciphertext {
 	level := r.level
-	// Per half: kP+1 iNTTs of the dropped limbs plus level forward NTTs of
-	// the correction limbs. It is a key switch's closer and a rescale.
-	ev.rec.Add("ckks.ntt", uint64(2*(ev.kP()+1+level)))
+	// It is a key switch's closer and a rescale.
 	ev.rec.Add("ckks.keyswitch", 1)
 	ev.rec.Add("ckks.rescale", 1)
 	ev.rec.Add("ckks.limbs", uint64(level+1))

@@ -114,7 +114,7 @@ func rejectedBeforeAnyWork(t *testing.T, ev *Evaluator, op string, call coreOp, 
 	if out != nil || !errors.Is(err, fherr.ErrLevelMismatch) {
 		t.Errorf("%s at level 0: got (%v, %v), want a typed level mismatch", op, out, err)
 	}
-	for _, name := range []string{"ckks.keyswitch", "ckks.mult", "ckks.ntt", "ckks.rotate"} {
+	for _, name := range []string{"ckks.keyswitch", "ckks.mult", "ring.ntt", "ring.intt", "ckks.rotate"} {
 		if n := rec.Counter(name); n != 0 {
 			t.Errorf("%s at level 0 counted %s = %d before failing, want 0", op, name, n)
 		}

@@ -14,7 +14,7 @@
 //
 //	sp := ev.rec.StartOp("ckks.Mult") // no-op when ev.rec == nil
 //	defer sp.End()
-//	ev.rec.Add("ckks.ntt", 12)
+//	ev.rec.Add("ckks.mult", 1)
 package obs
 
 import (

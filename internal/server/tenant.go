@@ -151,8 +151,11 @@ func newSession(id string, cfg TenantConfig, chaos bool, rec *obs.Recorder) (*se
 	rlk.DropExpanded()
 	gks := kg.GenGaloisKeys(steps, sk)
 
+	// Both evaluators, the session's and the bootstrapper's, share the
+	// tenant's worker count and key budget.
+	evOpts := []ckks.EvaluatorOption{ckks.WithWorkers(cfg.Workers), ckks.WithKeyBudget(cfg.KeyBudgetBytes)}
 	ev := ckks.NewEvaluator(params, &ckks.EvaluationKeySet{Rlk: rlk, Galois: gks},
-		ckks.WithWorkers(cfg.Workers), ckks.WithKeyBudget(cfg.KeyBudgetBytes), ckks.WithIntegrity())
+		append(evOpts, ckks.WithIntegrity())...)
 	ev.SetRecorder(rec)
 
 	s := &session{
@@ -170,15 +173,11 @@ func newSession(id string, cfg TenantConfig, chaos bool, rec *obs.Recorder) (*se
 		ev.SetFaultInjector(s.fi)
 	}
 	if cfg.Bootstrap {
-		btp, err := bootstrap.NewBootstrapper(params, bootstrap.DefaultParameters(), sk, src, true)
+		btp, err := bootstrap.NewBootstrapper(params, bootstrap.DefaultParameters(), sk, src, true, evOpts...)
 		if err != nil {
 			return nil, fmt.Errorf("tenant %s: bootstrapper: %w", id, err)
 		}
 		btp.Evaluator().SetRecorder(rec)
-		btp.Evaluator().SetWorkers(cfg.Workers)
-		if cfg.KeyBudgetBytes > 0 {
-			btp.Evaluator().SetKeyBudget(cfg.KeyBudgetBytes)
-		}
 		if s.fi != nil {
 			btp.Evaluator().SetFaultInjector(s.fi)
 		}

@@ -3,9 +3,6 @@ package simfhe
 import (
 	"fmt"
 	"io"
-	"time"
-
-	"repro/internal/obs"
 )
 
 // CostTree attributes a primitive's (or pipeline's) cost to its sub-
@@ -261,49 +258,6 @@ func (c Ctx) OpTree(k OpKind, l int) *CostTree {
 		panic(fmt.Sprintf("simfhe: OpTree: op kind %d is not level-charged", k))
 	}
 }
-
-// --- Synthetic trace export ---
-
-// SpanRecords lays the tree out on a modeled timeline for the given
-// machine and returns obs span records ready for Chrome-trace export:
-// each node becomes a span whose duration is its roofline runtime, with
-// the node's own work first and the children laid out sequentially after
-// it. Fusion credits shorten only the node that owns them (the interval
-// arithmetic stays nested even though credited children overlap the
-// saving). Span args carry the node's inclusive cost fields.
-func (t *CostTree) SpanRecords(m Machine, start time.Duration) []obs.SpanRecord {
-	var out []obs.SpanRecord
-	var nextID uint64
-	var emit func(n *CostTree, parent uint64, at time.Duration) time.Duration
-	emit = func(n *CostTree, parent uint64, at time.Duration) time.Duration {
-		nextID++
-		id := nextID
-		rec := obs.SpanRecord{ID: id, Parent: parent, Name: n.Name, Start: at}
-		idx := len(out)
-		out = append(out, rec)
-
-		cursor := at + seconds(m.Seconds(n.Self))
-		for _, ch := range n.Children {
-			cursor = emit(ch, id, cursor)
-		}
-		total := n.Total()
-		out[idx].Dur = cursor - at
-		out[idx].Counters = map[string]uint64{
-			"mulmod":         total.MulMod,
-			"addmod":         total.AddMod,
-			"ntt":            total.NTT,
-			"ct_read_bytes":  total.CtRead,
-			"ct_write_bytes": total.CtWrite,
-			"key_read_bytes": total.KeyRead,
-			"pt_read_bytes":  total.PtRead,
-		}
-		return cursor
-	}
-	emit(t, 0, start)
-	return out
-}
-
-func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
 // MetricsSnapshot renders a cost as obs counters (for /metrics and
 // -metrics-out), using the given prefix, e.g. "simfhe_mult".

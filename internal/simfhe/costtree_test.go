@@ -3,7 +3,6 @@ package simfhe
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // ctxMatrix spans the configurations TestCostGolden pins the model under:
@@ -53,40 +52,6 @@ func TestCostTimesGuards(t *testing.T) {
 	}
 	if got := c.PlusChecked(c).MulMod; got != 2<<40 {
 		t.Errorf("PlusChecked = %d", got)
-	}
-}
-
-func TestSpanRecordsNested(t *testing.T) {
-	ctx := NewCtx(Optimal(), MB(32), AllOpts())
-	m := Machine{PeakOpsPerSec: 8192e9, PeakBytesPerSec: 1e12}
-	tree := ctx.MultTree(ctx.P.L)
-	spans := tree.SpanRecords(m, 0)
-	if len(spans) == 0 {
-		t.Fatal("no spans emitted")
-	}
-	byID := map[uint64]int{}
-	for i, sp := range spans {
-		byID[sp.ID] = i
-		if sp.Dur < 0 {
-			t.Errorf("span %s has negative duration", sp.Name)
-		}
-	}
-	names := map[string]bool{}
-	for _, sp := range spans {
-		names[sp.Name] = true
-		if sp.Parent == 0 {
-			continue
-		}
-		parent := spans[byID[sp.Parent]]
-		if sp.Start < parent.Start || sp.Start+sp.Dur > parent.Start+parent.Dur+time.Nanosecond {
-			t.Errorf("span %s [%v,%v] escapes parent %s [%v,%v]",
-				sp.Name, sp.Start, sp.Start+sp.Dur, parent.Name, parent.Start, parent.Start+parent.Dur)
-		}
-	}
-	for _, want := range []string{"Mult", "KeySwitch", "Tensor"} {
-		if !names[want] {
-			t.Errorf("missing span %q", want)
-		}
 	}
 }
 

@@ -142,3 +142,51 @@ func TestMADRuntimeInRange(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroCostEdgeCases: a zero cost takes no time on any design, so a
+// node that owns no work of its own (every composite node of a cost
+// tree) adds nothing to a timeline the designs price.
+func TestZeroCostEdgeCases(t *testing.T) {
+	for _, d := range All() {
+		if got := d.RuntimeSeconds(simfhe.Cost{}); got != 0 {
+			t.Errorf("%s: zero cost runs %v s, want 0", d.Name, got)
+		}
+	}
+}
+
+// TestTable4AllMemoryBound: §2.3's conclusion on Table 6's machine —
+// every Table 4 primitive and the baseline bootstrap run memory-bound on
+// BTS with 32 MB, with the multipliers busy under a third of the time.
+func TestTable4AllMemoryBound(t *testing.T) {
+	d := BTS.WithMemory(32)
+	ctx := simfhe.NewCtx(simfhe.Baseline(), simfhe.MB(2), simfhe.NoOpts())
+	l := ctx.P.L
+	for name, c := range map[string]simfhe.Cost{
+		"Add": ctx.Add(l), "PtMult": ctx.PtMult(l), "Mult": ctx.Mult(l),
+		"Rotate": ctx.Rotate(l), "Bootstrap": ctx.Bootstrap().Total(),
+	} {
+		if d.ComputeBound(c) {
+			t.Errorf("%s: compute-bound at AI %.2f", name, c.AI())
+		}
+		if busy := d.ComputeSeconds(c) / d.RuntimeSeconds(c); busy > 0.3 || math.IsNaN(busy) {
+			t.Errorf("%s: multipliers busy %.2f of the runtime, want a memory-bound share", name, busy)
+		}
+	}
+}
+
+// TestMADRaisesUtilization: the MAD stack raises bootstrapping's
+// arithmetic intensity over the baseline's, and with it the share of
+// the runtime the multipliers are busy.
+func TestMADRaisesUtilization(t *testing.T) {
+	d := BTS.WithMemory(32)
+	before := RunBootstrap(d, simfhe.Baseline(), simfhe.NoOpts()).Cost
+	after := RunBootstrap(d, simfhe.Optimal(), simfhe.AllOpts()).Cost
+	if after.AI() <= before.AI() {
+		t.Errorf("MAD did not raise the bootstrap's AI: %.3f -> %.3f", before.AI(), after.AI())
+	}
+	ub := d.ComputeSeconds(before) / d.RuntimeSeconds(before)
+	ua := d.ComputeSeconds(after) / d.RuntimeSeconds(after)
+	if ua <= ub {
+		t.Errorf("MAD did not raise utilization: %.3f -> %.3f", ub, ua)
+	}
+}

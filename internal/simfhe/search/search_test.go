@@ -1,16 +1,19 @@
 package search
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/simfhe"
 	"repro/internal/simfhe/design"
 )
 
+// sweep runs the search once for every test: it takes seconds and its
+// result is fixed.
+var sweep = sync.OnceValue(run)
+
 func TestSearchFindsFeasiblePoints(t *testing.T) {
-	// A narrowed space keeps the test fast.
-	space := Space{LogQMin: 45, LogQMax: 55, DnumMax: 4, FFTIters: []int{3, 4, 5, 6}}
-	cands := Run(space, ReferenceDesign(), simfhe.AllOpts())
+	cands := sweep()
 	if len(cands) == 0 {
 		t.Fatal("no candidates found")
 	}
@@ -25,7 +28,7 @@ func TestSearchFindsFeasiblePoints(t *testing.T) {
 		if !c.Params.IsSecure() {
 			t.Errorf("insecure candidate %v", c.Params)
 		}
-		if c.LogQ1 < c.Params.LogQ*6 {
+		if c.LogQ1 < c.Params.LogQ*minLimbsAfter {
 			t.Errorf("candidate %v leaves too few levels (logQ1=%d)", c.Params, c.LogQ1)
 		}
 	}
@@ -35,12 +38,8 @@ func TestSearchFindsFeasiblePoints(t *testing.T) {
 // optimum must out-throughput the GPU baseline parameter set on the same
 // 32 MB system.
 func TestSearchBeatsBaselineParams(t *testing.T) {
-	space := Space{LogQMin: 45, LogQMax: 58, DnumMax: 4, FFTIters: []int{3, 4, 5, 6}}
-	best, ok := Best(space, ReferenceDesign(), simfhe.AllOpts())
-	if !ok {
-		t.Fatal("search found nothing")
-	}
-	baseline := design.RunBootstrap(ReferenceDesign(), simfhe.Baseline(), simfhe.AllOpts())
+	best := sweep()[0]
+	baseline := design.RunBootstrap(referenceDesign(), simfhe.Baseline(), simfhe.AllOpts())
 	if best.Throughput <= baseline.Throughput {
 		t.Errorf("search optimum (%.0f) does not beat baseline parameters (%.0f)",
 			best.Throughput, baseline.Throughput)
@@ -63,28 +62,9 @@ func TestSearchBeatsBaselineParams(t *testing.T) {
 // working set exceeds 32 MB under this model's strict capacity filter,
 // so it cannot use the O(α) optimization — see EXPERIMENTS.md).
 func TestPaperOptimalIsCompetitive(t *testing.T) {
-	space := Space{LogQMin: 45, LogQMax: 58, DnumMax: 4, FFTIters: []int{3, 4, 5, 6}}
-	best, _ := Best(space, ReferenceDesign(), simfhe.AllOpts())
-	paper := design.RunBootstrap(ReferenceDesign(), simfhe.Optimal(), simfhe.AllOpts())
+	best := sweep()[0]
+	paper := design.RunBootstrap(referenceDesign(), simfhe.Optimal(), simfhe.AllOpts())
 	if ratio := best.Throughput / paper.Throughput; ratio > 2.5 {
 		t.Errorf("paper parameters %.1fx below our optimum; expected within 2.5x", ratio)
-	}
-}
-
-func TestSpaceDefaults(t *testing.T) {
-	s := Space{}.withDefaults()
-	if s.LogN != 17 || s.LogQMin != 30 || s.LogQMax != 58 || s.DnumMax != 6 {
-		t.Errorf("unexpected defaults: %+v", s)
-	}
-	if len(s.FFTIters) != 8 || s.MinLimbsAfter != 6 {
-		t.Errorf("unexpected defaults: %+v", s)
-	}
-}
-
-func TestBestEmptySpace(t *testing.T) {
-	// An impossible space: huge limbs at tiny LogN leave no secure chain.
-	space := Space{LogN: 13, LogQMin: 55, LogQMax: 58, DnumMax: 2, FFTIters: []int{3}}
-	if _, ok := Best(space, ReferenceDesign(), simfhe.AllOpts()); ok {
-		t.Error("expected no feasible candidates")
 	}
 }
