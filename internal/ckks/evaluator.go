@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/faultinject"
 	"repro/internal/mathutil"
 	"repro/internal/memtrace"
 	"repro/internal/obs"
+	"repro/internal/prng"
 	"repro/internal/ring"
 	"repro/internal/rns"
 )
@@ -561,16 +563,18 @@ func (ev *Evaluator) putDigits(set *[]rns.PolyQP) {
 	digitSets.Put(set)
 }
 
-// kskOperands is the limb-major view of one kernel pass's operands: for
-// limb i, the rows of the K lanes' β raised digits (digit j of lane k at
-// j·K + k), of the key's b halves, of its a halves and of the lanes'
-// output halves u and v — what ring.SubRing.GatherMulAccumulate consumes
-// — plus the digits whose a half was pinned in the vault for this pass.
-// Pooled, so a steady-state pass allocates nothing.
+// kskOperands is the limb-major view of one kernel pass's operands over
+// the raised limbs [lo, hi): for limb i, the rows of the K lanes' β
+// raised digits (digit j of lane k at j·K + k), of the key's b halves, of
+// its a halves and of the lanes' output halves u and v — what
+// ring.SubRing.GatherMulAccumulate consumes — plus the held key, whose
+// streamed digits' a rows are drawn per limb as the limb runs. Pooled, so
+// a steady-state pass allocates nothing.
 type kskOperands struct {
-	rows        [][]uint64 // limb i: K·β digit, β b, β a, K u and K v rows, from i·stride()
+	rows        [][]uint64 // limb i: K·β digit, β b, β a, K u and K v rows, from (i−lo)·stride()
+	lo, hi      int
 	beta, lanes int
-	pinned      []int
+	key         *heldKey // nil: no key (the transform's diagonal sums)
 }
 
 // kskRows is one limb's rows of a kskOperands.
@@ -579,12 +583,12 @@ type kskRows struct{ d, b, a, u, v [][]uint64 }
 var kskOperandsPool = sync.Pool{New: func() any { return new(kskOperands) }}
 
 // getKskOperands draws operand views for a pass of lanes sums of beta
-// products each over limbs raised limbs. The rows are stale; the caller
-// fills every one. Return them with kskRelease.
-func getKskOperands(limbs, lanes, beta int) *kskOperands {
+// products each over the raised limbs [lo, hi). The rows are stale; the
+// caller fills every one. Return them with kskRelease.
+func getKskOperands(lo, hi, lanes, beta int) *kskOperands {
 	ops := kskOperandsPool.Get().(*kskOperands)
-	ops.beta, ops.lanes = beta, lanes
-	if need := limbs * ops.stride(); cap(ops.rows) < need {
+	ops.lo, ops.hi, ops.beta, ops.lanes = lo, hi, beta, lanes
+	if need := (hi - lo) * ops.stride(); cap(ops.rows) < need {
 		ops.rows = make([][]uint64, need)
 	} else {
 		ops.rows = ops.rows[:need]
@@ -606,7 +610,7 @@ func (o *kskOperands) stride() int { return (o.lanes+2)*o.beta + 2*o.lanes }
 
 // limb returns limb i's rows.
 func (o *kskOperands) limb(i int) kskRows {
-	r := o.rows[i*o.stride() : (i+1)*o.stride()]
+	r := o.rows[(i-o.lo)*o.stride() : (i-o.lo+1)*o.stride()]
 	kb, b := o.lanes*o.beta, o.beta
 	return kskRows{
 		d: r[:kb], b: r[kb : kb+b], a: r[kb+b : kb+2*b],
@@ -617,7 +621,7 @@ func (o *kskOperands) limb(i int) kskRows {
 // setOutputs points every limb's lane-k output rows at the raised pair
 // (u, v) and marks the pair as NTT-domain, which is what the pass writes.
 func (o *kskOperands) setOutputs(k, nQ, n int, u, v rns.PolyQP) {
-	for i := 0; i < len(o.rows)/o.stride(); i++ {
+	for i := o.lo; i < o.hi; i++ {
 		r := o.limb(i)
 		r.u[k], r.v[k] = raisedLimb(u, i, nQ, n), raisedLimb(v, i, nQ, n)
 	}
@@ -634,43 +638,97 @@ type kskLane struct {
 	u, v   rns.PolyQP
 }
 
-// kskInnerProduct writes Σ_j ksk_j ⊙ σ(digits_j) into the raised pair
-// (u, v) of every lane — Algorithm 3 line 3 for up to ring.MaxLanes
-// products that share the key — where σ is the slot permutation perm (nil
-// for a plain key switch, the Galois index table for a hoisted rotation
-// step, so the rotated digits are never materialized). It is the one
-// place a switching key is used, and use is pin: seed-only a halves are
-// pinned in the vault for exactly this pass — one lookup per digit,
-// expanded on a miss — and released before returning, on every path. The
-// kernel loads each key word once and multiplies it into every lane, so
-// the key streams once per pass whatever the lane count. u and v are
-// overwritten, so pooled scratch needs no zeroing. The parallel split is
-// over limbs and every output word is an exact sum, so the result is
-// bit-identical for any worker count and lane grouping.
-func (ev *Evaluator) kskInnerProduct(level int, lanes []kskLane, perm []int, swk *SwitchingKey, workers int) {
-	p := ev.params
-	n, nQ, nP := p.N(), level+1, p.Alpha()
-	beta, k := len(lanes[0].digits), len(lanes)
-	ops := getKskOperands(nQ+nP, k, beta)
-	defer ev.kskRelease(ops, swk)
+// heldKey is a switching key's first β digits, held for a key pass or for
+// a transform's whole limb sweep. Each digit's a half is resident — in the
+// key itself, or pinned in the vault — or streamed: marks holds the
+// limb checkpoints of its seed's stream, and the product draws each limb's
+// row just before that limb's kernel call. Pooled: holdKey draws one,
+// releaseKey unpins and returns it.
+type heldKey struct {
+	swk      *SwitchingKey
+	a        []rns.PolyQP        // per digit: its a half when resident
+	marks    [][]prng.Checkpoint // per digit: its stream's limb checkpoints when streamed
+	streamed bool                // some digit is streamed
+	pinned   []int               // digits pinned in the vault
+}
+
+var heldKeys = sync.Pool{New: func() any { return new(heldKey) }}
+
+// holdKey holds swk's first beta digits. A digit with its a half in the
+// key is read from there; a seed-only digit is looked up in the vault
+// once: resident (a hit) or admitted and expanded (a miss), and pinned
+// until releaseKey. With stream set, a seed-only digit the vault could
+// only admit by evicting is streamed instead — neither admitted nor
+// evicting anything. The fault hooks run here, once per digit in
+// ascending order. Release the key with releaseKey, deferred: only a key
+// without seeds can fail here, and it pins nothing.
+func (ev *Evaluator) holdKey(swk *SwitchingKey, beta int, stream bool) *heldKey {
+	key := heldKeys.Get().(*heldKey)
+	key.swk, key.streamed = swk, false
+	key.a = slices.Grow(key.a[:0], beta)[:beta]
+	key.marks = slices.Grow(key.marks[:0], beta)[:beta]
 	for j := 0; j < beta; j++ {
-		key := swk.Digits[j]
-		if key.A.Q == nil {
-			key.A = ev.vault.acquire(swk, j)
-			ops.pinned = append(ops.pinned, j)
+		a := swk.Digits[j].A
+		if a.Q == nil {
+			var marks []prng.Checkpoint
+			if a, marks = ev.vault.acquire(swk, j, stream); marks != nil {
+				key.marks[j], key.streamed = marks, true
+			} else {
+				key.pinned = append(key.pinned, j)
+			}
 		}
+		key.a[j] = a
 		if ev.fi != nil {
 			// Chaos hook: corrupt resolved switching-key digits in place
-			// (hooks run in ascending digit order; the Visit counter selects
-			// which digit). Key corruption is invisible to ciphertext
-			// checksums — it is the fault class only the decrypt-compare
-			// precision guard (or a downstream limb-shape panic) can catch.
-			ev.fi.Poly("ckks.ksk.digitB", key.B.Q)
-			ev.fi.Poly("ckks.ksk.digitA", key.A.Q)
+			// (the Visit counter selects which digit). Key corruption is
+			// invisible to ciphertext checksums — it is the fault class
+			// only the decrypt-compare precision guard (or a downstream
+			// limb-shape panic) can catch. A streamed digit has no a half
+			// in memory to corrupt.
+			ev.fi.Poly("ckks.ksk.digitB", swk.Digits[j].B.Q)
+			ev.fi.Poly("ckks.ksk.digitA", a.Q)
 		}
-		for i := 0; i < nQ+nP; i++ {
-			r := ops.limb(i)
-			r.b[j], r.a[j] = raisedLimb(key.B, i, nQ, n), raisedLimb(key.A, i, nQ, n)
+	}
+	return key
+}
+
+// releaseKey unpins what holdKey pinned and returns the key to the pool,
+// dropping its views (they would keep evicted key buffers reachable).
+func (ev *Evaluator) releaseKey(key *heldKey) {
+	for _, j := range key.pinned {
+		ev.vault.release(key.swk, j)
+	}
+	key.pinned = key.pinned[:0]
+	clear(key.a)
+	clear(key.marks)
+	key.swk = nil
+	heldKeys.Put(key)
+}
+
+// kskInnerProduct writes Σ_j ksk_j ⊙ σ(digits_j) into the raised limbs
+// [lo, hi) of the pair (u, v) of every lane — Algorithm 3 line 3 for up to
+// ring.MaxLanes products that share the key — where σ is the slot
+// permutation perm (nil for a plain key switch, the Galois index table for
+// a hoisted rotation step, so the rotated digits are never materialized).
+// It is the one place a switching key is used; the caller holds the key.
+// The kernel loads each key word once and multiplies it into every lane,
+// so the key streams once per pass whatever the lane count. u and v are
+// overwritten, so pooled scratch needs no zeroing. The parallel split is
+// over limbs and every output word is an exact sum, so the result is
+// bit-identical for any worker count, lane grouping and limb range.
+func (ev *Evaluator) kskInnerProduct(level int, lanes []kskLane, perm []int, key *heldKey, lo, hi, workers int) {
+	n, nQ := ev.params.N(), level+1
+	beta, k := len(lanes[0].digits), len(lanes)
+	ops := getKskOperands(lo, hi, k, beta)
+	defer kskRelease(ops)
+	ops.key = key
+	for i := lo; i < hi; i++ {
+		r := ops.limb(i)
+		for j := 0; j < beta; j++ {
+			r.b[j] = raisedLimb(key.swk.Digits[j].B, i, nQ, n)
+			if key.marks[j] == nil {
+				r.a[j] = raisedLimb(key.a[j], i, nQ, n)
+			}
 			for l, lane := range lanes {
 				r.d[j*k+l] = raisedLimb(lane.digits[j], i, nQ, n)
 			}
@@ -680,12 +738,12 @@ func (ev *Evaluator) kskInnerProduct(level int, lanes []kskLane, perm []int, swk
 		ops.setOutputs(l, nQ, n, lane.u, lane.v)
 	}
 	// Key traffic: both key halves stream once per pass over every raised
-	// limb — 2·β·(ℓ+1+kP) limbs of 8N bytes.
-	ev.rec.Add("ckks.key.bytes", 2*uint64(beta)*uint64(nQ+nP)*8*uint64(n))
-	ev.gatherMulAccumulate(nQ, nP, ops, perm, memtrace.ClassCt, memtrace.ClassKey, workers)
+	// limb it covers — 2·β limbs of 8N bytes each.
+	ev.rec.Add("ckks.key.bytes", 2*uint64(beta)*uint64(hi-lo)*8*uint64(n))
+	ev.gatherMulAccumulate(nQ, ops, perm, memtrace.ClassCt, memtrace.ClassKey, workers)
 }
 
-// gatherMulAccumulate runs the fused kernel over every raised limb of one
+// gatherMulAccumulate runs the fused kernel over the raised limbs of one
 // operand view, writing each lane's pair (u, v) = (Σ_j b_j ⊙ σ(d_j), Σ_j
 // a_j ⊙ σ(d_j)). It serves the key-switch product (d the raised digits,
 // b and a the key halves) and the linear transform's diagonal sum (d the
@@ -693,25 +751,27 @@ func (ev *Evaluator) kskInnerProduct(level int, lanes []kskLane, perm []int, swk
 // ciphertexts); dClass and baClass are the memory-trace classes of the
 // two operand kinds. The split is over limbs and every output word is an
 // exact sum, so the pairs are bit-identical for any worker count.
-func (ev *Evaluator) gatherMulAccumulate(nQ, nP int, ops *kskOperands, perm []int, dClass, baClass memtrace.Class, workers int) {
-	if ring.EffectiveWorkers(nQ+nP, workers) == 1 {
+func (ev *Evaluator) gatherMulAccumulate(nQ int, ops *kskOperands, perm []int, dClass, baClass memtrace.Class, workers int) {
+	if ring.EffectiveWorkers(ops.hi-ops.lo, workers) == 1 {
 		// Closure-free serial path (a closure handed to the pool is heap-
 		// allocated even when it runs inline); same cancellation points.
-		for i := 0; i < nQ+nP; i++ {
+		for i := ops.lo; i < ops.hi; i++ {
 			ev.checkInterrupt()
 			ev.kskLimb(i, nQ, ops, perm, dClass, baClass)
 		}
 		return
 	}
-	ev.fanOut(nQ+nP, workers, func(i int) { ev.kskLimb(i, nQ, ops, perm, dClass, baClass) })
+	ev.fanOut(ops.hi-ops.lo, workers, func(i int) { ev.kskLimb(ops.lo+i, nQ, ops, perm, dClass, baClass) })
 }
 
 // kskLimb runs the fused kernel on raised limb i (Q limbs first, then P).
-// Memory hooks: per term the limb reads the b and a rows (class baClass:
-// key for a key switch) once and every lane's d row once (class dClass) —
-// gathered through perm on chip, feeding both products — and the output
-// rows are written once at the end; their eventual writeback is the
-// model's 2·raised ciphertext writes per lane.
+// A streamed key digit's row is drawn first, into a pooled tile: its
+// stores are recorded as key-class writes, key material generated on
+// chip. Memory hooks: per term the limb reads the b and a rows (class
+// baClass: key for a key switch) once and every lane's d row once (class
+// dClass) — gathered through perm on chip, feeding both products — and
+// the output rows are written once at the end; their eventual writeback
+// is the model's 2·raised ciphertext writes per lane.
 func (ev *Evaluator) kskLimb(i, nQ int, ops *kskOperands, perm []int, dClass, baClass memtrace.Class) {
 	var s *ring.SubRing
 	if i < nQ {
@@ -720,6 +780,19 @@ func (ev *Evaluator) kskLimb(i, nQ int, ops *kskOperands, perm []int, dClass, ba
 		s = ev.params.RingP().SubRings[i-nQ]
 	}
 	r := ops.limb(i)
+	if key := ops.key; key != nil && key.streamed {
+		// The tile: one limb of pooled Q scratch per digit (β ≤ ℓ+1).
+		tile, src := ev.params.RingQ().GetScratch(), streamSources.Get().(*prng.Source)
+		defer ev.params.RingQ().PutScratch(tile)
+		defer streamSources.Put(src)
+		for j, marks := range key.marks {
+			if marks != nil {
+				r.a[j] = tile.Coeffs[j][:s.N]
+				streamRow(src, marks, streamLimb(ev.params, nQ, i), s.Q, r.a[j])
+				ev.tr.WriteClass(r.a[j], memtrace.ClassKey)
+			}
+		}
+	}
 	if ev.tr != nil {
 		for j := range r.b {
 			ev.tr.ReadClass(r.b[j], baClass)
@@ -736,34 +809,41 @@ func (ev *Evaluator) kskLimb(i, nQ int, ops *kskOperands, perm []int, dClass, ba
 	}
 }
 
-// kskRelease ends a pass: it unpins the vault digits the pass held, drops
-// the operand views (they would keep evicted key buffers reachable) and
-// returns the scratch to the pool.
-func (ev *Evaluator) kskRelease(ops *kskOperands, swk *SwitchingKey) {
-	for _, j := range ops.pinned {
-		ev.vault.release(swk, j)
-	}
-	ops.pinned = ops.pinned[:0]
+// kskRelease ends a pass: it drops the operand views (they would keep
+// evicted key buffers and stream tiles reachable) and returns the scratch
+// to the pool.
+func kskRelease(ops *kskOperands) {
 	clear(ops.rows)
+	ops.key = nil
 	kskOperandsPool.Put(ops)
 }
 
 // keyedStep is the evaluator's one key switch up to its closer: for each
-// lane it writes the raised pair (u, v) = Σ_j ksk_j ⊙ σ(d_j) + (P·σ(c0),
-// 0) — Algorithm 3's intermediate value, which the MAD algorithmic
-// optimizations operate on directly — with σ the slot permutation perm
-// (nil = identity), applied to the digits inside the kernel and to c0
-// inside the lift. The lanes share one key pass (kskInnerProduct). Closing
-// a pair returns ⌊u/P⌋ + σ(c0) exactly: P·σ(c0) is zero on the P limbs
-// the division extends from. Every rotation, key switch and
-// relinearization runs through here and ends in lower or lowerRescale.
-func (ev *Evaluator) keyedStep(level int, lanes []kskLane, perm []int, swk *SwitchingKey, workers int) {
-	ev.kskInnerProduct(level, lanes, perm, swk, workers)
+// lane it writes the raised limbs [lo, hi) of the pair (u, v) = Σ_j ksk_j
+// ⊙ σ(d_j) + (P·σ(c0), 0) — Algorithm 3's intermediate value, which the
+// MAD algorithmic optimizations operate on directly — with σ the slot
+// permutation perm (nil = identity), applied to the digits inside the
+// kernel and to c0 inside the lift. The lanes share one key pass
+// (kskInnerProduct) on the key the caller holds. Closing a pair returns
+// ⌊u/P⌋ + σ(c0) exactly: P·σ(c0) is zero on the P limbs the division
+// extends from. Every rotation, key switch and relinearization runs
+// through here — over every limb through keyPass, or one limb at a time
+// in the transform's sweep — and ends in lower or lowerRescale.
+func (ev *Evaluator) keyedStep(level int, lanes []kskLane, perm []int, key *heldKey, lo, hi, workers int) {
+	ev.kskInnerProduct(level, lanes, perm, key, lo, hi, workers)
 	for _, lane := range lanes {
 		if lane.c0 != nil {
-			ev.addLifted(level, lane.c0, perm, lane.u)
+			ev.addLifted(lane.c0, perm, lane.u, lo, min(hi, level+1))
 		}
 	}
+}
+
+// keyPass is keyedStep over every raised limb, with swk held for the pass
+// alone: the key switch of every op but the transform's baby steps.
+func (ev *Evaluator) keyPass(level int, lanes []kskLane, perm []int, swk *SwitchingKey, workers int) {
+	key := ev.holdKey(swk, len(lanes[0].digits), false)
+	defer ev.releaseKey(key)
+	ev.keyedStep(level, lanes, perm, key, 0, level+1+ev.params.Alpha(), workers)
 }
 
 // keySwitch is the unhoisted keyed step: one Decomp+ModUp of x, then the
@@ -778,7 +858,7 @@ func (ev *Evaluator) keySwitch(level int, x, c0 *ring.Poly, swk *SwitchingKey, s
 	r := raisedCt{u: conv.GetPolyQP(level), v: conv.GetPolyQP(level), level: level, scale: scale}
 	digits := ev.decomposeModUp(level, x, ev.workers)
 	child := ev.rec.StartLinked("ckks.ks.product")
-	ev.keyedStep(level, []kskLane{{digits: *digits, c0: c0, u: r.u, v: r.v}}, nil, swk, ev.workers)
+	ev.keyPass(level, []kskLane{{digits: *digits, c0: c0, u: r.u, v: r.v}}, nil, swk, ev.workers)
 	child.End()
 	ev.putDigits(digits)
 	return r
@@ -897,7 +977,7 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) map[int]*Ciphert
 		j := jobs[idx]
 		r := raisedCt{u: conv.GetPolyQP(level), v: conv.GetPolyQP(level), level: level, scale: ct.Scale}
 		lane := []kskLane{{digits: *digits, c0: ct.C0, u: r.u, v: r.v}}
-		ev.keyedStep(level, lane, rQ.AutomorphismNTTIndex(j.gk.GaloisEl), &j.gk.SwitchingKey, inner)
+		ev.keyPass(level, lane, rQ.AutomorphismNTTIndex(j.gk.GaloisEl), &j.gk.SwitchingKey, inner)
 		results[idx] = ev.lower(r, inner)
 	})
 	for idx, j := range jobs {

@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/mathutil"
 	"repro/internal/prng"
@@ -196,6 +197,53 @@ func expandKSKRandomInto(p *Parameters, src *prng.Source, a rns.PolyQP) {
 	p.RingQ().SampleUniform(src, a.Q)
 	p.RingP().SampleUniform(src, a.P)
 	a.Q.IsNTT, a.P.IsNTT = true, true
+}
+
+// A seed-only digit can also be read without materializing it: its
+// stream is Q limbs of the full chain first, then P, each limb drawn by
+// one UniformSlice, so limb l's words start where a Checkpoint taken
+// before it says. digitMarks records those checkpoints once per digit;
+// streamRow then draws any one limb on its own — the transform's limb
+// sweep reads a digit its key budget cannot hold that way.
+
+// streamSources are the Sources that draw streamed rows, one per worker
+// at a time.
+var streamSources = sync.Pool{New: func() any { return new(prng.Source) }}
+
+// digitMarks runs the expansion of the digit with the given seed once —
+// the words expandKSKRandom writes, drawn into the scratch row and
+// dropped — and returns the stream's checkpoint at the start of each
+// limb: the full chain's Q limbs, then P.
+func digitMarks(p *Parameters, seed [prng.SeedSize]byte, src *prng.Source, row []uint64) []prng.Checkpoint {
+	rQ, rP := p.RingQ(), p.RingP()
+	marks := make([]prng.Checkpoint, 0, len(rQ.Moduli)+len(rP.Moduli))
+	row = row[:p.N()]
+	src.Reseed(seed)
+	for _, moduli := range [2][]uint64{rQ.Moduli, rP.Moduli} {
+		for _, q := range moduli {
+			marks = append(marks, src.Checkpoint())
+			src.UniformSlice(row, q)
+		}
+	}
+	return marks
+}
+
+// streamLimb is the stream limb of raised limb i at a level of nQ Q
+// limbs: a digit's stream holds the full chain's Q limbs before P's, so
+// below the top level the unused Q limbs are skipped, never generated.
+func streamLimb(p *Parameters, nQ, i int) int {
+	if i >= nQ {
+		return i + p.MaxLevel() + 1 - nQ
+	}
+	return i
+}
+
+// streamRow draws limb l of a streamed digit (l counts the full chain's Q
+// limbs, then P; q is its modulus) into row, resuming src at the limb's
+// checkpoint: the words expandKSKRandom writes into that limb.
+func streamRow(src *prng.Source, marks []prng.Checkpoint, l int, q uint64, row []uint64) {
+	src.Resume(marks[l])
+	src.UniformSlice(row, q)
 }
 
 // mirrorSmallIntoP copies a small (coefficient-form, signed-ternary-or-

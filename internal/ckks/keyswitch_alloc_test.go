@@ -25,9 +25,9 @@ func TestKskInnerProductAllocFree(t *testing.T) {
 	digits := *ev.decomposeModUp(level, ct.C1, 1)
 	u, v := p.Converter().GetPolyQP(level), p.Converter().GetPolyQP(level)
 
-	ev.kskInnerProduct(level, []kskLane{{digits: digits, u: u, v: v}}, nil, swk, 1) // warm the operand pool
+	ev.keyPass(level, []kskLane{{digits: digits, u: u, v: v}}, nil, swk, 1) // warm the operand pool
 	if avg := testing.AllocsPerRun(50, func() {
-		ev.kskInnerProduct(level, []kskLane{{digits: digits, u: u, v: v}}, nil, swk, 1)
+		ev.keyPass(level, []kskLane{{digits: digits, u: u, v: v}}, nil, swk, 1)
 	}); avg >= 1 {
 		t.Errorf("kskInnerProduct allocates %.2f times per call in steady state", avg)
 	}
@@ -84,8 +84,8 @@ func TestKskInnerProductThrashAllocFree(t *testing.T) {
 
 	g1, g2 := p.RingQ().GaloisElement(1), p.RingQ().GaloisElement(2)
 	sweep := func() {
-		ev.kskInnerProduct(level, []kskLane{{digits: digits, u: u, v: v}}, p.RingQ().AutomorphismNTTIndex(g1), &keys.Galois[g1].SwitchingKey, 1)
-		ev.kskInnerProduct(level, []kskLane{{digits: digits, u: u, v: v}}, p.RingQ().AutomorphismNTTIndex(g2), &keys.Galois[g2].SwitchingKey, 1)
+		ev.keyPass(level, []kskLane{{digits: digits, u: u, v: v}}, p.RingQ().AutomorphismNTTIndex(g1), &keys.Galois[g1].SwitchingKey, 1)
+		ev.keyPass(level, []kskLane{{digits: digits, u: u, v: v}}, p.RingQ().AutomorphismNTTIndex(g2), &keys.Galois[g2].SwitchingKey, 1)
 	}
 	sweep()
 	before := ev.KeyVaultStats()
@@ -134,6 +134,42 @@ func TestHoistedTransformThrashAllocatesNoKeys(t *testing.T) {
 	resident, thrash := bytesPerOp(0), bytesPerOp(quarter)
 	if thrash > resident+uint64(db)/2 {
 		t.Errorf("thrashing budget allocates %d B per transform, resident budget %d B: more than half a key digit (%d B) apart", thrash, resident, db)
+	}
+}
+
+// TestLinearTransformAllocatesOnlyOutput: at the matvec_hoisted shape (64
+// diagonals, N = 2^12, 6 + 2 limbs), under a budget of a quarter of the
+// expanded keys and an unlimited one, at workers 1 and 2, a steady-state
+// transform allocates its output and less than one limb more (the
+// fan-outs' goroutines and small bookkeeping): the baby rows, the group
+// sums, the stream tiles and Sources, the held keys and the digits' stream
+// checkpoints all come from pools or were recorded by earlier ops. GC is
+// held off so the pools are not drained mid-run; the best of a few tries
+// discards a goroutine migration's misses.
+func TestLinearTransformAllocatesOnlyOutput(t *testing.T) {
+	p, keys, lt, ct := benchHoistedContext(t, 64)
+	limb := uint64(8 * p.N())
+	output := uint64(2*(ct.Level+1)) * limb
+	quarter := int64(len(keys.Galois)) * int64(p.Dnum()) * digitBytes(p) / 4
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for name, budget := range map[string]int64{"quarter": quarter, "unlimited": 0} {
+		for _, w := range []int{1, 2} {
+			ev := NewEvaluator(p, keys, WithWorkers(w), WithKeyBudget(budget))
+			ev.EvalLinearTransform(ct, lt) // fill the vault, record the streams
+			ev.EvalLinearTransform(ct, lt) // warm the pools
+			best := ^uint64(0)
+			var m0, m1 runtime.MemStats
+			for try := 0; try < 5; try++ {
+				runtime.ReadMemStats(&m0)
+				ev.EvalLinearTransform(ct, lt)
+				runtime.ReadMemStats(&m1)
+				best = min(best, m1.TotalAlloc-m0.TotalAlloc)
+			}
+			t.Logf("budget=%s workers=%d: %d B per transform, output %d B", name, w, best, output)
+			if best >= output+limb {
+				t.Errorf("budget=%s workers=%d: a transform allocates %d B, want its output (%d B) and under one limb (%d B) more", name, w, best, output, limb)
+			}
+		}
 	}
 }
 

@@ -97,7 +97,7 @@ func TestKskInnerProductMatchesStrict(t *testing.T) {
 					for _, w := range evalWorkerCounts() {
 						u, v := conv.GetPolyQP(level), conv.GetPolyQP(level)
 						u.Q.Coeffs[0][0], v.P.Coeffs[0][0] = ^uint64(0), ^uint64(0) // stale scratch
-						ev.kskInnerProduct(level, []kskLane{{digits: digits, u: u, v: v}}, perm, key, w)
+						ev.keyPass(level, []kskLane{{digits: digits, u: u, v: v}}, perm, key, w)
 						if !u.Q.Equal(wantU.Q) || !u.P.Equal(wantU.P) || !v.Q.Equal(wantV.Q) || !v.P.Equal(wantV.P) {
 							t.Errorf("level=%d galois=%d key=%s workers=%d %s kernel: fused inner product differs from the strict composition", level, g, name, w, kernel)
 						}
@@ -124,13 +124,18 @@ func hoistedBudgetCase(ev *Evaluator, ct *Ciphertext, lt *LinearTransform, steps
 
 // TestHoistedTransformGoldenAcrossBudgets runs a linear transform (n1 = 4:
 // three keyed baby steps, two keyed giant steps) over seed-only keys (and
-// the mixed rotation / relinearization / ladder workload after it) under
-// budgets {unlimited, a quarter of the transform's keys, one byte} × every
-// worker count and demands the ciphertext of the fully materialized
-// baseline, bit for bit. Under the quarter budget it also asserts what
-// holding a key only for its product buys: the resident set peaks at the
-// budget plus the digits the products in flight hold — not at the whole
-// fan-out, which is where pinning the sweep put it (4× the budget).
+// the mixed rotation / relinearization / ladder workload after it), and
+// the transform alone one level down, under budgets {unlimited, a quarter
+// of the transform's keys, one byte} × every worker count, and demands the
+// ciphertexts of the fully materialized baseline, bit for bit: the
+// streamed baby digits of the two smaller budgets — one level down with
+// the unused Q limbs of their streams skipped — are the expanded ones.
+// Under the quarter budget it also asserts what holding a key only for
+// its product buys: the resident set peaks at the budget plus the digits
+// the products in flight hold — not at the whole fan-out, which is where
+// pinning every baby digit for the sweep would put it (4× the budget) —
+// and that the sweep evicts nothing: the second and third transforms
+// count the same vault deltas, with no eviction.
 func TestHoistedTransformGoldenAcrossBudgets(t *testing.T) {
 	tc := newTestContext(t)
 	p := tc.params
@@ -146,7 +151,10 @@ func TestHoistedTransformGoldenAcrossBudgets(t *testing.T) {
 
 	expanded := cloneKeySet(t, keys)
 	expandKeySet(p, expanded)
-	ref := hoistedBudgetCase(NewEvaluator(p, expanded), ct, lt, steps)
+	refEv := NewEvaluator(p, expanded)
+	ref := hoistedBudgetCase(refEv, ct, lt, steps)
+	low := refEv.DropLevel(ct, p.MaxLevel()-1)
+	refLow := refEv.EvalLinearTransform(low, lt)
 
 	db, beta := digitBytes(p), int64(p.Beta(ct.Level))
 	quarter := int64(len(keys.Galois)) * beta * db / 4
@@ -156,10 +164,26 @@ func TestHoistedTransformGoldenAcrossBudgets(t *testing.T) {
 			if out := hoistedBudgetCase(ev, ct, lt, steps); !ctEqual(out, ref) {
 				t.Errorf("budget=%s workers=%d: output differs from the fully materialized baseline", name, w)
 			}
-			if name == "quarter" {
-				if st, bound := ev.KeyVaultStats(), quarter+int64(w)*beta*db; st.PeakResident > bound {
-					t.Errorf("workers=%d: peak resident %d bytes, want <= budget + workers·β digits = %d", w, st.PeakResident, bound)
-				}
+			if out := ev.EvalLinearTransform(low, lt); !ctEqual(out, refLow) {
+				t.Errorf("budget=%s workers=%d: output at level %d differs from the fully materialized baseline", name, w, low.Level)
+			}
+			if name != "quarter" {
+				continue
+			}
+			if st, bound := ev.KeyVaultStats(), quarter+int64(w)*beta*db; st.PeakResident > bound {
+				t.Errorf("workers=%d: peak resident %d bytes, want <= budget + workers·β digits = %d", w, st.PeakResident, bound)
+			}
+			ev = NewEvaluator(p, cloneKeySet(t, keys), WithWorkers(w), WithKeyBudget(budget))
+			var deltas [3]KeyVaultStats
+			for op := range deltas {
+				before := ev.KeyVaultStats()
+				ev.EvalLinearTransform(ct, lt)
+				after := ev.KeyVaultStats()
+				deltas[op] = KeyVaultStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses,
+					Expansions: after.Expansions - before.Expansions, Evictions: after.Evictions - before.Evictions}
+			}
+			if deltas[1] != deltas[2] || deltas[2].Evictions != 0 {
+				t.Errorf("workers=%d: vault deltas of transforms 2 and 3 %+v and %+v, want equal with no eviction", w, deltas[1], deltas[2])
 			}
 		}
 	}
@@ -260,16 +284,18 @@ func BenchmarkKeySwitchInnerProduct(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ev.kskInnerProduct(level, []kskLane{{digits: digits, u: u, v: v}}, c.perm, &gk.SwitchingKey, 1)
+				ev.keyPass(level, []kskLane{{digits: digits, u: u, v: v}}, c.perm, &gk.SwitchingKey, 1)
 			}
 		})
 	}
 }
 
 // BenchmarkHoistedTransformThrash times a 16-diagonal hoisted-ModDown
-// transform whose key budget holds a quarter of its keys, so every digit
-// of every op is expanded from its seed into an evicted digit's buffer.
-// allocs/op and B/op are the point: they must not scale with the keys.
+// transform whose key budget holds a quarter of its keys: the digits the
+// budget holds stay resident across ops, and every other baby digit of
+// every op is streamed from its seed, one limb's row at a time into a
+// pooled tile, evicting nothing. allocs/op and B/op are the point: they
+// must not scale with the keys.
 func BenchmarkHoistedTransformThrash(b *testing.B) {
 	const diagonals = 16
 	p, keys, lt, ct := benchHoistedContext(b, diagonals)
@@ -286,8 +312,8 @@ func BenchmarkHoistedTransformThrash(b *testing.B) {
 // BenchmarkLinearTransformWorkers times the matvec_hoisted transform (64
 // diagonals, a key budget of a quarter of its expanded keys, as the
 // benchmark workload sets it) at workers 1 and 2. The ratio of the two is
-// the transform's parallel speedup: its baby steps fan out, its giant
-// chain is serial with every kernel split over limbs.
+// the transform's parallel speedup: its limb sweep fans out over limbs,
+// its giant chain is serial with every kernel split over limbs.
 func BenchmarkLinearTransformWorkers(b *testing.B) {
 	for _, w := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {

@@ -8,27 +8,39 @@ package ckks
 // a bootstrap that walks dozens of Galois keys runs inside a fixed key
 // working set instead of keeping every expanded half resident forever.
 //
-// Contract: use = pin. The only reader of a materialized half is the
-// key-switch inner product (Evaluator.kskInnerProduct), which acquires its
-// β digits — one lookup each — computes, and releases them. An acquired
-// digit is pinned: never evicted, its buffer never touched by the vault.
-// A digit nobody holds has no reader, so eviction is reuse: a miss that
-// would push the vault over budget takes the least-recently-used unheld
-// digit's buffer as its own expansion target (evict-then-expand). A budget
-// that thrashes therefore allocates nothing, regenerated key material
-// lands in memory the cache already holds, and the resident set never
-// exceeds the budget by more than the digits products hold right now
-// (workers·β). Holding the returned PolyQP past release is a bug.
+// Contract: use = pin. The only holder of a materialized half is a held
+// switching key (Evaluator.holdKey), which acquires its β digits — one
+// lookup each — for one key pass, or for a transform's whole limb sweep,
+// and releases them. An acquired digit is pinned: never evicted, its
+// buffer never touched by the vault. A digit nobody holds has no reader,
+// so eviction is reuse: a miss that would push the vault over budget
+// takes the least-recently-used unheld digit's buffer as its own
+// expansion target (evict-then-expand). A budget that thrashes therefore
+// allocates nothing, regenerated key material lands in memory the cache
+// already holds, and the resident set never exceeds the budget by more
+// than the digits products hold right now (workers·β). Holding the
+// returned PolyQP past release is a bug.
+//
+// A lookup has three outcomes: a hit, a miss that admits (and expands)
+// the digit, or — for a holder that reads the digit one limb at a time,
+// the transform's sweep — a miss that streams it: when the digit could
+// only be admitted by evicting, the vault admits nothing, pins nothing
+// and evicts nothing, and hands back the checkpoints of the digit's seed
+// stream at every limb start (40 bytes a limb, recorded the first time
+// the digit streams and kept until flush). The holder draws each limb's
+// row into a pooled tile just before its product. A streamed digit counts
+// one miss and one expansion, no eviction; the digits the budget does
+// hold survive the sweep.
 //
 // Concurrency: acquisitions are safe from any number of goroutines (the
 // limb- and rotation-parallel paths call straight into the vault) and
 // expansion is single-flight per digit: concurrent acquirers of a digit
 // in flight pin it and wait for the one expansion.
 //
-// Progress guarantee: the requested digit is always admitted, even when
-// it alone exceeds the budget or everything resident is held — the vault
-// then overshoots until the release. A tiny budget degrades to
-// expand-per-use; it never deadlocks and never fails.
+// Progress guarantee: a digit that is not streamed is always admitted,
+// even when it alone exceeds the budget or everything resident is held —
+// the vault then overshoots until the release. A tiny budget degrades to
+// expand-per-use (or stream-per-use); it never deadlocks and never fails.
 
 import (
 	"container/list"
@@ -89,9 +101,10 @@ type keyVault struct {
 	mu       sync.Mutex
 	expanded sync.Cond // signalled when an in-flight digit becomes done
 	entries  map[vaultKey]*vaultEntry
-	lru      *list.List // front = most recently used
-	budget   int64      // bytes, set once by WithKeyBudget; <= 0 means unlimited
-	resident int64      // digitBytes × entries, in-flight ones included
+	marks    map[vaultKey][]prng.Checkpoint // limb checkpoints of the digits that stream
+	lru      *list.List                     // front = most recently used
+	budget   int64                          // bytes, set once by WithKeyBudget; <= 0 means unlimited
+	resident int64                          // digitBytes × entries, in-flight ones included
 	peak     int64
 
 	hits       uint64
@@ -109,6 +122,7 @@ func newKeyVault(params *Parameters) *keyVault {
 		params:     params,
 		digitBytes: int64(params.MaxLevel()+1+params.Alpha()) * int64(params.N()) * 8,
 		entries:    make(map[vaultKey]*vaultEntry),
+		marks:      make(map[vaultKey][]prng.Checkpoint),
 		lru:        list.New(),
 	}
 	kv.expanded.L = &kv.mu
@@ -155,10 +169,12 @@ func (kv *keyVault) contains(swk *SwitchingKey, j int) bool {
 // flush drops every unheld entry — the recovery path after suspected
 // key-material corruption (cached expansions are state; chaos tests
 // corrupt them on purpose) and the bulk release when a tenant's keys
-// retire. The buffers go to the collector, not to later misses.
+// retire — and every recorded stream checkpoint. The buffers go to the
+// collector, not to later misses.
 func (kv *keyVault) flush() {
 	kv.mu.Lock()
 	kv.evictDownToLocked(0, false)
+	clear(kv.marks)
 	resident := kv.resident
 	kv.mu.Unlock()
 	kv.rec.SetGauge("ckks.keyvault.resident_bytes", float64(resident))
@@ -167,8 +183,15 @@ func (kv *keyVault) flush() {
 // acquire returns the materialized uniform half of digit j, expanding it
 // from the seed if absent, and pins it: the entry stays resident and its
 // buffer untouched until the matching release. This is the one lookup a
-// product makes per digit — hits + misses count digits used.
-func (kv *keyVault) acquire(swk *SwitchingKey, j int) rns.PolyQP {
+// holder makes per digit — hits + misses count digits used.
+//
+// With stream set (a holder that reads the digit one limb at a time), a
+// missing digit that could only be admitted by evicting is streamed
+// instead: acquire returns no buffer but the limb checkpoints of the
+// digit's stream (recorded the first time the digit streams, kept until
+// flush), nothing is admitted, pinned or evicted, and the digit counts one
+// miss and one expansion — the holder generates every word of it.
+func (kv *keyVault) acquire(swk *SwitchingKey, j int, stream bool) (rns.PolyQP, []prng.Checkpoint) {
 	if !swk.Compressed() {
 		panic("ckks: switching key digit missing (got=no A half or seed, want=expandable digit)")
 	}
@@ -185,14 +208,42 @@ func (kv *keyVault) acquire(swk *SwitchingKey, j int) rns.PolyQP {
 		}
 		kv.mu.Unlock()
 		kv.rec.Add("ckks.keyvault.hits", 1)
-		return e.a
+		return e.a, nil
 	}
 	kv.misses++
+	if stream && kv.budget > 0 && kv.resident+kv.digitBytes > kv.budget {
+		kv.expansions++
+		marks := kv.marks[k]
+		kv.mu.Unlock()
+		kv.rec.Add("ckks.keyvault.misses", 1)
+		kv.rec.Add("ckks.keyvault.expansions", 1)
+		if marks == nil {
+			marks = kv.recordMarks(k, swk.Seeds[j])
+		}
+		return rns.PolyQP{}, marks
+	}
 	e := kv.admitLocked(k)
 	kv.mu.Unlock()
 	kv.rec.Add("ckks.keyvault.misses", 1)
 	kv.materialize(e, swk.Seeds[j])
-	return e.a
+	return e.a, nil
+}
+
+// recordMarks runs a digit's stream once to record its limb checkpoints
+// (outside the lock) and keeps them; of two concurrent first streams, the
+// first to finish is kept.
+func (kv *keyVault) recordMarks(k vaultKey, seed [prng.SeedSize]byte) []prng.Checkpoint {
+	src, row := streamSources.Get().(*prng.Source), kv.params.RingQ().GetScratch()
+	marks := digitMarks(kv.params, seed, src, row.Coeffs[0])
+	kv.params.RingQ().PutScratch(row)
+	streamSources.Put(src)
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
+	if m, ok := kv.marks[k]; ok {
+		return m
+	}
+	kv.marks[k] = marks
+	return marks
 }
 
 // admitLocked makes room for a missing digit and inserts its entry, pinned

@@ -3,10 +3,12 @@ package ckks
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/prng"
 )
 
 // cloneSeedOnly returns an independent seed-only view of a compressed
@@ -229,7 +231,7 @@ func TestKeyVaultPinnedEvictionRefused(t *testing.T) {
 	beta := tc.params.Beta(ct.Level)
 
 	for j := 0; j < beta; j++ {
-		ev.vault.acquire(&gk.SwitchingKey, j)
+		ev.vault.acquire(&gk.SwitchingKey, j, false)
 	}
 	if st, want := ev.KeyVaultStats(), int64(beta)*digitBytes(tc.params); st.ResidentBytes != want {
 		t.Fatalf("pinned entries evicted: resident %d, want all %d digits (%d)", st.ResidentBytes, beta, want)
@@ -390,4 +392,49 @@ func TestKeyResidentBytes(t *testing.T) {
 	if got := tc.params.KeyResidentBytes(swk); got != seedOnly {
 		t.Errorf("DropExpanded left %d resident bytes, want %d", got, seedOnly)
 	}
+}
+
+// TestStreamedDigitMatchesExpansion: a digit the vault streams — under a
+// one-byte budget, where admitting it would evict — is a miss and an
+// expansion, is neither admitted nor evicting, and its rows drawn limb by
+// limb as the product reads them (raised limb i at the level, mapped to
+// its stream limb) are expandKSKRandom's rows word for word, at the top
+// level, two levels down and at level 0, on both kernel bodies.
+func TestStreamedDigitMatchesExpansion(t *testing.T) {
+	tc, keys, _ := vaultTestKeys(t, []int{1})
+	p := tc.params
+	swk := &keys.Galois[p.RingQ().GaloisElement(1)].SwitchingKey
+	ev := NewEvaluator(p, keys, WithKeyBudget(1))
+	n := p.N()
+	row := make([]uint64, n)
+	var src prng.Source
+	withKernels(t, func(kernel string) {
+		for j := range swk.Digits {
+			before := ev.KeyVaultStats()
+			a, marks := ev.vault.acquire(swk, j, true)
+			after := ev.KeyVaultStats()
+			if a.Q != nil || marks == nil {
+				t.Fatalf("%s: digit %d under a one-byte budget was admitted, want streamed", kernel, j)
+			}
+			if after.Misses != before.Misses+1 || after.Expansions != before.Expansions+1 || after.Evictions != before.Evictions || after.ResidentBytes != 0 {
+				t.Errorf("%s: digit %d streamed with stats %+v -> %+v, want one miss, one expansion, nothing resident or evicted", kernel, j, before, after)
+			}
+			want := expandKSKRandom(p, swk.Seeds[j])
+			for _, level := range []int{p.MaxLevel(), p.MaxLevel() - 2, 0} {
+				nQ := level + 1
+				for i := 0; i < nQ+p.Alpha(); i++ {
+					var q uint64
+					if i < nQ {
+						q = p.RingQ().Moduli[i]
+					} else {
+						q = p.RingP().Moduli[i-nQ]
+					}
+					streamRow(&src, marks, streamLimb(p, nQ, i), q, row)
+					if !slices.Equal(row, raisedLimb(want, i, nQ, n)) {
+						t.Errorf("%s: digit %d level %d raised limb %d: streamed row differs from the expansion", kernel, j, level, i)
+					}
+				}
+			}
+		}
+	})
 }

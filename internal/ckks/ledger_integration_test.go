@@ -140,8 +140,8 @@ func TestEvaluatorSpanHierarchyWithLedger(t *testing.T) {
 // TestLinearTransformSpanTree: a transform is one ckks.LinearTransform op
 // span — telemetry attributes, no pred.* (the ledger has no such kind; the
 // frozen bench adds its own prediction for the call) — that directly owns
-// a lite child per baby step, per giant group's sum and per keyed giant
-// step, next to the rns spans of its 1 + #giant-steps ModUps and
+// two lite children per raised limb of its sweep (the baby steps' limb and
+// the giant groups' sums of it) and one per keyed giant step, next to the rns spans of its 1 + #giant-steps ModUps and
 // 2 + #giant-steps ModDowns (one per giant step, a pair to close); and
 // recording changes no output bit.
 func TestLinearTransformSpanTree(t *testing.T) {
@@ -212,9 +212,9 @@ func TestLinearTransformSpanTree(t *testing.T) {
 			t.Errorf("span carries %s: the transform must not be predicted twice", key)
 		}
 	}
-	beta := params.Beta(ct.Level)
+	beta, limbs := params.Beta(ct.Level), ct.Level+1+params.Alpha()
 	for name, want := range map[string]int{
-		"ckks.lt.baby": 4, "ckks.lt.accumulate": 3, "ckks.lt.giant": 2,
+		"ckks.lt.baby": limbs, "ckks.lt.accumulate": limbs, "ckks.lt.giant": 2,
 		"rns.ModUpDigit": 3 * beta, "rns.ModDown": 2 + 2,
 	} {
 		if children[name] != want {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/mathutil"
 	"repro/internal/memtrace"
@@ -187,25 +188,25 @@ func (lt *LinearTransform) RotationSteps() []int {
 	return slices.Compact(steps)
 }
 
-// ltPartial is a raised sum of a transform's pieces. Zero until the first
-// piece lands.
+// ltPartial is a raised pair: a giant group's sum, or a sum of a
+// transform's pieces (zero until the first piece lands).
 type ltPartial struct {
 	u, v rns.PolyQP
 }
 
 // add folds a raised pair into the sum and takes the buffers over: the
 // first becomes the sum's accumulator, later ones return to the pool.
-func (s *ltPartial) add(rQ, rP *ring.Ring, conv *rns.Converter, u, v rns.PolyQP) {
+func (s *ltPartial) add(rQ, rP *ring.Ring, conv *rns.Converter, x ltPartial) {
 	if s.u.Q == nil {
-		s.u, s.v = u, v
+		*s = x
 		return
 	}
-	rQ.Add(s.u.Q, u.Q, s.u.Q)
-	rP.Add(s.u.P, u.P, s.u.P)
-	rQ.Add(s.v.Q, v.Q, s.v.Q)
-	rP.Add(s.v.P, v.P, s.v.P)
-	conv.PutPolyQP(u)
-	conv.PutPolyQP(v)
+	rQ.Add(s.u.Q, x.u.Q, s.u.Q)
+	rP.Add(s.u.P, x.u.P, s.u.P)
+	rQ.Add(s.v.Q, x.v.Q, s.v.Q)
+	rP.Add(s.v.P, x.v.P, s.v.P)
+	conv.PutPolyQP(x.u)
+	conv.PutPolyQP(x.v)
 }
 
 // EvalLinearTransform applies the transform with the double-hoisted
@@ -213,7 +214,7 @@ func (s *ltPartial) add(rQ, rP *ring.Ring, conv *rns.Converter, u, v rns.PolyQP)
 // and ModDown hoisting, Figure 5(c)):
 //
 //  1. one Decomp+ModUp of ct.C1 serves every baby step;
-//  2. each distinct baby step i becomes a raised pair (u_i, v_i) over Q∪P —
+//  2. each distinct baby step i is a raised pair (u_i, v_i) over Q∪P —
 //     the gathered key product plus P·σ_i(c0), no ModDown; step 0 is the
 //     free PModUp lift;
 //  3. each giant group's sum S = Σ_i pt[g+i] ⊙ (u_i, v_i) is one fused
@@ -227,17 +228,26 @@ func (s *ltPartial) add(rQ, rP *ring.Ring, conv *rns.Converter, u, v rns.PolyQP)
 //     automorphism of R_PQ, so u never leaves the raised basis;
 //  5. one ModDown pair closes the op.
 //
+// Steps 2 and 3 run limb-major (MAD §3.1's limb re-ordering): one sweep
+// over the raised limbs writes limb i of every baby pair into per-limb
+// scratch and accumulates limb i of every group sum from it before limb
+// i+1 starts, so no baby pair ever exists whole. The baby steps' keys are
+// held for the sweep; a seed-only digit the key budget cannot admit
+// without evicting streams instead — each limb's row drawn from the seed
+// just before its product (MAD §3.2's key compression, ARK's runtime key
+// generation) — so the sweep never evicts and the keys the budget holds
+// survive it.
+//
 // ModUps = 1 + #giant steps, ModDowns = 2 + #giant steps; keyed products =
 // #non-zero baby steps + #giant steps (the farthest multiple of N1 on each
-// side), each holding its key only for the product, so the transform runs
-// inside any key budget; Galois keys = #non-zero baby steps + one per
-// chain. The result carries scale ct.Scale·lt.Scale; the caller owes one
-// Rescale (EvalLinearTransformRescale pays it inside the closing division).
+// side); Galois keys = #non-zero baby steps + one per chain. The result
+// carries scale ct.Scale·lt.Scale; the caller owes one Rescale
+// (EvalLinearTransformRescale pays it inside the closing division).
 //
-// The baby steps fan out across workers; the giant groups and chains run
-// in order, each kernel split over limbs on every worker. Every sum is
-// exact modular addition in a fixed order, so the result is bit-identical
-// for every worker count.
+// The sweep's limbs fan out across workers; the giant chains run in
+// order, each kernel split over limbs on every worker. Every sum is exact
+// modular addition in a fixed order, so the result is bit-identical for
+// every worker count and key budget.
 func (ev *Evaluator) EvalLinearTransform(ct *Ciphertext, lt *LinearTransform) *Ciphertext {
 	return ev.evalLinearTransform(ct, lt, (*Evaluator).lower)
 }
@@ -288,9 +298,9 @@ func (ev *Evaluator) evalLinearTransform(ct *Ciphertext, lt *LinearTransform, cl
 		keyed++
 		return ev.galoisKey(rQ.GaloisElement(k))
 	}
-	babies := make([]*GaloisKey, len(lt.babies))
+	sw := getLtSweeper(ev, lt, ct, len(lt.babies))
 	for k, i := range lt.babies {
-		babies[k] = resolve(i)
+		sw.babies[k].gk = resolve(i)
 	}
 	var giants [2]*GaloisKey
 	groups := min(len(lt.center.pt), 1)
@@ -302,61 +312,40 @@ func (ev *Evaluator) evalLinearTransform(ct *Ciphertext, lt *LinearTransform, cl
 		}
 	}
 	ev.rec.Add("ckks.rotate", uint64(keyed))
-	sp.SetAttr("lt.babies", float64(len(babies)))
+	sp.SetAttr("lt.babies", float64(len(lt.babies)))
 	sp.SetAttr("lt.giants", float64(groups))
 
-	// Steps 1–2: the raised baby steps, each a keyed step on the shared
-	// digits — or, for step 0, the free PModUp lift of both halves.
+	// Steps 1–3: the limb sweep, into one raised pair per giant group.
 	digits := ev.decomposeModUp(level, ct.C1, ev.workers)
-	us, vs := make([]rns.PolyQP, len(babies)), make([]rns.PolyQP, len(babies))
-	outer, inner := splitWorkers(ev.workers, len(babies))
-	ev.fanOut(len(babies), outer, func(k int) {
-		child := ev.rec.StartLinked("ckks.lt.baby")
-		us[k], vs[k] = conv.GetPolyQP(level), conv.GetPolyQP(level)
-		if gk := babies[k]; gk != nil {
-			lane := []kskLane{{digits: *digits, c0: ct.C0, u: us[k], v: vs[k]}}
-			ev.keyedStep(level, lane, rQ.AutomorphismNTTIndex(gk.GaloisEl), &gk.SwitchingKey, inner)
-		} else {
-			conv.PModUp(level, ct.C0, us[k], inner)
-			conv.PModUp(level, ct.C1, vs[k], inner)
-		}
-		child.End()
-	})
+	sw.digits = *digits
+	sw.run(groups)
 	ev.putDigits(digits)
+	sums := sw.sums
 
-	// Steps 3–4: the group of giant step 0, then each Horner chain.
-	groupSum := func(g *ltGroup) (u, v rns.PolyQP) {
-		ev.checkInterrupt()
-		u, v = conv.GetPolyQP(level), conv.GetPolyQP(level)
-		child := ev.rec.StartLinked("ckks.lt.accumulate")
-		ev.ltGroupSum(level, g, us, vs, u, v, ev.workers)
-		child.End()
-		return u, v
-	}
+	// Step 4: the group of giant step 0, then each Horner chain; the sums
+	// are in that order.
 	var sum ltPartial
 	if len(lt.center.pt) > 0 {
-		u, v := groupSum(&lt.center)
-		sum.add(rQ, rP, conv, u, v)
+		sum.add(rQ, rP, conv, sums[0])
+		sums = sums[1:]
 	}
 	for s := range lt.chains {
 		c := &lt.chains[s]
 		var acc ltPartial
 		for m, next := c.steps(), 0; m >= 1; m-- {
 			if next < len(c.groups) && c.groups[next].m == m {
-				u, v := groupSum(&c.groups[next])
-				acc.add(rQ, rP, conv, u, v)
+				ev.checkInterrupt()
+				acc.add(rQ, rP, conv, sums[0])
+				sums = sums[1:]
 				next++
 			}
 			acc.u, acc.v = ev.ltGiantStep(level, giants[s], acc.u, acc.v)
 		}
 		if acc.u.Q != nil {
-			sum.add(rQ, rP, conv, acc.u, acc.v)
+			sum.add(rQ, rP, conv, acc)
 		}
 	}
-	for k := range us {
-		conv.PutPolyQP(us[k])
-		conv.PutPolyQP(vs[k])
-	}
+	putLtSweeper(sw)
 
 	// Step 5: close.
 	return close(ev, raisedCt{u: sum.u, v: sum.v, level: level, scale: ct.Scale * lt.Scale}, ev.workers)
@@ -384,7 +373,7 @@ func (ev *Evaluator) ltGiantStep(level int, gk *GaloisKey, u, v rns.PolyQP) (rns
 	perm := rQ.AutomorphismNTTIndex(gk.GaloisEl)
 	child := ev.rec.StartLinked("ckks.lt.giant")
 	out := conv.GetPolyQP(level)
-	ev.keyedStep(level, []kskLane{{digits: *digits, u: out, v: v}}, perm, &gk.SwitchingKey, ev.workers)
+	ev.keyPass(level, []kskLane{{digits: *digits, u: out, v: v}}, perm, &gk.SwitchingKey, ev.workers)
 	ev.addAutomorphedRaised(level, u, perm, out)
 	child.End()
 	ev.putDigits(digits)
@@ -425,24 +414,198 @@ func (ev *Evaluator) EvalLinearTransformHoistedModDown(ct *Ciphertext, lt *Linea
 	return ev.EvalLinearTransform(ct, lt)
 }
 
-// ltGroupSum writes Σ_k pt_k ⊙ (u, v)_{baby(k)} over one giant group's
-// diagonals into the raised pair (u, v): per raised limb, one call of the
-// fused key-switch kernel with the plaintext rows (in Montgomery form) in
-// the digit slot and the baby-step halves in the key slots. u and v are
-// overwritten, so pooled scratch needs no zeroing. The diagonals replay as
-// plaintext traffic.
-func (ev *Evaluator) ltGroupSum(level int, g *ltGroup, us, vs []rns.PolyQP, u, v rns.PolyQP, workers int) {
-	p := ev.params
-	n, nQ, nP := p.N(), level+1, p.Alpha()
-	ops := getKskOperands(nQ+nP, 1, len(g.pt))
-	defer ev.kskRelease(ops, nil) // no key, nothing pinned
-	for k, pt := range g.pt {
-		bu, bv := us[g.baby[k]], vs[g.baby[k]]
-		for i := 0; i < nQ+nP; i++ {
-			r := ops.limb(i)
-			r.d[k], r.b[k], r.a[k] = raisedLimb(pt, i, nQ, n), raisedLimb(bu, i, nQ, n), raisedLimb(bv, i, nQ, n)
+// ltSweeper runs steps 2 and 3 of one transform, one raised limb at a
+// time, Q limbs first and then P (a key stream's own order): limb i of
+// every baby pair goes into per-limb scratch, then limb i of every giant
+// group's sum is accumulated from it. Pooled with its slices and its
+// workers' scratch views, so a steady-state transform allocates none of
+// it.
+type ltSweeper struct {
+	ev      *Evaluator
+	lt      *LinearTransform
+	ct      *Ciphertext
+	digits  []rns.PolyQP
+	babies  []ltBaby
+	sums    []ltPartial // per group: the group of giant step 0, then each chain's in Horner order
+	rows    []*ltRows   // per worker
+	chunkFn func(worker, start, end int)
+}
+
+// ltBaby is a baby step's Galois key, and during the sweep its held key
+// and slot permutation; step 0 has none of them.
+type ltBaby struct {
+	gk   *GaloisKey
+	key  *heldKey
+	perm []int
+}
+
+var ltSweepers = sync.Pool{New: func() any {
+	sw := new(ltSweeper)
+	sw.chunkFn = sw.chunk
+	return sw
+}}
+
+// getLtSweeper draws a sweeper for ct through lt with room for babies
+// baby steps; putLtSweeper returns it.
+func getLtSweeper(ev *Evaluator, lt *LinearTransform, ct *Ciphertext, babies int) *ltSweeper {
+	sw := ltSweepers.Get().(*ltSweeper)
+	sw.ev, sw.lt, sw.ct = ev, lt, ct
+	sw.babies = slices.Grow(sw.babies[:0], babies)[:babies]
+	return sw
+}
+
+func putLtSweeper(sw *ltSweeper) {
+	clear(sw.babies)
+	clear(sw.sums)
+	sw.ev, sw.lt, sw.ct, sw.digits = nil, nil, nil, nil
+	ltSweepers.Put(sw)
+}
+
+// run sweeps every raised limb into groups pooled raised pairs, sw.sums.
+// The baby keys are held from before the first limb to after the last,
+// streaming what the budget cannot admit; the workers split the limbs
+// into contiguous chunks, each worker with scratch of its own.
+func (sw *ltSweeper) run(groups int) {
+	ev, level := sw.ev, sw.ct.Level
+	rQ, conv := ev.params.RingQ().AtLevel(level), ev.params.Converter()
+	defer sw.release()
+	for k := range sw.babies {
+		if b := &sw.babies[k]; b.gk != nil {
+			b.key = ev.holdKey(&b.gk.SwitchingKey, len(sw.digits), true)
+			b.perm = rQ.AutomorphismNTTIndex(b.gk.GaloisEl)
 		}
 	}
-	ops.setOutputs(0, nQ, n, u, v)
-	ev.gatherMulAccumulate(nQ, nP, ops, nil, memtrace.ClassPt, memtrace.ClassCt, workers)
+	sw.sums = slices.Grow(sw.sums[:0], groups)[:groups]
+	for g := range sw.sums {
+		u, v := conv.GetPolyQP(level), conv.GetPolyQP(level)
+		u.Q.IsNTT, u.P.IsNTT, v.Q.IsNTT, v.P.IsNTT = true, true, true, true
+		sw.sums[g] = ltPartial{u: u, v: v}
+	}
+	limbs := level + 1 + ev.params.Alpha()
+	workers := ring.EffectiveWorkers(limbs, ev.workers)
+	for len(sw.rows) < workers {
+		sw.rows = append(sw.rows, new(ltRows))
+	}
+	ev.FanOutChunked(limbs, workers, sw.chunkFn)
+}
+
+// chunk runs the raised limbs [start, end) on one worker's scratch.
+func (sw *ltSweeper) chunk(worker, start, end int) {
+	rows := sw.rows[worker]
+	rows.lend(sw.ev.params, len(sw.babies))
+	defer rows.giveBack(sw.ev.params)
+	for i := start; i < end; i++ {
+		sw.limb(i, rows)
+	}
+}
+
+// release lets go of the baby keys.
+func (sw *ltSweeper) release() {
+	for k := range sw.babies {
+		if b := &sw.babies[k]; b.key != nil {
+			sw.ev.releaseKey(b.key)
+			b.key = nil
+		}
+	}
+}
+
+// limb runs raised limb i of the sweep on a worker's scratch: every baby
+// step's pair, then every group's sum.
+func (sw *ltSweeper) limb(i int, rows *ltRows) {
+	ev, lt, level := sw.ev, sw.lt, sw.ct.Level
+	n, nQ := ev.params.N(), level+1
+
+	child := ev.rec.StartLinked("ckks.lt.baby")
+	for k, b := range sw.babies {
+		u, v := rows.us[k], rows.vs[k]
+		if b.key == nil { // step 0: the PModUp lift of both halves
+			conv := ev.params.Converter()
+			conv.PModUpLimb(level, i, sw.ct.C0, raisedLimb(u, i, nQ, n))
+			conv.PModUpLimb(level, i, sw.ct.C1, raisedLimb(v, i, nQ, n))
+			continue
+		}
+		lane := [1]kskLane{{digits: sw.digits, c0: sw.ct.C0, u: u, v: v}}
+		ev.keyedStep(level, lane[:], b.perm, b.key, i, i+1, 1)
+	}
+	child.End()
+
+	child = ev.rec.StartLinked("ckks.lt.accumulate")
+	sums := sw.sums
+	if len(lt.center.pt) > 0 {
+		ev.ltGroupSum(level, &lt.center, rows, sums[0], i)
+		sums = sums[1:]
+	}
+	for s := range lt.chains {
+		for g := range lt.chains[s].groups {
+			ev.ltGroupSum(level, &lt.chains[s].groups[g], rows, sums[0], i)
+			sums = sums[1:]
+		}
+	}
+	child.End()
+}
+
+// ltRows is one worker's per-limb scratch of a transform sweep: every
+// baby step's raised pair, each half a view whose limbs are all one row
+// (raisedLimb of any limb returns it), the rows being the limbs of pooled
+// Q scratch lent for the worker's chunk. The sweep writes a limb of it and
+// reads that limb back before the next, so 16 baby steps at N = 2^12 take
+// 1 MiB, not the 8 MiB of whole pairs.
+type ltRows struct {
+	us, vs  []rns.PolyQP
+	backing []*ring.Poly // the Q scratch lending the rows
+}
+
+// lend points the views of babies baby steps at rows of p's pooled Q
+// scratch; giveBack returns the scratch.
+func (r *ltRows) lend(p *Parameters, babies int) {
+	nQ, nP := p.MaxLevel()+1, p.Alpha()
+	if len(r.us) > 0 && (len(r.us[0].Q.Coeffs) != nQ || len(r.us[0].P.Coeffs) != nP) {
+		r.us, r.vs = r.us[:0], r.vs[:0] // another parameter set's
+	}
+	for len(r.us) < babies {
+		r.us = append(r.us, rns.PolyQP{Q: &ring.Poly{Coeffs: make([][]uint64, nQ)}, P: &ring.Poly{Coeffs: make([][]uint64, nP)}})
+		r.vs = append(r.vs, rns.PolyQP{Q: &ring.Poly{Coeffs: make([][]uint64, nQ)}, P: &ring.Poly{Coeffs: make([][]uint64, nP)}})
+	}
+	var rows [][]uint64
+	for k := range babies {
+		for _, view := range [2]rns.PolyQP{r.us[k], r.vs[k]} {
+			if len(rows) == 0 {
+				b := p.RingQ().GetScratch()
+				r.backing = append(r.backing, b)
+				rows = b.Coeffs
+			}
+			for _, c := range [2][][]uint64{view.Q.Coeffs, view.P.Coeffs} {
+				for i := range c {
+					c[i] = rows[0]
+				}
+			}
+			rows = rows[1:]
+		}
+	}
+}
+
+func (r *ltRows) giveBack(p *Parameters) {
+	for _, b := range r.backing {
+		p.RingQ().PutScratch(b)
+	}
+	clear(r.backing)
+	r.backing = r.backing[:0]
+}
+
+// ltGroupSum writes limb i of Σ_k pt_k ⊙ (u, v)_{baby(k)} over one giant
+// group's diagonals into the group's sum: one call of the fused
+// key-switch kernel with the plaintext rows (in Montgomery form) in the
+// digit slot and the baby-step halves in the key slots. The sum's limb is
+// overwritten, so pooled scratch needs no zeroing. The diagonals replay as
+// plaintext traffic.
+func (ev *Evaluator) ltGroupSum(level int, g *ltGroup, babies *ltRows, sum ltPartial, i int) {
+	n, nQ := ev.params.N(), level+1
+	ops := getKskOperands(i, i+1, 1, len(g.pt))
+	defer kskRelease(ops)
+	r := ops.limb(i)
+	for k, pt := range g.pt {
+		r.d[k], r.b[k], r.a[k] = raisedLimb(pt, i, nQ, n), raisedLimb(babies.us[g.baby[k]], i, nQ, n), raisedLimb(babies.vs[g.baby[k]], i, nQ, n)
+	}
+	r.u[0], r.v[0] = raisedLimb(sum.u, i, nQ, n), raisedLimb(sum.v, i, nQ, n)
+	ev.gatherMulAccumulate(nQ, ops, nil, memtrace.ClassPt, memtrace.ClassCt, 1)
 }

@@ -69,12 +69,12 @@ func (ev *Evaluator) mulRaised(level int, pairs []mulPair, out []raisedCt) {
 	}
 
 	child := ev.rec.StartLinked("ckks.ks.product")
-	ev.keyedStep(level, lanes[:len(pairs)], nil, rlk, ev.workers)
+	ev.keyPass(level, lanes[:len(pairs)], nil, rlk, ev.workers)
 	child.End()
 
 	child = ev.rec.StartLinked("ckks.mult.lift")
 	for k := range pairs {
-		ev.addLifted(level, d1s[k], nil, out[k].v)
+		ev.addLifted(d1s[k], nil, out[k].v, 0, level+1)
 		ev.putDigits(sets[k])
 		rQ.PutScratch(lanes[k].c0)
 		rQ.PutScratch(d1s[k])
@@ -105,13 +105,14 @@ func (ev *Evaluator) tensorLimb(s *ring.SubRing, ct0, ct1 *Ciphertext, i int, d0
 
 // addLifted adds P·σ(x) — the PModUp lift of a Q-basis polynomial
 // (Algorithm 5: one scalar multiply per coefficient, zero P limbs), read
-// through the slot permutation perm (nil = identity) — into the Q limbs of
-// the raised polynomial dst, in one pass and without materializing it.
-func (ev *Evaluator) addLifted(level int, x *ring.Poly, perm []int, dst rns.PolyQP) {
+// through the slot permutation perm (nil = identity) — into the Q limbs
+// [lo, hi) of the raised polynomial dst, in one pass and without
+// materializing it.
+func (ev *Evaluator) addLifted(x *ring.Poly, perm []int, dst rns.PolyQP, lo, hi int) {
 	conv := ev.params.Converter()
-	for i, s := range ev.params.RingQ().SubRings[:level+1] {
+	for i := lo; i < hi; i++ {
 		w, ws := conv.PModQ(i)
-		ev.mulScalarThenAddLimb(s, x.Coeffs[i], perm, w, ws, dst.Q.Coeffs[i])
+		ev.mulScalarThenAddLimb(ev.params.RingQ().SubRings[i], x.Coeffs[i], perm, w, ws, dst.Q.Coeffs[i])
 	}
 }
 

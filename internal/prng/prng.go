@@ -78,6 +78,36 @@ func (s *Source) words() []uint64 {
 	return s.buf[epochWords-s.left : epochWords]
 }
 
+// Checkpoint is a position in a stream: the key of the epoch that holds
+// the next word and how many of that epoch's words are already read —
+// 40 bytes. Resume returns any Source to it, so a consumer can start
+// reading a long stream in the middle (one limb of a key digit) without
+// generating what comes before.
+type Checkpoint struct {
+	key  [4]uint64
+	used uint64
+}
+
+// Checkpoint returns the stream's current position.
+func (s *Source) Checkpoint() Checkpoint {
+	if s.left == 0 { // the next word opens the epoch keyed by buf's tail
+		return Checkpoint{key: [4]uint64(s.buf[epochWords:])}
+	}
+	return Checkpoint{key: s.seed, used: uint64(epochWords - s.left)}
+}
+
+// Resume moves the stream to c: the words read next are the ones the
+// Source that returned c read after returning it. Mid-epoch, Resume
+// regenerates the epoch once.
+func (s *Source) Resume(c Checkpoint) {
+	copy(s.buf[epochWords:], c.key[:])
+	s.left = 0
+	if c.used > 0 {
+		s.refill()
+		s.left = epochWords - uint(c.used)
+	}
+}
+
 // NewRandomSource returns a Source with a fresh seed drawn from the
 // operating system CSPRNG, along with the seed itself so the caller can
 // store or transmit it.

@@ -443,3 +443,48 @@ func BenchmarkUniformSlice(b *testing.B) {
 }
 
 var benchSink uint64
+
+// TestResumeAtLimbStarts expands a 6+2-limb key digit in one run, taking
+// a Checkpoint before every limb, then resumes a second Source at each
+// limb start and demands that limb's words. Limb 0's modulus is a power
+// of two (every draw accepted) and its 248 words are two whole epochs, so
+// limb 1 starts exactly on an epoch edge; limb 2's modulus, 2^63 + 29,
+// rejects about half its draws, so limb 3 starts mid-epoch; the last P
+// limb is resumed like the rest.
+func TestResumeAtLimbStarts(t *testing.T) {
+	const n = 2 * epochWords
+	moduli := []uint64{1 << 50, 1<<40 + 1<<20 + 1, 1<<63 + 29, 1<<50 - 27, 1<<40 - 87, 1<<40 - 195, 1<<50 - 113, 1<<50 - 165}
+	forEachBody(t, func(t *testing.T) {
+		for k := range 3 {
+			whole := NewSource(testSeed(k))
+			marks := make([]Checkpoint, len(moduli))
+			want := make([][]uint64, len(moduli))
+			for l, q := range moduli {
+				marks[l] = whole.Checkpoint()
+				want[l] = make([]uint64, n)
+				whole.UniformSlice(want[l], q)
+			}
+			if marks[1].used != 0 {
+				t.Fatalf("seed %d: limb 1 starts %d words into an epoch, want on the edge", k, marks[1].used)
+			}
+			if marks[3].used == 0 {
+				t.Fatalf("seed %d: limb 3 starts on an epoch edge, want mid-epoch", k)
+			}
+			var src Source
+			for _, l := range []int{len(moduli) - 1, 3, 0, 1, 2, 4, 5, 6} { // out of order: Resume carries no history
+				got := make([]uint64, n)
+				src.Resume(marks[l])
+				src.UniformSlice(got, moduli[l])
+				if !slices.Equal(got, want[l]) {
+					t.Errorf("seed %d: limb %d resumed at %+v differs from the uninterrupted stream", k, l, marks[l])
+				}
+			}
+			// The stream after the last limb continues from a resume too.
+			src.Resume(marks[len(moduli)-1])
+			src.UniformSlice(make([]uint64, n), moduli[len(moduli)-1])
+			if got, want := src.Uint64(), whole.Uint64(); got != want {
+				t.Errorf("seed %d: word after the last limb %#x, want %#x", k, got, want)
+			}
+		}
+	})
+}

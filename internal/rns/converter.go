@@ -569,44 +569,33 @@ func (c *Converter) rescaleLimb(a, out, scr *ring.Poly, last []uint64, levelQ in
 	c.tr.Discard(b)
 }
 
-// PModUp implements Algorithm 5: it lifts b ∈ R_Q to P·b ∈ R_{PQ} with
-// only one scalar multiplication per coefficient and zero P limbs — no
-// basis conversion and no NTTs. This is the cheap lift that lets linear
-// functions run in the raised basis (the paper's §3.2).
-func (c *Converter) PModUp(levelQ int, a *ring.Poly, out PolyQP, workers int) {
-	n := c.RingQ.N
-	if ring.EffectiveWorkers(levelQ+1, workers) == 1 {
-		for i := 0; i <= levelQ; i++ {
-			c.pModUpLimb(a, out, n, i)
-		}
-	} else {
-		ring.Parallel(levelQ+1, workers, func(i int) {
-			c.pModUpLimb(a, out, n, i)
-		})
-	}
-	for j := range c.RingP.Moduli {
-		clear(out.P.Coeffs[j][:n])
-		c.tr.Write(out.P.Coeffs[j][:n])
-	}
-	out.Q.IsNTT = a.IsNTT
-	out.P.IsNTT = a.IsNTT
-}
-
-// PModQ returns P mod q_i and its Shoup companion: PModUp's lift factor,
-// for callers that fuse the lift into a multiply-add pass of their own.
+// PModQ returns P mod q_i and its Shoup companion: PModUpLimb's lift
+// factor, for callers that fuse the lift into a multiply-add pass of their
+// own.
 func (c *Converter) PModQ(i int) (w, shoup uint64) {
 	return c.pModQ[i].w, c.pModQ[i].shoup
 }
 
-// pModUpLimb is the per-q_i body of PModUp, named so the serial path
-// avoids a dispatch closure.
-func (c *Converter) pModUpLimb(a *ring.Poly, out PolyQP, n, i int) {
+// PModUpLimb implements Algorithm 5 one raised limb at a time: it writes
+// limb i (the levelQ+1 Q limbs first, then P) of the lift of a ∈ R_Q to
+// P·a ∈ R_{PQ} into out — a_i·(P mod q_i) on a Q limb, zero on a P limb:
+// one scalar multiplication per coefficient, no basis conversion and no
+// NTTs. This is the cheap lift that lets linear functions run in the
+// raised basis (the paper's §3.2).
+func (c *Converter) PModUpLimb(levelQ, i int, a *ring.Poly, out []uint64) {
+	n := c.RingQ.N
+	out = out[:n]
+	if i > levelQ {
+		clear(out)
+		c.tr.Write(out)
+		return
+	}
 	s := c.RingQ.SubRings[i]
 	pMod := c.pModQ[i]
-	ai, oi := a.Coeffs[i], out.Q.Coeffs[i]
-	c.tr.Read(ai[:n])
-	for j := 0; j < n; j++ {
-		oi[j] = mathutil.MulModShoup(ai[j], pMod.w, pMod.shoup, s.Q)
+	ai := a.Coeffs[i][:n]
+	c.tr.Read(ai)
+	for j := range out {
+		out[j] = mathutil.MulModShoup(ai[j], pMod.w, pMod.shoup, s.Q)
 	}
-	c.tr.Write(oi[:n])
+	c.tr.Write(out)
 }

@@ -281,6 +281,18 @@ func TestRescaleRounds(t *testing.T) {
 	}
 }
 
+// pModUp lifts a into every raised limb of out, one PModUpLimb each, in
+// a's domain.
+func pModUp(conv *Converter, levelQ int, a *ring.Poly, out PolyQP) {
+	out.Q.IsNTT, out.P.IsNTT = a.IsNTT, a.IsNTT
+	for i := range out.Q.Coeffs[:levelQ+1] {
+		conv.PModUpLimb(levelQ, i, a, out.Q.Coeffs[i])
+	}
+	for j := range out.P.Coeffs {
+		conv.PModUpLimb(levelQ, levelQ+1+j, a, out.P.Coeffs[j])
+	}
+}
+
 func TestPModUp(t *testing.T) {
 	const n = 32
 	ringQ, ringP := testRings(t, n, 3, 2)
@@ -292,7 +304,7 @@ func TestPModUp(t *testing.T) {
 	ringQ.SampleUniform(src, a)
 
 	out := conv.NewPolyQP(levelQ)
-	conv.PModUp(levelQ, a, out, 1)
+	pModUp(conv, levelQ, a, out)
 
 	bigP := bigProduct(ringP.Moduli)
 	for i := 0; i <= levelQ; i++ {
@@ -327,7 +339,7 @@ func TestPModUpThenModDownIsIdentity(t *testing.T) {
 	a.IsNTT = true // PModUp and ModDown are representation-agnostic pointwise ops
 
 	lifted := conv.NewPolyQP(levelQ)
-	conv.PModUp(levelQ, a, lifted, 1)
+	pModUp(conv, levelQ, a, lifted)
 	back := ringQ.NewPoly()
 	conv.ModDown(levelQ, lifted, back, 1)
 
